@@ -6,7 +6,7 @@ end-to-end cycle, then writes ``BENCH_pipeline.json``:
 * ``tsdb_ingest``   — append throughput across many labelled series;
 * ``instant_query`` — dashboard-style instant query latency, with the
   query plan cache and with it disabled;
-* ``range_query``   — bulk range evaluation vs the seed per-step
+* ``range_query``   — step-grid range evaluation vs the seed per-step
   evaluation (same data, same query, same results);
 * ``hook_fire``     — hook dispatch throughput with zero and one
   observers (the two common cases during app simulation);
@@ -102,7 +102,7 @@ def bench_instant_query(report: BenchReport, quick: bool) -> None:
 
 
 def bench_range_query(report: BenchReport, quick: bool) -> None:
-    """Bulk range evaluation vs the seed per-step evaluation.
+    """Step-grid range evaluation vs the seed per-step evaluation.
 
     The acceptance target: 1k steps over a 10k-sample series, >= 5x.
     """

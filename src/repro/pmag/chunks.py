@@ -208,7 +208,7 @@ class ChunkedSeries:
 
         Same samples as :meth:`window`, but as primitive lists built from
         chunk-internal slices — no per-sample object is allocated, which
-        is what makes the query engine's bulk range evaluation cheap.
+        is what makes the query engine's range evaluation cheap.
         """
         if end_ns < start_ns:
             raise TsdbError(f"bad window: {start_ns}..{end_ns}")
@@ -217,11 +217,17 @@ class ChunkedSeries:
         times: List[int] = []
         values: List[float] = []
         for chunk in self._chunks[first:last]:
-            if chunk.end_ns < start_ns:
+            chunk_times = chunk._times
+            if chunk_times[0] >= start_ns and chunk_times[-1] <= end_ns:
+                # Wholly inside the window: no bisects, no slice copies.
+                times.extend(chunk_times)
+                values.extend(chunk._values)
+                continue
+            if chunk_times[-1] < start_ns:
                 continue
             low, high = chunk.window_bounds(start_ns, end_ns)
             if low < high:
-                times.extend(chunk._times[low:high])
+                times.extend(chunk_times[low:high])
                 values.extend(chunk._values[low:high])
         return times, values
 

@@ -15,29 +15,35 @@ Two hot-path optimizations live here, both behavior-preserving:
   groups and dashboard panels that re-evaluate the same expression every
   cycle stop paying the lexer/parser (ASTs are immutable, so sharing one
   across evaluations is safe);
-* **bulk range evaluation**: ``range_query`` pre-selects each selector's
-  samples ONCE over ``[start - window, end]`` and binary-search-slices
-  that buffer at every step, instead of running a full TSDB select per
-  step — O(select + steps·log n) instead of O(steps × select).
+* **step-grid range evaluation**: ``range_query`` selects each
+  selector's samples ONCE over ``[start - window, end]`` and evaluates
+  every plan node once over the whole step grid, series-major
+  (:mod:`repro.pmag.query.grid`), instead of running the expression —
+  and a full TSDB select — per step.  The per-instant evaluator below
+  (``_eval``) serves ``instant``/``instant_plan`` and the
+  ``range_query_per_step`` oracle the grid is tested against.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import OrderedDict
 from itertools import accumulate
 from operator import sub, truediv
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional
 
 from repro.errors import QueryError
 from repro.pmag.blocks import EMPTY_AGGREGATE, aggregate_arrays
-from repro.pmag.model import Labels, Matcher, METRIC_NAME_LABEL, Sample, Series
+from repro.pmag.model import Labels, METRIC_NAME_LABEL, Sample, Series
+from repro.pmag.query import ops
 from repro.pmag.query.functions import (
-    ARRAY_RANGE_FUNCTIONS,
     RANGE_FUNCTIONS,
+    ROLLUP_COMPOSERS,
+    TimelineMemo,
     quantile_of,
+    window_bounds,
 )
+from repro.pmag.query.grid import StepGrid, selector_windows, series_from_rows
 from repro.pmag.query.nodes import (
     Aggregation,
     BinaryOp,
@@ -48,6 +54,7 @@ from repro.pmag.query.nodes import (
     RangeSelector,
     VectorSelector,
 )
+from repro.pmag.query.ops import InstantVector, Value
 from repro.pmag.query.parser import parse_query
 from repro.pmag.tsdb import Tsdb
 from repro.trace import NOOP_TRACER
@@ -63,9 +70,6 @@ EVAL_NS_PER_SERIES = 1_000
 #: alert query population of a deployment is a few dozen strings; 256
 #: leaves generous headroom for ad-hoc session queries.
 DEFAULT_PLAN_CACHE_SIZE = 256
-
-InstantVector = List[Tuple[Labels, float]]
-Value = Union[float, InstantVector]
 
 
 @dataclass(frozen=True)
@@ -131,195 +135,6 @@ class QueryPlanCache:
         )
 
 
-class _BulkSelection:
-    """One selector's samples pre-fetched over a whole query range.
-
-    Stores, per matched series, the sample list plus a parallel timestamp
-    array so any sub-window can be sliced with two bisects.  Slicing yields
-    exactly what a fresh ``tsdb.select`` over the sub-window would: the
-    bulk window is a superset, label order is preserved from the sorted
-    bulk select, and series with no samples in the sub-window are dropped.
-
-    Beyond plain slicing, the two per-step evaluation shapes are answered
-    directly from the buffer so the inner loop allocates nothing it does
-    not have to: :meth:`latest` resolves an instant selector with a single
-    bisect per series, and :meth:`apply_range_function` feeds each range
-    function a window slice without materialising :class:`Series` objects.
-    """
-
-    __slots__ = ("start_ns", "end_ns", "_series")
-
-    def __init__(
-        self,
-        start_ns: int,
-        end_ns: int,
-        arrays: List[Tuple[Labels, List[int], List[float]]],
-    ) -> None:
-        self.start_ns = start_ns
-        self.end_ns = end_ns
-        # (labels, labels sans __name__, timestamps, values) per series.
-        self._series: List[Tuple[Labels, Labels, List[int], List[float]]] = [
-            (labels, labels.without(METRIC_NAME_LABEL), times, values)
-            for labels, times, values in arrays
-        ]
-
-    def covers(self, start_ns: int, end_ns: int) -> bool:
-        """Whether [start_ns, end_ns] lies inside the pre-fetched window."""
-        return start_ns >= self.start_ns and end_ns <= self.end_ns
-
-    def slice(self, start_ns: int, end_ns: int) -> List[Series]:
-        """Series restricted to [start_ns, end_ns], empty ones dropped."""
-        result: List[Series] = []
-        for labels, _sans_name, times, values in self._series:
-            low = bisect_left(times, start_ns)
-            high = bisect_right(times, end_ns, low)
-            if low < high:
-                samples = [
-                    Sample(t, v)
-                    for t, v in zip(times[low:high], values[low:high])
-                ]
-                result.append(Series(labels=labels, samples=samples))
-        return result
-
-    def latest(self, start_ns: int, end_ns: int) -> List[Tuple[Labels, float]]:
-        """Per series, the newest value in [start_ns, end_ns] (if any).
-
-        Matches evaluating an instant selector over the sub-window: series
-        order is preserved and series without samples in it are dropped.
-        """
-        result: List[Tuple[Labels, float]] = []
-        for labels, _sans_name, times, values in self._series:
-            high = bisect_right(times, end_ns)
-            if high > 0 and times[high - 1] >= start_ns:
-                result.append((labels, values[high - 1]))
-        return result
-
-    def apply_range_function(
-        self, array_function, start_ns: int, end_ns: int, range_ns: int
-    ) -> List[Tuple[Labels, float]]:
-        """Apply an array-form range function per series over the window.
-
-        Mirrors ``QueryEngine._apply_range_function``'s loop: series whose
-        window raises (not enough samples) are absent from the result, and
-        labels are returned without ``__name__``.
-        """
-        result: List[Tuple[Labels, float]] = []
-        for _labels, sans_name, times, values in self._series:
-            low = bisect_left(times, start_ns)
-            high = bisect_right(times, end_ns, low)
-            if low >= high:
-                continue
-            try:
-                value = array_function(
-                    times[low:high], values[low:high], range_ns
-                )
-            except QueryError:
-                continue  # not enough samples in this window; series is absent
-            result.append((sans_name, value))
-        return result
-
-
-#: Range functions whose value over a window is a pure function of the
-#: window's :class:`~repro.pmag.blocks.WindowAggregate` — exactly the
-#: rollups compaction stores.  ``rate``/``increase``/``delta`` need every
-#: sample (counter-reset detection) and never read rollups.
-_ROLLUP_COMPOSERS = {
-    "avg_over_time": lambda agg: agg.total / agg.count,
-    "min_over_time": lambda agg: agg.minimum,
-    "max_over_time": lambda agg: agg.maximum,
-    "sum_over_time": lambda agg: agg.total,
-    "count_over_time": lambda agg: float(agg.count),
-}
-
-
-class _RollupSelection:
-    """One selector's downsampled buckets, merged with its raw buffer.
-
-    Serves the composable ``*_over_time`` functions from per-bucket
-    aggregates instead of raw samples.  Every window is answered as
-    rollup-aggregate ⊕ raw-aggregate per series: compaction *moves*
-    samples from raw chunks into buckets, so the two parts are disjoint
-    and their merge is exactly what evaluating the original raw samples
-    would produce (for aligned windows — :meth:`apply` returns None on
-    misaligned bounds and the caller falls back to the raw path).
-    """
-
-    __slots__ = ("resolution_ns", "_entries", "_raw", "_stats")
-
-    def __init__(self, resolution_ns, entries, raw, stats) -> None:
-        self.resolution_ns = resolution_ns
-        # (labels, labels sans __name__, rollup), sorted by labels.items().
-        self._entries = entries
-        self._raw = raw  # the selector's _BulkSelection (may be None)
-        self._stats = stats  # the engine's StorageStats (read counter)
-
-    def apply(
-        self, name: str, start_ns: int, end_ns: int
-    ) -> Optional[List[Tuple[Labels, float]]]:
-        """The instant vector for one window, or None if misaligned."""
-        resolution = self.resolution_ns
-        if start_ns % resolution or end_ns % resolution:
-            return None
-        compose = _ROLLUP_COMPOSERS[name]
-        raw_series = self._raw._series if self._raw is not None else []
-        entries = self._entries
-        result: List[Tuple[Labels, float]] = []
-        i = j = 0
-        # Positional merge on the shared sort key (labels.items()): a
-        # series may be raw-only (young), rollup-only (fully compacted),
-        # or both (straddling the compaction horizon).
-        while i < len(raw_series) or j < len(entries):
-            raw_key = raw_series[i][0].items() if i < len(raw_series) else None
-            rollup_key = entries[j][0].items() if j < len(entries) else None
-            if rollup_key is None or (raw_key is not None and raw_key < rollup_key):
-                _labels, sans_name, times, values = raw_series[i]
-                i += 1
-                aggregate = aggregate_arrays(times, values, start_ns, end_ns)
-            elif raw_key is None or rollup_key < raw_key:
-                _labels, sans_name, rollup = entries[j]
-                j += 1
-                aggregate = rollup.window_aggregate(start_ns, end_ns)
-            else:
-                _labels, sans_name, rollup = entries[j]
-                _rl, _rs, times, values = raw_series[i]
-                i += 1
-                j += 1
-                aggregate = rollup.window_aggregate(start_ns, end_ns).merge(
-                    aggregate_arrays(times, values, start_ns, end_ns)
-                )
-            if aggregate.count == 0:
-                continue  # no samples in this window; series is absent
-            result.append((sans_name, compose(aggregate)))
-        self._stats.downsampled_reads_total += 1
-        return result
-
-
-def _collect_selector_windows(
-    expr: Expr, lookback_ns: int, windows: Dict[VectorSelector, int]
-) -> None:
-    """Record, per selector in ``expr``, the widest trailing window it reads.
-
-    Instant uses need ``lookback_ns`` of history; range uses need their
-    ``range_ns``.  The same selector appearing in both contexts gets the
-    maximum, so one bulk select can serve every occurrence.
-    """
-    if isinstance(expr, VectorSelector):
-        windows[expr] = max(windows.get(expr, 0), lookback_ns)
-    elif isinstance(expr, RangeSelector):
-        selector = expr.selector
-        windows[selector] = max(windows.get(selector, 0), expr.range_ns)
-    elif isinstance(expr, FunctionCall):
-        for arg in expr.args:
-            _collect_selector_windows(arg, lookback_ns, windows)
-    elif isinstance(expr, Aggregation):
-        _collect_selector_windows(expr.expr, lookback_ns, windows)
-    elif isinstance(expr, (BinaryOp, Comparison)):
-        _collect_selector_windows(expr.left, lookback_ns, windows)
-        _collect_selector_windows(expr.right, lookback_ns, windows)
-
-
-_EMPTY_LABELS = Labels({})
-
 #: Aggregation operators whose result is a pure function of small
 #: per-group partials — the shapes the sharded engine can push down.
 _PUSHDOWN_OPS = frozenset(("sum", "avg", "min", "max", "count"))
@@ -344,36 +159,12 @@ def _pushdown_shape(expr: Expr):
     call = expr.expr
     if (
         not isinstance(call, FunctionCall)
-        or call.name not in _ROLLUP_COMPOSERS
+        or call.name not in ROLLUP_COMPOSERS
         or len(call.args) != 1
         or not isinstance(call.args[0], RangeSelector)
     ):
         return None
     return call.name, call.args[0], expr
-
-
-def _window_bounds(times, windows):
-    """Index bounds of every window in a sorted timestamp array.
-
-    Returns parallel lists ``(los, his, spans)``: samples of window ``i``
-    live at ``times[los[i]:his[i]]``.  Window bounds are nondecreasing
-    across steps, so each bisect is hinted by the previous result.  The
-    result depends only on ``times`` — series scraped on the same
-    schedule share their timestamp array, so callers folding many series
-    reuse one sweep per distinct timeline.
-    """
-    search_left, search_right = bisect_left, bisect_right
-    los: List[int] = []
-    his: List[int] = []
-    push_lo = los.append
-    push_hi = his.append
-    lo = hi = 0
-    for w_lo, w_hi in windows:
-        lo = search_left(times, w_lo, lo)
-        hi = search_right(times, w_hi, hi if hi >= lo else lo)
-        push_lo(lo)
-        push_hi(hi)
-    return los, his, list(map(sub, his, los))
 
 
 def _fold_pushdown_series(
@@ -386,7 +177,7 @@ def _fold_pushdown_series(
     maxs)`` over the composed values of the series folded so far
     (``counts[i] == 0`` marks "no series had samples at step i");
     ``fresh`` says the slot was created for this series, so every cell
-    is still empty.  ``bounds`` is a precomputed :func:`_window_bounds`
+    is still empty.  ``bounds`` is a precomputed :func:`window_bounds`
     over ``times`` (computed here when absent); sum/avg/count windows
     are then answered from a prefix sum in O(1) per step, and a fresh
     slot over gap-free windows is filled entirely with C-level ``map``
@@ -398,7 +189,7 @@ def _fold_pushdown_series(
     n = len(times)
     if rollup is None:
         if bounds is None:
-            bounds = _window_bounds(times, windows)
+            bounds = window_bounds(times, windows)
         los, his, spans = bounds
         is_avg = name == "avg_over_time"
         if fresh and 0 not in spans:
@@ -470,7 +261,7 @@ def _fold_pushdown_series(
                     counts[i] = 1
                     totals[i] = mins[i] = maxs[i] = value
         return
-    compose = _ROLLUP_COMPOSERS[name]
+    compose = ROLLUP_COMPOSERS[name]
     for i, (w_lo, w_hi) in enumerate(windows):
         raw = aggregate_arrays(times, values, w_lo, w_hi) if n else EMPTY_AGGREGATE
         if w_lo % resolution == 0 and w_hi % resolution == 0:
@@ -492,6 +283,13 @@ def _fold_pushdown_series(
             totals[i] = mins[i] = maxs[i] = value
 
 
+def _check_range(start_ns: int, end_ns: int, step_ns: int) -> None:
+    if step_ns <= 0:
+        raise QueryError(f"step must be positive, got {step_ns}")
+    if end_ns < start_ns:
+        raise QueryError(f"bad range: {start_ns}..{end_ns}")
+
+
 class QueryEngine:
     """Evaluates query expressions against a :class:`Tsdb`."""
 
@@ -505,12 +303,11 @@ class QueryEngine:
         self._tsdb = tsdb
         self._lookback_ns = lookback_ns
         self._plan_cache = QueryPlanCache(plan_cache_size)
-        self._bulk: Optional[Dict[VectorSelector, _BulkSelection]] = None
-        self._rollup_sel: Optional[Dict[VectorSelector, _RollupSelection]] = None
-        # Evaluation is the µs-scale hot path: every traced entry point
-        # checks ``tracer.enabled`` first and falls through to the exact
-        # untraced code when tracing is off, so the no-op tracer costs one
-        # attribute read per query.
+        # Instant evaluation is the µs-scale hot path: its traced entry
+        # points check ``tracer.enabled`` first and fall through to the
+        # exact untraced code when tracing is off, so the no-op tracer
+        # costs one attribute read per query.  ``range_query`` (ms-scale)
+        # has one body and swaps in the no-op tracer instead.
         self._tracer = tracer if tracer is not None else NOOP_TRACER
 
     # ------------------------------------------------------------------
@@ -562,22 +359,9 @@ class QueryEngine:
     def instant(self, query: str, time_ns: int) -> InstantVector:
         """Evaluate at one instant; scalars become a single unlabelled entry."""
         if not self._tracer.enabled or not self._tracer.recording():
-            value = self._eval(self.parse(query), time_ns)
-            if isinstance(value, float):
-                return [(Labels({}), value)]
-            return value
+            return self._instant_vector(self.parse(query), time_ns)
         with self._tracer.span("query.instant", {"query": query}):
-            expr = self._parse_traced(query)
-            with self._tracer.span("query.eval") as eval_span:
-                value = self._eval(expr, time_ns)
-                if isinstance(value, float):
-                    value = [(Labels({}), value)]
-                if eval_span.recording:
-                    eval_span.set_attribute("series", len(value))
-                    eval_span.add_virtual_time(
-                        EVAL_NS_PER_SERIES * max(1, len(value))
-                    )
-            return value
+            return self._instant_traced(self._parse_traced(query), time_ns)
 
     def instant_plan(self, plan: Expr, time_ns: int) -> InstantVector:
         """Evaluate a pre-parsed plan at one instant.
@@ -588,21 +372,19 @@ class QueryEngine:
         identical to ``instant(query, time_ns)`` for the plan's query.
         """
         if not self._tracer.enabled or not self._tracer.recording():
-            value = self._eval(plan, time_ns)
-            if isinstance(value, float):
-                return [(Labels({}), value)]
-            return value
+            return self._instant_vector(plan, time_ns)
         with self._tracer.span("query.instant", {"plan": True}):
-            with self._tracer.span("query.eval") as eval_span:
-                value = self._eval(plan, time_ns)
-                if isinstance(value, float):
-                    value = [(Labels({}), value)]
-                if eval_span.recording:
-                    eval_span.set_attribute("series", len(value))
-                    eval_span.add_virtual_time(
-                        EVAL_NS_PER_SERIES * max(1, len(value))
-                    )
-            return value
+            return self._instant_traced(plan, time_ns)
+
+    def _instant_traced(self, expr: Expr, time_ns: int) -> InstantVector:
+        with self._tracer.span("query.eval") as eval_span:
+            value = self._instant_vector(expr, time_ns)
+            if eval_span.recording:
+                eval_span.set_attribute("series", len(value))
+                eval_span.add_virtual_time(
+                    EVAL_NS_PER_SERIES * max(1, len(value))
+                )
+        return value
 
     def scalar(self, query: str, time_ns: int) -> float:
         """Evaluate a query expected to yield exactly one value."""
@@ -619,77 +401,52 @@ class QueryEngine:
         """Evaluate at each step in [start, end]; returns one Series per label set.
 
         Every selector in the expression is bulk-selected once over the
-        whole range (plus its trailing window), then sliced per step.
+        whole range (plus its trailing window), then every plan node is
+        evaluated once over the step grid.  All of a query's state lives
+        on its own :class:`StepGrid`, so concurrent and re-entrant calls
+        on one engine do not interfere.
         """
-        if not self._tracer.enabled or not self._tracer.recording():
-            expr = self._check_range(query, start_ns, end_ns, step_ns)
-            plan = self._pushdown_plan(expr)
-            if plan is not None:
-                return self._pushdown_eval(plan, start_ns, end_ns, step_ns)
-            windows: Dict[VectorSelector, int] = {}
-            _collect_selector_windows(expr, self._lookback_ns, windows)
-            self._bulk = self._bulk_select(windows, start_ns, end_ns)
-            self._rollup_sel = self._rollup_select(
-                windows, start_ns, end_ns, step_ns
-            )
-            try:
-                return self._evaluate_steps(expr, start_ns, end_ns, step_ns)
-            finally:
-                self._bulk = None
-                self._rollup_sel = None
-        with self._tracer.span("query.range", {
+        tracer = self._tracer
+        if not tracer.enabled or not tracer.recording():
+            tracer = NOOP_TRACER
+        with tracer.span("query.range", {
             "query": query, "start_ns": start_ns, "end_ns": end_ns,
             "step_ns": step_ns,
         }):
-            if step_ns <= 0:
-                raise QueryError(f"step must be positive, got {step_ns}")
-            if end_ns < start_ns:
-                raise QueryError(f"bad range: {start_ns}..{end_ns}")
+            _check_range(start_ns, end_ns, step_ns)
             expr = self._parse_traced(query)
             plan = self._pushdown_plan(expr)
-            if plan is not None:
-                with self._tracer.span("query.eval") as eval_span:
+            if plan is None:
+                windows = selector_windows(expr, self._lookback_ns)
+                with tracer.span("query.select", {
+                    "selectors": len(windows),
+                }) as select_span:
+                    grid = StepGrid(
+                        self._tsdb, self._lookback_ns, windows,
+                        start_ns, end_ns, step_ns,
+                    )
+                    if select_span.recording:
+                        series = grid.series_selected
+                        select_span.set_attribute("series", series)
+                        select_span.add_virtual_time(
+                            EVAL_NS_PER_SERIES * max(1, series)
+                        )
+            with tracer.span("query.eval") as eval_span:
+                if plan is None:
+                    result = grid.evaluate(expr)
+                else:
                     result = self._pushdown_eval(
                         plan, start_ns, end_ns, step_ns
                     )
-                    if eval_span.recording:
-                        eval_span.set_attribute("series", len(result))
+                if eval_span.recording:
+                    eval_span.set_attribute("series", len(result))
+                    if plan is not None:
                         eval_span.set_attribute("pushdown", True)
-                        steps = (end_ns - start_ns) // step_ns + 1
-                        eval_span.add_virtual_time(
-                            EVAL_NS_PER_SERIES * max(1, len(result)) * steps
-                        )
-                return result
-            windows = {}
-            _collect_selector_windows(expr, self._lookback_ns, windows)
-            with self._tracer.span("query.select", {
-                "selectors": len(windows),
-            }) as select_span:
-                self._bulk = self._bulk_select(windows, start_ns, end_ns)
-                self._rollup_sel = self._rollup_select(
-                    windows, start_ns, end_ns, step_ns
-                )
-                if select_span.recording:
-                    series = sum(
-                        len(b._series) for b in self._bulk.values()
+                    steps = (end_ns - start_ns) // step_ns + 1
+                    eval_span.add_virtual_time(
+                        EVAL_NS_PER_SERIES * max(1, len(result)) * steps
                     )
-                    select_span.set_attribute("series", series)
-                    select_span.add_virtual_time(
-                        EVAL_NS_PER_SERIES * max(1, series)
-                    )
-            try:
-                with self._tracer.span("query.eval") as eval_span:
-                    result = self._evaluate_steps(expr, start_ns, end_ns, step_ns)
-                    if eval_span.recording:
-                        eval_span.set_attribute("series", len(result))
-                        steps = (end_ns - start_ns) // step_ns + 1
-                        eval_span.add_virtual_time(
-                            EVAL_NS_PER_SERIES * max(1, len(result)) * steps
-                        )
-                return result
-            finally:
-                self._bulk = None
-                self._rollup_sel = None
+            return result
 
     # ------------------------------------------------------------------
     # Aggregate pushdown: per-shard partials instead of a full merge
@@ -729,33 +486,20 @@ class QueryEngine:
         map_shards, name, range_selector, node = plan
         tsdb = self._tsdb
         selector = range_selector.selector
-        offset = selector.offset_ns
         range_ns = range_selector.range_ns
-        matchers = [Matcher.eq(METRIC_NAME_LABEL, selector.metric_name)]
-        matchers.extend(selector.matchers)
+        matchers = selector.tsdb_matchers()
         step_times = list(range(start_ns, end_ns + 1, step_ns))
-        windows = [
-            (max(0, t - range_ns - offset), max(0, t - offset))
-            for t in step_times
-        ]
-        low = max(0, start_ns - range_ns - offset)
-        high = max(0, end_ns - offset)
+        windows = [selector.window(t, range_ns) for t in step_times]
+        low = windows[0][0]
+        high = selector.window(end_ns, range_ns)[1]
         resolution = tsdb.downsample_resolution_ns
         use_rollups = bool(
             resolution and step_ns >= resolution and tsdb.has_rollups()
         )
-        grouping = node.grouping
-        without = node.without
         n_steps = len(step_times)
 
         def group_slot(partials, labels):
-            sans = labels.without(METRIC_NAME_LABEL)
-            if without:
-                key = sans.without(METRIC_NAME_LABEL, *grouping)
-            elif grouping:
-                key = sans.keep_only(grouping)
-            else:
-                key = _EMPTY_LABELS
+            key = ops.group_key(node, labels.without(METRIC_NAME_LABEL))
             slot = partials.get(key)
             if slot is None:
                 partials[key] = slot = (
@@ -775,20 +519,12 @@ class QueryEngine:
                 else {}
             )
             partials: Dict[Labels, list] = {}
-            # Series scraped on the same schedule share a timestamp
-            # array; one boundary sweep serves every such series (the
-            # C-level list compare is trivial next to the sweep).
-            memo_times = memo_bounds = None
+            # One boundary sweep serves every same-schedule series.
+            memo = TimelineMemo(lambda times: window_bounds(times, windows))
             for labels, times, values in arrays:
                 rollup = rollup_map.pop(labels, None) if rollup_map else None
                 slot, fresh = group_slot(partials, labels)
-                if rollup is None:
-                    if memo_bounds is None or times != memo_times:
-                        memo_times = times
-                        memo_bounds = _window_bounds(times, windows)
-                    bounds = memo_bounds
-                else:
-                    bounds = None
+                bounds = memo.get(times) if rollup is None else None
                 _fold_pushdown_series(
                     name, times, values, rollup, windows, resolution,
                     slot, fresh, bounds,
@@ -878,54 +614,6 @@ class QueryEngine:
         tsdb.stats.pushdown_reads_total += 1
         return result
 
-    def _bulk_select(
-        self, windows: Dict[VectorSelector, int], start_ns: int, end_ns: int
-    ) -> Dict[VectorSelector, _BulkSelection]:
-        bulk: Dict[VectorSelector, _BulkSelection] = {}
-        for selector, window_ns in windows.items():
-            matchers = [Matcher.eq(METRIC_NAME_LABEL, selector.metric_name)]
-            matchers.extend(selector.matchers)
-            low = max(0, start_ns - window_ns - selector.offset_ns)
-            high = max(0, end_ns - selector.offset_ns)
-            bulk[selector] = _BulkSelection(
-                low, high, self._tsdb.select_arrays(matchers, low, high)
-            )
-        return bulk
-
-    def _rollup_select(
-        self,
-        windows: Dict[VectorSelector, int],
-        start_ns: int,
-        end_ns: int,
-        step_ns: int,
-    ) -> Optional[Dict[VectorSelector, _RollupSelection]]:
-        """Pre-select downsampled buckets when this range query can use them.
-
-        Engaged only when the engine's store carries rollups and the
-        requested step is at least the downsample resolution — finer
-        steps need raw samples anyway.  Must run after
-        :meth:`_bulk_select`: each selection pairs the rollups with the
-        selector's raw buffer so straddling series merge exactly.
-        """
-        tsdb = self._tsdb
-        resolution = tsdb.downsample_resolution_ns
-        if not resolution or step_ns < resolution or not tsdb.has_rollups():
-            return None
-        selections: Dict[VectorSelector, _RollupSelection] = {}
-        for selector, window_ns in windows.items():
-            matchers = [Matcher.eq(METRIC_NAME_LABEL, selector.metric_name)]
-            matchers.extend(selector.matchers)
-            low = max(0, start_ns - window_ns - selector.offset_ns)
-            high = max(0, end_ns - selector.offset_ns)
-            entries = [
-                (labels, labels.without(METRIC_NAME_LABEL), rollup)
-                for labels, rollup in tsdb.select_rollups(matchers, low, high)
-            ]
-            selections[selector] = _RollupSelection(
-                resolution, entries, self._bulk.get(selector), tsdb.stats
-            )
-        return selections
-
     def range_query_per_step(
         self, query: str, start_ns: int, end_ns: int, step_ns: int
     ) -> List[Series]:
@@ -934,38 +622,23 @@ class QueryEngine:
         Kept as the reference implementation — the equivalence property
         tests and the perf harness compare :meth:`range_query` against it.
         """
-        expr = self._check_range(query, start_ns, end_ns, step_ns)
-        return self._evaluate_steps(expr, start_ns, end_ns, step_ns)
-
-    def _check_range(
-        self, query: str, start_ns: int, end_ns: int, step_ns: int
-    ) -> Expr:
-        if step_ns <= 0:
-            raise QueryError(f"step must be positive, got {step_ns}")
-        if end_ns < start_ns:
-            raise QueryError(f"bad range: {start_ns}..{end_ns}")
-        return self.parse(query)
-
-    def _evaluate_steps(
-        self, expr: Expr, start_ns: int, end_ns: int, step_ns: int
-    ) -> List[Series]:
-        collected: Dict[Labels, List[Tuple[int, float]]] = {}
-        time_ns = start_ns
-        while time_ns <= end_ns:
-            value = self._eval(expr, time_ns)
-            if isinstance(value, float):
-                value = [(Labels({}), value)]
-            for labels, number in value:
-                collected.setdefault(labels, []).append((time_ns, number))
-            time_ns += step_ns
-        return [
-            Series(labels=labels, samples=[Sample(t, v) for t, v in points])
-            for labels, points in sorted(collected.items(), key=lambda kv: kv[0].items())
-        ]
+        _check_range(start_ns, end_ns, step_ns)
+        expr = self.parse(query)
+        step_times = range(start_ns, end_ns + 1, step_ns)
+        return series_from_rows(
+            step_times, (self._instant_vector(expr, t) for t in step_times)
+        )
 
     # ------------------------------------------------------------------
-    # Evaluation
+    # Per-instant evaluation
     # ------------------------------------------------------------------
+    def _instant_vector(self, expr: Expr, time_ns: int) -> InstantVector:
+        """``expr`` at one instant; a scalar becomes one unlabelled entry."""
+        value = self._eval(expr, time_ns)
+        if isinstance(value, float):
+            return [(ops.EMPTY_LABELS, value)]
+        return value
+
     def _eval(self, expr: Expr, time_ns: int) -> Value:
         if isinstance(expr, NumberLiteral):
             return expr.value
@@ -976,59 +649,45 @@ class QueryEngine:
         if isinstance(expr, FunctionCall):
             return self._eval_function(expr, time_ns)
         if isinstance(expr, Aggregation):
-            return self._eval_aggregation(expr, time_ns)
+            return ops.aggregation(expr, self._eval(expr.expr, time_ns))
         if isinstance(expr, BinaryOp):
-            return self._eval_binary(expr, time_ns)
+            return ops.binary(
+                expr.op,
+                self._eval(expr.left, time_ns), self._eval(expr.right, time_ns),
+            )
         if isinstance(expr, Comparison):
-            return self._eval_comparison(expr, time_ns)
+            return ops.comparison(
+                expr.op,
+                self._eval(expr.left, time_ns), self._eval(expr.right, time_ns),
+            )
         raise QueryError(f"cannot evaluate node {expr!r}")
 
-    def _select_range(self, selector: VectorSelector, start_ns: int, end_ns: int) -> List[Series]:
-        offset = selector.offset_ns
-        low = max(0, start_ns - offset)
-        high = max(0, end_ns - offset)
-        if self._bulk is not None:
-            bulk = self._bulk.get(selector)
-            if bulk is not None and bulk.covers(low, high):
-                return bulk.slice(low, high)
-        matchers = [Matcher.eq(METRIC_NAME_LABEL, selector.metric_name)]
-        matchers.extend(selector.matchers)
-        return self._tsdb.select(matchers, low, high)
-
     def _eval_instant_selector(self, selector: VectorSelector, time_ns: int) -> InstantVector:
-        offset = selector.offset_ns
-        low = max(0, time_ns - self._lookback_ns - offset)
-        high = max(0, time_ns - offset)
-        if self._bulk is not None:
-            bulk = self._bulk.get(selector)
-            if bulk is not None and bulk.covers(low, high):
-                return bulk.latest(low, high)
-        series_list = self._select_range(selector, time_ns - self._lookback_ns, time_ns)
+        # The newest sample within lookback; read as arrays so the
+        # lookback is never materialised as Sample objects.
         return [
-            (series.labels, series.samples[-1].value)
-            for series in series_list
-            if series.samples
+            (labels, values[-1])
+            for labels, _times, values in self._tsdb.select_arrays(
+                selector.tsdb_matchers(),
+                *selector.window(time_ns, self._lookback_ns),
+            )
         ]
 
     def _eval_function(self, call: FunctionCall, time_ns: int) -> Value:
-        name = call.name
-        if name in RANGE_FUNCTIONS:
-            if len(call.args) != 1 or not isinstance(call.args[0], RangeSelector):
-                raise QueryError(f"{name}() takes exactly one range selector")
-            return self._apply_range_function(name, call.args[0], time_ns)
-        if name == "quantile_over_time":
-            if (
-                len(call.args) != 2
-                or not isinstance(call.args[0], NumberLiteral)
-                or not isinstance(call.args[1], RangeSelector)
-            ):
-                raise QueryError("quantile_over_time(q, selector[range]) expected")
-            quantile = call.args[0].value
-            range_selector = call.args[1]
-            series_list = self._select_range(
-                range_selector.selector, time_ns - range_selector.range_ns, time_ns
+        ranged = ops.range_call(call)
+        if ranged is None:
+            ops.check_function(call)
+            return ops.function(
+                call, *[self._eval(arg, time_ns) for arg in call.args]
             )
-            result: InstantVector = []
+        quantile, range_selector = ranged
+        range_ns = range_selector.range_ns
+        selector = range_selector.selector
+        series_list = self._tsdb.select(
+            selector.tsdb_matchers(), *selector.window(time_ns, range_ns)
+        )
+        result: InstantVector = []
+        if quantile is not None:
             for series in series_list:
                 values = [s.value for s in series.samples]
                 result.append(
@@ -1036,233 +695,11 @@ class QueryEngine:
                      quantile_of(values, quantile))
                 )
             return result
-        if name == "histogram_quantile":
-            return self._histogram_quantile(call, time_ns)
-        if name == "absent":
-            if len(call.args) != 1:
-                raise QueryError("absent() takes one argument")
-            value = self._eval(call.args[0], time_ns)
-            if isinstance(value, float) or value:
-                return []
-            return [(Labels({}), 1.0)]
-        if name == "abs":
-            return self._map_unary(call, time_ns, abs)
-        if name == "clamp_min":
-            return self._clamp(call, time_ns, is_min=True)
-        if name == "clamp_max":
-            return self._clamp(call, time_ns, is_min=False)
-        raise QueryError(f"unknown function: {name!r}")
-
-    def _apply_range_function(
-        self, name: str, range_selector: RangeSelector, time_ns: int
-    ) -> InstantVector:
-        function = RANGE_FUNCTIONS[name]
-        selector = range_selector.selector
-        offset = selector.offset_ns
-        low = max(0, time_ns - range_selector.range_ns - offset)
-        high = max(0, time_ns - offset)
-        if self._rollup_sel is not None and name in _ROLLUP_COMPOSERS:
-            selection = self._rollup_sel.get(selector)
-            if selection is not None:
-                composed = selection.apply(name, low, high)
-                if composed is not None:
-                    return composed
-        if self._bulk is not None:
-            bulk = self._bulk.get(selector)
-            if bulk is not None and bulk.covers(low, high):
-                return bulk.apply_range_function(
-                    ARRAY_RANGE_FUNCTIONS[name], low, high,
-                    range_selector.range_ns,
-                )
-        series_list = self._select_range(
-            selector, time_ns - range_selector.range_ns, time_ns
-        )
-        result: InstantVector = []
+        function = RANGE_FUNCTIONS[call.name]
         for series in series_list:
             try:
-                value = function(series.samples, range_selector.range_ns)
+                value = function(series.samples, range_ns)
             except QueryError:
                 continue  # not enough samples in this window; series is absent
             result.append((series.labels.without(METRIC_NAME_LABEL), value))
-        return result
-
-    def _map_unary(self, call: FunctionCall, time_ns: int, function) -> Value:
-        if len(call.args) != 1:
-            raise QueryError(f"{call.name}() takes one argument")
-        value = self._eval(call.args[0], time_ns)
-        if isinstance(value, float):
-            return float(function(value))
-        return [(labels, float(function(number))) for labels, number in value]
-
-    def _clamp(self, call: FunctionCall, time_ns: int, is_min: bool) -> Value:
-        if len(call.args) != 2:
-            raise QueryError(f"{call.name}(vector, bound) expected")
-        bound = self._eval(call.args[1], time_ns)
-        if not isinstance(bound, float):
-            raise QueryError(f"{call.name}() bound must be a scalar")
-        clamp = (lambda v: max(v, bound)) if is_min else (lambda v: min(v, bound))
-        value = self._eval(call.args[0], time_ns)
-        if isinstance(value, float):
-            return clamp(value)
-        return [(labels, clamp(number)) for labels, number in value]
-
-    def _histogram_quantile(self, call: FunctionCall, time_ns: int) -> InstantVector:
-        """Prometheus histogram_quantile over _bucket series with `le` labels."""
-        if (len(call.args) != 2 or not isinstance(call.args[0], NumberLiteral)):
-            raise QueryError("histogram_quantile(q, vector) expected")
-        quantile = call.args[0].value
-        if not 0.0 <= quantile <= 1.0:
-            raise QueryError(f"histogram_quantile: q out of range: {quantile}")
-        vector = self._eval(call.args[1], time_ns)
-        if isinstance(vector, float):
-            raise QueryError("histogram_quantile() needs a vector of buckets")
-        # Group bucket series by their labels sans `le`.
-        groups: dict = {}
-        for labels, value in vector:
-            le_text = labels.get("le")
-            if not le_text:
-                continue
-            bound = float("inf") if le_text in ("+Inf", "inf") else float(le_text)
-            key = labels.without("le", METRIC_NAME_LABEL)
-            groups.setdefault(key, []).append((bound, value))
-        result: InstantVector = []
-        for key, buckets in groups.items():
-            buckets.sort()
-            if not buckets or buckets[-1][0] != float("inf"):
-                continue  # malformed histogram: no +Inf bucket
-            total = buckets[-1][1]
-            if total <= 0:
-                continue
-            rank = quantile * total
-            previous_bound, previous_count = 0.0, 0.0
-            estimate = buckets[-1][0]
-            for bound, cumulative in buckets:
-                if cumulative >= rank:
-                    if bound == float("inf"):
-                        estimate = previous_bound
-                        break
-                    width = bound - previous_bound
-                    in_bucket = cumulative - previous_count
-                    fraction = (
-                        (rank - previous_count) / in_bucket if in_bucket > 0 else 0.0
-                    )
-                    estimate = previous_bound + fraction * width
-                    break
-                previous_bound, previous_count = bound, cumulative
-            result.append((key, estimate))
-        result.sort(key=lambda pair: pair[0].items())
-        return result
-
-    def _eval_comparison(self, node: Comparison, time_ns: int) -> Value:
-        """Filtering comparison (PromQL semantics).
-
-        vector-scalar keeps the vector elements where the comparison holds;
-        scalar-scalar yields 1.0 / 0.0.
-        """
-        left = self._eval(node.left, time_ns)
-        right = self._eval(node.right, time_ns)
-        op = node.op
-
-        def holds(a: float, b: float) -> bool:
-            if op == ">":
-                return a > b
-            if op == "<":
-                return a < b
-            if op == ">=":
-                return a >= b
-            if op == "<=":
-                return a <= b
-            if op == "==":
-                return a == b
-            if op == "!=":
-                return a != b
-            raise QueryError(f"unknown comparison: {op!r}")
-
-        if isinstance(left, float) and isinstance(right, float):
-            return 1.0 if holds(left, right) else 0.0
-        if isinstance(right, float):
-            return [(labels, v) for labels, v in left if holds(v, right)]
-        if isinstance(left, float):
-            return [(labels, v) for labels, v in right if holds(left, v)]
-        right_index = {
-            labels.without(METRIC_NAME_LABEL): v for labels, v in right
-        }
-        return [
-            (labels, v) for labels, v in left
-            if labels.without(METRIC_NAME_LABEL) in right_index
-            and holds(v, right_index[labels.without(METRIC_NAME_LABEL)])
-        ]
-
-    def _eval_aggregation(self, node: Aggregation, time_ns: int) -> InstantVector:
-        value = self._eval(node.expr, time_ns)
-        if isinstance(value, float):
-            raise QueryError(f"{node.op}() needs a vector, got a scalar")
-        if node.op in ("topk", "bottomk"):
-            if node.parameter is None or node.parameter < 1:
-                raise QueryError(f"{node.op}() needs a positive k")
-            k = int(node.parameter)
-            ordered = sorted(
-                value, key=lambda pair: pair[1], reverse=(node.op == "topk")
-            )
-            return ordered[:k]
-        groups = {}
-        for labels, number in value:
-            if node.without:
-                key = labels.without(METRIC_NAME_LABEL, *node.grouping)
-            elif node.grouping:
-                key = labels.keep_only(node.grouping)
-            else:
-                key = Labels({})
-            groups.setdefault(key, []).append(number)
-        result: InstantVector = []
-        for key, numbers in groups.items():
-            if node.op == "sum":
-                aggregated = sum(numbers)
-            elif node.op == "avg":
-                aggregated = sum(numbers) / len(numbers)
-            elif node.op == "min":
-                aggregated = min(numbers)
-            elif node.op == "max":
-                aggregated = max(numbers)
-            elif node.op == "count":
-                aggregated = float(len(numbers))
-            else:
-                raise QueryError(f"unknown aggregation: {node.op!r}")
-            result.append((key, aggregated))
-        result.sort(key=lambda pair: pair[0].items())
-        return result
-
-    def _eval_binary(self, node: BinaryOp, time_ns: int) -> Value:
-        left = self._eval(node.left, time_ns)
-        right = self._eval(node.right, time_ns)
-        op = node.op
-
-        def apply(a: float, b: float) -> float:
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                if b == 0:
-                    return float("nan")
-                return a / b
-            raise QueryError(f"unknown operator: {op!r}")
-
-        if isinstance(left, float) and isinstance(right, float):
-            return apply(left, right)
-        if isinstance(left, float):
-            return [(labels, apply(left, number)) for labels, number in right]
-        if isinstance(right, float):
-            return [(labels, apply(number, right)) for labels, number in left]
-        # vector / vector: match on identical label sets sans __name__.
-        right_index = {
-            labels.without(METRIC_NAME_LABEL): number for labels, number in right
-        }
-        result: InstantVector = []
-        for labels, number in left:
-            key = labels.without(METRIC_NAME_LABEL)
-            if key in right_index:
-                result.append((key, apply(number, right_index[key])))
         return result

@@ -8,7 +8,10 @@ total is adjusted.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from bisect import bisect_left, bisect_right
+from functools import reduce
+from operator import add, sub
+from typing import Callable, List, Sequence
 
 from repro.errors import QueryError
 from repro.pmag.model import Sample
@@ -123,96 +126,183 @@ RANGE_FUNCTIONS = {
 
 
 # ---------------------------------------------------------------------------
-# Array-native variants.
+# Column-native variants.
 #
-# The bulk range evaluator keeps samples as parallel (timestamps, values)
-# lists and never materialises Sample objects, so each range function also
-# has an array form: f(times, values, range_ns).  Semantics must match the
-# Sample-based form exactly — a property test in tests/test_perf_equivalence
-# pins the two families together.
+# The step-grid range evaluator (``repro.pmag.query.grid``) keeps a series
+# as parallel (timestamps, values) lists and evaluates a range function
+# over EVERY window of the query in one call.  ``COLUMN_RANGE_FUNCTIONS``
+# maps each range function to ``prepare(times, los, his, spans)`` — the
+# work that depends only on the timeline and the windows, done once per
+# distinct timeline — returning ``column(values)``, which yields one cell
+# per window (``None`` where the Sample form would raise or the window is
+# empty).  Every float is produced by the same operations in the same
+# order as the Sample form; a property test in
+# tests/test_perf_equivalence pins the two families together.
 # ---------------------------------------------------------------------------
-def _array_increase_with_resets(values: Sequence[float]) -> float:
-    total = 0.0
-    previous = values[0]
-    for value in values[1:]:
-        if value < previous:
-            total += value  # counter reset: count from zero
-        else:
-            total += value - previous
-        previous = value
-    return total
+def window_bounds(times, windows):
+    """Index bounds of every window in a sorted timestamp array.
+
+    Returns parallel lists ``(los, his, spans)``: samples of window ``i``
+    live at ``times[los[i]:his[i]]``.  Window bounds are nondecreasing
+    across steps, so each bisect is hinted by the previous result.  The
+    result depends only on ``times`` — series scraped on the same
+    schedule share their timestamp array, so callers folding many series
+    reuse one sweep per distinct timeline (:class:`TimelineMemo`).
+    """
+    search_left, search_right = bisect_left, bisect_right
+    los: List[int] = []
+    his: List[int] = []
+    push_lo = los.append
+    push_hi = his.append
+    lo = hi = 0
+    for w_lo, w_hi in windows:
+        lo = search_left(times, w_lo, lo)
+        hi = search_right(times, w_hi, hi if hi >= lo else lo)
+        push_lo(lo)
+        push_hi(hi)
+    return los, his, list(map(sub, his, los))
 
 
-def array_increase(times: Sequence[int], values: Sequence[float], range_ns: int) -> float:
-    """Array form of :func:`func_increase`."""
-    if len(values) < 2:
-        raise QueryError("increase() needs at least two samples")
-    return _array_increase_with_resets(values)
+class TimelineMemo:
+    """``build(times)`` remembered for the most recent timestamp array.
+
+    Selects return series sorted by labels, and series scraped on the
+    same schedule carry equal timestamp arrays, so remembering one entry
+    serves runs of same-schedule series with a C-level list compare.
+    """
+
+    __slots__ = ("_build", "_times", "_built")
+
+    def __init__(self, build: Callable) -> None:
+        self._build = build
+        self._times = None
+        self._built = None
+
+    def get(self, times):
+        """``build(times)``, reused while ``times`` repeats."""
+        if self._built is None or times != self._times:
+            self._times = times
+            self._built = self._build(times)
+        return self._built
 
 
-def array_rate(times: Sequence[int], values: Sequence[float], range_ns: int) -> float:
-    """Array form of :func:`func_rate`."""
-    if len(values) < 2:
-        raise QueryError("rate() needs at least two samples")
-    elapsed_ns = times[-1] - times[0]
-    if elapsed_ns <= 0:
-        raise QueryError("rate() window has zero duration")
-    return _array_increase_with_resets(values) * NANOS_PER_SEC / elapsed_ns
+def reset_corrected_deltas(values: Sequence[float]) -> List[float]:
+    """Per consecutive pair, the counter increase (a drop counts from zero).
+
+    ``deltas[i]`` is what ``_increase_with_resets`` adds for the pair
+    ``(values[i], values[i + 1])``, so a window's increase is the
+    left-fold of a slice of it.
+    """
+    deltas = list(map(sub, values[1:], values))
+    if deltas:
+        lowest = min(deltas)
+        # ``min`` keeps a leading NaN whatever follows it.
+        if lowest < 0 or lowest != lowest:
+            for index, delta in enumerate(deltas):
+                if delta < 0:
+                    deltas[index] = values[index + 1]
+    return deltas
 
 
-def array_irate(times: Sequence[int], values: Sequence[float], range_ns: int) -> float:
-    """Array form of :func:`func_irate`."""
-    if len(values) < 2:
-        raise QueryError("irate() needs at least two samples")
-    elapsed_ns = times[-1] - times[-2]
-    if elapsed_ns <= 0:
-        raise QueryError("irate() samples share a timestamp")
-    delta = values[-1] - values[-2]
-    if delta < 0:
-        delta = values[-1]  # reset
-    return delta * NANOS_PER_SEC / elapsed_ns
+def _prepare_increase(times, los, his, spans):
+    def column(values):
+        deltas = reset_corrected_deltas(values)
+        return [
+            reduce(add, deltas[lo:hi - 1], 0.0) if n >= 2 else None
+            for lo, hi, n in zip(los, his, spans)
+        ]
+    return column
 
 
-def array_delta(times: Sequence[int], values: Sequence[float], range_ns: int) -> float:
-    """Array form of :func:`func_delta`."""
-    if len(values) < 2:
-        raise QueryError("delta() needs at least two samples")
-    return values[-1] - values[0]
+def _prepare_rate(times, los, his, spans):
+    # Timestamps strictly increase, so two samples always span > 0 ns;
+    # 0 marks "fewer than two samples".
+    elapsed = [
+        times[hi - 1] - times[lo] if n >= 2 else 0
+        for lo, hi, n in zip(los, his, spans)
+    ]
+
+    def column(values):
+        deltas = reset_corrected_deltas(values)
+        return [
+            reduce(add, deltas[lo:hi - 1], 0.0) * NANOS_PER_SEC / e if e > 0
+            else None
+            for lo, hi, e in zip(los, his, elapsed)
+        ]
+    return column
 
 
-def array_avg_over_time(times: Sequence[int], values: Sequence[float], range_ns: int) -> float:
-    """Array form of :func:`func_avg_over_time`."""
-    return sum(values) / len(values)
+def _prepare_irate(times, los, his, spans):
+    elapsed = [
+        times[hi - 1] - times[hi - 2] if n >= 2 else 0
+        for hi, n in zip(his, spans)
+    ]
+
+    def column(values):
+        deltas = reset_corrected_deltas(values)
+        return [
+            deltas[hi - 2] * NANOS_PER_SEC / e if e > 0 else None
+            for hi, e in zip(his, elapsed)
+        ]
+    return column
 
 
-def array_min_over_time(times: Sequence[int], values: Sequence[float], range_ns: int) -> float:
-    """Array form of :func:`func_min_over_time`."""
-    return min(values)
+def _prepare_delta(times, los, his, spans):
+    def column(values):
+        return [
+            values[hi - 1] - values[lo] if n >= 2 else None
+            for lo, hi, n in zip(los, his, spans)
+        ]
+    return column
 
 
-def array_max_over_time(times: Sequence[int], values: Sequence[float], range_ns: int) -> float:
-    """Array form of :func:`func_max_over_time`."""
-    return max(values)
+def window_reducer(reduce_window):
+    """``prepare`` for a function of nothing but the window's values."""
+    def prepare(times, los, his, spans):
+        def column(values):
+            return [
+                reduce_window(values[lo:hi]) if lo < hi else None
+                for lo, hi in zip(los, his)
+            ]
+        return column
+    return prepare
 
 
-def array_sum_over_time(times: Sequence[int], values: Sequence[float], range_ns: int) -> float:
-    """Array form of :func:`func_sum_over_time`."""
-    return sum(values)
+def _prepare_avg_over_time(times, los, his, spans):
+    def column(values):
+        return [
+            sum(values[lo:hi]) / n if n else None
+            for lo, hi, n in zip(los, his, spans)
+        ]
+    return column
 
 
-def array_count_over_time(times: Sequence[int], values: Sequence[float], range_ns: int) -> float:
-    """Array form of :func:`func_count_over_time`."""
-    return float(len(values))
+def _prepare_count_over_time(times, los, his, spans):
+    counts = [float(n) if n else None for n in spans]
+    return lambda values: counts
 
 
-ARRAY_RANGE_FUNCTIONS = {
-    "rate": array_rate,
-    "irate": array_irate,
-    "increase": array_increase,
-    "delta": array_delta,
-    "avg_over_time": array_avg_over_time,
-    "min_over_time": array_min_over_time,
-    "max_over_time": array_max_over_time,
-    "sum_over_time": array_sum_over_time,
-    "count_over_time": array_count_over_time,
+COLUMN_RANGE_FUNCTIONS = {
+    "rate": _prepare_rate,
+    "irate": _prepare_irate,
+    "increase": _prepare_increase,
+    "delta": _prepare_delta,
+    "avg_over_time": _prepare_avg_over_time,
+    "min_over_time": window_reducer(min),
+    "max_over_time": window_reducer(max),
+    "sum_over_time": window_reducer(sum),
+    "count_over_time": _prepare_count_over_time,
+}
+
+
+#: Range functions whose value over a window is a pure function of the
+#: window's :class:`~repro.pmag.blocks.WindowAggregate` — exactly the
+#: rollups compaction stores.  ``rate``/``increase``/``delta`` need every
+#: sample (counter-reset detection) and never read rollups.
+ROLLUP_COMPOSERS = {
+    "avg_over_time": lambda agg: agg.total / agg.count,
+    "min_over_time": lambda agg: agg.minimum,
+    "max_over_time": lambda agg: agg.maximum,
+    "sum_over_time": lambda agg: agg.total,
+    "count_over_time": lambda agg: float(agg.count),
 }

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.pmag.model import Matcher
+from repro.pmag.model import METRIC_NAME_LABEL, Matcher
 
 
 class Expr:
@@ -26,6 +26,16 @@ class VectorSelector(Expr):
     metric_name: str
     matchers: Tuple[Matcher, ...] = ()
     offset_ns: int = 0
+
+    def tsdb_matchers(self) -> List[Matcher]:
+        """What to hand a TSDB select: the metric name, then the matchers."""
+        return [Matcher.eq(METRIC_NAME_LABEL, self.metric_name), *self.matchers]
+
+    def window(self, time_ns: int, trailing_ns: int) -> Tuple[int, int]:
+        """Inclusive sample-time bounds read at ``time_ns``: the trailing
+        window shifted back by the offset, clamped at time zero."""
+        high = time_ns - self.offset_ns
+        return max(0, high - trailing_ns), max(0, high)
 
 
 @dataclass(frozen=True)

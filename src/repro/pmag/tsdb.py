@@ -388,8 +388,7 @@ class Tsdb(StorageEngine):
         """Like :meth:`select`, but as parallel (timestamps, values) arrays.
 
         Same series, same order, same samples — without allocating a
-        :class:`Sample` per point.  The query engine's bulk range
-        evaluation reads through this.
+        :class:`Sample` per point.  The query engine reads through this.
         """
         if end_ns < start_ns:
             raise TsdbError(f"bad window: {start_ns}..{end_ns}")

@@ -24,6 +24,7 @@ most CPU-hungry at ~3 % — §6.2's Figure 4 numbers.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -647,6 +648,12 @@ class TeemonDeployment:
         self.recovery_stats["recoveries"] += 1
         self.crashed = False
         self._build_monitor(tsdb=tsdb)
+        # A real restart returns the dead process's memory at once.  Here
+        # the replaced incarnation is cyclic garbage (exporter callbacks,
+        # registry, rule closures) pinning its WAL and codec caches:
+        # collect it now, or peak memory depends on when the generational
+        # collector next happens to reach the old generation.
+        gc.collect()
         self._seed_scrape_state()
         cursors = dict(getattr(report, "cursors", None) or {})
         if cursors:

@@ -1,44 +1,61 @@
-"""Equivalence properties for the ISSUE-1 hot-path optimizations.
+"""Equivalence properties for the query and storage hot paths.
 
 Every optimized path must be sample-for-sample identical to the seed
 semantics it replaced:
 
-* bulk range evaluation (``range_query``) vs per-step evaluation
-  (``range_query_per_step``, the retained seed algorithm);
+* step-grid range evaluation (``range_query``) vs per-step evaluation
+  (``range_query_per_step``, the retained seed algorithm) — on a
+  monolith, through a sharded engine, and over a compacted store where
+  aligned windows are served from rollups;
 * indexed chunk windows (``window``/``window_arrays``) vs a linear decode
   of ``chunk.samples()`` (the seed algorithm, re-implemented here);
-* array-form range functions vs the Sample-form originals;
+* column-form range functions vs the Sample-form originals;
 * ``last_sample`` vs ``window(last, last)``;
 * the batched chunk codec vs itself (round trip), including the empty and
   single-sample chunks.
 """
+
+import sys
+import threading
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from repro.errors import QueryError
+from repro.pmag.blocks import BlockPolicy, aggregate_arrays
 from repro.pmag.chunks import CHUNK_SIZE, Chunk, ChunkedSeries
-from repro.pmag.model import Sample
-from repro.pmag.query.engine import QueryEngine
-from repro.pmag.query.functions import ARRAY_RANGE_FUNCTIONS, RANGE_FUNCTIONS
+from repro.pmag.model import METRIC_NAME_LABEL, Sample
+from repro.pmag.query import ops
+from repro.pmag.query.engine import QueryEngine, _pushdown_shape
+from repro.pmag.query.functions import (
+    COLUMN_RANGE_FUNCTIONS,
+    RANGE_FUNCTIONS,
+    ROLLUP_COMPOSERS,
+    window_bounds,
+)
+from repro.pmag.storage import build_storage_engine
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import seconds
 
 # ---------------------------------------------------------------------------
-# Bulk vs per-step range evaluation
+# Step-grid vs per-step range evaluation
 # ---------------------------------------------------------------------------
 
-#: The dashboard/fig11 query population, exercising selectors, range
-#: functions, aggregation, grouping, arithmetic, comparisons and offsets.
+#: The dashboard/fig11 query population plus every node type the grid
+#: evaluator has a column form or a per-step fallback for.
 RANGE_QUERIES = (
     "ebpf_syscalls_total",
     "rate(ebpf_syscalls_total[1m])",
     "rate(ebpf_syscalls_total[5m])",
     "irate(ebpf_syscalls_total[1m])",
     "increase(ebpf_syscalls_total[2m])",
+    "delta(ebpf_syscalls_total[1m])",
     "avg_over_time(ebpf_syscalls_total[1m])",
     "max_over_time(ebpf_syscalls_total[1m])",
+    "min_over_time(ebpf_syscalls_total[20s])",
+    "sum_over_time(ebpf_syscalls_total[1m])",
+    "count_over_time(ebpf_syscalls_total[1m])",
     "sum by (name) (rate(ebpf_syscalls_total[1m]))",
     "sum(rate(ebpf_syscalls_total[1m]))",
     'ebpf_syscalls_total{name="read"}',
@@ -46,45 +63,145 @@ RANGE_QUERIES = (
     "rate(ebpf_syscalls_total[1m]) * 2 + 1",
     "rate(ebpf_syscalls_total[1m]) > 0.5",
     "quantile_over_time(0.9, ebpf_syscalls_total[2m])",
+    # Aggregations beyond sum, and `without`.
+    "avg by (name) (ebpf_syscalls_total)",
+    "min(ebpf_syscalls_total)",
+    "max by (idx) (rate(ebpf_syscalls_total[1m]))",
+    "count(ebpf_syscalls_total)",
+    "count by (name) (ebpf_syscalls_total > 1000)",
+    "sum without (idx) (rate(ebpf_syscalls_total[1m]))",
+    "avg without (name, job) (avg_over_time(ebpf_syscalls_total[1m]))",
+    "sum(avg by (name, idx) (ebpf_syscalls_total))",
+    # topk/bottomk order by value per step; their consumers must see
+    # that order (float sums are order-sensitive).
+    "topk(2, rate(ebpf_syscalls_total[1m]))",
+    "bottomk(2, ebpf_syscalls_total)",
+    "sum(topk(3, ebpf_syscalls_total))",
+    "avg by (name) (bottomk(4, rate(ebpf_syscalls_total[1m])))",
+    "topk(1, ebpf_syscalls_total) * 2 > 10",
+    "abs(topk(2, delta(ebpf_syscalls_total[1m])))",
+    # Vector/vector arithmetic and comparison.
+    "rate(ebpf_syscalls_total[1m]) / rate(ebpf_syscalls_total[5m])",
+    "ebpf_syscalls_total - ebpf_syscalls_total offset 30s",
+    "ebpf_syscalls_total > ebpf_syscalls_total offset 30s",
+    "max_over_time(ebpf_syscalls_total[1m]) == ebpf_syscalls_total",
+    # Scalars on the left, and scalar-only expressions.
+    "100 - ebpf_syscalls_total",
+    "0.5 < rate(ebpf_syscalls_total[1m])",
+    "1 + 2 * 3",
+    "2 > 1",
+    # Instant functions.
+    "abs(delta(ebpf_syscalls_total[1m]))",
+    "clamp_min(ebpf_syscalls_total, 100)",
+    "clamp_max(rate(ebpf_syscalls_total[1m]), 5)",
+    "absent(ebpf_syscalls_total)",
+    'absent(ebpf_syscalls_total{name="nope"})',
+    'absent(rate(ebpf_syscalls_total{name="read"}[30s]))',
+    "histogram_quantile(0.9, rate(ebpf_latency_bucket[1m]))",
+    "histogram_quantile(0.5, sum by (le) (ebpf_latency_bucket))",
+    "histogram_quantile(0.99, ebpf_latency_bucket) > 0",
+    # Offset inside a range selector.
+    "rate(ebpf_syscalls_total[1m] offset 30s)",
+    "avg_over_time(ebpf_syscalls_total[2m] offset 1m)",
 )
 
+_LE = ("0.1", "1", "+Inf")
 
-def _tsdb_from(values_by_series):
-    tsdb = Tsdb()
-    for (name, idx), values in values_by_series.items():
+
+def _fill(engine, values_by_series):
+    """Ingest ``{(name, idx): (phase_s, [value or None, ...])}``: one
+    sample per 5 s slot (None = missed scrape), each series on its own
+    schedule phase.  Series 0/1 of every name double as histogram buckets."""
+    for (name, idx), (phase, values) in values_by_series.items():
         for step, value in enumerate(values):
-            tsdb.append_sample(
-                "ebpf_syscalls_total", (step + 1) * seconds(5), value,
+            if value is None:
+                continue
+            time_ns = (step + 1) * seconds(5) + phase * seconds(1)
+            engine.append_sample(
+                "ebpf_syscalls_total", time_ns, value,
                 name=name, idx=str(idx), job="ebpf",
             )
-    return tsdb
+            engine.append_sample(
+                "ebpf_latency_bucket", time_ns, value,
+                name=name, le=_LE[idx], job="ebpf",
+            )
+    return engine
 
 
+# Values with gaps: a cell can be absent mid-grid once the gap outlasts
+# the window (or the lookback, drawn short below).  The sampled values
+# make float addition association-sensitive, so a sum accumulated in
+# another order shows up as a different bit pattern.
 _series_strategy = st.dictionaries(
     st.tuples(st.sampled_from(("read", "write", "futex")), st.integers(0, 2)),
-    st.lists(st.floats(0, 1e6, allow_nan=False), min_size=2, max_size=40),
+    st.tuples(
+        st.integers(0, 2),
+        st.lists(
+            st.one_of(
+                st.none(),
+                st.sampled_from((0.1, 0.2, 0.3, 0.7, 1e-6, 1e6)),
+                st.floats(0, 1e6, allow_nan=False),
+            ),
+            min_size=2, max_size=40,
+        ),
+    ),
     min_size=1, max_size=6,
 )
 
-
-@given(
-    _series_strategy,
-    st.sampled_from(RANGE_QUERIES),
-    st.integers(1, 8),      # step, in scrape intervals
-    st.integers(0, 10),     # range start offset, in scrape intervals
+#: (start lag in seconds, step in seconds): start before the first
+#: sample, steps finer than the 5 s scrape interval, coarse steps.
+_grid_strategy = st.one_of(
+    st.tuples(st.integers(0, 50), st.sampled_from((5, 10, 15, 40))),
+    st.tuples(st.integers(0, 50), st.sampled_from((1, 2, 3))),
+    st.tuples(st.integers(100, 400), st.sampled_from((7, 15, 30, 60))),
 )
-@settings(max_examples=120, deadline=None)
-def test_bulk_range_query_matches_per_step(values_by_series, query, step, lag):
-    """range_query == range_query_per_step, sample for sample."""
-    tsdb = _tsdb_from(values_by_series)
-    engine = QueryEngine(tsdb)
-    longest = max(len(v) for v in values_by_series.values())
+
+_lookback_strategy = st.sampled_from((seconds(12), seconds(300)))
+
+
+def _bits(result):
+    """Exact comparison key: ``repr`` round-trips every float bit for bit,
+    tells 0.0 from -0.0, and (unlike ``==``) equates a NaN with itself —
+    ``rate / rate`` yields NaN on flat counters."""
+    return repr(result)
+
+
+def _grid(values_by_series, lag_s, step_s):
+    longest = max(len(values) for _phase, values in values_by_series.values())
     end_ns = (longest + 2) * seconds(5)
-    start_ns = max(0, end_ns - lag * seconds(5))
-    step_ns = step * seconds(5)
-    bulk = engine.range_query(query, start_ns, end_ns, step_ns)
-    per_step = engine.range_query_per_step(query, start_ns, end_ns, step_ns)
-    assert bulk == per_step
+    return max(0, end_ns - seconds(lag_s)), end_ns, seconds(step_s)
+
+
+@given(_series_strategy, st.sampled_from(RANGE_QUERIES), _grid_strategy,
+       _lookback_strategy)
+@settings(max_examples=300, deadline=None)
+def test_bulk_range_query_matches_per_step(values_by_series, query, grid, lookback):
+    """range_query == range_query_per_step, sample for sample, bit for bit."""
+    engine = QueryEngine(_fill(Tsdb(), values_by_series), lookback_ns=lookback)
+    window = _grid(values_by_series, *grid)
+    assert _bits(engine.range_query(query, *window)) == _bits(
+        engine.range_query_per_step(query, *window)
+    )
+
+
+@given(_series_strategy, st.sampled_from(RANGE_QUERIES), _grid_strategy,
+       _lookback_strategy)
+@settings(max_examples=150, deadline=None)
+def test_bulk_range_query_matches_per_step_sharded(
+    values_by_series, query, grid, lookback
+):
+    """The same panel through a 4-shard engine.  Pushdown-eligible
+    shapes keep their own numerics and their own equivalence suite
+    (test_storage_engine / test_pushdown_edges)."""
+    engine = QueryEngine(
+        _fill(build_storage_engine(4), values_by_series), lookback_ns=lookback
+    )
+    if _pushdown_shape(engine.parse(query)) is not None:
+        return
+    window = _grid(values_by_series, *grid)
+    assert _bits(engine.range_query(query, *window)) == _bits(
+        engine.range_query_per_step(query, *window)
+    )
 
 
 def test_bulk_range_query_matches_on_dense_series():
@@ -104,6 +221,188 @@ def test_bulk_range_query_matches_on_dense_series():
             query, seconds(5), end_ns, seconds(15)
         )
         assert bulk == per_step
+
+
+# ---------------------------------------------------------------------------
+# Rollup-served windows vs a per-step rollup oracle
+# ---------------------------------------------------------------------------
+_POLICY = BlockPolicy(
+    block_range_ns=seconds(40),
+    downsample_after_ns=seconds(40),
+    resolution_ns=seconds(20),
+)
+
+
+class _RollupOracle(QueryEngine):
+    """``range_query_per_step`` extended with the downsampled-read rule.
+
+    Per step and per composable ``*_over_time`` call: when the store has
+    rollups, the step is at least their resolution and the window is
+    bucket-aligned, the value is rollup-aggregate ⊕ raw-aggregate per
+    series (one counted downsampled read); otherwise the raw samples.
+    """
+
+    def __init__(self, tsdb, step_ns, **kwargs):
+        super().__init__(tsdb, **kwargs)
+        resolution = tsdb.downsample_resolution_ns
+        self.resolution = (
+            resolution
+            if resolution and step_ns >= resolution and tsdb.has_rollups()
+            else None
+        )
+        self.downsampled_reads = 0
+
+    def _eval_function(self, call, time_ns):
+        if self.resolution is None or call.name not in ROLLUP_COMPOSERS:
+            return super()._eval_function(call, time_ns)
+        _quantile, range_selector = ops.range_call(call)
+        selector = range_selector.selector
+        low, high = selector.window(time_ns, range_selector.range_ns)
+        if low % self.resolution or high % self.resolution:
+            return super()._eval_function(call, time_ns)
+        self.downsampled_reads += 1
+        matchers = selector.tsdb_matchers()
+        aggregates = {
+            labels: aggregate_arrays(times, values, low, high)
+            for labels, times, values
+            in self._tsdb.select_arrays(matchers, low, high)
+        }
+        for labels, rollup in self._tsdb.select_rollups(matchers, low, high):
+            aggregates[labels] = rollup.window_aggregate(low, high).merge(
+                aggregates.get(labels)
+            )
+        compose = ROLLUP_COMPOSERS[call.name]
+        return [
+            (labels.without(METRIC_NAME_LABEL), compose(aggregate))
+            for labels, aggregate
+            in sorted(aggregates.items(), key=lambda kv: kv[0].items())
+            if aggregate.count
+        ]
+
+
+@given(
+    _series_strategy,
+    st.sampled_from(RANGE_QUERIES),
+    st.sampled_from((1, 4)),                # shards
+    st.sampled_from((0, 20, 40, 100)),      # start, seconds
+    st.sampled_from((0, 5)),                # grid misalignment, seconds
+    st.sampled_from((20, 40, 60)),          # step >= resolution, seconds
+)
+@settings(max_examples=300, deadline=None)
+def test_bulk_range_query_matches_per_step_on_compacted_store(
+    values_by_series, query, shards, start_s, skew_s, step_s
+):
+    """Aligned windows are served rollup ⊕ raw, misaligned ones raw —
+    same results and the same ``downsampled_reads_total`` as per step."""
+    tsdb = _fill(
+        build_storage_engine(shards, block_policy=_POLICY), values_by_series
+    )
+    longest = max(len(values) for _phase, values in values_by_series.values())
+    end_ns = (longest + 2) * seconds(5)
+    tsdb.compact(end_ns)
+    engine = QueryEngine(tsdb)
+    if _pushdown_shape(engine.parse(query)) is not None and shards > 1:
+        return
+    start_ns = min(seconds(start_s + skew_s), end_ns)
+    oracle = _RollupOracle(tsdb, seconds(step_s))
+    expected = oracle.range_query_per_step(
+        query, start_ns, end_ns, seconds(step_s)
+    )
+    before = tsdb.storage_stats()["downsampled_reads_total"]
+    assert _bits(
+        engine.range_query(query, start_ns, end_ns, seconds(step_s))
+    ) == _bits(expected)
+    served = tsdb.storage_stats()["downsampled_reads_total"] - before
+    assert served == oracle.downsampled_reads
+
+
+# ---------------------------------------------------------------------------
+# Re-entrancy: a query's state lives on its own grid, not on the engine
+# ---------------------------------------------------------------------------
+_REENTRANT_QUERIES = (
+    "avg_over_time(ebpf_syscalls_total[1m])",
+    "sum by (name) (rate(ebpf_syscalls_total[1m]))",
+    "topk(2, max_over_time(ebpf_syscalls_total[40s]))",
+    "ebpf_syscalls_total - ebpf_syscalls_total offset 30s",
+)
+
+
+def _reentrancy_store(shards=1, executor_workers=0):
+    tsdb = build_storage_engine(
+        shards, block_policy=_POLICY, executor_workers=executor_workers
+    )
+    _fill(tsdb, {
+        (name, idx): (idx, [float((step * 7 + idx * 13) % 50)
+                            for step in range(60)])
+        for name in ("read", "write") for idx in range(3)
+    })
+    tsdb.compact(seconds(310))
+    assert tsdb.has_rollups()
+    return tsdb
+
+
+def _windows():
+    return [
+        (seconds(20 * i), seconds(300), seconds(20 + 20 * (i % 2)))
+        for i in range(len(_REENTRANT_QUERIES))
+    ]
+
+
+def test_range_query_is_reentrant_through_a_selector_callback():
+    """A range query issued from inside another one's select returns
+    what it returns in isolation, and so does the outer one."""
+    tsdb = _reentrancy_store()
+    engine = QueryEngine(tsdb)
+    cases = list(zip(_REENTRANT_QUERIES, _windows()))
+    isolated = [
+        _bits(engine.range_query(query, *window)) for query, window in cases
+    ]
+    nested = {}
+    select_rollups = tsdb.select_rollups
+
+    def select_then_reenter(matchers, start_ns, end_ns):
+        if not nested:
+            nested["running"] = True
+            for index, (query, window) in enumerate(cases[1:], start=1):
+                nested[index] = _bits(engine.range_query(query, *window))
+        return select_rollups(matchers, start_ns, end_ns)
+
+    tsdb.select_rollups = select_then_reenter
+    outer = engine.range_query(cases[0][0], *cases[0][1])
+    assert _bits(outer) == isolated[0]
+    assert [nested[index] for index in range(1, len(cases))] == isolated[1:]
+
+
+def test_range_query_is_reentrant_across_threads():
+    """Thread pairs sharing one engine over a sharded store with the
+    shard executor on: every result equals the single-threaded one."""
+    tsdb = _reentrancy_store(shards=4, executor_workers=4)
+    engine = QueryEngine(tsdb)
+    cases = list(zip(_REENTRANT_QUERIES, _windows()))
+    isolated = [
+        _bits(engine.range_query(query, *window)) for query, window in cases
+    ]
+    mismatches = []
+
+    def worker(index):
+        query, window = cases[index % len(cases)]
+        for _ in range(40):
+            result = engine.range_query(query, *window)
+            if _bits(result) != isolated[index % len(cases)]:
+                mismatches.append(index)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not mismatches
 
 
 # ---------------------------------------------------------------------------
@@ -179,31 +478,48 @@ def test_drop_before_matches_seed_semantics(times, cutoff_ns):
 
 
 # ---------------------------------------------------------------------------
-# Array-form range functions vs the Sample-form originals
+# Column-form range functions vs the Sample-form originals
 # ---------------------------------------------------------------------------
 @given(
     st.sampled_from(sorted(RANGE_FUNCTIONS)),
-    # Non-empty: evaluation never hands an empty window to a range function
-    # (both the select and the bulk paths drop sample-less series first).
     st.lists(
-        st.tuples(st.integers(0, 10_000), st.floats(0, 1e9, allow_nan=False)),
+        st.tuples(
+            st.integers(0, 10_000),
+            st.one_of(st.floats(0, 1e9), st.just(float("nan"))),
+        ),
         min_size=1, max_size=30,
         unique_by=lambda pair: pair[0],
     ).map(sorted),
+    # Nondecreasing window bounds, as a step grid produces them.
+    st.lists(
+        st.tuples(st.integers(0, 3_000), st.integers(0, 3_000)),
+        min_size=1, max_size=12,
+    ),
 )
-@settings(max_examples=200, deadline=None)
-def test_array_functions_match_sample_functions(name, points):
-    samples = [Sample(t, v) for t, v in points]
+@settings(max_examples=300, deadline=None)
+def test_column_functions_match_sample_functions(name, points, raw_windows):
     times = [t for t, _ in points]
     values = [v for _, v in points]
+    windows, low, high = [], 0, 0
+    for advance, width in raw_windows:
+        low += advance
+        high = max(high, low + width)
+        windows.append((low, high))
     range_ns = seconds(60)
-    try:
-        expected = RANGE_FUNCTIONS[name](samples, range_ns)
-    except QueryError:
-        with pytest.raises(QueryError):
-            ARRAY_RANGE_FUNCTIONS[name](times, values, range_ns)
-        return
-    assert ARRAY_RANGE_FUNCTIONS[name](times, values, range_ns) == expected
+    expected = []
+    for low, high in windows:
+        samples = [Sample(t, v) for t, v in points if low <= t <= high]
+        try:
+            # Evaluation never hands an empty window to a range function
+            # (the select drops sample-less series first).
+            expected.append(
+                RANGE_FUNCTIONS[name](samples, range_ns) if samples else None
+            )
+        except QueryError:
+            expected.append(None)
+    prepare = COLUMN_RANGE_FUNCTIONS[name]
+    column = prepare(times, *window_bounds(times, windows))(values)
+    assert _bits(column) == _bits(expected)
 
 
 # ---------------------------------------------------------------------------
