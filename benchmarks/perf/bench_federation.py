@@ -141,11 +141,17 @@ def _region_entries(cycle_rows, nodes: int):
 
 def _frames(entries, frame_samples: int = FRAME_SAMPLES,
             sender: str = "leaf-0"):
-    """Client-side framing: sequence-numbered, zlib/base64-packed."""
+    """Client-side framing: sequence-numbered, zlib/base64-packed.
+
+    One block-header memo per call, the way one client incarnation
+    carries one across the frames it ships.
+    """
     frames = []
+    headers = {}
     for start in range(0, len(entries), frame_samples):
         chunk = entries[start:start + frame_samples]
-        frames.append(encode_frame(sender, 0, len(frames) + 1, chunk))
+        frames.append(
+            encode_frame(sender, 0, len(frames) + 1, chunk, headers))
     return frames
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import TsdbError
 from repro.pmag.model import Sample
@@ -100,8 +100,14 @@ class Chunk:
         )
 
     @staticmethod
-    def decode(data: bytes) -> "Chunk":
-        """Deserialise from :meth:`encode` output."""
+    def decode(data: bytes, instants: Optional[Dict[int, int]] = None) -> "Chunk":
+        """Deserialise from :meth:`encode` output.
+
+        ``instants`` interns timestamps across the chunks of one restore:
+        a scrape stamps one instant on every series it touches, and a
+        restored store should hold it as one shared int, as the live
+        one did, not one per sample.
+        """
         if len(data) < 12:
             raise TsdbError("chunk data too short")
         start_ns, count = struct.unpack_from("<qI", data, 0)
@@ -123,6 +129,9 @@ class Chunk:
             current += delta
             chunk._times.append(current)
             chunk._values.append(value)
+        if instants is not None:
+            chunk._times = list(
+                map(instants.setdefault, chunk._times, chunk._times))
         return chunk
 
     def memory_bytes(self) -> int:

@@ -72,6 +72,8 @@ import base64
 import struct
 import zlib
 from collections import deque
+from itertools import repeat
+from operator import itemgetter
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TsdbError, WalError
@@ -80,7 +82,7 @@ from repro.pmag.model import Labels, METRIC_NAME_LABEL
 from repro.pmag.rules import is_recorded_output
 from repro.pmag.storage import series_fingerprint
 from repro.pmag.tsdb import StorageEngine
-from repro.pmag.wal import MAX_RECORD_BYTES, _pack_text
+from repro.pmag.wal import MAX_RECORD_BYTES, pack_labels, unpack_labels
 from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock
 from repro.simkernel.rng import DeterministicRng
 
@@ -148,7 +150,7 @@ def build_ship_filter(
 def encode_frame(
     sender: str, epoch: int, seq: int,
     entries: List[Tuple[Labels, int, float]],
-    fingerprints: Optional[Dict[Labels, int]] = None,
+    headers: Optional[Dict[Labels, bytes]] = None,
 ) -> str:
     """One batched, compressed, shard-partitioned frame as an HTTP body.
 
@@ -167,34 +169,32 @@ def encode_frame(
     on-the-wire integrity story of the on-disk log.  ``epoch``
     identifies the sender *incarnation* (a recovered monitor gets a
     fresh, strictly larger one), ``seq`` orders frames within it.
-    ``fingerprints`` is an optional cross-frame fingerprint memo.
+    ``headers`` is an optional cross-frame memo of each series' block
+    header (all before ``sample_count``): a client serialises a label
+    set once, and one that fails a check is never memoised.
     """
     if not sender or any(c in sender for c in " \n"):
         raise WalError(f"sender not wire-safe: {sender!r}")
-    groups: Dict[Labels, List[Tuple[int, float]]] = {}
+    if headers is None:
+        headers = {}
+    # Grouped by header bytes, not by label set: a header names exactly
+    # one series, and hashing bytes never re-enters Python.
+    groups: Dict[bytes, list] = {}
     for labels, time_ns, value in entries:
-        bucket = groups.get(labels)
-        if bucket is None:
-            groups[labels] = bucket = []
-        bucket.append((time_ns, value))
-    if fingerprints is None:
-        fingerprints = {}
+        header = headers.get(labels)
+        if header is None:
+            header = headers[labels] = struct.pack(
+                "<II", series_fingerprint(labels), len(labels.items())
+            ) + pack_labels(labels)
+        flat = groups.get(header)
+        if flat is None:
+            groups[header] = [time_ns, value]
+        else:
+            flat += (time_ns, value)
     pieces: List[bytes] = []
-    for labels, samples in groups.items():
-        fingerprint = fingerprints.get(labels)
-        if fingerprint is None:
-            fingerprint = series_fingerprint(labels)
-            fingerprints[labels] = fingerprint
-        items = labels.items()
-        parts = [struct.pack("<II", fingerprint, len(items))]
-        for key, value in items:
-            parts.append(_pack_text(key))
-            parts.append(_pack_text(value))
-        parts.append(struct.pack("<I", len(samples)))
-        parts.append(b"".join(
-            struct.pack("<qd", time_ns, value) for time_ns, value in samples
-        ))
-        block = b"".join(parts)
+    for header, flat in groups.items():
+        count = len(flat) // 2
+        block = header + struct.pack("<I" + "qd" * count, count, *flat)
         if len(block) > MAX_RECORD_BYTES:
             raise WalError(f"series block too large: {len(block)} bytes")
         pieces.append(struct.pack("<II", len(block), zlib.crc32(block)))
@@ -204,7 +204,7 @@ def encode_frame(
 
 
 def decode_frame_blocks(
-    text: str,
+    text: str, interned: Optional[Dict[bytes, tuple]] = None,
 ) -> Tuple[str, int, int, List[Tuple[int, Labels, List[Tuple[int, float]]]]]:
     """Inverse of :func:`encode_frame`, keeping the per-series shape.
 
@@ -212,6 +212,14 @@ def decode_frame_blocks(
     ``(fingerprint, labels, [(time_ns, value), ...])`` — the unit the
     sharded ingest path routes.  Raises :class:`WalError` on any
     framing, CRC, count or compression damage.
+
+    ``interned`` is a receiver's table of headers already parsed:
+    ``block[:8] -> (header, fingerprint, labels)``.  A header is
+    self-delimiting, so a block that *starts with* a known one parses to
+    the same labels and end offset as walking it would — a hit skips the
+    walk, never a check, and yields the one interned ``Labels`` object.
+    A miss parses in full and verifies the stamp; new headers are
+    committed only once the whole frame has decoded.
     """
     header, sep, body = text.partition("\n")
     pieces = header.split()
@@ -228,6 +236,9 @@ def decode_frame_blocks(
         payload = zlib.decompress(base64.b64decode(body.encode("ascii")))
     except Exception as exc:  # noqa: BLE001 - any transport damage
         raise WalError(f"undecodable frame payload: {exc}") from exc
+    if interned is None:
+        interned = {}
+    fresh: Dict[bytes, tuple] = {}
     blocks: List[Tuple[int, Labels, List[Tuple[int, float]]]] = []
     total = 0
     pos = 0
@@ -244,35 +255,32 @@ def decode_frame_blocks(
         if zlib.crc32(block) != crc:
             raise WalError("block CRC mismatch in remote-write frame")
         try:
-            fingerprint, label_count = struct.unpack_from("<II", block, 0)
-            offset = 8
-            mapping = {}
-            for _ in range(label_count):
-                (key_len,) = struct.unpack_from("<H", block, offset)
-                offset += 2
-                key = block[offset:offset + key_len].decode("utf-8")
-                offset += key_len
-                (val_len,) = struct.unpack_from("<H", block, offset)
-                offset += 2
-                mapping[key] = block[offset:offset + val_len].decode("utf-8")
-                offset += val_len
+            known = interned.get(block[:8])
+            if known is not None and block.startswith(known[0]):
+                offset = len(known[0])
+            else:
+                fingerprint, label_count = struct.unpack_from("<II", block, 0)
+                labels, offset = unpack_labels(block, 8, label_count)
+                if series_fingerprint(labels) != fingerprint:
+                    raise WalError(
+                        f"block fingerprint {fingerprint} is not {labels!r}'s")
+                known = (block[:offset], fingerprint, labels)
+                fresh[block[:8]] = known
             (sample_count,) = struct.unpack_from("<I", block, offset)
             offset += 4
             if offset + 16 * sample_count != length:
                 raise WalError("block sample region length mismatch")
-            samples = [
-                struct.unpack_from("<qd", block, offset + 16 * index)
-                for index in range(sample_count)
-            ]
+            samples = list(struct.iter_unpack("<qd", block[offset:]))
         except (struct.error, UnicodeDecodeError) as exc:
             raise WalError(f"malformed series block: {exc}") from exc
-        blocks.append((fingerprint, Labels(mapping), samples))
+        blocks.append((known[1], known[2], samples))
         total += sample_count
         pos += 8 + length
     if total != count:
         raise WalError(
             f"frame count mismatch: header {count}, payload {total}"
         )
+    interned.update(fresh)
     return sender, epoch, seq, blocks
 
 
@@ -352,6 +360,9 @@ class RemoteWriteReceiver:
         #: ``teemon_federation_lag_seconds`` gauge).
         self._newest_applied: Dict[str, int] = {}
         self._relay_clients: List["RemoteWriteClient"] = []
+        #: Block headers already parsed (:func:`decode_frame_blocks`):
+        #: one entry per series shipped here, gone with this incarnation.
+        self._interned: Dict[bytes, tuple] = {}
         self._endpoint = None
         self._host: Optional[str] = None
         self.frames_received = 0
@@ -412,7 +423,8 @@ class RemoteWriteReceiver:
         """
         self.frames_received += 1
         try:
-            sender, epoch, seq, blocks = decode_frame_blocks(body)
+            sender, epoch, seq, blocks = decode_frame_blocks(
+                body, self._interned)
         except WalError:
             self.frames_rejected += 1
             raise
@@ -422,7 +434,14 @@ class RemoteWriteReceiver:
                 f"federation loop: frame sender {sender!r} is this "
                 f"receiver's own identity"
             )
-        total = sum(len(samples) for _fp, _labels, samples in blocks)
+        total = 0
+        lows: List[int] = []
+        highs: List[int] = []
+        for _fp, _labels, samples in blocks:
+            if samples:  # (t, v) tuples order by t
+                total += len(samples)
+                lows.append(min(samples)[0])
+                highs.append(max(samples)[0])
         last_epoch, last_seq = self._last_applied.get(sender, (-1, 0))
         if epoch < last_epoch or (epoch == last_epoch and seq <= last_seq):
             self.frames_replayed += 1
@@ -435,17 +454,10 @@ class RemoteWriteReceiver:
         self.frames_applied += 1
         self._last_applied[sender] = (epoch, seq)
         if applied:
-            oldest = newest = None
-            for _fp, _labels, samples in blocks:
-                for time_ns, _value in samples:
-                    if oldest is None or time_ns < oldest:
-                        oldest = time_ns
-                    if newest is None or time_ns > newest:
-                        newest = time_ns
-            if newest > self._newest_applied.get(sender, 0):
-                self._newest_applied[sender] = newest
+            self._newest_applied[sender] = max(
+                self._newest_applied.get(sender, 0), *highs)
             for client in self._relay_clients:
-                client.note_late_arrival(oldest)
+                client.note_late_arrival(min(lows))
         return f"ack {seq} applied={applied} deduped={rejected}"
 
     def _ingest(
@@ -654,8 +666,8 @@ class RemoteWriteClient:
         #: Sequence of the last frame built / last frame acked.
         self._seq = 0
         self.acked_seq = 0
-        #: Cross-frame fingerprint memo for the v3 encoder.
-        self._fingerprints: Dict[Labels, int] = {}
+        #: Cross-frame block-header memo for the v3 encoder.
+        self._headers: Dict[Labels, bytes] = {}
         self.frames_sent = 0
         self.frames_acked = 0
         self.frames_dropped = 0
@@ -750,11 +762,10 @@ class RemoteWriteClient:
         # Window is (collected, now]: select is inclusive on both ends,
         # so the left edge is nudged one ns past the last collected stamp.
         ship = self.ship_filter
-        for series in self._tsdb.select([], self._collected_ns + 1, now_ns):
-            if ship is not None and not ship(series.labels):
-                continue
-            for sample in series.samples:
-                entries.append((series.labels, sample.time_ns, sample.value))
+        for labels, times, values in self._tsdb.select_arrays(
+                [], self._collected_ns + 1, now_ns):
+            if ship is None or ship(labels):
+                entries.extend(zip(repeat(labels), times, values))
         self._collected_ns = now_ns
         if not entries:
             return 0
@@ -764,7 +775,7 @@ class RemoteWriteClient:
         # Only the final frame may claim the whole window end — an ack
         # of an earlier chunk must not durably skip samples still queued
         # behind it (they would be silently lost across a crash).
-        entries.sort(key=lambda entry: entry[1])
+        entries.sort(key=itemgetter(1))
         for start in range(0, len(entries), self.max_frame_samples):
             chunk = entries[start:start + self.max_frame_samples]
             nxt = start + self.max_frame_samples
@@ -798,7 +809,7 @@ class RemoteWriteClient:
         frame.attempts += 1
         self.frames_sent += 1
         body = encode_frame(self.source, self.epoch, frame.seq, frame.entries,
-                            self._fingerprints)
+                            self._headers)
         response = self._network.post_url(self.url, body)
         latency_s = getattr(response, "latency_s", 0.0)
         ok = (

@@ -289,12 +289,7 @@ class Tsdb(StorageEngine):
         self.total_appends += appended
         self.batch_appends_total += 1
         if accepted:
-            append_many = getattr(wal, "append_many", None)
-            if append_many is not None:
-                append_many(accepted)
-            else:
-                for labels, time_ns, value in accepted:
-                    wal.append(labels, time_ns, value)
+            wal.append_many(accepted)
         return rejected
 
     def install_series(self, labels: Labels, storage: ChunkedSeries) -> None:

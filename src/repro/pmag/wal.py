@@ -77,78 +77,87 @@ def _pack_text(text: str) -> bytes:
     return struct.pack("<H", len(raw)) + raw
 
 
-def encode_record(labels: Labels, time_ns: int, value: float) -> bytes:
-    """One framed WAL record (length prefix + CRC32 + payload)."""
-    items = labels.items()
-    pieces: List[bytes] = [struct.pack("<BI", RECORD_SAMPLE, len(items))]
-    for key, val in items:
-        pieces.append(_pack_text(key))
-        pieces.append(_pack_text(val))
-    pieces.append(struct.pack("<qd", time_ns, value))
-    payload = b"".join(pieces)
-    if len(payload) > MAX_RECORD_BYTES:
-        raise WalError(f"record payload too large: {len(payload)} bytes")
-    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+def pack_labels(labels: Labels) -> bytes:
+    """The label block ``(u16-len key | u16-len value)*`` in key order,
+    shared by WAL records and remote-write series blocks."""
+    return b"".join(_pack_text(part) for pair in labels.items() for part in pair)
 
 
-def encode_record_cached(
-    labels: Labels, time_ns: int, value: float,
-    cache: Dict[Labels, Tuple[bytes, int, bytes]],
-) -> bytes:
-    """:func:`encode_record` with a label-prefix memo.
+def unpack_labels(buf: bytes, offset: int, count: int) -> Tuple[Labels, int]:
+    """Parse ``count`` label pairs at ``offset``: (labels, end offset).
 
-    A batch encodes many samples of few distinct series; the label block
-    of a record (everything before the trailing time+value) depends only
-    on the label set, so it — and its partial CRC — is computed once per
-    distinct ``labels`` and reused.  Byte-identical to
-    :func:`encode_record`.
+    Keys must be strictly ascending (the canonical encoding): duplicates
+    would collapse under a stale count, unsorted keys would give one
+    series two encodings.  ``struct.error`` is the caller's to wrap.
     """
-    entry = cache.get(labels)
+    mapping: Dict[str, str] = {}
+    previous = None
+    for _ in range(count):
+        (length,) = struct.unpack_from("<H", buf, offset)
+        key = buf[offset + 2:offset + 2 + length].decode("utf-8")
+        offset += 2 + length
+        (length,) = struct.unpack_from("<H", buf, offset)
+        mapping[key] = buf[offset + 2:offset + 2 + length].decode("utf-8")
+        offset += 2 + length
+        if offset > len(buf):
+            raise WalError("truncated label text")
+        if previous is not None and key <= previous:
+            raise WalError(f"label keys not strictly ascending at {key!r}")
+        previous = key
+    return Labels(mapping), offset
+
+
+def encode_record(
+    labels: Labels, time_ns: int, value: float,
+    memo: Optional[Dict[Labels, Tuple[bytes, int]]] = None,
+) -> bytes:
+    """One framed WAL record (length prefix + CRC32 + payload).
+
+    ``memo`` (label set -> payload prefix and its CRC) makes all but the
+    trailing time+value a once-per-series cost; a label set that fails a
+    check is never memoised.
+    """
+    entry = memo.get(labels) if memo is not None else None
     if entry is None:
-        items = labels.items()
-        pieces: List[bytes] = [struct.pack("<BI", RECORD_SAMPLE, len(items))]
-        for key, val in items:
-            pieces.append(_pack_text(key))
-            pieces.append(_pack_text(val))
-        prefix = b"".join(pieces)
+        prefix = (struct.pack("<BI", RECORD_SAMPLE, len(labels.items()))
+                  + pack_labels(labels))
         if len(prefix) + 16 > MAX_RECORD_BYTES:
-            raise WalError(
-                f"record payload too large: {len(prefix) + 16} bytes"
-            )
-        entry = (prefix, zlib.crc32(prefix),
-                 struct.pack("<I", len(prefix) + 16))
-        cache[labels] = entry
-    prefix, prefix_crc, length_bytes = entry
+            raise WalError(f"record payload too large: {len(prefix) + 16} bytes")
+        entry = (prefix, zlib.crc32(prefix))
+        if memo is not None:
+            memo[labels] = entry
+    prefix, prefix_crc = entry
     tail = struct.pack("<qd", time_ns, value)
-    return (length_bytes + struct.pack("<I", zlib.crc32(tail, prefix_crc))
-            + prefix + tail)
+    return struct.pack(
+        "<II", len(prefix) + 16, zlib.crc32(tail, prefix_crc)) + prefix + tail
 
 
-def decode_payload(payload: bytes) -> Tuple[Labels, int, float]:
-    """Parse a record payload back into (labels, time_ns, value)."""
+def decode_payload(
+    payload: bytes, interned: Optional[Dict[bytes, Labels]] = None,
+) -> Tuple[Labels, int, float]:
+    """Parse a record payload back into (labels, time_ns, value).
+
+    ``interned`` maps a label prefix (the payload less its 16-byte tail)
+    to its labels.  A prefix that parsed once consumed exactly its own
+    length, so a hit is the same parse with the walk skipped.
+    """
+    prefix = payload[:-16]
+    labels = interned.get(prefix) if interned is not None else None
+    if labels is not None:
+        return (labels, *struct.unpack_from("<qd", payload, len(payload) - 16))
     try:
         kind, label_count = struct.unpack_from("<BI", payload, 0)
         if kind != RECORD_SAMPLE:
             raise WalError(f"unknown record kind: {kind}")
-        offset = 5
-        mapping = {}
-        for _ in range(label_count):
-            for _part in range(2):
-                (length,) = struct.unpack_from("<H", payload, offset)
-                offset += 2
-                if offset + length > len(payload):
-                    raise WalError("truncated label text")
-                if _part == 0:
-                    key = payload[offset:offset + length].decode("utf-8")
-                else:
-                    mapping[key] = payload[offset:offset + length].decode("utf-8")
-                offset += length
+        labels, offset = unpack_labels(payload, 5, label_count)
         time_ns, value = struct.unpack_from("<qd", payload, offset)
         if offset + 16 != len(payload):
             raise WalError("trailing bytes in record payload")
     except (struct.error, UnicodeDecodeError) as exc:
         raise WalError(f"malformed record payload: {exc}") from exc
-    return Labels(mapping), time_ns, value
+    if interned is not None:
+        interned[prefix] = labels
+    return labels, time_ns, value
 
 
 def encode_cursor_record(key: str, cursor_ns: int) -> bytes:
@@ -261,6 +270,8 @@ class WalWriter:
         #: Latest cursor per key; re-emitted into the fresh segment on
         #: every checkpoint so truncation never drops cursor durability.
         self._cursors: dict = {}
+        #: :func:`encode_record` memo: one entry per series logged here.
+        self._record_memo: dict = {}
         # Continue the sequence past anything already on the medium so a
         # writer built after recovery never reuses a live number.
         last = max(
@@ -302,7 +313,8 @@ class WalWriter:
     # ------------------------------------------------------------------
     def append(self, labels: Labels, time_ns: int, value: float) -> None:
         """Write one accepted sample through to the live segment."""
-        self.disk.append(self._segment, encode_record(labels, time_ns, value))
+        record = encode_record(labels, time_ns, value, self._record_memo)
+        self.disk.append(self._segment, record)
         self.records_total += 1
         self.unflushed_records += 1
         self._segment_records += 1
@@ -324,7 +336,8 @@ class WalWriter:
         """
         pending: list = []
         for labels, time_ns, value in entries:
-            pending.append(encode_record(labels, time_ns, value))
+            pending.append(
+                encode_record(labels, time_ns, value, self._record_memo))
             self.records_total += 1
             self.unflushed_records += 1
             self._segment_records += 1
@@ -486,6 +499,10 @@ def recover(
         break
 
     # -- replay segments past it ---------------------------------------
+    # Per-recovery interning: a series' label prefix is parsed once, and
+    # the timestamp a scrape stamped on all its samples is one int again.
+    interned: Dict[bytes, Labels] = {}
+    instants: Dict[int, int] = {}
     for name in disk.list_files(f"{directory}/segment-"):
         seq = _parse_seq(name)
         if seq is None or seq <= checkpoint_seq:
@@ -557,14 +574,15 @@ def recover(
                 report.cursors[key] = cursor_ns
                 continue
             try:
-                labels, time_ns, value = decode_payload(payload)
+                labels, time_ns, value = decode_payload(payload, interned)
             except WalError:
                 report.records_quarantined += 1
                 if plan is not None:
                     plan.record("wal-record-quarantined", f"{name}@{pos - 8 - length}")
                 continue
             try:
-                tsdb.append(labels, time_ns, value)
+                tsdb.append(
+                    labels, instants.setdefault(time_ns, time_ns), value)
             except TsdbError:
                 report.records_duplicate += 1
             else:

@@ -19,10 +19,13 @@ invariants, asserted *exactly* against an uninterrupted same-seed run:
 
 from types import SimpleNamespace
 
+import pytest
+
 from repro.faults import FaultPlan
 from repro.net.http import HttpNetwork
 from repro.openmetrics import CollectorRegistry, encode_registry
 from repro.pmag.scrape import ScrapeTarget
+from repro.pmag import wal
 from repro.pmag.wal import HEADER_SIZE
 from repro.simkernel.clock import seconds
 from repro.simkernel.disk import SimDisk
@@ -30,6 +33,7 @@ from repro.simkernel.kernel import Kernel
 from repro.simkernel.rng import DeterministicRng
 from repro.sgx.driver import SgxDriver
 from repro.teemon import MonitorSupervisor, TeemonConfig, deploy
+from tests.codec_oracle import reference_record
 
 FLUSH_S = 12.0
 CHECKPOINT_S = 60.0
@@ -206,6 +210,71 @@ def test_corrupt_wal_record_is_quarantined_without_aborting_recovery():
     assert f"DISK {corrupted[0]}@{HEADER_SIZE} wal-record-quarantined" in journal
     # The quarantined record is part of the exact loss accounting.
     assert report.samples_lost > report.records_quarantined - 1
+
+
+def _tear_tail(rig, segment):
+    del rig.disk._files[segment][-5:]  # noqa: SLF001
+
+
+def _rot_two_records(rig, segment):
+    data = rig.disk._files[segment]  # noqa: SLF001
+    data[HEADER_SIZE + 8] ^= 0x01     # first record: kind byte
+    data[-1] ^= 0x80                  # last record: value byte
+
+
+def _splice_non_canonical_record(rig, segment):
+    pairs = (("job", "x"), ("__name__", "spliced"))  # unsorted
+    rig.disk._files[segment].extend(  # noqa: SLF001
+        reference_record(pairs, 1, 1.0))
+
+
+@pytest.mark.parametrize("damage", [
+    None, _tear_tail, _rot_two_records, _splice_non_canonical_record,
+], ids=["crash-only", "torn-tail", "bit-rot", "non-canonical"])
+def test_replay_interning_recovers_what_per_record_decoding_does(
+        damage, monkeypatch):
+    # recover() parses each series' label prefix once and replays the
+    # interned Labels; the control decodes every record from scratch.
+    # Same medium, same crash evidence -> same database, same report,
+    # same loss, same quarantine journal.
+    rig = build_rig(7)
+    rig.deployment.start()
+    rig.clock.advance(seconds(T_CRASH_S))
+    segments = [
+        writer.current_segment
+        for writer in getattr(rig.deployment.wal, "writers",
+                              [rig.deployment.wal])
+    ]
+    crash_report = rig.supervisor.crash()
+    if damage is not None:
+        for segment in segments:
+            damage(rig, segment)
+    config = rig.deployment.config
+
+    def replay():
+        plan = FaultPlan(rig.clock, DeterministicRng(7).fork("plan"))
+        if config.storage_shards > 1:
+            tsdb, report = wal.recover_sharded(
+                rig.disk, config.wal_dir, config.storage_shards,
+                crash_report=crash_report, plan=plan)
+        else:
+            tsdb, report = wal.recover(
+                rig.disk, config.wal_dir, crash_report=crash_report,
+                plan=plan)
+        series = [labels for labels, _storage in tsdb.series_items()]
+        return (series, sample_set(tsdb, 0, rig.clock.now_ns + 1), report,
+                report.samples_lost, plan.journal_text())
+
+    interned = replay()
+    decode = wal.decode_payload
+    monkeypatch.setattr(
+        wal, "decode_payload", lambda payload, _interned: decode(payload))
+    assert replay() == interned
+    assert interned[2].records_replayed > 0
+    if damage in (_rot_two_records, _splice_non_canonical_record):
+        assert interned[2].records_quarantined >= len(segments)
+    if damage is _tear_tail:
+        assert interned[2].torn_tails >= len(segments)
 
 
 def test_scrape_health_carries_across_the_restart():

@@ -1,9 +1,15 @@
 """Remote-write federation tier: framing, dedup, spill, recovery."""
 
+import struct
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import DeploymentError, WalError
 from repro.net.http import HttpNetwork
+from repro.orchestration.fleet import NodeFleet
+from repro.orchestration.kubernetes import Cluster
 from repro.pmag.model import Labels
 from repro.pmag.remote_write import (
     RemoteWriteClient,
@@ -20,7 +26,21 @@ from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import VirtualClock, seconds
 from repro.simkernel.kernel import Kernel
 from repro.simkernel.rng import DeterministicRng
-from repro.teemon import MonitorSupervisor, TeemonConfig, deploy
+from repro.teemon import (
+    FederationTopology,
+    MonitorSupervisor,
+    TeemonConfig,
+    deploy,
+)
+from tests.codec_oracle import (
+    frame_blocks,
+    frame_from_blocks,
+    frame_from_payload,
+    frame_payload,
+    reference_block,
+    reference_encode_frame,
+    wire_entries,
+)
 
 
 def _entries(count, start_ns=1, metric="m_total", **labels):
@@ -81,6 +101,171 @@ def test_frame_rejects_damage():
         decode_frame(" ".join(pieces) + "\n" + payload)
     with pytest.raises(WalError):
         encode_frame("has space", 0, 1, _entries(1))
+
+
+# ---------------------------------------------------------------------------
+# Series interning: one encode per series per client, one parse per
+# series per receiver — and never a different byte or a skipped check
+# ---------------------------------------------------------------------------
+frame_entries = st.lists(wire_entries, min_size=1, max_size=12)
+SERIES_A = Labels({"__name__": "m_total", "instance": "n0", "job": "sgx"})
+SERIES_B = Labels({"__name__": "m_total", "instance": "n1", "job": "sgx"})
+
+
+@given(st.lists(frame_entries, min_size=1, max_size=6))
+def test_frames_sharing_one_memo_are_byte_identical_to_reference(frames):
+    headers = {}
+    for seq, entries in enumerate(frames, 1):
+        assert encode_frame("leaf-0", 3, seq, entries, headers) == \
+            reference_encode_frame("leaf-0", 3, seq, entries)
+    # One memo entry per distinct series, however many frames carried it.
+    assert set(headers) == {e[0] for entries in frames for e in entries}
+
+
+def test_unencodable_series_raises_every_time_and_is_never_memoised():
+    headers = {}
+    good = _entries(2, job="sgx")
+    oversized = Labels({"__name__": "m", "k": "v" * 70_000})
+    for _ in range(2):
+        with pytest.raises(WalError, match="too long"):
+            encode_frame("leaf-0", 0, 1, good + [(oversized, 1, 1.0)],
+                         headers)
+    assert oversized not in headers
+    # A block over the size cap is checked per frame, memo or not.
+    crowded = [(good[0][0], t, 0.0) for t in range(70_000)]
+    for _ in range(2):
+        with pytest.raises(WalError, match="too large"):
+            encode_frame("leaf-0", 0, 1, crowded, headers)
+    assert encode_frame("leaf-0", 0, 1, good, headers) == \
+        reference_encode_frame("leaf-0", 0, 1, good)
+
+
+@given(st.lists(frame_entries, min_size=1, max_size=6))
+def test_warm_intern_table_decodes_exactly_like_a_cold_one(frames):
+    bodies = [
+        reference_encode_frame("leaf-0", 0, seq, entries)
+        for seq, entries in enumerate(frames, 1)
+    ]
+    table = {}
+    for _pass in range(2):  # second pass: every header already interned
+        for body in bodies:
+            assert decode_frame_blocks(body, table) == \
+                decode_frame_blocks(body)
+    series = {e[0] for entries in frames for e in entries}
+    assert len(table) == len(series)
+    # A known series always comes back as the one interned object.
+    interned = {entry[2]: entry[2] for entry in table.values()}
+    for body in bodies:
+        for _fp, labels, _samples in decode_frame_blocks(body, table)[3]:
+            assert labels is interned[labels]
+
+
+def _flip(data, index, bit):
+    return data[:index] + bytes([data[index] ^ (1 << bit)]) + data[index + 1:]
+
+
+def _damaged_variants(body):
+    """Every way to break a two-series frame whose headers are interned.
+
+    Variants that rebuild a block re-frame it with a *valid* length and
+    CRC, so the damage has to be caught by the parse, not the checksum.
+    """
+    payload = frame_payload(body)
+    first, second = frame_blocks(body)
+    fp_a, count_a = struct.unpack_from("<II", first, 0)
+    header_a, header_b = first[:-20], second[:-20]  # one sample each
+    assert len(header_a) == len(header_b) and header_a != header_b
+    pairs = SERIES_A.items()
+
+    def reframed(*blocks, count=2):
+        return frame_from_blocks("leaf-0", 0, 2, count, blocks)
+
+    for index in range(len(payload)):
+        yield f"bit flip @{index}", frame_from_payload(
+            "leaf-0", 0, 2, 2, _flip(payload, index, index % 8))
+    for cut in range(len(header_a) + 1):
+        yield f"payload cut inside header @{cut}", frame_from_payload(
+            "leaf-0", 0, 2, 2, payload[:8 + cut])
+        yield f"block cut inside header @{cut}", reframed(
+            first[:cut], second)
+        if cut < len(header_a):
+            yield f"header cut, samples kept @{cut}", reframed(
+                first[:cut] + first[-20:], second)
+    tampered = bytearray(first)
+    struct.pack_into("<I", tampered, len(header_a), 2)
+    yield "sample count tamper", reframed(bytes(tampered), second)
+    yield "frame count tamper", reframed(first, second, count=3)
+    yield "header swapped, stale CRC", frame_from_payload(
+        "leaf-0", 0, 2, 2,
+        payload[:8] + header_b + payload[8 + len(header_b):])
+    yield "labels swapped under the stamp", reframed(
+        header_a[:8] + header_b[8:] + first[-20:], second)
+    yield "wrong stamp", reframed(
+        reference_block(fp_a ^ 1, pairs, [(5, 1.0)]), second)
+    yield "unsorted keys", reframed(
+        reference_block(fp_a, pairs[::-1], [(5, 1.0)]), second)
+    yield "duplicate key", reframed(
+        reference_block(fp_a, pairs + pairs[-1:], [(5, 1.0)]), second)
+    yield "duplicate key, count kept", reframed(
+        reference_block(fp_a, pairs[:-1] + pairs[-2:-1], [(5, 1.0)],
+                        label_count=count_a), second)
+
+
+@pytest.mark.parametrize("engine", [Tsdb, lambda: ShardedTsdb(shards=4)],
+                         ids=["monolith", "sharded"])
+def test_damaged_frames_with_interned_headers_are_rejected(engine):
+    tsdb = engine()
+    receiver = RemoteWriteReceiver(tsdb)
+    receiver.handle(encode_frame(
+        "leaf-0", 0, 1, [(SERIES_A, 1, 0.0), (SERIES_B, 1, 0.0)]))
+    table = receiver._interned  # noqa: SLF001
+    before = dict(table)
+    assert len(before) == 2
+    body = encode_frame(
+        "leaf-0", 0, 2, [(SERIES_A, 5, 1.0), (SERIES_B, 5, 1.0)])
+    rejected = 0
+    for what, damaged in _damaged_variants(body):
+        with pytest.raises(WalError):
+            receiver.handle(damaged)
+            pytest.fail(f"accepted: {what}")
+        rejected += 1
+        assert receiver.frames_rejected == rejected, what
+        assert tsdb.sample_count() == 2, what
+        assert table == before, what
+        assert all(table[k][2] is before[k][2] for k in before), what
+    # The frame ledger still closes, on every engine layout...
+    assert receiver.frames_received == (
+        receiver.frames_applied + receiver.frames_replayed
+        + receiver.frames_rejected)
+    # ...and the undamaged frame still lands afterwards.
+    assert receiver.handle(body) == "ack 2 applied=2 deduped=0"
+
+
+def test_first_sight_of_a_series_verifies_its_stamp_on_a_monolith():
+    # The stamp used to be checked only by ShardedTsdb, whose TsdbError
+    # escaped handle() with no frame counter bumped.
+    for tsdb in (Tsdb(), ShardedTsdb(shards=4)):
+        receiver = RemoteWriteReceiver(tsdb)
+        bad = frame_from_blocks("leaf-0", 0, 1, 1, [reference_block(
+            series_fingerprint(SERIES_A) ^ 1, SERIES_A.items(), [(1, 0.0)])])
+        with pytest.raises(WalError, match="fingerprint"):
+            receiver.handle(bad)
+        assert receiver.stats()["frames_rejected"] == 1
+        assert receiver.stats()["frames_received"] == 1
+        assert tsdb.sample_count() == 0
+        assert receiver._interned == {}  # noqa: SLF001
+
+
+def test_rejected_frame_interns_none_of_its_new_series():
+    receiver = RemoteWriteReceiver(Tsdb())
+    good = reference_block(
+        series_fingerprint(SERIES_A), SERIES_A.items(), [(1, 0.0)])
+    unsorted = reference_block(
+        series_fingerprint(SERIES_B), SERIES_B.items()[::-1], [(1, 0.0)])
+    with pytest.raises(WalError, match="ascending"):
+        receiver.handle(frame_from_blocks("leaf-0", 0, 1, 2, [good, unsorted]))
+    assert receiver._interned == {}  # noqa: SLF001
+    assert receiver.frames_rejected == 1
 
 
 # ---------------------------------------------------------------------------
@@ -593,3 +778,55 @@ def test_leaf_crash_recovery_resumes_from_acked_cursor():
         stamps = [s.time_ns for s in series.samples]
         assert stamps == sorted(set(stamps))
     global_dep.stop()
+
+
+def test_intern_table_is_bounded_by_series_and_dies_with_the_receiver():
+    # 100 fleet nodes -> leaf -> WAL relay -> global.  The relay's table
+    # holds one entry per series the leaf ever shipped — it does not grow
+    # with frames — and a crashed-and-rebuilt receiver starts empty.
+    clock = VirtualClock()
+    network = HttpNetwork()
+    fleet = NodeFleet(Cluster(clock=clock), network, DeterministicRng(5))
+    fleet.add_nodes(100)
+    quiet = TeemonConfig(
+        enable_exporters=False, enable_recording_rules=False,
+        enable_anomaly_detection=False, enable_alerting=False,
+    )
+    receiving = replace(
+        quiet, enable_self_telemetry=False, remote_write_receiver=True)
+    topo = FederationTopology(clock, network)
+    topo.add("global", receiving)
+    topo.add("region-0", replace(receiving, enable_wal=True),
+             uplink="global")
+    topo.add("leaf-0", quiet, uplink="region-0")
+    nodes = topo.build()
+    leaf, relay = nodes["leaf-0"], nodes["region-0"]
+    leaf.add_discovery(fleet.discovery())
+
+    clock.advance(seconds(20))
+    receiver = relay.remote_write_receiver
+    table = receiver._interned  # noqa: SLF001
+    size, frames = len(table), receiver.frames_applied
+    assert size >= 100
+    clock.advance(seconds(20))
+    assert receiver.frames_applied > frames
+    assert len(table) == size  # steady state: no growth per frame
+    shipped = {
+        labels for labels, _t, _v in leaf.tsdb.select_arrays(
+            [], 0, leaf.remote_write_client.watermark_ns)
+    }
+    assert {entry[2] for entry in table.values()} == shipped
+    # Storage holds the interned objects themselves, not equal copies.
+    stored = {id(labels) for labels, _storage in relay.tsdb.series_items()}
+    assert all(id(entry[2]) in stored for entry in table.values())
+
+    topo.crash("region-0")
+    clock.advance(seconds(2))
+    topo.recover("region-0")
+    rebuilt = relay.remote_write_receiver
+    assert rebuilt is not receiver
+    assert rebuilt._interned == {}  # noqa: SLF001
+    clock.advance(seconds(20))
+    assert 0 < len(rebuilt._interned) <= len(shipped) + 8  # noqa: SLF001
+    for deployment in nodes.values():
+        deployment.stop()

@@ -12,6 +12,7 @@ the same seeded determinism the network injectors guarantee.
 import struct
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.errors import NetworkError, StorageError, WalError
 from repro.faults import (
@@ -31,13 +32,17 @@ from repro.pmag.wal import (
     checkpoint_name,
     decode_payload,
     encode_record,
-    encode_record_cached,
     recover,
     segment_name,
 )
 from repro.simkernel.clock import VirtualClock, seconds
 from repro.simkernel.disk import SimDisk
 from repro.simkernel.rng import DeterministicRng
+from tests.codec_oracle import (
+    reference_encode_record,
+    reference_record,
+    wire_entries,
+)
 
 
 def _labels(i=0):
@@ -148,11 +153,73 @@ def test_cached_encoder_is_byte_identical():
         (Labels.of("m", job="j", zone="eu"), 30, 0.0),  # hit again
     ]
     for labels, time_ns, value in entries:
-        assert encode_record_cached(labels, time_ns, value, cache) == \
-            encode_record(labels, time_ns, value)
+        assert encode_record(labels, time_ns, value, cache) == \
+            reference_encode_record(labels, time_ns, value)
     assert len(cache) == 2  # one prefix per distinct label set
-    with pytest.raises(WalError):
-        encode_record_cached(Labels.of("m", k="v" * 70_000), 1, 1.0, {})
+    # A label set that fails a check raises on every call and is never
+    # memoised — whichever check it fails.
+    too_long = Labels.of("m", k="v" * 70_000)
+    too_large = Labels.of("m", **{f"k{i}": "v" * 60_000 for i in range(18)})
+    for labels, message in ((too_long, "too long"), (too_large, "too large")):
+        for _ in range(2):
+            with pytest.raises(WalError, match=message):
+                encode_record(labels, 1, 1.0, cache)
+        assert labels not in cache
+
+
+records = st.lists(wire_entries, max_size=40)
+
+
+@given(records)
+def test_any_interleaving_through_one_memo_matches_reference(entries):
+    memo, interned = {}, {}
+    for labels, time_ns, value in entries:
+        record = encode_record(labels, time_ns, value, memo)
+        assert record == reference_encode_record(labels, time_ns, value)
+        # ...and replay interning parses it exactly as a cold decode does.
+        assert decode_payload(record[8:], interned) == \
+            decode_payload(record[8:]) == (labels, time_ns, value)
+    series = {labels for labels, _t, _v in entries}
+    assert set(memo) == series
+    assert sorted(interned.values(), key=Labels.items) == \
+        sorted(series, key=Labels.items)
+
+
+@given(
+    entries=records,
+    cuts=st.lists(st.integers(0, 40), max_size=6),
+    flush_every=st.integers(0, 5),
+    segment_max=st.integers(1, 7),
+)
+def test_segments_equal_concatenated_reference_records(
+        entries, cuts, flush_every, segment_max):
+    # Whatever mix of append / append_many calls delivers the records,
+    # and wherever count-based flushes and rotations fall between them,
+    # the medium holds exactly the reference records, in order.
+    disk = SimDisk()
+    writer = WalWriter(disk, flush_every_records=flush_every,
+                       segment_max_records=segment_max)
+    bounds = sorted(set(cuts) | {0, len(entries)})
+    for batch, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if batch % 2:
+            writer.append_many(entries[lo:hi])
+        else:
+            for labels, time_ns, value in entries[lo:hi]:
+                writer.append(labels, time_ns, value)
+    expected = [reference_encode_record(*entry) for entry in entries]
+    names = disk.list_files("wal/segment-")
+    for index, name in enumerate(names):
+        data = disk.read(name)
+        assert data[:HEADER_SIZE] == SEGMENT_MAGIC + struct.pack(
+            "<HI", SEGMENT_VERSION, index + 1)
+        chunk = expected[index * segment_max:(index + 1) * segment_max]
+        assert data[HEADER_SIZE:] == b"".join(chunk)
+    assert len(names) == len(entries) // segment_max + 1
+    # The durable prefix ends exactly at the last flush boundary.
+    durable = b"".join(
+        disk.read(name)[HEADER_SIZE:disk.synced_size(name)] for name in names)
+    flushed = writer.records_total - writer.unflushed_records
+    assert durable == b"".join(expected[:flushed])
 
 
 def test_decode_rejects_malformed_payloads():
@@ -163,6 +230,18 @@ def test_decode_rejects_malformed_payloads():
         decode_payload(payload[:-3])  # truncated trailer
     with pytest.raises(WalError, match="trailing"):
         decode_payload(payload + b"\x00")
+
+
+def test_decode_rejects_non_canonical_label_blocks():
+    # Duplicate keys would collapse (label count != labels stored) and
+    # unsorted ones would give one series two encodings.
+    pairs = _labels().items()
+    for damaged in (pairs[::-1], pairs + pairs[-1:], pairs[:1] + pairs[:1]):
+        payload = reference_record(damaged, 1, 1.0)[8:]
+        for interned in (None, {}):
+            with pytest.raises(WalError, match="ascending"):
+                decode_payload(payload, interned)
+            assert not interned
 
 
 def test_encode_rejects_oversized_components():
@@ -354,6 +433,34 @@ def test_corrupt_record_is_quarantined_not_fatal():
     assert f"DISK {segment}@{HEADER_SIZE} wal-record-quarantined" in journal
 
 
+def test_non_canonical_record_is_quarantined_not_fatal():
+    # A record whose CRC verifies but whose label block is not the
+    # canonical encoding (unsorted or repeated keys) is damage like any
+    # other: counted, journalled, skipped — recovery never raises, and
+    # the series' well-formed records on either side still replay.
+    disk = SimDisk()
+    tsdb, writer = _tsdb_with_wal(disk)
+    plan = FaultPlan(VirtualClock(), DeterministicRng(1).fork("plan"))
+    for k in range(3):
+        tsdb.append_sample("m", (k + 1) * 1_000_000, float(k), job="j")
+    segment = writer.current_segment
+    offsets = []
+    pairs = Labels.of("m", job="j").items()
+    for damaged in (pairs[::-1], pairs + pairs[-1:]):
+        offsets.append(disk.size(segment))
+        disk.append(segment, reference_record(damaged, 3_500_000, 9.0))
+    tsdb.append_sample("m", 4_000_000, 3.0, job="j")
+    writer.flush()
+    recovered, report = recover(disk, crash_report=disk.crash(), plan=plan)
+    assert report.records_quarantined == 2
+    assert report.records_replayed == 4
+    assert report.samples_lost == 2
+    assert _samples(recovered) == _samples(tsdb)
+    for offset in offsets:
+        assert (f"DISK {segment}@{offset} wal-record-quarantined"
+                in plan.journal_text())
+
+
 def test_corrupt_length_field_quarantines_segment_remainder():
     disk = SimDisk()
     tsdb, writer = _tsdb_with_wal(disk)
@@ -432,6 +539,33 @@ def test_empty_rotated_segment_is_routine_not_corruption():
     assert report.segments_quarantined == 0
     assert report.records_replayed == 3
     assert report.samples_lost == 0
+
+
+def test_recovered_store_holds_one_int_per_instant_like_a_live_one():
+    # A scrape stamps one instant on every series it touches.  Restore
+    # and replay used to mint a fresh int per sample, so a recovered
+    # store weighed several MiB more than the live one it replaced.
+    disk = SimDisk()
+    tsdb, writer = _tsdb_with_wal(disk)
+
+    def scrape(k):
+        for series in range(3):
+            tsdb.append(_labels(series), (k + 1) * 10**12, float(k))
+
+    for k in range(4):
+        scrape(k)
+    writer.checkpoint(tsdb)      # instants 0-3 come back via restore
+    for k in range(4, 7):
+        scrape(k)                # instants 4-6 via WAL replay
+    writer.flush()
+    recovered, report = recover(disk, crash_report=disk.crash())
+    assert report.checkpoint_used and report.records_replayed == 9
+    assert _samples(recovered) == _samples(tsdb)
+    stamps = [
+        t for _labels_, storage in recovered.series_items()
+        for t in storage.window_arrays(0, 10**18)[0]
+    ]
+    assert len(stamps) == 21 and len({id(t) for t in stamps}) == 7
 
 
 def test_recovered_database_can_keep_ingesting():
