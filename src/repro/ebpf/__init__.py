@@ -6,10 +6,11 @@ that the exporter's programs are *actual programs*: register bytecode
 (:mod:`repro.ebpf.instructions`) assembled by builders
 (:mod:`repro.ebpf.stdlib`), checked by a static verifier that enforces the
 classic eBPF safety rules — bounded size, no back-edges, no reads of
-uninitialised registers, no unchecked division
-(:mod:`repro.ebpf.verifier`) — executed by an interpreter
-(:mod:`repro.ebpf.vm`), and communicating with user space exclusively
-through BPF maps (:mod:`repro.ebpf.maps`).
+uninitialised registers, no unchecked division, bounded shifts
+(:mod:`repro.ebpf.verifier`) — lowered once into a Python function and
+run as that (:mod:`repro.ebpf.vm`, the kernel's verify-then-JIT split),
+and communicating with user space exclusively through BPF maps
+(:mod:`repro.ebpf.maps`).
 
 Programs attach to kernel hooks through :mod:`repro.ebpf.attach`, which is
 the seam between the simulated kernel's hook registry and the VM.

@@ -62,11 +62,13 @@ class EbpfRuntime:
 
         Verification failure raises
         :class:`~repro.errors.VerifierError` and nothing is attached,
-        mirroring the kernel's load-time rejection.
+        mirroring the kernel's load-time rejection.  A verified program
+        is lowered here, once, so no hook firing pays for it.
         """
         verify(program)
         for fd in program.map_fds:
             self.maps.get(fd)  # raises MapError on dangling fds
+        self.vm.lower(program)
         attachment = ProgramAttachment(program=program, hook=hook, handle=None)  # type: ignore[arg-type]
 
         def on_fire(ctx: HookContext, _attachment=attachment) -> None:

@@ -38,6 +38,10 @@ class Reg(enum.IntEnum):
 
 NUM_REGISTERS = len(Reg)
 
+#: Registers are 64 bits wide: every value the VM keeps is masked to this,
+#: and every immediate is read unsigned through it.
+U64_MASK = (1 << 64) - 1
+
 
 class Opcode(enum.Enum):
     """Operation codes."""
@@ -50,12 +54,12 @@ class Opcode(enum.Enum):
     SUB_REG = "sub_reg"
     MUL_IMM = "mul_imm"
     MUL_REG = "mul_reg"
-    DIV_IMM = "div_imm"        # dst /= imm (imm must be nonzero; verifier checks)
+    DIV_IMM = "div_imm"        # dst /= imm (imm read unsigned; zero rejected)
     DIV_REG = "div_reg"        # dst /= src (VM faults on zero)
     AND_IMM = "and_imm"
     OR_IMM = "or_imm"
-    RSH_IMM = "rsh_imm"        # dst >>= imm
-    LSH_IMM = "lsh_imm"        # dst <<= imm
+    RSH_IMM = "rsh_imm"        # dst >>= imm (imm must be in 0..63)
+    LSH_IMM = "lsh_imm"        # dst <<= imm (imm must be in 0..63)
     LD_CTX = "ld_ctx"          # dst = ctx.fields[field] (0 when absent)
     JMP = "jmp"                # unconditional forward jump by offset
     JEQ_IMM = "jeq_imm"        # if dst == imm: jump

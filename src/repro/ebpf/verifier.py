@@ -12,8 +12,12 @@ eBPF rules:
   every path reaching the read (r1 is initialised at entry: it carries the
   context pointer);
 * **no unchecked division** — ``DIV_IMM`` with a zero immediate is
-  rejected outright (``DIV_REG`` traps at runtime, as real eBPF's
-  runtime-checked division does);
+  rejected outright (the immediate is read unsigned, like every other
+  immediate, so ``2**64`` is zero too; ``DIV_REG`` traps at runtime, as
+  real eBPF's runtime-checked division does);
+* **bounded shifts** — ``RSH_IMM``/``LSH_IMM`` immediates must lie in
+  0..63, as in the kernel: a larger or negative count has no 64-bit
+  meaning;
 * **declared maps only** — helper calls that take a map fd in r1 must be
   reachable only with fds the program declared.
 
@@ -35,6 +39,7 @@ from repro.ebpf.instructions import (
     Opcode,
     Reg,
     SRC_READING_OPS,
+    U64_MASK,
 )
 from repro.ebpf.program import Program
 
@@ -86,8 +91,11 @@ def verify(program: Program) -> None:
             target = index + 1 + instruction.offset
             if target > length:
                 raise VerifierError(f"{where}: jump out of bounds to {target}")
-        if instruction.opcode is Opcode.DIV_IMM and instruction.imm == 0:
+        if instruction.opcode is Opcode.DIV_IMM and instruction.imm & U64_MASK == 0:
             raise VerifierError(f"{where}: division by zero immediate")
+        if (instruction.opcode in (Opcode.RSH_IMM, Opcode.LSH_IMM)
+                and not 0 <= instruction.imm <= 63):
+            raise VerifierError(f"{where}: shift count outside 0..63")
         if instruction.opcode is Opcode.CALL:
             if instruction.helper is None:
                 raise VerifierError(f"{where}: call without a helper")

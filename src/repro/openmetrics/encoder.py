@@ -61,42 +61,67 @@ def _exemplar_suffix(exemplar: Optional[Exemplar]) -> str:
     return suffix
 
 
-def encode_family(family: MetricFamily) -> str:
-    """Encode one family, with # HELP and # TYPE headers."""
-    lines: List[str] = [
-        f"# HELP {family.name} {family.help_text}",
-        f"# TYPE {family.name} {family.kind.value}",
+def _line_prefixes(family: MetricFamily, values: Tuple[str, ...], child):
+    """Everything of a child's lines that precedes the value.
+
+    A counter or gauge has one line; a histogram one per bucket plus
+    ``_sum`` and ``_count``; a summary one per quantile plus the same.
+    """
+    name, label_names = family.name, family.label_names
+    plain = format_labels(label_names, values)
+    if family.kind in (MetricKind.COUNTER, MetricKind.GAUGE):
+        return f"{name}{plain} "
+    if family.kind is MetricKind.HISTOGRAM:
+        extra, suffix = "le", "_bucket"
+        marks = child.upper_bounds + [float("inf")]
+    else:
+        extra, suffix = "quantile", ""
+        marks = child.quantiles
+    split = [
+        f"{name}{suffix}"
+        f"{format_labels(label_names + (extra,), values + (_format_value(mark),))} "
+        for mark in marks
     ]
+    return split, f"{name}_sum{plain} ", f"{name}_count{plain} "
+
+
+def encode_family(family: MetricFamily) -> str:
+    """Encode one family, with # HELP and # TYPE headers.
+
+    The headers and each child's ``name{labels} `` prefixes are rendered
+    once and kept in :attr:`MetricFamily.rendered`; a scrape formats
+    only the values.
+    """
+    rendered = family.rendered
+    header = rendered.get(None)
+    if header is None:
+        header = rendered[None] = (
+            f"# HELP {family.name} {family.help_text}\n"
+            f"# TYPE {family.name} {family.kind.value}"
+        )
+    lines: List[str] = [header]
+    kind = family.kind
     for values, child in family.children():
-        labels = format_labels(family.label_names, values)
-        if family.kind in (MetricKind.COUNTER, MetricKind.GAUGE):
+        prefixes = rendered.get(values)
+        if prefixes is None:
+            prefixes = rendered[values] = _line_prefixes(family, values, child)
+        if kind is MetricKind.COUNTER or kind is MetricKind.GAUGE:
             exemplar = _exemplar_suffix(getattr(child, "exemplar", None))
-            lines.append(
-                f"{family.name}{labels} {_format_value(child.value)}{exemplar}"
-            )
-        elif family.kind is MetricKind.HISTOGRAM:
-            for index, (bound, cumulative) in enumerate(child.cumulative_buckets()):
-                bucket_labels = format_labels(
-                    family.label_names + ("le",),
-                    values + (_format_value(bound),),
-                )
+            lines.append(f"{prefixes}{_format_value(child.value)}{exemplar}")
+            continue
+        split, sum_prefix, count_prefix = prefixes
+        if kind is MetricKind.HISTOGRAM:
+            for index, (prefix, (_bound, cumulative)) in enumerate(
+                    zip(split, child.cumulative_buckets())):
                 exemplar = _exemplar_suffix(child.exemplars.get(index))
-                lines.append(
-                    f"{family.name}_bucket{bucket_labels} {cumulative}{exemplar}"
-                )
-            lines.append(f"{family.name}_sum{labels} {_format_value(child.sum)}")
-            lines.append(f"{family.name}_count{labels} {child.count}")
-        elif family.kind is MetricKind.SUMMARY:
-            for quantile, estimate in child.quantile_values():
-                if math.isnan(estimate):
-                    continue
-                quantile_labels = format_labels(
-                    family.label_names + ("quantile",),
-                    values + (_format_value(quantile),),
-                )
-                lines.append(f"{family.name}{quantile_labels} {_format_value(estimate)}")
-            lines.append(f"{family.name}_sum{labels} {_format_value(child.sum)}")
-            lines.append(f"{family.name}_count{labels} {child.count}")
+                lines.append(f"{prefix}{cumulative}{exemplar}")
+        else:
+            for prefix, (_quantile, estimate) in zip(
+                    split, child.quantile_values()):
+                if not math.isnan(estimate):
+                    lines.append(f"{prefix}{_format_value(estimate)}")
+        lines.append(f"{sum_prefix}{_format_value(child.sum)}")
+        lines.append(f"{count_prefix}{child.count}")
     return "\n".join(lines)
 
 

@@ -5,6 +5,7 @@ exporter's endpoint and feeds the body through :func:`parse_exposition`,
 getting back flat :class:`ParsedSample` records (name, labels, value,
 optional exemplar) that the TSDB appends with the scrape timestamp.
 
+A sample line is ``name[{labels}] value [timestamp] [# exemplar]``.
 Exemplars follow the OpenMetrics ``# {trace_id="…",span_id="…"} value ts``
 syntax after the sample value; samples without one parse exactly as
 before (``exemplar`` is None).
@@ -12,16 +13,20 @@ before (``exemplar`` is None).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import OpenMetricsError
 from repro.openmetrics.types import Exemplar
 
 
-@dataclass(frozen=True)
-class ParsedSample:
-    """One sample line from an exposition."""
+class ParsedSample(NamedTuple):
+    """One sample line from an exposition.
+
+    A ``NamedTuple`` rather than a frozen dataclass, like
+    :class:`repro.pmag.model.Sample`: one is built per line of every
+    scrape, and tuple construction is a third of the cost of four
+    guarded ``object.__setattr__`` calls.
+    """
 
     name: str
     labels: Tuple[Tuple[str, str], ...]
@@ -119,46 +124,94 @@ def _parse_exemplar(text: str, line_no: int) -> Exemplar:
     return Exemplar(labels=labels, value=value, timestamp_s=timestamp_s)
 
 
-def _split_exemplar(value_part: str, line_no: int):
-    """Split a sample's value field from an optional exemplar tail."""
-    value_text, hash_mark, exemplar_text = value_part.partition("#")
-    if not hash_mark:
-        return value_part, None
-    return value_text, _parse_exemplar(exemplar_text, line_no)
+#: ``line prefix -> (name, labels)``: see :func:`parse_exposition`.
+SeriesTable = Dict[str, Tuple[str, Tuple[Tuple[str, str], ...]]]
 
 
-def parse_exposition(body: str) -> List[ParsedSample]:
-    """Parse exposition text; comments and the EOF marker are skipped."""
+def _parse_sample_line(
+    line: str, line_no: int, learned: SeriesTable
+) -> ParsedSample:
+    """The full parser, for one stripped non-comment line.
+
+    Records in ``learned`` the exact text it read the series from: the
+    line through the closing brace it found, or the bare name.
+    """
+    # A label set starts immediately after the metric name (before any
+    # space); a "{" later in the line belongs to an exemplar.
+    brace = line.find("{")
+    space = line.find(" ")
+    labelled = brace >= 0 and (space < 0 or brace < space)
+    if labelled:
+        close = brace + 1 + _find_closing_brace(line[brace + 1:], line_no)
+        prefix = line[:close + 1]
+        name = line[:brace].strip()
+        labels = _parse_labels(line[brace + 1:close], line_no)
+        rest = line[close + 1:]
+    else:
+        labels = ()
+        rest = line  # the name is its first field
+    value_text, hash_mark, exemplar_text = rest.partition("#")
+    exemplar = _parse_exemplar(exemplar_text, line_no) if hash_mark else None
+    fields = value_text.split()
+    if not labelled:
+        if len(fields) < 2:
+            raise OpenMetricsError(f"line {line_no}: malformed sample: {line!r}")
+        prefix = name = fields.pop(0)
+    # One rule for both forms: ``value [timestamp]``.  The timestamp must
+    # be a number and is then dropped (the scrape stamps its own).
+    if len(fields) > 2:
+        raise OpenMetricsError(
+            f"line {line_no}: text after the timestamp: {line!r}"
+        )
+    value = _parse_value(fields[0] if fields else "")
+    if len(fields) == 2:
+        _parse_value(fields[1])
+    if not name:
+        raise OpenMetricsError(f"line {line_no}: empty metric name")
+    learned[prefix] = (name, labels)
+    return ParsedSample(name, labels, value, exemplar)
+
+
+def parse_exposition(
+    body: str, series: Optional[SeriesTable] = None
+) -> List[ParsedSample]:
+    """Parse exposition text; comments and the EOF marker are skipped.
+
+    ``series`` is a caller-owned memo for a target that is scraped again
+    and again: ``line prefix -> (name, labels)``, written only by the
+    full parser, keyed by the exact text it read the series from.  A
+    later line that is ``<known prefix> <one float>`` *is* that parse —
+    the scan for the closing brace is deterministic on those characters
+    — so it costs one ``rpartition``, one dict hit and one ``float()``, and
+    yields the very same ``labels`` tuple.  Everything else (an unknown
+    prefix, an exemplar, a timestamp, tabs, padding) takes the full
+    parser, so there is one grammar, not two.
+
+    On return the table holds exactly the prefixes of this body's sample
+    lines: it never outgrows the target's latest exposition.  A body
+    that raises leaves it untouched.
+    """
     samples: List[ParsedSample] = []
+    known = series.get if series is not None else {}.get
+    seen: SeriesTable = {}
     # Split on "\n" only: splitlines() would also split on exotic Unicode
-    # line breaks (\\x1e, \\u2028, ...) that may appear inside label values.
+    # line breaks (\x1e, \u2028, ...) that may appear inside label values.
     for line_no, raw_line in enumerate(body.split("\n"), start=1):
+        prefix, _, value_text = raw_line.rpartition(" ")
+        entry = known(prefix)
+        if entry is not None:
+            try:
+                value = float(value_text)
+            except ValueError:
+                pass  # "+Inf # {…} 1", a timestamp, …: not the short form
+            else:
+                seen[prefix] = entry
+                samples.append(ParsedSample(entry[0], entry[1], value))
+                continue
         line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        # A label set starts immediately after the metric name (before any
-        # space); a "{" later in the line belongs to an exemplar.
-        brace = line.find("{")
-        space = line.find(" ")
-        if brace >= 0 and (space < 0 or brace < space):
-            name_part, _, rest = line.partition("{")
-            close = _find_closing_brace(rest, line_no)
-            label_part, value_part = rest[:close], rest[close + 1:]
-            name = name_part.strip()
-            labels = _parse_labels(label_part, line_no)
-            value_text, exemplar = _split_exemplar(value_part, line_no)
-            value = _parse_value(value_text)
-        else:
-            value_text, exemplar = _split_exemplar(line, line_no)
-            pieces = value_text.split()
-            if len(pieces) < 2:
-                raise OpenMetricsError(f"line {line_no}: malformed sample: {line!r}")
-            name = pieces[0]
-            labels = ()
-            value = _parse_value(pieces[1])
-        if not name:
-            raise OpenMetricsError(f"line {line_no}: empty metric name")
-        samples.append(ParsedSample(
-            name=name, labels=labels, value=value, exemplar=exemplar,
-        ))
+        if line and not line.startswith("#"):
+            samples.append(_parse_sample_line(line, line_no, seen))
+    if series is not None:
+        series.clear()
+        series.update(seen)
     return samples

@@ -89,6 +89,12 @@ class MetricFamily:
         self.help_text = help_text
         self.label_names = _validate_labels(label_names)
         self._children: Dict[LabelValues, object] = {}
+        #: Exposition text that does not change from scrape to scrape,
+        #: kept for the encoder: the ``# HELP``/``# TYPE`` header under
+        #: ``None`` and each child's line prefixes under its label
+        #: values.  Name, help text and label schema are fixed at
+        #: construction; the entries go when the children do.
+        self.rendered: Dict[Optional[LabelValues], object] = {}
         # Label-less families expose their single child immediately (at its
         # zero value), as standard client libraries do — a counter that has
         # not yet been incremented still appears in the exposition.
@@ -97,6 +103,15 @@ class MetricFamily:
 
     def labels(self, *values: str, **kwvalues: str):
         """Get or create the child for a label-value combination."""
+        if not kwvalues:
+            # Positional strings naming an existing child: they are its
+            # key as they stand, and the hit vouches for their count.
+            try:
+                child = self._children.get(values)
+            except TypeError:  # an unhashable value; str() below copes
+                child = None
+            if child is not None:
+                return child
         if values and kwvalues:
             raise OpenMetricsError("pass labels positionally or by name, not both")
         if kwvalues:
@@ -130,6 +145,7 @@ class MetricFamily:
     def clear(self) -> None:
         """Drop all children (exporter restart)."""
         self._children.clear()
+        self.rendered.clear()
 
 
 class _CounterChild:

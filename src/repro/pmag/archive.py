@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Dict, List
+from typing import List
 
 from repro.errors import TsdbError
 from repro.pmag.chunks import Chunk, ChunkedSeries
@@ -127,7 +127,6 @@ def snapshot(engine) -> bytes:
 def _decode_series(reader: _Reader, tsdb: Tsdb) -> None:
     """Read one version-2 body (series count + series) into ``tsdb``."""
     series_count = reader.u32()
-    instants: Dict[int, int] = {}
     for _ in range(series_count):
         label_count = reader.u32()
         mapping = {}
@@ -140,7 +139,7 @@ def _decode_series(reader: _Reader, tsdb: Tsdb) -> None:
         storage = ChunkedSeries()
         for _ in range(chunk_count):
             length = reader.u32()
-            chunk = Chunk.decode(reader.take(length), instants)
+            chunk = Chunk.decode(reader.take(length))
             if len(chunk):
                 storage.adopt_chunk(chunk)
         if storage.sample_count:

@@ -2,24 +2,50 @@
 
 The paper: the PMAG "stores all metrics data samples locally and groups
 them into chunks for faster retrieval".  A :class:`Chunk` holds up to
-``CHUNK_SIZE`` samples; timestamps are kept absolute in memory so window
-queries can binary-search, and are delta-encoded only in the serialised
-archival format (scrape intervals are regular, so deltas are tiny and
-mostly constant).  A :class:`ChunkedSeries` is an append-only list of
-chunks with binary-search retrieval over time ranges — both across chunks
-(on chunk start times) and inside each chunk (on sample timestamps).
+``CHUNK_SIZE`` samples in two typed columns — ``array('q')`` timestamps
+and ``array('d')`` values, 16 bytes a sample with no per-sample object —
+timestamps absolute in memory so window queries can binary-search, and
+delta-encoded only in the serialised archival format (scrape intervals
+are regular, so deltas are tiny and mostly constant).  A
+:class:`ChunkedSeries` is an append-only list of chunks with
+binary-search retrieval over time ranges — both across chunks (on chunk
+start times) and inside each chunk (on sample timestamps).  Windows come
+back as arrays too, built by ``array.extend(array)``: a copy of bytes,
+not a boxing of every sample.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import accumulate
+from operator import sub
+from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import TsdbError
-from repro.pmag.model import Sample
+from repro.pmag.model import Sample, sample_of
 
 CHUNK_SIZE = 120  # samples per chunk; 10 minutes at the 5 s default interval
+
+#: The wire format is little-endian; array bytes are native.
+_SWAP = sys.byteorder != "little"
+
+
+def _wire_bytes(column: array) -> bytes:
+    if _SWAP:
+        column = array(column.typecode, column)
+        column.byteswap()
+    return column.tobytes()
+
+
+def _from_wire(typecode: str, data: bytes) -> array:
+    column = array(typecode)
+    column.frombytes(data)
+    if _SWAP:
+        column.byteswap()
+    return column
 
 
 class Chunk:
@@ -29,8 +55,8 @@ class Chunk:
 
     def __init__(self, start_ns: int) -> None:
         self.start_ns = start_ns
-        self._times: List[int] = []
-        self._values: List[float] = []
+        self._times = array("q")
+        self._values = array("d")
 
     def __len__(self) -> int:
         return len(self._values)
@@ -46,33 +72,42 @@ class Chunk:
         return self._times[-1] if self._times else self.start_ns
 
     def append(self, time_ns: int, value: float) -> None:
-        """Append one sample; timestamps must be strictly increasing."""
-        if self._times:
-            if time_ns <= self._times[-1]:
-                raise TsdbError(
-                    f"out-of-order append: {time_ns} <= {self._times[-1]}"
-                )
-            if self.full:
-                raise TsdbError("append to a full chunk")
-        elif time_ns != self.start_ns:
-            raise TsdbError("first sample must land at the chunk start time")
-        self._times.append(time_ns)
-        self._values.append(value)
+        """Append one sample; timestamps must be strictly increasing.
+
+        The columns are typed: a timestamp that is not an int64 or a
+        value that is not a number is a :class:`TsdbError` like any
+        other rejected sample, and leaves the chunk as it was.
+        """
+        times = self._times
+        try:
+            if times:
+                if time_ns <= times[-1]:
+                    raise TsdbError(
+                        f"out-of-order append: {time_ns} <= {times[-1]}"
+                    )
+                if len(times) >= CHUNK_SIZE:
+                    raise TsdbError("append to a full chunk")
+            elif time_ns != self.start_ns:
+                raise TsdbError("first sample must land at the chunk start time")
+            self._values.append(value)
+            times.append(time_ns)
+        except (TypeError, OverflowError) as exc:
+            del self._values[len(times):]  # whichever column refused
+            raise TsdbError(
+                f"not an int64 timestamp and a float value: "
+                f"{time_ns!r}, {value!r} ({exc})"
+            ) from None
 
     def samples(self) -> Iterator[Sample]:
         """Iterate samples in time order."""
-        for time_ns, value in zip(self._times, self._values):
-            yield Sample(time_ns, value)
+        return map(sample_of, zip(self._times, self._values))
 
     def window_samples(self, start_ns: int, end_ns: int) -> List[Sample]:
         """Samples with ``start_ns <= t <= end_ns`` via binary search."""
         times = self._times
         low = bisect_left(times, start_ns)
         high = bisect_right(times, end_ns, low)
-        return [
-            Sample(t, v)
-            for t, v in zip(times[low:high], self._values[low:high])
-        ]
+        return list(map(sample_of, zip(times[low:high], self._values[low:high])))
 
     def window_bounds(self, start_ns: int, end_ns: int) -> Tuple[int, int]:
         """Index range [low, high) of samples inside the window."""
@@ -89,53 +124,50 @@ class Chunk:
     # the first sample (which always lands exactly on start_ns).
     def encode(self) -> bytes:
         """Serialise to bytes (archival format)."""
-        count = len(self._values)
-        deltas: List[int] = []
-        previous = self.start_ns
-        for time_ns in self._times:
-            deltas.append(time_ns - previous)
-            previous = time_ns
-        return struct.pack(
-            f"<qI{count}q{count}d", self.start_ns, count, *deltas, *self._values
-        )
+        stamps = self._times.tolist()
+        count = len(stamps)
+        stamps.insert(0, self.start_ns)
+        try:
+            head = struct.pack(
+                f"<qI{count}q", self.start_ns, count,
+                *map(sub, stamps[1:], stamps))
+        except struct.error:
+            raise TsdbError("timestamp delta does not fit int64") from None
+        return head + _wire_bytes(self._values)
 
     @staticmethod
-    def decode(data: bytes, instants: Optional[Dict[int, int]] = None) -> "Chunk":
-        """Deserialise from :meth:`encode` output.
-
-        ``instants`` interns timestamps across the chunks of one restore:
-        a scrape stamps one instant on every series it touches, and a
-        restored store should hold it as one shared int, as the live
-        one did, not one per sample.
-        """
+    def decode(data: bytes) -> "Chunk":
+        """Deserialise from :meth:`encode` output."""
         if len(data) < 12:
             raise TsdbError("chunk data too short")
         start_ns, count = struct.unpack_from("<qI", data, 0)
         expected = 12 + count * 8 + count * 8
         if len(data) != expected:
             raise TsdbError(f"chunk data length {len(data)} != expected {expected}")
-        payload = struct.unpack_from(f"<{count}q{count}d", data, 12)
-        deltas, values = payload[:count], payload[count:]
-        # Straight cumulative sum over the deltas; the leading delta must be
-        # zero and the rest positive, or the chunk bytes are corrupt.
-        if count:
-            if deltas[0] != 0:
-                raise TsdbError(f"first delta must be 0, got {deltas[0]}")
-            if any(delta <= 0 for delta in deltas[1:]):
-                raise TsdbError("non-monotonic timestamps in chunk data")
         chunk = Chunk(start_ns)
-        current = start_ns
-        for delta, value in zip(deltas, values):
-            current += delta
-            chunk._times.append(current)
-            chunk._values.append(value)
-        if instants is not None:
-            chunk._times = list(
-                map(instants.setdefault, chunk._times, chunk._times))
+        if not count:
+            return chunk
+        deltas = list(struct.unpack_from(f"<{count}q", data, 12))
+        # The leading delta must be zero and the rest positive, or the
+        # chunk bytes are corrupt.
+        if deltas[0] != 0:
+            raise TsdbError(f"first delta must be 0, got {deltas[0]}")
+        if count > 1 and min(deltas[1:]) <= 0:
+            raise TsdbError("non-monotonic timestamps in chunk data")
+        # Neither column is filled by a per-sample loop: the timestamps
+        # are a running sum over the deltas, the values the bytes as they
+        # are.  (``array`` takes a list several times faster than it
+        # takes an iterator.)
+        deltas[0] = start_ns
+        try:
+            chunk._times = array("q", list(accumulate(deltas)))
+        except OverflowError:
+            raise TsdbError("timestamps in chunk data overflow int64") from None
+        chunk._values = _from_wire("d", data[12 + count * 8:])
         return chunk
 
     def memory_bytes(self) -> int:
-        """Approximate in-memory footprint."""
+        """In-memory footprint: two 8-byte column cells per sample."""
         return 24 + len(self._values) * 16
 
 
@@ -169,14 +201,20 @@ class ChunkedSeries:
 
     def append(self, time_ns: int, value: float) -> None:
         """Append a sample, opening a new chunk when the head is full."""
-        last = self.last_time_ns()
-        if last is not None and time_ns <= last:
-            raise TsdbError(f"out-of-order append: {time_ns} <= {last}")
-        if not self._chunks or self._chunks[-1].full:
+        chunks = self._chunks
+        if chunks and len(chunks[-1]._values) < CHUNK_SIZE:
+            chunks[-1].append(time_ns, value)
+        else:
+            # Fill the new chunk before installing it: a sample the typed
+            # columns refuse must not leave an empty chunk behind.
             chunk = Chunk(time_ns)
-            self._chunks.append(chunk)
+            chunk.append(time_ns, value)
+            if chunks and time_ns <= chunks[-1].end_ns:
+                raise TsdbError(
+                    f"out-of-order append: {time_ns} <= {chunks[-1].end_ns}"
+                )
+            chunks.append(chunk)
             self._starts.append(time_ns)
-        self._chunks[-1].append(time_ns, value)
         self._count += 1
 
     def adopt_chunk(self, chunk: Chunk) -> None:
@@ -212,19 +250,20 @@ class ChunkedSeries:
             result.extend(chunk.window_samples(start_ns, end_ns))
         return result
 
-    def window_arrays(self, start_ns: int, end_ns: int) -> Tuple[List[int], List[float]]:
+    def window_arrays(self, start_ns: int, end_ns: int) -> Tuple[array, array]:
         """The window as parallel (timestamps, values) arrays.
 
-        Same samples as :meth:`window`, but as primitive lists built from
-        chunk-internal slices — no per-sample object is allocated, which
-        is what makes the query engine's range evaluation cheap.
+        Same samples as :meth:`window`, as ``array('q')``/``array('d')``
+        extended from chunk columns — bytes are copied, no per-sample
+        object is allocated, which is what makes the query engine's
+        range evaluation cheap.
         """
         if end_ns < start_ns:
             raise TsdbError(f"bad window: {start_ns}..{end_ns}")
         first = max(0, bisect_right(self._starts, start_ns) - 1)
         last = bisect_right(self._starts, end_ns, first)
-        times: List[int] = []
-        values: List[float] = []
+        times = array("q")
+        values = array("d")
         for chunk in self._chunks[first:last]:
             chunk_times = chunk._times
             if chunk_times[0] >= start_ns and chunk_times[-1] <= end_ns:
@@ -257,7 +296,7 @@ class ChunkedSeries:
         self._count -= dropped
         return dropped
 
-    def split_before(self, cutoff_ns: int) -> Tuple[List[int], List[float]]:
+    def split_before(self, cutoff_ns: int) -> Tuple[array, array]:
         """Detach and return every sample with ``t < cutoff_ns``.
 
         Sample-granular, unlike :meth:`drop_before`: a chunk straddling
@@ -265,8 +304,8 @@ class ChunkedSeries:
         below a bucket-aligned horizon and no others.  Returns the
         detached (timestamps, values) parallel arrays in time order.
         """
-        times: List[int] = []
-        values: List[float] = []
+        times = array("q")
+        values = array("d")
         keep = 0
         while keep < len(self._chunks) and self._chunks[keep].end_ns < cutoff_ns:
             chunk = self._chunks[keep]

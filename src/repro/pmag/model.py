@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import TsdbError
@@ -115,6 +116,11 @@ class Sample(NamedTuple):
 
     time_ns: int
     value: float
+
+
+#: ``(t, v) -> Sample(t, v)`` as a C-level callable: ``map`` it over a
+#: ``zip`` of two columns and no Python frame runs per sample.
+sample_of = partial(tuple.__new__, Sample)
 
 
 class MatchOp:

@@ -31,7 +31,9 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import QueryError
 from repro.pmag.blocks import aggregate_arrays
-from repro.pmag.model import Labels, METRIC_NAME_LABEL, Sample, Series
+from repro.pmag.model import (
+    Labels, METRIC_NAME_LABEL, Sample, Series, sample_of,
+)
 from repro.pmag.query import ops
 from repro.pmag.query.functions import (
     COLUMN_RANGE_FUNCTIONS,
@@ -56,11 +58,9 @@ Column = List[Optional[float]]
 GridVector = List[Tuple[Labels, Column]]
 
 
-#: ``v -> v is not None`` and ``(t, v) -> Sample(t, v)`` as C-level
-#: callables: cells are filtered and samples built without a Python frame
-#: per cell.
+#: ``v -> v is not None`` as a C-level callable: with ``sample_of``,
+#: cells are filtered and samples built without a Python frame per cell.
 _present = partial(is_not, None)
-_sample = partial(tuple.__new__, Sample)
 
 
 def _compact(items, cells) -> list:
@@ -205,7 +205,7 @@ class StepGrid:
         result: List[Series] = []
         for labels, column in sorted(value, key=lambda entry: entry[0].items()):
             samples = list(map(
-                _sample, _compact(zip(step_times, column), column)
+                sample_of, _compact(zip(step_times, column), column)
             ))
             if samples:
                 result.append(Series(labels=labels, samples=samples))

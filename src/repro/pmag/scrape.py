@@ -43,12 +43,12 @@ behaviours live here, hardened against the failure modes
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import OpenMetricsError, TsdbError
 from repro.net.http import HttpNetwork
-from repro.openmetrics.parser import parse_exposition
+from repro.openmetrics.parser import SeriesTable, parse_exposition
 from repro.openmetrics.registry import CollectorRegistry
 from repro.openmetrics.types import Exemplar
 from repro.pmag.model import Labels, METRIC_NAME_LABEL
@@ -102,6 +102,27 @@ class TargetHealth:
     #: Whether any scrape has completed — the first observation sets the
     #: up/down baseline without counting a flap.
     observed: bool = False
+    #: What the last good exposition taught the scraper about this
+    #: target's series, so a steady-state line is neither re-parsed nor
+    #: re-labelled: the parser's ``line prefix -> (name, labels)`` memo
+    #: (see :func:`~repro.openmetrics.parser.parse_exposition`) and the
+    #: stored :class:`Labels` — identity attached — per ``(name,
+    #: labels)``.  Both hold only what that exposition contained;
+    #: ``own`` holds the label sets of the few series the scraper writes
+    #: about the target itself (``up``, scrape metadata, staleness), by
+    #: name.  All three go when this record does (target retired,
+    #: monitor resurrected).
+    series: SeriesTable = field(default_factory=dict, repr=False)
+    stored: Dict[tuple, Labels] = field(default_factory=dict, repr=False)
+    own: Dict[str, Labels] = field(default_factory=dict, repr=False)
+
+
+def _series_labels(name: str, pairs, identity: Dict[str, str]) -> Labels:
+    """The stored label set of one scraped series."""
+    mapping = dict(pairs)
+    mapping.update(identity)  # target identity wins on collision
+    mapping[METRIC_NAME_LABEL] = name
+    return Labels(mapping)
 
 
 class ScrapeManager:
@@ -213,6 +234,8 @@ class ScrapeManager:
         #: carries — which lets crash recovery rebuild this set from the
         #: recovered TSDB (:meth:`seed_removed_stale`).
         self._removed_stale: set = set()
+        #: The label sets of the scraper's own self-series, by name.
+        self._own: Dict[str, Labels] = {}
         #: Latest exemplar seen per metric name on ingested samples.
         self._exemplars: Dict[str, Tuple[Tuple[Tuple[str, str], ...], Exemplar]] = {}
 
@@ -289,7 +312,10 @@ class ScrapeManager:
 
     def health(self, target: ScrapeTarget) -> TargetHealth:
         """Health record for a target (created on first access)."""
-        return self._health.setdefault(target, TargetHealth())
+        health = self._health.get(target)
+        if health is None:
+            health = self._health[target] = TargetHealth()
+        return health
 
     def down_targets(self) -> List[ScrapeTarget]:
         """Targets whose last scrape failed."""
@@ -423,7 +449,7 @@ class ScrapeManager:
                                         identity, span)
         with tracer.span("openmetrics.parse", {"bytes": len(response.body)}) as parse_span:
             try:
-                samples = parse_exposition(response.body)
+                samples = parse_exposition(response.body, health.series)
             except Exception:  # noqa: BLE001 - a bad exposition marks the target down
                 parse_span.set_status("error")
                 span.add_event("scrape.parse_failure")
@@ -440,25 +466,33 @@ class ScrapeManager:
             # Entry order matches the exposition, so accept/reject and
             # exemplar outcomes are identical to per-sample appends.
             entries = []
-            for sample in samples:
-                labels = dict(sample.labels)
-                labels.update(identity)  # target identity wins on collision
-                labels[METRIC_NAME_LABEL] = sample.name
-                entries.append((Labels(labels), now_ns, sample.value))
+            carrying = []  # indices of the samples that bring an exemplar
+            known = health.stored
+            stored = health.stored = {}
+            for name, pairs, value, exemplar in samples:
+                key = (name, pairs)
+                labels = known.get(key)
+                if labels is None:
+                    labels = _series_labels(name, pairs, identity)
+                stored[key] = labels
+                if exemplar is not None:
+                    carrying.append(len(entries))
+                entries.append((labels, now_ns, value))
             rejected = self._tsdb.append_batch(entries) if entries else []
             if rejected:
                 self._dropped_counter.inc(len(rejected))
             ingested = len(entries) - len(rejected)
-            rejected_set = set(rejected)
-            for index, sample in enumerate(samples):
-                if sample.exemplar is not None and index not in rejected_set:
-                    self._exemplars[sample.name] = (
-                        sample.labels, sample.exemplar,
-                    )
+            if carrying:
+                dropped = set(rejected)
+                for index in carrying:
+                    if index not in dropped:
+                        name, pairs, _value, exemplar = samples[index]
+                        self._exemplars[name] = (pairs, exemplar)
             append_span.set_attribute("ingested", ingested)
             append_span.add_virtual_time(len(samples) * APPEND_NS_PER_SAMPLE)
         self._ingested_counter.inc(ingested)
-        if self._append("up", now_ns, 1.0, identity):
+        own = health.own
+        if self._append("up", now_ns, 1.0, identity, own):
             self._up_writes_counter.inc()
         # Scrape metadata, as Prometheus records it: how long the scrape
         # took (modelled from the exposition size plus any transport
@@ -466,9 +500,11 @@ class ScrapeManager:
         # to spot bloated exporters and slow links.
         duration_s = (latency_s + len(response.body) / TRANSFER_BYTES_PER_S
                       + 0.001)
-        if self._append("scrape_duration_seconds", now_ns, duration_s, identity):
+        if self._append("scrape_duration_seconds", now_ns, duration_s,
+                        identity, own):
             self._meta_writes_counter.inc()
-        if self._append("scrape_samples_scraped", now_ns, float(ingested), identity):
+        if self._append("scrape_samples_scraped", now_ns, float(ingested),
+                        identity, own):
             self._meta_writes_counter.inc()
         return ingested
 
@@ -491,10 +527,11 @@ class ScrapeManager:
                 continue  # never scraped: nothing in the TSDB to retire
             identity = target.identity()
             if health.up:
-                if self._append("up", now_ns, 0.0, identity):
+                if self._append("up", now_ns, 0.0, identity, health.own):
                     self._up_writes_counter.inc()
             if not health.stale:
-                if self._append("scrape_target_stale", now_ns, 1.0, identity):
+                if self._append("scrape_target_stale", now_ns, 1.0,
+                                identity, health.own):
                     self._stale_writes_counter.inc()
             self._removed_stale.add((target.job, target.instance))
 
@@ -519,11 +556,12 @@ class ScrapeManager:
             self._flaps_counter.inc()
         health.up = False
         health.observed = True
-        if self._append("up", now_ns, 0.0, identity):
+        if self._append("up", now_ns, 0.0, identity, health.own):
             self._up_writes_counter.inc()
         if not health.stale and health.missed_intervals >= self.staleness_intervals:
             health.stale = True
-            if self._append("scrape_target_stale", now_ns, 1.0, identity):
+            if self._append("scrape_target_stale", now_ns, 1.0,
+                            identity, health.own):
                 self._stale_writes_counter.inc()
         if span is not None:
             span.set_status("error")
@@ -553,12 +591,14 @@ class ScrapeManager:
         health.missed_intervals = 0
         if health.stale:
             health.stale = False
-            if self._append("scrape_target_stale", now_ns, 0.0, identity):
+            if self._append("scrape_target_stale", now_ns, 0.0,
+                            identity, health.own):
                 self._stale_writes_counter.inc()
         elif (target.job, target.instance) in self._removed_stale:
             # The target was retired by discovery and has rejoined under
             # a fresh health record: clear the removal staleness marker.
-            if self._append("scrape_target_stale", now_ns, 0.0, identity):
+            if self._append("scrape_target_stale", now_ns, 0.0,
+                            identity, health.own):
                 self._stale_writes_counter.inc()
         self._removed_stale.discard((target.job, target.instance))
 
@@ -611,11 +651,19 @@ class ScrapeManager:
     # ------------------------------------------------------------------
     # Ingest and self-monitoring
     # ------------------------------------------------------------------
-    def _append(self, name: str, now_ns: int, value: float, labels: Dict[str, str]) -> bool:
-        full = dict(labels)
-        full[METRIC_NAME_LABEL] = name
+    def _append(self, name: str, now_ns: int, value: float,
+                identity: Dict[str, str], own: Dict[str, Labels]) -> bool:
+        """Append one of the scraper's own samples under ``identity``.
+
+        ``own`` remembers the series' :class:`Labels` by name: a
+        target's :attr:`TargetHealth.own`, or the manager's table for
+        its self-series.
+        """
+        labels = own.get(name)
+        if labels is None:
+            labels = own[name] = _series_labels(name, (), identity)
         try:
-            self._tsdb.append(Labels(full), now_ns, value)
+            self._tsdb.append(labels, now_ns, value)
             return True
         except TsdbError:
             # Two scrapes in the same instant (e.g. manual + scheduled)
@@ -634,7 +682,8 @@ class ScrapeManager:
             ("target_flaps_total", self.flaps_total),
             ("scrape_targets_removed_total", self.targets_removed),
         ):
-            self._append(name, now_ns, float(value), self._self_identity)
+            self._append(name, now_ns, float(value), self._self_identity,
+                         self._own)
 
     def self_stats(self) -> Dict[str, int]:
         """The self-monitoring counters as a plain mapping (a view over

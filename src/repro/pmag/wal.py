@@ -499,10 +499,8 @@ def recover(
         break
 
     # -- replay segments past it ---------------------------------------
-    # Per-recovery interning: a series' label prefix is parsed once, and
-    # the timestamp a scrape stamped on all its samples is one int again.
+    # Per-recovery interning: a series' label prefix is parsed once.
     interned: Dict[bytes, Labels] = {}
-    instants: Dict[int, int] = {}
     for name in disk.list_files(f"{directory}/segment-"):
         seq = _parse_seq(name)
         if seq is None or seq <= checkpoint_seq:
@@ -581,8 +579,7 @@ def recover(
                     plan.record("wal-record-quarantined", f"{name}@{pos - 8 - length}")
                 continue
             try:
-                tsdb.append(
-                    labels, instants.setdefault(time_ns, time_ns), value)
+                tsdb.append(labels, time_ns, value)
             except TsdbError:
                 report.records_duplicate += 1
             else:

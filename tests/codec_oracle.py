@@ -1,7 +1,10 @@
 """Reference codecs: the uncached WAL-record and remote-write v3 frame
 encoders, kept verbatim as the oracle the memoised production encoders
 are checked against, plus the byte-level helpers the damage tests use
-to take a frame apart and put a tampered one back together.
+to take a frame apart and put a tampered one back together; the
+list-based chunk and archive encoders the typed-column ones must match
+byte for byte; and an exposition encoder that remembers nothing between
+scrapes.
 
 Nothing here calls the codecs under test — only their format constants
 and ``series_fingerprint`` — so a bug in the production label packer
@@ -137,3 +140,131 @@ def reference_encode_frame(sender, epoch, seq, entries):
             raise WalError(f"series block too large: {len(block)} bytes")
         blocks.append(block)
     return frame_from_blocks(sender, epoch, seq, len(entries), blocks)
+
+
+# ----------------------------------------------------------------------
+# Chunks and archives: the list-based reference
+# ----------------------------------------------------------------------
+# Storage keeps samples in typed columns and encodes them with
+# ``array.tobytes``.  The reference below is the list-and-``struct.pack``
+# encoder that preceded it, one sample at a time, so "typed columns write
+# the same bytes" is checked against code that shares nothing with them.
+REFERENCE_CHUNK_SIZE = 120
+ARCHIVE_MAGIC = b"TMSNAP"
+
+
+def reference_chunks(samples):
+    """``[(t, v)]`` of one series cut into append-order chunks, each a
+    ``(start_ns, [t], [v])`` triple of plain lists."""
+    chunks = []
+    for time_ns, value in samples:
+        if not chunks or len(chunks[-1][1]) >= REFERENCE_CHUNK_SIZE:
+            chunks.append((time_ns, [], []))
+        chunks[-1][1].append(time_ns)
+        chunks[-1][2].append(value)
+    return chunks
+
+
+def reference_chunk_bytes(start_ns, times, values):
+    """One chunk's wire bytes: header, delta-encoded stamps, values."""
+    deltas, previous = [], start_ns
+    for time_ns in times:
+        deltas.append(time_ns - previous)
+        previous = time_ns
+    count = len(times)
+    return struct.pack(
+        f"<qI{count}q{count}d", start_ns, count, *deltas, *values)
+
+
+def reference_archive_body(series):
+    """A version-2 body from ``[(Labels, [(t, v)])]`` in the order given."""
+    pieces = [struct.pack("<I", len(series))]
+    for labels, samples in series:
+        pieces.append(struct.pack("<I", len(labels.items())))
+        pieces.append(reference_label_bytes(labels.items()))
+        chunks = reference_chunks(samples)
+        pieces.append(struct.pack("<I", len(chunks)))
+        for start_ns, times, values in chunks:
+            encoded = reference_chunk_bytes(start_ns, times, values)
+            pieces.append(struct.pack("<I", len(encoded)) + encoded)
+    return b"".join(pieces)
+
+
+def reference_snapshot(version, body):
+    """A snapshot container (v2 single store, v3 sharded) around ``body``."""
+    return ARCHIVE_MAGIC + struct.pack("<HI", version, zlib.crc32(body)) + body
+
+
+def reference_sharded_body(shard_bodies):
+    """The version-3 body: shard count, then each length-prefixed v2 body."""
+    return struct.pack("<I", len(shard_bodies)) + b"".join(
+        struct.pack("<I", len(body)) + body for body in shard_bodies)
+
+
+# ----------------------------------------------------------------------
+# OpenMetrics exposition: the render-everything-every-time reference
+# ----------------------------------------------------------------------
+def _reference_value(value):
+    if isinstance(value, float) and value in (float("inf"), float("-inf")):
+        return "+Inf" if value > 0 else "-Inf"
+    if float(value).is_integer():
+        return str(int(value))
+    return repr(float(value))
+
+
+def _reference_pairs(pairs):
+    return "{" + ",".join(
+        '{}="{}"'.format(name, value.replace("\\", "\\\\")
+                         .replace('"', '\\"').replace("\n", "\\n"))
+        for name, value in pairs) + "}"
+
+
+def _reference_labels(names, values):
+    return _reference_pairs(zip(names, values)) if names else ""
+
+
+def _reference_exemplar(exemplar):
+    if exemplar is None:
+        return ""
+    text = f" # {_reference_pairs(exemplar.labels)}"
+    text += " " + _reference_value(exemplar.value)
+    if exemplar.timestamp_s is not None:
+        text += " " + _reference_value(exemplar.timestamp_s)
+    return text
+
+
+def reference_encode_registry(registry):
+    """Exposition text of ``registry.families()`` with nothing remembered
+    between calls (collect callbacks are the caller's to run)."""
+    lines = []
+    for family in registry.families():
+        name, names, kind = family.name, family.label_names, family.kind.value
+        lines.append(f"# HELP {name} {family.help_text}")
+        lines.append(f"# TYPE {name} {kind}")
+        for values, child in family.children():
+            plain = _reference_labels(names, values)
+            if kind in ("counter", "gauge"):
+                lines.append(
+                    f"{name}{plain} {_reference_value(child.value)}"
+                    + _reference_exemplar(getattr(child, "exemplar", None)))
+                continue
+            if kind == "histogram":
+                for index, (bound, total) in enumerate(
+                        child.cumulative_buckets()):
+                    labels = _reference_labels(
+                        names + ("le",), values + (_reference_value(bound),))
+                    lines.append(
+                        f"{name}_bucket{labels} {total}"
+                        + _reference_exemplar(child.exemplars.get(index)))
+            else:
+                for quantile, estimate in child.quantile_values():
+                    if estimate == estimate:  # NaN: no observation yet
+                        labels = _reference_labels(
+                            names + ("quantile",),
+                            values + (_reference_value(quantile),))
+                        lines.append(
+                            f"{name}{labels} {_reference_value(estimate)}")
+            lines.append(f"{name}_sum{plain} {_reference_value(child.sum)}")
+            lines.append(f"{name}_count{plain} {child.count}")
+    lines.append("# EOF")
+    return "\n".join(lines) + "\n"

@@ -8,9 +8,19 @@ from hypothesis import strategies as st
 
 from repro.errors import TsdbError
 from repro.pmag.archive import MAGIC, VERSION, restore, snapshot, snapshot_window
+from repro.pmag.chunks import CHUNK_SIZE
 from repro.pmag.model import Matcher
+from repro.pmag.storage import ShardedTsdb, series_fingerprint
 from repro.pmag.tsdb import Tsdb
+from repro.pmag.wal import WalWriter, recover
 from repro.simkernel.clock import seconds
+from repro.simkernel.disk import SimDisk
+from tests.codec_oracle import (
+    SERIES_POOL,
+    reference_archive_body,
+    reference_sharded_body,
+    reference_snapshot,
+)
 
 
 def _populated_tsdb():
@@ -150,3 +160,85 @@ def test_snapshot_roundtrip_property(series_specs):
             tsdb.append_sample("m", t, value, group=group, tag=tag)
     restored = restore(snapshot(tsdb))
     assert _dump(restored) == _dump(tsdb)
+
+
+# ---------------------------------------------------------------------------
+# Typed columns write the bytes the list-based store wrote
+# ---------------------------------------------------------------------------
+_archived_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]),
+    st.integers(-2**40, 2**40),
+    st.booleans(),
+)
+_archived_series = st.lists(
+    st.tuples(
+        st.sampled_from(SERIES_POOL[:6]),
+        st.lists(st.tuples(st.integers(1, 10**9), _archived_values),
+                 min_size=1, max_size=2 * CHUNK_SIZE + 3),
+    ),
+    min_size=1, max_size=5, unique_by=lambda entry: entry[0],
+)
+
+
+def _series_with_stamps(specs):
+    """``[(labels, [(t, v)])]`` with each series' deltas made stamps."""
+    out = []
+    for labels, deltas in specs:
+        samples, t = [], 0
+        for delta, value in deltas:
+            t += delta
+            samples.append((t, value))
+        out.append((labels, samples))
+    return out
+
+
+def _ingest(engine, series):
+    for labels, samples in series:
+        for time_ns, value in samples:
+            engine.append(labels, time_ns, value)
+
+
+@given(_archived_series)
+@settings(max_examples=60, deadline=None)
+def test_v2_snapshot_bytes_match_the_list_based_reference(specs):
+    series = _series_with_stamps(specs)
+    tsdb = Tsdb()
+    _ingest(tsdb, series)
+    expected = reference_snapshot(2, reference_archive_body(series))
+    assert snapshot(tsdb) == expected
+    assert snapshot(restore(expected)) == expected
+
+
+@given(_archived_series, st.integers(1, 4))
+@settings(max_examples=40, deadline=None)
+def test_v3_snapshot_bytes_match_the_list_based_reference(specs, shards):
+    series = _series_with_stamps(specs)
+    engine = ShardedTsdb(shards)
+    _ingest(engine, series)
+    bodies = [
+        reference_archive_body([
+            entry for entry in series
+            if series_fingerprint(entry[0]) % shards == index
+        ])
+        for index in range(shards)
+    ]
+    expected = reference_snapshot(3, reference_sharded_body(bodies))
+    assert snapshot(engine) == expected
+    assert snapshot(restore(expected)) == expected
+
+
+@given(_archived_series)
+@settings(max_examples=30, deadline=None)
+def test_checkpoint_file_bytes_match_the_list_based_reference(specs):
+    series = _series_with_stamps(specs)
+    disk = SimDisk()
+    tsdb = Tsdb()
+    writer = WalWriter(disk)
+    tsdb.attach_wal(writer)
+    _ingest(tsdb, series)
+    name = writer.checkpoint(tsdb)
+    expected = reference_snapshot(2, reference_archive_body(series))
+    assert bytes(disk.read(name)) == expected
+    recovered, _report = recover(disk)
+    assert snapshot(recovered) == expected

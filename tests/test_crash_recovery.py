@@ -129,6 +129,28 @@ def test_crash_recover_continue_loses_at_most_one_flush_interval():
     assert "PROC teemon-monitor recover" in journal
 
 
+def test_a_resurrected_monitor_starts_with_empty_scrape_memos():
+    # The per-target series memos live on the scrape manager's health
+    # records: a new incarnation gets a new manager, seeded with the
+    # recovered up/stale baseline and nothing else.
+    rig = build_rig(3)
+    rig.deployment.start()
+    rig.clock.advance(seconds(30))
+    before = rig.deployment.scrape_manager
+    learned = before._health  # noqa: SLF001
+    assert learned and all(h.series and h.stored for h in learned.values())
+    rig.supervisor.crash()
+    rig.supervisor.recover()
+    after = rig.deployment.scrape_manager
+    assert after is not before
+    seeded = after._health  # noqa: SLF001
+    assert set(seeded) == set(learned)
+    assert all(h.series == h.stored == {} for h in seeded.values())
+    rig.clock.advance(seconds(10))
+    assert all(h.series and h.stored for h in seeded.values())
+    rig.deployment.stop()
+
+
 def test_kill_resurrect_under_combined_sharded_traced_profile():
     """Crash recovery with sharding AND tracing on at once.
 

@@ -81,6 +81,43 @@ def test_division_by_zero_immediate_rejected():
         verify(builder.build())
 
 
+def test_division_immediate_is_read_unsigned():
+    # Every immediate is read as 64 unsigned bits: 2**64 is zero, and a
+    # negative divisor is a large positive one, not a sign flip.
+    def dividing_by(imm):
+        return program_from("div", [
+            Instruction(Opcode.MOV_IMM, dst=Reg.R0, imm=10),
+            Instruction(Opcode.DIV_IMM, dst=Reg.R0, imm=imm),
+            Instruction(Opcode.EXIT),
+        ])
+
+    with pytest.raises(VerifierError, match="division by zero"):
+        verify(dividing_by(2**64))
+    verify(dividing_by(-3))
+
+
+@pytest.mark.parametrize("opcode", [Opcode.RSH_IMM, Opcode.LSH_IMM])
+@pytest.mark.parametrize("count", [-1, 64, 200])
+def test_shift_count_outside_the_register_width_rejected(opcode, count):
+    program = program_from("shift", [
+        Instruction(Opcode.MOV_IMM, dst=Reg.R0, imm=1),
+        Instruction(opcode, dst=Reg.R0, imm=count),
+        Instruction(Opcode.EXIT),
+    ])
+    with pytest.raises(VerifierError, match="shift count outside 0..63"):
+        verify(program)
+
+
+@pytest.mark.parametrize("opcode", [Opcode.RSH_IMM, Opcode.LSH_IMM])
+@pytest.mark.parametrize("count", [0, 63])
+def test_shift_count_inside_the_register_width_accepted(opcode, count):
+    verify(program_from("shift", [
+        Instruction(Opcode.MOV_IMM, dst=Reg.R0, imm=1),
+        Instruction(opcode, dst=Reg.R0, imm=count),
+        Instruction(Opcode.EXIT),
+    ]))
+
+
 def test_uninitialised_register_read_rejected():
     program = program_from("uninit", [
         Instruction(Opcode.ADD_IMM, dst=Reg.R5, imm=1),   # reads R5 first

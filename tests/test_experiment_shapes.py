@@ -6,6 +6,8 @@ roughly what factor, where crossovers fall — against the anchors in
 substrate is a simulator); ordering and coarse ratios are.
 """
 
+import hashlib
+
 import pytest
 
 from repro.calibration import paper
@@ -13,7 +15,8 @@ from repro.experiments.fig4_footprint import run_fig4
 from repro.experiments.fig5_overhead import run_fig5
 from repro.experiments.fig6_syscalls import run_fig6
 from repro.experiments.fig7_evolution import run_fig7
-from repro.experiments.fig8_throughput import run_single, run_sweep
+from repro.experiments.fig8_throughput import run_fig8, run_single, run_sweep
+from repro.experiments.fig9_latency import run_fig9
 from repro.experiments.fig11_metrics import run_cell
 from repro.experiments.table1_tools import run_table1
 from repro.experiments.table2_metrics import run_table2
@@ -292,3 +295,36 @@ def test_fig11_graphene_total_faults_peak():
     assert graphene["total_faults"] == pytest.approx(
         paper.FIG11_GRAPHENE_TOTAL_FAULTS_580C_L, rel=0.15
     )
+
+
+# ---------------------------------------------------------------------------
+# Paper-fidelity pin
+# ---------------------------------------------------------------------------
+#: sha256 of the rendered rows, recorded at commit 34d3ab7 (before the
+#: monitored side was lowered, memoised and re-columned) and identical
+#: under every TEEMON_TEST_PROFILE.  Virtual time and every modelled cost
+#: (PROGRAM_RUN_COST_NS, EbpfRuntime.overhead_ns, ExecutionResult.steps,
+#: span add_virtual_time) feed these rows; wall-clock does not.  A PR that
+#: makes the monitor cheaper to *run* must leave them alone; a PR that
+#: means to move a figure re-records its hash and says why.
+PAPER_ROWS_SHA256 = {
+    "fig4": (lambda: run_fig4(hours=1.0),
+             "0e283e14c427c0174bd274251c178477f283d9f26a1bb9642498187336525976"),
+    "fig5": (run_fig5,
+             "231ae3c2bbfdf2cc7a23d2833949fb3c7c6fc1a74e171904fe7038c850820ffe"),
+    "fig6": (run_fig6,
+             "6dd193275ab876465b0d97aa8ecdeb498e9a3b44c6d3321812f276407d68a648"),
+    "fig8": (run_fig8,
+             "718f5893cbaa9acce561733745404652c9653a7680414bf50ae14b9cd709f02e"),
+    "fig9": (run_fig9,
+             "84360d5320c0a746193e0bb4693c314812706925507ad92afd106cc60f866c28"),
+    "table2": (run_table2,
+               "47fc31f818521b68a9fbd973482aa8c1717af34397eb51e16727a4890b8638ae"),
+}
+
+
+@pytest.mark.parametrize("artifact", sorted(PAPER_ROWS_SHA256))
+def test_paper_rows_are_bit_identical_to_the_recorded_ones(artifact):
+    run, recorded = PAPER_ROWS_SHA256[artifact]
+    rendered = run().render()
+    assert hashlib.sha256(rendered.encode()).hexdigest() == recorded, rendered

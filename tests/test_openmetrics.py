@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import OpenMetricsError
 from repro.openmetrics import (
@@ -14,6 +15,7 @@ from repro.openmetrics import (
     encode_registry,
     parse_exposition,
 )
+from tests.codec_oracle import reference_encode_registry
 
 
 # ---------------------------------------------------------------------------
@@ -337,3 +339,213 @@ def test_label_value_containing_hash_is_not_an_exemplar():
     assert sample.labels_dict()["path"] == "/a#frag"
     assert sample.exemplar is None
     assert sample.value == 2
+
+
+# ---------------------------------------------------------------------------
+# Bugfix: one timestamp rule for both sample-line forms
+# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("line", [
+    "foo 1 1234", 'foo{a="b"} 1 1234', 'foo{a="b"} 1\t1234.5',
+    'foo{a="b"} 1 1234 # {trace_id="ab"} 1',
+])
+def test_a_timestamp_is_validated_and_discarded_in_both_forms(line):
+    (sample,) = parse_exposition(line + "\n")
+    assert (sample.name, sample.value) == ("foo", 1.0)
+
+
+@pytest.mark.parametrize("line", [
+    "foo 1 2 3", "foo 1 2 3 4 garbage", 'foo{a="b"} 1 2 3',
+    "foo 1 soon", 'foo{a="b"} 1 soon', 'foo{a="b"}', 'foo{a="b"} ',
+])
+def test_anything_but_value_and_numeric_timestamp_is_rejected(line):
+    with pytest.raises(OpenMetricsError):
+        parse_exposition(line + "\n")
+    table = {}
+    parse_exposition("foo 1\n" 'foo{a="b"} 1\n', table)
+    with pytest.raises(OpenMetricsError):
+        parse_exposition(line + "\n", table)
+
+
+# ---------------------------------------------------------------------------
+# The per-target series memo: a fast exit inside the one parser
+# ---------------------------------------------------------------------------
+def _parsed(body, table=None):
+    """A NaN-safe, comparable outcome of one parse: samples or error."""
+    try:
+        return "ok", repr(parse_exposition(body, table))
+    except OpenMetricsError as exc:
+        return "error", str(exc)
+
+
+#: Label values chosen to break a prefix memo that cut lines carelessly.
+_NASTY_VALUES = [
+    "", "plain", "}", "} ", "} 5", '"', "\\", '\\"', "#", " # ", "=", ",",
+    "a b", " lead", "trail ", "é日本", "x\u2028y", "{", '"} 1', "a=\"b\"",
+]
+_label_values = st.one_of(
+    st.sampled_from(_NASTY_VALUES),
+    st.text(alphabet=st.sampled_from(list(' }{"\\#=,\tab5é')), max_size=6),
+)
+_series = st.tuples(
+    st.sampled_from(["m", "m_total", "mm", "a:b", "na", "1", "infinit"]),
+    st.lists(st.tuples(st.sampled_from(["a", "b", "le"]), _label_values),
+             max_size=3, unique_by=lambda pair: pair[0]),
+)
+_value_texts = st.sampled_from(
+    ["0", "1", "-1", "2.5", "1e3", "+Inf", "-Inf", "NaN", "nan", "1_0",
+     "٣", "0x10", "", "1 2", "abc"])
+
+
+def _escape(value):
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def _line(draw, series):
+    """One exposition line in any of the shapes an exporter (or a broken
+    one) may write: short form, timestamped, with an exemplar, tab- or
+    CR-decorated, padded, a comment, blank."""
+    name, labels = draw(series)
+    head = name
+    if labels:
+        head += "{" + ",".join(
+            f'{key}="{_escape(value)}"' for key, value in labels) + "}"
+    value = draw(_value_texts)
+    shape = draw(st.integers(0, 12))
+    if shape <= 4:
+        return f"{head} {value}"
+    return [
+        f"{head}{value}",
+        f"{head} {value} 1234",
+        f'{head} {value} # {{trace_id="ab"}} 1 2.5',
+        f"{head}\t{value}",
+        f"{head} {value}\r",
+        f"  {head} {value}  ",
+        f"# HELP {name} about {value}",
+        "",
+    ][shape - 5]
+
+
+@st.composite
+def _scrapes(draw):
+    """Successive expositions of one target: mostly the same few series
+    again (so the memo is hit), now and then a new one."""
+    pool = st.sampled_from(draw(st.lists(_series, min_size=1, max_size=4)))
+    series = st.one_of(pool, pool, pool, _series)
+    return [
+        "\n".join(_line(draw, series)
+                  for _ in range(draw(st.integers(0, 8)))) + "\n"
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+
+
+@given(_scrapes())
+@settings(max_examples=300, deadline=None)
+def test_warm_parse_equals_cold_parse(bodies):
+    table = {}
+    for body in bodies:
+        before = dict(table)
+        cold = _parsed(body)
+        assert _parsed(body, table) == cold
+        if cold[0] == "error":
+            assert table == before  # a body that raises teaches nothing
+        else:
+            # Exactly this body's series, each parsed the way a cold
+            # parse of its own prefix would.
+            samples = parse_exposition(body)
+            assert sorted(table.values()) == sorted(
+                {(s.name, s.labels) for s in samples})
+            for prefix, entry in table.items():
+                (alone,) = parse_exposition(prefix + " 1\n")
+                assert (alone.name, alone.labels) == entry
+
+
+def test_steady_state_lines_reuse_the_learned_labels_object():
+    body = 'm{a="x y",b="}"} 1\nn 2\n# EOF\n'
+    table = {}
+    first = parse_exposition(body, table)
+    assert set(table) == {'m{a="x y",b="}"}', "n"}
+    second = parse_exposition(body.replace(" 1", " 7"), table)
+    assert [s.value for s in second] == [7.0, 2.0]
+    assert all(a.labels is b.labels for a, b in zip(first, second))
+
+
+def test_a_line_without_a_separator_never_matches_a_shorter_name():
+    # "nan" is not the series "na" with the value "n"; "12" is not the
+    # series "1" with the value 2.
+    table = {}
+    parse_exposition("na 1\n1 5\ninfinit 2\n", table)
+    for body in ("nan\n", "12\n", "infinity\n", "1\n"):
+        assert _parsed(body, dict(table)) == _parsed(body)
+        assert _parsed(body)[0] == "error"
+
+
+_MEMOISED = ['m{a="x y",b="}"} 12.5', "m 12.5", 'm{a="\\"} 1"} 3']
+
+
+@pytest.mark.parametrize("line", _MEMOISED)
+def test_every_truncation_and_bit_flip_of_a_memoised_line(line):
+    table = {}
+    parse_exposition(line + "\n", table)
+    learned = dict(table)
+    damaged = [line[:cut] for cut in range(len(line))]
+    damaged += [
+        line[:index] + chr(ord(char) ^ (1 << bit)) + line[index + 1:]
+        for index, char in enumerate(line) for bit in range(8)
+    ]
+    for text in damaged:
+        for body in (text + "\n", line + "\n" + text + "\n"):
+            warm_table = dict(learned)
+            assert _parsed(body, warm_table) == _parsed(body), text
+            if _parsed(body)[0] == "error":
+                assert warm_table == learned
+
+
+def test_the_memo_never_outgrows_the_latest_exposition():
+    # The Stress-SGX "grow the input every round" stressor, turned on
+    # the scraper's own memo: a target that renames every series on
+    # every scrape must not be remembered forever.
+    table = {}
+    for round_no in range(50):
+        lines = [f'm{{gen="{round_no}",i="{i}"}} {i}' for i in range(20)]
+        parse_exposition("\n".join(lines) + "\n", table)
+        assert len(table) == 20
+    parse_exposition("only 1\n", table)
+    assert set(table) == {"only"}
+    parse_exposition("# EOF\n", table)
+    assert table == {}
+
+
+# ---------------------------------------------------------------------------
+# The encoder's per-family memo: headers and line prefixes rendered once
+# ---------------------------------------------------------------------------
+def test_memoised_exposition_is_byte_identical_to_the_reference():
+    from repro.openmetrics import Exemplar
+    registry = CollectorRegistry()
+    counter = registry.counter("c_total", 'help "text"', ["name", "kind"])
+    gauge = registry.gauge("g", "g")
+    histogram = registry.histogram("h_seconds", "h", ["op"], buckets=[0.1, 1.0])
+    summary = registry.summary("s_seconds", "s", ["op"])
+    bare_histogram = registry.histogram("hb", "hb")
+
+    def check():
+        assert encode_registry(registry) == reference_encode_registry(registry)
+
+    check()  # zero-valued, label-less children only
+    for round_no in range(4):
+        counter.labels("read", 'q"uo\\te\n').inc(round_no + 0.5)
+        counter.labels(f"sys{round_no}", "}").inc(
+            3, exemplar=Exemplar.of(1.5, 12.5, trace_id="ab", span_id='c"d'))
+        gauge.set_to(float("inf") if round_no == 2 else -round_no / 3)
+        histogram.labels("get").observe(
+            0.05 * (round_no + 1), exemplar=Exemplar.of(0.05, trace_id="t"))
+        histogram.labels(f"op{round_no}").observe(5.0)
+        summary.labels("get").observe(float(round_no))
+        summary.labels(f"new{round_no}")  # quantiles still NaN: skipped
+        bare_histogram.observe(0.3)
+        check()
+        check()  # a second scrape with nothing changed
+    counter.clear()
+    histogram.clear()
+    assert counter.rendered == {} and histogram.rendered == {}
+    counter.labels("read", "after-restart").inc()
+    check()

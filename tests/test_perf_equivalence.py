@@ -439,8 +439,8 @@ def test_window_matches_linear_scan(times, a, b):
     expected = _linear_window(series, start_ns, end_ns)
     assert series.window(start_ns, end_ns) == expected
     array_times, array_values = series.window_arrays(start_ns, end_ns)
-    assert array_times == [s.time_ns for s in expected]
-    assert array_values == [s.value for s in expected]
+    assert list(array_times) == [s.time_ns for s in expected]
+    assert list(array_values) == [s.value for s in expected]
 
 
 @given(_times_strategy)

@@ -159,3 +159,98 @@ def test_retention_enforced_during_scrape():
         manager.scrape_once()
     # Old chunks beyond the 10 s retention got dropped.
     assert tsdb.sample_count() < CHUNK_SIZE
+
+
+# ----------------------------------------------------------------------
+# Per-target scrape memos: learn a series once, forget it with the target
+# ----------------------------------------------------------------------
+def _serve(network, bodies, host="h"):
+    """Serve ``bodies`` in turn (the last one repeats) from one target."""
+    served = iter(bodies)
+    last = [bodies[-1]]
+
+    def handler():
+        last[0] = next(served, last[0])
+        return last[0]
+
+    network.register(host, 9100, "/metrics", handler)
+    return ScrapeTarget(job="test", instance=host,
+                        url=f"http://{host}:9100/metrics")
+
+
+def _scrape_times(clock, manager, count):
+    for _ in range(count):
+        clock.advance(seconds(5))
+        manager.scrape_once()
+
+
+def test_steady_state_scrapes_hand_storage_the_same_labels_object():
+    clock, network, tsdb, manager = _setup()
+    target = _serve(network, ['m{a="x y"} 1\nn 2\n', 'm{a="x y"} 3\nn 4\n'])
+    manager.add_target(target)
+    seen = []
+    append_batch = tsdb.append_batch
+    tsdb.append_batch = lambda entries: (
+        seen.append([labels for labels, _t, _v in entries]),
+        append_batch(entries))[1]
+    _scrape_times(clock, manager, 3)
+    assert len(seen) == 3 and len(seen[0]) == 2
+    for later in seen[1:]:
+        assert all(a is b for a, b in zip(seen[0], later))
+    assert seen[0][0].items() == (
+        ("__name__", "m"), ("a", "x y"), ("instance", "h"), ("job", "test"))
+    values = [s.value for s in tsdb.select_metric("m", 0, clock.now_ns)[0].samples]
+    assert values == [1.0, 3.0, 3.0]
+
+
+def test_scrape_memos_hold_only_the_latest_exposition():
+    # A target that renames every series on every scrape (the
+    # "grow the input every round" stressor) is not remembered forever.
+    clock, network, _tsdb, manager = _setup()
+    bodies = [
+        "".join(f'm{{gen="{round_no}",i="{i}"}} {i}\n' for i in range(12))
+        for round_no in range(6)
+    ] + ["only 1\n"]
+    target = _serve(network, bodies)
+    manager.add_target(target)
+    health = manager.health(target)
+    for _ in range(6):
+        _scrape_times(clock, manager, 1)
+        assert len(health.series) == len(health.stored) == 12
+    _scrape_times(clock, manager, 1)
+    assert set(health.series) == {"only"}
+    assert list(health.stored) == [("only", ())]
+
+
+def test_a_bad_exposition_marks_the_target_down_and_teaches_nothing():
+    clock, network, tsdb, manager = _setup()
+    good = 'm{a="1"} 1\nn 2\n'
+    target = _serve(network, [good, 'm{a="1"} 5\nnew 1\nn 1 2 3\n', good])
+    manager.add_target(target)
+    health = manager.health(target)
+    _scrape_times(clock, manager, 1)
+    series, stored = dict(health.series), dict(health.stored)
+    _scrape_times(clock, manager, 1)      # the body with the bad last line
+    assert not health.up and tsdb.latest("up").value == 0.0
+    assert tsdb.latest("new") is None     # nothing of it was ingested
+    assert health.series == series and health.stored == stored
+    _scrape_times(clock, manager, 1)
+    assert health.up
+    assert all(health.stored[key] is stored[key] for key in stored)
+
+
+def test_a_retired_targets_memos_go_with_its_health_record():
+    clock, network, _tsdb, manager = _setup()
+    target = _serve(network, ["m 1\n"])
+    present = [target]
+    manager.add_discovery(lambda: list(present))
+    _scrape_times(clock, manager, 2)
+    assert manager.health(target).series
+    retired = manager.health(target)
+    present.clear()
+    _scrape_times(clock, manager, 1)
+    assert target not in manager._health  # noqa: SLF001
+    present.append(target)
+    clock.advance(seconds(5))
+    assert manager.health(target) is not retired
+    assert manager.health(target).series == manager.health(target).stored == {}

@@ -238,8 +238,10 @@ def test_duplicate_timestamp_drops_are_counted_and_exposed():
     counter, _endpoint, target = _expose(network)
     manager.add_target(target)
     clock.advance(seconds(1))
-    assert manager._append("m_total", clock.now_ns, 1.0, {"job": "x"})
-    assert not manager._append("m_total", clock.now_ns, 2.0, {"job": "x"})
+    own = {}
+    assert manager._append("m_total", clock.now_ns, 1.0, {"job": "x"}, own)
+    assert not manager._append("m_total", clock.now_ns, 2.0, {"job": "x"}, own)
+    assert list(own) == ["m_total"]
     assert manager.samples_dropped == 1
     # The counter is exported as a self-monitoring series on the next cycle.
     clock.advance(seconds(1))

@@ -1,5 +1,7 @@
 """TSDB model, chunks and database tests."""
 
+from array import array
+
 import pytest
 from hypothesis import given as hyp_given
 from hypothesis import settings as hyp_settings
@@ -9,6 +11,7 @@ from repro.errors import TsdbError
 from repro.pmag.chunks import CHUNK_SIZE, Chunk, ChunkedSeries
 from repro.pmag.model import Labels, Matcher, Sample
 from repro.pmag.tsdb import Tsdb
+from tests.codec_oracle import reference_chunk_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +92,84 @@ def test_chunk_decode_rejects_garbage():
         Chunk.decode(b"short")
     with pytest.raises(TsdbError):
         Chunk.decode(b"\x00" * 20)  # wrong length for declared count
+
+
+# Typed columns: same bytes as the list-based reference, typed errors.
+_column_values = hyp_st.one_of(
+    hyp_st.floats(allow_nan=True, allow_infinity=True),
+    hyp_st.sampled_from([0.0, -0.0, float("nan"), float("inf"),
+                         float("-inf"), 5e-324, 1.7976931348623157e308]),
+    hyp_st.integers(-2**53, 2**53),
+    hyp_st.booleans(),
+)
+_column_samples = hyp_st.lists(
+    hyp_st.tuples(hyp_st.integers(-2**62, 2**62), _column_values),
+    max_size=CHUNK_SIZE, unique_by=lambda sample: sample[0],
+).map(lambda samples: sorted(samples, key=lambda sample: sample[0]))
+
+
+@hyp_given(_column_samples)
+@hyp_settings(max_examples=200, deadline=None)
+def test_chunk_bytes_match_the_list_based_reference(samples):
+    start_ns = samples[0][0] if samples else 7
+    chunk = Chunk(start_ns)
+    for time_ns, value in samples:
+        chunk.append(time_ns, value)
+    assert isinstance(chunk._times, array)  # noqa: SLF001
+    assert isinstance(chunk._values, array)  # noqa: SLF001
+    encoded = chunk.encode()
+    assert encoded == reference_chunk_bytes(
+        start_ns, [t for t, _v in samples], [v for _t, v in samples])
+    decoded = Chunk.decode(encoded)
+    assert decoded.encode() == encoded
+    assert isinstance(decoded._times, array)  # noqa: SLF001
+    assert repr(list(decoded.samples())) == repr(
+        [Sample(t, float(v)) for t, v in samples])
+
+
+@pytest.mark.parametrize("time_ns, value", [
+    (2**63, 1.0), (-2**63 - 1, 1.0), (10**30, 1.0), (1.5, 1.0), ("7", 1.0),
+    (None, 1.0), (200, "1.0"), (200, None), (200, [1.0]), (200, 10**400),
+])
+def test_unstorable_samples_raise_tsdb_error_and_change_nothing(time_ns, value):
+    for first in (True, False):
+        series = ChunkedSeries()
+        if not first:
+            series.append(100, 1.0)
+        before = list(series.window(-2**63, 2**63 - 1))
+        with pytest.raises(TsdbError):
+            series.append(time_ns, value)
+        assert list(series.window(-2**63, 2**63 - 1)) == before
+        for chunk in series._chunks:  # noqa: SLF001
+            assert len(chunk._times) == len(chunk._values)  # noqa: SLF001
+        series.append(300, 2.0)
+        assert series.last_sample() == Sample(300, 2.0)
+
+
+def test_chunk_decode_rejects_stamps_that_overflow():
+    # Two maximal deltas sum past int64: corrupt bytes, not OverflowError.
+    data = reference_chunk_bytes(0, [0, 2**62, 2**63 - 2], [0.0, 0.0, 0.0])
+    assert Chunk.decode(data).end_ns == 2**63 - 2
+    overflowing = bytearray(data)
+    overflowing[12 + 8:12 + 16] = (2**63 - 1).to_bytes(8, "little")
+    with pytest.raises(TsdbError):
+        Chunk.decode(bytes(overflowing))
+
+
+def test_windows_come_back_as_typed_arrays():
+    series = ChunkedSeries()
+    for index in range(3 * CHUNK_SIZE):
+        series.append(index * 10, index * 0.5)
+    times, values = series.window_arrays(15, 20 * CHUNK_SIZE + 5)
+    assert isinstance(times, array) and times.typecode == "q"
+    assert isinstance(values, array) and values.typecode == "d"
+    assert list(times) == [s.time_ns for s in series.window(15, 20 * CHUNK_SIZE + 5)]
+    assert list(values) == [s.value for s in series.window(15, 20 * CHUNK_SIZE + 5)]
+    detached_times, detached_values = series.split_before(CHUNK_SIZE * 10 + 35)
+    assert isinstance(detached_times, array)
+    assert list(detached_times) == list(range(0, CHUNK_SIZE * 10 + 35, 10))
+    assert list(detached_values) == [t * 0.05 for t in detached_times]
+    assert series.sample_count == 3 * CHUNK_SIZE - len(detached_times)
 
 
 def test_chunked_series_rolls_over():

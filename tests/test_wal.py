@@ -10,6 +10,8 @@ the same seeded determinism the network injectors guarantee.
 """
 
 import struct
+import sys
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +23,7 @@ from repro.faults import (
     FaultPlan,
     TornWriteInjector,
 )
+from repro.pmag.chunks import CHUNK_SIZE
 from repro.pmag.model import Labels
 from repro.pmag.tsdb import Tsdb
 from repro.pmag.wal import (
@@ -541,10 +544,25 @@ def test_empty_rotated_segment_is_routine_not_corruption():
     assert report.samples_lost == 0
 
 
-def test_recovered_store_holds_one_int_per_instant_like_a_live_one():
-    # A scrape stamps one instant on every series it touches.  Restore
-    # and replay used to mint a fresh int per sample, so a recovered
-    # store weighed several MiB more than the live one it replaced.
+def _column_bytes_per_sample(tsdb):
+    """What the process pays per stored sample, by ``sys.getsizeof`` of
+    the chunk columns (which must be typed arrays, not lists of boxes)."""
+    total = samples = 0
+    for _labels_, storage in tsdb.series_items():
+        for chunk in storage._chunks:  # noqa: SLF001
+            for column in (chunk._times, chunk._values):  # noqa: SLF001
+                assert isinstance(column, array), type(column)
+                total += sys.getsizeof(column)
+            samples += len(chunk)
+    return total / samples
+
+
+def test_live_and_recovered_stores_hold_typed_columns():
+    # A list-backed chunk paid two list slots plus a boxed float per
+    # sample (~52 B), and restore/replay minted a fresh int per sample
+    # on top.  Typed columns cost 16 B of payload; array over-allocation
+    # and headers must keep the total under 20 B at full chunks, live or
+    # recovered (checkpoint restore and WAL replay both).
     disk = SimDisk()
     tsdb, writer = _tsdb_with_wal(disk)
 
@@ -552,20 +570,18 @@ def test_recovered_store_holds_one_int_per_instant_like_a_live_one():
         for series in range(3):
             tsdb.append(_labels(series), (k + 1) * 10**12, float(k))
 
-    for k in range(4):
+    for k in range(2 * CHUNK_SIZE):
         scrape(k)
-    writer.checkpoint(tsdb)      # instants 0-3 come back via restore
-    for k in range(4, 7):
-        scrape(k)                # instants 4-6 via WAL replay
+    writer.checkpoint(tsdb)      # these come back via restore
+    for k in range(2 * CHUNK_SIZE, 4 * CHUNK_SIZE):
+        scrape(k)                # these via WAL replay
     writer.flush()
     recovered, report = recover(disk, crash_report=disk.crash())
-    assert report.checkpoint_used and report.records_replayed == 9
+    assert report.checkpoint_used
+    assert report.records_replayed == 3 * 2 * CHUNK_SIZE
     assert _samples(recovered) == _samples(tsdb)
-    stamps = [
-        t for _labels_, storage in recovered.series_items()
-        for t in storage.window_arrays(0, 10**18)[0]
-    ]
-    assert len(stamps) == 21 and len({id(t) for t in stamps}) == 7
+    assert _column_bytes_per_sample(tsdb) <= 20
+    assert _column_bytes_per_sample(recovered) <= 20
 
 
 def test_recovered_database_can_keep_ingesting():
