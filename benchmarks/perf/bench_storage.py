@@ -12,17 +12,16 @@ refactor touches, then writes ``BENCH_storage.json``:
   2/4/8 shards against an interleaved monolith control running the
   identical batch workload;
 * ``storage_query``  — wide-window range-query latency over a
-  many-series database at 1/2/4/8 shards: the ``rate`` query measures
-  the fan-out merge (pushdown-ineligible), the ``sum by (avg_over_time)``
-  query measures aggregate pushdown against a monolith control;
+  many-series database at 1/2/4/8 shards, a ``sum by (rate)`` and a
+  ``sum by (avg_over_time)`` query: both evaluate the step grid over
+  the fan-out merge, the second beside an interleaved monolith control;
 * ``storage_downsample`` — the same composable range query over old
   data served from raw chunks vs from compacted rollup buckets, plus
   what compaction folded and saved.
 
-Two gates run on every invocation (the "make sharding pay" targets):
-the 4-shard pushdown query must be >= 2x faster than the monolith
-control, and batched ingest at 2/4/8 shards must be no worse than the
-monolith control beyond ``--max-regression``.  With ``--baseline
+One gate runs on every invocation: batched ingest at 2/4/8 shards must
+be no worse than the monolith control beyond ``--max-regression``.  With
+``--baseline
 BENCH_pipeline.json`` the script additionally gates the 1-shard path
 against the monolith baseline (``tsdb_ingest`` elapsed and
 ``range_query`` bulk latency) and exits non-zero past
@@ -221,10 +220,6 @@ def bench_storage_query(report: BenchReport, quick: bool) -> None:
     wide_series = 16
     wide_samples = samples // 4
     wide_end = wide_samples * SCRAPE_INTERVAL_NS
-    # Two wide-database queries: the rate query cannot push down
-    # (counter-reset detection needs every raw sample) and measures the
-    # fan-out merge; the avg_over_time aggregation is pushdown-eligible
-    # and carries the >= 2x gate against the monolith control.
     wide_query = "sum by (idx) (rate(bench_metric[5m]))"
     agg_query = "sum by (idx) (avg_over_time(bench_metric[5m]))"
 
@@ -239,44 +234,28 @@ def bench_storage_query(report: BenchReport, quick: bool) -> None:
         return db
 
     control_wide = QueryEngine(wide_db(Tsdb))
-    metrics["monolith_agg_wide_ms"] = best_of(
-        5, lambda: control_wide.range_query(
-            agg_query, SCRAPE_INTERVAL_NS, wide_end, step_ns
-        )
-    ) * 1e3
+    grid = (SCRAPE_INTERVAL_NS, wide_end, step_ns)
+    expected = control_wide.range_query(agg_query, *grid)
+    monolith_agg_s = float("inf")
     for shards in SHARD_COUNTS:
         query_engine = QueryEngine(wide_db(lambda: build_storage_engine(shards)))
-        elapsed = best_of(3, lambda: query_engine.range_query(
-            wide_query, SCRAPE_INTERVAL_NS, wide_end, step_ns
-        ))
+        elapsed = best_of(
+            3, lambda: query_engine.range_query(wide_query, *grid)
+        )
         metrics[f"shard{shards}_wide_ms"] = elapsed * 1e3
-        if shards == 4:
-            # Interleave the pushdown measurement with the monolith
-            # control so the gated >= 2x ratio samples the same quiet
-            # moments (see paired_best).
-            assert (query_engine.range_query(
-                agg_query, SCRAPE_INTERVAL_NS, wide_end, step_ns
-            ) == control_wide.range_query(
-                agg_query, SCRAPE_INTERVAL_NS, wide_end, step_ns
-            )), "pushdown result diverged from full-merge evaluation"
-            control_s, agg_s = paired_best(
-                5,
-                lambda: control_wide.range_query(
-                    agg_query, SCRAPE_INTERVAL_NS, wide_end, step_ns
-                ),
-                lambda: query_engine.range_query(
-                    agg_query, SCRAPE_INTERVAL_NS, wide_end, step_ns
-                ),
-            )
-            metrics["monolith_agg_wide_ms"] = min(
-                metrics["monolith_agg_wide_ms"], control_s * 1e3
-            )
-            metrics[f"shard{shards}_agg_wide_ms"] = agg_s * 1e3
-        else:
-            agg_s = best_of(3, lambda: query_engine.range_query(
-                agg_query, SCRAPE_INTERVAL_NS, wide_end, step_ns
-            ))
-            metrics[f"shard{shards}_agg_wide_ms"] = agg_s * 1e3
+        assert query_engine.range_query(agg_query, *grid) == expected, (
+            "sharded result diverged from the monolith's"
+        )
+        # Interleaved with the monolith control so the two columns
+        # sample the same quiet moments (see paired_best).
+        control_s, agg_s = paired_best(
+            3,
+            lambda: control_wide.range_query(agg_query, *grid),
+            lambda: query_engine.range_query(agg_query, *grid),
+        )
+        monolith_agg_s = min(monolith_agg_s, control_s)
+        metrics[f"shard{shards}_agg_wide_ms"] = agg_s * 1e3
+    metrics["monolith_agg_wide_ms"] = monolith_agg_s * 1e3
     report.add("storage_query", **metrics)
 
 
@@ -343,28 +322,14 @@ def run_suite(quick: bool) -> BenchReport:
 
 
 def check_sharding_targets(report: BenchReport, max_regression: float) -> int:
-    """Gate the "make sharding pay" targets; runs on every invocation.
+    """Gate batched ingest parity; runs on every invocation.
 
-    * aggregate pushdown: the 4-shard eligible wide query must be at
-      least 2x faster than the monolith control evaluating the same
-      query over the same data the classic way;
-    * batched ingest parity: the per-cycle batch workload at 2/4/8
-      shards must be within ``max_regression`` of the interleaved
-      monolith control — routing must cost (almost) nothing.
+    The per-cycle batch workload at 2/4/8 shards must be within
+    ``max_regression`` of the interleaved monolith control — routing
+    must cost (almost) nothing.
     """
     by_name = {r.name: r.metrics for r in report.results}
     failed = 0
-    query = by_name["storage_query"]
-    monolith_ms = query["monolith_agg_wide_ms"]
-    shard4_ms = query["shard4_agg_wide_ms"]
-    speedup = monolith_ms / shard4_ms if shard4_ms else 0.0
-    verdict = "OK" if speedup >= 2.0 else "FAIL"
-    print(
-        f"pushdown wide query: monolith {monolith_ms:.2f}ms vs 4 shards "
-        f"{shard4_ms:.2f}ms (x{speedup:.2f}, need >= x2.00) {verdict}"
-    )
-    if speedup < 2.0:
-        failed = 1
     ingest = by_name["storage_ingest_batched"]
     limit = 1.0 + max_regression
     for shards in SHARD_COUNTS[1:]:

@@ -230,11 +230,6 @@ class TeemonSelfExporter:
                 "teemon_storage_downsampled_reads_total",
                 "Range-function evaluations served from downsampled buckets",
             )
-            self._storage_pushdown_reads = self.registry.counter(
-                "teemon_storage_pushdown_reads_total",
-                "Range queries answered from per-shard aggregate partials "
-                "instead of a full cross-shard series merge",
-            )
             self._storage_batch_appends = self.registry.counter(
                 "teemon_storage_batch_appends_total",
                 "Batched ingest calls absorbed, per shard",
@@ -326,9 +321,6 @@ class TeemonSelfExporter:
         )
         self._storage_downsampled_reads.labels().set_to(
             float(stats["downsampled_reads_total"])
-        )
-        self._storage_pushdown_reads.labels().set_to(
-            float(stats.get("pushdown_reads_total", 0))
         )
 
     def _sync_wal_counters(self) -> None:

@@ -80,9 +80,6 @@ class StorageStats:
     bytes_saved_total: int = 0
     #: Range-function evaluations served from rollups instead of raw.
     downsampled_reads_total: int = 0
-    #: Range queries answered from per-shard aggregate partials instead
-    #: of a full cross-shard series merge.
-    pushdown_reads_total: int = 0
 
     def merge(self, other: "StorageStats") -> None:
         """Fold another stats object into this one (shard aggregation)."""
@@ -90,7 +87,6 @@ class StorageStats:
         self.samples_compacted_total += other.samples_compacted_total
         self.bytes_saved_total += other.bytes_saved_total
         self.downsampled_reads_total += other.downsampled_reads_total
-        self.pushdown_reads_total += other.pushdown_reads_total
 
 
 class WindowAggregate(NamedTuple):

@@ -1,9 +1,18 @@
-"""Range- and instant-vector functions.
+"""Range functions, in the step grid's column form.
 
-Range functions consume a list of samples within a window and produce one
-number per series.  ``rate``/``increase`` handle counter resets the way
+The step-grid evaluator (``repro.pmag.query.grid``) keeps a series as
+parallel (timestamps, values) lists and evaluates a range function over
+EVERY window of the query in one call.  ``COLUMN_RANGE_FUNCTIONS`` maps
+each range function to ``prepare(times, los, his, spans)`` — the work
+that depends only on the timeline and the windows, done once per
+distinct timeline — returning ``column(values)``, which yields one cell
+per window (``None`` where the window is empty or too short for the
+function).  ``rate``/``increase`` handle counter resets the way
 Prometheus does: a drop in value is treated as a reset and the running
-total is adjusted.
+total is adjusted.  The one-window-at-a-time Sample-list forms these
+were derived from live in ``tests/query_oracle.py``; a property test in
+tests/test_perf_equivalence pins the two families together, float bit
+for float bit.
 """
 
 from __future__ import annotations
@@ -14,84 +23,8 @@ from operator import add, sub
 from typing import Callable, List, Sequence
 
 from repro.errors import QueryError
-from repro.pmag.model import Sample
 
 NANOS_PER_SEC = 1_000_000_000
-
-
-def _increase_with_resets(samples: Sequence[Sample]) -> float:
-    total = 0.0
-    previous = samples[0].value
-    for sample in samples[1:]:
-        if sample.value < previous:
-            total += sample.value  # counter reset: count from zero
-        else:
-            total += sample.value - previous
-        previous = sample.value
-    return total
-
-
-def func_increase(samples: Sequence[Sample], range_ns: int) -> float:
-    """Total counter increase over the window."""
-    if len(samples) < 2:
-        raise QueryError("increase() needs at least two samples")
-    return _increase_with_resets(samples)
-
-
-def func_rate(samples: Sequence[Sample], range_ns: int) -> float:
-    """Per-second rate over the window (reset-aware)."""
-    if len(samples) < 2:
-        raise QueryError("rate() needs at least two samples")
-    elapsed_ns = samples[-1].time_ns - samples[0].time_ns
-    if elapsed_ns <= 0:
-        raise QueryError("rate() window has zero duration")
-    return _increase_with_resets(samples) * NANOS_PER_SEC / elapsed_ns
-
-
-def func_irate(samples: Sequence[Sample], range_ns: int) -> float:
-    """Instant rate from the last two samples."""
-    if len(samples) < 2:
-        raise QueryError("irate() needs at least two samples")
-    last, previous = samples[-1], samples[-2]
-    elapsed_ns = last.time_ns - previous.time_ns
-    if elapsed_ns <= 0:
-        raise QueryError("irate() samples share a timestamp")
-    delta = last.value - previous.value
-    if delta < 0:
-        delta = last.value  # reset
-    return delta * NANOS_PER_SEC / elapsed_ns
-
-
-def func_delta(samples: Sequence[Sample], range_ns: int) -> float:
-    """Gauge difference last - first (no reset handling)."""
-    if len(samples) < 2:
-        raise QueryError("delta() needs at least two samples")
-    return samples[-1].value - samples[0].value
-
-
-def func_avg_over_time(samples: Sequence[Sample], range_ns: int) -> float:
-    """Mean of samples in the window."""
-    return sum(s.value for s in samples) / len(samples)
-
-
-def func_min_over_time(samples: Sequence[Sample], range_ns: int) -> float:
-    """Minimum in the window."""
-    return min(s.value for s in samples)
-
-
-def func_max_over_time(samples: Sequence[Sample], range_ns: int) -> float:
-    """Maximum in the window."""
-    return max(s.value for s in samples)
-
-
-def func_sum_over_time(samples: Sequence[Sample], range_ns: int) -> float:
-    """Sum over the window."""
-    return sum(s.value for s in samples)
-
-
-def func_count_over_time(samples: Sequence[Sample], range_ns: int) -> float:
-    """Sample count in the window."""
-    return float(len(samples))
 
 
 def quantile_of(values: List[float], quantile: float) -> float:
@@ -112,33 +45,6 @@ def quantile_of(values: List[float], quantile: float) -> float:
     return ordered[lower] + fraction * (ordered[upper] - ordered[lower])
 
 
-RANGE_FUNCTIONS = {
-    "rate": func_rate,
-    "irate": func_irate,
-    "increase": func_increase,
-    "delta": func_delta,
-    "avg_over_time": func_avg_over_time,
-    "min_over_time": func_min_over_time,
-    "max_over_time": func_max_over_time,
-    "sum_over_time": func_sum_over_time,
-    "count_over_time": func_count_over_time,
-}
-
-
-# ---------------------------------------------------------------------------
-# Column-native variants.
-#
-# The step-grid range evaluator (``repro.pmag.query.grid``) keeps a series
-# as parallel (timestamps, values) lists and evaluates a range function
-# over EVERY window of the query in one call.  ``COLUMN_RANGE_FUNCTIONS``
-# maps each range function to ``prepare(times, los, his, spans)`` — the
-# work that depends only on the timeline and the windows, done once per
-# distinct timeline — returning ``column(values)``, which yields one cell
-# per window (``None`` where the Sample form would raise or the window is
-# empty).  Every float is produced by the same operations in the same
-# order as the Sample form; a property test in
-# tests/test_perf_equivalence pins the two families together.
-# ---------------------------------------------------------------------------
 def window_bounds(times, windows):
     """Index bounds of every window in a sorted timestamp array.
 
@@ -189,9 +95,9 @@ class TimelineMemo:
 def reset_corrected_deltas(values: Sequence[float]) -> List[float]:
     """Per consecutive pair, the counter increase (a drop counts from zero).
 
-    ``deltas[i]`` is what ``_increase_with_resets`` adds for the pair
-    ``(values[i], values[i + 1])``, so a window's increase is the
-    left-fold of a slice of it.
+    ``deltas[i]`` is the increase across the pair ``(values[i],
+    values[i + 1])``, so a window's increase is the left-fold of a slice
+    of it.
     """
     deltas = list(map(sub, values[1:], values))
     if deltas:

@@ -1,14 +1,16 @@
-"""Step-grid range evaluation: each plan node once per query, not per step.
+"""Step-grid evaluation: each plan node once per query, not per step.
 
-A range query evaluates one expression at every step of a grid.  Here a
-node is evaluated ONCE over the whole grid and yields one of:
+A query evaluates one expression at every step of a grid — the steps of
+a range query, or the single step ``start == end == t`` of an instant.
+Here a node is evaluated ONCE over the whole grid and yields one of:
 
 * a ``float`` — scalars are constant across steps;
 * a **grid vector** ``[(labels, column)]`` — series-major, one cell per
   step, ``None`` where the series is absent at that step.  Entry order
-  equals the order the per-instant evaluator would list the present
-  series in at every step, so order-sensitive consumers (float sums)
-  accumulate in the same order and every result is bit-identical;
+  equals the order a per-instant evaluation (``tests/query_oracle.py``)
+  would list the present series in at every step, so order-sensitive
+  consumers (float sums) accumulate in the same order and every result
+  is bit-identical to it;
 * :class:`StepRows` — step-major, one instant vector per step, for the
   nodes with no column form (``topk``/``bottomk`` order by value per
   step, ``histogram_quantile``, ``absent``) and everything above them.
@@ -153,7 +155,7 @@ def _last_in_window(times, los, his, spans):
 
 
 class StepGrid:
-    """One range query's step grid, bulk selections, and evaluator."""
+    """One query's step grid, bulk selections, and evaluator."""
 
     def __init__(
         self, tsdb, lookback_ns: int, windows: Dict[VectorSelector, int],
@@ -210,6 +212,14 @@ class StepGrid:
             if samples:
                 result.append(Series(labels=labels, samples=samples))
         return result
+
+    def instant_vectors(self, expr: Expr) -> List[ops.InstantVector]:
+        """``expr`` as one instant vector per step, in evaluation order;
+        a scalar becomes one unlabelled entry."""
+        value = self._eval(expr)
+        if isinstance(value, float):
+            return [[(ops.EMPTY_LABELS, value)] for _ in self.step_times]
+        return self._rows(value)
 
     # ------------------------------------------------------------------
     # Nodes

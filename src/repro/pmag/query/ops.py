@@ -2,9 +2,9 @@
 
 Each function takes the values of a node's children at ONE instant — a
 ``float`` scalar or an instant vector ``[(labels, value)]`` — and returns
-the node's value.  The per-instant evaluator (``QueryEngine._eval``)
-calls them directly; the step-grid evaluator calls them per step for the
-nodes that have no column form.
+the node's value.  The step-grid evaluator calls them per step for the
+nodes that have no column form; the per-instant oracle in
+``tests/query_oracle.py`` calls them directly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from typing import Dict, List, Tuple, Union
 
 from repro.errors import QueryError
 from repro.pmag.model import Labels, METRIC_NAME_LABEL
-from repro.pmag.query.functions import RANGE_FUNCTIONS
+from repro.pmag.query.functions import COLUMN_RANGE_FUNCTIONS
 from repro.pmag.query.nodes import (
     Aggregation,
     FunctionCall,
@@ -155,11 +155,12 @@ def aggregation(node: Aggregation, value: Value) -> InstantVector:
 def range_call(call: FunctionCall):
     """``(quantile, range selector)`` of a call over a range vector.
 
-    ``quantile`` is None except for ``quantile_over_time``; the result is
-    None for the instant functions, whose arguments evaluate first.
+    ``quantile`` is None except for ``quantile_over_time``, whose ``q``
+    is range-checked here — before it meets any data; the result is None
+    for the instant functions, whose arguments evaluate first.
     """
     args = call.args
-    if call.name in RANGE_FUNCTIONS:
+    if call.name in COLUMN_RANGE_FUNCTIONS:
         if len(args) != 1 or not isinstance(args[0], RangeSelector):
             raise QueryError(f"{call.name}() takes exactly one range selector")
         return None, args[0]
@@ -170,6 +171,10 @@ def range_call(call: FunctionCall):
             or not isinstance(args[1], RangeSelector)
         ):
             raise QueryError("quantile_over_time(q, selector[range]) expected")
+        if not 0.0 <= args[0].value <= 1.0:
+            raise QueryError(
+                f"quantile_over_time: q out of range: {args[0].value}"
+            )
         return args[0].value, args[1]
     return None
 

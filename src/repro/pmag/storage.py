@@ -161,10 +161,9 @@ class ShardedTsdb(StorageEngine):
     def map_shards(self, fn: Callable[[Tsdb], _T]) -> List[_T]:
         """Apply ``fn`` to every shard, results in fixed shard order.
 
-        The fan-out primitive behind selects and aggregate pushdown:
-        sequential by default, concurrent when an executor is configured
-        (``executor.map`` preserves input order, so callers cannot tell
-        the difference).
+        The fan-out primitive behind selects: sequential by default,
+        concurrent when an executor is configured (``executor.map``
+        preserves input order, so callers cannot tell the difference).
         """
         executor = self._executor
         if executor is None:
@@ -440,7 +439,6 @@ class ShardedTsdb(StorageEngine):
             "samples_compacted_total": merged.samples_compacted_total,
             "bytes_saved_total": merged.bytes_saved_total,
             "downsampled_reads_total": merged.downsampled_reads_total,
-            "pushdown_reads_total": merged.pushdown_reads_total,
         }
 
     # ------------------------------------------------------------------

@@ -506,7 +506,6 @@ class Tsdb(StorageEngine):
             "samples_compacted_total": self.stats.samples_compacted_total,
             "bytes_saved_total": self.stats.bytes_saved_total,
             "downsampled_reads_total": self.stats.downsampled_reads_total,
-            "pushdown_reads_total": self.stats.pushdown_reads_total,
         }
 
     def shard_stats(self) -> dict:

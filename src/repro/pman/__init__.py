@@ -11,9 +11,10 @@ Modules:
 
 * :mod:`repro.pman.window` — sliding-window evaluation over the query engine;
 * :mod:`repro.pman.thresholds` — user-defined threshold rules;
-* :mod:`repro.pman.anomaly` — threshold + statistical (z-score/MAD) detectors;
 * :mod:`repro.pman.boxplot` — five-number summaries with outliers;
-* :mod:`repro.pman.alerts` — alert lifecycle (fire, dedup, resolve) and sinks;
+* :mod:`repro.pman.alerts` — the analyzer's alert lifecycle (fire, dedup,
+  resolve) and sinks; routing, silences, inhibition and webhook receivers
+  are :mod:`repro.pmag.alerting`;
 * :mod:`repro.pman.analyzer` — the periodic analysis loop tying it together,
   including the default SGX bottleneck rules derived from the paper's
   findings (syscall-dominance, EPC pressure, context-switch storms).

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -10,53 +9,6 @@ from repro.errors import DeploymentError
 from repro.exporters.ebpf_exporter import EbpfExporterConfig
 from repro.pman.thresholds import ThresholdRule
 from repro.simkernel.clock import NANOS_PER_SEC
-
-#: CI sets ``TEEMON_TEST_PROFILE=sharded`` to run the whole test suite
-#: against a 4-shard engine with the WAL on — every existing test then
-#: exercises sharded mode.  Explicit constructor arguments always win;
-#: the profile only moves the *defaults*.
-TEST_PROFILE_ENV = "TEEMON_TEST_PROFILE"
-
-
-def _profile() -> str:
-    return os.environ.get(TEST_PROFILE_ENV, "")
-
-
-#: Profiles that run the suite against a 4-shard engine with the WAL on;
-#: ``sharded-executor`` additionally turns the shard executor on, so the
-#: concurrent fan-out path gets full-suite coverage too.  ``federated``
-#: is the federation-stress profile: sharded engine + executor + small
-#: remote-write frames, so every uplink in the suite ships many frames
-#: per flush and the shard-routed receiver path gets full coverage.
-_SHARDED_PROFILES = ("sharded", "sharded-executor", "federated")
-
-
-def _default_storage_shards() -> int:
-    return 4 if _profile() in _SHARDED_PROFILES else 1
-
-
-def _default_enable_wal() -> bool:
-    return _profile() in _SHARDED_PROFILES
-
-
-def _default_storage_executor_workers() -> int:
-    return 4 if _profile() in ("sharded-executor", "federated") else 0
-
-
-def _default_remote_write_frame_samples() -> int:
-    return 50 if _profile() == "federated" else 500
-
-
-def _default_enable_tracing() -> bool:
-    return _profile() == "traced"
-
-
-def _default_trace_sampling() -> Optional[float]:
-    # The ``traced`` profile runs the whole suite with sampled tracing
-    # always on: head sampling engaged at a real (sub-1.0) probability,
-    # so both keep and drop paths get full-suite coverage.  Trace tests
-    # that need every trace pin the probability explicitly.
-    return 0.25 if _profile() == "traced" else None
 
 
 @dataclass(frozen=True)
@@ -88,9 +40,8 @@ class TeemonConfig:
     enable_recording_rules: bool = True
     #: Trace the pipeline itself (scrapes, queries, rule evaluation) on
     #: the virtual clock.  Off by default: the no-op tracer keeps the
-    #: query hot path untouched.  The ``traced`` test profile turns it
-    #: on (with head sampling) for the whole suite.
-    enable_tracing: bool = field(default_factory=_default_enable_tracing)
+    #: query hot path untouched.
+    enable_tracing: bool = False
     #: Bound of the in-memory trace store (whole traces, FIFO-evicted).
     trace_max_traces: int = 256
     #: Head-sampling probability: the seeded keep/drop decision made at
@@ -98,9 +49,7 @@ class TeemonConfig:
     #: ``None`` disables head sampling (every trace is recorded — the
     #: pre-sampling behaviour); ``1.0`` runs the sampling machinery with
     #: every trace kept.
-    trace_sampling_probability: Optional[float] = field(
-        default_factory=_default_trace_sampling
-    )
+    trace_sampling_probability: Optional[float] = None
     #: Tail sampling: judge each completed trace against keep rules
     #: (fault events, retries, errors, slow spans) and drop the boring
     #: ones.  Off by default — the store keeps everything.
@@ -136,7 +85,7 @@ class TeemonConfig:
     #: Write every accepted sample through to a write-ahead log on the
     #: deployment's simulated disk (crash-safe storage).  Off by default:
     #: durability-off must stay free.
-    enable_wal: bool = field(default_factory=_default_enable_wal)
+    enable_wal: bool = False
     #: Directory prefix for WAL segments and checkpoints on the disk.
     wal_dir: str = "wal"
     #: Flush (fsync) the live segment every N records (0 = timed flushes
@@ -154,15 +103,13 @@ class TeemonConfig:
     #: :class:`~repro.pmag.storage.ShardedTsdb` routing each series by
     #: its stable label fingerprint.  With the WAL on, each shard gets
     #: its own log directory and replays independently on recovery.
-    storage_shards: int = field(default_factory=_default_storage_shards)
+    storage_shards: int = 1
     #: Threads evaluating sharded fan-out reads concurrently (0 = run
     #: them sequentially, the default — and the only option the 1-shard
     #: engine has).  Results are reassembled in fixed shard order either
     #: way, so this knob never changes query output, only where the
     #: per-shard work runs.
-    storage_executor_workers: int = field(
-        default_factory=_default_storage_executor_workers
-    )
+    storage_executor_workers: int = 0
     #: Evaluate recording rules incrementally: each cycle evaluates only
     #: what is new since the rule's cursor (persisted via WAL cursor
     #: frames when the WAL is on), backfilling short outages and falling
@@ -218,9 +165,7 @@ class TeemonConfig:
     #: Remote-write flush cadence (collect-and-ship tick).
     remote_write_interval_s: float = 5.0
     #: Samples per frame; a flush ships as many frames as needed.
-    remote_write_frame_samples: int = field(
-        default_factory=_default_remote_write_frame_samples
-    )
+    remote_write_frame_samples: int = 500
     #: Bound of the send queue, in frames.  When the uplink is down the
     #: queue absorbs this much before the oldest frames are dropped
     #: (counted in ``teemon_remote_write_frames_dropped_total``).

@@ -1,14 +1,9 @@
-"""Tests: HTTP POST, webhook sink, eBPF config file, scrape metadata."""
-
-import json
+"""Tests: HTTP POST, eBPF config file, scrape metadata."""
 
 import pytest
 
 from repro.exporters.ebpf_exporter import EbpfExporterConfig
 from repro.net.http import HttpNetwork
-from repro.pmag.model import Labels
-from repro.pman.alerts import Alert, AlertManager, AlertSeverity
-from repro.pman.routing import Route, Router, webhook_sink
 from repro.simkernel.clock import VirtualClock, seconds
 
 
@@ -41,43 +36,6 @@ def test_post_unknown_404_and_error_500():
 
     endpoint.post_handler = boom
     assert net.post("h", 80, "/", "b").status == 500
-
-
-# ---------------------------------------------------------------------------
-# Webhook sink
-# ---------------------------------------------------------------------------
-def test_webhook_sink_delivers_json_payloads():
-    net = HttpNetwork()
-    inbox = []
-    endpoint = net.register("chat", 8080, "/hook", lambda: "")
-    endpoint.post_handler = lambda body: (inbox.append(json.loads(body)), "ok")[1]
-
-    clock = VirtualClock()
-    manager = AlertManager()
-    router = Router()
-    router.add_route(Route("chat", sinks=[
-        webhook_sink(net, "http://chat:8080/hook")
-    ]))
-    manager.add_sink(router.sink(clock))
-
-    labels = Labels.of("alert", instance="sgx-host")
-    manager.fire("EpcEvictionPressure", labels, AlertSeverity.CRITICAL,
-                 "EPC under pressure", now_ns=5)
-    manager.resolve("EpcEvictionPressure", labels, now_ns=9)
-    assert [m["event"] for m in inbox] == ["fire", "resolve"]
-    assert inbox[0]["alert"] == "EpcEvictionPressure"
-    assert inbox[0]["severity"] == "critical"
-    assert inbox[0]["labels"]["instance"] == "sgx-host"
-    assert inbox[1]["resolved_at_ns"] == 9
-
-
-def test_webhook_failures_counted_not_raised():
-    net = HttpNetwork()  # no receiver registered: 404s
-    sink = webhook_sink(net, "http://nowhere:80/hook")
-    alert = Alert(name="R", labels=Labels.of("a"),
-                  severity=AlertSeverity.INFO, message="m", fired_at_ns=0)
-    sink(alert, "fire")
-    assert sink.failed == 1 and sink.delivered == 0
 
 
 # ---------------------------------------------------------------------------

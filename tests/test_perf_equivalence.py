@@ -4,9 +4,10 @@ Every optimized path must be sample-for-sample identical to the seed
 semantics it replaced:
 
 * step-grid range evaluation (``range_query``) vs per-step evaluation
-  (``range_query_per_step``, the retained seed algorithm) — on a
-  monolith, through a sharded engine, and over a compacted store where
-  aligned windows are served from rollups;
+  (``range_query_per_step``, the seed algorithm, kept in
+  ``tests/query_oracle.py``) — on a monolith, through a sharded engine,
+  and over a compacted store where aligned windows are served from
+  rollups;
 * indexed chunk windows (``window``/``window_arrays``) vs a linear decode
   of ``chunk.samples()`` (the seed algorithm, re-implemented here);
 * column-form range functions vs the Sample-form originals;
@@ -27,16 +28,20 @@ from repro.pmag.blocks import BlockPolicy, aggregate_arrays
 from repro.pmag.chunks import CHUNK_SIZE, Chunk, ChunkedSeries
 from repro.pmag.model import METRIC_NAME_LABEL, Sample
 from repro.pmag.query import ops
-from repro.pmag.query.engine import QueryEngine, _pushdown_shape
+from repro.pmag.query.engine import QueryEngine
 from repro.pmag.query.functions import (
     COLUMN_RANGE_FUNCTIONS,
-    RANGE_FUNCTIONS,
     ROLLUP_COMPOSERS,
     window_bounds,
 )
 from repro.pmag.storage import build_storage_engine
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import seconds
+from tests.query_oracle import (
+    RANGE_FUNCTIONS,
+    PerInstantEvaluator,
+    range_query_per_step,
+)
 
 # ---------------------------------------------------------------------------
 # Step-grid vs per-step range evaluation
@@ -177,10 +182,11 @@ def _grid(values_by_series, lag_s, step_s):
 @settings(max_examples=300, deadline=None)
 def test_bulk_range_query_matches_per_step(values_by_series, query, grid, lookback):
     """range_query == range_query_per_step, sample for sample, bit for bit."""
-    engine = QueryEngine(_fill(Tsdb(), values_by_series), lookback_ns=lookback)
+    tsdb = _fill(Tsdb(), values_by_series)
+    engine = QueryEngine(tsdb, lookback_ns=lookback)
     window = _grid(values_by_series, *grid)
     assert _bits(engine.range_query(query, *window)) == _bits(
-        engine.range_query_per_step(query, *window)
+        range_query_per_step(tsdb, query, *window, lookback_ns=lookback)
     )
 
 
@@ -190,17 +196,12 @@ def test_bulk_range_query_matches_per_step(values_by_series, query, grid, lookba
 def test_bulk_range_query_matches_per_step_sharded(
     values_by_series, query, grid, lookback
 ):
-    """The same panel through a 4-shard engine.  Pushdown-eligible
-    shapes keep their own numerics and their own equivalence suite
-    (test_storage_engine / test_pushdown_edges)."""
-    engine = QueryEngine(
-        _fill(build_storage_engine(4), values_by_series), lookback_ns=lookback
-    )
-    if _pushdown_shape(engine.parse(query)) is not None:
-        return
+    """The same panel through a 4-shard engine."""
+    tsdb = _fill(build_storage_engine(4), values_by_series)
+    engine = QueryEngine(tsdb, lookback_ns=lookback)
     window = _grid(values_by_series, *grid)
     assert _bits(engine.range_query(query, *window)) == _bits(
-        engine.range_query_per_step(query, *window)
+        range_query_per_step(tsdb, query, *window, lookback_ns=lookback)
     )
 
 
@@ -217,8 +218,8 @@ def test_bulk_range_query_matches_on_dense_series():
     for query in ("rate(bench_counter[5m])", "bench_counter",
                   "sum(irate(bench_counter[1m]))"):
         bulk = engine.range_query(query, seconds(5), end_ns, seconds(15))
-        per_step = engine.range_query_per_step(
-            query, seconds(5), end_ns, seconds(15)
+        per_step = range_query_per_step(
+            tsdb, query, seconds(5), end_ns, seconds(15)
         )
         assert bulk == per_step
 
@@ -233,7 +234,7 @@ _POLICY = BlockPolicy(
 )
 
 
-class _RollupOracle(QueryEngine):
+class _RollupOracle(PerInstantEvaluator):
     """``range_query_per_step`` extended with the downsampled-read rule.
 
     Per step and per composable ``*_over_time`` call: when the store has
@@ -301,8 +302,6 @@ def test_bulk_range_query_matches_per_step_on_compacted_store(
     end_ns = (longest + 2) * seconds(5)
     tsdb.compact(end_ns)
     engine = QueryEngine(tsdb)
-    if _pushdown_shape(engine.parse(query)) is not None and shards > 1:
-        return
     start_ns = min(seconds(start_s + skew_s), end_ns)
     oracle = _RollupOracle(tsdb, seconds(step_s))
     expected = oracle.range_query_per_step(

@@ -1,5 +1,5 @@
-"""PMAN tests: windows, thresholds, anomaly detectors, box plots, alerts,
-and the analysis loop."""
+"""PMAN tests: windows, thresholds, box plots, alerts, and the analysis
+loop."""
 
 import pytest
 
@@ -9,7 +9,6 @@ from repro.pmag.query.engine import QueryEngine
 from repro.pmag.tsdb import Tsdb
 from repro.pman.alerts import AlertManager, AlertSeverity
 from repro.pman.analyzer import PmanAnalyzer, default_sgx_rules
-from repro.pman.anomaly import MadDetector, ZScoreDetector
 from repro.pman.boxplot import BoxPlot
 from repro.pman.thresholds import ThresholdRule
 from repro.pman.window import SlidingWindow
@@ -87,36 +86,6 @@ def test_rule_validation():
         ThresholdRule("bad", "g", "!!", 1)
     with pytest.raises(AnalysisError):
         ThresholdRule("bad", "g", ">", 1, sustained_fraction=2.0)
-
-
-# ---------------------------------------------------------------------------
-# Anomaly detectors
-# ---------------------------------------------------------------------------
-def test_zscore_flags_spike():
-    engine, now = _engine_with_gauge([10] * 20 + [10_000])
-    window = SlidingWindow(engine, "g").evaluate(now)
-    flagged = ZScoreDetector(sensitivity=3.0).detect(window)
-    assert any(p.value == 10_000 for p in flagged)
-
-
-def test_zscore_quiet_on_constant():
-    engine, now = _engine_with_gauge([5] * 20)
-    window = SlidingWindow(engine, "g").evaluate(now)
-    assert ZScoreDetector().detect(window) == []
-
-
-def test_mad_flags_spike_robustly():
-    engine, now = _engine_with_gauge([10, 11, 9, 10, 12, 10, 9, 11, 500])
-    window = SlidingWindow(engine, "g", window_ns=seconds(300)).evaluate(now)
-    flagged = MadDetector().detect(window)
-    assert any(p.value == 500 for p in flagged)
-
-
-def test_detector_sensitivity_validated():
-    with pytest.raises(AnalysisError):
-        ZScoreDetector(sensitivity=0)
-    with pytest.raises(AnalysisError):
-        MadDetector(sensitivity=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ histogram_quantile, absent, offset."""
 import pytest
 
 from repro.errors import QueryError
-from repro.pmag.query.engine import QueryEngine
+from repro.pmag.query.engine import MAX_GRID_STEPS, QueryEngine
 from repro.pmag.query.parser import parse_query
 from repro.pmag.query.nodes import Aggregation, Comparison, VectorSelector
 from repro.pmag.tsdb import Tsdb
@@ -149,3 +149,40 @@ def test_comparison_in_threshold_style_query(engine):
     breaking = engine.instant('qps{name=~"read|write"} > 200', NOW)
     assert len(breaking) == 1
     assert breaking[0][0].get("name") == "write"
+
+
+# ---------------------------------------------------------------------------
+# Validation that must not wait for data
+# ---------------------------------------------------------------------------
+def test_quantile_over_time_rejects_q_before_it_meets_data(engine):
+    query = "quantile_over_time(1.5, qps[5m])"
+    # An empty store, a populated one, and a populated one whose every
+    # window is still empty (t before the first sample): same refusal.
+    for target, time_ns in (
+        (QueryEngine(Tsdb()), NOW), (engine, NOW), (engine, 0),
+    ):
+        with pytest.raises(QueryError, match="q out of range"):
+            target.instant(query, time_ns)
+        with pytest.raises(QueryError, match="q out of range"):
+            target.range_query(query, time_ns, time_ns + seconds(60),
+                               seconds(15))
+    for edge in ("0", "1"):
+        assert engine.instant(f"quantile_over_time({edge}, ramp[1m])", NOW)
+
+
+def test_range_query_rejects_an_oversized_grid_before_selecting(engine):
+    selects = []
+    tsdb = engine._tsdb  # noqa: SLF001 - counting selects
+    select_arrays = tsdb.select_arrays
+    tsdb.select_arrays = lambda *args: (
+        selects.append(args), select_arrays(*args)
+    )[1]
+    # 11,000 steps is the limit; one more is refused, unselected.
+    at_limit = (MAX_GRID_STEPS - 1) * seconds(1)
+    assert engine.range_query("ramp", 0, at_limit, seconds(1))
+    assert len(selects) == 1
+    with pytest.raises(QueryError, match="11001 steps, limit is 11000"):
+        engine.range_query("ramp", 0, at_limit + seconds(1), seconds(1))
+    with pytest.raises(QueryError, match="limit is 11000"):
+        engine.range_query("ramp", 0, seconds(10**7), seconds(1))
+    assert len(selects) == 1

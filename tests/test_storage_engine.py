@@ -329,6 +329,57 @@ def test_block_aligned_retention_drops_rollups_too():
 
 
 # ---------------------------------------------------------------------------
+# Aggregations over range functions: sharded == monolith on any data
+# ---------------------------------------------------------------------------
+
+def _ingest_fractions(engine: StorageEngine) -> None:
+    """Half an hour of twelve series in three groups, values with no
+    exact binary form: float addition re-associated across shards or
+    served from a prefix sum would show in the last bits."""
+    for series in range(12):
+        for step in range(180):
+            engine.append_sample(
+                "signal", (step + 1) * seconds(10),
+                ((step * 7 + series * 13) % 1000) * 0.1 + series / 3.0,
+                idx=str(series), g=str(series % 3),
+            )
+
+
+@pytest.mark.parametrize("compacted", [False, True], ids=["raw", "compacted"])
+@pytest.mark.parametrize("executor_workers", [0, 3])
+@pytest.mark.parametrize("shards", [1, 2, 4, 8])
+def test_sharded_aggregations_are_bit_identical_to_the_monolith(
+    shards, executor_workers, compacted
+):
+    policy = _POLICY if compacted else None
+    mono = Tsdb(block_policy=policy)
+    sharded = ShardedTsdb(
+        shards, block_policy=policy, executor_workers=executor_workers
+    )
+    now_ns = seconds(1800)
+    for db in (mono, sharded):
+        _ingest_fractions(db)
+        if compacted:
+            assert db.compact(now_ns) > 0
+    mono_engine, sharded_engine = QueryEngine(mono), QueryEngine(sharded)
+    # A rollup-aligned grid and one that is not (on a compacted store:
+    # windows served bucket ⊕ raw, and windows that fall back to raw).
+    grids = (
+        (seconds(600), now_ns, seconds(300)),
+        (seconds(610), now_ns - seconds(10), seconds(70)),
+    )
+    for op in ("sum", "avg", "min", "max", "count"):
+        for grouping in ("", " by (g)", " without (idx)"):
+            for function in _COMPOSABLE:
+                query = f"{op}{grouping} ({function}(signal[10m]))"
+                for grid in grids:
+                    expect = mono_engine.range_query(query, *grid)
+                    got = sharded_engine.range_query(query, *grid)
+                    assert expect and got == expect, (query, grid)
+                    assert repr(got) == repr(expect), (query, grid)
+
+
+# ---------------------------------------------------------------------------
 # The deployment thread-through: compaction on the clock, telemetry out
 # ---------------------------------------------------------------------------
 
@@ -444,14 +495,10 @@ def test_one_shard_sharded_engine_still_archives():
 
 
 # ---------------------------------------------------------------------------
-# Aggregate pushdown: per-shard partials equal full-merge evaluation
+# Concurrent shard evaluation: byte-identical with the executor on
 # ---------------------------------------------------------------------------
 
-#: Integer sample values keep float addition exact, and every panel
-#: entry is order-insensitive on such data (min/max/count anywhere;
-#: sums of integer-valued rollups; singleton groups for avg_over_time),
-#: so pushdown must match the full-merge path *byte for byte*.
-_PUSHDOWN_PANEL = (
+_AGGREGATE_PANEL = (
     "sum by (name, idx) (avg_over_time(ebpf_syscalls_total[2m]))",
     "sum(sum_over_time(ebpf_syscalls_total[2m]))",
     "avg(sum_over_time(ebpf_syscalls_total[1m]))",
@@ -468,100 +515,6 @@ _integer_series_strategy = st.dictionaries(
     min_size=1, max_size=8,
 )
 
-
-@given(_integer_series_strategy, st.integers(2, 8))
-@settings(max_examples=60, deadline=None)
-def test_pushdown_equals_full_merge(values_by_series, shards):
-    mono, sharded = Tsdb(), ShardedTsdb(shards)
-    _ingest(mono, values_by_series)
-    _ingest(sharded, values_by_series)
-    mono_engine, sharded_engine = QueryEngine(mono), QueryEngine(sharded)
-    reads = 0
-    for query in _PUSHDOWN_PANEL:
-        assert (sharded_engine.range_query(query, seconds(30), seconds(150),
-                                           seconds(15))
-                == mono_engine.range_query(query, seconds(30), seconds(150),
-                                           seconds(15))), query
-        reads += 1
-        # The counter proves the partial path served every panel query.
-        assert sharded.storage_stats()["pushdown_reads_total"] == reads, query
-    assert mono.storage_stats()["pushdown_reads_total"] == 0
-
-
-#: Shapes the planner must refuse: rate-family rollups (counter resets
-#: need every raw sample), parameterised aggregations, aggregations of
-#: anything but a bare rollup call, and raw reads.
-_PUSHDOWN_INELIGIBLE = (
-    "sum by (name) (rate(ebpf_syscalls_total[1m]))",
-    "topk(2, avg_over_time(ebpf_syscalls_total[2m]))",
-    "sum(avg_over_time(ebpf_syscalls_total[2m]) * 2)",
-    "sum(ebpf_syscalls_total)",
-    "avg_over_time(ebpf_syscalls_total[2m])",
-)
-
-
-def test_ineligible_queries_fall_back_and_match():
-    values = {("read", 0): [3.0, 7.0], ("write", 1): [2.0, 5.0, 9.0]}
-    mono, sharded = Tsdb(), ShardedTsdb(4)
-    _ingest(mono, values)
-    _ingest(sharded, values)
-    mono_engine, sharded_engine = QueryEngine(mono), QueryEngine(sharded)
-    for query in _PUSHDOWN_INELIGIBLE:
-        assert (sharded_engine.range_query(query, seconds(30), seconds(150),
-                                           seconds(15))
-                == mono_engine.range_query(query, seconds(30), seconds(150),
-                                           seconds(15))), query
-    assert sharded.storage_stats()["pushdown_reads_total"] == 0
-
-
-def test_one_shard_default_engine_never_pushes_down():
-    # build_storage_engine(1) is the plain monolith: no map_shards, so
-    # the planner leaves even eligible shapes on the seed read path.
-    engine = build_storage_engine(1)
-    _ingest(engine, {("read", 0): [1.0, 2.0, 3.0]})
-    QueryEngine(engine).range_query(
-        "sum(sum_over_time(ebpf_syscalls_total[2m]))",
-        seconds(30), seconds(150), seconds(15),
-    )
-    assert engine.storage_stats()["pushdown_reads_total"] == 0
-
-
-@pytest.mark.parametrize("function", _COMPOSABLE)
-def test_pushdown_over_rollups_equals_raw(function):
-    # Compacted shards answer aligned windows from rollup buckets inside
-    # the partial fold; misaligned windows fall back to raw samples per
-    # window.  Both must equal uncompacted full-merge evaluation.
-    raw = Tsdb()
-    compacted = build_storage_engine(4, block_policy=_POLICY)
-    compacted_mono = Tsdb(block_policy=_POLICY)
-    for db in (raw, compacted, compacted_mono):
-        _ingest_hour(db)
-    now_ns = seconds(3600)
-    assert compacted.compact(now_ns) > 0
-    assert compacted_mono.compact(now_ns) > 0
-    raw_engine, engine = QueryEngine(raw), QueryEngine(compacted)
-    mono_engine = QueryEngine(compacted_mono)
-    query = f"sum by (idx) ({function}(signal[10m]))"
-    before = compacted.storage_stats()["pushdown_reads_total"]
-    # Aligned: start/end/step multiples of the 60s resolution — rollup
-    # buckets serve the windows and equal uncompacted evaluation exactly.
-    assert (engine.range_query(query, seconds(600), now_ns, seconds(300))
-            == raw_engine.range_query(query, seconds(600), now_ns,
-                                      seconds(300)))
-    # Misaligned bounds: folded history only has buckets, so the fold's
-    # per-window raw fallback must mirror the monolith fallback over the
-    # same compacted state.
-    assert (engine.range_query(query, seconds(610), now_ns - seconds(10),
-                               seconds(300))
-            == mono_engine.range_query(query, seconds(610),
-                                       now_ns - seconds(10), seconds(300)))
-    assert compacted.storage_stats()["pushdown_reads_total"] == before + 2
-
-
-# ---------------------------------------------------------------------------
-# Concurrent shard evaluation: byte-identical with the executor on
-# ---------------------------------------------------------------------------
-
 @given(_integer_series_strategy, st.integers(2, 6))
 @settings(max_examples=30, deadline=None)
 def test_executor_output_identical_to_serial(values_by_series, shards):
@@ -573,7 +526,7 @@ def test_executor_output_identical_to_serial(values_by_series, shards):
         assert (threaded.select(matchers, 0, seconds(1000))
                 == serial.select(matchers, 0, seconds(1000)))
     serial_engine, threaded_engine = QueryEngine(serial), QueryEngine(threaded)
-    for query in _PUSHDOWN_PANEL + _QUERY_PANEL:
+    for query in _AGGREGATE_PANEL + _QUERY_PANEL:
         assert (threaded_engine.range_query(query, seconds(30), seconds(150),
                                             seconds(15))
                 == serial_engine.range_query(query, seconds(30), seconds(150),
@@ -665,12 +618,12 @@ def test_scraped_batches_count_per_shard():
     assert sum(per_shard) > 0
 
 
-def test_pushdown_and_batch_metrics_reach_the_self_exposition():
+def test_batch_metrics_reach_the_self_exposition():
     from repro.simkernel.kernel import Kernel
     from repro.sgx.driver import SgxDriver
     from repro.teemon import TeemonConfig, deploy
 
-    kernel = Kernel(seed=11, hostname="pushdown-host")
+    kernel = Kernel(seed=11, hostname="batch-host")
     kernel.load_module(SgxDriver())
     deployment = deploy(kernel, TeemonConfig(storage_shards=4))
     kernel.clock.advance(seconds(300))
@@ -683,14 +636,4 @@ def test_pushdown_and_batch_metrics_reach_the_self_exposition():
         "0", "1", "2", "3"
     }
     assert sum(value for _labels, value in per_shard) > 0
-
-    # An eligible aggregation bumps the pushdown counter; the next
-    # self-scrape exposes the new value as a queryable series.
-    assert session.query("teemon_storage_pushdown_reads_total")[0][1] == 0.0
-    session.query_range(
-        "sum by (instance) (avg_over_time(up[5m]))", window_s=240, step_s=60
-    )
-    kernel.clock.advance(seconds(60))
-    vector = session.query("teemon_storage_pushdown_reads_total")
-    assert vector and vector[0][1] >= 1.0
     deployment.stop()
