@@ -1,74 +1,170 @@
-"""WAL-overhead benchmark: the pipeline with durability off vs on.
+"""WAL benchmark: what durability costs the pipeline, and what the
+version-2 log costs against the version-1 log it replaced.
 
-Measures the same full scrape → rule-evaluation → render cycle as
-``bench_pipeline``'s ``scrape_cycle``, three ways:
+Two measurements, both interleaved in this process so neither depends on
+another process's numbers or on which CPU mode the box happens to be in:
 
-* ``off``  — WAL disabled (the default): ingest takes the exact pre-WAL
-  path, one ``is None`` check per append.  This is the number that must
-  not regress: durability must cost nothing to deployments that did not
-  ask for it;
-* ``on``   — WAL enabled (write-through to the simulated medium, flushes
-  on the scrape cadence, periodic checkpoints);
-* ``overhead_ratio`` — ``on / off``, the price of crash safety.
+* ``wal_overhead`` — the same full scrape → rule-evaluation → render
+  cycle as ``bench_pipeline``'s ``scrape_cycle``, on two deployments
+  stepped in turn: WAL off (the default: one ``is None`` check per
+  append) and WAL on (write-through, a flush per cycle).
+  ``overhead_ratio`` is ``on / off``, the price of crash safety;
+  ``bytes_per_sample`` is what the medium took per logged sample,
+  series records included.
+* ``wal_writer_*`` — the writer alone.  Every ``append``/``append_many``
+  call the WAL-on deployment made is recorded and replayed, in
+  alternation, into a fresh version-1 writer (``WalWriterV1`` from
+  ``tests/codec_oracle.py``: the memoised per-sample encoder as it stood
+  in production) and a fresh ``WalWriter``, once as recorded
+  (``monolith``) and once with every batch cut by series fingerprint the
+  way a 4-shard engine hands them to its per-shard writers
+  (``sharded4``: mostly batches of one or two).  ``ratio`` is the median
+  over adjacent pairs of ``v2 / v1``.
 
-With ``--baseline BENCH_pipeline.json`` the script compares the WAL-off
-cycle time against the baseline report's ``scrape_cycle.cycle_ms`` and
-exits non-zero if it regressed more than ``--max-regression`` (default
-5%) — the CI gate that keeps the durability hook free when disabled.
+The gate (always on): ``ratio`` must stay within ``--max-regression``
+(default 5 %) on both mixes — the small-batch path matters as much as
+the big one.
 
 Usage::
 
     PYTHONPATH=src python -m benchmarks.perf.bench_wal [--quick]
-        [--output BENCH_wal.json]
-        [--baseline BENCH_pipeline.json] [--max-regression 0.05]
+        [--output BENCH_wal.json] [--max-regression 0.05]
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
+import time
 
-from benchmarks.perf.harness import BenchReport, best_of
+from benchmarks.perf.harness import BenchReport
 
 from repro.experiments.common import make_sgx_host
+from repro.pmag.storage import series_fingerprint
+from repro.pmag.wal import WalWriter
 from repro.simkernel.clock import seconds
+from repro.simkernel.disk import SimDisk
 from repro.teemon import TeemonConfig, deploy
+from tests.codec_oracle import WalWriterV1
 
-SCHEMA = "teemon.bench.wal/1"
+SCHEMA = "teemon.bench.wal/2"
 
 
-def time_cycles(enable_wal: bool, cycles: int, repeats: int):
-    """Best wall-clock seconds per full pipeline cycle, plus WAL volume."""
-    kernel, _driver = make_sgx_host(seed=7)
-    deployment = deploy(
-        kernel, TeemonConfig(enable_wal=enable_wal), start=False
-    )
-    session = deployment.session
+class _Pipeline:
+    """One deployment stepped a full cycle at a time."""
 
-    def cycle() -> None:
-        kernel.clock.advance(seconds(5))
+    def __init__(self, enable_wal: bool) -> None:
+        self.kernel, _driver = make_sgx_host(seed=7)
+        self.deployment = deploy(
+            self.kernel, TeemonConfig(enable_wal=enable_wal), start=False
+        )
+        self.calls: list = []
+        wal = self.deployment.wal
+        if wal is not None:
+            # Record what the storage engine hands the writer.
+            append, append_many = wal.append, wal.append_many
+
+            def recorded_append(labels, time_ns, value):
+                self.calls.append([(labels, time_ns, value)])
+                append(labels, time_ns, value)
+
+            def recorded_append_many(entries):
+                self.calls.append(list(entries))
+                append_many(entries)
+
+            wal.append, wal.append_many = recorded_append, recorded_append_many
+
+    def cycle(self) -> float:
+        deployment = self.deployment
+        started = time.perf_counter()
+        self.kernel.clock.advance(seconds(5))
         deployment.scrape_manager.scrape_once()
         deployment.rule_evaluator.evaluate_all_once()
-        if enable_wal:
+        if deployment.wal is not None:
             deployment.wal.flush()
-        session.render("sgx")
+        deployment.session.render("sgx")
+        return time.perf_counter() - started
 
-    cycle()  # warm-up: first scrape creates every series
-    elapsed = best_of(repeats, lambda: [cycle() for _ in range(cycles)])
-    wal = deployment.wal
-    volume = (wal.records_total, deployment.disk.bytes_written) if wal else (0, 0)
-    deployment.shutdown()
-    return elapsed / cycles, volume
+
+def time_pipeline(cycles: int):
+    """Median WAL-off and WAL-on cycle seconds, stepped in turn; plus
+    the WAL-on run's volume and the writer calls it made."""
+    off, on = _Pipeline(False), _Pipeline(True)
+    for pipeline in (off, on):
+        pipeline.cycle()  # warm-up: first scrape creates every series
+    on.calls.clear()
+    samples = {off: [], on: []}
+    for index in range(cycles):
+        for pipeline in ((off, on) if index % 2 else (on, off)):
+            samples[pipeline].append(pipeline.cycle())
+    wal = on.deployment.wal
+    volume = (wal.records_total, on.deployment.disk.bytes_written)
+    calls = on.calls
+    for pipeline in (off, on):
+        pipeline.deployment.shutdown()
+    return (statistics.median(samples[off]), statistics.median(samples[on]),
+            volume, calls)
+
+
+def cut_by_shard(calls, shards: int = 4):
+    """The calls a ``shards``-way engine would make instead: each batch
+    split by series fingerprint, entry order kept within a shard."""
+    out = []
+    for entries in calls:
+        buckets = {}
+        for entry in entries:
+            buckets.setdefault(
+                series_fingerprint(entry[0]) % shards, []).append(entry)
+        out.extend(buckets.values())
+    return out
+
+
+def replay(writer_class, calls):
+    """Seconds to push ``calls`` through a fresh writer, and its disk."""
+    disk = SimDisk()
+    writer = writer_class(disk)
+    started = time.perf_counter()
+    for entries in calls:
+        if len(entries) == 1:
+            writer.append(*entries[0])
+        else:
+            writer.append_many(entries)
+    writer.flush()
+    return time.perf_counter() - started, disk
+
+
+def time_writers(calls, pairs: int):
+    """v1 control against v2, same calls, adjacent in time."""
+    samples = sum(len(entries) for entries in calls)
+    took = {WalWriterV1: [], WalWriter: []}
+    written = {}
+    for index in range(pairs + 1):
+        order = (WalWriterV1, WalWriter) if index % 2 else (WalWriter, WalWriterV1)
+        for writer_class in order:
+            elapsed, disk = replay(writer_class, calls)
+            written[writer_class] = disk.bytes_written
+            if index:  # pair 0 is the warm-up
+                took[writer_class].append(elapsed)
+    return {
+        "samples": samples,
+        "calls": len(calls),
+        "v1_ns_per_sample": statistics.median(took[WalWriterV1]) / samples * 1e9,
+        "v2_ns_per_sample": statistics.median(took[WalWriter]) / samples * 1e9,
+        "ratio": statistics.median(
+            v2 / v1 for v1, v2 in zip(took[WalWriterV1], took[WalWriter])),
+        "v1_bytes_per_sample": written[WalWriterV1] / samples,
+        "bytes_per_sample": written[WalWriter] / samples,
+    }
 
 
 def run_suite(quick: bool) -> BenchReport:
-    """Measure the cycle with the WAL off and on."""
+    """Measure the pipeline with the WAL off and on, then the writers."""
     report = BenchReport(quick=quick)
-    cycles = 5 if quick else 25
-    repeats = 1 if quick else 3
-    off_s, _ = time_cycles(False, cycles, repeats)
-    on_s, (records, wal_bytes) = time_cycles(True, cycles, repeats)
+    cycles = 10 if quick else 50
+    pairs = 7 if quick else 25
+    off_s, on_s, (records, wal_bytes), calls = time_pipeline(cycles)
     report.add(
         "wal_overhead",
         off_ms=off_s * 1e3,
@@ -77,25 +173,29 @@ def run_suite(quick: bool) -> BenchReport:
         cycles=cycles,
         wal_records=records,
         wal_bytes=wal_bytes,
+        bytes_per_sample=wal_bytes / records,
     )
+    report.add("wal_writer_monolith", **time_writers(calls, pairs))
+    report.add("wal_writer_sharded4",
+               **time_writers(cut_by_shard(calls), pairs))
     return report
 
 
-def check_baseline(report: BenchReport, baseline_path: str,
-                   max_regression: float) -> int:
-    """Gate: WAL-off must stay within ``max_regression`` of baseline."""
-    with open(baseline_path, encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    baseline_ms = baseline["results"]["scrape_cycle"]["cycle_ms"]
-    off_ms = report.results[0].metrics["off_ms"]
-    ratio = off_ms / baseline_ms
+def check_writers(report: BenchReport, max_regression: float) -> int:
+    """Gate: the v2 writer within ``max_regression`` of the v1 control."""
     limit = 1.0 + max_regression
-    verdict = "OK" if ratio <= limit else "REGRESSION"
-    print(
-        f"wal-off cycle: {off_ms:.3f}ms vs baseline "
-        f"{baseline_ms:.3f}ms -> x{ratio:.3f} (limit x{limit:.3f}) {verdict}"
-    )
-    return 0 if ratio <= limit else 1
+    status = 0
+    for result in report.results:
+        if not result.name.startswith("wal_writer_"):
+            continue
+        ratio = result.metrics["ratio"]
+        verdict = "OK" if ratio <= limit else "REGRESSION"
+        print(f"{result.name}: v2/v1 x{ratio:.3f} (limit x{limit:.3f}) "
+              f"{verdict}; {result.metrics['v1_bytes_per_sample']:.1f} -> "
+              f"{result.metrics['bytes_per_sample']:.1f} B/sample")
+        if ratio > limit:
+            status = 1
+    return status
 
 
 def main(argv=None) -> int:
@@ -104,10 +204,8 @@ def main(argv=None) -> int:
                         help="reduced sizes for CI smoke runs")
     parser.add_argument("--output", default="BENCH_wal.json",
                         help="report path (default: ./BENCH_wal.json)")
-    parser.add_argument("--baseline", default=None,
-                        help="BENCH_pipeline.json to gate the off-path against")
     parser.add_argument("--max-regression", type=float, default=0.05,
-                        help="allowed wal-off regression vs baseline")
+                        help="allowed v2-writer slowdown vs the v1 control")
     args = parser.parse_args(argv)
     report = run_suite(quick=args.quick)
     payload = report.to_payload()
@@ -117,9 +215,7 @@ def main(argv=None) -> int:
         handle.write("\n")
     print(report.render())
     print(f"\nwrote {args.output}")
-    if args.baseline:
-        return check_baseline(report, args.baseline, args.max_regression)
-    return 0
+    return check_writers(report, args.max_regression)
 
 
 if __name__ == "__main__":

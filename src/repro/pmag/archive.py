@@ -49,6 +49,8 @@ MAGIC = b"TMSNAP"
 VERSION = 2
 _V1 = 1
 _V3 = 3
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
 
 
 def _pack_text(text: str) -> bytes:
@@ -76,16 +78,13 @@ class _Reader:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def text(self) -> str:
-        return self.take(self.u16()).decode("utf-8")
-
     @property
     def exhausted(self) -> bool:
         return self._offset >= len(self._data)
 
 
-def _encode_body(tsdb: Tsdb) -> bytes:
-    """The series payload shared by both snapshot versions."""
+def _body_pieces(tsdb: Tsdb) -> List[bytes]:
+    """The series payload shared by both snapshot versions, unjoined."""
     pieces: List[bytes] = [
         struct.pack("<I", len(tsdb._series))  # noqa: SLF001
     ]
@@ -101,49 +100,80 @@ def _encode_body(tsdb: Tsdb) -> bytes:
             encoded = chunk.encode()
             pieces.append(struct.pack("<I", len(encoded)))
             pieces.append(encoded)
-    return b"".join(pieces)
+    return pieces
 
 
-def snapshot(engine) -> bytes:
+def snapshot(engine) -> bytearray:
     """Serialise a storage engine to bytes.
 
     A single-store :class:`Tsdb` writes the version-2 layout it always
     did (byte-identical for unchanged databases); a sharded engine —
     even one with a single shard — writes version 3, one version-2 body
     per shard, so the shard layout survives the round trip exactly.
+
+    The snapshot is joined once, into a buffer the caller owns (the
+    checksum is stamped into it afterwards): at checkpoint time it is
+    the largest transient object in the process.
     """
     if isinstance(engine, Tsdb):
-        body = _encode_body(engine)
-        return MAGIC + struct.pack("<HI", VERSION, zlib.crc32(body)) + body
-    pieces: List[bytes] = [struct.pack("<I", engine.shard_count)]
-    for index in range(engine.shard_count):
-        shard_body = _encode_body(engine.shard(index))
-        pieces.append(struct.pack("<I", len(shard_body)))
-        pieces.append(shard_body)
-    body = b"".join(pieces)
-    return MAGIC + struct.pack("<HI", _V3, zlib.crc32(body)) + body
+        version, pieces = VERSION, _body_pieces(engine)
+    else:
+        version = _V3
+        pieces = [struct.pack("<I", engine.shard_count)]
+        for index in range(engine.shard_count):
+            shard_pieces = _body_pieces(engine.shard(index))
+            pieces.append(struct.pack("<I", sum(map(len, shard_pieces))))
+            pieces += shard_pieces
+    data = bytearray().join([MAGIC, bytes(6), *pieces])
+    with memoryview(data) as view:
+        crc = zlib.crc32(view[len(MAGIC) + 6:])
+    struct.pack_into("<HI", data, len(MAGIC), version, crc)
+    return data
 
 
 def _decode_series(reader: _Reader, tsdb: Tsdb) -> None:
-    """Read one version-2 body (series count + series) into ``tsdb``."""
-    series_count = reader.u32()
-    for _ in range(series_count):
-        label_count = reader.u32()
-        mapping = {}
-        for _ in range(label_count):
-            key = reader.text()
-            value = reader.text()
-            mapping[key] = value
-        labels = Labels(mapping)
-        chunk_count = reader.u32()
-        storage = ChunkedSeries()
-        for _ in range(chunk_count):
-            length = reader.u32()
-            chunk = Chunk.decode(reader.take(length))
-            if len(chunk):
-                storage.adopt_chunk(chunk)
-        if storage.sample_count:
-            tsdb.install_series(labels, storage)
+    """Read one version-2 body (series count + series) into ``tsdb``.
+
+    Restore is a third of a crash recovery and this loop is most of
+    restore, so it walks the buffer by offset rather than through one
+    :class:`_Reader` call per field.
+    """
+    data, pos = reader._data, reader._offset  # noqa: SLF001
+    u16, u32 = _U16.unpack_from, _U32.unpack_from
+    try:
+        (series_count,) = u32(data, pos)
+        pos += 4
+        for _ in range(series_count):
+            (label_count,) = u32(data, pos)
+            pos += 4
+            mapping = {}
+            for _ in range(label_count):
+                (size,) = u16(data, pos)
+                middle = pos + 2 + size
+                (size,) = u16(data, middle)
+                end = middle + 2 + size
+                if end > len(data):
+                    raise TsdbError("truncated snapshot")
+                mapping[data[pos + 2:middle].decode("utf-8")] = (
+                    data[middle + 2:end].decode("utf-8"))
+                pos = end
+            labels = Labels(mapping)
+            (chunk_count,) = u32(data, pos)
+            pos += 4
+            storage = ChunkedSeries()
+            for _ in range(chunk_count):
+                (length,) = u32(data, pos)
+                pos += 4 + length
+                if pos > len(data):
+                    raise TsdbError("truncated snapshot")
+                chunk = Chunk.decode(data[pos - length:pos])
+                if len(chunk):
+                    storage.adopt_chunk(chunk)
+            if storage.sample_count:
+                tsdb.install_series(labels, storage)
+    except struct.error:
+        raise TsdbError("truncated snapshot") from None
+    reader._offset = pos  # noqa: SLF001
 
 
 def restore(data: bytes):
@@ -162,7 +192,8 @@ def restore(data: bytes):
         expected_crc = reader.u32()
         # The CRC covers everything after the crc field itself:
         # magic (6) | version (2) | crc (4) | covered...
-        actual_crc = zlib.crc32(data[len(MAGIC) + 6:])
+        with memoryview(data) as view:
+            actual_crc = zlib.crc32(view[len(MAGIC) + 6:])
         if actual_crc != expected_crc:
             raise TsdbError(
                 f"snapshot checksum mismatch: "

@@ -273,6 +273,12 @@ class SeriesRollup:
             count, minimum, maximum, total, last_time_ns, last_value
         )
 
+    def first_bucket_end_ns(self) -> int:
+        """Newest sample of the oldest bucket: what a retention cutoff
+        must pass before :meth:`drop_before` drops anything.  There must
+        be a bucket."""
+        return self._last_times[0]
+
     def drop_before(self, cutoff_ns: int) -> int:
         """Retention: drop buckets whose newest sample predates the cut.
 

@@ -20,8 +20,8 @@ import struct
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
-from operator import sub
+from itertools import accumulate, islice
+from operator import lt, sub
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import TsdbError
@@ -46,6 +46,10 @@ def _from_wire(typecode: str, data: bytes) -> array:
     if _SWAP:
         column.byteswap()
     return column
+
+
+def _is_column(data, typecode: str) -> bool:
+    return isinstance(data, array) and data.typecode == typecode
 
 
 class Chunk:
@@ -199,6 +203,12 @@ class ChunkedSeries:
         """The newest sample, if any — O(1), no window scan."""
         return self._chunks[-1].last_sample() if self._chunks else None
 
+    def first_chunk_end_ns(self) -> int:
+        """Newest timestamp of the oldest chunk: what a retention cutoff
+        must pass before :meth:`drop_before` drops anything.  The series
+        must not be empty."""
+        return self._chunks[0].end_ns
+
     def append(self, time_ns: int, value: float) -> None:
         """Append a sample, opening a new chunk when the head is full."""
         chunks = self._chunks
@@ -216,6 +226,66 @@ class ChunkedSeries:
             chunks.append(chunk)
             self._starts.append(time_ns)
         self._count += 1
+
+    def append_run(self, times, values, floor_ns: Optional[int] = None
+                   ) -> List[int]:
+        """Append a run of samples; returns the indices it rejected.
+
+        Sample for sample the outcome of calling :meth:`append` in
+        order — same accepted set, same chunk boundaries — but a run
+        that is strictly increasing and starts past the tail (the only
+        kind a log replay or a well-behaved sender produces) is checked
+        once and copied into the typed columns a chunk's worth per
+        slice.  Anything else takes the per-sample path, which is where
+        rejections come from.  ``floor_ns`` stands in for the tail
+        while the series holds no raw sample (its history folded into a
+        rollup): nothing at or before it is accepted.
+        """
+        count = len(times)
+        if len(values) != count:
+            raise TsdbError(
+                f"run columns differ in length: {count} != {len(values)}")
+        if not count:
+            return []
+        chunks = self._chunks
+        last = chunks[-1].end_ns if chunks else floor_ns
+        try:
+            stamps = times if _is_column(times, "q") else array("q", times)
+            column = values if _is_column(values, "d") else array("d", values)
+        except (TypeError, OverflowError):
+            return self._append_each(times, values, floor_ns)
+        if ((last is not None and stamps[0] <= last)
+                or not all(map(lt, stamps, islice(stamps, 1, None)))):
+            return self._append_each(times, values, floor_ns)
+        pos = 0
+        if chunks and len(chunks[-1]._values) < CHUNK_SIZE:
+            head = chunks[-1]
+            pos = CHUNK_SIZE - len(head._values)
+            head._times.extend(stamps[:pos])
+            head._values.extend(column[:pos])
+        while pos < count:
+            chunk = Chunk(stamps[pos])
+            chunk._times = stamps[pos:pos + CHUNK_SIZE]
+            chunk._values = column[pos:pos + CHUNK_SIZE]
+            chunks.append(chunk)
+            self._starts.append(chunk.start_ns)
+            pos += CHUNK_SIZE
+        self._count += count
+        return []
+
+    def _append_each(self, times, values, floor_ns: Optional[int]
+                     ) -> List[int]:
+        rejected: List[int] = []
+        for index, (time_ns, value) in enumerate(zip(times, values)):
+            try:
+                if (floor_ns is not None and not self._count
+                        and time_ns <= floor_ns):
+                    raise TsdbError(
+                        f"out-of-order append: {time_ns} <= {floor_ns}")
+                self.append(time_ns, value)
+            except TsdbError:
+                rejected.append(index)
+        return rejected
 
     def adopt_chunk(self, chunk: Chunk) -> None:
         """Append a fully-built chunk (the archive restore fast path).

@@ -19,6 +19,10 @@ from repro.pmag.chunks import ChunkedSeries
 from repro.pmag.model import Labels, Matcher, METRIC_NAME_LABEL, Sample, Series
 
 
+#: Past every int64 timestamp: the expiry floor of a store holding nothing.
+_NEVER_NS = 1 << 63
+
+
 class StorageEngine(ABC):
     """What the rest of the stack needs from time-series storage.
 
@@ -84,6 +88,18 @@ class StorageEngine(ABC):
             except TsdbError:
                 rejected.append(index)
         return rejected
+
+    def append_run(self, labels: Labels, times, values) -> Tuple[int, int]:
+        """Append one series' samples, given as parallel columns, in
+        order; returns ``(appended, rejected)``.  The outcome per sample
+        is that of :meth:`append`; the default simply loops."""
+        rejected = 0
+        for time_ns, value in zip(times, values):
+            try:
+                self.append(labels, time_ns, value)
+            except TsdbError:
+                rejected += 1
+        return len(times) - rejected, rejected
 
     # -- selection -----------------------------------------------------
     @abstractmethod
@@ -203,6 +219,12 @@ class Tsdb(StorageEngine):
         self.batch_appends_total = 0
         self.stats = StorageStats()
         self._wal = None
+        #: Retention's low-water mark: no chunk and no rollup bucket can
+        #: expire until the cutoff passes this.  A lower bound on every
+        #: series' first chunk end and first bucket's newest sample —
+        #: exact after a retention scan, lowered (never raised) by
+        #: whatever lands or is folded in between.
+        self._expiry_floor_ns = _NEVER_NS
 
     def attach_wal(self, wal) -> None:
         """Write successful appends through to a write-ahead log.
@@ -235,6 +257,8 @@ class Tsdb(StorageEngine):
                 raise TsdbError(f"out-of-order append: {time_ns} <= {last}")
         storage.append(time_ns, value)
         self.total_appends += 1
+        if time_ns < self._expiry_floor_ns:
+            self._expiry_floor_ns = time_ns
         if self._wal is not None:
             self._wal.append(labels, time_ns, value)
 
@@ -261,6 +285,7 @@ class Tsdb(StorageEngine):
         )
         rejected: List[int] = []
         appended = 0
+        floor = self._expiry_floor_ns
         for index, entry in enumerate(entries):
             labels, time_ns, value = entry
             if not labels.metric_name:
@@ -284,13 +309,57 @@ class Tsdb(StorageEngine):
                 rejected.append(index)
                 continue
             appended += 1
+            if time_ns < floor:
+                floor = time_ns
             if accepted is not None:
                 accepted.append(entry)
+        self._expiry_floor_ns = floor
         self.total_appends += appended
         self.batch_appends_total += 1
         if accepted:
             wal.append_many(accepted)
         return rejected
+
+    def append_run(self, labels: Labels, times, values) -> Tuple[int, int]:
+        """One series' samples as parallel columns: per-sample
+        :meth:`append` semantics — series creation, postings, rollup
+        monotonicity, accept/reject, WAL write-through of what was
+        accepted — with the series looked up once and the columns filled
+        by :meth:`ChunkedSeries.append_run`.  This is how WAL replay
+        lands a series.  Returns ``(appended, rejected)``.
+        """
+        count = len(times)
+        if not labels.metric_name:
+            return 0, count
+        storage = self._series.get(labels)
+        if storage is None:
+            storage = self._index(labels, ChunkedSeries())
+        folded_tail = None
+        if self._rollups and storage.sample_count == 0:
+            rollup = self._rollups.get(labels)
+            folded_tail = rollup.last_time_ns() if rollup is not None else None
+        rejected = storage.append_run(times, values, folded_tail)
+        appended = count - len(rejected)
+        if not appended:
+            return 0, count
+        self.total_appends += appended
+        self._expiry_floor_ns = min(
+            self._expiry_floor_ns, storage.first_chunk_end_ns())
+        if self._wal is not None:
+            skip = set(rejected)
+            self._wal.append_many([
+                (labels, time_ns, value)
+                for index, (time_ns, value) in enumerate(zip(times, values))
+                if index not in skip
+            ])
+        return appended, len(rejected)
+
+    def _index(self, labels: Labels, storage: ChunkedSeries) -> ChunkedSeries:
+        """Enter a series into the store and the postings."""
+        self._series[labels] = storage
+        for pair in labels.items():
+            self._postings.setdefault(pair, set()).add(labels)
+        return storage
 
     def install_series(self, labels: Labels, storage: ChunkedSeries) -> None:
         """Install a fully-built series (the archive/WAL restore fast path).
@@ -305,10 +374,11 @@ class Tsdb(StorageEngine):
             raise TsdbError(f"series needs a {METRIC_NAME_LABEL} label: {labels!r}")
         if labels in self._series:
             raise TsdbError(f"series already exists: {labels!r}")
-        self._series[labels] = storage
-        for pair in labels.items():
-            self._postings.setdefault(pair, set()).add(labels)
+        self._index(labels, storage)
         self.total_appends += storage.sample_count
+        if storage.sample_count:
+            self._expiry_floor_ns = min(
+                self._expiry_floor_ns, storage.first_chunk_end_ns())
 
     # ------------------------------------------------------------------
     # Selection
@@ -548,26 +618,37 @@ class Tsdb(StorageEngine):
         Without a block policy this is the chunk-granular cut it always
         was.  With one, the cutoff is aligned down to a block boundary so
         retention acts at block granularity, and rollup buckets past the
-        cut are released along with raw chunks.
+        cut are released along with raw chunks.  A pass whose cutoff has
+        not reached the expiry floor looks at no series.
         """
         if self.retention_ns is None:
             return 0
         cutoff = now_ns - self.retention_ns
         if self.block_policy is not None:
             cutoff -= cutoff % self.block_policy.block_range_ns
+        if cutoff <= self._expiry_floor_ns:
+            # Nothing stored ends before the cutoff: the common pass, on
+            # every scrape cycle, that has nothing to expire.
+            return 0
         dropped = 0
+        floor = _NEVER_NS
         empty: List[Labels] = []
         for labels, storage in self._series.items():
             dropped += storage.drop_before(cutoff)
+            if storage.sample_count:
+                floor = min(floor, storage.first_chunk_end_ns())
             rollup = self._rollups.get(labels)
             if rollup is not None:
                 dropped += rollup.drop_before(cutoff)
-                if storage.sample_count == 0 and rollup.bucket_count == 0:
+                if rollup.bucket_count:
+                    floor = min(floor, rollup.first_bucket_end_ns())
+                elif storage.sample_count == 0:
                     empty.append(labels)
             elif storage.sample_count == 0:
                 empty.append(labels)
         for labels in empty:
             self._unindex(labels)
+        self._expiry_floor_ns = floor
         return dropped
 
     def compact(self, now_ns: int) -> int:
@@ -597,6 +678,10 @@ class Tsdb(StorageEngine):
             before = rollup.memory_bytes()
             rollup.fold(times, values)
             folded += len(times)
+            # The new buckets end no earlier than the first folded sample,
+            # but possibly before the chunk that held it did.
+            if times[0] < self._expiry_floor_ns:
+                self._expiry_floor_ns = times[0]
             # A raw sample is ~16 bytes (8B timestamp + 8B value).
             saved += 16 * len(times) - (rollup.memory_bytes() - before)
         self.stats.compactions_total += 1

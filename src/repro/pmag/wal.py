@@ -15,11 +15,26 @@ On-disk layout (all little-endian), under one directory prefix::
                               record: u32 len | u32 crc32(payload) | payload
     checkpoint-{seq:08d}.ckpt archive snapshot bytes (version 2, self-checksummed)
 
-Record payload::
+Record payloads of a version-2 segment, by their leading ``u8 kind``::
 
-    u8 kind (1 = sample) | u32 label count
-    (u16 len + utf8 key | u16 len + utf8 value)*  — sorted by key
-    i64 time_ns | f64 value
+    2 cursor   u16 len + utf8 key | i64 cursor_ns
+    3 series   u32 ref | u32 label count
+               (u16 len + utf8 key | u16 len + utf8 value)*  — sorted by key
+    4 samples  u32 n | (u32 ref | i64 time_ns | f64 value) * n
+
+A sample names its series by ``ref``; the series record binding that ref
+to a label set is written the first time the writer uses the series *in
+that segment*, ahead of the run that needs it.  Every segment is
+therefore self-describing: rotation, checkpoint truncation and the loss
+of any other segment never leave a ref dangling.  One ``append_many``
+call is one samples record (one ``struct.pack``, one CRC) unless a
+flush or rotation boundary falls inside it, in which case the batch is
+cut there — ``flush_every_records`` and ``segment_max_records`` count
+samples, not records.
+
+Version-1 segments (one record per sample, ``u8 kind=1 | u32 label
+count | labels | i64 time_ns | f64 value``) are still replayed; nothing
+writes them.
 
 Segments and checkpoints draw from one monotonic sequence counter, which
 gives a total order over durability events: recovery replays exactly the
@@ -30,9 +45,9 @@ rotate to a fresh segment, then delete the segments the checkpoint
 subsumes — so at every instant either the old checkpoint plus old
 segments or the new checkpoint is durable and complete.
 
-Durability contract: appended records are durable only after
+Durability contract: appended samples are durable only after
 :meth:`WalWriter.flush` (which ``fsync``\\ s the live segment), so the
-maximum loss after a crash is the records appended since the last flush.
+maximum loss after a crash is the samples appended since the last flush.
 The simulated medium reports exactly what a crash destroyed
 (:class:`~repro.simkernel.disk.DiskCrashReport`); :func:`recover` walks
 the discarded tails structurally and reports the loss *exactly* in
@@ -43,6 +58,7 @@ from __future__ import annotations
 
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -53,7 +69,9 @@ from repro.pmag.tsdb import Tsdb
 from repro.simkernel.disk import DiskCrashReport, SimDisk
 
 SEGMENT_MAGIC = b"TMWALSEG"
-SEGMENT_VERSION = 1
+SEGMENT_VERSION = 2
+#: The one-record-per-sample layout: read by :func:`recover`, never written.
+SEGMENT_VERSION_1 = 1
 #: Segment header: magic | u16 version | u32 seq.
 HEADER_SIZE = len(SEGMENT_MAGIC) + 6
 #: Upper bound on one record's payload; a length field beyond this is
@@ -61,13 +79,29 @@ HEADER_SIZE = len(SEGMENT_MAGIC) + 6
 #: cannot be walked and is quarantined wholesale).
 MAX_RECORD_BYTES = 1 << 20
 
-RECORD_SAMPLE = 1
+#: A version-1 sample record (labels inline); version-2 segments have none.
+RECORD_SAMPLE_V1 = 1
 #: Rule-materialization cursor: ``u8 kind | u16 len + utf8 key | i64 ns``.
 #: Cursor frames ride the same segments as samples but are *metadata* —
 #: they are excluded from every sample counter (``records_total``,
 #: ``unflushed_records``, ``samples_lost``), because losing one costs a
 #: full rule re-evaluation, never a sample.
 RECORD_CURSOR = 2
+#: ``ref -> labels`` for the segment it stands in; metadata like a cursor.
+RECORD_SERIES = 3
+#: A run of ``(ref, time_ns, value)`` samples.
+RECORD_SAMPLES = 4
+
+_FRAME = struct.Struct("<II")
+_SERIES_HEAD = struct.Struct("<BII")
+_RUN_HEAD = struct.Struct("<BI")
+_SAMPLE = struct.Struct("<Iqd")
+#: The whole payload of a one-sample run: the scalar ``append`` and the
+#: many one-sample batches of a sharded scrape pay one precompiled pack.
+_ONE_SAMPLE = struct.Struct("<BIIqd")
+_RUN_HEAD_SIZE, _SAMPLE_SIZE = _RUN_HEAD.size, _SAMPLE.size
+#: Samples in the largest run that still fits one record.
+MAX_RUN_SAMPLES = (MAX_RECORD_BYTES - _RUN_HEAD_SIZE) // _SAMPLE_SIZE
 
 
 def _pack_text(text: str) -> bytes:
@@ -79,7 +113,7 @@ def _pack_text(text: str) -> bytes:
 
 def pack_labels(labels: Labels) -> bytes:
     """The label block ``(u16-len key | u16-len value)*`` in key order,
-    shared by WAL records and remote-write series blocks."""
+    shared by WAL series records and remote-write series blocks."""
     return b"".join(_pack_text(part) for pair in labels.items() for part in pair)
 
 
@@ -107,65 +141,48 @@ def unpack_labels(buf: bytes, offset: int, count: int) -> Tuple[Labels, int]:
     return Labels(mapping), offset
 
 
-def encode_record(
-    labels: Labels, time_ns: int, value: float,
-    memo: Optional[Dict[Labels, Tuple[bytes, int]]] = None,
-) -> bytes:
-    """One framed WAL record (length prefix + CRC32 + payload).
+def _framed(payload: bytes) -> bytes:
+    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
 
-    ``memo`` (label set -> payload prefix and its CRC) makes all but the
-    trailing time+value a once-per-series cost; a label set that fails a
-    check is never memoised.
+
+def encode_series_record(ref: int, labels: Labels) -> bytes:
+    """One framed series record binding ``ref`` to ``labels``."""
+    payload = (_SERIES_HEAD.pack(RECORD_SERIES, ref, len(labels.items()))
+               + pack_labels(labels))
+    if len(payload) > MAX_RECORD_BYTES:
+        raise WalError(f"record payload too large: {len(payload)} bytes")
+    return _framed(payload)
+
+
+def encode_sample_run(flat: Sequence, count: int) -> bytes:
+    """One framed samples record from ``count`` samples laid out flat,
+    ``[ref, time_ns, value, ref, time_ns, value, ...]``."""
+    if not 0 < count <= MAX_RUN_SAMPLES:
+        raise WalError(f"a run holds 1..{MAX_RUN_SAMPLES} samples: {count}")
+    return _framed(struct.pack(
+        f"<BI{'Iqd' * count}", RECORD_SAMPLES, count, *flat))
+
+
+def _frame_samples(kind: int, length: int) -> int:
+    """Samples a frame of this kind byte and payload length stands for.
+
+    Read off the framing alone, so the crash-loss oracle (which checks
+    no CRC) and recovery (which may be looking at a payload whose CRC
+    failed) agree on every frame.  Cursor and series frames are metadata;
+    anything else is a run — including a kind byte damaged past
+    recognition, which is then counted by its length rather than not at
+    all.
     """
-    entry = memo.get(labels) if memo is not None else None
-    if entry is None:
-        prefix = (struct.pack("<BI", RECORD_SAMPLE, len(labels.items()))
-                  + pack_labels(labels))
-        if len(prefix) + 16 > MAX_RECORD_BYTES:
-            raise WalError(f"record payload too large: {len(prefix) + 16} bytes")
-        entry = (prefix, zlib.crc32(prefix))
-        if memo is not None:
-            memo[labels] = entry
-    prefix, prefix_crc = entry
-    tail = struct.pack("<qd", time_ns, value)
-    return struct.pack(
-        "<II", len(prefix) + 16, zlib.crc32(tail, prefix_crc)) + prefix + tail
-
-
-def decode_payload(
-    payload: bytes, interned: Optional[Dict[bytes, Labels]] = None,
-) -> Tuple[Labels, int, float]:
-    """Parse a record payload back into (labels, time_ns, value).
-
-    ``interned`` maps a label prefix (the payload less its 16-byte tail)
-    to its labels.  A prefix that parsed once consumed exactly its own
-    length, so a hit is the same parse with the walk skipped.
-    """
-    prefix = payload[:-16]
-    labels = interned.get(prefix) if interned is not None else None
-    if labels is not None:
-        return (labels, *struct.unpack_from("<qd", payload, len(payload) - 16))
-    try:
-        kind, label_count = struct.unpack_from("<BI", payload, 0)
-        if kind != RECORD_SAMPLE:
-            raise WalError(f"unknown record kind: {kind}")
-        labels, offset = unpack_labels(payload, 5, label_count)
-        time_ns, value = struct.unpack_from("<qd", payload, offset)
-        if offset + 16 != len(payload):
-            raise WalError("trailing bytes in record payload")
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise WalError(f"malformed record payload: {exc}") from exc
-    if interned is not None:
-        interned[prefix] = labels
-    return labels, time_ns, value
+    if kind == RECORD_CURSOR or kind == RECORD_SERIES:
+        return 0
+    return max(0, (length - _RUN_HEAD_SIZE) // _SAMPLE_SIZE)
 
 
 def encode_cursor_record(key: str, cursor_ns: int) -> bytes:
     """One framed materialization-cursor record."""
-    payload = struct.pack("<B", RECORD_CURSOR) + _pack_text(key) + struct.pack(
-        "<q", cursor_ns
-    )
-    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+    return _framed(
+        struct.pack("<B", RECORD_CURSOR) + _pack_text(key)
+        + struct.pack("<q", cursor_ns))
 
 
 def decode_cursor_payload(payload: bytes) -> Tuple[str, int]:
@@ -211,16 +228,17 @@ def _parse_seq(name: str) -> Optional[int]:
 
 
 def _count_records(data: bytes, file_offset: int = 0) -> int:
-    """Complete records in a byte range starting at ``file_offset``.
+    """Samples in the complete frames of a byte range starting at
+    ``file_offset`` of a version-2 segment (the only kind written, so
+    the only kind a crash can cut).
 
     The structural loss oracle: walks length prefixes without checking
-    CRCs (a bit-flipped record that never became durable is still a lost
-    sample).  ``file_offset`` is where ``data`` began in the segment file
-    — a fresh segment's unsynced tail includes the header, which must be
-    skipped before the walk.  Only *sample* frames count: cursor frames
+    CRCs (a bit-flipped run that never became durable is still lost
+    samples) and sums :func:`_frame_samples` — cursor and series frames
     are metadata whose loss destroys no data, so they are invisible to
-    loss accounting (the recovery side classifies by the same kind byte,
-    which keeps ``samples_lost`` exact).
+    loss accounting.  ``file_offset`` is where ``data`` began in the
+    segment file: a fresh segment's unsynced tail includes the header,
+    which must be skipped before the walk.
     """
     pos = HEADER_SIZE - file_offset if file_offset < HEADER_SIZE else 0
     count = 0
@@ -230,8 +248,7 @@ def _count_records(data: bytes, file_offset: int = 0) -> int:
             break
         if pos + 8 + length > len(data):
             break
-        if data[pos + 8] == RECORD_SAMPLE:
-            count += 1
+        count += _frame_samples(data[pos + 8], length)
         pos += 8 + length
     return count
 
@@ -270,8 +287,11 @@ class WalWriter:
         #: Latest cursor per key; re-emitted into the fresh segment on
         #: every checkpoint so truncation never drops cursor durability.
         self._cursors: dict = {}
-        #: :func:`encode_record` memo: one entry per series logged here.
-        self._record_memo: dict = {}
+        #: Every series logged here: labels -> [ref, framed series
+        #: record, seq of the newest segment holding that record].  A ref
+        #: is the series' rank of first use, for the writer's life, so
+        #: the record is built once.
+        self._series: Dict[Labels, list] = {}
         # Continue the sequence past anything already on the medium so a
         # writer built after recovery never reuses a live number.
         last = max(
@@ -311,10 +331,26 @@ class WalWriter:
     # ------------------------------------------------------------------
     # The write path
     # ------------------------------------------------------------------
+    def _learn(self, labels: Labels) -> list:
+        """The table entry of a series this writer has not seen."""
+        ref = len(self._series)
+        entry = self._series[labels] = [
+            ref, encode_series_record(ref, labels), 0]
+        return entry
+
     def append(self, labels: Labels, time_ns: int, value: float) -> None:
         """Write one accepted sample through to the live segment."""
-        record = encode_record(labels, time_ns, value, self._record_memo)
-        self.disk.append(self._segment, record)
+        entry = self._series.get(labels)
+        if entry is None:
+            entry = self._learn(labels)
+        if entry[2] != self._seq:
+            # New to this segment: its series record goes first.
+            entry[2] = self._seq
+            self.disk.append(self._segment, entry[1])
+        payload = _ONE_SAMPLE.pack(RECORD_SAMPLES, 1, entry[0], time_ns, value)
+        self.disk.append(
+            self._segment,
+            _FRAME.pack(_ONE_SAMPLE.size, zlib.crc32(payload)) + payload)
         self.records_total += 1
         self.unflushed_records += 1
         self._segment_records += 1
@@ -324,36 +360,68 @@ class WalWriter:
             self.flush()
             self._open_segment()
 
-    def append_many(self, entries) -> None:
+    #: :meth:`append` under a name of its own.  A sharded scrape hands
+    #: most shards a batch of one, which :meth:`append_many` passes
+    #: straight here; a profiler that wraps the public pair must not
+    #: count that as a second call.
+    _append_one = append
+
+    def append_many(self, entries: Sequence[Tuple[Labels, int, float]]) -> None:
         """Write a batch of accepted ``(labels, time_ns, value)`` samples.
 
-        Byte-for-byte and counter-for-counter equivalent to calling
-        :meth:`append` per sample — flush and rotation decisions fire at
-        exactly the same record boundaries — but consecutive records
-        between those boundaries land in one ``disk.append`` each, so a
-        scrape cycle's write-through costs a handful of disk writes
-        instead of one per sample.
+        Counter-for-counter equivalent to calling :meth:`append` per
+        sample — flush and rotation fire at exactly the same sample
+        boundaries — but the samples between two boundaries are one
+        run: one pack, one CRC, one ``disk.append``.
         """
-        pending: list = []
-        for labels, time_ns, value in entries:
-            pending.append(
-                encode_record(labels, time_ns, value, self._record_memo))
-            self.records_total += 1
-            self.unflushed_records += 1
-            self._segment_records += 1
-            flush_due = bool(
-                self.flush_every_records
-                and self.unflushed_records >= self.flush_every_records
-            )
+        total = len(entries)
+        if total == 1:
+            self._append_one(*entries[0])
+            return
+        series = self._series
+        flush_every = self.flush_every_records
+        start = 0
+        while start < total:
+            # Up to the next boundary, whichever it is.
+            count = total - start
+            room = self.segment_max_records - self._segment_records
+            if flush_every and flush_every - self.unflushed_records < room:
+                room = flush_every - self.unflushed_records
+            if count > room:
+                count = room if room > 0 else 1
+            if count > MAX_RUN_SAMPLES:
+                count = MAX_RUN_SAMPLES
+            # One samples record, behind the series records it needs.
+            seq = self._seq
+            out: List[bytes] = []
+            flat: list = []
+            try:
+                for labels, time_ns, value in (
+                        entries if count == total
+                        else entries[start:start + count]):
+                    entry = series.get(labels)
+                    if entry is None:
+                        entry = self._learn(labels)
+                    if entry[2] != seq:
+                        entry[2] = seq
+                        out.append(entry[1])
+                    flat += (entry[0], time_ns, value)
+                out.append(encode_sample_run(flat, count))
+            finally:
+                # Also on the way out of a failed pack: a series marked
+                # as held by this segment must have its record land.
+                if out:
+                    self.disk.append(self._segment, b"".join(out))
+            start += count
+            self.records_total += count
+            self.unflushed_records += count
+            self._segment_records += count
             rotate_due = self._segment_records >= self.segment_max_records
-            if flush_due or rotate_due:
-                self.disk.append(self._segment, b"".join(pending))
-                pending.clear()
+            if rotate_due or (
+                    flush_every and self.unflushed_records >= flush_every):
                 self.flush()
                 if rotate_due:
                     self._open_segment()
-        if pending:
-            self.disk.append(self._segment, b"".join(pending))
 
     def append_cursor(self, key: str, cursor_ns: int) -> None:
         """Write one materialization-cursor frame to the live segment.
@@ -433,17 +501,18 @@ class RecoveryReport:
     segments_scanned: int = 0
     #: Segments whose header or framing was unwalkably corrupt.
     segments_quarantined: int = 0
-    #: Records re-applied to the database.
+    #: Samples re-applied to the database.
     records_replayed: int = 0
-    #: Records skipped for CRC mismatch or malformed payload.
+    #: Samples skipped with their run: CRC mismatch, malformed payload,
+    #: or a ref with no surviving series record in its segment.
     records_quarantined: int = 0
-    #: Records rejected as already covered by the checkpoint (idempotent
+    #: Samples rejected as already covered by the checkpoint (idempotent
     #: replay: the out-of-order append check is the deduplicator).
     records_duplicate: int = 0
     #: Segments ending mid-record — the write in flight when power died.
     torn_tails: int = 0
-    #: Exact samples destroyed: structurally-counted records in the
-    #: crash-discarded tails plus durable-but-quarantined records.
+    #: Exact samples destroyed: structurally-counted runs in the
+    #: crash-discarded tails plus durable-but-quarantined ones.
     samples_lost: int = 0
     #: Residual quarantined-record loss when no crash evidence was given.
     quarantine_only: bool = field(default=False, repr=False)
@@ -454,6 +523,179 @@ class RecoveryReport:
     cursor_records_quarantined: int = 0
     #: Latest recovered materialization cursor per key.
     cursors: dict = field(default_factory=dict)
+    #: Series records that failed CRC or parse.  Not loss in themselves:
+    #: the runs that named them are, and are counted above.
+    series_records_quarantined: int = 0
+
+
+class _Replay:
+    """One recovery's walk over its segments.
+
+    Samples are gathered per series, in log order, across every segment
+    replayed, and landed afterwards with one :meth:`Tsdb.append_run` per
+    series — same outcome per sample as appending each where it stands,
+    since a series' fate never depends on another's.
+    """
+
+    def __init__(self, report: "RecoveryReport", plan) -> None:
+        self.report = report
+        self.plan = plan
+        #: ``u32 label count | label block`` -> labels: a series' block
+        #: is parsed once however many segments declare it.
+        self._interned: Dict[bytes, Labels] = {}
+        #: labels -> ``[labels, times, values]``.
+        self._columns: Dict[Labels, list] = {}
+        #: The same lists in order of first sample, which is the order
+        #: scalar appends would have created the series in.
+        self._order: List[list] = []
+
+    def journal(self, kind: str, where: str) -> None:
+        if self.plan is not None:
+            self.plan.record(kind, where)
+
+    def _series(self, block: bytes) -> list:
+        """The columns of the series described by ``block``."""
+        labels = self._interned.get(block)
+        if labels is None:
+            try:
+                (count,) = struct.unpack_from("<I", block, 0)
+                labels, end = unpack_labels(block, 4, count)
+            except (struct.error, UnicodeDecodeError) as exc:
+                raise WalError(f"malformed label block: {exc}") from exc
+            if end != len(block):
+                raise WalError("trailing bytes after label block")
+            self._interned[block] = labels
+        columns = self._columns.get(labels)
+        if columns is None:
+            columns = self._columns[labels] = [labels, array("q"), array("d")]
+        return columns
+
+    def _sample(self, columns: list, time_ns: int, value: float) -> None:
+        if not columns[1]:
+            self._order.append(columns)
+        columns[1].append(time_ns)
+        columns[2].append(value)
+
+    def _run(self, payload: bytes, refs: Dict[int, list]) -> bool:
+        """Gather one intact samples payload; False if it is malformed
+        or names a ref this segment never (intactly) declared."""
+        body = payload[_RUN_HEAD_SIZE:]
+        if not body or _RUN_HEAD.unpack_from(payload)[1] * _SAMPLE_SIZE != len(body):
+            return False
+        picked = []
+        for ref, time_ns, value in _SAMPLE.iter_unpack(body):
+            columns = refs.get(ref)
+            if columns is None:
+                return False  # before anything of the run has landed
+            picked.append((columns, time_ns, value))
+        order = self._order
+        for columns, time_ns, value in picked:
+            times = columns[1]
+            if not times:
+                order.append(columns)
+            times.append(time_ns)
+            columns[2].append(value)
+        return True
+
+    def segment(self, name: str, data: bytes, version: int) -> None:
+        """Walk one headered segment, gathering what verifies."""
+        report = self.report
+        refs: Dict[int, list] = {}
+        order = self._order
+        runs = version == SEGMENT_VERSION
+        # The loop below runs once per record of the log: its constants
+        # and callables are bound to locals once.
+        frame_at, crc32 = _FRAME.unpack_from, zlib.crc32
+        one_sample, one_size = _ONE_SAMPLE.unpack, _ONE_SAMPLE.size
+        size = len(data)
+        pos = HEADER_SIZE
+        while pos < size:
+            if size - pos < 8:
+                report.torn_tails += 1
+                break
+            length, crc = frame_at(data, pos)
+            if not 0 < length <= MAX_RECORD_BYTES:
+                # The framing itself is corrupt; nothing past this point
+                # can be walked reliably.
+                report.segments_quarantined += 1
+                self.journal("wal-segment-quarantined", f"{name}@{pos}")
+                break
+            start = pos
+            pos += 8 + length
+            if pos > size:
+                report.torn_tails += 1
+                break
+            payload = data[start + 8:pos]
+            # Classify by the same kind byte and framing the structural
+            # loss oracle reads, so a frame is the same thing to both
+            # whether or not its CRC holds.
+            kind = payload[0]
+            intact = crc32(payload) == crc
+            if intact and runs and kind == RECORD_SAMPLES:
+                if length == one_size:
+                    # The run of one, the most common record there is.
+                    _kind, count, ref, time_ns, value = one_sample(payload)
+                    columns = refs.get(ref)
+                    if count == 1 and columns is not None:
+                        times = columns[1]
+                        if not times:
+                            order.append(columns)
+                        times.append(time_ns)
+                        columns[2].append(value)
+                        continue
+                elif self._run(payload, refs):
+                    continue
+            if not self._metadata(kind, payload, intact, version, refs):
+                self.journal("wal-record-quarantined", f"{name}@{start}")
+
+    def _metadata(self, kind: int, payload: bytes, intact: bool,
+                  version: int, refs: Dict[int, list]) -> bool:
+        """Everything that is not an intact run of a version-2 segment;
+        False if the frame had to be quarantined."""
+        report = self.report
+        if kind == RECORD_CURSOR:
+            try:
+                if not intact:
+                    raise WalError("cursor CRC mismatch")
+                key, cursor_ns = decode_cursor_payload(payload)
+            except WalError:
+                report.cursor_records_quarantined += 1
+                return False
+            report.cursor_records += 1
+            report.cursors[key] = cursor_ns
+        elif version == SEGMENT_VERSION_1:
+            # One sample per record, its labels inline.
+            try:
+                if not intact or kind != RECORD_SAMPLE_V1:
+                    raise WalError("not an intact sample record")
+                self._sample(
+                    self._series(payload[1:-16]),
+                    *struct.unpack_from("<qd", payload, len(payload) - 16))
+            except (WalError, struct.error):
+                report.records_quarantined += 1
+                return False
+        elif kind == RECORD_SERIES:
+            try:
+                if not intact:
+                    raise WalError("series CRC mismatch")
+                (ref,) = struct.unpack_from("<I", payload, 1)
+                refs[ref] = self._series(payload[5:])
+            except (WalError, struct.error):
+                report.series_records_quarantined += 1
+                return False
+        else:
+            # A run that does not verify, or damage that can no longer
+            # say what it was: lost samples, counted off the framing.
+            report.records_quarantined += _frame_samples(kind, len(payload))
+            return False
+        return True
+
+    def land(self, tsdb) -> None:
+        """Append every gathered series to the store, as runs."""
+        for labels, times, values in self._order:
+            appended, rejected = tsdb.append_run(labels, times, values)
+            self.report.records_replayed += appended
+            self.report.records_duplicate += rejected
 
 
 def recover(
@@ -499,8 +741,7 @@ def recover(
         break
 
     # -- replay segments past it ---------------------------------------
-    # Per-recovery interning: a series' label prefix is parsed once.
-    interned: Dict[bytes, Labels] = {}
+    replay = _Replay(report, plan)
     for name in disk.list_files(f"{directory}/segment-"):
         seq = _parse_seq(name)
         if seq is None or seq <= checkpoint_seq:
@@ -513,77 +754,15 @@ def recover(
             if data:
                 report.torn_tails += 1
             continue
-        if data[:len(SEGMENT_MAGIC)] != SEGMENT_MAGIC:
-            report.segments_quarantined += 1
-            if plan is not None:
-                plan.record("wal-segment-quarantined", name)
-            continue
         version, header_seq = struct.unpack_from(
             "<HI", data, len(SEGMENT_MAGIC))
-        if version != SEGMENT_VERSION or header_seq != seq:
+        if (data[:len(SEGMENT_MAGIC)] != SEGMENT_MAGIC or header_seq != seq
+                or version not in (SEGMENT_VERSION, SEGMENT_VERSION_1)):
             report.segments_quarantined += 1
-            if plan is not None:
-                plan.record("wal-segment-quarantined", name)
+            replay.journal("wal-segment-quarantined", name)
             continue
-        pos = HEADER_SIZE
-        while True:
-            remaining = len(data) - pos
-            if remaining == 0:
-                break
-            if remaining < 8:
-                report.torn_tails += 1
-                break
-            length, crc = struct.unpack_from("<II", data, pos)
-            if not 0 < length <= MAX_RECORD_BYTES:
-                # The framing itself is corrupt; nothing past this point
-                # can be walked reliably.
-                report.segments_quarantined += 1
-                if plan is not None:
-                    plan.record("wal-segment-quarantined", f"{name}@{pos}")
-                break
-            if remaining < 8 + length:
-                report.torn_tails += 1
-                break
-            payload = data[pos + 8:pos + 8 + length]
-            pos += 8 + length
-            is_cursor = bool(payload) and payload[0] == RECORD_CURSOR
-            if zlib.crc32(payload) != crc:
-                # Classify by the same kind byte the structural loss
-                # oracle reads, so quarantined cursors never leak into
-                # samples_lost.
-                if is_cursor:
-                    report.cursor_records_quarantined += 1
-                else:
-                    report.records_quarantined += 1
-                if plan is not None:
-                    plan.record("wal-record-quarantined", f"{name}@{pos - 8 - length}")
-                continue
-            if is_cursor:
-                try:
-                    key, cursor_ns = decode_cursor_payload(payload)
-                except WalError:
-                    report.cursor_records_quarantined += 1
-                    if plan is not None:
-                        plan.record(
-                            "wal-record-quarantined", f"{name}@{pos - 8 - length}"
-                        )
-                    continue
-                report.cursor_records += 1
-                report.cursors[key] = cursor_ns
-                continue
-            try:
-                labels, time_ns, value = decode_payload(payload, interned)
-            except WalError:
-                report.records_quarantined += 1
-                if plan is not None:
-                    plan.record("wal-record-quarantined", f"{name}@{pos - 8 - length}")
-                continue
-            try:
-                tsdb.append(labels, time_ns, value)
-            except TsdbError:
-                report.records_duplicate += 1
-            else:
-                report.records_replayed += 1
+        replay.segment(name, data, version)
+    replay.land(tsdb)
 
     # -- exact loss accounting -----------------------------------------
     # Durable-but-corrupt records are lost samples; so is every complete
@@ -719,6 +898,10 @@ class ShardedRecoveryReport:
     @property
     def records_quarantined(self) -> int:
         return sum(r.records_quarantined for r in self.shards)
+
+    @property
+    def series_records_quarantined(self) -> int:
+        return sum(r.series_records_quarantined for r in self.shards)
 
     @property
     def records_duplicate(self) -> int:

@@ -109,21 +109,31 @@ class SimDisk:
         """Append bytes to a file (created empty on first touch)."""
         if not isinstance(data, (bytes, bytearray)):
             raise StorageError(f"disk writes take bytes, got {type(data).__name__}")
-        payload = self._mutate(name, bytes(data))
-        self._files.setdefault(name, bytearray()).extend(payload)
-        self._synced.setdefault(name, 0)
+        if self._write_faults:
+            data = self._mutate(name, bytes(data))
+        try:
+            self._files[name].extend(data)
+        except KeyError:
+            self._files[name] = bytearray(data)
+            self._synced[name] = 0
         self.writes += 1
-        self.bytes_written += len(payload)
+        self.bytes_written += len(data)
 
     def write(self, name: str, data: bytes) -> None:
-        """Replace a file's contents entirely (durable only after sync)."""
+        """Replace a file's contents entirely (durable only after sync).
+
+        A ``bytearray`` is handed over, not copied: it becomes the file
+        (unless a write-fault hook is installed, which sees ``bytes`` as
+        ever), so a checkpoint is not held twice while it is written.
+        """
         if not isinstance(data, (bytes, bytearray)):
             raise StorageError(f"disk writes take bytes, got {type(data).__name__}")
-        payload = self._mutate(name, bytes(data))
-        self._files[name] = bytearray(payload)
+        if self._write_faults or type(data) is not bytearray:
+            data = bytearray(self._mutate(name, bytes(data)))
+        self._files[name] = data
         self._synced[name] = 0
         self.writes += 1
-        self.bytes_written += len(payload)
+        self.bytes_written += len(data)
 
     def sync(self, name: str) -> None:
         """Make a file's current contents durable (``fsync``)."""
@@ -157,7 +167,10 @@ class SimDisk:
 
     def size(self, name: str) -> int:
         """Current length of a file in bytes."""
-        return len(self.read(name))
+        try:
+            return len(self._files[name])
+        except KeyError:
+            raise StorageError(f"no such file: {name}") from None
 
     def synced_size(self, name: str) -> int:
         """Durable length of a file in bytes."""

@@ -22,6 +22,16 @@ settings.register_profile(
     derandomize=True,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# "soak" is for the state machines the kill-loop CI step reruns: many
+# more, much longer programs than a tier-1 run can afford.
+settings.register_profile(
+    "soak",
+    max_examples=1500,
+    stateful_step_count=120,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 # Deployment profiles.  CI runs the whole suite once per profile by

@@ -98,6 +98,21 @@ def test_restore_rejects_trailing_garbage():
         restore(v1 + b"\x00garbage")
 
 
+def test_every_truncation_of_an_unchecksummed_snapshot_is_a_typed_error():
+    # Version 1 has no CRC to fail up front: the body walk itself must
+    # turn every cut — mid-count, mid-label (mid-character), mid-chunk —
+    # into a TsdbError, never an uncaught struct or unicode error.
+    tsdb = Tsdb()
+    for k in range(130):
+        tsdb.append_sample("m", (k + 1) * seconds(5), float(k), zone="日本")
+        tsdb.append_sample("n", (k + 1) * seconds(5), float(k))
+    v1 = _as_v1(snapshot(tsdb))
+    assert _dump(restore(v1)) == _dump(tsdb)
+    for cut in range(len(v1)):
+        with pytest.raises(TsdbError):
+            restore(v1[:cut])
+
+
 def test_v2_checksum_detects_bitflip():
     data = bytearray(snapshot(_populated_tsdb()))
     data[len(data) // 2] ^= 0x10

@@ -24,16 +24,23 @@ import pytest
 from repro.faults import FaultPlan
 from repro.net.http import HttpNetwork
 from repro.openmetrics import CollectorRegistry, encode_registry
+from repro.errors import TsdbError
+from repro.pmag import archive, wal
 from repro.pmag.scrape import ScrapeTarget
-from repro.pmag import wal
-from repro.pmag.wal import HEADER_SIZE
+from repro.pmag.wal import RECORD_SAMPLES
 from repro.simkernel.clock import seconds
 from repro.simkernel.disk import SimDisk
 from repro.simkernel.kernel import Kernel
 from repro.simkernel.rng import DeterministicRng
 from repro.sgx.driver import SgxDriver
 from repro.teemon import MonitorSupervisor, TeemonConfig, deploy
-from tests.codec_oracle import reference_record
+from tests.codec_oracle import (
+    reference_crash_loss,
+    reference_replay_v2,
+    reference_sample_run,
+    reference_series_record,
+    segment_frames,
+)
 
 FLUSH_S = 12.0
 CHECKPOINT_S = 60.0
@@ -211,27 +218,36 @@ def test_kill_resurrect_under_combined_sharded_traced_profile():
     assert tracer.traces_started > tracer.traces_sampled_out  # some kept
 
 
+def _runs(data):
+    """``(offset, samples)`` of every samples record in a segment."""
+    return [(offset, (len(payload) - 5) // 20)
+            for offset, payload, _ok in segment_frames(data)
+            if payload[0] == RECORD_SAMPLES]
+
+
 def test_corrupt_wal_record_is_quarantined_without_aborting_recovery():
-    # Between the kill and the recovery, rot one durable record in the
+    # Between the kill and the recovery, rot one durable run in the
     # live segment — the CRC must catch it, recovery must complete.
     corrupted = []
 
-    def rot_one_record(rig):
+    def rot_one_run(rig):
         segment = rig.deployment.wal.current_segment
-        assert rig.disk.size(segment) > HEADER_SIZE + 8
-        rig.disk._files[segment][HEADER_SIZE + 8] ^= 0x01  # noqa: SLF001
-        corrupted.append(segment)
+        offset, samples = _runs(rig.disk.read(segment))[0]
+        rig.disk._files[segment][offset + 8 + 10] ^= 0x01  # noqa: SLF001
+        corrupted.append((segment, offset, samples))
 
-    rig = run_with_one_crash(7, before_recover=rot_one_record)
+    rig = run_with_one_crash(7, before_recover=rot_one_run)
+    segment, offset, samples = corrupted[0]
     report = rig.supervisor.reports[0]
-    assert report.records_quarantined == 1
+    assert report.records_quarantined == samples > 0
     assert report.records_replayed > 0  # the rest of the segment replayed
     assert rig.supervisor.recoveries == 1  # recovery did not abort
-    assert rig.deployment.session.recovery_stats()["records_quarantined"] == 1
+    assert (rig.deployment.session.recovery_stats()["records_quarantined"]
+            == samples)
     journal = rig.plan.journal_text()
-    assert f"DISK {corrupted[0]}@{HEADER_SIZE} wal-record-quarantined" in journal
-    # The quarantined record is part of the exact loss accounting.
-    assert report.samples_lost > report.records_quarantined - 1
+    assert f"DISK {segment}@{offset} wal-record-quarantined" in journal
+    # The quarantined run is part of the exact loss accounting.
+    assert report.samples_lost >= report.records_quarantined
 
 
 def _tear_tail(rig, segment):
@@ -240,25 +256,50 @@ def _tear_tail(rig, segment):
 
 def _rot_two_records(rig, segment):
     data = rig.disk._files[segment]  # noqa: SLF001
-    data[HEADER_SIZE + 8] ^= 0x01     # first record: kind byte
-    data[-1] ^= 0x80                  # last record: value byte
+    runs = _runs(bytes(data))
+    data[runs[0][0] + 8] ^= 0x01      # first run: kind byte
+    data[runs[-1][0] + 8 + 24] ^= 0x80  # last run: a value byte
 
 
 def _splice_non_canonical_record(rig, segment):
     pairs = (("job", "x"), ("__name__", "spliced"))  # unsorted
     rig.disk._files[segment].extend(  # noqa: SLF001
-        reference_record(pairs, 1, 1.0))
+        reference_series_record(4000, pairs)
+        + reference_sample_run([(4000, 1, 1.0)]))
+
+
+def _replay_per_record(disk, directory, crash_report):
+    """What :func:`wal.recover` must amount to, the slow way: the newest
+    checkpoint, then every sample of every later segment decoded from
+    scratch and appended one at a time."""
+    def seq(name):
+        return int(name.rsplit("-", 1)[1].split(".")[0])
+
+    checkpoint = disk.list_files(f"{directory}/checkpoint-")[-1]
+    tsdb = archive.restore(disk.read(checkpoint))
+    lost = reference_crash_loss(crash_report, f"{directory}/segment-")
+    for name in disk.list_files(f"{directory}/segment-"):
+        if seq(name) < seq(checkpoint):
+            continue
+        samples, _cursors, gone = reference_replay_v2(disk.read(name))
+        lost += gone
+        for labels, time_ns, value in samples:
+            try:
+                tsdb.append(labels, time_ns, value)
+            except TsdbError:
+                pass
+    return tsdb, lost
 
 
 @pytest.mark.parametrize("damage", [
     None, _tear_tail, _rot_two_records, _splice_non_canonical_record,
 ], ids=["crash-only", "torn-tail", "bit-rot", "non-canonical"])
-def test_replay_interning_recovers_what_per_record_decoding_does(
-        damage, monkeypatch):
-    # recover() parses each series' label prefix once and replays the
-    # interned Labels; the control decodes every record from scratch.
-    # Same medium, same crash evidence -> same database, same report,
-    # same loss, same quarantine journal.
+def test_replay_interning_recovers_what_per_record_decoding_does(damage):
+    # recover() parses each series' labels once per segment, gathers
+    # runs across segments and lands each series in one call; the
+    # control decodes every record from scratch and appends one sample
+    # at a time.  Same medium, same crash evidence -> same database,
+    # same series order, same loss.
     rig = build_rig(7)
     rig.deployment.start()
     rig.clock.advance(seconds(T_CRASH_S))
@@ -272,6 +313,7 @@ def test_replay_interning_recovers_what_per_record_decoding_does(
         for segment in segments:
             damage(rig, segment)
     config = rig.deployment.config
+    end_ns = rig.clock.now_ns + 1
 
     def replay():
         plan = FaultPlan(rig.clock, DeterministicRng(7).fork("plan"))
@@ -283,20 +325,27 @@ def test_replay_interning_recovers_what_per_record_decoding_does(
             tsdb, report = wal.recover(
                 rig.disk, config.wal_dir, crash_report=crash_report,
                 plan=plan)
-        series = [labels for labels, _storage in tsdb.series_items()]
-        return (series, sample_set(tsdb, 0, rig.clock.now_ns + 1), report,
-                report.samples_lost, plan.journal_text())
+        return tsdb, report, plan.journal_text()
 
-    interned = replay()
-    decode = wal.decode_payload
-    monkeypatch.setattr(
-        wal, "decode_payload", lambda payload, _interned: decode(payload))
-    assert replay() == interned
-    assert interned[2].records_replayed > 0
+    tsdb, report, journal = replay()
+    assert replay()[2] == journal
+    directories = [segment.rsplit("/", 1)[0] for segment in segments]
+    shards = [tsdb.shard(i) for i in range(len(directories))] \
+        if len(directories) > 1 else [tsdb]
+    lost = 0
+    for shard, directory in zip(shards, directories):
+        control, gone = _replay_per_record(rig.disk, directory, crash_report)
+        lost += gone
+        assert ([labels for labels, _s in shard.series_items()]
+                == [labels for labels, _s in control.series_items()])
+        assert sample_set(shard, 0, end_ns) == sample_set(control, 0, end_ns)
+    assert report.samples_lost == lost
+    assert report.records_replayed > 0
     if damage in (_rot_two_records, _splice_non_canonical_record):
-        assert interned[2].records_quarantined >= len(segments)
+        assert report.records_quarantined >= len(segments)
+        assert journal.count("wal-record-quarantined") >= 2 * len(segments)
     if damage is _tear_tail:
-        assert interned[2].torn_tails >= len(segments)
+        assert report.torn_tails >= len(segments)
 
 
 def test_scrape_health_carries_across_the_restart():
