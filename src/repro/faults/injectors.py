@@ -1,4 +1,4 @@
-"""Fault injectors for the simulated scrape/push transport.
+"""Fault injectors for the simulated scrape and remote-write transport.
 
 Each injector models one failure mode of a real monitoring deployment —
 flapping exporters, slow or saturated links, responses past the scraper's

@@ -3,7 +3,7 @@
 :class:`FaultyHttpNetwork` exposes the same surface as
 :class:`repro.net.http.HttpNetwork` and owns no routes of its own —
 registration, lookup and the actual request dispatch all delegate to the
-wrapped network, so handler code (exporters, push gateways) runs
+wrapped network, so handler code (exporters, remote-write receivers) runs
 unmodified.  Every request passes through the plan's injectors: a
 ``before`` hook may short-circuit the request (a flapped-down endpoint
 never reaches its handler), ``after`` hooks mangle the response and add

@@ -56,7 +56,7 @@ class HttpResponse:
     ``latency_s`` is the modelled wall time the request took.  The base
     :class:`HttpNetwork` always reports 0.0 (an ideal transport); the fault
     layer (:mod:`repro.faults`) wraps responses with injected delays, and
-    consumers with a timeout budget (the scrape manager, the push client)
+    consumers with a timeout budget (the scrape manager, the remote-write client)
     compare against it instead of blocking — virtual time only moves
     through the clock.
     """

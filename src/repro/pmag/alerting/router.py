@@ -331,7 +331,7 @@ class NotificationRouter:
             )
 
     # ------------------------------------------------------------------
-    # Delivery (PushClient-style timeout budget + jittered retries)
+    # Delivery (timeout budget + jittered retries)
     # ------------------------------------------------------------------
     def _deliver(
         self, receiver_name: str, subject: str, body: str,

@@ -120,16 +120,26 @@ def sequence_cursor_key(source: str) -> str:
     return f"remote-write:seq:{source}"
 
 
+#: Raw metrics an aggregate-mode uplink still ships: target liveness and
+#: the monitor's own telemetry, so global-tier alerting on leaf health
+#: keeps working.
+AGGREGATE_RAW_ALLOWLIST = ("up", "teemon_*")
+
+
+def is_wire_safe(token: str) -> bool:
+    """Whether ``token`` can sit in a space-separated frame header."""
+    return bool(token) and " " not in token and "\n" not in token
+
+
 def build_ship_filter(
-    mode: str, allowlist: Sequence[str] = (),
+    mode: str, allowlist: Sequence[str] = AGGREGATE_RAW_ALLOWLIST,
 ) -> Optional[Callable[[Labels], bool]]:
     """The collect-side series filter a ``federation_mode`` asks for.
 
     ``"raw"`` returns None (ship everything — the flat-tier default).
     ``"aggregate"`` ships only recording-rule outputs (colon-namespaced
-    metric names, the PR 7 materialization) plus metrics matching the
-    ``allowlist``: exact names, or prefixes written with a trailing
-    ``*`` (``"teemon_*"``).
+    metric names) plus metrics matching the ``allowlist``: exact names,
+    or prefixes written with a trailing ``*`` (``"teemon_*"``).
     """
     if mode == "raw":
         return None
@@ -173,7 +183,7 @@ def encode_frame(
     header (all before ``sample_count``): a client serialises a label
     set once, and one that fails a check is never memoised.
     """
-    if not sender or any(c in sender for c in " \n"):
+    if not is_wire_safe(sender):
         raise WalError(f"sender not wire-safe: {sender!r}")
     if headers is None:
         headers = {}
@@ -327,13 +337,12 @@ class RemoteWriteReceiver:
       ticks by priority so "first" is deterministically the
       lower-priority-number replica.
 
-    Shard routing: on a sharded engine the frame's per-series blocks are
-    grouped by ``fingerprint % shards`` and dispatched as per-shard
-    batches (through the shard executor when one is configured) via
-    :meth:`~repro.pmag.storage.ShardedTsdb.append_fingerprinted`; a
-    monolith engine takes one flat ``append_batch``.  Accept/reject
-    outcomes are identical either way, so the dedup ledger reconciles
-    exactly regardless of the layout.
+    Shard routing: the frame's per-series blocks go to the engine's
+    ``append_fingerprinted`` whole.  A sharded engine groups them by
+    ``fingerprint % shards`` into per-shard batches (through the shard
+    executor when one is configured); a monolith takes one flat
+    ``append_batch``.  Accept/reject outcomes are identical either way,
+    so the dedup ledger reconciles exactly regardless of the layout.
 
     Relays: :meth:`attach_relay` couples this receiver to the
     co-resident :class:`RemoteWriteClient` of a relay deployment.  Every
@@ -447,7 +456,7 @@ class RemoteWriteReceiver:
             self.frames_replayed += 1
             self.replay_dedup_hits += total
             return f"ack {seq} replayed={total}"
-        rejected = self._ingest(blocks) if total else 0
+        rejected = self._tsdb.append_fingerprinted(blocks) if total else 0
         applied = total - rejected
         self.samples_applied += applied
         self.samples_deduped += rejected
@@ -459,24 +468,6 @@ class RemoteWriteReceiver:
             for client in self._relay_clients:
                 client.note_late_arrival(min(lows))
         return f"ack {seq} applied={applied} deduped={rejected}"
-
-    def _ingest(
-        self, blocks: List[Tuple[int, Labels, List[Tuple[int, float]]]]
-    ) -> int:
-        """Land one frame's blocks in storage; returns rejected samples.
-
-        Sharded engines take the blocks whole (fingerprint-routed,
-        executor-dispatched); a monolith takes one flat batch.
-        """
-        sink = getattr(self._tsdb, "append_fingerprinted", None)
-        if sink is not None:
-            return sink(blocks)
-        entries = [
-            (labels, time_ns, value)
-            for _fp, labels, samples in blocks
-            for time_ns, value in samples
-        ]
-        return len(self._tsdb.append_batch(entries))
 
     # ------------------------------------------------------------------
     def last_sequence(self, sender: str) -> int:

@@ -491,18 +491,12 @@ class RuleEvaluator:
         self._timers.clear()
 
     def _schedule(self, group: RuleGroup) -> None:
-        if not self._running:
-            return
-
         def tick() -> None:
-            if not self._running:
-                return
             self.samples_recorded += group.evaluate(
                 self._engine, self._tsdb, self._clock.now_ns,
                 tracer=self._tracer, incremental=self.incremental,
             )
-            self._timers[group.name] = self._clock.call_later(
-                group.interval_ns, tick
-            )
 
-        self._timers[group.name] = self._clock.call_later(group.interval_ns, tick)
+        self._timers[group.name] = self._clock.call_every(
+            group.interval_ns, tick
+        )

@@ -58,6 +58,8 @@ from repro.simkernel.rng import DeterministicRng
 from repro.trace import NOOP_TRACER, TRACEPARENT_HEADER
 
 DEFAULT_SCRAPE_INTERVAL_NS = 5 * NANOS_PER_SEC
+#: Scrape responses slower than this are treated as timeouts.
+SCRAPE_TIMEOUT_S = 1.0
 
 #: Identity labels under which the scraper's own counters are stored.
 SELF_IDENTITY = {"job": "pmag", "instance": "scraper"}
@@ -134,7 +136,7 @@ class ScrapeManager:
         network: HttpNetwork,
         tsdb: Tsdb,
         interval_ns: int = DEFAULT_SCRAPE_INTERVAL_NS,
-        timeout_budget_s: float = 1.0,
+        timeout_budget_s: float = SCRAPE_TIMEOUT_S,
         max_retries: int = 2,
         backoff_base_s: float = 0.25,
         backoff_jitter: float = 0.5,
@@ -184,7 +186,6 @@ class ScrapeManager:
         #: same trace instead of starting a fresh one.
         self._retry_contexts: Dict[ScrapeTarget, object] = {}
         self._timer = None
-        self._running = False
         # The scraper's own counters, as registered OpenMetrics families —
         # the ``teemon_self`` target serves this registry, which is what
         # makes ``rate(teemon_scrape_retries_total[1m])`` a real PromQL
@@ -715,24 +716,13 @@ class ScrapeManager:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Begin periodic scraping on the virtual clock."""
-        if self._running:
+        if self._timer is not None:
             raise TsdbError("scrape manager already running")
-        self._running = True
-        self._schedule_next()
+        self._timer = self._clock.call_every(self.interval_ns, self.scrape_once)
 
     def stop(self) -> None:
         """Stop periodic scraping and cancel outstanding retries."""
-        self._running = False
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
         self._cancel_all_retries()
-
-    def _schedule_next(self) -> None:
-        if not self._running:
-            return
-        self._timer = self._clock.call_later(self.interval_ns, self._on_tick)
-
-    def _on_tick(self) -> None:
-        self.scrape_once()
-        self._schedule_next()

@@ -101,6 +101,24 @@ class StorageEngine(ABC):
                 rejected += 1
         return len(times) - rejected, rejected
 
+    def append_fingerprinted(
+        self,
+        blocks: Sequence[Tuple[int, Labels, Sequence[Tuple[int, float]]]],
+    ) -> int:
+        """Ingest one remote-write frame's ``(fingerprint, labels,
+        samples)`` blocks; returns the number of rejected samples.  The
+        default flattens them into one :meth:`append_batch` and leaves
+        the fingerprints unread; engines that route on them override."""
+        return len(self.append_batch([
+            (labels, time_ns, value)
+            for _fingerprint, labels, samples in blocks
+            for time_ns, value in samples
+        ]))
+
+    def configure_executor(self, workers: int) -> None:
+        """Run fan-out work on ``workers`` threads (0 = sequential).  An
+        engine with nothing to fan out ignores it."""
+
     # -- selection -----------------------------------------------------
     @abstractmethod
     def select(

@@ -59,13 +59,13 @@ from __future__ import annotations
 import struct
 import zlib
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError, TsdbError, WalError
 from repro.pmag import archive
 from repro.pmag.model import Labels
-from repro.pmag.tsdb import Tsdb
+from repro.pmag.tsdb import StorageEngine, Tsdb
 from repro.simkernel.disk import DiskCrashReport, SimDisk
 
 SEGMENT_MAGIC = b"TMWALSEG"
@@ -526,6 +526,14 @@ class RecoveryReport:
     #: Series records that failed CRC or parse.  Not loss in themselves:
     #: the runs that named them are, and are counted above.
     series_records_quarantined: int = 0
+    #: One report per shard, in shard order, when this report is their
+    #: sum (:func:`recover_sharded`); empty for a single log.
+    shards: List["RecoveryReport"] = field(default_factory=list, repr=False)
+
+    @property
+    def samples_lost_by_shard(self) -> List[int]:
+        """Exact loss per shard — what the sharded soak test proves."""
+        return [report.samples_lost for report in self.shards]
 
 
 class _Replay:
@@ -860,88 +868,42 @@ class ShardedWal:
         ]
 
 
-@dataclass
-class ShardedRecoveryReport:
-    """Per-shard recovery reports plus deployment-wide aggregates.
+def open_log(disk: SimDisk, directory: str, engine: StorageEngine,
+             flush_every_records: int):
+    """Build and attach the log ``engine``'s layout needs: one
+    :class:`WalWriter` in ``directory`` for a single store, a
+    :class:`ShardedWal` with one writer per ``shard-NN`` subdirectory
+    for a sharded one."""
+    if engine.shard_count == 1:
+        writer = WalWriter(disk, directory, flush_every_records)
+        engine.attach_wal(writer)
+        return writer
+    writers = [
+        WalWriter(disk, shard_directory(directory, index), flush_every_records)
+        for index in range(engine.shard_count)
+    ]
+    engine.attach_wals(writers)
+    return ShardedWal(writers)
 
-    Exposes the same numeric attribute names as :class:`RecoveryReport`
-    (as summing properties), so the deployment's recovery-statistics
-    fold works on either shape.
-    """
 
-    shards: List[RecoveryReport] = field(default_factory=list)
-
-    @property
-    def checkpoint_used(self) -> Optional[str]:
-        """First shard checkpoint used, if any (summary display)."""
-        for report in self.shards:
-            if report.checkpoint_used is not None:
-                return report.checkpoint_used
-        return None
-
-    @property
-    def checkpoints_quarantined(self) -> int:
-        return sum(r.checkpoints_quarantined for r in self.shards)
-
-    @property
-    def segments_scanned(self) -> int:
-        return sum(r.segments_scanned for r in self.shards)
-
-    @property
-    def segments_quarantined(self) -> int:
-        return sum(r.segments_quarantined for r in self.shards)
-
-    @property
-    def records_replayed(self) -> int:
-        return sum(r.records_replayed for r in self.shards)
-
-    @property
-    def records_quarantined(self) -> int:
-        return sum(r.records_quarantined for r in self.shards)
-
-    @property
-    def series_records_quarantined(self) -> int:
-        return sum(r.series_records_quarantined for r in self.shards)
-
-    @property
-    def records_duplicate(self) -> int:
-        return sum(r.records_duplicate for r in self.shards)
-
-    @property
-    def torn_tails(self) -> int:
-        return sum(r.torn_tails for r in self.shards)
-
-    @property
-    def samples_lost(self) -> int:
-        return sum(r.samples_lost for r in self.shards)
-
-    @property
-    def samples_lost_by_shard(self) -> List[int]:
-        """Exact loss per shard — what the sharded soak test proves."""
-        return [r.samples_lost for r in self.shards]
-
-    @property
-    def cursor_records(self) -> int:
-        return sum(r.cursor_records for r in self.shards)
-
-    @property
-    def cursor_records_quarantined(self) -> int:
-        return sum(r.cursor_records_quarantined for r in self.shards)
-
-    @property
-    def cursors(self) -> dict:
-        """Recovered cursors, newest per key across shards.
-
-        Cursor frames are written to shard 0 only, but merging
-        defensively (max per key) keeps the property correct even for
-        media written by a different shard layout.
-        """
-        merged: dict = {}
-        for report in self.shards:
-            for key, cursor_ns in report.cursors.items():
-                if key not in merged or cursor_ns > merged[key]:
-                    merged[key] = cursor_ns
-        return merged
+def _sum_reports(shards: List[RecoveryReport]) -> RecoveryReport:
+    """One report for a sharded recovery: every counter summed, the
+    first checkpoint used, cursors newest per key (cursor frames are
+    written to shard 0 only; merging keeps media written by a different
+    shard layout correct)."""
+    total = RecoveryReport(shards=shards)
+    total.quarantine_only = all(r.quarantine_only for r in shards)
+    for report in shards:
+        for spec in fields(RecoveryReport):
+            value = getattr(report, spec.name)
+            if type(value) is int:
+                setattr(total, spec.name, getattr(total, spec.name) + value)
+        if total.checkpoint_used is None:
+            total.checkpoint_used = report.checkpoint_used
+        for key, cursor_ns in report.cursors.items():
+            if key not in total.cursors or cursor_ns > total.cursors[key]:
+                total.cursors[key] = cursor_ns
+    return total
 
 
 def recover_sharded(
@@ -952,8 +914,9 @@ def recover_sharded(
     crash_report: Optional[DiskCrashReport] = None,
     plan=None,
     block_policy=None,
-):
-    """Rebuild a sharded engine: one independent :func:`recover` per shard.
+) -> Tuple[StorageEngine, RecoveryReport]:
+    """Rebuild the engine :func:`open_log` logged for: one independent
+    :func:`recover` per shard (``shards=1`` is :func:`recover` itself).
 
     Each shard replays only its own ``{directory}/shard-NN`` segments and
     checkpoints, and the crash report's tails are attributed per shard by
@@ -963,10 +926,15 @@ def recover_sharded(
     """
     from repro.pmag.storage import ShardedTsdb
 
+    if shards == 1:
+        return recover(
+            disk, directory, retention_ns=retention_ns,
+            crash_report=crash_report, plan=plan, block_policy=block_policy,
+        )
     engine = ShardedTsdb(
         shards, retention_ns=retention_ns, block_policy=block_policy
     )
-    report = ShardedRecoveryReport()
+    reports: List[RecoveryReport] = []
     for index in range(shards):
         tsdb, shard_report = recover(
             disk,
@@ -983,5 +951,5 @@ def recover_sharded(
                 f"shard {index} checkpoint restored a sharded engine; "
                 f"per-shard checkpoints must be single-store snapshots"
             )
-        report.shards.append(shard_report)
-    return engine, report
+        reports.append(shard_report)
+    return engine, _sum_reports(reports)

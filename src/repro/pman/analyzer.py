@@ -141,7 +141,6 @@ class PmanAnalyzer:
         self.alerts = AlertManager()
         self.reports: List[AnalysisReport] = []
         self._timer = None
-        self._running = False
 
     # ------------------------------------------------------------------
     def analyze_once(self) -> AnalysisReport:
@@ -182,23 +181,12 @@ class PmanAnalyzer:
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Begin periodic analysis on the virtual clock."""
-        if self._running:
+        if self._timer is not None:
             raise AnalysisError("analyzer already running")
-        self._running = True
-        self._schedule_next()
+        self._timer = self._clock.call_every(self.every_ns, self.analyze_once)
 
     def stop(self) -> None:
         """Stop periodic analysis."""
-        self._running = False
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-
-    def _schedule_next(self) -> None:
-        if not self._running:
-            return
-        self._timer = self._clock.call_later(self.every_ns, self._on_tick)
-
-    def _on_tick(self) -> None:
-        self.analyze_once()
-        self._schedule_next()

@@ -50,6 +50,33 @@ class TimerHandle:
         self._clock._cancel(self)
 
 
+class PeriodicHandle:
+    """Handle returned by :meth:`VirtualClock.call_every`.
+
+    Each firing runs the callback *then* schedules the next one, so at a
+    shared instant a periodic timer keeps its place among the timers the
+    callback itself scheduled.
+    """
+
+    def __init__(self, clock: "VirtualClock", interval_ns: int,
+                 callback: Callable[[], None], first_delay_ns: int) -> None:
+        self._clock = clock
+        self._interval_ns = interval_ns
+        self._callback = callback
+        self._cancelled = False
+        self._timer = clock.call_later(first_delay_ns, self._fire)
+
+    def _fire(self) -> None:
+        self._callback()
+        if not self._cancelled:
+            self._timer = self._clock.call_later(self._interval_ns, self._fire)
+
+    def cancel(self) -> None:
+        """Stop firing; safe from inside the callback (never re-arms)."""
+        self._cancelled = True
+        self._timer.cancel()
+
+
 class VirtualClock:
     """A deterministic nanosecond clock with an event queue.
 
@@ -93,6 +120,20 @@ class VirtualClock:
         if delay_ns < 0:
             raise SimulationError(f"negative delay: {delay_ns}")
         return self.call_at(self._now_ns + delay_ns, callback)
+
+    def call_every(
+        self, interval_ns: int, callback: Callable[[], None],
+        first_delay_ns: Optional[int] = None,
+    ) -> PeriodicHandle:
+        """Run ``callback`` every ``interval_ns`` until the handle is
+        cancelled; the first firing is ``first_delay_ns`` from now
+        (default: one interval)."""
+        if interval_ns <= 0:
+            raise SimulationError(f"interval must be positive: {interval_ns}")
+        return PeriodicHandle(
+            self, interval_ns, callback,
+            interval_ns if first_delay_ns is None else first_delay_ns,
+        )
 
     def _cancel(self, handle: TimerHandle) -> None:
         key = (handle.deadline_ns, handle.sequence)

@@ -7,6 +7,8 @@ from typing import Optional, Sequence
 
 from repro.errors import DeploymentError
 from repro.exporters.ebpf_exporter import EbpfExporterConfig
+from repro.pmag.remote_write import is_wire_safe
+from repro.pmag.scrape import SCRAPE_TIMEOUT_S
 from repro.pman.thresholds import ThresholdRule
 from repro.simkernel.clock import NANOS_PER_SEC
 
@@ -20,12 +22,6 @@ class TeemonConfig:
     """
 
     scrape_interval_s: float = 5.0
-    #: Scrape responses slower than this are treated as timeouts.
-    scrape_timeout_s: float = 1.0
-    #: Failed scrapes retry this many times with jittered backoff.
-    scrape_max_retries: int = 2
-    #: Missed scheduled scrapes before a target gets a staleness marker.
-    scrape_staleness_intervals: int = 3
     retention_hours: float = 24.0
     enable_tme: bool = True
     enable_ebpf: bool = True
@@ -74,10 +70,6 @@ class TeemonConfig:
     enable_anomaly_detection: bool = False
     #: Detector cadence (window width of each baseline delta).
     anomaly_interval_s: float = 30.0
-    #: Rolling-baseline depth, in windows.
-    anomaly_baseline_windows: int = 6
-    #: Windows of history required before the detector may flag.
-    anomaly_warmup_windows: int = 1
     #: Register the ``teemon_self`` scrape target serving the scraper's
     #: and tracer's own metrics.  Requires nothing else; with tracing on
     #: its histogram samples carry trace exemplars.
@@ -91,8 +83,6 @@ class TeemonConfig:
     #: Flush (fsync) the live segment every N records (0 = timed flushes
     #: only).  The unflushed window bounds crash data loss.
     wal_flush_records: int = 0
-    #: Rotate the live segment after this many records.
-    wal_segment_records: int = 4096
     #: Flush the WAL on the virtual clock this often; ``None`` defaults
     #: to the scrape interval (loss bounded by one scrape of samples).
     wal_flush_every_s: Optional[float] = None
@@ -110,14 +100,6 @@ class TeemonConfig:
     #: way, so this knob never changes query output, only where the
     #: per-shard work runs.
     storage_executor_workers: int = 0
-    #: Evaluate recording rules incrementally: each cycle evaluates only
-    #: what is new since the rule's cursor (persisted via WAL cursor
-    #: frames when the WAL is on), backfilling short outages and falling
-    #: back to full evaluation on wide gaps.  When no interval was
-    #: missed, the output stream is identical to the classic path.
-    incremental_rules: bool = True
-    #: Bound on missed rule intervals one cycle will backfill.
-    rule_backfill_max_steps: int = 8
     #: Evaluate alerting rules and route notifications.  Off by default:
     #: alerting-off must cost nothing.
     enable_alerting: bool = False
@@ -135,11 +117,6 @@ class TeemonConfig:
     #: Pre-configured silences and inhibition rules.
     alert_silences: Sequence[object] = ()
     alert_inhibit_rules: Sequence[object] = ()
-    #: Webhook deliveries slower than this count as timeouts and retry.
-    alert_notify_timeout_s: float = 1.0
-    alert_notify_max_retries: int = 2
-    #: How far back restore looks for pre-crash alert state series.
-    alert_restore_tolerance_s: float = 3600.0
     #: Width of one storage block; compaction horizons and (with a block
     #: policy active) retention cuts align to multiples of it.
     block_range_s: float = 7200.0
@@ -162,18 +139,8 @@ class TeemonConfig:
     #: Sender identity stamped into every frame header; the receiver
     #: tracks sequence numbers per source.  Defaults to the hostname.
     remote_write_source: Optional[str] = None
-    #: Remote-write flush cadence (collect-and-ship tick).
-    remote_write_interval_s: float = 5.0
     #: Samples per frame; a flush ships as many frames as needed.
     remote_write_frame_samples: int = 500
-    #: Bound of the send queue, in frames.  When the uplink is down the
-    #: queue absorbs this much before the oldest frames are dropped
-    #: (counted in ``teemon_remote_write_frames_dropped_total``).
-    remote_write_queue_frames: int = 256
-    #: Frame posts slower than this count as timeouts and retry.
-    remote_write_timeout_s: float = 1.0
-    #: In-flight retries per frame before spilling back to the queue.
-    remote_write_max_retries: int = 2
     #: Replica priority: staggers this monitor's remote-write flush tick
     #: by ``priority * 1ms`` so an HA pair shipping the same samples has
     #: a deterministic winner (the lower priority lands first; the
@@ -200,16 +167,11 @@ class TeemonConfig:
     #: What the uplink ships.  ``"raw"`` (the default) ships every
     #: series this monitor ingests.  ``"aggregate"`` is the leaf-side
     #: recording-rule pushdown: ship only rule outputs (colon-namespaced
-    #: names, materialized incrementally by PR 7's evaluator) plus the
-    #: ``federation_raw_allowlist`` — the global tier still answers
+    #: names) plus target liveness (``up``) and the monitor's own
+    #: ``teemon_*`` telemetry — the global tier still answers
     #: aggregate-safe panels bit-identically, at a fraction of the
     #: uplink bytes.
     federation_mode: str = "raw"
-    #: Raw metric names still shipped in aggregate mode: exact names or
-    #: trailing-``*`` prefixes.  The default keeps target liveness
-    #: (``up``) and the monitor's own telemetry flowing so global-tier
-    #: alerting on leaf health keeps working.
-    federation_raw_allowlist: Sequence[str] = ("up", "teemon_*")
 
     def span_metrics_enabled(self) -> bool:
         """Resolved ``trace_span_metrics``: explicit value if set, else
@@ -249,20 +211,11 @@ class TeemonConfig:
             raise DeploymentError("trace_pending_max_traces must be >= 1")
         if self.anomaly_interval_s <= 0:
             raise DeploymentError("anomaly_interval_s must be positive")
-        if self.anomaly_baseline_windows < 1:
-            raise DeploymentError("anomaly_baseline_windows must be >= 1")
-        if self.anomaly_warmup_windows < 0:
-            raise DeploymentError("anomaly_warmup_windows cannot be negative")
-        if self.scrape_interval_s <= 0:
-            raise DeploymentError("scrape interval must be positive")
-        if self.scrape_timeout_s <= 0:
-            raise DeploymentError("scrape timeout must be positive")
-        if self.scrape_timeout_s >= self.scrape_interval_s:
-            raise DeploymentError("scrape timeout must be below the interval")
-        if self.scrape_max_retries < 0:
-            raise DeploymentError("scrape retries cannot be negative")
-        if self.scrape_staleness_intervals < 1:
-            raise DeploymentError("staleness threshold must be >= 1")
+        if self.scrape_interval_s <= SCRAPE_TIMEOUT_S:
+            raise DeploymentError(
+                f"scrape interval must exceed the {SCRAPE_TIMEOUT_S:g} s "
+                f"scrape timeout"
+            )
         if self.retention_hours <= 0:
             raise DeploymentError("retention must be positive")
         if self.analysis_every_s <= 0 or self.analysis_window_s <= 0:
@@ -273,24 +226,14 @@ class TeemonConfig:
             raise DeploymentError("at least one exporter must be enabled")
         if self.wal_flush_records < 0:
             raise DeploymentError("wal_flush_records cannot be negative")
-        if self.wal_segment_records < 1:
-            raise DeploymentError("wal_segment_records must be >= 1")
         if self.wal_flush_every_s is not None and self.wal_flush_every_s <= 0:
             raise DeploymentError("wal_flush_every_s must be positive")
         if self.checkpoint_every_s <= 0:
             raise DeploymentError("checkpoint_every_s must be positive")
         if not self.wal_dir:
             raise DeploymentError("wal_dir must be a non-empty prefix")
-        if self.rule_backfill_max_steps < 1:
-            raise DeploymentError("rule_backfill_max_steps must be >= 1")
         if self.alert_eval_interval_s <= 0:
             raise DeploymentError("alert_eval_interval_s must be positive")
-        if self.alert_notify_timeout_s <= 0:
-            raise DeploymentError("alert_notify_timeout_s must be positive")
-        if self.alert_notify_max_retries < 0:
-            raise DeploymentError("alert retries cannot be negative")
-        if self.alert_restore_tolerance_s <= 0:
-            raise DeploymentError("alert_restore_tolerance_s must be positive")
         if self.storage_shards < 1:
             raise DeploymentError("storage_shards must be >= 1")
         if self.storage_executor_workers < 0:
@@ -299,20 +242,18 @@ class TeemonConfig:
             raise DeploymentError("block_range_s must be positive")
         if self.downsample_resolution_s <= 0:
             raise DeploymentError("downsample_resolution_s must be positive")
-        if self.remote_write_interval_s <= 0:
-            raise DeploymentError("remote_write_interval_s must be positive")
         if self.remote_write_frame_samples < 1:
             raise DeploymentError("remote_write_frame_samples must be >= 1")
-        if self.remote_write_queue_frames < 1:
-            raise DeploymentError("remote_write_queue_frames must be >= 1")
-        if self.remote_write_timeout_s <= 0:
-            raise DeploymentError("remote_write_timeout_s must be positive")
-        if self.remote_write_max_retries < 0:
-            raise DeploymentError("remote_write_max_retries cannot be negative")
         if self.remote_write_priority < 0:
             raise DeploymentError("remote_write_priority cannot be negative")
         if self.remote_write_tier < 0:
             raise DeploymentError("remote_write_tier cannot be negative")
+        if self.remote_write_source and not is_wire_safe(
+                self.remote_write_source):
+            raise DeploymentError(
+                f"remote_write_source not wire-safe (no spaces or "
+                f"newlines): {self.remote_write_source!r}"
+            )
         if self.remote_write_mirror_urls and self.remote_write_url is None:
             raise DeploymentError(
                 "remote_write_mirror_urls requires remote_write_url"
@@ -323,12 +264,6 @@ class TeemonConfig:
             raise DeploymentError(
                 f"federation_mode must be 'raw' or 'aggregate': "
                 f"{self.federation_mode!r}"
-            )
-        if any(not name or name == "*"
-               for name in self.federation_raw_allowlist):
-            raise DeploymentError(
-                "federation_raw_allowlist entries must be metric names "
-                "or non-empty prefixes ending in '*'"
             )
         if self.downsample_after_s is not None:
             if self.downsample_after_s <= 0:

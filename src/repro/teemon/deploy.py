@@ -60,14 +60,15 @@ from repro.pmag.remote_write import (
     RemoteWriteClient,
     RemoteWriteReceiver,
     build_ship_filter,
+    is_wire_safe,
     sequence_cursor_key,
     watermark_cursor_key,
 )
 from repro.pmag.rules import RecordingRule, RuleEvaluator, RuleGroup
 from repro.pmag.scrape import SELF_IDENTITY, ScrapeManager, ScrapeTarget
 from repro.pmag.storage import build_storage_engine
-from repro.pmag.tsdb import StorageEngine, Tsdb
-from repro.pmag.wal import ShardedWal, WalWriter, shard_directory
+from repro.pmag.tsdb import StorageEngine
+from repro.pmag.wal import RecoveryReport, open_log
 from repro.pman.analyzer import PmanAnalyzer, default_sgx_rules
 from repro.pmv.dashboards import (
     build_docker_dashboard,
@@ -87,6 +88,14 @@ from repro.trace import (
     Tracer,
     TraceStore,
 )
+
+#: Uplink flush cadence (collect-and-ship tick).
+REMOTE_WRITE_INTERVAL_S = 5.0
+#: Frames an uplink's send queue absorbs while its receiver is down before
+#: the oldest are dropped (``teemon_remote_write_frames_dropped_total``).
+REMOTE_WRITE_QUEUE_FRAMES = 256
+#: How far back a resurrected monitor looks for pre-crash alert state.
+ALERT_RESTORE_TOLERANCE_S = 3600.0
 
 #: Footprints of the non-exporter components (Figure 4 calibration).
 SERVICE_FOOTPRINTS: Dict[str, ExporterFootprint] = {
@@ -164,12 +173,8 @@ class TeemonDeployment:
         self.exporters: Dict[str, Exporter] = {}
         self.services: Dict[str, ServiceProcess] = {}
         self._running = False
-        self._accounting_timer = None
-        self._wal_flush_timer = None
-        self._wal_checkpoint_timer = None
-        self._compaction_timer = None
-        self._anomaly_timer = None
-        self._remote_write_timer = None
+        #: Handles of the running periodic schedule (see :meth:`start`).
+        self._periodic: List = []
         #: Service-discovery sources registered via :meth:`add_discovery`.
         #: Substrate, not monitor memory: the cluster the callbacks watch
         #: outlives a monitor crash, so resurrection replays them onto the
@@ -229,32 +234,13 @@ class TeemonDeployment:
         else:
             # Recovered engines are rebuilt by the WAL layer, which knows
             # nothing about execution knobs — re-apply the config's.
-            configure = getattr(tsdb, "configure_executor", None)
-            if configure is not None:
-                configure(config.storage_executor_workers)
+            tsdb.configure_executor(config.storage_executor_workers)
         self.tsdb = tsdb
         self.wal = None
         if config.enable_wal:
-            if config.storage_shards > 1:
-                writers = [
-                    WalWriter(
-                        self.disk,
-                        directory=shard_directory(config.wal_dir, index),
-                        flush_every_records=config.wal_flush_records,
-                        segment_max_records=config.wal_segment_records,
-                    )
-                    for index in range(config.storage_shards)
-                ]
-                self.wal = ShardedWal(writers)
-                self.tsdb.attach_wals(writers)
-            else:
-                self.wal = WalWriter(
-                    self.disk,
-                    directory=config.wal_dir,
-                    flush_every_records=config.wal_flush_records,
-                    segment_max_records=config.wal_segment_records,
-                )
-                self.tsdb.attach_wal(self.wal)
+            self.wal = open_log(
+                self.disk, config.wal_dir, tsdb, config.wal_flush_records
+            )
         # Pipeline tracing: one tracer shared by the scraper, the query
         # engine and the rule evaluator, so a scrape cycle or a rule
         # evaluation is one connected trace.  Span ids come from a named
@@ -291,8 +277,6 @@ class TeemonDeployment:
             self.anomaly_detector = AnomalyDetector(
                 self.tsdb,
                 trace_store=self.trace_store,
-                baseline_windows=config.anomaly_baseline_windows,
-                warmup_windows=config.anomaly_warmup_windows,
                 self_labels={
                     "job": "teemon_detector", "instance": kernel.hostname,
                 },
@@ -300,9 +284,6 @@ class TeemonDeployment:
         self.scrape_manager = ScrapeManager(
             kernel.clock, self.network, self.tsdb,
             interval_ns=int(config.scrape_interval_s * NANOS_PER_SEC),
-            timeout_budget_s=config.scrape_timeout_s,
-            max_retries=config.scrape_max_retries,
-            staleness_intervals=config.scrape_staleness_intervals,
             rng=kernel.rng,
             tracer=self.tracer,
             host=kernel.hostname,
@@ -331,9 +312,12 @@ class TeemonDeployment:
         self.remote_write_client: Optional[RemoteWriteClient] = None
         self.remote_write_mirrors: List[RemoteWriteClient] = []
         if config.remote_write_url is not None:
-            ship_filter = build_ship_filter(
-                config.federation_mode, config.federation_raw_allowlist
-            )
+            if not is_wire_safe(sender):
+                raise DeploymentError(
+                    f"hostname {sender!r} is not a wire-safe remote-write "
+                    f"sender (no spaces or newlines); set remote_write_source"
+                )
+            ship_filter = build_ship_filter(config.federation_mode)
 
             def uplink(url: str, cursor_name: str) -> RemoteWriteClient:
                 return RemoteWriteClient(
@@ -342,9 +326,7 @@ class TeemonDeployment:
                     source=sender,
                     wal=self.wal,
                     max_frame_samples=config.remote_write_frame_samples,
-                    queue_max_frames=config.remote_write_queue_frames,
-                    timeout_budget_s=config.remote_write_timeout_s,
-                    max_retries=config.remote_write_max_retries,
+                    queue_max_frames=REMOTE_WRITE_QUEUE_FRAMES,
                     rng=kernel.rng,
                     priority=config.remote_write_priority,
                     tier=config.remote_write_tier,
@@ -404,8 +386,6 @@ class TeemonDeployment:
                 rng=kernel.rng, journal=self.alert_journal,
                 silences=self.silence_store,
                 inhibitor=Inhibitor(list(config.alert_inhibit_rules)),
-                timeout_s=config.alert_notify_timeout_s,
-                max_retries=config.alert_notify_max_retries,
             )
             alert_sink = self.notification_router.handle
             specs = list(config.alert_rules) or default_alerting_rules()
@@ -419,10 +399,7 @@ class TeemonDeployment:
             self.alert_rules = [rule.clone() for rule in specs]
         self.rule_evaluator = RuleEvaluator(
             kernel.clock, self.engine, self.tsdb, tracer=self.tracer,
-            incremental=config.incremental_rules,
-            wal=self.wal,
-            alert_sink=alert_sink,
-            max_backfill_steps=config.rule_backfill_max_steps,
+            incremental=True, wal=self.wal, alert_sink=alert_sink,
         )
         if config.enable_recording_rules:
             self.rule_evaluator.add_group(default_recording_rules())
@@ -505,11 +482,7 @@ class TeemonDeployment:
         if self._rules_active():
             self.rule_evaluator.start()
         self._running = True
-        self._schedule_service_accounting()
-        self._schedule_wal_maintenance()
-        self._schedule_compaction()
-        self._schedule_anomaly_detection()
-        self._schedule_remote_write()
+        self._schedule_periodic()
 
     def add_discovery(self, discoverer) -> None:
         """Register a service-discovery source durably.
@@ -527,6 +500,14 @@ class TeemonDeployment:
         resident; the WAL is flushed so a graceful stop loses nothing)."""
         if not self._running:
             raise DeploymentError("deployment not running")
+        self._halt(ship_pending=True)
+        if self.wal is not None:
+            self.wal.flush()
+
+    def _halt(self, ship_pending: bool) -> None:
+        """Stop every monitor timer.  A graceful stop first ships what
+        the uplinks have ingested so far; a kill lets queued frames die
+        with the process."""
         self.scrape_manager.stop()
         self.analyzer.stop()
         if self._rules_active():
@@ -534,14 +515,13 @@ class TeemonDeployment:
         if self.notification_router is not None:
             self.notification_router.stop()
         for client in self._remote_write_clients():
-            # One last flush so a graceful stop ships everything ingested
-            # so far, then park the retry timer.
-            client.flush()
+            if ship_pending:
+                client.flush()
             client.stop()
         self._running = False
-        self._cancel_maintenance_timers()
-        if self.wal is not None:
-            self.wal.flush()
+        for timer in self._periodic:
+            timer.cancel()
+        self._periodic = []
 
     def _remote_write_clients(self) -> List[RemoteWriteClient]:
         """Every uplink client: the primary, then the mirrors in order."""
@@ -572,15 +552,6 @@ class TeemonDeployment:
             "notifications": notifications,
         }
 
-    def _cancel_maintenance_timers(self) -> None:
-        for attr in ("_accounting_timer", "_wal_flush_timer",
-                     "_wal_checkpoint_timer", "_compaction_timer",
-                     "_anomaly_timer", "_remote_write_timer"):
-            timer = getattr(self, attr)
-            if timer is not None:
-                timer.cancel()
-                setattr(self, attr, None)
-
     # ------------------------------------------------------------------
     # Crash and recovery
     # ------------------------------------------------------------------
@@ -596,38 +567,28 @@ class TeemonDeployment:
         """
         if not self._running:
             raise DeploymentError("cannot kill a deployment that is not running")
-        self.scrape_manager.stop()
-        self.analyzer.stop()
-        if self._rules_active():
-            self.rule_evaluator.stop()
-        if self.notification_router is not None:
-            self.notification_router.stop()
-        for client in self._remote_write_clients():
-            # Abrupt: no final flush — queued frames die with the process.
-            client.stop()
+        self._halt(ship_pending=False)
         if self.remote_write_receiver is not None:
             # A dead receiving process serves nothing: withdraw the write
             # endpoint so leaves fail fast and spill to their queues.
             self.remote_write_receiver.withdraw(
                 self.network, self.kernel.hostname
             )
-        self._running = False
-        self._cancel_maintenance_timers()
         self.crashed = True
 
-    def resurrect(self, tsdb: StorageEngine, report=None) -> None:
+    def resurrect(self, tsdb: StorageEngine,
+                  report: Optional[RecoveryReport] = None) -> None:
         """Restart the monitor after :meth:`kill` with a recovered engine.
 
         Rebuilds every in-memory monitor object around ``tsdb`` (normally
-        the result of :func:`repro.pmag.wal.recover`, or
-        :func:`repro.pmag.wal.recover_sharded` for a sharded deployment —
-        ``report`` may be either report shape; the sharded one exposes
-        the same summed attribute names), re-registers the
-        self-telemetry endpoint, seeds scrape-manager state from the
-        recovered series so ``up``/staleness/flap semantics are correct
-        across the restart, folds ``report`` into the cumulative
-        ``teemon_recovery_*`` statistics, takes a fresh checkpoint (the
-        recovery itself becomes durable), and starts scraping again.
+        the result of :func:`repro.pmag.wal.recover_sharded`, with its
+        :class:`~repro.pmag.wal.RecoveryReport` as ``report``),
+        re-registers the self-telemetry endpoint, seeds scrape-manager
+        state from the recovered series so ``up``/staleness/flap
+        semantics are correct across the restart, folds ``report`` into
+        the cumulative ``teemon_recovery_*`` statistics, takes a fresh
+        checkpoint (the recovery itself becomes durable), and starts
+        scraping again.
         """
         if not self.crashed:
             raise DeploymentError("resurrect() requires a killed deployment")
@@ -637,14 +598,9 @@ class TeemonDeployment:
             )
         if report is not None:
             self.last_recovery = report
-            stats = self.recovery_stats
-            stats["records_replayed"] += report.records_replayed
-            stats["records_quarantined"] += report.records_quarantined
-            stats["records_duplicate"] += report.records_duplicate
-            stats["segments_quarantined"] += report.segments_quarantined
-            stats["checkpoints_quarantined"] += report.checkpoints_quarantined
-            stats["torn_tails"] += report.torn_tails
-            stats["samples_lost"] += report.samples_lost
+            for name in self.recovery_stats:
+                if name != "recoveries":  # the rest are report counters
+                    self.recovery_stats[name] += getattr(report, name)
         self.recovery_stats["recoveries"] += 1
         self.crashed = False
         self._build_monitor(tsdb=tsdb)
@@ -655,7 +611,7 @@ class TeemonDeployment:
         # collector next happens to reach the old generation.
         gc.collect()
         self._seed_scrape_state()
-        cursors = dict(getattr(report, "cursors", None) or {})
+        cursors = dict(report.cursors) if report is not None else {}
         if cursors:
             # Resume incremental materialization where the dead monitor
             # stopped: no re-recording of already-recorded panel steps,
@@ -676,9 +632,7 @@ class TeemonDeployment:
             )
         if self.config.enable_alerting:
             now_ns = self.kernel.clock.now_ns
-            tolerance_ns = int(
-                self.config.alert_restore_tolerance_s * NANOS_PER_SEC
-            )
+            tolerance_ns = int(ALERT_RESTORE_TOLERANCE_S * NANOS_PER_SEC)
             restored = []
             for rule in self.alert_rules:
                 restored.extend(rule.restore(self.tsdb, now_ns, tolerance_ns))
@@ -733,118 +687,67 @@ class TeemonDeployment:
         if seeds:
             manager.seed_counters(seeds)
 
-    def _schedule_wal_maintenance(self) -> None:
-        """Timed WAL flushes and checkpoints on the virtual clock.
+    def _schedule_periodic(self) -> None:
+        """The monitor's timed work beyond scraping, analysis and rules.
 
-        The flush cadence (default: the scrape interval) is the loss
-        bound: a crash destroys at most the records appended since the
-        previous flush.  Flush timers are scheduled after the scrape
-        timer, so at a shared instant the cycle's samples land before the
-        flush that makes them durable.
+        Started after those three, in this order — which is the order
+        ticks sharing a virtual instant run in:
+
+        * service accounting (:meth:`_account_services`), every scrape
+          interval;
+        * WAL flush, every ``wal_flush_every_s`` (default: the scrape
+          interval).  The cadence is the loss bound: a crash destroys at
+          most the records appended since the previous flush, and
+          trailing the scrape tick means a cycle's samples land before
+          the flush that makes them durable;
+        * WAL checkpoint, every ``checkpoint_every_s``;
+        * block compaction, every ``block_range_s`` — the horizon only
+          advances across a block boundary, so ticking faster would just
+          re-scan the head;
+        * anomaly detection, every ``anomaly_interval_s`` (one tick is
+          one baseline window);
+        * remote-write flush, every :data:`REMOTE_WRITE_INTERVAL_S`,
+          first at ``interval + (priority + 2*tier) * stagger``: HA
+          replicas with distinct priorities never flush at one instant,
+          so the receiver's first-frame-wins dedup has a deterministic
+          winner, and a relay tier flushes after the tier below has
+          delivered.  Trailing the scrape tick, each cycle's samples are
+          ingested before the collect that ships them; the primary and
+          its mirrors flush back-to-back, primary first.
         """
-        if self.wal is None:
-            return
+        config = self.config
         clock = self.kernel.clock
-        flush_every_s = self.config.wal_flush_every_s
-        if flush_every_s is None:
-            flush_every_s = self.config.scrape_interval_s
-        flush_ns = int(flush_every_s * NANOS_PER_SEC)
-        checkpoint_ns = int(self.config.checkpoint_every_s * NANOS_PER_SEC)
 
-        def flush_tick() -> None:
-            if not self._running:
-                return
-            self.wal.flush()
-            self._wal_flush_timer = clock.call_later(flush_ns, flush_tick)
+        def every(interval_s: float, callback, stagger_ns: int = 0) -> None:
+            interval_ns = int(interval_s * NANOS_PER_SEC)
+            self._periodic.append(clock.call_every(
+                interval_ns, callback, interval_ns + stagger_ns
+            ))
 
-        def checkpoint_tick() -> None:
-            if not self._running:
-                return
-            self.wal.checkpoint(self.tsdb)
-            self._wal_checkpoint_timer = clock.call_later(
-                checkpoint_ns, checkpoint_tick
-            )
+        every(config.scrape_interval_s, self._account_services)
+        if self.wal is not None:
+            flush_every_s = config.wal_flush_every_s
+            if flush_every_s is None:
+                flush_every_s = config.scrape_interval_s
+            every(flush_every_s, self.wal.flush)
+            every(config.checkpoint_every_s,
+                  lambda: self.wal.checkpoint(self.tsdb))
+        if config.downsample_after_s is not None:
+            every(config.block_range_s,
+                  lambda: self.tsdb.compact(clock.now_ns))
+        if self.anomaly_detector is not None:
+            every(config.anomaly_interval_s,
+                  lambda: self.anomaly_detector.run(clock.now_ns))
+        if self.remote_write_client is not None:
+            every(REMOTE_WRITE_INTERVAL_S, self._flush_uplinks,
+                  self.remote_write_client.stagger_offset_ns)
 
-        self._wal_flush_timer = clock.call_later(flush_ns, flush_tick)
-        self._wal_checkpoint_timer = clock.call_later(
-            checkpoint_ns, checkpoint_tick
-        )
+    def _flush_uplinks(self) -> None:
+        now_ns = self.kernel.clock.now_ns
+        for client in self._remote_write_clients():
+            client.flush(now_ns)
 
-    def _schedule_compaction(self) -> None:
-        """Timed block compaction on the virtual clock.
-
-        Runs on the block-range cadence: the compaction horizon only
-        advances when it crosses a block boundary, so ticking faster
-        would just re-scan the head for nothing.
-        """
-        if self.config.downsample_after_s is None:
-            return
-        clock = self.kernel.clock
-        interval_ns = int(self.config.block_range_s * NANOS_PER_SEC)
-
-        def tick() -> None:
-            if not self._running:
-                return
-            self.tsdb.compact(clock.now_ns)
-            self._compaction_timer = clock.call_later(interval_ns, tick)
-
-        self._compaction_timer = clock.call_later(interval_ns, tick)
-
-    def _schedule_anomaly_detection(self) -> None:
-        """Timed anomaly-detection runs on the virtual clock.
-
-        Each tick is one baseline window: the detector takes the window
-        delta of every watched signal, compares it against the rolling
-        baseline and floors, journals detections and writes the
-        ``teemon_anomaly_*`` self-series the alerting rules watch.
-        """
-        if self.anomaly_detector is None:
-            return
-        clock = self.kernel.clock
-        interval_ns = int(self.config.anomaly_interval_s * NANOS_PER_SEC)
-
-        def tick() -> None:
-            if not self._running:
-                return
-            self.anomaly_detector.run(clock.now_ns)
-            self._anomaly_timer = clock.call_later(interval_ns, tick)
-
-        self._anomaly_timer = clock.call_later(interval_ns, tick)
-
-    def _schedule_remote_write(self) -> None:
-        """Timed remote-write flushes on the virtual clock.
-
-        The first tick lands at ``interval + (priority + 2*tier) *
-        stagger``: HA replicas configured with distinct priorities never
-        flush at the same instant, so the receiver's first-frame-wins
-        sample dedup has a deterministic winner (the priority-0
-        replica); relay tiers flush *after* the tier below delivered at
-        the shared instant, so in steady state each sample crosses each
-        tier exactly once.  Flush ticks trail the scrape tick at a
-        shared instant (scheduled later at deployment start), so each
-        cycle's samples are ingested before the collect that ships them.
-        The primary and its mirrors flush back-to-back on one tick
-        (primary first — its receiver is the HA pair's priority-0 side).
-        """
-        if self.remote_write_client is None:
-            return
-        clock = self.kernel.clock
-        interval_ns = int(
-            self.config.remote_write_interval_s * NANOS_PER_SEC
-        )
-
-        def tick() -> None:
-            if not self._running:
-                return
-            for client in self._remote_write_clients():
-                client.flush(clock.now_ns)
-            self._remote_write_timer = clock.call_later(interval_ns, tick)
-
-        self._remote_write_timer = clock.call_later(
-            interval_ns + self.remote_write_client.stagger_offset_ns, tick
-        )
-
-    def _schedule_service_accounting(self) -> None:
+    def _account_services(self) -> None:
         """Charge the aggregation/visualisation services their CPU share.
 
         Exporters charge CPU when they serve scrapes; the Prometheus,
@@ -856,21 +759,14 @@ class TeemonDeployment:
         like any other.
         """
         interval_ns = int(self.config.scrape_interval_s * NANOS_PER_SEC)
-
-        def tick() -> None:
-            if not self._running:
-                return
-            for service in self.services.values():
-                if service.process.exited:
-                    continue
-                thread = next(iter(service.process.threads.values()))
-                self.kernel.scheduler.account_cpu_time(
-                    thread, int(interval_ns * service.footprint.cpu_fraction)
-                )
-            self._record_self_metrics(self.kernel.clock.now_ns)
-            self._accounting_timer = self.kernel.clock.call_later(interval_ns, tick)
-
-        self._accounting_timer = self.kernel.clock.call_later(interval_ns, tick)
+        for service in self.services.values():
+            if service.process.exited:
+                continue
+            thread = next(iter(service.process.threads.values()))
+            self.kernel.scheduler.account_cpu_time(
+                thread, int(interval_ns * service.footprint.cpu_fraction)
+            )
+        self._record_self_metrics(self.kernel.clock.now_ns)
 
     def _record_self_metrics(self, now_ns: int) -> None:
         """Append the PMAG's query-cache statistics as ``pmag_query_cache_*``."""

@@ -29,6 +29,7 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.errors import DeploymentError
 from repro.net.http import HttpNetwork
+from repro.pmag.remote_write import is_wire_safe
 from repro.simkernel.clock import VirtualClock
 from repro.simkernel.kernel import Kernel
 from repro.teemon.config import TeemonConfig
@@ -122,7 +123,7 @@ class FederationTopology:
         """
         if self._built:
             raise DeploymentError("topology already built")
-        if not name or any(c in name for c in " \n"):
+        if not is_wire_safe(name):
             raise DeploymentError(f"node name not wire-safe: {name!r}")
         if name in self._specs:
             raise DeploymentError(f"duplicate federation node: {name!r}")

@@ -84,23 +84,20 @@ class HAMonitorPair:
         self.active_index = 0
         self.heartbeats = 0
         self.failovers = 0
-        self._running = False
 
     # ------------------------------------------------------------------
     # Lease / heartbeat
     # ------------------------------------------------------------------
     def start(self) -> None:
         """Begin heartbeating the lease on the virtual clock."""
-        if self._running:
+        if self._heartbeat_timer is not None:
             raise DeploymentError("HA pair already started")
-        self._running = True
-        self._heartbeat_timer = self._clock.call_later(
+        self._heartbeat_timer = self._clock.call_every(
             self._heartbeat_ns, self._heartbeat
         )
 
     def stop(self) -> None:
         """Stop the heartbeat (the replicas keep running)."""
-        self._running = False
         if self._heartbeat_timer is not None:
             self._heartbeat_timer.cancel()
             self._heartbeat_timer = None
@@ -121,8 +118,6 @@ class HAMonitorPair:
             )
 
     def _heartbeat(self) -> None:
-        if not self._running:
-            return
         self.heartbeats += 1
         try:
             preferred = self._preferred_index()
@@ -135,9 +130,6 @@ class HAMonitorPair:
                 preferred,
                 "failback" if preferred < self.active_index else "failover",
             )
-        self._heartbeat_timer = self._clock.call_later(
-            self._heartbeat_ns, self._heartbeat
-        )
 
     @property
     def active(self) -> TeemonDeployment:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.errors import DeploymentError
-from repro.pmag.wal import RecoveryReport, recover, recover_sharded
+from repro.pmag.wal import RecoveryReport, recover_sharded
 from repro.simkernel.clock import NANOS_PER_SEC
 from repro.simkernel.disk import DiskCrashReport
 from repro.teemon.deploy import TeemonDeployment
@@ -68,38 +68,22 @@ class MonitorSupervisor:
             self.plan.record("crash", self.subject, method="PROC")
         return self._last_crash
 
-    def recover(self):
-        """Replay the WAL and resurrect the monitor; returns the report.
-
-        A sharded deployment recovers each shard's WAL independently and
-        resurrects around the rebuilt :class:`ShardedTsdb`; the returned
-        :class:`~repro.pmag.wal.ShardedRecoveryReport` carries per-shard
-        loss alongside the summed totals.
-        """
+    def recover(self) -> RecoveryReport:
+        """Replay the WAL and resurrect the monitor; returns the report
+        (per-shard loss rides along in ``report.shards``)."""
         deployment = self.deployment
         if not deployment.crashed:
             raise DeploymentError("monitor is not crashed")
         config = deployment.config
-        retention_ns = int(config.retention_hours * 3600 * NANOS_PER_SEC)
-        if config.storage_shards > 1:
-            tsdb, report = recover_sharded(
-                deployment.disk,
-                config.wal_dir,
-                config.storage_shards,
-                retention_ns=retention_ns,
-                crash_report=self._last_crash,
-                plan=self.plan,
-                block_policy=config.block_policy(),
-            )
-        else:
-            tsdb, report = recover(
-                deployment.disk,
-                directory=config.wal_dir,
-                retention_ns=retention_ns,
-                crash_report=self._last_crash,
-                plan=self.plan,
-                block_policy=config.block_policy(),
-            )
+        tsdb, report = recover_sharded(
+            deployment.disk,
+            config.wal_dir,
+            config.storage_shards,
+            retention_ns=int(config.retention_hours * 3600 * NANOS_PER_SEC),
+            crash_report=self._last_crash,
+            plan=self.plan,
+            block_policy=config.block_policy(),
+        )
         self._last_crash = None
         deployment.resurrect(tsdb, report)
         self.recoveries += 1

@@ -172,3 +172,107 @@ def test_nested_scheduling_within_advance_window():
                                clock.call_at(20, lambda: order.append("inner"))))
     clock.advance(30)
     assert order == ["outer", "inner"]
+
+
+# ---------------------------------------------------------------------------
+# call_every
+# ---------------------------------------------------------------------------
+def _logging_clock():
+    """A clock that logs the (deadline, sequence) of every timer armed."""
+    clock = VirtualClock()
+    armed = []
+    call_at = clock.call_at
+
+    def logging_call_at(deadline_ns, callback):
+        handle = call_at(deadline_ns, callback)
+        armed.append((handle.deadline_ns, handle.sequence))
+        return handle
+
+    clock.call_at = logging_call_at
+    return clock, armed
+
+
+def _two_jobs_sharing_every_instant(periodic):
+    """Two 10 ns jobs whose work arms a one-shot landing on the next
+    shared instant; ``periodic(clock, work)`` starts one job."""
+    clock, armed = _logging_clock()
+    order = []
+
+    def job(name):
+        def work():
+            order.append((clock.now_ns, name))
+            clock.call_later(
+                10, lambda: order.append((clock.now_ns, name + "-child")))
+        return work
+
+    periodic(clock, job("a"))
+    periodic(clock, job("b"))
+    clock.advance(40)
+    return order, armed
+
+
+def test_call_every_matches_a_hand_written_tick_sequence_for_sequence():
+    def hand_written(clock, work):
+        def tick():
+            work()
+            clock.call_later(10, tick)
+        clock.call_later(10, tick)
+
+    by_hand = _two_jobs_sharing_every_instant(hand_written)
+    by_helper = _two_jobs_sharing_every_instant(
+        lambda clock, work: clock.call_every(10, work))
+    assert by_helper == by_hand
+    order, _armed = by_helper
+    # Callback-then-reschedule: a child armed by the work runs before the
+    # job's own next firing at the instant they share.
+    assert order[2:6] == [(20, "a-child"), (20, "a"), (20, "b-child"), (20, "b")]
+
+
+def test_call_every_first_delay():
+    clock = VirtualClock()
+    fired = []
+    clock.call_every(10, lambda: fired.append(clock.now_ns), first_delay_ns=3)
+    clock.advance(25)
+    assert fired == [3, 13, 23]
+
+
+def test_call_every_rejects_non_positive_interval():
+    with pytest.raises(SimulationError):
+        VirtualClock().call_every(0, lambda: None)
+
+
+def test_call_every_cancel_from_inside_the_callback_never_rearms():
+    clock = VirtualClock()
+    fired = []
+
+    def work():
+        fired.append(clock.now_ns)
+        if len(fired) == 2:
+            handle.cancel()
+
+    handle = clock.call_every(10, work)
+    clock.advance(100)
+    assert fired == [10, 20]
+    assert clock.pending_count() == 0
+
+
+def test_call_every_cancel_then_restart_leaves_no_stale_chain():
+    clock = VirtualClock()
+    fired = []
+    handles = []
+
+    def work():
+        fired.append(clock.now_ns)
+        if clock.now_ns == 20:  # stop and start again mid-tick
+            handles[-1].cancel()
+            handles.append(clock.call_every(10, work))
+
+    handles.append(clock.call_every(10, work))
+    clock.advance(50)
+    assert fired == [10, 20, 30, 40, 50]
+    assert clock.pending_count() == 1
+    handles[-1].cancel()
+    handles[-1].cancel()  # idempotent
+    clock.advance(50)
+    assert fired == [10, 20, 30, 40, 50]
+    assert clock.pending_count() == 0

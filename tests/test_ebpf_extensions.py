@@ -1,14 +1,12 @@
-"""Tests for the eBPF extensions: LRU map, ring buffer, assembler."""
+"""Tests for the eBPF extensions: LRU map, ring buffer."""
 
 import pytest
 
-from repro.ebpf.asm import assemble
 from repro.ebpf.attach import EbpfRuntime
-from repro.ebpf.maps import LruHashMap, MapRegistry, RingBufferMap
-from repro.ebpf.verifier import verify
-from repro.ebpf.vm import Vm
-from repro.errors import EbpfError, MapError, VerifierError
-from repro.simkernel.hooks import HookContext
+from repro.ebpf.instructions import Helper, Reg
+from repro.ebpf.maps import LruHashMap, RingBufferMap
+from repro.ebpf.program import ProgramBuilder
+from repro.errors import MapError
 
 
 # ---------------------------------------------------------------------------
@@ -77,135 +75,18 @@ def test_ringbuf_program_streams_events(kernel):
     """A program that submits each firing's pid into a ring buffer."""
     runtime = EbpfRuntime(kernel)
     fd = runtime.create_map(RingBufferMap("stream"))
-    program = assemble(
-        """
-            ld_ctx  r2, pid
-            mov     r3, r2
-            mov     r2, 0
-            mov     r1, %ring
-            call    map_add
-            exit    0
-        """,
-        name="pid_stream",
-        substitutions={"ring": fd},
-        map_fds=(fd,),
+    program = (
+        ProgramBuilder("pid_stream").uses_map(fd)
+        .ld_ctx(Reg.R2, "pid")
+        .mov_reg(Reg.R3, Reg.R2)
+        .mov_imm(Reg.R2, 0)
+        .mov_imm(Reg.R1, fd)
+        .call(Helper.MAP_ADD)
+        .exit(0)
+        .build()
     )
     runtime.load_and_attach(program, "sched:sched_switches")
     kernel.scheduler.account_switches(111, 1)
     kernel.scheduler.account_switches(222, 1)
     records = runtime.maps.get(fd).consume()
     assert [v for _, v in records] == [111, 222]
-
-
-# ---------------------------------------------------------------------------
-# Assembler
-# ---------------------------------------------------------------------------
-def test_assemble_counter_equivalent(kernel):
-    runtime = EbpfRuntime(kernel)
-    from repro.ebpf.maps import HashMap
-
-    fd = runtime.create_map(HashMap("m"))
-    program = assemble(
-        """
-        ; per-syscall counter
-            ld_ctx  r2, syscall_nr
-            ld_ctx  r3, count
-            mov     r1, %counts
-            call    map_add
-            exit    0
-        """,
-        substitutions={"counts": fd},
-        map_fds=(fd,),
-    )
-    verify(program)
-    runtime.load_and_attach(program, "raw_syscalls:sys_enter")
-    kernel.syscalls.dispatch("read", 1, count=42)
-    assert runtime.maps.get(fd).lookup(0) == 42
-
-
-def test_assemble_labels_and_conditionals():
-    program = assemble(
-        """
-            ld_ctx  r6, count
-            jgt     r6, 100, big
-            exit    0
-        big:
-            exit    1
-        """
-    )
-    verify(program)
-    vm = Vm(MapRegistry())
-    small = vm.run(program, HookContext("h", 0, count=5))
-    large = vm.run(program, HookContext("h", 0, count=500))
-    assert small.return_value == 0
-    assert large.return_value == 1
-
-
-def test_assemble_jle_jge_sugar():
-    program = assemble(
-        """
-            ld_ctx  r6, count
-            jle     r6, 10, small
-            jge     r6, 100, large
-            exit    1
-        small:
-            exit    0
-        large:
-            exit    2
-        """
-    )
-    verify(program)
-    vm = Vm(MapRegistry())
-    assert vm.run(program, HookContext("h", 0, count=10)).return_value == 0
-    assert vm.run(program, HookContext("h", 0, count=50)).return_value == 1
-    assert vm.run(program, HookContext("h", 0, count=100)).return_value == 2
-
-
-def test_assemble_register_forms():
-    program = assemble(
-        """
-            mov r2, 21
-            mov r3, r2
-            add r3, r2
-            mov r0, r3
-            exit
-        """
-    )
-    verify(program)
-    result = Vm(MapRegistry()).run(program, HookContext("h", 0))
-    assert result.return_value == 42
-
-
-def test_assemble_hex_immediates():
-    program = assemble("mov r0, 0xff\nexit")
-    result = Vm(MapRegistry()).run(program, HookContext("h", 0))
-    assert result.return_value == 255
-
-
-def test_assemble_errors():
-    with pytest.raises(EbpfError, match="unknown mnemonic"):
-        assemble("frob r0, 1\nexit 0")
-    with pytest.raises(EbpfError, match="unknown label"):
-        assemble("jmp nowhere\nexit 0")
-    with pytest.raises(EbpfError, match="duplicate label"):
-        assemble("a:\na:\nexit 0")
-    with pytest.raises(EbpfError, match="unknown substitution"):
-        assemble("mov r1, %missing\nexit 0")
-    with pytest.raises(EbpfError, match="bad operand"):
-        assemble("mov r1, banana\nexit 0")
-    with pytest.raises(EbpfError, match="no instructions"):
-        assemble("; only a comment")
-    with pytest.raises(EbpfError, match="helper"):
-        assemble("call nonsense\nexit 0")
-
-
-def test_assembled_backward_jump_rejected_by_verifier():
-    program = assemble(
-        """
-        loop:
-            ld_ctx r6, count
-            jmp loop
-        """
-    )
-    with pytest.raises(VerifierError, match="backward"):
-        verify(program)

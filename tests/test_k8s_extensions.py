@@ -1,14 +1,10 @@
-"""Tests: Kubernetes Deployments + node failure, dashboard serialization."""
+"""Tests: Kubernetes Deployments + node failure."""
 
 import pytest
 
-from repro.errors import AnalysisError, OrchestrationError
+from repro.errors import OrchestrationError
 from repro.orchestration.container import ContainerImage
 from repro.orchestration.kubernetes import Cluster, Deployment, Node, PodSpec
-from repro.pmv.dashboard import Dashboard
-from repro.pmv.dashboards import build_sgx_dashboard
-from repro.pmv.panels import GaugePanel, GraphPanel, TablePanel
-from repro.pmv.serialize import dashboard_from_json, dashboard_to_json
 from repro.simkernel.clock import VirtualClock
 from repro.simkernel.kernel import Kernel
 
@@ -95,64 +91,3 @@ def test_failed_node_pods_marked_terminated():
     assert all(p.phase == "Terminated" for p in lost)
     assert all(not p.container.running for p in lost)
     assert cluster.pods() == []
-
-
-# ---------------------------------------------------------------------------
-# Dashboard serialization
-# ---------------------------------------------------------------------------
-def test_dashboard_roundtrip_preserves_structure():
-    original = build_sgx_dashboard()
-    original.set_variable("process", "4242")
-    restored = dashboard_from_json(dashboard_to_json(original))
-    assert restored.name == original.name
-    assert restored.variables == original.variables
-    assert [r.title for r in restored.rows] == [r.title for r in original.rows]
-    for a, b in zip(original.panels(), restored.panels()):
-        assert type(a) is type(b)
-        assert a.title == b.title
-        assert a.query == b.query
-        assert a.unit == b.unit
-
-
-def test_dashboard_roundtrip_preserves_panel_config():
-    dashboard = Dashboard("Custom")
-    dashboard.add_row("r", [
-        GraphPanel("g", "x", window_ns=123_000, step_ns=45_000),
-        GaugePanel("ga", "y", minimum=5.0, maximum=55.0),
-        TablePanel("t", "z", sort_desc=False, limit=3),
-    ])
-    restored = dashboard_from_json(dashboard_to_json(dashboard))
-    graph, gauge, table = restored.panels()
-    assert graph.window_ns == 123_000 and graph.step_ns == 45_000
-    assert gauge.minimum == 5.0 and gauge.maximum == 55.0
-    assert table.sort_desc is False and table.limit == 3
-
-
-def test_dashboard_json_is_grafana_shaped():
-    import json
-
-    document = json.loads(dashboard_to_json(build_sgx_dashboard()))
-    assert document["schemaVersion"] == 1
-    assert "title" in document
-    first_panel = document["rows"][0]["panels"][0]
-    assert "targets" in first_panel
-    assert "expr" in first_panel["targets"][0]
-
-
-def test_dashboard_import_validation():
-    with pytest.raises(AnalysisError, match="bad dashboard JSON"):
-        dashboard_from_json("{not json")
-    with pytest.raises(AnalysisError, match="schema version"):
-        dashboard_from_json('{"schemaVersion": 99, "title": "x"}')
-    with pytest.raises(AnalysisError, match="title"):
-        dashboard_from_json('{"schemaVersion": 1}')
-    with pytest.raises(AnalysisError, match="unknown panel type"):
-        dashboard_from_json(
-            '{"schemaVersion": 1, "title": "t", "rows": '
-            '[{"title": "r", "panels": [{"type": "piechart"}]}]}'
-        )
-    with pytest.raises(AnalysisError, match="no query target"):
-        dashboard_from_json(
-            '{"schemaVersion": 1, "title": "t", "rows": '
-            '[{"title": "r", "panels": [{"type": "graph", "title": "g"}]}]}'
-        )

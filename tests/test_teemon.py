@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import DeploymentError
 from repro.simkernel.clock import seconds
+from repro.simkernel.kernel import Kernel
 from repro.teemon import TeemonConfig, deploy
 from repro.teemon.deploy import SERVICE_FOOTPRINTS
 
@@ -28,6 +29,27 @@ def test_config_validation():
     with pytest.raises(DeploymentError):
         TeemonConfig(enable_tme=False, enable_ebpf=False,
                      enable_node_exporter=False, enable_cadvisor=False)
+
+
+def test_unsafe_remote_write_sender_is_rejected_before_any_timer():
+    """A sender with a space used to be accepted and then raise WalError
+    from the first uplink flush tick, out of ``VirtualClock.run_until``."""
+    url = "http://root:9009/api/v1/write"
+    for sender in ("my leaf", "my\nleaf"):
+        with pytest.raises(DeploymentError, match="wire-safe"):
+            TeemonConfig(remote_write_url=url, remote_write_source=sender)
+    # The hostname fallback gets the same check, at build.
+    spaced = Kernel(seed=3, hostname="my leaf")
+    with pytest.raises(DeploymentError, match="wire-safe"):
+        deploy(spaced, TeemonConfig(enable_tme=False, remote_write_url=url))
+    # An explicit source makes the same host deployable, and a host that
+    # ships nowhere never needed a wire-safe name.
+    named = deploy(spaced, TeemonConfig(
+        enable_tme=False, remote_write_url=url, remote_write_source="leaf"))
+    spaced.clock.advance(seconds(12))  # past two uplink flush ticks
+    named.shutdown()
+    deploy(Kernel(seed=3, hostname="my leaf"),
+           TeemonConfig(enable_tme=False), start=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,134 @@
+"""Only what runs: every module is imported by something that runs, and
+every ``TeemonConfig`` field is set by something.
+
+Both walks are static (``ast``), so they see the repository as written,
+not whatever this process happens to have imported.
+"""
+
+import ast
+import dataclasses
+from pathlib import Path
+
+from repro.teemon import TeemonConfig
+
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src"
+
+#: Fields nothing in the repository sets, kept on purpose: operator
+#: content or paper-named values, not tuning.
+FIELDS_KEPT_UNSET = {
+    "wal_dir",              # a path: deployment setting
+    "extra_rules",          # operator's own PMAN threshold rules
+    "analysis_window_s",    # §4: PMAN analyses "the last five minutes"
+    "analysis_every_s",     # §4: "every minute"
+    "alert_silences",       # operator content
+    "alert_inhibit_rules",  # operator content
+}
+
+
+def _parse(path: Path) -> ast.AST:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _module_file(name: str):
+    """The file under ``src/`` that importing ``name`` executes."""
+    base = SRC.joinpath(*name.split("."))
+    for candidate in (base.with_suffix(".py"), base / "__init__.py"):
+        if candidate.is_file():
+            return candidate
+    return None
+
+
+def _module_name(path: Path) -> str:
+    parts = list(path.relative_to(SRC).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _imports(path: Path, package: str):
+    """Absolute names ``path`` may import: each ``import x.y`` target and,
+    for ``from x import y``, both ``x`` and ``x.y`` (``y`` may be a
+    submodule)."""
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.split(".")
+                anchor = anchor[:len(anchor) - (node.level - 1)]
+                base = ".".join(anchor + ([base] if base else []))
+            yield base
+            for alias in node.names:
+                yield f"{base}.{alias.name}"
+
+
+def _reachable(roots):
+    """Files under ``src/repro`` executed by importing from ``roots``."""
+    seen = set()
+    queue = [(root, "") for root in roots]
+    while queue:
+        path, package = queue.pop()
+        for name in _imports(path, package):
+            # Importing a.b.c executes a, a.b and a.b.c.
+            parts = name.split(".")
+            for depth in range(1, len(parts) + 1):
+                target = _module_file(".".join(parts[:depth]))
+                if target is None or target in seen:
+                    continue
+                seen.add(target)
+                module = _module_name(target)
+                is_package = target.name == "__init__.py"
+                queue.append((
+                    target,
+                    module if is_package else module.rpartition(".")[0],
+                ))
+    return seen
+
+
+def test_every_module_is_imported_by_something_that_runs():
+    roots = [SRC / "repro" / "__main__.py"]
+    roots += sorted((REPO / "examples").glob("*.py"))
+    roots += sorted((REPO / "benchmarks").rglob("*.py"))
+    reached = _reachable(roots) | {SRC / "repro" / "__main__.py"}
+    orphans = sorted(
+        str(path.relative_to(REPO))
+        for path in (SRC / "repro").rglob("*.py")
+        if path not in reached
+    )
+    assert orphans == [], (
+        "imported by nothing under repro.__main__, examples/ or "
+        "benchmarks/ (wire it in or delete it with its tests): "
+        f"{orphans}"
+    )
+
+
+def _names_set_somewhere():
+    """Every keyword-argument name and string literal in the repo's
+    Python files other than ``config.py`` (a string covers
+    ``replace(config, **{"name": …})``-style overrides)."""
+    config_py = SRC / "repro" / "teemon" / "config.py"
+    names = set()
+    for top in ("src", "tests", "examples", "benchmarks"):
+        for path in (REPO / top).rglob("*.py"):
+            if path == config_py or path == Path(__file__).resolve():
+                continue
+            for node in ast.walk(_parse(path)):
+                if isinstance(node, ast.keyword) and node.arg:
+                    names.add(node.arg)
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)):
+                    names.add(node.value)
+    return names
+
+
+def test_every_config_field_is_set_by_something():
+    fields = {f.name for f in dataclasses.fields(TeemonConfig)}
+    assert FIELDS_KEPT_UNSET <= fields
+    unset = fields - _names_set_somewhere()
+    assert unset == FIELDS_KEPT_UNSET, (
+        f"never set anywhere: {sorted(unset - FIELDS_KEPT_UNSET)}; "
+        f"allowlisted but now set: {sorted(FIELDS_KEPT_UNSET - unset)}"
+    )
