@@ -248,12 +248,12 @@ def snapshot_window(tsdb, start_ns: int, end_ns: int) -> bytes:
             if chunk.start_ns >= start_ns and chunk.end_ns <= end_ns:
                 out.adopt_chunk(chunk)
                 continue
-            samples = chunk.window_samples(start_ns, end_ns)
-            if not samples:
+            low, high = chunk.window_bounds(start_ns, end_ns)
+            if low == high:
                 continue
-            partial = Chunk(samples[0].time_ns)
-            for sample in samples:
-                partial.append(sample.time_ns, sample.value)
+            partial = Chunk(chunk._times[low])  # noqa: SLF001
+            partial._times = chunk._times[low:high]  # noqa: SLF001
+            partial._values = chunk._values[low:high]  # noqa: SLF001
             out.adopt_chunk(partial)
         if out.sample_count:
             trimmed.install_series(labels, out)

@@ -106,13 +106,6 @@ class Chunk:
         """Iterate samples in time order."""
         return map(sample_of, zip(self._times, self._values))
 
-    def window_samples(self, start_ns: int, end_ns: int) -> List[Sample]:
-        """Samples with ``start_ns <= t <= end_ns`` via binary search."""
-        times = self._times
-        low = bisect_left(times, start_ns)
-        high = bisect_right(times, end_ns, low)
-        return list(map(sample_of, zip(times[low:high], self._values[low:high])))
-
     def window_bounds(self, start_ns: int, end_ns: int) -> Tuple[int, int]:
         """Index range [low, high) of samples inside the window."""
         low = bisect_left(self._times, start_ns)
@@ -307,29 +300,20 @@ class ChunkedSeries:
 
     def window(self, start_ns: int, end_ns: int) -> List[Sample]:
         """Samples with ``start_ns <= t <= end_ns``."""
+        return list(map(sample_of, zip(*self.window_arrays(start_ns, end_ns))))
+
+    def window_arrays(self, start_ns: int, end_ns: int) -> Tuple[array, array]:
+        """Samples with ``start_ns <= t <= end_ns`` as parallel
+        (timestamps, values) arrays.
+
+        ``array('q')``/``array('d')`` extended from chunk columns — bytes
+        are copied, no per-sample object is allocated, which is what
+        makes the query engine's range evaluation cheap.
+        """
         if end_ns < start_ns:
             raise TsdbError(f"bad window: {start_ns}..{end_ns}")
         # First chunk that may overlap: the one before the first start > start_ns;
         # last: chunks whose start is already past end_ns cannot contribute.
-        first = max(0, bisect_right(self._starts, start_ns) - 1)
-        last = bisect_right(self._starts, end_ns, first)
-        result: List[Sample] = []
-        for chunk in self._chunks[first:last]:
-            if chunk.end_ns < start_ns:
-                continue
-            result.extend(chunk.window_samples(start_ns, end_ns))
-        return result
-
-    def window_arrays(self, start_ns: int, end_ns: int) -> Tuple[array, array]:
-        """The window as parallel (timestamps, values) arrays.
-
-        Same samples as :meth:`window`, as ``array('q')``/``array('d')``
-        extended from chunk columns — bytes are copied, no per-sample
-        object is allocated, which is what makes the query engine's
-        range evaluation cheap.
-        """
-        if end_ns < start_ns:
-            raise TsdbError(f"bad window: {start_ns}..{end_ns}")
         first = max(0, bisect_right(self._starts, start_ns) - 1)
         last = bisect_right(self._starts, end_ns, first)
         times = array("q")

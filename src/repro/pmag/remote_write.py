@@ -31,10 +31,9 @@ This module is that uplink, hardened the same way the scrape path is:
   fingerprint, timestamp) already landed — exactly-once at sample
   granularity, which is also what deduplicates an HA *pair* of leaves
   shipping the same scrape (see :mod:`repro.teemon.ha`) and absorbs the
-  overlap a recovered incarnation re-ships under its fresh epoch.  On a
-  sharded engine the per-series blocks are routed straight to their
-  shards (:meth:`~repro.pmag.storage.ShardedTsdb.append_fingerprinted`),
-  dispatched through the shard executor when one is configured.
+  overlap a recovered incarnation re-ships under its fresh epoch.  The
+  per-series blocks land through the engine's ``append_fingerprinted``:
+  one ``append_batch``, routed by labels on a sharded engine.
 * *Relays* — a monitor that is both receiver and client forwards
   everything it ingests upstream under its **own** sender identity,
   epoch and sequence numbering (re-stamping is automatic: the relay's
@@ -338,11 +337,11 @@ class RemoteWriteReceiver:
       lower-priority-number replica.
 
     Shard routing: the frame's per-series blocks go to the engine's
-    ``append_fingerprinted`` whole.  A sharded engine groups them by
-    ``fingerprint % shards`` into per-shard batches (through the shard
-    executor when one is configured); a monolith takes one flat
-    ``append_batch``.  Accept/reject outcomes are identical either way,
-    so the dedup ledger reconciles exactly regardless of the layout.
+    ``append_fingerprinted`` whole and flatten into one ``append_batch``;
+    a sharded engine splits that into per-shard batches by labels.  The
+    decoder has already checked every block's fingerprint against its
+    labels.  Accept/reject outcomes are identical on every layout, so
+    the dedup ledger reconciles exactly.
 
     Relays: :meth:`attach_relay` couples this receiver to the
     co-resident :class:`RemoteWriteClient` of a relay deployment.  Every

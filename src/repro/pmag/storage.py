@@ -18,14 +18,13 @@ independently on recovery (see :func:`repro.pmag.wal.recover_sharded`).
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from heapq import merge as heap_merge
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import TsdbError
 from repro.pmag.blocks import BlockPolicy, SeriesRollup, StorageStats
 from repro.pmag.chunks import ChunkedSeries
-from repro.pmag.model import Labels, Matcher, METRIC_NAME_LABEL, Sample, Series
+from repro.pmag.model import Labels, Matcher, Sample
 from repro.pmag.tsdb import StorageEngine, Tsdb
 
 
@@ -52,54 +51,26 @@ def shard_for(labels: Labels, shards: int) -> int:
     return series_fingerprint(labels) % shards
 
 
-_T = TypeVar("_T")
-
-#: Process-wide shard executors, one per worker count.  Shared across
-#: engines so tests and deployments that build many engines do not leak
-#: a thread pool each; pools live for the process.
-_EXECUTORS: Dict[int, ThreadPoolExecutor] = {}
-
-
-def _shared_executor(workers: int) -> ThreadPoolExecutor:
-    pool = _EXECUTORS.get(workers)
-    if pool is None:
-        pool = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="teemon-shard"
-        )
-        _EXECUTORS[workers] = pool
-    return pool
-
-
 def build_storage_engine(
     shards: int,
     retention_ns: Optional[int] = None,
     block_policy: Optional[BlockPolicy] = None,
-    executor_workers: int = 0,
 ) -> StorageEngine:
     """Build the engine a config asks for.
 
     One shard returns a plain :class:`Tsdb` — not a one-shard
     :class:`ShardedTsdb` — so default deployments take the exact code
     path (and produce the exact bytes) they did before sharding existed.
-    ``executor_workers`` > 0 opts a sharded engine into concurrent
-    fan-out evaluation; it is ignored on the single-shard path.
     """
     if shards == 1:
         return Tsdb(retention_ns=retention_ns, block_policy=block_policy)
     return ShardedTsdb(
-        shards,
-        retention_ns=retention_ns,
-        block_policy=block_policy,
-        executor_workers=executor_workers,
+        shards, retention_ns=retention_ns, block_policy=block_policy
     )
 
 
 def _labels_key(entry):
     return entry[0].items()
-
-
-def _series_key(series: Series):
-    return series.labels.items()
 
 
 class ShardedTsdb(StorageEngine):
@@ -116,7 +87,6 @@ class ShardedTsdb(StorageEngine):
         shards: int,
         retention_ns: Optional[int] = None,
         block_policy: Optional[BlockPolicy] = None,
-        executor_workers: int = 0,
     ) -> None:
         if shards < 1:
             raise TsdbError(f"shard count must be >= 1: {shards}")
@@ -132,8 +102,6 @@ class ShardedTsdb(StorageEngine):
         #: so entries never go stale — the cache only grows, bounded by
         #: the distinct label sets seen, like the postings index.
         self._fingerprints: Dict[Labels, int] = {}
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self.configure_executor(executor_workers)
 
     # ------------------------------------------------------------------
     # Shard plumbing
@@ -146,29 +114,6 @@ class ShardedTsdb(StorageEngine):
     def shard(self, index: int) -> Tsdb:
         """Direct access to one shard (checkpoints, tests, telemetry)."""
         return self._shards[index]
-
-    def configure_executor(self, workers: int) -> None:
-        """Opt fan-out reads into a shared thread pool (0 = sequential).
-
-        Results are always reassembled in fixed shard order, so output
-        is byte-identical either way; the knob only changes *where* the
-        per-shard work runs.
-        """
-        if workers < 0:
-            raise TsdbError(f"executor workers cannot be negative: {workers}")
-        self._executor = _shared_executor(workers) if workers else None
-
-    def map_shards(self, fn: Callable[[Tsdb], _T]) -> List[_T]:
-        """Apply ``fn`` to every shard, results in fixed shard order.
-
-        The fan-out primitive behind selects: sequential by default,
-        concurrent when an executor is configured (``executor.map``
-        preserves input order, so callers cannot tell the difference).
-        """
-        executor = self._executor
-        if executor is None:
-            return [fn(shard) for shard in self._shards]
-        return list(executor.map(fn, self._shards))
 
     def _route(self, labels: Labels) -> Tsdb:
         index = self._fingerprints.get(labels)
@@ -280,65 +225,13 @@ class ShardedTsdb(StorageEngine):
                 rejected.append(i)
         return rejected
 
-    def append_fingerprinted(
-        self,
-        blocks: Sequence[Tuple[int, Labels, Sequence[Tuple[int, float]]]],
-    ) -> int:
-        """Ingest pre-fingerprinted per-series sample blocks.
+    # Bound here, not inherited, so the class carries every ingest entry
+    # point by name: a remote-write frame flattens into append_batch.
+    append_fingerprinted = StorageEngine.append_fingerprinted
 
-        The remote-write receiver's shard-routed path: a v3 frame
-        arrives already grouped by series and stamped with the same
-        CRC32 fingerprint this engine routes on, so whole blocks are
-        bucketed by ``fingerprint % shards`` without re-hashing any
-        label set — and the per-shard sub-batches are dispatched
-        through the shard executor when one is configured (shards are
-        independent, each with its own WAL, so parallel ingest is
-        deterministic).  A series' first-seen fingerprint is verified
-        against :func:`series_fingerprint` before it enters the route
-        cache — a frame cannot mis-route a series for every later
-        frame.  Returns the number of rejected (duplicate / too-old)
-        samples; per-series accept/reject outcomes are identical to
-        the flat :meth:`append_batch` path, so dedup ledgers reconcile
-        regardless of the engine layout.
-        """
-        shards = self._shards
-        count = len(shards)
-        cache = self._fingerprints
-        buckets: List[Optional[list]] = [None] * count
-        for fingerprint, labels, samples in blocks:
-            index = cache.get(labels)
-            if index is None:
-                actual = series_fingerprint(labels)
-                if actual != fingerprint:
-                    raise TsdbError(
-                        f"block fingerprint {fingerprint} does not match "
-                        f"series {dict(labels.items())!r} ({actual})"
-                    )
-                index = actual % count
-                cache[labels] = index
-            elif fingerprint % count != index:
-                raise TsdbError(
-                    f"block fingerprint {fingerprint} routes series "
-                    f"{dict(labels.items())!r} away from its shard {index}"
-                )
-            bucket = buckets[index]
-            if bucket is None:
-                buckets[index] = bucket = []
-            for time_ns, value in samples:
-                bucket.append((labels, time_ns, value))
-        jobs = [(i, b) for i, b in enumerate(buckets) if b]
-        if not jobs:
-            return 0
-        executor = self._executor
-        if executor is None or len(jobs) == 1:
-            return sum(
-                len(shards[index].append_batch(bucket))
-                for index, bucket in jobs
-            )
-        rejected = executor.map(
-            lambda job: len(shards[job[0]].append_batch(job[1])), jobs
-        )
-        return sum(rejected)
+    def append_run(self, labels: Labels, times, values) -> Tuple[int, int]:
+        """One series' run, landed whole on the owning shard."""
+        return self._route(labels).append_run(labels, times, values)
 
     def install_series(self, labels: Labels, storage: ChunkedSeries) -> None:
         """Install a fully-built series on its owning shard."""
@@ -347,29 +240,22 @@ class ShardedTsdb(StorageEngine):
     # ------------------------------------------------------------------
     # Selection: fan out, merge sorted
     # ------------------------------------------------------------------
-    def select(
-        self, matchers: Sequence[Matcher], start_ns: int, end_ns: int
-    ) -> List[Series]:
-        """Fan-out select merged back into one sorted result."""
-        parts = self.map_shards(lambda s: s.select(matchers, start_ns, end_ns))
-        return list(heap_merge(*parts, key=_series_key))
+    select = StorageEngine.select
 
     def select_arrays(
         self, matchers: Sequence[Matcher], start_ns: int, end_ns: int
     ) -> List[Tuple[Labels, List[int], List[float]]]:
         """Fan-out array select merged back into one sorted result."""
-        parts = self.map_shards(
-            lambda s: s.select_arrays(matchers, start_ns, end_ns)
-        )
+        parts = [s.select_arrays(matchers, start_ns, end_ns)
+                 for s in self._shards]
         return list(heap_merge(*parts, key=_labels_key))
 
     def select_rollups(
         self, matchers: Sequence[Matcher], start_ns: int, end_ns: int
     ) -> List[Tuple[Labels, SeriesRollup]]:
         """Fan-out rollup select merged back into one sorted result."""
-        parts = self.map_shards(
-            lambda s: s.select_rollups(matchers, start_ns, end_ns)
-        )
+        parts = [s.select_rollups(matchers, start_ns, end_ns)
+                 for s in self._shards]
         return list(heap_merge(*parts, key=_labels_key))
 
     def latest(self, metric: str, **label_filters: str) -> Optional[Sample]:

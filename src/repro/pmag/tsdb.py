@@ -16,7 +16,9 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 from repro.errors import TsdbError
 from repro.pmag.blocks import BlockPolicy, SeriesRollup, StorageStats
 from repro.pmag.chunks import ChunkedSeries
-from repro.pmag.model import Labels, Matcher, METRIC_NAME_LABEL, Sample, Series
+from repro.pmag.model import (
+    Labels, Matcher, METRIC_NAME_LABEL, Sample, Series, sample_of,
+)
 
 
 #: Past every int64 timestamp: the expiry floor of a store holding nothing.
@@ -29,8 +31,9 @@ class StorageEngine(ABC):
     Implementations must keep three wire-shape invariants so the layers
     above stay engine-agnostic:
 
-    * ``select``/``select_arrays`` return series sorted by
-      ``labels.items()`` — the merge key sharded engines must preserve;
+    * ``select_arrays`` (and ``select``, its :class:`Sample` view)
+      return series sorted by ``labels.items()`` — the merge key sharded
+      engines must preserve;
     * appends are per-series monotonic (out-of-order rejected), so WAL
       replay is idempotent regardless of how series are routed;
     * ``storage_stats()`` returns the shape the ``teemon_storage_*``
@@ -69,6 +72,7 @@ class StorageEngine(ABC):
         """
         self.append(Labels.of(metric, **labels), time_ns, value)
 
+    @abstractmethod
     def append_batch(
         self, entries: Sequence[Tuple[Labels, int, float]]
     ) -> List[int]:
@@ -78,59 +82,51 @@ class StorageEngine(ABC):
         out-of-order appends, missing metric names — in ascending order;
         everything else was accepted.  Entries are applied in order, so
         the outcome per series is identical to per-sample :meth:`append`.
-        Engines override this to amortise routing and WAL write-through;
-        the default simply loops.
         """
-        rejected: List[int] = []
-        for index, (labels, time_ns, value) in enumerate(entries):
-            try:
-                self.append(labels, time_ns, value)
-            except TsdbError:
-                rejected.append(index)
-        return rejected
 
+    @abstractmethod
     def append_run(self, labels: Labels, times, values) -> Tuple[int, int]:
         """Append one series' samples, given as parallel columns, in
         order; returns ``(appended, rejected)``.  The outcome per sample
-        is that of :meth:`append`; the default simply loops."""
-        rejected = 0
-        for time_ns, value in zip(times, values):
-            try:
-                self.append(labels, time_ns, value)
-            except TsdbError:
-                rejected += 1
-        return len(times) - rejected, rejected
+        is that of :meth:`append`; columns of different lengths raise."""
 
     def append_fingerprinted(
         self,
         blocks: Sequence[Tuple[int, Labels, Sequence[Tuple[int, float]]]],
     ) -> int:
         """Ingest one remote-write frame's ``(fingerprint, labels,
-        samples)`` blocks; returns the number of rejected samples.  The
-        default flattens them into one :meth:`append_batch` and leaves
-        the fingerprints unread; engines that route on them override."""
+        samples)`` blocks; returns the number of rejected samples.
+
+        The blocks flatten into one :meth:`append_batch`, which routes by
+        labels.  The fingerprints go unread: the frame decoder has already
+        checked each against its labels.
+        """
         return len(self.append_batch([
             (labels, time_ns, value)
             for _fingerprint, labels, samples in blocks
             for time_ns, value in samples
         ]))
 
-    def configure_executor(self, workers: int) -> None:
-        """Run fan-out work on ``workers`` threads (0 = sequential).  An
-        engine with nothing to fan out ignores it."""
-
     # -- selection -----------------------------------------------------
-    @abstractmethod
     def select(
         self, matchers: Sequence[Matcher], start_ns: int, end_ns: int
     ) -> List[Series]:
-        """All series matching every matcher, with samples in the window."""
+        """All series matching every matcher, with samples in the window:
+        :meth:`select_arrays` with each column pair zipped into samples.
+        Both engines bind it in their class bodies, so every read entry
+        point is an attribute of the engine class itself."""
+        return [
+            Series(labels, list(map(sample_of, zip(times, values))))
+            for labels, times, values in self.select_arrays(
+                matchers, start_ns, end_ns)
+        ]
 
     @abstractmethod
     def select_arrays(
         self, matchers: Sequence[Matcher], start_ns: int, end_ns: int
     ) -> List[Tuple[Labels, List[int], List[float]]]:
-        """Like :meth:`select`, but as parallel (timestamps, values) arrays."""
+        """All series matching every matcher, with the window's samples as
+        parallel (timestamps, values) arrays, sorted by ``labels.items()``."""
 
     @abstractmethod
     def select_rollups(
@@ -257,15 +253,17 @@ class Tsdb(StorageEngine):
     # Ingest
     # ------------------------------------------------------------------
     def append(self, labels: Labels, time_ns: int, value: float) -> None:
-        """Append one sample to the series identified by ``labels``."""
+        """Append one sample to the series identified by ``labels``.
+
+        The scalar body: the scraper's per-target ``up`` and scrape-health
+        samples, rule outputs and hand-written samples land one at a time.
+        """
         if not labels.metric_name:
             raise TsdbError(f"series needs a {METRIC_NAME_LABEL} label: {labels!r}")
         storage = self._series.get(labels)
-        if storage is None:
+        fresh = storage is None
+        if fresh:
             storage = ChunkedSeries()
-            self._series[labels] = storage
-            for pair in labels.items():
-                self._postings.setdefault(pair, set()).add(labels)
         if self._rollups and storage.sample_count == 0:
             # The raw head is empty but history may live in the rollup;
             # monotonicity must hold against the folded tail too.
@@ -274,6 +272,9 @@ class Tsdb(StorageEngine):
             if last is not None and time_ns <= last:
                 raise TsdbError(f"out-of-order append: {time_ns} <= {last}")
         storage.append(time_ns, value)
+        if fresh:
+            # A series exists from its first accepted sample on.
+            self._index(labels, storage)
         self.total_appends += 1
         if time_ns < self._expiry_floor_ns:
             self._expiry_floor_ns = time_ns
@@ -285,17 +286,17 @@ class Tsdb(StorageEngine):
     ) -> List[int]:
         """Batched ingest: per-sample :meth:`append` semantics, one call.
 
-        The in-memory path is the same sequence of operations as
-        :meth:`append` (series creation, postings, rollup monotonicity,
-        chunk append) applied in entry order, so accept/reject outcomes
-        and final state match the per-sample path exactly.  Accepted
-        samples reach the WAL as one :meth:`WalWriter.append_many` batch,
-        which is where the amortisation happens: flush/rotation
-        boundaries are unchanged, but the log costs a few disk writes
-        per cycle instead of one per sample.
+        The body a scrape cycle's parsed samples and a remote-write frame
+        take.  The in-memory path is the same sequence of operations as
+        :meth:`append` (rollup monotonicity, chunk append, series
+        creation) applied in entry order, so accept/reject outcomes and
+        final state match the per-sample path exactly.  Accepted samples
+        reach the WAL as one :meth:`WalWriter.append_many` batch, which is
+        where the amortisation happens: flush/rotation boundaries are
+        unchanged, but the log costs a few disk writes per cycle instead
+        of one per sample.
         """
         series = self._series
-        postings = self._postings
         rollups = self._rollups
         wal = self._wal
         accepted: Optional[List[Tuple[Labels, int, float]]] = (
@@ -310,11 +311,9 @@ class Tsdb(StorageEngine):
                 rejected.append(index)
                 continue
             storage = series.get(labels)
-            if storage is None:
+            fresh = storage is None
+            if fresh:
                 storage = ChunkedSeries()
-                series[labels] = storage
-                for pair in labels.items():
-                    postings.setdefault(pair, set()).add(labels)
             if rollups and storage.sample_count == 0:
                 rollup = rollups.get(labels)
                 last = rollup.last_time_ns() if rollup is not None else None
@@ -326,6 +325,8 @@ class Tsdb(StorageEngine):
             except TsdbError:
                 rejected.append(index)
                 continue
+            if fresh:
+                self._index(labels, storage)
             appended += 1
             if time_ns < floor:
                 floor = time_ns
@@ -340,18 +341,19 @@ class Tsdb(StorageEngine):
 
     def append_run(self, labels: Labels, times, values) -> Tuple[int, int]:
         """One series' samples as parallel columns: per-sample
-        :meth:`append` semantics — series creation, postings, rollup
-        monotonicity, accept/reject, WAL write-through of what was
-        accepted — with the series looked up once and the columns filled
-        by :meth:`ChunkedSeries.append_run`.  This is how WAL replay
-        lands a series.  Returns ``(appended, rejected)``.
+        :meth:`append` semantics — rollup monotonicity, accept/reject,
+        series creation, WAL write-through of what was accepted — with
+        the series looked up once and the columns filled by
+        :meth:`ChunkedSeries.append_run`.  This is how WAL replay lands
+        a series.  Returns ``(appended, rejected)``.
         """
         count = len(times)
         if not labels.metric_name:
             return 0, count
         storage = self._series.get(labels)
-        if storage is None:
-            storage = self._index(labels, ChunkedSeries())
+        fresh = storage is None
+        if fresh:
+            storage = ChunkedSeries()
         folded_tail = None
         if self._rollups and storage.sample_count == 0:
             rollup = self._rollups.get(labels)
@@ -360,6 +362,8 @@ class Tsdb(StorageEngine):
         appended = count - len(rejected)
         if not appended:
             return 0, count
+        if fresh:
+            self._index(labels, storage)
         self.total_appends += appended
         self._expiry_floor_ns = min(
             self._expiry_floor_ns, storage.first_chunk_end_ns())
@@ -372,12 +376,11 @@ class Tsdb(StorageEngine):
             ])
         return appended, len(rejected)
 
-    def _index(self, labels: Labels, storage: ChunkedSeries) -> ChunkedSeries:
+    def _index(self, labels: Labels, storage: ChunkedSeries) -> None:
         """Enter a series into the store and the postings."""
         self._series[labels] = storage
         for pair in labels.items():
             self._postings.setdefault(pair, set()).add(labels)
-        return storage
 
     def install_series(self, labels: Labels, storage: ChunkedSeries) -> None:
         """Install a fully-built series (the archive/WAL restore fast path).
@@ -445,22 +448,7 @@ class Tsdb(StorageEngine):
             if all(m.matches(labels) for m in residual):
                 yield labels
 
-    def select(
-        self,
-        matchers: Sequence[Matcher],
-        start_ns: int,
-        end_ns: int,
-    ) -> List[Series]:
-        """All series matching every matcher, with samples in the window."""
-        if end_ns < start_ns:
-            raise TsdbError(f"bad window: {start_ns}..{end_ns}")
-        result: List[Series] = []
-        for labels in self._matching_series(matchers):
-            samples = self._series[labels].window(start_ns, end_ns)
-            if samples:
-                result.append(Series(labels=labels, samples=samples))
-        result.sort(key=lambda s: s.labels.items())
-        return result
+    select = StorageEngine.select
 
     def select_arrays(
         self,
@@ -468,9 +456,8 @@ class Tsdb(StorageEngine):
         start_ns: int,
         end_ns: int,
     ) -> List[Tuple[Labels, List[int], List[float]]]:
-        """Like :meth:`select`, but as parallel (timestamps, values) arrays.
-
-        Same series, same order, same samples — without allocating a
+        """Matching series, sorted by ``labels.items()``, each with the
+        window's samples as parallel (timestamps, values) arrays — no
         :class:`Sample` per point.  The query engine reads through this.
         """
         if end_ns < start_ns:

@@ -94,11 +94,7 @@ class TeemonConfig:
     #: its stable label fingerprint.  With the WAL on, each shard gets
     #: its own log directory and replays independently on recovery.
     storage_shards: int = 1
-    #: Threads evaluating sharded fan-out reads concurrently (0 = run
-    #: them sequentially, the default — and the only option the 1-shard
-    #: engine has).  Results are reassembled in fixed shard order either
-    #: way, so this knob never changes query output, only where the
-    #: per-shard work runs.
+    #: Shard fan-out runs in the calling thread: 0 is the only value.
     storage_executor_workers: int = 0
     #: Evaluate alerting rules and route notifications.  Off by default:
     #: alerting-off must cost nothing.
@@ -236,8 +232,11 @@ class TeemonConfig:
             raise DeploymentError("alert_eval_interval_s must be positive")
         if self.storage_shards < 1:
             raise DeploymentError("storage_shards must be >= 1")
-        if self.storage_executor_workers < 0:
-            raise DeploymentError("storage_executor_workers cannot be negative")
+        if self.storage_executor_workers != 0:
+            raise DeploymentError(
+                "storage_executor_workers must be 0: shard fan-out runs in "
+                "the calling thread"
+            )
         if self.block_range_s <= 0:
             raise DeploymentError("block_range_s must be positive")
         if self.downsample_resolution_s <= 0:

@@ -229,12 +229,7 @@ class TeemonDeployment:
                 config.storage_shards,
                 retention_ns=int(config.retention_hours * 3600 * NANOS_PER_SEC),
                 block_policy=config.block_policy(),
-                executor_workers=config.storage_executor_workers,
             )
-        else:
-            # Recovered engines are rebuilt by the WAL layer, which knows
-            # nothing about execution knobs — re-apply the config's.
-            tsdb.configure_executor(config.storage_executor_workers)
         self.tsdb = tsdb
         self.wal = None
         if config.enable_wal:

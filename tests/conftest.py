@@ -43,14 +43,9 @@ TEST_PROFILES = {
     "": {},
     # 4-shard engine with the WAL on (durability rides the sharded path).
     "sharded": _SHARDED,
-    # ... plus the shard executor: the concurrent fan-out read path.
-    "sharded-executor": {**_SHARDED, "storage_executor_workers": 4},
     # ... plus small remote-write frames: every uplink ships many frames
     # per flush and the shard-routed receiver path gets full coverage.
-    "federated": {
-        **_SHARDED, "storage_executor_workers": 4,
-        "remote_write_frame_samples": 50,
-    },
+    "federated": {**_SHARDED, "remote_write_frame_samples": 50},
     # Sampled tracing always on, at a real (sub-1.0) head-sampling
     # probability so both keep and drop paths run; trace tests that need
     # every trace pin the probability explicitly.

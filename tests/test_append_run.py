@@ -14,7 +14,7 @@ from repro.pmag import archive
 from repro.pmag.blocks import BlockPolicy
 from repro.pmag.chunks import CHUNK_SIZE, ChunkedSeries
 from repro.pmag.model import Labels, Matcher
-from repro.pmag.storage import ShardedTsdb
+from repro.pmag.storage import ShardedTsdb, shard_for
 from repro.pmag.tsdb import Tsdb
 from repro.pmag.wal import WalWriter, recover
 from repro.simkernel.disk import SimDisk
@@ -123,12 +123,23 @@ def test_append_run_rejections_are_positions():
     assert empty.append_run([8, 9, 10, 11], [0.0] * 4, floor_ns=9) == [0, 1]
 
 
-def test_sharded_engine_takes_runs_through_the_default():
+def test_sharded_engine_routes_runs_to_the_owning_shard():
     mono, sharded = Tsdb(), ShardedTsdb(4)
     for labels in SERIES[:3]:
         for engine in (mono, sharded):
             assert engine.append_run(labels, [1, 2, 2, 3], [0.0] * 4) == (3, 1)
     assert sharded.select_arrays([], 0, 10) == mono.select_arrays([], 0, 10)
+    for labels in SERIES[:3]:
+        owner = sharded.shard(shard_for(labels, 4))
+        assert owner.select_arrays([Matcher.eq("i", labels.get("i"))], 0, 10)
+    # Mismatched columns raise on both engines and change nothing.
+    for engine in (mono, sharded):
+        before = (engine.select_arrays([], 0, 10), engine.total_appends)
+        for labels in (SERIES[0], Labels.of("m", i="new")):
+            with pytest.raises(TsdbError, match="differ in length"):
+                engine.append_run(labels, [4, 5], [1.0])
+        assert (engine.select_arrays([], 0, 10), engine.total_appends) == before
+        assert engine.series_count() == 3
 
 
 # ---------------------------------------------------------------------------

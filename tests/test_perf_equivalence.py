@@ -326,10 +326,8 @@ _REENTRANT_QUERIES = (
 )
 
 
-def _reentrancy_store(shards=1, executor_workers=0):
-    tsdb = build_storage_engine(
-        shards, block_policy=_POLICY, executor_workers=executor_workers
-    )
+def _reentrancy_store(shards=1):
+    tsdb = build_storage_engine(shards, block_policy=_POLICY)
     _fill(tsdb, {
         (name, idx): (idx, [float((step * 7 + idx * 13) % 50)
                             for step in range(60)])
@@ -373,9 +371,9 @@ def test_range_query_is_reentrant_through_a_selector_callback():
 
 
 def test_range_query_is_reentrant_across_threads():
-    """Thread pairs sharing one engine over a sharded store with the
-    shard executor on: every result equals the single-threaded one."""
-    tsdb = _reentrancy_store(shards=4, executor_workers=4)
+    """Threads sharing one engine over a sharded store: every result
+    equals the single-threaded one."""
+    tsdb = _reentrancy_store(shards=4)
     engine = QueryEngine(tsdb)
     cases = list(zip(_REENTRANT_QUERIES, _windows()))
     isolated = [

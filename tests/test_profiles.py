@@ -1,7 +1,7 @@
 """The TEEMON_TEST_PROFILE switch lives in ``tests/conftest.py``.
 
 Production config knows nothing of it: ``repro.teemon.config`` carries
-the paper's defaults as plain literals, and conftest moves six of them
+the paper's defaults as plain literals, and conftest moves five of them
 per CI leg.  These tests pin the table the legs run under and the fact
 that the variable means nothing outside the test suite.
 """
@@ -21,20 +21,19 @@ from tests.conftest import (
     profile_defaults,
 )
 
-#: (shards, WAL, executor workers, frame samples, tracing, sampling).
+#: (shards, WAL, frame samples, tracing, sampling).
 _RESOLVED = {
-    "": (1, False, 0, 500, False, None),
-    "sharded": (4, True, 0, 500, False, None),
-    "sharded-executor": (4, True, 4, 500, False, None),
-    "federated": (4, True, 4, 50, False, None),
-    "traced": (1, False, 0, 500, True, 0.25),
+    "": (1, False, 500, False, None),
+    "sharded": (4, True, 500, False, None),
+    "federated": (4, True, 50, False, None),
+    "traced": (1, False, 500, True, 0.25),
 }
 
 
-def _six(config):
+def _five(config):
     return (
         config.storage_shards, config.enable_wal,
-        config.storage_executor_workers, config.remote_write_frame_samples,
+        config.remote_write_frame_samples,
         config.enable_tracing, config.trace_sampling_probability,
     )
 
@@ -44,14 +43,14 @@ def test_profile_resolves_to_its_row_of_the_table(profile, monkeypatch):
     monkeypatch.setattr(
         TeemonConfig.__init__, "__defaults__", profile_defaults(profile)
     )
-    assert _six(TeemonConfig()) == _RESOLVED[profile]
+    assert _five(TeemonConfig()) == _RESOLVED[profile]
     # Explicit arguments win, and nothing but the profile's rows moved.
     explicit = TeemonConfig(
-        storage_shards=2, enable_wal=False, storage_executor_workers=1,
+        storage_shards=2, enable_wal=False,
         remote_write_frame_samples=7, enable_tracing=False,
         trace_sampling_probability=1.0,
     )
-    assert _six(explicit) == (2, False, 1, 7, False, 1.0)
+    assert _five(explicit) == (2, False, 7, False, 1.0)
     moved = {
         name for name, new, paper in zip(
             CONFIG_FIELDS, profile_defaults(profile), PAPER_DEFAULTS
@@ -62,7 +61,7 @@ def test_profile_resolves_to_its_row_of_the_table(profile, monkeypatch):
 
 def test_this_run_uses_the_profile_the_environment_names():
     profile = os.environ.get("TEEMON_TEST_PROFILE", "")
-    assert _six(TeemonConfig()) == _RESOLVED[profile]
+    assert _five(TeemonConfig()) == _RESOLVED[profile]
 
 
 def test_unknown_profile_is_an_error_not_the_paper_defaults():
@@ -77,7 +76,7 @@ def test_production_config_ignores_the_variable(profile):
     src = Path(__file__).resolve().parent.parent / "src"
     program = (
         "from repro.teemon.config import TeemonConfig; c = TeemonConfig(); "
-        "print((c.storage_shards, c.enable_wal, c.storage_executor_workers, "
+        "print((c.storage_shards, c.enable_wal, "
         "c.remote_write_frame_samples, c.enable_tracing, "
         "c.trace_sampling_probability))"
     )

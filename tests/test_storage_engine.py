@@ -346,16 +346,13 @@ def _ingest_fractions(engine: StorageEngine) -> None:
 
 
 @pytest.mark.parametrize("compacted", [False, True], ids=["raw", "compacted"])
-@pytest.mark.parametrize("executor_workers", [0, 3])
 @pytest.mark.parametrize("shards", [1, 2, 4, 8])
 def test_sharded_aggregations_are_bit_identical_to_the_monolith(
-    shards, executor_workers, compacted
+    shards, compacted
 ):
     policy = _POLICY if compacted else None
     mono = Tsdb(block_policy=policy)
-    sharded = ShardedTsdb(
-        shards, block_policy=policy, executor_workers=executor_workers
-    )
+    sharded = ShardedTsdb(shards, block_policy=policy)
     now_ns = seconds(1800)
     for db in (mono, sharded):
         _ingest_fractions(db)
@@ -495,71 +492,6 @@ def test_one_shard_sharded_engine_still_archives():
 
 
 # ---------------------------------------------------------------------------
-# Concurrent shard evaluation: byte-identical with the executor on
-# ---------------------------------------------------------------------------
-
-_AGGREGATE_PANEL = (
-    "sum by (name, idx) (avg_over_time(ebpf_syscalls_total[2m]))",
-    "sum(sum_over_time(ebpf_syscalls_total[2m]))",
-    "avg(sum_over_time(ebpf_syscalls_total[1m]))",
-    "min(min_over_time(ebpf_syscalls_total[2m]))",
-    "max by (name) (max_over_time(ebpf_syscalls_total[1m]))",
-    "count by (name) (count_over_time(ebpf_syscalls_total[2m]))",
-    "sum without (idx, job) (count_over_time(ebpf_syscalls_total[3m] offset 1m))",
-)
-
-_integer_series_strategy = st.dictionaries(
-    st.tuples(st.sampled_from(("read", "write", "futex", "mmap")),
-              st.integers(0, 3)),
-    st.lists(st.integers(0, 10**6).map(float), min_size=1, max_size=30),
-    min_size=1, max_size=8,
-)
-
-@given(_integer_series_strategy, st.integers(2, 6))
-@settings(max_examples=30, deadline=None)
-def test_executor_output_identical_to_serial(values_by_series, shards):
-    serial = build_storage_engine(shards)
-    threaded = build_storage_engine(shards, executor_workers=3)
-    _ingest(serial, values_by_series)
-    _ingest(threaded, values_by_series)
-    for matchers in _MATCHER_SETS:
-        assert (threaded.select(matchers, 0, seconds(1000))
-                == serial.select(matchers, 0, seconds(1000)))
-    serial_engine, threaded_engine = QueryEngine(serial), QueryEngine(threaded)
-    for query in _AGGREGATE_PANEL + _QUERY_PANEL:
-        assert (threaded_engine.range_query(query, seconds(30), seconds(150),
-                                            seconds(15))
-                == serial_engine.range_query(query, seconds(30), seconds(150),
-                                             seconds(15))), query
-
-
-def test_executor_knob_validation_and_one_shard_bypass():
-    with pytest.raises(TsdbError, match="negative"):
-        ShardedTsdb(2, executor_workers=-1)
-    # One shard never builds a fan-out engine, executor or not.
-    assert isinstance(build_storage_engine(1, executor_workers=4), Tsdb)
-    threaded = build_storage_engine(4, executor_workers=2)
-    assert threaded._executor is not None  # noqa: SLF001
-    threaded.configure_executor(0)
-    assert threaded._executor is None  # noqa: SLF001
-
-
-def test_chaos_digest_identical_with_shard_executor():
-    # The concurrency knob must be invisible to the pipeline: same seed,
-    # same digest, executor on or off.
-    def digest(executor_workers):
-        factory = lambda retention_ns=None: build_storage_engine(
-            4, retention_ns=retention_ns, executor_workers=executor_workers
-        )
-        rig = build_rig(31, tsdb_factory=factory, **MIXED)
-        drive(rig, 120)
-        return (rig.plan.journal_text(), tsdb_digest(rig),
-                rig.manager.self_stats())
-
-    assert digest(3) == digest(0)
-
-
-# ---------------------------------------------------------------------------
 # Batched ingest: one routing pass per scrape cycle
 # ---------------------------------------------------------------------------
 
@@ -603,6 +535,49 @@ def test_append_batch_reports_rejected_positions():
     assert engine.sample_count() == 4
     bad_name = [(Labels({"job": "batch"}), seconds(30), 1.0)]
     assert engine.append_batch(bad_name) == [0]
+
+
+def _reject_scalar(engine):
+    with pytest.raises(TsdbError):
+        engine.append(Labels.of("ghost"), 2**70, 1.0)
+
+
+def _reject_batch(engine):
+    assert engine.append_batch([(Labels.of("g2"), "x", 1.0)]) == [0]
+
+
+def _reject_run(engine):
+    with pytest.raises(TsdbError, match="differ in length"):
+        engine.append_run(Labels.of("g3"), [1, 2], [1.0])
+    assert engine.append_run(Labels.of("g4"), [1.5], [1.0]) == (0, 1)
+
+
+def _index_state(engine):
+    """The store, every shard's postings, and what they answer."""
+    shards = ([engine] if isinstance(engine, Tsdb)
+              else [engine.shard(k) for k in range(engine.shard_count)])
+    return (
+        [(labels, storage.sample_count)
+         for labels, storage in engine.series_items()],
+        [{pair: set(members) for pair, members in shard._postings.items()}  # noqa: SLF001
+         for shard in shards],
+        engine.metric_names(),
+        engine.label_values("i"),
+        engine.series_count(),
+    )
+
+
+@pytest.mark.parametrize("reject", [_reject_scalar, _reject_batch, _reject_run],
+                         ids=["append", "append_batch", "append_run"])
+@pytest.mark.parametrize("factory", [Tsdb, lambda: ShardedTsdb(4)],
+                         ids=["monolith", "sharded4"])
+def test_a_rejected_first_sample_leaves_no_series(factory, reject):
+    engine = factory()
+    engine.append_sample("kept", seconds(5), 1.0, i="0")
+    before = _index_state(engine)
+    reject(engine)
+    assert _index_state(engine) == before
+    assert restore(snapshot(engine)).series_count() == engine.series_count()
 
 
 def test_scraped_batches_count_per_shard():

@@ -31,6 +31,12 @@ def test_config_validation():
                      enable_node_exporter=False, enable_cadvisor=False)
 
 
+def test_shard_fan_out_takes_no_worker_threads():
+    assert TeemonConfig(storage_executor_workers=0).storage_executor_workers == 0
+    with pytest.raises(DeploymentError, match="calling thread"):
+        TeemonConfig(storage_executor_workers=1)
+
+
 def test_unsafe_remote_write_sender_is_rejected_before_any_timer():
     """A sender with a space used to be accepted and then raise WalError
     from the first uplink flush tick, out of ``VirtualClock.run_until``."""

@@ -1,5 +1,6 @@
-"""Only what runs: every module is imported by something that runs, and
-every ``TeemonConfig`` field is set by something.
+"""Only what runs: every module is imported by something that runs,
+every ``TeemonConfig`` field is set by something, and no module imports
+a thread API.
 
 Both walks are static (``ast``), so they see the repository as written,
 not whatever this process happens to have imported.
@@ -103,6 +104,18 @@ def test_every_module_is_imported_by_something_that_runs():
         "benchmarks/ (wire it in or delete it with its tests): "
         f"{orphans}"
     )
+
+
+def test_nothing_under_src_starts_a_thread():
+    # The simulated stack runs in one thread: shard fan-out, clock
+    # callbacks and WAL writes all happen in the caller's.
+    offenders = sorted(
+        f"{path.relative_to(REPO)}: {name}"
+        for path in (SRC / "repro").rglob("*.py")
+        for name in _imports(path, _module_name(path.parent))
+        if name in ("threading", "concurrent.futures")
+    )
+    assert offenders == [], offenders
 
 
 def _names_set_somewhere():
