@@ -230,11 +230,6 @@ class TeemonSelfExporter:
                 "teemon_storage_downsampled_reads_total",
                 "Range-function evaluations served from downsampled buckets",
             )
-            self._storage_batch_appends = self.registry.counter(
-                "teemon_storage_batch_appends_total",
-                "Batched ingest calls absorbed, per shard",
-                label_names=("shard",),
-            )
             self.registry.on_collect(self._sync_storage_counters)
         if rules is not None:
             # Rule-evaluation telemetry: the modelled evaluation time of
@@ -306,9 +301,6 @@ class TeemonSelfExporter:
             self._storage_samples.labels(label).set_to(float(shard["samples"]))
             self._storage_rollup_samples.labels(label).set_to(
                 float(shard["rollup_samples"])
-            )
-            self._storage_batch_appends.labels(label).set_to(
-                float(shard.get("batch_appends", 0))
             )
         self._storage_compactions.labels().set_to(
             float(stats["compactions_total"])

@@ -230,7 +230,6 @@ class Tsdb(StorageEngine):
         self.retention_ns = retention_ns
         self.block_policy = block_policy
         self.total_appends = 0
-        self.batch_appends_total = 0
         self.stats = StorageStats()
         self._wal = None
         #: Retention's low-water mark: no chunk and no rollup bucket can
@@ -334,7 +333,6 @@ class Tsdb(StorageEngine):
                 accepted.append(entry)
         self._expiry_floor_ns = floor
         self.total_appends += appended
-        self.batch_appends_total += 1
         if accepted:
             wal.append_many(accepted)
         return rejected
@@ -591,7 +589,6 @@ class Tsdb(StorageEngine):
             "samples": self.sample_count(),
             "rollup_buckets": sum(r.bucket_count for r in rollups),
             "rollup_samples": sum(r.sample_count for r in rollups),
-            "batch_appends": self.batch_appends_total,
         }
 
     def _unindex(self, labels: Labels) -> None:

@@ -239,10 +239,6 @@ def test_ingest_counters_reconcile_with_tsdb_appends():
     # No retention: nothing was thrown away either.
     assert rig.tsdb.sample_count() == rig.tsdb.total_appends
     assert manager.samples_dropped == 0
-    # Exporter samples arrive through the batched cycle path, one batch
-    # per delivered scrape body.
-    assert rig.tsdb.batch_appends_total > 0
-    assert rig.tsdb.batch_appends_total <= 2 * cycles
 
 
 def test_retention_under_chaos_bounds_the_tsdb():

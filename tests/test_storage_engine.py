@@ -578,37 +578,3 @@ def test_a_rejected_first_sample_leaves_no_series(factory, reject):
     reject(engine)
     assert _index_state(engine) == before
     assert restore(snapshot(engine)).series_count() == engine.series_count()
-
-
-def test_scraped_batches_count_per_shard():
-    engine = ShardedTsdb(4)
-    for cycle in range(1, 5):
-        engine.append_batch(_batch(
-            (idx, cycle * seconds(5), 1.0) for idx in range(8)
-        ))
-    stats = engine.storage_stats()
-    per_shard = [s["batch_appends"] for s in stats["per_shard"]]
-    # Every cycle's batch splits into one sub-batch per occupied shard.
-    assert max(per_shard) == 4
-    assert sum(per_shard) > 0
-
-
-def test_batch_metrics_reach_the_self_exposition():
-    from repro.simkernel.kernel import Kernel
-    from repro.sgx.driver import SgxDriver
-    from repro.teemon import TeemonConfig, deploy
-
-    kernel = Kernel(seed=11, hostname="batch-host")
-    kernel.load_module(SgxDriver())
-    deployment = deploy(kernel, TeemonConfig(storage_shards=4))
-    kernel.clock.advance(seconds(300))
-    session = deployment.session
-
-    # Batched scrape cycles have been flowing since boot; the per-shard
-    # counter family is already live.
-    per_shard = session.query("teemon_storage_batch_appends_total")
-    assert {labels.get("shard") for labels, _v in per_shard} == {
-        "0", "1", "2", "3"
-    }
-    assert sum(value for _labels, value in per_shard) > 0
-    deployment.stop()
