@@ -7,13 +7,13 @@ another process's numbers or on which CPU mode the box happens to be in:
 * ``wal_overhead`` — the same full scrape → rule-evaluation → render
   cycle as ``bench_pipeline``'s ``scrape_cycle``, on two deployments
   stepped in turn: WAL off (the default: one ``is None`` check per
-  append) and WAL on (write-through, a flush per cycle).
+  batch) and WAL on (write-through, a flush per cycle).
   ``overhead_ratio`` is ``on / off``, the price of crash safety;
   ``bytes_per_sample`` is what the medium took per logged sample,
   series records included.
-* ``wal_writer_*`` — the writer alone.  Every ``append``/``append_many``
-  call the WAL-on deployment made is recorded and replayed, in
-  alternation, into a fresh version-1 writer (``WalWriterV1`` from
+* ``wal_writer_*`` — the writer alone.  Every ``append_many`` call the
+  WAL-on deployment made is recorded and replayed, in alternation, into
+  a fresh version-1 writer (``WalWriterV1`` from
   ``tests/codec_oracle.py``: the memoised per-sample encoder as it stood
   in production) and a fresh ``WalWriter``, once as recorded
   (``monolith``) and once with every batch cut by series fingerprint the
@@ -64,17 +64,13 @@ class _Pipeline:
         wal = self.deployment.wal
         if wal is not None:
             # Record what the storage engine hands the writer.
-            append, append_many = wal.append, wal.append_many
-
-            def recorded_append(labels, time_ns, value):
-                self.calls.append([(labels, time_ns, value)])
-                append(labels, time_ns, value)
+            append_many = wal.append_many
 
             def recorded_append_many(entries):
                 self.calls.append(list(entries))
                 append_many(entries)
 
-            wal.append, wal.append_many = recorded_append, recorded_append_many
+            wal.append_many = recorded_append_many
 
     def cycle(self) -> float:
         deployment = self.deployment
@@ -127,10 +123,7 @@ def replay(writer_class, calls):
     writer = writer_class(disk)
     started = time.perf_counter()
     for entries in calls:
-        if len(entries) == 1:
-            writer.append(*entries[0])
-        else:
-            writer.append_many(entries)
+        writer.append_many(entries)
     writer.flush()
     return time.perf_counter() - started, disk
 

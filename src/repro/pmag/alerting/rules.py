@@ -48,6 +48,12 @@ EVENT_RESOLVED = "resolved"
 EVENT_EXPIRED = "expired"
 
 
+def _state_labels(instance: AlertInstance, metric: str, **extra: str) -> Labels:
+    """An instance's labels under ``ALERTS`` or ``ALERTS_FOR_STATE``."""
+    return Labels({**dict(instance.labels.items()),
+                   METRIC_NAME_LABEL: metric, **extra})
+
+
 @dataclass(frozen=True)
 class AlertingRule:
     """One alerting rule.
@@ -105,32 +111,6 @@ class AlertingRule:
         mapping["alertname"] = self.name
         return Labels(mapping)
 
-    def _write_state(self, tsdb, instance: AlertInstance,
-                     now_ns: int) -> None:
-        """Write this eval's ALERTS / ALERTS_FOR_STATE samples."""
-        base = dict(instance.labels.items())
-        alerts = dict(base)
-        alerts[METRIC_NAME_LABEL] = ALERTS_METRIC
-        alerts["alertstate"] = instance.state
-        for_state = dict(base)
-        for_state[METRIC_NAME_LABEL] = ALERTS_FOR_STATE_METRIC
-        try:
-            tsdb.append(Labels(alerts), now_ns, 1.0)
-            tsdb.append(
-                Labels(for_state), now_ns, float(instance.active_since_ns)
-            )
-        except TsdbError:
-            pass  # duplicate timestamp (manual + scheduled eval)
-
-    def _write_tombstone(self, tsdb, instance: AlertInstance,
-                         now_ns: int) -> None:
-        mapping = dict(instance.labels.items())
-        mapping[METRIC_NAME_LABEL] = ALERTS_FOR_STATE_METRIC
-        try:
-            tsdb.append(Labels(mapping), now_ns, _RESOLVED_TOMBSTONE)
-        except TsdbError:
-            pass
-
     def evaluate(
         self, engine, tsdb, now_ns: int
     ) -> List[Tuple[str, AlertInstance]]:
@@ -149,6 +129,7 @@ class AlertingRule:
         plan = engine.plan(self.expr)
         vector = engine.instant_plan(plan, now_ns)
         events: List[Tuple[str, AlertInstance]] = []
+        writes: List[Tuple[Labels, int, float]] = []
         seen = set()
         for series_labels, value in vector:
             out = self._instance_labels(series_labels)
@@ -171,7 +152,11 @@ class AlertingRule:
                 instance.state = STATE_FIRING
                 instance.fired_at_ns = now_ns
                 events.append((EVENT_FIRING, instance))
-            self._write_state(tsdb, instance, now_ns)
+            writes.append((_state_labels(
+                instance, ALERTS_METRIC, alertstate=instance.state),
+                now_ns, 1.0))
+            writes.append((_state_labels(instance, ALERTS_FOR_STATE_METRIC),
+                           now_ns, float(instance.active_since_ns)))
         for key in sorted(self._active):
             if key in seen:
                 continue
@@ -181,7 +166,12 @@ class AlertingRule:
                 else EVENT_EXPIRED
             )
             events.append((kind, instance))
-            self._write_tombstone(tsdb, instance, now_ns)
+            writes.append((_state_labels(instance, ALERTS_FOR_STATE_METRIC),
+                           now_ns, _RESOLVED_TOMBSTONE))
+        if writes:
+            # One commit per pass; at a repeated instant (manual +
+            # scheduled eval) the duplicates are dropped.
+            tsdb.append_batch(writes)
         return events
 
     def restore(self, tsdb, now_ns: int,

@@ -508,28 +508,25 @@ class RemoteWriteReceiver:
         identity = dict(RECEIVER_IDENTITY)
         if self._host is not None:
             identity["host"] = self._host
-        for metric, value in (
+        counters = (
             ("teemon_remote_write_frames_received_total", self.frames_received),
             ("teemon_remote_write_frames_replayed_total", self.frames_replayed),
             ("teemon_remote_write_samples_applied_total", self.samples_applied),
             ("teemon_remote_write_samples_deduped_total", self.samples_deduped),
             ("teemon_remote_write_replay_dedup_hits_total",
              self.replay_dedup_hits),
-        ):
-            try:
-                self._tsdb.append_sample(
-                    metric, now_ns, float(value), **identity
-                )
-            except TsdbError:
-                pass  # duplicate instant (manual tick + scheduled tick)
-        for sender, lag_s in self.lag_seconds(now_ns).items():
-            try:
-                self._tsdb.append_sample(
-                    "teemon_federation_lag_seconds", now_ns, lag_s,
-                    sender=sender, **identity,
-                )
-            except TsdbError:
-                pass  # duplicate instant
+        )
+        entries = [
+            (Labels.of(metric, **identity), now_ns, float(value))
+            for metric, value in counters
+        ]
+        entries.extend(
+            (Labels.of("teemon_federation_lag_seconds", sender=sender,
+                       **identity), now_ns, lag_s)
+            for sender, lag_s in self.lag_seconds(now_ns).items()
+        )
+        # One commit; at a repeated instant the duplicates are dropped.
+        self._tsdb.append_batch(entries)
 
 
 class _Frame:
@@ -897,7 +894,7 @@ class RemoteWriteClient:
         """
         identity = dict(CLIENT_IDENTITY)
         identity["source"] = self.source
-        for metric, value in (
+        counters = (
             ("teemon_remote_write_queue_depth", self.queue_depth),
             ("teemon_remote_write_queue_frames", self.queue_depth),
             ("teemon_remote_write_queue_samples", self.queued_samples),
@@ -909,10 +906,9 @@ class RemoteWriteClient:
             ("teemon_remote_write_samples_shipped_total", self.samples_shipped),
             ("teemon_remote_write_samples_dropped_total", self.samples_dropped),
             ("teemon_remote_write_bytes_shipped_total", self.bytes_shipped),
-        ):
-            try:
-                self._tsdb.append_sample(
-                    metric, now_ns, float(value), **identity
-                )
-            except TsdbError:
-                pass  # duplicate instant (manual tick + scheduled tick)
+        )
+        # One commit; at a repeated instant the duplicates are dropped.
+        self._tsdb.append_batch([
+            (Labels.of(metric, **identity), now_ns, float(value))
+            for metric, value in counters
+        ])

@@ -177,8 +177,9 @@ class RuleGroup:
     def _record_vector(
         self, rule: RecordingRule, vector, tsdb, time_ns: int
     ) -> int:
-        """Write one instant's output; returns samples recorded."""
-        written = 0
+        """Commit one instant's output as one batch, before the next rule
+        evaluates (it may read this one); returns samples recorded."""
+        entries = []
         seen_out = set()
         for labels, value in vector:
             mapping = dict(labels.items())
@@ -200,12 +201,11 @@ class RuleGroup:
                 self.conflicts_total += 1
                 continue
             seen_out.add(out)
-            try:
-                tsdb.append(out, time_ns, value)
-                written += 1
-            except TsdbError:
-                pass  # duplicate timestamp (first write wins)
-        return written
+            entries.append((out, time_ns, value))
+        if not entries:
+            return 0
+        # A duplicate timestamp is rejected: the first write wins.
+        return len(entries) - len(tsdb.append_batch(entries))
 
     def _recording_steps(self, key: str, now_ns: int) -> List[int]:
         """The instants one incremental cycle evaluates for a rule."""

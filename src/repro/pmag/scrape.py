@@ -462,10 +462,10 @@ class ScrapeManager:
             ))
         self._mark_up(target, health, identity, now_ns)
         with tracer.span("tsdb.append", {"samples": len(samples)}) as append_span:
-            # One engine call per scrape cycle: the batch routes series
-            # by shard in a single pass and amortises WAL write-through.
-            # Entry order matches the exposition, so accept/reject and
-            # exemplar outcomes are identical to per-sample appends.
+            # The body is one commit: the batch routes series by shard in
+            # a single pass and amortises WAL write-through.  Entry order
+            # matches the exposition, so each exemplar follows its own
+            # sample's accept/reject.
             entries = []
             carrying = []  # indices of the samples that bring an exemplar
             known = health.stored
@@ -492,21 +492,19 @@ class ScrapeManager:
             append_span.set_attribute("ingested", ingested)
             append_span.add_virtual_time(len(samples) * APPEND_NS_PER_SAMPLE)
         self._ingested_counter.inc(ingested)
-        own = health.own
-        if self._append("up", now_ns, 1.0, identity, own):
-            self._up_writes_counter.inc()
-        # Scrape metadata, as Prometheus records it: how long the scrape
-        # took (modelled from the exposition size plus any transport
-        # latency) and how many samples it yielded — operators watch these
-        # to spot bloated exporters and slow links.
+        # The report, as Prometheus records it: ``up``, how long the
+        # scrape took (modelled from the exposition size plus transport
+        # latency) and how many samples the body's commit accepted — hence
+        # a commit of its own.  Operators watch these to spot bloated
+        # exporters and slow links.
         duration_s = (latency_s + len(response.body) / TRANSFER_BYTES_PER_S
                       + 0.001)
-        if self._append("scrape_duration_seconds", now_ns, duration_s,
-                        identity, own):
-            self._meta_writes_counter.inc()
-        if self._append("scrape_samples_scraped", now_ns, float(ingested),
-                        identity, own):
-            self._meta_writes_counter.inc()
+        self._append(now_ns, [
+            ("up", 1.0, self._up_writes_counter),
+            ("scrape_duration_seconds", duration_s, self._meta_writes_counter),
+            ("scrape_samples_scraped", float(ingested),
+             self._meta_writes_counter),
+        ], identity, health.own)
         return ingested
 
     def _retire_removed_targets(self, current_urls, now_ns: int) -> None:
@@ -526,14 +524,13 @@ class ScrapeManager:
             self._removed_counter.inc()
             if not health.observed:
                 continue  # never scraped: nothing in the TSDB to retire
-            identity = target.identity()
+            writes = []
             if health.up:
-                if self._append("up", now_ns, 0.0, identity, health.own):
-                    self._up_writes_counter.inc()
+                writes.append(("up", 0.0, self._up_writes_counter))
             if not health.stale:
-                if self._append("scrape_target_stale", now_ns, 1.0,
-                                identity, health.own):
-                    self._stale_writes_counter.inc()
+                writes.append(
+                    ("scrape_target_stale", 1.0, self._stale_writes_counter))
+            self._append(now_ns, writes, target.identity(), health.own)
             self._removed_stale.add((target.job, target.instance))
 
     # ------------------------------------------------------------------
@@ -557,13 +554,12 @@ class ScrapeManager:
             self._flaps_counter.inc()
         health.up = False
         health.observed = True
-        if self._append("up", now_ns, 0.0, identity, health.own):
-            self._up_writes_counter.inc()
+        writes = [("up", 0.0, self._up_writes_counter)]
         if not health.stale and health.missed_intervals >= self.staleness_intervals:
             health.stale = True
-            if self._append("scrape_target_stale", now_ns, 1.0,
-                            identity, health.own):
-                self._stale_writes_counter.inc()
+            writes.append(
+                ("scrape_target_stale", 1.0, self._stale_writes_counter))
+        self._append(now_ns, writes, identity, health.own)
         if span is not None:
             span.set_status("error")
         if attempt < self.max_retries:
@@ -590,18 +586,15 @@ class ScrapeManager:
         health.observed = True
         health.consecutive_failures = 0
         health.missed_intervals = 0
-        if health.stale:
+        key = (target.job, target.instance)
+        if health.stale or key in self._removed_stale:
+            # Stale, or retired by discovery and back under a fresh health
+            # record: clear the staleness marker, ahead of the body.
             health.stale = False
-            if self._append("scrape_target_stale", now_ns, 0.0,
-                            identity, health.own):
-                self._stale_writes_counter.inc()
-        elif (target.job, target.instance) in self._removed_stale:
-            # The target was retired by discovery and has rejoined under
-            # a fresh health record: clear the removal staleness marker.
-            if self._append("scrape_target_stale", now_ns, 0.0,
-                            identity, health.own):
-                self._stale_writes_counter.inc()
-        self._removed_stale.discard((target.job, target.instance))
+            self._append(now_ns, [("scrape_target_stale", 0.0,
+                                   self._stale_writes_counter)],
+                         identity, health.own)
+        self._removed_stale.discard(key)
 
     def backoff_delay_ns(self, attempt: int) -> int:
         """Jittered exponential backoff before retry ``attempt + 1``.
@@ -652,39 +645,44 @@ class ScrapeManager:
     # ------------------------------------------------------------------
     # Ingest and self-monitoring
     # ------------------------------------------------------------------
-    def _append(self, name: str, now_ns: int, value: float,
-                identity: Dict[str, str], own: Dict[str, Labels]) -> bool:
-        """Append one of the scraper's own samples under ``identity``.
-
-        ``own`` remembers the series' :class:`Labels` by name: a
-        target's :attr:`TargetHealth.own`, or the manager's table for
-        its self-series.
+    def _append(self, now_ns: int, writes, identity: Dict[str, str],
+                own: Dict[str, Labels]) -> None:
+        """Commit the scraper's own ``(name, value, counter)`` samples
+        under ``identity`` as one batch; each accepted one bumps its
+        ``counter`` (if any).  ``own`` remembers the series'
+        :class:`Labels` by name: a target's :attr:`TargetHealth.own`, or
+        the manager's table for its self-series.
         """
-        labels = own.get(name)
-        if labels is None:
-            labels = own[name] = _series_labels(name, (), identity)
-        try:
-            self._tsdb.append(labels, now_ns, value)
-            return True
-        except TsdbError:
+        if not writes:
+            return
+        entries = []
+        for name, value, _counter in writes:
+            labels = own.get(name)
+            if labels is None:
+                labels = own[name] = _series_labels(name, (), identity)
+            entries.append((labels, now_ns, value))
+        rejected = self._tsdb.append_batch(entries)
+        if rejected:
             # Two scrapes in the same instant (e.g. manual + scheduled)
-            # produce a duplicate timestamp; drop the later sample, which is
-            # what Prometheus does with out-of-order ingestion — but count
-            # the drop so operators can see it happening.
-            self._dropped_counter.inc()
-            return False
+            # produce a duplicate timestamp; the later sample is dropped,
+            # which is what Prometheus does with out-of-order ingestion —
+            # but the drop is counted so operators can see it happening.
+            self._dropped_counter.inc(len(rejected))
+        for index, (_name, _value, counter) in enumerate(writes):
+            if counter is not None and index not in rejected:
+                counter.inc()
 
     def _record_self_series(self, now_ns: int) -> None:
         """Append the scraper's own counters — the monitor monitors itself."""
-        for name, value in (
-            ("scrape_timeouts_total", self.timeouts_total),
-            ("scrape_retries_total", self.retries_total),
-            ("scrape_samples_dropped_total", self.samples_dropped),
-            ("target_flaps_total", self.flaps_total),
-            ("scrape_targets_removed_total", self.targets_removed),
-        ):
-            self._append(name, now_ns, float(value), self._self_identity,
-                         self._own)
+        self._append(now_ns, [
+            (name, float(value), None) for name, value in (
+                ("scrape_timeouts_total", self.timeouts_total),
+                ("scrape_retries_total", self.retries_total),
+                ("scrape_samples_dropped_total", self.samples_dropped),
+                ("target_flaps_total", self.flaps_total),
+                ("scrape_targets_removed_total", self.targets_removed),
+            )
+        ], self._self_identity, self._own)
 
     def self_stats(self) -> Dict[str, int]:
         """The self-monitoring counters as a plain mapping (a view over

@@ -174,21 +174,16 @@ class ShardedTsdb(StorageEngine):
     # ------------------------------------------------------------------
     # Ingest: route to one shard
     # ------------------------------------------------------------------
-    def append(self, labels: Labels, time_ns: int, value: float) -> None:
-        """Append one sample to the owning shard."""
-        self._route(labels).append(labels, time_ns, value)
-
     def append_batch(
         self, entries: Sequence[Tuple[Labels, int, float]]
     ) -> List[int]:
-        """Group a scrape cycle's samples by shard in one routing pass.
+        """Group one commit's samples by shard in one routing pass.
 
         Each shard then ingests its sub-batch with one
         :meth:`Tsdb.append_batch` call (amortised WAL write-through).
         Within a shard entry order is preserved, and series never span
-        shards, so accept/reject outcomes match per-sample appends
-        exactly; rejected positions are mapped back to indices into
-        ``entries``.
+        shards, so accept/reject outcomes match the monolith's exactly;
+        rejected positions are mapped back to indices into ``entries``.
         """
         shards = self._shards
         count = len(shards)
@@ -226,7 +221,9 @@ class ShardedTsdb(StorageEngine):
         return rejected
 
     # Bound here, not inherited, so the class carries every ingest entry
-    # point by name: a remote-write frame flattens into append_batch.
+    # point by name: one sample and a remote-write frame both go through
+    # append_batch.
+    append = StorageEngine.append
     append_fingerprinted = StorageEngine.append_fingerprinted
 
     def append_run(self, labels: Labels, times, values) -> Tuple[int, int]:

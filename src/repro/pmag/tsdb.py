@@ -50,9 +50,16 @@ class StorageEngine(ABC):
     block_policy: Optional[BlockPolicy]
 
     # -- ingest --------------------------------------------------------
-    @abstractmethod
     def append(self, labels: Labels, time_ns: int, value: float) -> None:
-        """Append one sample to the series identified by ``labels``."""
+        """Append one sample — :meth:`append_batch` of one — raising
+        :class:`TsdbError` if it is rejected.  For hand-written samples:
+        every writer in the stack commits a batch."""
+        if self.append_batch([(labels, time_ns, value)]):
+            raise TsdbError(
+                f"series needs a {METRIC_NAME_LABEL} label: {labels!r}"
+                if not labels.metric_name else
+                f"out-of-order or unstorable append to {labels!r}: "
+                f"{time_ns!r}, {value!r}")
 
     @abstractmethod
     def install_series(self, labels: Labels, storage: ChunkedSeries) -> None:
@@ -65,30 +72,30 @@ class StorageEngine(ABC):
     def append_sample(
         self, metric: str, time_ns: int, value: float, **labels: str
     ) -> None:
-        """Convenience ingest by metric name and keyword labels.
-
-        The positional parameter is ``metric`` so ``name`` remains usable
-        as a keyword label.
-        """
+        """:meth:`append` by metric name and keyword labels
+        (:meth:`Labels.of`)."""
         self.append(Labels.of(metric, **labels), time_ns, value)
 
     @abstractmethod
     def append_batch(
         self, entries: Sequence[Tuple[Labels, int, float]]
     ) -> List[int]:
-        """Append one scrape cycle's samples in a single engine call.
+        """Append one commit's samples — a scrape body, a rule step, a
+        remote-write frame — in a single engine call.
 
         Returns the indices (into ``entries``) of rejected samples —
-        out-of-order appends, missing metric names — in ascending order;
-        everything else was accepted.  Entries are applied in order, so
-        the outcome per series is identical to per-sample :meth:`append`.
+        out-of-order appends, missing metric names, unstorable values —
+        in ascending order; everything else was accepted.  Entries are
+        applied in order, so the outcome per series does not depend on
+        how a writer groups its samples into batches.
         """
 
     @abstractmethod
     def append_run(self, labels: Labels, times, values) -> Tuple[int, int]:
         """Append one series' samples, given as parallel columns, in
         order; returns ``(appended, rejected)``.  The outcome per sample
-        is that of :meth:`append`; columns of different lengths raise."""
+        is that of :meth:`append_batch`; columns of different lengths
+        raise."""
 
     def append_fingerprinted(
         self,
@@ -251,48 +258,20 @@ class Tsdb(StorageEngine):
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def append(self, labels: Labels, time_ns: int, value: float) -> None:
-        """Append one sample to the series identified by ``labels``.
-
-        The scalar body: the scraper's per-target ``up`` and scrape-health
-        samples, rule outputs and hand-written samples land one at a time.
-        """
-        if not labels.metric_name:
-            raise TsdbError(f"series needs a {METRIC_NAME_LABEL} label: {labels!r}")
-        storage = self._series.get(labels)
-        fresh = storage is None
-        if fresh:
-            storage = ChunkedSeries()
-        if self._rollups and storage.sample_count == 0:
-            # The raw head is empty but history may live in the rollup;
-            # monotonicity must hold against the folded tail too.
-            rollup = self._rollups.get(labels)
-            last = rollup.last_time_ns() if rollup is not None else None
-            if last is not None and time_ns <= last:
-                raise TsdbError(f"out-of-order append: {time_ns} <= {last}")
-        storage.append(time_ns, value)
-        if fresh:
-            # A series exists from its first accepted sample on.
-            self._index(labels, storage)
-        self.total_appends += 1
-        if time_ns < self._expiry_floor_ns:
-            self._expiry_floor_ns = time_ns
-        if self._wal is not None:
-            self._wal.append(labels, time_ns, value)
+    append = StorageEngine.append
 
     def append_batch(
         self, entries: Sequence[Tuple[Labels, int, float]]
     ) -> List[int]:
-        """Batched ingest: per-sample :meth:`append` semantics, one call.
+        """The ingest body every writer commits through.
 
-        The body a scrape cycle's parsed samples and a remote-write frame
-        take.  The in-memory path is the same sequence of operations as
-        :meth:`append` (rollup monotonicity, chunk append, series
-        creation) applied in entry order, so accept/reject outcomes and
-        final state match the per-sample path exactly.  Accepted samples
-        reach the WAL as one :meth:`WalWriter.append_many` batch, which is
-        where the amortisation happens: flush/rotation boundaries are
-        unchanged, but the log costs a few disk writes per cycle instead
+        Per entry, in order: rollup monotonicity (a series whose raw
+        head is empty may have history folded into a rollup), chunk
+        append, and series creation — a series exists from its first
+        accepted sample on.  Accepted samples reach the WAL as one
+        :meth:`WalWriter.append_many` batch: flush and rotation
+        boundaries are counted in samples, so they do not depend on the
+        batching, but the log costs a few disk writes per commit instead
         of one per sample.
         """
         series = self._series
@@ -338,8 +317,8 @@ class Tsdb(StorageEngine):
         return rejected
 
     def append_run(self, labels: Labels, times, values) -> Tuple[int, int]:
-        """One series' samples as parallel columns: per-sample
-        :meth:`append` semantics — rollup monotonicity, accept/reject,
+        """One series' samples as parallel columns: the semantics of
+        :meth:`append_batch` — rollup monotonicity, accept/reject,
         series creation, WAL write-through of what was accepted — with
         the series looked up once and the columns filled by
         :meth:`ChunkedSeries.append_run`.  This is how WAL replay lands

@@ -96,8 +96,8 @@ _FRAME = struct.Struct("<II")
 _SERIES_HEAD = struct.Struct("<BII")
 _RUN_HEAD = struct.Struct("<BI")
 _SAMPLE = struct.Struct("<Iqd")
-#: The whole payload of a one-sample run: the scalar ``append`` and the
-#: many one-sample batches of a sharded scrape pay one precompiled pack.
+#: The whole payload of a one-sample run: the many one-sample batches a
+#: sharded store hands its shards pay one precompiled pack.
 _ONE_SAMPLE = struct.Struct("<BIIqd")
 _RUN_HEAD_SIZE, _SAMPLE_SIZE = _RUN_HEAD.size, _SAMPLE.size
 #: Samples in the largest run that still fits one record.
@@ -157,6 +157,8 @@ def encode_series_record(ref: int, labels: Labels) -> bytes:
 def encode_sample_run(flat: Sequence, count: int) -> bytes:
     """One framed samples record from ``count`` samples laid out flat,
     ``[ref, time_ns, value, ref, time_ns, value, ...]``."""
+    if count == 1:
+        return _framed(_ONE_SAMPLE.pack(RECORD_SAMPLES, 1, *flat))
     if not 0 < count <= MAX_RUN_SAMPLES:
         raise WalError(f"a run holds 1..{MAX_RUN_SAMPLES} samples: {count}")
     return _framed(struct.pack(
@@ -257,9 +259,10 @@ class WalWriter:
     """Appends ingest records to segment files on a simulated disk.
 
     Attach to a database with :meth:`Tsdb.attach_wal`; the TSDB calls
-    :meth:`append` for every accepted sample.  ``flush_every_records``
-    bounds the unflushed window by count (0 = only explicit flushes);
-    the deployment layer adds time-based flushes on the virtual clock.
+    :meth:`append_many` with each batch's accepted samples.
+    ``flush_every_records`` bounds the unflushed window by count (0 =
+    only explicit flushes); the deployment layer adds time-based flushes
+    on the virtual clock.
     """
 
     def __init__(
@@ -339,45 +342,17 @@ class WalWriter:
         return entry
 
     def append(self, labels: Labels, time_ns: int, value: float) -> None:
-        """Write one accepted sample through to the live segment."""
-        entry = self._series.get(labels)
-        if entry is None:
-            entry = self._learn(labels)
-        if entry[2] != self._seq:
-            # New to this segment: its series record goes first.
-            entry[2] = self._seq
-            self.disk.append(self._segment, entry[1])
-        payload = _ONE_SAMPLE.pack(RECORD_SAMPLES, 1, entry[0], time_ns, value)
-        self.disk.append(
-            self._segment,
-            _FRAME.pack(_ONE_SAMPLE.size, zlib.crc32(payload)) + payload)
-        self.records_total += 1
-        self.unflushed_records += 1
-        self._segment_records += 1
-        if self.flush_every_records and self.unflushed_records >= self.flush_every_records:
-            self.flush()
-        if self._segment_records >= self.segment_max_records:
-            self.flush()
-            self._open_segment()
-
-    #: :meth:`append` under a name of its own.  A sharded scrape hands
-    #: most shards a batch of one, which :meth:`append_many` passes
-    #: straight here; a profiler that wraps the public pair must not
-    #: count that as a second call.
-    _append_one = append
+        """Write one accepted sample: :meth:`append_many` of one."""
+        self.append_many([(labels, time_ns, value)])
 
     def append_many(self, entries: Sequence[Tuple[Labels, int, float]]) -> None:
         """Write a batch of accepted ``(labels, time_ns, value)`` samples.
 
-        Counter-for-counter equivalent to calling :meth:`append` per
-        sample — flush and rotation fire at exactly the same sample
-        boundaries — but the samples between two boundaries are one
-        run: one pack, one CRC, one ``disk.append``.
+        Flush and rotation fire at the same sample boundaries however
+        the samples are batched; the samples between two boundaries are
+        one run: one pack, one CRC, one ``disk.append``.
         """
         total = len(entries)
-        if total == 1:
-            self._append_one(*entries[0])
-            return
         series = self._series
         flush_every = self.flush_every_records
         start = 0
@@ -554,7 +529,7 @@ class _Replay:
         #: labels -> ``[labels, times, values]``.
         self._columns: Dict[Labels, list] = {}
         #: The same lists in order of first sample, which is the order
-        #: scalar appends would have created the series in.
+        #: appending sample by sample would have created the series in.
         self._order: List[list] = []
 
     def journal(self, kind: str, where: str) -> None:

@@ -28,7 +28,7 @@ import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.errors import DeploymentError, TsdbError
+from repro.errors import DeploymentError
 from repro.exporters import (
     CadvisorExporter,
     EbpfExporter,
@@ -53,6 +53,7 @@ from repro.pmag.alerting import (
     Route,
     SilenceStore,
 )
+from repro.pmag.model import Labels
 from repro.pmag.query.engine import QueryEngine
 from repro.pmag.remote_write import (
     REMOTE_WRITE_PATH,
@@ -773,11 +774,11 @@ class TeemonDeployment:
             ("pmag_query_cache_evictions_total", float(stats.evictions)),
             ("pmag_query_cache_size", float(stats.size)),
         )
-        for metric, value in samples:
-            try:
-                self.tsdb.append_sample(metric, now_ns, value, **identity)
-            except TsdbError:
-                pass  # duplicate instant (manual tick + scheduled tick)
+        # One commit; at a repeated instant the duplicates are dropped.
+        self.tsdb.append_batch([
+            (Labels.of(metric, **identity), now_ns, value)
+            for metric, value in samples
+        ])
         for client in self._remote_write_clients():
             client.record_self_series(now_ns)
         if self.remote_write_receiver is not None:

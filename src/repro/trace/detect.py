@@ -214,11 +214,18 @@ class AnomalyDetector:
     # The detection cycle
     # ------------------------------------------------------------------
     def run(self, now_ns: int) -> List[AnomalyEvent]:
-        """Evaluate every rule over the window since the previous run."""
+        """Evaluate every rule over the window since the previous run;
+        a run at or before that run's instant has none and does nothing."""
+        # Here, not at module level: importing repro.pmag imports this.
+        from repro.pmag.model import Labels
+
+        if self._last_run_ns is not None and now_ns <= self._last_run_ns:
+            return []
         self.runs_total += 1
         start_ns = self._last_run_ns if self._last_run_ns is not None else 0
         self._last_run_ns = now_ns
         fired: List[AnomalyEvent] = []
+        writes: List[tuple] = []
         for rule in self.rules:
             if rule.kind == KIND_SYSCALL_LATENCY:
                 value = self._syscall_p95(rule, start_ns, now_ns)
@@ -255,25 +262,18 @@ class AnomalyDetector:
                 history.append(value)
                 if len(history) > self.baseline_windows:
                     history.pop(0)
-            self._write_self_series(rule, now_ns, value, flagged)
+            for metric, sample in (
+                ("teemon_anomaly_active", 1.0 if flagged else 0.0),
+                ("teemon_anomaly_score", value),
+                ("teemon_anomalies_total",
+                 float(self.anomalies_by_kind.get(rule.kind, 0))),
+            ):
+                writes.append((
+                    Labels.of(metric, kind=rule.kind, **self._self_labels),
+                    now_ns, sample))
+        if writes:
+            self._tsdb.append_batch(writes)
         return fired
-
-    def _write_self_series(
-        self, rule: AnomalyRule, now_ns: int, value: float, flagged: bool
-    ) -> None:
-        labels = dict(self._self_labels)
-        self._tsdb.append_sample(
-            "teemon_anomaly_active", now_ns, 1.0 if flagged else 0.0,
-            kind=rule.kind, **labels,
-        )
-        self._tsdb.append_sample(
-            "teemon_anomaly_score", now_ns, value, kind=rule.kind, **labels,
-        )
-        self._tsdb.append_sample(
-            "teemon_anomalies_total", now_ns,
-            float(self.anomalies_by_kind.get(rule.kind, 0)),
-            kind=rule.kind, **labels,
-        )
 
     # ------------------------------------------------------------------
     # Determinism witness

@@ -201,6 +201,29 @@ def test_counter_rule_floor_ratio_and_warmup():
     assert events[0].trace_id == "-"  # no trace store attached
 
 
+def test_a_run_at_the_previous_instant_changes_nothing():
+    tsdb = Tsdb()
+    detector = AnomalyDetector(tsdb, rules=(COUNTER_RULE,))
+    second = NANOS_PER_SEC
+    write_counter(tsdb, 10 * second, 0.0)
+    detector.run(10 * second)
+    write_counter(tsdb, 20 * second, 5.0)
+    detector.run(20 * second)
+
+    def state():
+        return (
+            {kind: list(h) for kind, h in detector._history.items()},  # noqa: SLF001
+            dict(detector._prev_cum), dict(detector._prev_buckets),  # noqa: SLF001
+            tsdb.sample_count(),
+        )
+
+    before = state()
+    # Once more at 20 s: nothing new to see, nothing to write.
+    assert detector.run(20 * second) == []
+    assert state() == before
+    assert before[0] == {KIND_EPC_THRASH: [5.0]}
+
+
 def test_flagged_windows_stay_out_of_the_baseline():
     tsdb = Tsdb()
     detector = AnomalyDetector(tsdb, rules=(COUNTER_RULE,))

@@ -229,6 +229,10 @@ def test_corrupted_bodies_never_contribute_samples():
 def test_ingest_counters_reconcile_with_tsdb_appends():
     cycles = 300
     rig = build_rig(29, flap=True, corrupt_p=0.1, max_retries=0)
+    batches = []
+    append_batch = rig.tsdb.append_batch
+    rig.tsdb.append_batch = lambda entries: (
+        batches.append(len(entries)), append_batch(entries))[1]
     drive(rig, cycles)
     manager = rig.manager
     self_writes = 5 * cycles  # five self-monitoring series per cycle
@@ -239,6 +243,14 @@ def test_ingest_counters_reconcile_with_tsdb_appends():
     # No retention: nothing was thrown away either.
     assert rig.tsdb.sample_count() == rig.tsdb.total_appends
     assert manager.samples_dropped == 0
+    # Every sample reached storage in a batch.  A delivered scrape
+    # commits twice (body, then report), a failed one once, and each
+    # cycle once more for the scraper's own series.  A stale target's
+    # recovery adds its marker clear, but only after failed attempts.
+    assert sum(batches) == rig.tsdb.total_appends
+    attempts = sum(manager.health(t).scrapes for t in rig.targets)
+    assert attempts == len(rig.targets) * cycles  # no retries
+    assert cycles + attempts <= len(batches) <= cycles + 2 * attempts
 
 
 def test_retention_under_chaos_bounds_the_tsdb():

@@ -60,6 +60,40 @@ def test_bad_rule_does_not_break_group():
     assert "job:bad:q" in group.last_error
 
 
+@pytest.mark.parametrize("gap_intervals", [1, 4])
+def test_a_rule_reads_an_earlier_rules_output_at_the_same_instant(
+        gap_intervals):
+    # Rule B consumes rule A's output.  Each rule's writes must be in
+    # storage before the next rule evaluates, or B would read A's sample
+    # from the previous instant.  One interval apart is cadence mode;
+    # four apart is incremental backfill, where A writes every missed
+    # instant before B evaluates any of them.
+    tsdb = Tsdb()
+    total = 0.0
+    for step in range(1, 61):
+        total += 10.0 * step  # accelerating: a new rate at every instant
+        tsdb.append_sample("c_total", step * seconds(5), total)
+    engine = QueryEngine(tsdb)
+    group = RuleGroup("g", [
+        RecordingRule("job:c:rate1m", "rate(c_total[1m])"),
+        RecordingRule("job:c:rate1m_x2", "job:c:rate1m * 2"),
+    ])
+    first = seconds(120)
+    group.evaluate(engine, tsdb, first, incremental=True)
+    group.evaluate(engine, tsdb, first + gap_intervals * group.interval_ns,
+                   incremental=True)
+
+    def recorded(name):
+        (series,) = tsdb.select_metric(name, 0, seconds(300))
+        return {s.time_ns: s.value for s in series.samples}
+
+    rate = recorded("job:c:rate1m")
+    assert len(rate) == 1 + gap_intervals
+    assert len(set(rate.values())) == len(rate)
+    assert recorded("job:c:rate1m_x2") == {
+        time_ns: 2 * value for time_ns, value in rate.items()}
+
+
 def test_duplicate_rules_rejected():
     with pytest.raises(TsdbError):
         RuleGroup("g", [

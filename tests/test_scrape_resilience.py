@@ -239,10 +239,17 @@ def test_duplicate_timestamp_drops_are_counted_and_exposed():
     manager.add_target(target)
     clock.advance(seconds(1))
     own = {}
-    assert manager._append("m_total", clock.now_ns, 1.0, {"job": "x"}, own)
-    assert not manager._append("m_total", clock.now_ns, 2.0, {"job": "x"}, own)
-    assert list(own) == ["m_total"]
-    assert manager.samples_dropped == 1
+    counter = manager._meta_writes_counter
+    manager._append(clock.now_ns, [("m_total", 1.0, counter)],
+                    {"job": "x"}, own)
+    assert (manager.meta_writes, manager.samples_dropped) == (1, 0)
+    # One batch, one duplicate: the duplicate is dropped and counted, the
+    # other sample lands and bumps its counter.
+    manager._append(clock.now_ns, [("m_total", 2.0, counter),
+                                   ("n_total", 1.0, counter)],
+                    {"job": "x"}, own)
+    assert list(own) == ["m_total", "n_total"]
+    assert (manager.meta_writes, manager.samples_dropped) == (2, 1)
     # The counter is exported as a self-monitoring series on the next cycle.
     clock.advance(seconds(1))
     manager.scrape_once()

@@ -1,8 +1,8 @@
 """Only what runs: every module is imported by something that runs,
-every ``TeemonConfig`` field is set by something, and no module imports
-a thread API.
+every ``TeemonConfig`` field is set by something, no module imports a
+thread API, and every writer under ``src/`` commits a batch.
 
-Both walks are static (``ast``), so they see the repository as written,
+The walks are static (``ast``), so they see the repository as written,
 not whatever this process happens to have imported.
 """
 
@@ -114,6 +114,38 @@ def test_nothing_under_src_starts_a_thread():
         for path in (SRC / "repro").rglob("*.py")
         for name in _imports(path, _module_name(path.parent))
         if name in ("threading", "concurrent.futures")
+    )
+    assert offenders == [], offenders
+
+
+#: Receivers of ``.append(`` that are storage engines or WAL writers,
+#: by the names ``src/`` gives them (``self._route(…)`` is a shard).
+_WRITER_NAMES = {"tsdb", "engine", "shard", "route", "wal", "writer"}
+
+
+def _receiver_name(node):
+    """The last identifier of a call receiver: ``self._tsdb`` -> ``tsdb``,
+    ``self._route(labels)`` -> ``route``."""
+    while isinstance(node, ast.Call):
+        node = node.func
+    name = (node.attr if isinstance(node, ast.Attribute)
+            else getattr(node, "id", ""))
+    return name.lstrip("_")
+
+
+def test_every_writer_under_src_commits_a_batch():
+    # Scrapes, rule steps, alert passes and self-series each hand storage
+    # one append_batch; scalar append and append_sample are API for tests
+    # and hand-written samples, not a path the stack takes.
+    offenders = sorted(
+        f"{path.relative_to(REPO)}:{node.lineno}"
+        for path in (SRC / "repro").rglob("*.py")
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and (node.func.attr == "append_sample"
+             or (node.func.attr == "append"
+                 and _receiver_name(node.func.value) in _WRITER_NAMES))
     )
     assert offenders == [], offenders
 

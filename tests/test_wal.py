@@ -890,6 +890,29 @@ def test_append_many_bytes_and_counters_equal_append(flush_every):
     assert _wal_files(disk_c) == files_a
 
 
+@pytest.mark.parametrize("flush_every, segment_max", [(0, 4096), (2, 5), (3, 4)])
+def test_append_is_append_many_of_one_and_the_reference_record(
+        flush_every, segment_max):
+    # One sample written by append, by append_many([sample]) and by the
+    # one-sample-at-a-time model: the same medium, byte for byte and
+    # durable prefix for durable prefix, across flushes and rotations.
+    entries = [(_labels(k % 3), (k + 1) * 1000, float(k)) for k in range(14)]
+    model = ReferenceLogV2(flush_every, segment_max)
+    for entry in entries:
+        model.append(*entry)
+    for write in (WalWriter.append,
+                  lambda writer, *entry: writer.append_many([entry])):
+        disk = SimDisk()
+        writer = WalWriter(disk, flush_every_records=flush_every,
+                           segment_max_records=segment_max)
+        for entry in entries:
+            write(writer, *entry)
+        names = disk.list_files("wal/segment-")
+        assert [disk.read(name) for name in names] == model.segments
+        assert [disk.synced_size(name) for name in names] == model.durable
+        assert writer.records_total == len(entries)
+
+
 def test_a_batch_too_large_for_one_record_is_cut_into_runs(monkeypatch):
     # A run must fit MAX_RECORD_BYTES; past that a batch becomes several
     # runs with no flush in between.
