@@ -8,7 +8,7 @@ end-to-end cycle, then writes ``BENCH_pipeline.json``:
 * ``instant_query`` — dashboard-style instant query latency, with the
   query plan cache and with it disabled;
 * ``range_query``   — step-grid range evaluation, many steps over one
-  long series;
+  long counter; ``range_query_resets`` is the same counter with resets;
 * ``hook_fire``     — hook dispatch throughput with zero and one
   observers (the two common cases during app simulation);
 * ``scrape_cycle``  — one full scrape + rule evaluation + dashboard
@@ -106,31 +106,39 @@ def bench_instant_query(report: BenchReport, quick: bool) -> None:
 
 
 def bench_range_query(report: BenchReport, quick: bool) -> None:
-    """Step-grid range evaluation: 1k steps over a 10k-sample series."""
+    """Step-grid range evaluation: 1k steps over a 10k-sample counter.
+
+    ``range_query`` times a reset-free counter (bench_storage's baseline
+    gate compares against it); ``range_query_resets`` times the same
+    series reset to zero every 100 samples, reported but not gated.
+    """
     samples = 2000 if quick else 10_000
     steps = 200 if quick else 1000
-    tsdb = Tsdb()
-    for step in range(samples):
-        tsdb.append_sample(
-            "bench_counter", (step + 1) * SCRAPE_INTERVAL_NS, float(step),
-            job="bench",
-        )
-    engine = QueryEngine(tsdb)
     end_ns = samples * SCRAPE_INTERVAL_NS
     step_ns = max(SCRAPE_INTERVAL_NS,
                   (end_ns - SCRAPE_INTERVAL_NS) // max(1, steps - 1))
     start_ns = end_ns - (steps - 1) * step_ns
     query = "rate(bench_counter[5m])"  # the dashboards' staple window
 
-    bulk_s = best_of(
-        3, lambda: engine.range_query(query, start_ns, end_ns, step_ns)
-    )
-    report.add(
-        "range_query",
-        bulk_ms=bulk_s * 1e3,
-        steps=steps,
-        series_samples=samples,
-    )
+    # A period of ``samples`` never wraps: the reset-free counter.
+    for name, period in (("range_query", samples),
+                         ("range_query_resets", 100)):
+        tsdb = Tsdb()
+        for step in range(samples):
+            tsdb.append_sample(
+                "bench_counter", (step + 1) * SCRAPE_INTERVAL_NS,
+                float(step % period), job="bench",
+            )
+        engine = QueryEngine(tsdb)
+        bulk_s = best_of(
+            3, lambda: engine.range_query(query, start_ns, end_ns, step_ns)
+        )
+        report.add(
+            name,
+            bulk_ms=bulk_s * 1e3,
+            steps=steps,
+            series_samples=samples,
+        )
 
 
 def bench_hook_fire(report: BenchReport, quick: bool) -> None:

@@ -237,7 +237,10 @@ def histogram_quantile(quantile: float, vector: Value) -> InstantVector:
         le_text = labels.get("le")
         if not le_text:
             continue
-        bound = float("inf") if le_text in ("+Inf", "inf") else float(le_text)
+        try:
+            bound = float(le_text)  # takes "+Inf" too
+        except ValueError:
+            continue  # unparsable bound: Prometheus skips the bucket
         key = labels.without("le", METRIC_NAME_LABEL)
         groups.setdefault(key, []).append((bound, value))
     result: InstantVector = []

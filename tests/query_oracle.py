@@ -15,6 +15,15 @@ the parser, the per-instant operators of ``repro.pmag.query.ops``
 (``topk``, ``histogram_quantile``, label matching — the grid calls the
 same functions per step) and ``quantile_of``.  Selection, windowing and
 the range functions are its own.
+
+The counter functions follow Prometheus' closed form rather than a fold
+of reset-corrected deltas: ``increase`` is last - first plus the value
+before each reset, in order (``_increase_with_resets``); ``rate`` is
+that total ``* NANOS_PER_SEC / elapsed``.  On integer-valued counters
+below 2**53 the two forms agree bit for bit (tests/test_perf_equivalence
+pins it).  Elsewhere they may round differently, and a NaN strictly
+inside a window poisons only the fold: the closed form, like
+Prometheus, ignores it.
 """
 
 from __future__ import annotations
@@ -46,13 +55,15 @@ NANOS_PER_SEC = 1_000_000_000
 # Range functions over one window of samples
 # ---------------------------------------------------------------------------
 def _increase_with_resets(samples: Sequence[Sample]) -> float:
-    total = 0.0
+    """Prometheus' closed form (``extrapolatedRate`` in promql/functions.go,
+    before extrapolation): last - first, then the value just before each
+    counter reset, added in order.  A NaN inside the window compares false
+    both ways, so it neither counts as a reset nor poisons the total."""
     previous = samples[0].value
+    total = samples[-1].value - previous
     for sample in samples[1:]:
         if sample.value < previous:
-            total += sample.value  # counter reset: count from zero
-        else:
-            total += sample.value - previous
+            total += previous  # counter reset: add what it had reached
         previous = sample.value
     return total
 

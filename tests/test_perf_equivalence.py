@@ -11,6 +11,8 @@ semantics it replaced:
 * indexed chunk windows (``window``/``window_arrays``) vs a linear decode
   of ``chunk.samples()`` (the seed algorithm, re-implemented here);
 * column-form range functions vs the Sample-form originals;
+* the closed-form counter increase vs the fold of reset-corrected
+  deltas it replaced, on integer-valued counters where both are exact;
 * ``last_sample`` vs ``window(last, last)``;
 * the batched chunk codec vs itself (round trip), including the empty and
   single-sample chunks.
@@ -517,6 +519,48 @@ def test_column_functions_match_sample_functions(name, points, raw_windows):
     prepare = COLUMN_RANGE_FUNCTIONS[name]
     column = prepare(times, *window_bounds(times, windows))(values)
     assert _bits(column) == _bits(expected)
+
+
+def _folded_increase(values):
+    """The form the closed one replaced: a left fold, from 0.0, of the
+    per-pair increases, a drop counting from zero."""
+    total = 0.0
+    for previous, value in zip(values, values[1:]):
+        total += value if value < previous else value - previous
+    return total
+
+
+@given(
+    # Integer-valued counters, random enough to reset often.  With values
+    # below 2**47 and at most 60 samples every partial sum of either form
+    # is an integer below 2**53, so both are exact — why no digest moved.
+    st.lists(st.integers(0, 2**47).map(float), min_size=1, max_size=60),
+    st.lists(
+        st.tuples(st.integers(0, 8), st.integers(0, 30)),
+        min_size=1, max_size=12,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_closed_form_increase_equals_the_delta_fold_on_integer_counters(
+    values, raw_windows
+):
+    times = [seconds(index + 1) for index in range(len(values))]
+    windows, low, high = [], 0, 0
+    for advance, width in raw_windows:
+        low += seconds(advance)
+        high = max(high, low + seconds(width))
+        windows.append((low, high))
+    bounds = window_bounds(times, windows)
+    increase = COLUMN_RANGE_FUNCTIONS["increase"](times, *bounds)(values)
+    rate = COLUMN_RANGE_FUNCTIONS["rate"](times, *bounds)(values)
+    for lo, hi, got, got_rate in zip(*bounds[:2], increase, rate):
+        if hi - lo < 2:
+            assert got is None and got_rate is None
+            continue
+        folded = _folded_increase(values[lo:hi])
+        assert _bits([got]) == _bits([folded])
+        elapsed = times[hi - 1] - times[lo]
+        assert _bits([got_rate]) == _bits([folded * 10**9 / elapsed])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Query language tests: lexer, parser, engine."""
 
+import math
+
 import pytest
 
 from repro.errors import QueryError
@@ -15,6 +17,7 @@ from repro.pmag.query.nodes import (
     VectorSelector,
 )
 from repro.pmag.query.parser import parse_query
+from repro.pmag.storage import build_storage_engine
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import seconds
 
@@ -251,8 +254,6 @@ def test_vector_vector_matching(populated):
 
 
 def test_division_by_zero_is_nan(populated):
-    import math
-
     engine, now = populated
     value = engine.scalar("1 / 0", now)
     assert math.isnan(value)
@@ -300,3 +301,77 @@ def test_scalar_requires_single_value(populated):
     engine, now = populated
     with pytest.raises(QueryError):
         engine.scalar("reqs_total", now)  # two series
+
+
+# ---------------------------------------------------------------------------
+# Counter functions: Prometheus' closed form, hand-computed
+# ---------------------------------------------------------------------------
+ENGINES = pytest.mark.parametrize(
+    "build", [Tsdb, lambda: build_storage_engine(4)],
+    ids=["monolith", "sharded4"],
+)
+
+
+def _counter_engine(build, values):
+    """``c`` scraped once a second from t = 1 s."""
+    tsdb = build()
+    for index, value in enumerate(values):
+        tsdb.append_sample("c", (index + 1) * seconds(1), float(value))
+    return QueryEngine(tsdb)
+
+
+def _only(engine, query, at_s):
+    vector = engine.instant(query, at_s * seconds(1))
+    assert len(vector) == 1
+    return vector[0][1]
+
+
+@ENGINES
+def test_increase_adds_the_value_before_a_reset_inside_the_window(build):
+    engine = _counter_engine(build, [5, 10, 2, 8])
+    # 8 - 5, plus 10 reached before the reset to 2.
+    assert _only(engine, "increase(c[10s])", 4) == 13.0
+    assert _only(engine, "rate(c[10s])", 4) == 13.0 * 10**9 / (3 * 10**9)
+
+
+@ENGINES
+def test_reset_on_a_window_edge(build):
+    engine = _counter_engine(build, [5, 10, 2, 8])
+    # The reset sample opens the window [3 s, 4 s]: nothing to add.
+    assert _only(engine, "increase(c[1s])", 4) == 6.0
+    # The reset sample closes the window [1 s, 3 s]: 2 - 5 + 10.
+    assert _only(engine, "increase(c[2s])", 3) == 7.0
+
+
+@ENGINES
+def test_nan_strictly_inside_a_window_is_ignored(build):
+    engine = _counter_engine(build, [1, 2, float("nan"), 4, 6])
+    assert _only(engine, "increase(c[10s])", 5) == 5.0
+    assert _only(engine, "rate(c[10s])", 5) == 5.0 * 10**9 / (4 * 10**9)
+
+
+@ENGINES
+@pytest.mark.parametrize(
+    "values", [[float("nan"), 2, 4], [1, 2, float("nan")]],
+    ids=["first", "last"],
+)
+def test_nan_at_a_window_end_gives_nan(build, values):
+    engine = _counter_engine(build, values)
+    assert math.isnan(_only(engine, "increase(c[10s])", 3))
+    assert math.isnan(_only(engine, "rate(c[10s])", 3))
+
+
+@ENGINES
+def test_irate_across_a_reset_counts_from_zero(build):
+    engine = _counter_engine(build, [5, 10, 2])
+    assert _only(engine, "irate(c[10s])", 3) == 2.0
+
+
+def test_histogram_quantile_skips_an_unparsable_le():
+    tsdb = Tsdb()
+    for le, count in (("0.5", 10.0), ("+Inf", 20.0), ("bogus", 15.0)):
+        tsdb.append_sample("h_bucket", seconds(1), count, le=le)
+    engine = QueryEngine(tsdb)
+    vector = engine.instant("histogram_quantile(0.5, h_bucket)", seconds(1))
+    # Rank 10 falls in the 0.5 bucket; "bogus" is dropped as Prometheus does.
+    assert vector == [(Labels({}), 0.5)]
