@@ -10,12 +10,13 @@ per window (``None`` where the window is empty or too short for the
 function).  ``rate``/``increase`` take Prometheus' closed form (its
 ``extrapolatedRate`` before extrapolation): last - first, plus the value
 before each reset (a drop) inside the window — O(1) per reset-free
-window, no fold; a NaN strictly inside a window is ignored, one at
-either end gives NaN.  ``irate`` reads its last pair only.  The
-one-window-at-a-time Sample-list forms these were derived from live in
-``tests/query_oracle.py``; a property test in
-tests/test_perf_equivalence pins the two families together, float bit
-for float bit.
+window, no fold.  A NaN inside a window is no reset, so a reset right
+after it is missed and the increase can come out low or negative
+(``[10, NaN, 2]`` gives -8), as in Prometheus; a NaN at either end
+gives NaN.  ``irate`` reads its last pair only.  The one-window-at-a-time
+Sample-list forms these were derived from live in ``tests/query_oracle.py``;
+a property test in tests/test_perf_equivalence pins the two families
+together, float bit for float bit.
 """
 
 from __future__ import annotations
@@ -98,9 +99,10 @@ class TimelineMemo:
 def counter_resets(values: List[float]) -> List[int]:
     """Indices ``i`` with ``values[i] < values[i - 1]``, ascending.
 
-    A NaN compares false both ways, so it is never a reset.  A NaN-free
-    list equal to its (stable) sort is nondecreasing: that C-level test
-    clears a reset-free counter in a fraction of the pairwise scan's time.
+    A NaN compares false both ways, so neither it nor the drop after it
+    is a reset.  A NaN-free list equal to its sort is nondecreasing: that
+    C-level test clears a reset-free counter — every counter the e2e
+    workloads query — in half the pairwise scan's time.
     """
     total = sum(values)
     if total == total and values == sorted(values):

@@ -22,8 +22,10 @@ before each reset, in order (``_increase_with_resets``); ``rate`` is
 that total ``* NANOS_PER_SEC / elapsed``.  On integer-valued counters
 below 2**53 the two forms agree bit for bit (tests/test_perf_equivalence
 pins it).  Elsewhere they may round differently, and a NaN strictly
-inside a window poisons only the fold: the closed form, like
-Prometheus, ignores it.
+inside a window poisons only the fold.  The closed form, like
+Prometheus, does not treat that NaN as a reset, so a reset right after
+it is missed and the increase can come out low or negative:
+``[10, NaN, 2]`` gives -8.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ def _increase_with_resets(samples: Sequence[Sample]) -> float:
     """Prometheus' closed form (``extrapolatedRate`` in promql/functions.go,
     before extrapolation): last - first, then the value just before each
     counter reset, added in order.  A NaN inside the window compares false
-    both ways, so it neither counts as a reset nor poisons the total."""
+    both ways: it is no reset and a drop right after it is none either, so
+    that drop is missed and the total can come out low or negative."""
     previous = samples[0].value
     total = samples[-1].value - previous
     for sample in samples[1:]:

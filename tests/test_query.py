@@ -344,10 +344,27 @@ def test_reset_on_a_window_edge(build):
 
 
 @ENGINES
-def test_nan_strictly_inside_a_window_is_ignored(build):
+def test_nan_strictly_inside_a_window_gives_a_finite_value(build):
     engine = _counter_engine(build, [1, 2, float("nan"), 4, 6])
     assert _only(engine, "increase(c[10s])", 5) == 5.0
     assert _only(engine, "rate(c[10s])", 5) == 5.0 * 10**9 / (4 * 10**9)
+
+
+@ENGINES
+@pytest.mark.parametrize(
+    "values, increase",
+    [([10, float("nan"), 2], -8.0), ([5, 10, float("nan"), 2, 8], 3.0)],
+    ids=["negative", "low"],
+)
+def test_a_reset_right_after_a_nan_is_missed(build, values, increase):
+    # Both comparisons that touch the NaN are false, so the drop to 2 is
+    # no reset: last - first alone, as Prometheus' extrapolatedRate gives.
+    engine = _counter_engine(build, values)
+    at_s = len(values)
+    assert _only(engine, "increase(c[10s])", at_s) == increase
+    assert _only(engine, "rate(c[10s])", at_s) == (
+        increase * 10**9 / ((at_s - 1) * 10**9)
+    )
 
 
 @ENGINES
