@@ -56,7 +56,8 @@ def main() -> None:
     alerts = session.active_alerts()
     print(f"\nactive alerts ({len(alerts)}):")
     for alert in alerts:
-        print(f"  [{alert.severity.value}] {alert.message}")
+        print(f"  [{alert.labels.get('severity')}] {alert.name()} "
+              f"= {alert.value:,.0f}")
 
     print("\n" + session.render("sgx", width=76))
     deployment.shutdown()

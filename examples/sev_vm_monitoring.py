@@ -6,14 +6,15 @@ exporter, not a new monitoring stack.  This example stands up an AMD-SEV
 host (the ``ccp`` driver + a qemu-side extension), launches protected VMs,
 and scrapes the SEV exporter with the exact same PMAG/analysis machinery
 the SGX path uses — including an ASID-pool alert written as an ordinary
-threshold rule.
+alerting rule (a query compared with a threshold).
 
 Run:  python examples/sev_vm_monitoring.py
 """
 
 from repro.pmag import ScrapeManager, ScrapeTarget, Tsdb
+from repro.pmag.alerting import AlertingRule
 from repro.pmag.query import QueryEngine
-from repro.pman import PmanAnalyzer, ThresholdRule
+from repro.pman import PmanAnalyzer
 from repro.net import HttpNetwork
 from repro.sev import QemuSevExtension, SevDriver, SevMetricsExporter
 from repro.simkernel import Kernel
@@ -38,12 +39,13 @@ def main() -> None:
     manager.start()
 
     engine = QueryEngine(tsdb)
-    analyzer = PmanAnalyzer(kernel.clock, engine, rules=[
-        ThresholdRule(
-            name="SevAsidPoolLow",
-            query="sev_asids_free", op="<", threshold=3.0,
-            severity="warning",
-            description="ASID pool nearly exhausted; new guests will fail",
+    analyzer = PmanAnalyzer(kernel.clock, engine, tsdb, rules=[
+        AlertingRule(
+            "SevAsidPoolLow", "sev_asids_free < 3",
+            labels={"severity": "warning"},
+            annotations={
+                "description": "ASID pool nearly exhausted; new guests will fail",
+            },
         ),
     ], boxplot_queries=["sev_guests_active"])
     analyzer.start()
@@ -64,8 +66,9 @@ def main() -> None:
         print(f"  {labels.get('vm'):<10} {value / MIB:>8.0f} MB")
 
     print("\nalerts:")
-    for alert in analyzer.alerts.active_alerts():
-        print(f"  [{alert.severity.value}] {alert.message}")
+    for alert in analyzer.firing():
+        print(f"  [{alert.labels.get('severity')}] {alert.name()}: "
+              f"{alert.value:g} ASIDs free")
 
     # History: the guest count climbing, straight from the TSDB.
     series = engine.range_query("sev_guests_active", 0, now, seconds(30))

@@ -51,7 +51,7 @@ def derive_teemon_row() -> ToolCapabilities:
     from repro.exporters.tme import _METRIC_MAP
     from repro.frameworks import ALL_FRAMEWORKS
     from repro.orchestration.helm import TEEMON_CHART
-    from repro.pman.window import DEFAULT_EVERY_NS
+    from repro.pman.analyzer import DEFAULT_EVERY_NS
     from repro.simkernel.hooks import TABLE2_HOOKS
 
     exported_metrics = {name for name, *_ in _METRIC_MAP}

@@ -184,7 +184,7 @@ def _install_teemon(cluster: Cluster, network: HttpNetwork,
     scrape_manager.start()
 
     engine = QueryEngine(tsdb)
-    analyzer = PmanAnalyzer(cluster.clock, engine)
+    analyzer = PmanAnalyzer(cluster.clock, engine, tsdb)
     analyzer.start()
 
     dashboards = {
@@ -193,7 +193,7 @@ def _install_teemon(cluster: Cluster, network: HttpNetwork,
         "infra": build_infra_dashboard(),
     }
     for dashboard in dashboards.values():
-        analyzer.alerts.add_sink(dashboard.alert_sink())
+        analyzer.add_sink(dashboard.alert_sink())
 
     return TeemonRelease(
         cluster=cluster,

@@ -23,14 +23,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TsdbError
 from repro.net.http import HttpNetwork
-from repro.pmag.alerting.rules import (
-    EVENT_EXPIRED,
-    EVENT_FIRING,
-    EVENT_PENDING,
-    EVENT_RESOLVED,
-)
 from repro.pmag.alerting.silences import Inhibitor, SilenceStore
 from repro.pmag.alerting.state import (
+    EVENT_EXPIRED,
+    EVENT_FIRING,
+    EVENT_RESOLVED,
     STATE_FIRING,
     AlertInstance,
     AlertJournal,
@@ -189,13 +186,7 @@ class NotificationRouter:
     ) -> None:
         """Consume one evaluation cycle's state-machine events."""
         for kind, instance in events:
-            detail = ""
-            if kind in (EVENT_PENDING, EVENT_FIRING):
-                detail = f"value={instance.value:g}"
-            self.journal.record(
-                now_ns, f"alert-{kind}",
-                canonical_labels(instance.labels), detail,
-            )
+            self.journal.record_event(now_ns, kind, instance)
             key = instance.identity()
             if kind == EVENT_FIRING:
                 self._firing[key] = instance.labels

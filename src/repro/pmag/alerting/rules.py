@@ -22,6 +22,10 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import TsdbError
 from repro.pmag.alerting.state import (
+    EVENT_EXPIRED,
+    EVENT_FIRING,
+    EVENT_PENDING,
+    EVENT_RESOLVED,
     STATE_FIRING,
     STATE_PENDING,
     AlertInstance,
@@ -40,12 +44,6 @@ ALERTS_FOR_STATE_METRIC = "ALERTS_FOR_STATE"
 #: leaves the active set, so restore can tell "resolved before the
 #: crash" from "active at the crash".
 _RESOLVED_TOMBSTONE = -1.0
-
-#: Event kinds yielded by :meth:`AlertingRule.evaluate`.
-EVENT_PENDING = "pending"
-EVENT_FIRING = "firing"
-EVENT_RESOLVED = "resolved"
-EVENT_EXPIRED = "expired"
 
 
 def _state_labels(instance: AlertInstance, metric: str, **extra: str) -> Labels:

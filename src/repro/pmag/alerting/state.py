@@ -23,6 +23,13 @@ from repro.pmag.model import Labels
 STATE_PENDING = "pending"
 STATE_FIRING = "firing"
 
+#: Event kinds yielded by
+#: :meth:`~repro.pmag.alerting.rules.AlertingRule.evaluate`.
+EVENT_PENDING = "pending"
+EVENT_FIRING = "firing"
+EVENT_RESOLVED = "resolved"
+EVENT_EXPIRED = "expired"
+
 
 def canonical_labels(labels: Labels) -> str:
     """Sorted ``k=v`` rendering — the journal's label wire format."""
@@ -73,6 +80,16 @@ class AlertJournal:
         if detail:
             line = f"{line} {detail}"
         self.entries.append(line)
+
+    def record_event(self, time_ns: int, kind: str,
+                     instance: AlertInstance) -> None:
+        """The ``alert-{kind}`` line of one rule state-machine event;
+        pending and firing lines carry the instance's value."""
+        detail = ""
+        if kind in (EVENT_PENDING, EVENT_FIRING):
+            detail = f"value={instance.value:g}"
+        self.record(time_ns, f"alert-{kind}",
+                    canonical_labels(instance.labels), detail)
 
     def journal_text(self) -> str:
         """The whole journal as one byte-comparable string."""

@@ -1,9 +1,13 @@
 """The periodic PMAN analysis loop.
 
-Every minute (configurable), the analyzer evaluates each rule's query over
-the trailing five-minute window, fires/resolves alerts through the
-:class:`~repro.pman.alerts.AlertManager`, and refreshes box-plot summaries
-for the configured SGX metrics — exactly the behaviour §4 describes.
+Every minute (configurable), the analyzer evaluates its rule group and
+refreshes box-plot summaries of the configured SGX metrics over the
+trailing five-minute window — exactly the behaviour §4 describes.  A rule
+compares a query with a user-defined threshold; it is an ordinary
+:class:`~repro.pmag.alerting.AlertingRule` (``for_s=0``), so PMAN shares
+the alerting engine's pending -> firing -> resolved machine and dedup.
+Each rule event becomes one line of the analyzer's journal ("logging")
+and goes to the registered sinks ("dashboard updating").
 
 :func:`default_sgx_rules` encodes the bottleneck signatures the paper's
 evaluation surfaces:
@@ -15,75 +19,58 @@ evaluation surfaces:
   outgrown the ~94 MB EPC (§6.5, Figure 11(d));
 * **context-switch storms** — host-wide switch rates far above the
   process's own indicate framework-induced churn (Graphene in Fig. 11(f));
-* **scrape health** — any ``up == 0`` target.
+* **scrape health** — any ``up == 0`` target.  It is called
+  ``TargetUnreachable``: the alerting engine's own ``TargetDown`` writes
+  ``ALERTS`` series in the same deployment.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+import math
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import AnalysisError
+from repro.pmag.alerting import AlertingRule, AlertInstance, AlertJournal
 from repro.pmag.query.engine import QueryEngine
-from repro.pman.alerts import AlertManager, AlertSeverity
+from repro.pmag.rules import RuleGroup
 from repro.pman.boxplot import BoxPlot
-from repro.pman.thresholds import ThresholdRule, Violation
-from repro.pman.window import DEFAULT_EVERY_NS, DEFAULT_WINDOW_NS, SlidingWindow
-from repro.simkernel.clock import VirtualClock
+from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock
+
+DEFAULT_WINDOW_NS = 5 * 60 * NANOS_PER_SEC   # "the last five minutes"
+DEFAULT_EVERY_NS = 60 * NANOS_PER_SEC        # "every minute"
+#: Resolution of the box-plot windows.
+BOXPLOT_STEP_NS = 15 * NANOS_PER_SEC
 
 
-def default_sgx_rules() -> List[ThresholdRule]:
+def _rule(name: str, expr: str, severity: str,
+          description: str) -> AlertingRule:
+    return AlertingRule(name, expr, labels={"severity": severity},
+                        annotations={"description": description})
+
+
+def default_sgx_rules() -> List[AlertingRule]:
     """The built-in bottleneck rules derived from the paper's findings."""
     return [
-        ThresholdRule(
-            name="ClockGettimeDominance",
-            query='rate(ebpf_syscalls_total{name="clock_gettime"}[5m])',
-            op=">",
-            threshold=50_000.0,
-            severity="warning",
-            description="clock_gettime storm: every call exits the enclave",
-        ),
-        ThresholdRule(
-            name="FutexDominance",
-            query='rate(ebpf_syscalls_total{name="futex"}[5m])',
-            op=">",
-            threshold=50_000.0,
-            severity="warning",
-            description="futex storm: thread synchronisation crosses the enclave boundary",
-        ),
-        ThresholdRule(
-            name="EpcEvictionPressure",
-            query="rate(sgx_epc_pages_evicted_total[5m])",
-            op=">",
-            threshold=1_000.0,
-            severity="critical",
-            description="working set exceeds the usable EPC (~94 MB); paging is expensive",
-        ),
-        ThresholdRule(
-            name="EpcNearlyFull",
-            query="sgx_epc_free_pages",
-            op="<",
-            threshold=512.0,
-            severity="warning",
-            description="free EPC pages below 2 MB",
-        ),
-        ThresholdRule(
-            name="ContextSwitchStorm",
-            query="rate(ebpf_context_switches_total[5m])",
-            op=">",
-            threshold=100_000.0,
-            severity="warning",
-            description="host-wide context-switch storm (check ksgxswapd and enclave exits)",
-        ),
-        ThresholdRule(
-            name="TargetDown",
-            query="1 - up",
-            op=">",
-            threshold=0.5,
-            severity="critical",
-            description="scrape target unreachable",
-            sustained_fraction=0.0,
-        ),
+        _rule("ClockGettimeDominance",
+              'rate(ebpf_syscalls_total{name="clock_gettime"}[5m]) > 50000',
+              "warning", "clock_gettime storm: every call exits the enclave"),
+        _rule("FutexDominance",
+              'rate(ebpf_syscalls_total{name="futex"}[5m]) > 50000',
+              "warning", "futex storm: thread synchronisation crosses the "
+              "enclave boundary"),
+        _rule("EpcEvictionPressure",
+              "rate(sgx_epc_pages_evicted_total[5m]) > 1000",
+              "critical", "working set exceeds the usable EPC (~94 MB); "
+              "paging is expensive"),
+        _rule("EpcNearlyFull", "sgx_epc_free_pages < 512",
+              "warning", "free EPC pages below 2 MB"),
+        _rule("ContextSwitchStorm",
+              "rate(ebpf_context_switches_total[5m]) > 100000",
+              "warning", "host-wide context-switch storm (check ksgxswapd "
+              "and enclave exits)"),
+        _rule("TargetUnreachable", "1 - up > 0.5",
+              "critical", "scrape target unreachable"),
     ]
 
 
@@ -100,18 +87,19 @@ class AnalysisReport:
     """Output of one analysis cycle."""
 
     time_ns: int
-    violations: List[Violation]
+    firing: List[AlertInstance]
     boxplots: Dict[str, BoxPlot]
 
     def render(self, width: int = 60) -> str:
-        """Human-readable report: violations first, then the box plots."""
+        """Human-readable report: firing alerts first, then the box plots."""
         lines = [f"── PMAN analysis @ {self.time_ns / 1e9:.0f}s ──"]
-        if self.violations:
-            lines.append(f"violations ({len(self.violations)}):")
-            for violation in self.violations:
-                lines.append(f"  ! {violation.message}")
+        if self.firing:
+            lines.append(f"firing ({len(self.firing)}):")
+            for instance in self.firing:
+                lines.append(f"  ! {instance.name()} {instance.labels!r} "
+                             f"= {instance.value:g}")
         else:
-            lines.append("violations: none")
+            lines.append("firing: none")
         for query, box in self.boxplots.items():
             lines.append(f"boxplot {query}:")
             lines.append("  " + box.render(width))
@@ -125,7 +113,8 @@ class PmanAnalyzer:
         self,
         clock: VirtualClock,
         engine: QueryEngine,
-        rules: Optional[Sequence[ThresholdRule]] = None,
+        tsdb,
+        rules: Optional[Sequence[AlertingRule]] = None,
         boxplot_queries: Sequence[str] = DEFAULT_BOXPLOT_METRICS,
         window_ns: int = DEFAULT_WINDOW_NS,
         every_ns: int = DEFAULT_EVERY_NS,
@@ -134,47 +123,61 @@ class PmanAnalyzer:
             raise AnalysisError("analysis cadence must be positive")
         self._clock = clock
         self._engine = engine
-        self.rules = list(rules) if rules is not None else default_sgx_rules()
+        self._tsdb = tsdb
+        if rules is None:
+            rules = default_sgx_rules()
+        # Cloned: evaluation state lives on the rule, and every analyzer
+        # starts fresh.
+        self.group = RuleGroup(
+            "pman", [rule.clone() for rule in rules], interval_ns=every_ns
+        )
+        self.journal = journal = AlertJournal()
+        sinks: List[Callable] = []
+        self._sinks = sinks
+
+        def on_events(events, now_ns: int) -> None:
+            for kind, instance in events:
+                journal.record_event(now_ns, kind, instance)
+            for sink in sinks:
+                sink(events, now_ns)
+
+        # A closure, not a bound method: a group -> analyzer cycle would
+        # keep a stopped analyzer, and the TSDB its engine reads, alive
+        # until the cyclic collector next runs.
+        self.group.alert_sink = on_events
         self.boxplot_queries = list(boxplot_queries)
         self.window_ns = window_ns
         self.every_ns = every_ns
-        self.alerts = AlertManager()
         self.reports: List[AnalysisReport] = []
         self._timer = None
+
+    def add_sink(self, sink: Callable) -> None:
+        """Register a sink called with each cycle's ``(events, now_ns)``."""
+        self._sinks.append(sink)
+
+    def firing(self) -> List[AlertInstance]:
+        """Firing instances, in rule order."""
+        return [inst for rule in self.group.rules for inst in rule.firing()]
 
     # ------------------------------------------------------------------
     def analyze_once(self) -> AnalysisReport:
         """Run one analysis cycle now."""
         now = self._clock.now_ns
-        violations: List[Violation] = []
-        for rule in self.rules:
-            window = SlidingWindow(
-                self._engine, rule.query, window_ns=self.window_ns
-            ).evaluate(now)
-            rule_violations = rule.check(window)
-            violations.extend(rule_violations)
-            firing_labels = [v.labels for v in rule_violations]
-            for violation in rule_violations:
-                self.alerts.fire(
-                    name=rule.name,
-                    labels=violation.labels,
-                    severity=AlertSeverity.parse(rule.severity),
-                    message=violation.message,
-                    now_ns=now,
-                    value=violation.value,
-                )
-            self.alerts.resolve_absent(rule.name, firing_labels, now)
-
+        self.group.evaluate(self._engine, self._tsdb, now)
+        start = max(0, now - self.window_ns)
         boxplots: Dict[str, BoxPlot] = {}
         for query in self.boxplot_queries:
-            window = SlidingWindow(
-                self._engine, query, window_ns=self.window_ns
-            ).evaluate(now)
-            values = window.all_values()
-            if values:
+            values = [
+                point.value
+                for series in self._engine.range_query(
+                    query, start, now, BOXPLOT_STEP_NS)
+                for point in series.samples
+            ]
+            if any(map(math.isfinite, values)):
                 boxplots[query] = BoxPlot.from_values(values)
-
-        report = AnalysisReport(time_ns=now, violations=violations, boxplots=boxplots)
+        report = AnalysisReport(
+            time_ns=now, firing=self.firing(), boxplots=boxplots
+        )
         self.reports.append(report)
         return report
 

@@ -8,8 +8,9 @@ output (the PMV component renders the graphical version).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence
+import math
+from dataclasses import dataclass
+from typing import Sequence
 
 from repro.errors import AnalysisError
 from repro.pmag.query.functions import quantile_of
@@ -31,10 +32,11 @@ class BoxPlot:
 
     @staticmethod
     def from_values(values: Sequence[float]) -> "BoxPlot":
-        """Summarise a non-empty value list."""
-        if not values:
-            raise AnalysisError("box plot of an empty value list")
-        data = sorted(values)
+        """Summarise the finite values of a list (NaN and ±Inf, e.g. from
+        a scraped counter, have no place on the axis)."""
+        data = sorted(v for v in values if math.isfinite(v))
+        if not data:
+            raise AnalysisError("box plot of no finite values")
         q1 = quantile_of(list(data), 0.25)
         median = quantile_of(list(data), 0.5)
         q3 = quantile_of(list(data), 0.75)

@@ -6,6 +6,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.errors import AnalysisError
+from repro.pmag.alerting.state import (
+    EVENT_FIRING,
+    EVENT_RESOLVED,
+    canonical_labels,
+)
 from repro.pmag.query.engine import QueryEngine
 from repro.pmv.panels import Panel, PanelData
 
@@ -58,15 +63,16 @@ class Dashboard:
         self.annotations.append(Annotation(time_ns=time_ns, text=text, severity=severity))
 
     def alert_sink(self):
-        """An :class:`~repro.pman.alerts.AlertSink` that annotates this dashboard."""
-        def sink(alert, event: str) -> None:
-            time_ns = (
-                alert.resolved_at_ns if event == "resolve" and alert.resolved_at_ns
-                else alert.fired_at_ns
-            )
-            self.annotate(
-                time_ns, f"{event}: {alert.message}", severity=alert.severity.value
-            )
+        """A rule-group alert sink: one annotation per firing or resolved
+        event, at the evaluation instant, with the alert's severity."""
+        def sink(events, now_ns: int) -> None:
+            for kind, instance in events:
+                if kind not in (EVENT_FIRING, EVENT_RESOLVED):
+                    continue
+                self.annotate(
+                    now_ns, f"{kind}: {canonical_labels(instance.labels)}",
+                    severity=instance.labels.get("severity", "info"),
+                )
         return sink
 
     def panels(self) -> List[Panel]:

@@ -7,9 +7,9 @@ from typing import Optional, Sequence
 
 from repro.errors import DeploymentError
 from repro.exporters.ebpf_exporter import EbpfExporterConfig
+from repro.pmag.alerting import AlertingRule
 from repro.pmag.remote_write import is_wire_safe
 from repro.pmag.scrape import SCRAPE_TIMEOUT_S
-from repro.pman.thresholds import ThresholdRule
 from repro.simkernel.clock import NANOS_PER_SEC
 
 
@@ -30,7 +30,9 @@ class TeemonConfig:
     ebpf: EbpfExporterConfig = field(default_factory=EbpfExporterConfig)
     analysis_window_s: float = 300.0
     analysis_every_s: float = 60.0
-    extra_rules: Sequence[ThresholdRule] = ()
+    #: PMAN threshold rules evaluated after :func:`default_sgx_rules
+    #: <repro.pman.analyzer.default_sgx_rules>`.
+    extra_rules: Sequence[AlertingRule] = ()
     #: Evaluate the default recording-rule group (precomputed dashboard
     #: series such as ``job:syscalls:rate1m``).
     enable_recording_rules: bool = True

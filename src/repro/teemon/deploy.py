@@ -25,6 +25,7 @@ most CPU-hungry at ~3 % — §6.2's Figure 4 numbers.
 from __future__ import annotations
 
 import gc
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -393,6 +394,15 @@ class TeemonDeployment:
                     for_s=0.0, labels={"severity": "critical"},
                 ))
             self.alert_rules = [rule.clone() for rule in specs]
+        pman_rules = default_sgx_rules() + list(config.extra_rules)
+        # Both groups write ALERTS/ALERTS_FOR_STATE into one TSDB, keyed by
+        # alert name: a name must be unique across the two.
+        names = Counter(rule.name for rule in pman_rules + self.alert_rules)
+        duplicates = sorted(name for name, count in names.items() if count > 1)
+        if duplicates:
+            raise DeploymentError(
+                f"duplicate alert rule names: {', '.join(duplicates)}"
+            )
         self.rule_evaluator = RuleEvaluator(
             kernel.clock, self.engine, self.tsdb, tracer=self.tracer,
             incremental=True, wal=self.wal, alert_sink=alert_sink,
@@ -404,9 +414,9 @@ class TeemonDeployment:
                 "teemon-alerts", self.alert_rules,
                 interval_ns=int(config.alert_eval_interval_s * NANOS_PER_SEC),
             ))
-        rules = default_sgx_rules() + list(config.extra_rules)
         self.analyzer = PmanAnalyzer(
-            kernel.clock, self.engine, rules=rules,
+            kernel.clock, self.engine, self.tsdb,
+            rules=pman_rules,
             window_ns=int(config.analysis_window_s * NANOS_PER_SEC),
             every_ns=int(config.analysis_every_s * NANOS_PER_SEC),
         )
@@ -416,7 +426,7 @@ class TeemonDeployment:
             "infra": build_infra_dashboard(),
         }
         for dashboard in self.dashboards.values():
-            self.analyzer.alerts.add_sink(dashboard.alert_sink())
+            self.analyzer.add_sink(dashboard.alert_sink())
 
     # ------------------------------------------------------------------
     def _create_exporters(self) -> None:

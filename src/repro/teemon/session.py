@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import DeploymentError
+from repro.pmag.alerting import AlertInstance
 from repro.pmag.model import Series
-from repro.pman.alerts import Alert
 from repro.pmv.render import render_dashboard
 from repro.pmv.trace_view import render_flamegraph, render_waterfall
 from repro.simkernel.clock import NANOS_PER_SEC
@@ -335,13 +335,13 @@ class MonitoringSession:
     # ------------------------------------------------------------------
     # Alerts and dashboards
     # ------------------------------------------------------------------
-    def active_alerts(self) -> List[Alert]:
-        """Currently firing alerts."""
-        return self._deployment.analyzer.alerts.active_alerts()
+    def active_alerts(self) -> List[AlertInstance]:
+        """PMAN's currently firing alerts."""
+        return self._deployment.analyzer.firing()
 
     def alert_log(self) -> List[str]:
-        """The alert manager's log lines."""
-        return list(self._deployment.analyzer.alerts.log)
+        """PMAN's alert journal lines."""
+        return self._deployment.analyzer.journal.lines()
 
     def set_process_filter(self, pid: int) -> None:
         """Apply the frontend's process filter to the SGX dashboard."""

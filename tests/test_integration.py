@@ -50,7 +50,7 @@ def test_workload_events_round_trip_to_queries(sgx_kernel):
     assert "futex" in text
 
     # 5. EPC pressure raised an alert (105 MB working set > 94 MB EPC).
-    names = {a.name for a in session.active_alerts()}
+    names = {a.name() for a in session.active_alerts()}
     assert "EpcEvictionPressure" in names or "EpcNearlyFull" in names
     deployment.shutdown()
 
@@ -142,14 +142,15 @@ def test_scrape_survives_exporter_failure(sgx_kernel):
         sgx_kernel.hostname, node_exporter.PORT, node_exporter.PATH
     )
     # Long enough for scrapes to record `up == 0` and for the next PMAN
-    # analysis cycle (every 60 s) to evaluate the TargetDown rule.
+    # analysis cycle (every 60 s) to evaluate the TargetUnreachable rule.
     sgx_kernel.clock.advance(seconds(130))
     session = deployment.session
     ups = {labels.get("job"): value for labels, value in session.query("up")}
     assert ups["node"] == 0.0
     assert ups["sgx"] == 1.0
-    # TargetDown alert raised by the default rules.
-    assert any(a.name == "TargetDown" for a in session.active_alerts())
+    # TargetUnreachable alert raised by the default rules.
+    assert any(a.name() == "TargetUnreachable"
+               for a in session.active_alerts())
     deployment.shutdown()
 
 

@@ -1,91 +1,21 @@
-"""PMAN tests: windows, thresholds, box plots, alerts, and the analysis
-loop."""
+"""PMAN tests: box plots, the analysis loop and its alerting rules."""
+
+import math
 
 import pytest
 
+from repro.apps import MemtierBenchmark, RedisLikeServer
 from repro.errors import AnalysisError
-from repro.pmag.model import Labels
+from repro.frameworks import SconeRuntime
+from repro.pmag.alerting import AlertingRule
 from repro.pmag.query.engine import QueryEngine
 from repro.pmag.tsdb import Tsdb
-from repro.pman.alerts import AlertManager, AlertSeverity
 from repro.pman.analyzer import PmanAnalyzer, default_sgx_rules
 from repro.pman.boxplot import BoxPlot
-from repro.pman.thresholds import ThresholdRule
-from repro.pman.window import SlidingWindow
+from repro.sgx import SgxDriver
 from repro.simkernel.clock import VirtualClock, seconds
-
-
-def _engine_with_gauge(values, step_s=15):
-    tsdb = Tsdb()
-    for index, value in enumerate(values):
-        tsdb.append_sample("g", (index + 1) * seconds(step_s), float(value))
-    return QueryEngine(tsdb), len(values) * seconds(step_s)
-
-
-# ---------------------------------------------------------------------------
-# SlidingWindow
-# ---------------------------------------------------------------------------
-def test_window_evaluates_trailing_range():
-    engine, now = _engine_with_gauge(range(40))
-    window = SlidingWindow(engine, "g", window_ns=seconds(300), step_ns=seconds(15))
-    result = window.evaluate(now)
-    values = result.all_values()
-    assert len(values) == 21  # 300/15 + 1
-    assert values[-1] == 39.0
-
-
-def test_window_validation():
-    engine, _now = _engine_with_gauge([1])
-    with pytest.raises(AnalysisError):
-        SlidingWindow(engine, "g", window_ns=0)
-    with pytest.raises(AnalysisError):
-        SlidingWindow(engine, "g", window_ns=10, step_ns=20)
-
-
-# ---------------------------------------------------------------------------
-# ThresholdRule
-# ---------------------------------------------------------------------------
-def test_rule_fires_on_latest_value():
-    engine, now = _engine_with_gauge([1, 1, 1, 100])
-    rule = ThresholdRule(name="High", query="g", op=">", threshold=50.0)
-    window = SlidingWindow(engine, "g").evaluate(now)
-    violations = rule.check(window)
-    assert len(violations) == 1
-    assert violations[0].value == 100.0
-    assert "High" in violations[0].message
-
-
-def test_rule_quiet_when_latest_recovers():
-    engine, now = _engine_with_gauge([100, 100, 1])
-    rule = ThresholdRule(name="High", query="g", op=">", threshold=50.0)
-    window = SlidingWindow(engine, "g").evaluate(now)
-    assert rule.check(window) == []
-
-
-def test_rule_sustained_fraction():
-    engine, now = _engine_with_gauge([1, 1, 1, 1, 100])
-    rule = ThresholdRule(
-        name="Sustained", query="g", op=">", threshold=50.0,
-        sustained_fraction=0.5,
-    )
-    window = SlidingWindow(engine, "g").evaluate(now)
-    assert rule.check(window) == []  # only 1 of N points breaks it
-
-
-def test_rule_operators():
-    engine, now = _engine_with_gauge([5])
-    window = SlidingWindow(engine, "g").evaluate(now)
-    assert ThresholdRule("a", "g", "<", 10).check(window)
-    assert ThresholdRule("b", "g", ">=", 5).check(window)
-    assert ThresholdRule("c", "g", "<=", 5).check(window)
-    assert not ThresholdRule("d", "g", ">", 5).check(window)
-
-
-def test_rule_validation():
-    with pytest.raises(AnalysisError):
-        ThresholdRule("bad", "g", "!!", 1)
-    with pytest.raises(AnalysisError):
-        ThresholdRule("bad", "g", ">", 1, sustained_fraction=2.0)
+from repro.simkernel.kernel import Kernel
+from repro.teemon import TeemonConfig, deploy
 
 
 # ---------------------------------------------------------------------------
@@ -119,91 +49,93 @@ def test_boxplot_render_constant_and_spread():
     assert "#" in rendered and "=" in rendered
 
 
-# ---------------------------------------------------------------------------
-# AlertManager
-# ---------------------------------------------------------------------------
-def test_alert_fire_resolve_lifecycle():
-    manager = AlertManager()
-    labels = Labels.of("alert", instance="h")
-    alert = manager.fire("Rule", labels, AlertSeverity.WARNING, "msg", now_ns=10)
-    assert alert.active
-    assert manager.active_alerts() == [alert]
-    resolved = manager.resolve("Rule", labels, now_ns=20)
-    assert resolved is alert
-    assert not alert.active
-    assert alert.resolved_at_ns == 20
-    assert manager.active_alerts() == []
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_boxplot_summarises_finite_values_only(bad):
+    box = BoxPlot.from_values([1.0, bad, 3.0])
+    assert (box.minimum, box.median, box.maximum, box.count) == (1.0, 2.0, 3.0, 2)
+    assert "med=2" in box.render()
 
 
-def test_alert_dedup_while_active():
-    manager = AlertManager()
-    labels = Labels.of("alert")
-    first = manager.fire("R", labels, AlertSeverity.INFO, "m", now_ns=1, value=5)
-    second = manager.fire("R", labels, AlertSeverity.INFO, "m", now_ns=2, value=9)
-    assert first is second
-    assert first.value == 9  # refreshed
-    assert len(manager.history()) == 1
-
-
-def test_alert_resolve_absent():
-    manager = AlertManager()
-    a = Labels.of("alert", host="a")
-    b = Labels.of("alert", host="b")
-    manager.fire("R", a, AlertSeverity.INFO, "m", now_ns=1)
-    manager.fire("R", b, AlertSeverity.INFO, "m", now_ns=1)
-    resolved = manager.resolve_absent("R", still_firing=[a], now_ns=5)
-    assert [r.labels for r in resolved] == [b]
-    assert len(manager.active_alerts()) == 1
-
-
-def test_alert_log_sink_records_events():
-    manager = AlertManager()
-    labels = Labels.of("alert")
-    manager.fire("R", labels, AlertSeverity.CRITICAL, "trouble", now_ns=1)
-    manager.resolve("R", labels, now_ns=2)
-    assert any("FIRE" in line for line in manager.log)
-    assert any("RESOLVE" in line for line in manager.log)
-
-
-def test_resolve_inactive_returns_none():
-    manager = AlertManager()
-    assert manager.resolve("R", Labels.of("a"), now_ns=1) is None
-
-
-def test_severity_parse():
-    assert AlertSeverity.parse("WARNING") is AlertSeverity.WARNING
-    with pytest.raises(ValueError):
-        AlertSeverity.parse("nonsense")
+def test_boxplot_of_no_finite_value_rejected():
+    with pytest.raises(AnalysisError):
+        BoxPlot.from_values([math.nan, math.inf])
 
 
 # ---------------------------------------------------------------------------
 # PmanAnalyzer
 # ---------------------------------------------------------------------------
-def _analyzer_setup(values):
+def _analyzer_setup(values, metric="sgx_epc_free_pages"):
     clock = VirtualClock()
     tsdb = Tsdb()
     for index, value in enumerate(values):
-        tsdb.append_sample("sgx_epc_free_pages", (index + 1) * seconds(15), value)
+        tsdb.append_sample(metric, (index + 1) * seconds(15), value)
     clock.advance((len(values) + 1) * seconds(15))
-    engine = QueryEngine(tsdb)
-    return clock, engine
+    return clock, QueryEngine(tsdb), tsdb
+
+
+EPC_NEARLY_FULL = AlertingRule(
+    "EpcNearlyFull", "sgx_epc_free_pages < 512",
+    labels={"severity": "warning"},
+)
 
 
 def test_analyzer_fires_and_resolves_alerts():
-    clock, engine = _analyzer_setup([100.0] * 20)  # below the 512 threshold
-    analyzer = PmanAnalyzer(clock, engine, rules=[
-        ThresholdRule("EpcNearlyFull", "sgx_epc_free_pages", "<", 512.0),
-    ], boxplot_queries=["sgx_epc_free_pages"])
+    clock, engine, tsdb = _analyzer_setup([100.0] * 20)  # below 512
+    analyzer = PmanAnalyzer(clock, engine, tsdb, rules=[EPC_NEARLY_FULL],
+                            boxplot_queries=["sgx_epc_free_pages"])
     report = analyzer.analyze_once()
-    assert len(report.violations) == 1
-    assert len(analyzer.alerts.active_alerts()) == 1
+    assert [a.name() for a in report.firing] == ["EpcNearlyFull"]
+    assert analyzer.firing() == report.firing
     assert "sgx_epc_free_pages" in report.boxplots
+    assert EPC_NEARLY_FULL.active() == []  # the analyzer runs a clone
+
+    tsdb.append_sample("sgx_epc_free_pages", clock.now_ns, 4096.0)
+    clock.advance(seconds(60))
+    assert analyzer.analyze_once().firing == []
+    kinds = [line.split(" ")[1] for line in analyzer.journal.lines()]
+    assert kinds == ["alert-pending", "alert-firing", "alert-resolved"]
+
+
+def test_absent_series_resolves_at_the_next_tick():
+    # The rule reads the value at ``now``: once the series has no sample
+    # within the lookback it resolves, although the trailing window still
+    # holds values below the threshold.
+    clock, engine, tsdb = _analyzer_setup([100.0] * 4)
+    analyzer = PmanAnalyzer(clock, engine, tsdb, rules=[EPC_NEARLY_FULL],
+                            boxplot_queries=[])
+    assert analyzer.analyze_once().firing
+    clock.advance(seconds(5 * 60))
+    assert engine.instant("sgx_epc_free_pages", clock.now_ns) == []
+    window = engine.range_query("sgx_epc_free_pages",
+                                clock.now_ns - seconds(300), clock.now_ns,
+                                seconds(15))
+    assert window and window[0].samples[-1].value == 100.0
+    assert analyzer.analyze_once().firing == []
+    assert analyzer.journal.lines("alert-resolved")
+
+
+def test_analyzer_gives_no_box_for_a_window_without_finite_values():
+    clock, engine, tsdb = _analyzer_setup([math.nan] * 4, metric="g")
+    analyzer = PmanAnalyzer(clock, engine, tsdb, rules=[],
+                            boxplot_queries=["g"])
+    assert analyzer.analyze_once().boxplots == {}
+
+
+def test_analyzer_sinks_get_each_cycles_events():
+    clock, engine, tsdb = _analyzer_setup([100.0] * 4)
+    analyzer = PmanAnalyzer(clock, engine, tsdb, rules=[EPC_NEARLY_FULL],
+                            boxplot_queries=[])
+    received = []
+    analyzer.add_sink(lambda events, now: received.append(
+        (now, [kind for kind, _ in events])))
+    analyzer.analyze_once()
+    assert received == [(clock.now_ns, ["pending", "firing"])]
 
 
 def test_analyzer_periodic_cadence():
-    clock, engine = _analyzer_setup([10_000.0] * 30)
+    clock, engine, tsdb = _analyzer_setup([10_000.0] * 30)
     analyzer = PmanAnalyzer(
-        clock, engine, rules=default_sgx_rules(), every_ns=seconds(60)
+        clock, engine, tsdb, rules=default_sgx_rules(), every_ns=seconds(60)
     )
     analyzer.start()
     clock.advance(seconds(5 * 60))
@@ -214,8 +146,8 @@ def test_analyzer_periodic_cadence():
 
 
 def test_analyzer_start_twice_rejected():
-    clock, engine = _analyzer_setup([1.0])
-    analyzer = PmanAnalyzer(clock, engine)
+    clock, engine, tsdb = _analyzer_setup([1.0])
+    analyzer = PmanAnalyzer(clock, engine, tsdb)
     analyzer.start()
     with pytest.raises(AnalysisError):
         analyzer.start()
@@ -224,4 +156,48 @@ def test_analyzer_start_twice_rejected():
 def test_default_rules_cover_paper_bottlenecks():
     names = {rule.name for rule in default_sgx_rules()}
     assert {"ClockGettimeDominance", "EpcEvictionPressure",
-            "ContextSwitchStorm", "TargetDown"} <= names
+            "ContextSwitchStorm", "TargetUnreachable"} <= names
+    assert all(rule.for_s == 0 and rule.labels["severity"]
+               and rule.annotations["description"]
+               for rule in default_sgx_rules())
+
+
+#: PMAN alerts on the quickstart host (examples/quickstart.py) as the
+#: sliding-window threshold analyzer fired them: alert name, series labels
+#: (metric name aside) and fire time in seconds.  None resolved.
+QUICKSTART_ALERTS = [
+    ("FutexDominance",
+     "instance=sgx-host,job=ebpf,name=futex", 60),
+    ("EpcEvictionPressure", "instance=sgx-host,job=sgx", 60),
+    ("EpcNearlyFull", "instance=sgx-host,job=sgx", 60),
+    ("ContextSwitchStorm", "instance=sgx-host,job=ebpf", 60),
+]
+
+
+def test_quickstart_host_fires_what_the_threshold_analyzer_fired():
+    kernel = Kernel(seed=7, hostname="sgx-host")
+    kernel.load_module(SgxDriver())
+    deployment = deploy(kernel, TeemonConfig(scrape_interval_s=5.0))
+    runtime = SconeRuntime()
+    runtime.setup(kernel, container_id="redis")
+    server = RedisLikeServer()
+    bench = MemtierBenchmark(connections=320, pipeline=8)
+    bench.prepopulate(runtime, server, keys=720_000, value_size=64)
+    bench.run(runtime, server, duration_s=120.0,
+              ebpf_active=True, full_monitoring=True)
+
+    fired = []
+    for line in deployment.session.alert_log():
+        time_ns, kind, labels = line.split(" ")[:3]
+        assert kind in ("alert-pending", "alert-firing"), line
+        if kind == "alert-firing":
+            pairs = dict(pair.split("=", 1) for pair in labels.split(","))
+            name = pairs.pop("alertname")
+            pairs.pop("severity")
+            series = ",".join(f"{k}={v}" for k, v in sorted(pairs.items()))
+            fired.append((name, series, int(time_ns) // 10**9))
+    assert fired == QUICKSTART_ALERTS
+    assert [a.name() for a in deployment.session.active_alerts()] == [
+        name for name, _, _ in QUICKSTART_ALERTS
+    ]
+    deployment.shutdown()

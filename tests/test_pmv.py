@@ -3,10 +3,10 @@
 import pytest
 
 from repro.errors import AnalysisError
+from repro.pmag.alerting import AlertInstance
 from repro.pmag.model import Labels
 from repro.pmag.query.engine import QueryEngine
 from repro.pmag.tsdb import Tsdb
-from repro.pman.alerts import Alert, AlertSeverity
 from repro.pmv.dashboard import Dashboard
 from repro.pmv.dashboards import (
     build_docker_dashboard,
@@ -82,13 +82,15 @@ def test_dashboard_rows_and_variables(engine):
 def test_dashboard_alert_sink_annotates():
     dashboard = Dashboard("Demo")
     sink = dashboard.alert_sink()
-    alert = Alert(
-        name="R", labels=Labels.of("a"), severity=AlertSeverity.WARNING,
-        message="trouble", fired_at_ns=123,
+    alert = AlertInstance(
+        labels=Labels({"alertname": "R", "severity": "warning"}),
+        active_since_ns=123,
     )
-    sink(alert, "fire")
-    assert len(dashboard.annotations) == 1
-    assert dashboard.annotations[0].severity == "warning"
+    sink([("pending", alert), ("firing", alert)], 123)
+    assert len(dashboard.annotations) == 1  # pending is not annotated
+    annotation = dashboard.annotations[0]
+    assert (annotation.time_ns, annotation.severity) == (123, "warning")
+    assert annotation.text == "firing: alertname=R,severity=warning"
 
 
 def test_sparkline_shapes():

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import DeploymentError
+from repro.pmag.alerting import AlertingRule
 from repro.simkernel.clock import seconds
 from repro.simkernel.kernel import Kernel
 from repro.teemon import TeemonConfig, deploy
@@ -167,6 +168,38 @@ def test_session_alerts_flow_from_analyzer(sgx_kernel):
         sgx_kernel.syscalls.dispatch("clock_gettime", process.pid, count=400_000 * 5)
         sgx_kernel.clock.advance(seconds(5))
     alerts = deployment.session.active_alerts()
-    assert any(a.name == "ClockGettimeDominance" for a in alerts)
+    assert any(a.name() == "ClockGettimeDominance" for a in alerts)
     assert any("ClockGettimeDominance" in line for line in deployment.session.alert_log())
     deployment.shutdown()
+
+
+def test_malformed_pman_rule_does_not_stop_the_analyzer(sgx_kernel):
+    typo = AlertingRule("Typo", "rate(sgx_epc_pages_evicted_total[5m] > 1")
+    reported = AlertingRule("EpcReported", "sgx_epc_free_pages > 0")
+    deployment = deploy(sgx_kernel, TeemonConfig(extra_rules=[typo, reported]))
+    sgx_kernel.clock.advance(seconds(121))
+    analyzer = deployment.analyzer
+    assert len(analyzer.reports) == 2
+    assert analyzer.group.last_error.startswith("alert:Typo: ")
+    assert [a.name() for a in deployment.session.active_alerts()] == [
+        "EpcReported"
+    ]
+    deployment.shutdown()
+
+
+@pytest.mark.parametrize("overrides,duplicate", [
+    # Two PMAN rules of one name resolved each other's alert every tick.
+    ({"extra_rules": [
+        AlertingRule("EpcNearlyFull", "sgx_epc_free_pages < 1024")]},
+     "EpcNearlyFull"),
+    ({"enable_alerting": True, "alert_rules": [
+        AlertingRule("Storm", "up == 0"), AlertingRule("Storm", "up == 1")]},
+     "Storm"),
+    ({"enable_alerting": True, "extra_rules": [
+        AlertingRule("TargetDown", "up == 0")]},
+     "TargetDown"),
+])
+def test_alert_names_are_unique_across_pman_and_alerting(
+        sgx_kernel, overrides, duplicate):
+    with pytest.raises(DeploymentError, match=f"duplicate.*{duplicate}"):
+        deploy(sgx_kernel, TeemonConfig(**overrides))

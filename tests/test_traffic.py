@@ -1,6 +1,7 @@
 """Only what runs: every module is imported by something that runs,
 every ``TeemonConfig`` field is set by something, no module imports a
-thread API, and every writer under ``src/`` commits a batch.
+thread API, every writer under ``src/`` commits a batch, and every method
+the end-to-end benchmark's tracer wraps exists on its class.
 
 The walks are static (``ast``), so they see the repository as written,
 not whatever this process happens to have imported.
@@ -8,6 +9,7 @@ not whatever this process happens to have imported.
 
 import ast
 import dataclasses
+import importlib
 from pathlib import Path
 
 from repro.teemon import TeemonConfig
@@ -19,7 +21,6 @@ SRC = REPO / "src"
 #: content or paper-named values, not tuning.
 FIELDS_KEPT_UNSET = {
     "wal_dir",              # a path: deployment setting
-    "extra_rules",          # operator's own PMAN threshold rules
     "analysis_window_s",    # §4: PMAN analyses "the last five minutes"
     "analysis_every_s",     # §4: "every minute"
     "alert_silences",       # operator content
@@ -148,6 +149,48 @@ def test_every_writer_under_src_commits_a_batch():
                  and _receiver_name(node.func.value) in _WRITER_NAMES))
     )
     assert offenders == [], offenders
+
+
+def test_every_method_the_e2e_tracer_wraps_is_on_its_class():
+    # benchmarks/e2e/tracing.py is frozen and wraps ``cls.__dict__[attr]``
+    # for each ``methods(name, cls, "attr", …)`` call: a rename there
+    # would only fail the traced benchmark.
+    tree = _parse(REPO / "benchmarks" / "e2e" / "tracing.py")
+    imported = {
+        alias.asname or alias.name: (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("repro")
+        for alias in node.names
+    }
+    loops = {
+        node.target.id: node.iter.elts
+        for node in ast.walk(tree)
+        if isinstance(node, ast.For) and isinstance(node.target, ast.Name)
+        and isinstance(node.iter, ast.Tuple)
+    }
+
+    def resolve(node):
+        if isinstance(node, ast.Attribute):
+            return [getattr(owner, node.attr) for owner in resolve(node.value)]
+        if node.id in loops:
+            return [cls for elt in loops[node.id] for cls in resolve(elt)]
+        module, name = imported[node.id]
+        try:
+            return [importlib.import_module(f"{module}.{name}")]
+        except ModuleNotFoundError:
+            return [getattr(importlib.import_module(module), name)]
+
+    wrapped, missing = 0, []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "methods"):
+            for cls in resolve(node.args[1]):
+                for arg in node.args[2:]:
+                    wrapped += 1
+                    if arg.value not in vars(cls):
+                        missing.append(f"{cls.__name__}.{arg.value}")
+    assert wrapped > 30
+    assert missing == [], missing
 
 
 def _names_set_somewhere():
