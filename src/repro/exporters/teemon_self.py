@@ -233,7 +233,7 @@ class TeemonSelfExporter:
             self.registry.on_collect(self._sync_storage_counters)
         if rules is not None:
             # Rule-evaluation telemetry: the modelled evaluation time of
-            # the recording/alerting rule engine, materialization
+            # the recording/alerting rule engine, recording-rule
             # backfill activity, and static-label conflicts surfaced by
             # the collision detector.
             self._rule_eval_seconds = self.registry.gauge(

@@ -22,8 +22,8 @@ The runtime supports the two §6.4 code-evolution commits:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Deque, Optional, Tuple
 from collections import deque
 
 from repro.calibration.profiles import SCONE_CALIBRATION, FrameworkCalibration
@@ -43,9 +43,6 @@ QUEUE_TRIP_COST_NS = 1_390
 
 #: clock_gettime queue trips per request before the fix.
 CLOCK_GETTIME_PER_REQUEST_BEFORE = 1.38
-
-#: Residual kernel clock_gettime rate after the fix (per second).
-CLOCK_GETTIME_RESIDUAL_PER_SEC = 100.0
 
 
 @dataclass
@@ -158,16 +155,3 @@ class SconeRuntime(SgxFramework):
             pass
         self.queue.enqueue(name, count)
         return self.queue.drain() + QUEUE_TRIP_COST_NS * count
-
-    def syscall_rates_per_second(
-        self, throughput_rps: float
-    ) -> Dict[str, float]:
-        """Kernel-visible syscall rates at a given throughput (Figure 6)."""
-        rates: Dict[str, float] = {}
-        for name, per_request in self.calibration.syscalls_per_request:
-            rates[name] = per_request * throughput_rps
-        if self.version == COMMIT_AFTER:
-            rates["clock_gettime"] = min(
-                rates.get("clock_gettime", 0.0), CLOCK_GETTIME_RESIDUAL_PER_SEC
-            )
-        return rates

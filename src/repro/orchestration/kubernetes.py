@@ -308,10 +308,6 @@ class Cluster:
         self.reconcile_deployments()
         return lost
 
-    def daemonsets(self) -> List[DaemonSet]:
-        """Installed DaemonSets."""
-        return list(self._daemonsets)
-
     def discover_scrape_targets(self) -> List[ScrapeTarget]:
         """Annotation-driven service discovery (the PMAG callback)."""
         targets: List[ScrapeTarget] = []

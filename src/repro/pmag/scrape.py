@@ -705,10 +705,6 @@ class ScrapeManager:
         entry = self._exemplars.get(metric_name)
         return entry[1] if entry is not None else None
 
-    def exemplar_metrics(self) -> List[str]:
-        """Metric names that have carried an exemplar."""
-        return sorted(self._exemplars)
-
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------

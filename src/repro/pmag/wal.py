@@ -81,11 +81,12 @@ MAX_RECORD_BYTES = 1 << 20
 
 #: A version-1 sample record (labels inline); version-2 segments have none.
 RECORD_SAMPLE_V1 = 1
-#: Rule-materialization cursor: ``u8 kind | u16 len + utf8 key | i64 ns``.
-#: Cursor frames ride the same segments as samples but are *metadata* —
-#: they are excluded from every sample counter (``records_total``,
-#: ``unflushed_records``, ``samples_lost``), because losing one costs a
-#: full rule re-evaluation, never a sample.
+#: Cursor (recording rule or uplink): ``u8 kind | u16 len + utf8 key |
+#: i64 ns``.  Cursor frames ride the same segments as samples but are
+#: *metadata* — they are excluded from every sample counter
+#: (``records_total``, ``unflushed_records``, ``samples_lost``), because
+#: losing one costs a rule's outage backfill or an uplink re-ship, never
+#: a stored sample.
 RECORD_CURSOR = 2
 #: ``ref -> labels`` for the segment it stands in; metadata like a cursor.
 RECORD_SERIES = 3
@@ -181,7 +182,7 @@ def _frame_samples(kind: int, length: int) -> int:
 
 
 def encode_cursor_record(key: str, cursor_ns: int) -> bytes:
-    """One framed materialization-cursor record."""
+    """One framed cursor record."""
     return _framed(
         struct.pack("<B", RECORD_CURSOR) + _pack_text(key)
         + struct.pack("<q", cursor_ns))
@@ -399,12 +400,12 @@ class WalWriter:
                     self._open_segment()
 
     def append_cursor(self, key: str, cursor_ns: int) -> None:
-        """Write one materialization-cursor frame to the live segment.
+        """Write one cursor frame to the live segment.
 
         Cursor frames are excluded from the sample counters and never
         trigger a flush on their own: a cursor becomes durable with the
-        next flush, and a cursor lost to a crash only means the rule
-        falls back to a full evaluation — no data is at stake.
+        next flush, and a rule cursor lost to a crash only means the
+        outage is not backfilled — no stored data is at stake.
         """
         self.disk.append(self._segment, encode_cursor_record(key, cursor_ns))
         self._cursors[key] = cursor_ns
@@ -493,10 +494,10 @@ class RecoveryReport:
     quarantine_only: bool = field(default=False, repr=False)
     #: Cursor frames replayed (metadata; never in :attr:`samples_lost`).
     cursor_records: int = 0
-    #: Cursor frames that failed CRC or parse — the rule falls back to a
-    #: full evaluation, so these are not data loss either.
+    #: Cursor frames that failed CRC or parse — the rule skips its
+    #: outage backfill, so these are not data loss either.
     cursor_records_quarantined: int = 0
-    #: Latest recovered materialization cursor per key.
+    #: Latest recovered cursor per key.
     cursors: dict = field(default_factory=dict)
     #: Series records that failed CRC or parse.  Not loss in themselves:
     #: the runs that named them are, and are counted above.

@@ -66,11 +66,6 @@ class LlcModel:
         """Cache capacity in bytes."""
         return self._capacity_bytes
 
-    @property
-    def resident_lines(self) -> int:
-        """Lines currently cached (exact mode only)."""
-        return len(self._lines)
-
     # ------------------------------------------------------------------
     # Exact mode
     # ------------------------------------------------------------------

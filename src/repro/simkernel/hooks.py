@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional
+from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.errors import HookError
 
@@ -182,8 +182,3 @@ class HookRegistry:
     def catalogue(self) -> Mapping[str, HookKind]:
         """The full hook catalogue (name -> mechanism)."""
         return dict(self._kinds)
-
-    @staticmethod
-    def table2_names() -> Iterable[str]:
-        """The exact hook set from Table 2 of the paper."""
-        return sorted(TABLE2_HOOKS)

@@ -67,10 +67,6 @@ class DeterministicRng:
         """Normal sample."""
         return self._random.gauss(mu, sigma)
 
-    def lognormal(self, mu: float, sigma: float) -> float:
-        """Log-normal sample."""
-        return self._random.lognormvariate(mu, sigma)
-
     def exponential(self, mean: float) -> float:
         """Exponential sample with the given mean."""
         return self._random.expovariate(1.0 / mean) if mean > 0 else 0.0

@@ -52,26 +52,11 @@ class TeemonConfig:
     #: (fault events, retries, errors, slow spans) and drop the boring
     #: ones.  Off by default — the store keeps everything.
     trace_tail_sampling: bool = False
-    #: Tail rule: spans at least this slow (modelled time) keep their
-    #: trace regardless of anything else.
-    trace_slow_span_ms: float = 250.0
-    #: Bound of the tail sampler's pending buffer (whole traces).
-    trace_pending_max_traces: int = 64
-    #: Per-span-name duration histograms (with exemplars) in the
-    #: ``teemon_self`` exposition.  They are the expensive half of trace
-    #: self-telemetry — ~10 bucket series per span name re-ingested every
-    #: scrape — so the resolved default (``None``) enables them only when
-    #: every trace is recorded: a head-sampled duration distribution is
-    #: biased and not worth the exposition weight.  Set ``True``/``False``
-    #: to force either way.
-    trace_span_metrics: Optional[bool] = None
     #: Run the trace-driven anomaly detector (EPC thrash, AEX storms,
     #: syscall-latency outliers) on a virtual-clock cadence.  Requires
     #: nothing else, but joins kept traces as evidence when tracing is
     #: on.  Off by default.
     enable_anomaly_detection: bool = False
-    #: Detector cadence (window width of each baseline delta).
-    anomaly_interval_s: float = 30.0
     #: Register the ``teemon_self`` scrape target serving the scraper's
     #: and tracer's own metrics.  Requires nothing else; with tracing on
     #: its histogram samples carry trace exemplars.
@@ -172,10 +157,12 @@ class TeemonConfig:
     federation_mode: str = "raw"
 
     def span_metrics_enabled(self) -> bool:
-        """Resolved ``trace_span_metrics``: explicit value if set, else
-        on only when every trace is recorded (no head sampling)."""
-        if self.trace_span_metrics is not None:
-            return self.trace_span_metrics
+        """Whether ``teemon_self`` exposes per-span-name duration
+        histograms (with exemplars).  They are the expensive half of
+        trace self-telemetry — ~10 bucket series per span name
+        re-ingested every scrape — and a head-sampled duration
+        distribution is biased, so they are on only when every trace is
+        recorded."""
         return (
             self.trace_sampling_probability is None
             or self.trace_sampling_probability >= 1.0
@@ -203,12 +190,6 @@ class TeemonConfig:
             raise DeploymentError(
                 "trace_sampling_probability must be in [0, 1]"
             )
-        if self.trace_slow_span_ms < 0:
-            raise DeploymentError("trace_slow_span_ms cannot be negative")
-        if self.trace_pending_max_traces < 1:
-            raise DeploymentError("trace_pending_max_traces must be >= 1")
-        if self.anomaly_interval_s <= 0:
-            raise DeploymentError("anomaly_interval_s must be positive")
         if self.scrape_interval_s <= SCRAPE_TIMEOUT_S:
             raise DeploymentError(
                 f"scrape interval must exceed the {SCRAPE_TIMEOUT_S:g} s "

@@ -91,6 +91,8 @@ from repro.trace import (
     TraceStore,
 )
 
+#: Anomaly-detector cadence (window width of each baseline delta).
+ANOMALY_INTERVAL_S = 30.0
 #: Uplink flush cadence (collect-and-ship tick).
 REMOTE_WRITE_INTERVAL_S = 5.0
 #: Frames an uplink's send queue absorbs while its receiver is down before
@@ -243,15 +245,9 @@ class TeemonDeployment:
         # evaluation is one connected trace.  Span ids come from a named
         # fork of the kernel's seeded rng — same seed, same trace ids.
         if config.enable_tracing:
-            tail_rules = None
-            if config.trace_tail_sampling:
-                tail_rules = TailRules(
-                    slow_span_ns=int(config.trace_slow_span_ms * 1_000_000)
-                )
             self.trace_store: Optional[TraceStore] = TraceStore(
                 max_traces=config.trace_max_traces,
-                tail_rules=tail_rules,
-                pending_max_traces=config.trace_pending_max_traces,
+                tail_rules=TailRules() if config.trace_tail_sampling else None,
             )
             sampler = None
             if config.trace_sampling_probability is not None:
@@ -405,7 +401,7 @@ class TeemonDeployment:
             )
         self.rule_evaluator = RuleEvaluator(
             kernel.clock, self.engine, self.tsdb, tracer=self.tracer,
-            incremental=True, wal=self.wal, alert_sink=alert_sink,
+            wal=self.wal, alert_sink=alert_sink,
         )
         if config.enable_recording_rules:
             self.rule_evaluator.add_group(default_recording_rules())
@@ -619,10 +615,10 @@ class TeemonDeployment:
         self._seed_scrape_state()
         cursors = dict(report.cursors) if report is not None else {}
         if cursors:
-            # Resume incremental materialization where the dead monitor
-            # stopped: no re-recording of already-recorded panel steps,
-            # and the cursors go back onto the fresh WAL so the *next*
-            # crash resumes too.
+            # Resume recording rules where the dead monitor stopped: the
+            # outage is backfilled from the last recorded step, and the
+            # cursors go back onto the fresh WAL so the *next* crash
+            # resumes too.
             self.rule_evaluator.seed_cursors(cursors)
             if self.wal is not None:
                 self.wal.record_cursors(cursors)
@@ -710,8 +706,8 @@ class TeemonDeployment:
         * block compaction, every ``block_range_s`` — the horizon only
           advances across a block boundary, so ticking faster would just
           re-scan the head;
-        * anomaly detection, every ``anomaly_interval_s`` (one tick is
-          one baseline window);
+        * anomaly detection, every :data:`ANOMALY_INTERVAL_S` (one tick
+          is one baseline window);
         * remote-write flush, every :data:`REMOTE_WRITE_INTERVAL_S`,
           first at ``interval + (priority + 2*tier) * stagger``: HA
           replicas with distinct priorities never flush at one instant,
@@ -742,7 +738,7 @@ class TeemonDeployment:
             every(config.block_range_s,
                   lambda: self.tsdb.compact(clock.now_ns))
         if self.anomaly_detector is not None:
-            every(config.anomaly_interval_s,
+            every(ANOMALY_INTERVAL_S,
                   lambda: self.anomaly_detector.run(clock.now_ns))
         if self.remote_write_client is not None:
             every(REMOTE_WRITE_INTERVAL_S, self._flush_uplinks,

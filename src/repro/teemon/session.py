@@ -77,11 +77,6 @@ class MonitoringSession:
         """URLs that missed the staleness threshold of scrape intervals."""
         return [t.url for t in self._deployment.scrape_manager.stale_targets()]
 
-    def scrape_stats(self) -> Dict[str, int]:
-        """The scraper's self-monitoring counters (timeouts, retries,
-        dropped duplicates, target flaps, ingest totals)."""
-        return self._deployment.scrape_manager.self_stats()
-
     # ------------------------------------------------------------------
     # Durability
     # ------------------------------------------------------------------

@@ -282,9 +282,9 @@ def test_kill_loop_journal_is_reproducible_and_sane():
 
 def test_kill_loop_restores_rule_cursors():
     rig = run_kill_loop(53)
-    # Incremental recording rules ran across every resurrect; the WAL
-    # carried their cursors over (seed_cursors), so wide gap fallbacks
-    # stay rare and the evaluator kept materializing incrementally.
+    # Recording rules ran across every resurrect; the WAL carried their
+    # cursors over (seed_cursors), so each outage was backfilled from
+    # where the dead monitor stopped.
     stats = rig.deployment.session.rule_stats()
     assert stats["samples_recorded"] > 0
     report_cursors = [

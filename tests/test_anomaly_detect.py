@@ -51,8 +51,7 @@ def detection_rig(seed=11, inject=True, **config_kwargs):
     config_kwargs.setdefault("trace_sampling_probability", 1.0)
     config_kwargs.setdefault("trace_max_traces", 4096)
     deployment = deploy(kernel, TeemonConfig(
-        enable_anomaly_detection=True, anomaly_interval_s=30.0,
-        **config_kwargs,
+        enable_anomaly_detection=True, **config_kwargs,
     ), start=True)
     scenarios = []
     if inject:

@@ -1,14 +1,15 @@
-"""Property proofs for the alerting engine and incremental materialization.
+"""Property proofs for recording-rule backfill and the alerting engine.
 
 Two families:
 
-* **Materialization equivalence**: for arbitrary rule expressions,
-  evaluation intervals, panel widths, backfill bounds, and evaluation
-  schedules (including gaps wider than the backfill budget), the
-  incremental evaluator's recorded output is *bit-identical* to the
-  reference that re-evaluates the whole rolling panel every cycle.
-  Holes from abandoned gaps must match too — incremental may never
-  invent or lose a grid step relative to the reference.
+* **Cadence backfill**: for arbitrary rule expressions, evaluation
+  intervals, phases and gaps (including gaps wider than
+  ``MAX_BACKFILL_STEPS``), a recording group's stored output after every
+  evaluation equals a reference built from ``engine.instant_plan`` at the
+  instants the rule spec names — *now* alone after a gap of at most one
+  interval, otherwise the last ``min(gap, MAX_BACKFILL_STEPS)`` grid
+  steps ending at *now*.  The backfill and gap counters match the
+  reference's, and re-evaluating at the same instant changes nothing.
 
 * **For-duration state machine**: for arbitrary 0/1 signal schedules
   and ``for_`` durations, every firing is preceded by a pending in the
@@ -21,15 +22,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pmag.alerting import AlertingRule
-from repro.pmag.model import Labels
+from repro.pmag.model import Labels, METRIC_NAME_LABEL
 from repro.pmag.query.engine import QueryEngine
-from repro.pmag.rules import RecordingRule, RuleGroup
+from repro.pmag.rules import MAX_BACKFILL_STEPS, RecordingRule, RuleGroup
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import seconds
 
 
 # ---------------------------------------------------------------------------
-# Incremental materialization == full re-evaluation, bit for bit
+# Cadence backfill == instant evaluation at the spec's instants
 # ---------------------------------------------------------------------------
 _EXPRESSIONS = (
     "sig",
@@ -42,14 +43,12 @@ _EXPRESSIONS = (
     "sig > 100",
 )
 
-_materialize_strategy = st.fixed_dictionaries({
+_backfill_strategy = st.fixed_dictionaries({
     "expr": st.sampled_from(_EXPRESSIONS),
     "interval_s": st.sampled_from((5, 15, 30)),
-    "panel_steps": st.integers(2, 12),
-    "max_backfill": st.integers(1, 16),
     # Gaps between evaluations, in eval-interval units: 1 is the happy
-    # path, larger values force backfill and (past the budget) the full
-    # re-evaluation fallback.
+    # path, larger values force backfill and (past MAX_BACKFILL_STEPS)
+    # abandon the oldest missed steps.
     "gaps": st.lists(st.integers(1, 20), min_size=1, max_size=12),
     "series": st.dictionaries(
         st.integers(0, 2),
@@ -77,65 +76,49 @@ def _ingest(tsdb, series):
             )
 
 
-@given(_materialize_strategy)
+@given(_backfill_strategy)
 @settings(max_examples=60, deadline=None)
-def test_incremental_equals_full_panel_reevaluation(case):
+def test_cadence_backfill_records_exactly_the_spec_instants(case):
     interval_ns = seconds(case["interval_s"])
-    lookback_ns = interval_ns * case["panel_steps"]
-
-    def make(store):
-        return RuleGroup(
-            "m",
-            [RecordingRule(record="job:sig:m", expr=case["expr"])],
-            interval_ns=interval_ns,
-            materialize_lookback_ns=lookback_ns,
-            max_backfill_steps=case["max_backfill"],
-        ), QueryEngine(store)
-
-    inc_tsdb, full_tsdb = Tsdb(), Tsdb()
-    _ingest(inc_tsdb, case["series"])
-    _ingest(full_tsdb, case["series"])
-    inc_group, inc_engine = make(inc_tsdb)
-    full_group, full_engine = make(full_tsdb)
-
-    now_ns = seconds(60 + case["phase_s"])
-    for gap in case["gaps"]:
-        now_ns += gap * interval_ns
-        inc_group.evaluate(inc_engine, inc_tsdb, now_ns, incremental=True)
-        full_group.evaluate_full(full_engine, full_tsdb, now_ns)
-        # Bit-identical after *every* cycle, not just at the end —
-        # divergence may not be allowed to self-heal.
-        assert (_sample_set(inc_tsdb, "job:sig:m")
-                == _sample_set(full_tsdb, "job:sig:m"))
-
-    if any(gap > 1 for gap in case["gaps"][1:]):
-        # A gap after the initial panel fill, so the incremental path
-        # either backfilled or fell back — the counters prove which
-        # machinery the equivalence above actually exercised.
-        assert (inc_group.backfilled_steps_total > 0
-                or inc_group.gap_fallbacks_total > 0)
-
-
-@given(_materialize_strategy)
-@settings(max_examples=30, deadline=None)
-def test_incremental_is_idempotent_at_a_standstill(case):
-    interval_ns = seconds(case["interval_s"])
-    tsdb = Tsdb()
+    tsdb, raw = Tsdb(), Tsdb()
     _ingest(tsdb, case["series"])
+    _ingest(raw, case["series"])  # the reference reads raw data only
+    engine, raw_engine = QueryEngine(tsdb), QueryEngine(raw)
     group = RuleGroup(
         "m", [RecordingRule(record="job:sig:m", expr=case["expr"])],
         interval_ns=interval_ns,
-        materialize_lookback_ns=interval_ns * case["panel_steps"],
-        max_backfill_steps=case["max_backfill"],
     )
-    engine = QueryEngine(tsdb)
-    now_ns = seconds(90)
-    group.evaluate(engine, tsdb, now_ns, incremental=True)
-    snapshot = _sample_set(tsdb, "job:sig:m")
-    for _ in range(3):  # re-evaluating without time passing changes nothing
-        group.evaluate(engine, tsdb, now_ns, incremental=True)
-    assert _sample_set(tsdb, "job:sig:m") == snapshot
-    assert group.gap_fallbacks_total <= 1  # only the (possible) first fill
+    plan = raw_engine.plan(case["expr"])
+    expected = {}           # (labels, t) -> value, first write wins
+    backfilled = fallbacks = 0
+
+    now_ns = seconds(60 + case["phase_s"])
+    for index, gap in enumerate(case["gaps"]):
+        now_ns += gap * interval_ns
+        # The first evaluation has no cursor: *now* alone.
+        steps = 1 if index == 0 else min(gap, MAX_BACKFILL_STEPS)
+        backfilled += steps - 1
+        if index and gap > MAX_BACKFILL_STEPS:
+            fallbacks += 1
+        for back in range(steps - 1, -1, -1):
+            time_ns = now_ns - back * interval_ns
+            for labels, value in raw_engine.instant_plan(plan, time_ns):
+                out = dict(labels.items())
+                out[METRIC_NAME_LABEL] = "job:sig:m"
+                expected.setdefault((Labels(out).items(), time_ns), value)
+        reference = {(items, t, v) for (items, t), v in expected.items()}
+
+        group.evaluate(engine, tsdb, now_ns)
+        # Equal after *every* evaluation, not just at the end — a
+        # divergence may not be allowed to self-heal.
+        assert _sample_set(tsdb, "job:sig:m") == reference
+        assert group.backfilled_steps_total == backfilled
+        assert group.gap_fallbacks_total == fallbacks
+        # Re-evaluating without time passing changes nothing.
+        group.evaluate(engine, tsdb, now_ns)
+        assert _sample_set(tsdb, "job:sig:m") == reference
+        assert group.backfilled_steps_total == backfilled
+        assert group.gap_fallbacks_total == fallbacks
 
 
 # ---------------------------------------------------------------------------

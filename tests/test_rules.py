@@ -24,6 +24,18 @@ def test_recording_rule_name_needs_colon():
     RecordingRule(record="job:syscalls:rate1m", expr="x")
 
 
+@pytest.mark.parametrize("record, static_labels", [
+    ("job:z sum", {}),                  # not a metric name
+    ("job:z:sum\n", {}),
+    ("job:z:sum", {"bad-name": "v"}),   # not a label name
+    ("job:z:sum", {"__name__": "plain"}),  # reserved: would bypass the colon
+    ("job:z:sum", {"__meta": "v"}),
+])
+def test_recording_rule_rejects_names_no_query_can_use(record, static_labels):
+    with pytest.raises(TsdbError):
+        RecordingRule(record, "sum(x)", static_labels=static_labels)
+
+
 def test_rule_group_records_series():
     tsdb = _tsdb_with_counter()
     engine = QueryEngine(tsdb)
@@ -65,9 +77,9 @@ def test_a_rule_reads_an_earlier_rules_output_at_the_same_instant(
         gap_intervals):
     # Rule B consumes rule A's output.  Each rule's writes must be in
     # storage before the next rule evaluates, or B would read A's sample
-    # from the previous instant.  One interval apart is cadence mode;
-    # four apart is incremental backfill, where A writes every missed
-    # instant before B evaluates any of them.
+    # from the previous instant.  One interval apart records one instant;
+    # four apart backfills, and A writes every missed instant before B
+    # evaluates any of them.
     tsdb = Tsdb()
     total = 0.0
     for step in range(1, 61):
@@ -79,9 +91,8 @@ def test_a_rule_reads_an_earlier_rules_output_at_the_same_instant(
         RecordingRule("job:c:rate1m_x2", "job:c:rate1m * 2"),
     ])
     first = seconds(120)
-    group.evaluate(engine, tsdb, first, incremental=True)
-    group.evaluate(engine, tsdb, first + gap_intervals * group.interval_ns,
-                   incremental=True)
+    group.evaluate(engine, tsdb, first)
+    group.evaluate(engine, tsdb, first + gap_intervals * group.interval_ns)
 
     def recorded(name):
         (series,) = tsdb.select_metric(name, 0, seconds(300))

@@ -439,10 +439,6 @@ def test_span_metrics_default_follows_sampling_mode():
     assert not TeemonConfig(
         enable_tracing=True, trace_sampling_probability=0.5
     ).span_metrics_enabled()
-    assert TeemonConfig(
-        enable_tracing=True, trace_sampling_probability=0.5,
-        trace_span_metrics=True,
-    ).span_metrics_enabled()
 
 
 def test_sampled_deployment_drops_span_duration_histogram():
@@ -461,7 +457,3 @@ def test_sampled_deployment_drops_span_duration_histogram():
 def test_config_rejects_bad_sampling_settings():
     with pytest.raises(DeploymentError):
         TeemonConfig(trace_sampling_probability=1.5)
-    with pytest.raises(DeploymentError):
-        TeemonConfig(trace_slow_span_ms=-1.0)
-    with pytest.raises(DeploymentError):
-        TeemonConfig(trace_pending_max_traces=0)
