@@ -9,8 +9,14 @@ volume:
   (exactly what :meth:`ScrapeManager.scrape_once` does per target);
 * ``ingest_federated`` — the remote-write path at the receiver: decode
   batched zlib/base64 frames (CRC-checked WAL records) and batch-append;
-* ``client_encode``    — the leaf-side collect+encode cost, reported for
-  context (the leaf pays it, not the global tier);
+* ``client_encode``    — the leaf-side frame encode cost (frames cut
+  from a ready list of entries, no collect), reported for context (the
+  leaf pays it, not the global tier);
+* ``client_collect``   — the leaf-side cost of one
+  :meth:`RemoteWriteClient.flush` over stores of two sizes, where a
+  tenth of the series receive a sample per flush: collect reads what
+  arrived, so the time per shipped sample should not grow with the
+  store (informational);
 * ``aggregate_uplink`` — the region-tier pushdown payoff: the same
   region view shipped under ``federation_mode="aggregate"`` (recording
   rule outputs plus the raw ``up`` allowlist) against shipping raw.
@@ -40,19 +46,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
+from types import SimpleNamespace
 
 from benchmarks.perf.harness import BenchReport, best_of
 
 from repro.openmetrics.parser import parse_exposition
 from repro.pmag.model import Labels, METRIC_NAME_LABEL
 from repro.pmag.remote_write import (
+    RemoteWriteClient,
     RemoteWriteReceiver,
     build_ship_filter,
     encode_frame,
 )
 from repro.pmag.storage import ShardedTsdb
 from repro.pmag.tsdb import Tsdb
-from repro.simkernel.clock import NANOS_PER_SEC
+from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock
 
 SCHEMA = "teemon.bench.federation/2"
 
@@ -155,6 +164,42 @@ def _frames(entries, frame_samples: int = FRAME_SAMPLES,
     return frames
 
 
+class _AckingUplink:
+    """A network that acks every frame unread: flush pays no receiver."""
+
+    def post_url(self, _url, body):
+        return SimpleNamespace(ok=True, body=f"ack {body.split(' ', 4)[3]}")
+
+
+def _collect_us_per_sample(series: int, flushes: int) -> float:
+    """Microseconds of ``flush`` per shipped sample, over ``flushes`` 5 s
+    cycles of a store of ``series`` series in which a tenth receive one
+    sample per cycle.  Only the flushes are timed."""
+    clock = VirtualClock()
+    tsdb = Tsdb()
+    labels = [Labels({METRIC_NAME_LABEL: "m", "job": "sgx",
+                      "instance": f"node-{n}"}) for n in range(series)]
+    active = labels[::10]
+    step = 5 * NANOS_PER_SEC
+    clock.advance(step)
+    tsdb.append_batch([(l, clock.now_ns, 0.0) for l in labels])
+    client = RemoteWriteClient(clock, _AckingUplink(), tsdb, "http://up",
+                               "leaf-0")
+    # Resume past the history, as a recovered leaf does; the first
+    # collect after that reads the store and is not timed.
+    client.seed(clock.now_ns, None)
+    spent = 0.0
+    for cycle in range(flushes + 1):
+        clock.advance(step)
+        tsdb.append_batch([(l, clock.now_ns, float(cycle)) for l in active])
+        started = time.perf_counter()
+        client.flush()
+        if cycle:
+            spent += time.perf_counter() - started
+    assert client.samples_shipped == len(active) * (flushes + 1)
+    return spent / (len(active) * flushes) * 1e6
+
+
 def run_suite(quick: bool) -> BenchReport:
     report = BenchReport(quick=quick)
     nodes = 20 if quick else 60
@@ -192,6 +237,22 @@ def run_suite(quick: bool) -> BenchReport:
         "client_encode", elapsed_ms=encode_s * 1e3,
         frames=float(len(frames)),
         notes="leaf-side cost, informational (not gated)",
+    )
+
+    collect_series = (1_000, 10_000) if quick else (2_000, 20_000)
+    collect_flushes = 10 if quick else 20
+    small, large = (
+        min(_collect_us_per_sample(series, collect_flushes)
+            for _ in range(runs))
+        for series in collect_series
+    )
+    report.add(
+        "client_collect",
+        flush_us_per_sample_small=small,
+        flush_us_per_sample_large=large,
+        large_vs_small=large / small,
+        notes=f"{collect_series[0]} vs {collect_series[1]} series, a tenth "
+              f"new per flush, {collect_flushes} flushes; informational",
     )
 
     def federated():

@@ -8,7 +8,9 @@ This module is that uplink, hardened the same way the scrape path is:
 
 * :class:`RemoteWriteClient` — runs inside a leaf monitor.  Each flush
   tick it *collects* every sample the leaf TSDB accepted since its
-  watermark, packs them into compressed shard-partitioned frames (one
+  watermark — drained from an arrival feed the engine pushes each
+  commit into, so the cost follows new samples, not the store's size —
+  packs them into compressed shard-partitioned frames (one
   CRC-guarded block per series, fingerprinted with the same CRC32 the
   sharded engine routes on), and *pumps* the frame queue to the receiver
   with jittered-exponential retry/backoff on the virtual clock.  The
@@ -37,15 +39,16 @@ This module is that uplink, hardened the same way the scrape path is:
 * *Relays* — a monitor that is both receiver and client forwards
   everything it ingests upstream under its **own** sender identity,
   epoch and sequence numbering (re-stamping is automatic: the relay's
-  client collects from the relay's TSDB by time window, so upstream
-  tiers see one well-ordered sender per relay, never the leaves'
-  numbering).  Frames that arrive carrying samples *older* than the
-  relay's collected watermark (a healed leaf partition draining its
-  spill) regress the collect window via :meth:`RemoteWriteClient.
-  note_late_arrival` so the next flush re-ships them; the upstream
-  receiver's dedup absorbs any overlap the regression re-sends.  A
-  receiver built with its own ``identity`` rejects frames claiming to
-  come from itself — the loop guard for mis-wired topologies.
+  client collects what landed in the relay's TSDB, by time window, so
+  upstream tiers see one well-ordered sender per relay, never the
+  leaves' numbering).  Frames that arrive carrying samples *older*
+  than the relay's collected watermark (a healed leaf partition
+  draining its spill) regress the collect window via
+  :meth:`RemoteWriteClient.note_late_arrival` so the next flush
+  re-ships them; the upstream receiver's dedup absorbs any overlap the
+  regression re-sends.  A receiver built with its own ``identity``
+  rejects frames claiming to come from itself — the loop guard for
+  mis-wired topologies.
 * Durability — the client's watermark and last-acked sequence persist as
   WAL cursor frames (the same channel the rule evaluator uses), so a
   crashed-and-recovered leaf resumes shipping from its last acked
@@ -70,6 +73,7 @@ from __future__ import annotations
 import base64
 import struct
 import zlib
+from bisect import bisect_right
 from collections import deque
 from itertools import repeat
 from operator import itemgetter
@@ -80,7 +84,7 @@ from repro.net.http import HttpNetwork
 from repro.pmag.model import Labels, METRIC_NAME_LABEL
 from repro.pmag.rules import is_recorded_output
 from repro.pmag.storage import series_fingerprint
-from repro.pmag.tsdb import StorageEngine
+from repro.pmag.tsdb import ArrivalFeed, StorageEngine
 from repro.pmag.wal import MAX_RECORD_BYTES, pack_labels, unpack_labels
 from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock
 from repro.simkernel.rng import DeterministicRng
@@ -117,6 +121,14 @@ def watermark_cursor_key(source: str) -> str:
 def sequence_cursor_key(source: str) -> str:
     """Cursor key holding the last acked frame sequence number."""
     return f"remote-write:seq:{source}"
+
+
+#: The newest int64 timestamp: a catch-up reads the store up to here.
+_END_OF_TIME_NS = (1 << 63) - 1
+
+
+def _series_key(entry: Tuple[Labels, int, float]) -> tuple:
+    return entry[0].items()
 
 
 #: Raw metrics an aggregate-mode uplink still ships: target liveness and
@@ -557,14 +569,24 @@ class RemoteWriteClient:
     staggered by ``priority`` so HA replicas never deliver at the same
     instant in ambiguous order, and by ``tier`` so a relay collects only
     after the tier below has delivered at a shared instant) does two
-    things: *collect* — snapshot every sample in ``(collected watermark,
-    now]`` that passes the ship filter into frames of at most
-    ``max_frame_samples`` — and *pump* — deliver queued frames in
-    sequence order, one in flight at a time, with jittered-exponential
-    retry on the virtual clock.  Delivery failures leave the frame at the
+    things: *collect* — every stored sample in ``(collected watermark,
+    now]`` that passes the ship filter, ordered by timestamp and then by
+    series labels, cut into frames of at most ``max_frame_samples`` —
+    and *pump* — deliver queued frames in sequence order, one in flight
+    at a time, with jittered-exponential retry on the virtual clock.  Delivery failures leave the frame at the
     head of the queue; after ``max_retries`` failed attempts the pump
     goes idle until the next flush tick, so a dead uplink costs one
     bounded retry burst per cadence, not an unbounded timer storm.
+
+    Collect reads an :class:`~repro.pmag.tsdb.ArrivalFeed` attached to
+    the engine: each commit's accepted entries, so a flush costs what
+    landed since the last one.  Where the feed cannot vouch for the
+    window — the first collect, the first after :meth:`seed`,
+    :meth:`stop` or a late-arrival regression, or after the engine
+    removed samples the window reaches — one ``select_arrays`` reads
+    it from the store instead (``collect_catchups`` counts these).
+    Either way the frames are the same bytes.  A stopped client has
+    detached its feed and holds nothing.
 
     Durability: when a WAL is attached, each acked frame persists the new
     watermark and sequence as cursor frames (keyed by ``cursor_name``,
@@ -655,6 +677,10 @@ class RemoteWriteClient:
         self.acked_seq = 0
         #: Cross-frame block-header memo for the v3 encoder.
         self._headers: Dict[Labels, bytes] = {}
+        #: What the engine accepted since the last collect; None until
+        #: the next collect catches up from the store (:meth:`_window`).
+        self._feed: Optional[ArrivalFeed] = None
+        self.collect_catchups = 0
         self.frames_sent = 0
         self.frames_acked = 0
         self.frames_dropped = 0
@@ -689,13 +715,22 @@ class RemoteWriteClient:
             self._collected_ns = self.watermark_ns = watermark_ns
         if acked_seq is not None:
             self._seq = self.acked_seq = acked_seq
+        self._drop_feed()
 
     def stop(self) -> None:
-        """Cancel the retry timer (the leaf monitor is stopping/dying)."""
+        """Cancel the retry timer (the leaf monitor is stopping/dying)
+        and detach the arrival feed: a dead uplink holds no samples."""
         self._stopped = True
         if self._retry_timer is not None:
             self._retry_timer.cancel()
             self._retry_timer = None
+        self._drop_feed()
+
+    def _drop_feed(self) -> None:
+        """Detach the feed; the next collect catches up from the store."""
+        if self._feed is not None:
+            self._tsdb.detach_feed(self._feed)
+            self._feed = None
 
     # ------------------------------------------------------------------
     # Relay feed
@@ -717,6 +752,9 @@ class RemoteWriteClient:
             return
         self.late_arrivals += 1
         self._collected_ns = point
+        # The feed has already handed over what lies behind the old
+        # watermark: the regressed window is read from the store.
+        self._drop_feed()
         for frame in self._queue:
             if frame.end_ns > point:
                 frame.end_ns = point
@@ -745,24 +783,16 @@ class RemoteWriteClient:
     def _collect(self, now_ns: int) -> int:
         if now_ns <= self._collected_ns:
             return 0
-        entries: List[Tuple[Labels, int, float]] = []
-        # Window is (collected, now]: select is inclusive on both ends,
-        # so the left edge is nudged one ns past the last collected stamp.
-        ship = self.ship_filter
-        for labels, times, values in self._tsdb.select_arrays(
-                [], self._collected_ns + 1, now_ns):
-            if ship is None or ship(labels):
-                entries.extend(zip(repeat(labels), times, values))
+        entries = self._window(now_ns)
         self._collected_ns = now_ns
         if not entries:
             return 0
-        # Chunk in timestamp order (stable, so per-series order is kept)
-        # and give each frame the watermark its own ack justifies: the
-        # newest timestamp fully covered by it and its predecessors.
-        # Only the final frame may claim the whole window end — an ack
-        # of an earlier chunk must not durably skip samples still queued
-        # behind it (they would be silently lost across a crash).
-        entries.sort(key=itemgetter(1))
+        # Chunk in timestamp order and give each frame the watermark its
+        # own ack justifies: the newest timestamp fully covered by it
+        # and its predecessors.  Only the final frame may claim the
+        # whole window end — an ack of an earlier chunk must not durably
+        # skip samples still queued behind it (they would be silently
+        # lost across a crash).
         for start in range(0, len(entries), self.max_frame_samples):
             chunk = entries[start:start + self.max_frame_samples]
             nxt = start + self.max_frame_samples
@@ -782,6 +812,65 @@ class RemoteWriteClient:
             self.frames_dropped += 1
             self.samples_dropped += len(dropped.entries)
         return len(entries)
+
+    def _window(self, now_ns: int) -> List[Tuple[Labels, int, float]]:
+        """Every stored sample in ``(collected, now]`` the ship filter
+        passes, ordered by timestamp and then by ``labels.items()``.
+
+        Steady state drains the arrival feed: what the engine accepted
+        since the last collect.  Arrivals past ``now`` wait in the feed
+        for a later window; arrivals at or behind the watermark are
+        discarded, as a store read of the window would not see them.
+        """
+        low = self._collected_ns
+        feed = self._feed
+        if feed is None or feed.unsure_below_ns > low + 1:
+            return self._catch_up(now_ns)
+        ship = self.ship_filter
+        entries: List[Tuple[Labels, int, float]] = []
+        later: List[Tuple[Labels, int, float]] = []
+        for batch in feed.batches:
+            for entry in batch:
+                time_ns = entry[1]
+                if time_ns > now_ns:
+                    later.append(entry)
+                elif time_ns > low and (ship is None or ship(entry[0])):
+                    entries.append(entry)
+        feed.batches = [later] if later else []
+        # A series holds one sample per timestamp, so this is the order
+        # the store read gives: series by labels, then stably by time.
+        entries.sort(key=_series_key)
+        entries.sort(key=itemgetter(1))
+        return entries
+
+    def _catch_up(self, now_ns: int) -> List[Tuple[Labels, int, float]]:
+        """The window read from the store, for when the feed cannot
+        vouch for it.  One ``select_arrays`` from the watermark on: what
+        lies past ``now`` restarts the feed, so it again holds every
+        stored sample newer than the watermark.
+        """
+        self.collect_catchups += 1
+        feed = self._feed
+        if feed is None:
+            feed = self._feed = ArrivalFeed()
+            self._tsdb.attach_feed(feed)
+        ship = self.ship_filter
+        entries: List[Tuple[Labels, int, float]] = []
+        later: List[Tuple[Labels, int, float]] = []
+        # select is inclusive on both ends, so the left edge is nudged
+        # one ns past the last collected stamp.
+        for labels, times, values in self._tsdb.select_arrays(
+                [], self._collected_ns + 1, _END_OF_TIME_NS):
+            cut = bisect_right(times, now_ns)
+            if cut < len(times):
+                later.extend(zip(repeat(labels), times[cut:], values[cut:]))
+                times, values = times[:cut], values[:cut]
+            if times and (ship is None or ship(labels)):
+                entries.extend(zip(repeat(labels), times, values))
+        feed.batches = [later] if later else []
+        feed.unsure_below_ns = 0
+        entries.sort(key=itemgetter(1))  # stable: series order kept
+        return entries
 
     def _pump(self) -> None:
         """Deliver queued frames in order until one fails or none remain."""
@@ -880,6 +969,7 @@ class RemoteWriteClient:
             "samples_dropped": self.samples_dropped,
             "bytes_shipped": self.bytes_shipped,
             "late_arrivals": self.late_arrivals,
+            "collect_catchups": self.collect_catchups,
             "watermark_ns": self.watermark_ns,
             "acked_seq": self.acked_seq,
         }

@@ -25,7 +25,7 @@ from repro.errors import TsdbError
 from repro.pmag.blocks import BlockPolicy, SeriesRollup, StorageStats
 from repro.pmag.chunks import ChunkedSeries
 from repro.pmag.model import Labels, Matcher, Sample
-from repro.pmag.tsdb import StorageEngine, Tsdb
+from repro.pmag.tsdb import ArrivalFeed, StorageEngine, Tsdb
 
 
 def series_fingerprint(labels: Labels) -> int:
@@ -102,6 +102,8 @@ class ShardedTsdb(StorageEngine):
         #: so entries never go stale — the cache only grows, bounded by
         #: the distinct label sets seen, like the postings index.
         self._fingerprints: Dict[Labels, int] = {}
+        #: Feeds attached through this façade: each is on every shard.
+        self._feeds: List[ArrivalFeed] = []
 
     # ------------------------------------------------------------------
     # Shard plumbing
@@ -141,6 +143,10 @@ class ShardedTsdb(StorageEngine):
         tsdb.retention_ns = self.retention_ns
         tsdb.block_policy = self.block_policy
         self._shards[index] = tsdb
+        for feed in self._feeds:
+            # The adopted samples never passed through the feed.
+            tsdb.attach_feed(feed)
+            feed.doubt()
 
     @property
     def retention_ns(self) -> Optional[int]:
@@ -170,6 +176,19 @@ class ShardedTsdb(StorageEngine):
             )
         for shard, wal in zip(self._shards, wals):
             shard.attach_wal(wal)
+
+    def attach_feed(self, feed: ArrivalFeed) -> None:
+        """Attach one feed to every shard: each pushes its sub-batches."""
+        self._feeds.append(feed)
+        for shard in self._shards:
+            shard.attach_feed(feed)
+
+    def detach_feed(self, feed: ArrivalFeed) -> None:
+        """Detach ``feed`` from every shard."""
+        if feed in self._feeds:
+            self._feeds.remove(feed)
+        for shard in self._shards:
+            shard.detach_feed(feed)
 
     # ------------------------------------------------------------------
     # Ingest: route to one shard

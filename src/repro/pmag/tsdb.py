@@ -25,6 +25,31 @@ from repro.pmag.model import (
 _NEVER_NS = 1 << 63
 
 
+class ArrivalFeed:
+    """What an engine accepted since its reader last drained the feed.
+
+    ``batches`` holds each commit's accepted ``(labels, time_ns, value)``
+    entries by reference, in commit order: the engine appends, the
+    reader takes them away.  Samples can also leave the store without
+    passing through here (retention, compaction, ``delete_series``) or
+    land around it (``install_series``), so the engine raises
+    ``unsure_below_ns`` to cover them: below that timestamp the store may
+    differ from what the feed has shown since the reader last reset it.
+    """
+
+    __slots__ = ("batches", "unsure_below_ns")
+
+    def __init__(self) -> None:
+        self.batches: List[List[Tuple[Labels, int, float]]] = []
+        self.unsure_below_ns = 0
+
+    def doubt(self, below_ns: int = _NEVER_NS) -> None:
+        """The store may have changed below ``below_ns`` (by default:
+        anywhere) without the feed seeing it."""
+        if self.unsure_below_ns < below_ns:
+            self.unsure_below_ns = below_ns
+
+
 class StorageEngine(ABC):
     """What the rest of the stack needs from time-series storage.
 
@@ -38,7 +63,14 @@ class StorageEngine(ABC):
       replay is idempotent regardless of how series are routed;
     * ``storage_stats()`` returns the shape the ``teemon_storage_*``
       self-telemetry renders: shard count, per-shard series/sample
-      counts, and the compaction counters.
+      counts, and the compaction counters;
+    * every :class:`ArrivalFeed` attached with :meth:`attach_feed` gets
+      each commit's accepted entries (``append_batch``, ``append_run``)
+      as one list, in commit order, and any other change to the stored
+      samples raises its ``unsure_below_ns`` past the newest timestamp
+      the change may have touched.  Accepted entries must not be
+      mutated after the commit.  With no feed attached, a commit pays
+      one empty-list check.
 
     The attributes ``retention_ns``, ``total_appends``, ``stats`` and
     ``block_policy`` are part of the interface as plain attributes.
@@ -68,6 +100,14 @@ class StorageEngine(ABC):
     @abstractmethod
     def attach_wal(self, wal) -> None:
         """Write successful appends through to a write-ahead log."""
+
+    @abstractmethod
+    def attach_feed(self, feed: ArrivalFeed) -> None:
+        """Push every commit's accepted entries into ``feed``."""
+
+    @abstractmethod
+    def detach_feed(self, feed: ArrivalFeed) -> None:
+        """Stop pushing into ``feed`` (absent: nothing to do)."""
 
     def append_sample(
         self, metric: str, time_ns: int, value: float, **labels: str
@@ -239,6 +279,7 @@ class Tsdb(StorageEngine):
         self.total_appends = 0
         self.stats = StorageStats()
         self._wal = None
+        self._feeds: List[ArrivalFeed] = []
         #: Retention's low-water mark: no chunk and no rollup bucket can
         #: expire until the cutoff passes this.  A lower bound on every
         #: series' first chunk end and first bucket's newest sample —
@@ -254,6 +295,20 @@ class Tsdb(StorageEngine):
         and replay is free of known-bad records.
         """
         self._wal = wal
+
+    def attach_feed(self, feed: ArrivalFeed) -> None:
+        """Push every commit's accepted entries into ``feed``."""
+        self._feeds.append(feed)
+
+    def detach_feed(self, feed: ArrivalFeed) -> None:
+        """Stop pushing into ``feed`` (absent: nothing to do)."""
+        if feed in self._feeds:
+            self._feeds.remove(feed)
+
+    def _doubt(self, below_ns: int = _NEVER_NS) -> None:
+        """:meth:`ArrivalFeed.doubt` on every attached feed."""
+        for feed in self._feeds:
+            feed.doubt(below_ns)
 
     # ------------------------------------------------------------------
     # Ingest
@@ -272,13 +327,14 @@ class Tsdb(StorageEngine):
         :meth:`WalWriter.append_many` batch: flush and rotation
         boundaries are counted in samples, so they do not depend on the
         batching, but the log costs a few disk writes per commit instead
-        of one per sample.
+        of one per sample.  The same list goes to every attached feed.
         """
         series = self._series
         rollups = self._rollups
         wal = self._wal
+        feeds = self._feeds
         accepted: Optional[List[Tuple[Labels, int, float]]] = (
-            [] if wal is not None else None
+            [] if wal is not None or feeds else None
         )
         rejected: List[int] = []
         appended = 0
@@ -313,13 +369,17 @@ class Tsdb(StorageEngine):
         self._expiry_floor_ns = floor
         self.total_appends += appended
         if accepted:
-            wal.append_many(accepted)
+            if wal is not None:
+                wal.append_many(accepted)
+            for feed in feeds:
+                feed.batches.append(accepted)
         return rejected
 
     def append_run(self, labels: Labels, times, values) -> Tuple[int, int]:
         """One series' samples as parallel columns: the semantics of
         :meth:`append_batch` — rollup monotonicity, accept/reject,
-        series creation, WAL write-through of what was accepted — with
+        series creation, WAL and feed write-through of what was
+        accepted — with
         the series looked up once and the columns filled by
         :meth:`ChunkedSeries.append_run`.  This is how WAL replay lands
         a series.  Returns ``(appended, rejected)``.
@@ -344,13 +404,17 @@ class Tsdb(StorageEngine):
         self.total_appends += appended
         self._expiry_floor_ns = min(
             self._expiry_floor_ns, storage.first_chunk_end_ns())
-        if self._wal is not None:
+        if self._wal is not None or self._feeds:
             skip = set(rejected)
-            self._wal.append_many([
+            accepted = [
                 (labels, time_ns, value)
                 for index, (time_ns, value) in enumerate(zip(times, values))
                 if index not in skip
-            ])
+            ]
+            if self._wal is not None:
+                self._wal.append_many(accepted)
+            for feed in self._feeds:
+                feed.batches.append(accepted)
         return appended, len(rejected)
 
     def _index(self, labels: Labels, storage: ChunkedSeries) -> None:
@@ -367,12 +431,14 @@ class Tsdb(StorageEngine):
         snapshotted one under further chunk-granular operations (retention,
         re-snapshot).  Restored samples count towards ``total_appends``
         so ingest totals stay monotonic across a crash/restore cycle.
+        The samples bypass attached feeds, which are told so.
         """
         if not labels.metric_name:
             raise TsdbError(f"series needs a {METRIC_NAME_LABEL} label: {labels!r}")
         if labels in self._series:
             raise TsdbError(f"series already exists: {labels!r}")
         self._index(labels, storage)
+        self._doubt()
         self.total_appends += storage.sample_count
         if storage.sample_count:
             self._expiry_floor_ns = min(
@@ -591,6 +657,8 @@ class Tsdb(StorageEngine):
         victims = list(self._matching_series(matchers))
         for labels in victims:
             self._unindex(labels)
+        if victims:
+            self._doubt()
         return len(victims)
 
     def enforce_retention(self, now_ns: int) -> int:
@@ -630,6 +698,9 @@ class Tsdb(StorageEngine):
         for labels in empty:
             self._unindex(labels)
         self._expiry_floor_ns = floor
+        if dropped:
+            # Whole chunks and buckets ending before the cutoff.
+            self._doubt(cutoff)
         return dropped
 
     def compact(self, now_ns: int) -> int:
@@ -669,4 +740,6 @@ class Tsdb(StorageEngine):
         if folded:
             self.stats.samples_compacted_total += folded
             self.stats.bytes_saved_total += saved
+            # Folded samples leave the raw store select_arrays reads.
+            self._doubt(horizon)
         return folded
