@@ -1,42 +1,32 @@
-"""The ``teemon_self`` target: the monitoring stack as its own exporter.
+"""The ``teemon_self`` target: the monitor as its own exporter.
 
-TEEMon's aggregator scrapes exporters; this module closes the loop by
-making the monitoring pipeline itself scrapable.  One endpoint (port
-9901) serves, in OpenMetrics format:
+The paper monitors the monitor the way it monitors enclaves: Prometheus
+scrapes an exporter (§4).  This module is that exporter, and the one
+place that names the monitor's self-series.  Like the TME (``tme.py``)
+it is deliberately dumb: :data:`FAMILIES` is a table of ``(family,
+source, key, help, is_counter)`` rows, each re-exposing one value of a
+``stats()`` mapping a component already keeps, and one refresh at
+collect time re-reads them.  The deployment hands in one reader per
+source it runs; families of absent sources are not registered.
 
-* the scrape manager's own counters (``teemon_scrape_*_total``,
-  ``teemon_target_flaps_total``) — the *same* family objects registered
-  in :attr:`ScrapeManager.self_registry`, so the exposition is always a
-  live view and ``rate(teemon_scrape_retries_total[1m])`` is a real
-  PromQL query over real scraped series;
-* tracer counters (``teemon_trace_spans_started_total`` …), refreshed at
-  collect time from the live tracer;
-* durability telemetry (``teemon_wal_*``) — live views over the
-  write-ahead-log writer: records written through, flushes, checkpoints,
-  segments, and the unflushed-record loss window;
-* recovery telemetry (``teemon_recovery_*``) — cumulative crash-recovery
-  statistics of the deployment: recoveries, records replayed, records
-  and segments quarantined for corruption, and the *exact* samples lost
-  to crashes as measured against the simulated medium's loss report;
-* storage-engine telemetry (``teemon_storage_*``) — shard count,
-  per-shard series/sample counts (``{shard="N"}``), compaction passes,
-  samples folded into downsampled buckets, bytes saved by downsampling,
-  and range evaluations served from rollups;
-* ``teemon_span_duration_seconds`` — a histogram of span durations
-  (virtual time), labelled by span name, fed from the tracer's span-end
-  callback.  Each observation carries an OpenMetrics **exemplar**
-  ``{trace_id=…,span_id=…}``, so a slow bucket on a dashboard resolves
-  back to a concrete stored trace via ``TraceStore.get``.
+A reader returns the source's mapping; for a source with labels
+(:data:`SOURCE_LABELS`) it returns ``{label values: mapping}`` — one
+row per shard, uplink client, notification outcome or sender.
 
-Unlike the paper's four per-host exporters this one is *not* an
-:class:`~repro.exporters.base.Exporter`: it has no host process and no
-modelled footprint (the pipeline's cost is already charged to the
-aggregator), it is purely an endpoint over state that exists anyway.
+Beside the table, ``teemon_span_duration_seconds`` is a histogram of
+span durations (virtual time) by span name, fed from the tracer's
+span-end callback; each observation carries an exemplar
+``{trace_id=…,span_id=…}`` that resolves to a stored trace.
+
+It is not an :class:`~repro.exporters.base.Exporter`: it has no host
+process and no modelled footprint (the pipeline's cost is already
+charged to the aggregator), only an endpoint over state that exists
+anyway.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Dict, Mapping, Optional
 
 from repro.net.http import HttpEndpoint, HttpNetwork
 from repro.openmetrics.encoder import encode_registry
@@ -49,6 +39,8 @@ from repro.simkernel.clock import NANOS_PER_SEC
 SELF_EXPORTER_PORT = 9901
 SELF_EXPORTER_PATH = "/metrics"
 SELF_JOB = "teemon_self"
+#: The receiver's per-sender lag gauge, which the pmv federation view reads.
+FEDERATION_LAG = "teemon_federation_lag_seconds"
 
 #: Span durations are virtual-time and mostly sub-millisecond; the
 #: default 5ms-and-up buckets would collapse them into one bucket.
@@ -56,304 +48,137 @@ SPAN_DURATION_BUCKETS = (
     1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1.0,
 )
 
+#: Label names of the sources that have them; every other source is
+#: one unlabelled row.
+SOURCE_LABELS = {
+    "shard": ("shard",),
+    "notifications": ("receiver", "outcome"),
+    "uplink": ("uplink",),
+    "lag": ("sender",),
+}
+
+#: (family, source, key in the source's mapping, help text, is_counter):
+#: the naming scheme of every monitor self-series.
+FAMILIES = (
+    # ScrapeManager.self_stats()
+    ("teemon_scrape_samples_ingested_total", "scrape", "samples_ingested", "Exposition samples appended to the TSDB", True),
+    ("teemon_scrape_up_writes_total", "scrape", "up_writes", "Synthetic up-series samples written", True),
+    ("teemon_scrape_meta_writes_total", "scrape", "meta_writes", "Scrape metadata samples written (duration, sample count)", True),
+    ("teemon_scrape_samples_dropped_total", "scrape", "samples_dropped", "Duplicate-timestamp samples dropped on append", True),
+    ("teemon_scrape_stale_writes_total", "scrape", "stale_writes", "Staleness-marker transitions written", True),
+    ("teemon_scrape_timeouts_total", "scrape", "timeouts_total", "Scrapes discarded because the response exceeded the budget", True),
+    ("teemon_scrape_retries_total", "scrape", "retries_total", "Retry attempts issued after failed scrapes", True),
+    ("teemon_target_flaps_total", "scrape", "flaps_total", "Target up/down transitions observed", True),
+    ("teemon_scrape_targets_removed_total", "scrape", "targets_removed", "Targets dropped by discovery and retired with staleness markers", True),
+    # MonitoringSession.trace_stats(): tracer and trace store
+    ("teemon_trace_spans_started_total", "trace", "spans_started", "Spans started by the pipeline tracer", True),
+    ("teemon_trace_spans_ended_total", "trace", "spans_ended", "Spans ended by the pipeline tracer", True),
+    ("teemon_trace_traces_total", "trace", "traces_started", "Traces started by the pipeline tracer", True),
+    ("teemon_trace_traces_sampled_out_total", "trace", "traces_sampled_out", "Traces dropped at the root by the head sampler", True),
+    ("teemon_trace_spans_unsampled_total", "trace", "spans_unsampled", "Span requests served by the unsampled fast path", True),
+    ("teemon_trace_spans_stored_total", "trace", "spans_stored", "Spans accepted into the trace store", True),
+    ("teemon_trace_traces_evicted_total", "trace", "traces_evicted", "Whole traces FIFO-evicted past the store's capacity", True),
+    ("teemon_trace_traces_kept_total", "trace", "traces_kept", "Completed traces the tail keep rules promoted", True),
+    ("teemon_trace_traces_dropped_total", "trace", "traces_dropped", "Completed traces the tail keep rules discarded", True),
+    ("teemon_trace_spans_dropped_total", "trace", "spans_dropped", "Spans discarded with tail-dropped traces", True),
+    ("teemon_trace_pending_traces", "trace", "pending_traces", "Traces buffered awaiting a tail-sampling verdict", False),
+    # MonitoringSession.wal_stats(): this incarnation's WAL writer
+    ("teemon_wal_records_total", "wal", "records_total", "Samples written through to the write-ahead log", True),
+    ("teemon_wal_flushes_total", "wal", "flushes_total", "WAL segment fsyncs performed", True),
+    ("teemon_wal_checkpoints_total", "wal", "checkpoints_total", "Checkpoints written (snapshot + segment truncation)", True),
+    ("teemon_wal_segments_total", "wal", "segments_total", "WAL segments opened", True),
+    ("teemon_wal_unflushed_records", "wal", "unflushed_records", "Records appended since the last flush (the loss window)", False),
+    # TeemonDeployment.recovery_stats: cumulative over resurrections
+    ("teemon_recovery_total", "recovery", "recoveries", "Crash recoveries performed by this deployment", True),
+    ("teemon_recovery_records_replayed_total", "recovery", "records_replayed", "WAL records replayed into the database across recoveries", True),
+    ("teemon_recovery_records_quarantined_total", "recovery", "records_quarantined", "Corrupt WAL records skipped (CRC mismatch or bad payload)", True),
+    ("teemon_recovery_segments_quarantined_total", "recovery", "segments_quarantined", "WAL segments abandoned for unwalkable corruption", True),
+    ("teemon_recovery_samples_lost", "recovery", "samples_lost", "Exact samples destroyed by crashes, as measured against the medium's own loss report", False),
+    # StorageEngine.storage_stats(), and its per_shard rows
+    ("teemon_storage_shards", "storage", "shards", "Shards behind the storage engine", False),
+    ("teemon_storage_series", "shard", "series", "Distinct series held, per shard", False),
+    ("teemon_storage_samples", "shard", "samples", "Raw (not yet downsampled) samples held, per shard", False),
+    ("teemon_storage_rollup_samples", "shard", "rollup_samples", "Samples folded into downsampled buckets, per shard", False),
+    ("teemon_storage_compactions_total", "storage", "compactions_total", "Block-compaction passes run", True),
+    ("teemon_storage_samples_compacted_total", "storage", "samples_compacted_total", "Raw samples folded into downsampled rollup buckets", True),
+    ("teemon_storage_downsample_bytes_saved", "storage", "bytes_saved_total", "Approximate bytes released by replacing raw chunks with rollup buckets", False),
+    ("teemon_storage_downsampled_reads_total", "storage", "downsampled_reads_total", "Range-function evaluations served from downsampled buckets", True),
+    # RuleEvaluator.stats()
+    ("teemon_rule_eval_seconds", "rules", "eval_seconds", "Cumulative modelled rule-evaluation time (virtual)", False),
+    ("teemon_rule_conflicts_total", "rules", "conflicts_total", "Recording-rule label collisions (static labels stomping series labels, or output label sets collapsing)", True),
+    ("teemon_rule_backfilled_steps_total", "rules", "backfilled_steps_total", "Missed recording-rule steps recorded late; steps beyond MAX_BACKFILL_STEPS are abandoned", True),
+    ("teemon_rule_gap_fallbacks_total", "rules", "gap_fallbacks_total", "Gaps wider than MAX_BACKFILL_STEPS, whose older steps were abandoned", True),
+    # TeemonDeployment.alerting_stats() and the router's counters
+    ("teemon_alerts_firing", "alerts", "firing", "Alert instances currently in the firing state", False),
+    ("teemon_alerts_pending", "alerts", "pending", "Alert instances currently in the pending state", False),
+    ("teemon_notifications_total", "notifications", "count", "Notification deliveries by receiver and outcome", True),
+    # QueryEngine.cache_stats()
+    ("pmag_query_cache_hits_total", "query_cache", "hits", "Queries whose plan came from the plan cache", True),
+    ("pmag_query_cache_misses_total", "query_cache", "misses", "Queries parsed on a plan-cache miss", True),
+    ("pmag_query_cache_evictions_total", "query_cache", "evictions", "Plans evicted from the plan cache", True),
+    ("pmag_query_cache_size", "query_cache", "size", "Plans held in the plan cache", False),
+    # RemoteWriteClient.stats(), one row per uplink (cursor name)
+    ("teemon_remote_write_queue_frames", "uplink", "queue_frames", "Frames waiting in the send queue", False),
+    ("teemon_remote_write_queue_samples", "uplink", "queue_samples", "Samples inside queued frames", False),
+    ("teemon_remote_write_frames_inflight", "uplink", "frames_inflight", "Queued frames with a delivery attempt made", False),
+    ("teemon_remote_write_frames_sent_total", "uplink", "frames_sent", "Frame delivery attempts", True),
+    ("teemon_remote_write_frames_acked_total", "uplink", "frames_acked", "Frames acknowledged by the receiver", True),
+    ("teemon_remote_write_frames_dropped_total", "uplink", "frames_dropped", "Frames dropped, oldest first, from a full send queue", True),
+    ("teemon_remote_write_retries_total", "uplink", "retries_total", "Delivery retries after failed attempts", True),
+    ("teemon_remote_write_samples_shipped_total", "uplink", "samples_shipped", "Samples in acknowledged frames", True),
+    ("teemon_remote_write_samples_dropped_total", "uplink", "samples_dropped", "Samples in dropped frames", True),
+    ("teemon_remote_write_bytes_shipped_total", "uplink", "bytes_shipped", "Wire bytes of acknowledged frames", True),
+    # RemoteWriteReceiver.stats() and lag_seconds()
+    ("teemon_remote_write_frames_received_total", "receiver", "frames_received", "Frames posted to the remote-write endpoint", True),
+    ("teemon_remote_write_frames_replayed_total", "receiver", "frames_replayed", "Frames acknowledged again as replays, not re-applied", True),
+    ("teemon_remote_write_samples_applied_total", "receiver", "samples_applied", "Received samples stored", True),
+    ("teemon_remote_write_samples_deduped_total", "receiver", "samples_deduped", "Received samples already stored (HA duplicates)", True),
+    ("teemon_remote_write_replay_dedup_hits_total", "receiver", "replay_dedup_hits", "Samples inside replayed frames", True),
+    (FEDERATION_LAG, "lag", "seconds", "Virtual now minus the newest sample applied from each sender", False),
+)
+
+#: A source reader: the mapping, or ``{label values: mapping}``.
+Reader = Callable[[], Mapping]
+
 
 class TeemonSelfExporter:
-    """Serves the pipeline's self-telemetry as an OpenMetrics endpoint."""
+    """Serves the monitor's self-telemetry as an OpenMetrics endpoint."""
 
-    def __init__(self, hostname: str, scrape_manager=None, tracer=None,
-                 wal=None, recovery_stats=None, storage=None,
-                 rules=None, alerting=None, span_metrics: bool = True) -> None:
+    def __init__(self, hostname: str, sources: Dict[str, Reader],
+                 tracer=None) -> None:
+        """``sources`` maps source names of :data:`FAMILIES` to readers;
+        ``tracer``, when given, feeds the span-duration histogram."""
         self.hostname = hostname
         self.registry = CollectorRegistry()
-        self._tracer = tracer
-        self._wal = wal
-        self._recovery_stats = recovery_stats
-        self._storage = storage
-        self._rules = rules
-        self._alerting = alerting
+        self._sources = dict(sources)
+        self._families: Dict[str, list] = {name: [] for name in self._sources}
+        for name, source, key, help_text, is_counter in FAMILIES:
+            if source in self._families:
+                make = self.registry.counter if is_counter else self.registry.gauge
+                family = make(name, help_text, SOURCE_LABELS.get(source, ()))
+                self._families[source].append((family, key))
+        self.registry.on_collect(self._refresh)
+        self._span_duration = None
+        if tracer is not None:
+            self._span_duration = self.registry.histogram(
+                "teemon_span_duration_seconds",
+                "Span durations in virtual time, by span name",
+                label_names=("span",),
+                buckets=SPAN_DURATION_BUCKETS,
+            )
+            tracer.on_span_end(self._observe_span)
         self._endpoint: Optional[HttpEndpoint] = None
         self.scrapes_served = 0
-        if scrape_manager is not None:
-            # Re-register the scrape manager's family objects: both
-            # registries share them, so this exposition is a live view.
-            for family in scrape_manager.self_registry.families():
-                self.registry.register(family)
-        if tracer is not None:
-            self._spans_started = self.registry.counter(
-                "teemon_trace_spans_started_total",
-                "Spans started by the pipeline tracer",
-            )
-            self._spans_ended = self.registry.counter(
-                "teemon_trace_spans_ended_total",
-                "Spans ended by the pipeline tracer",
-            )
-            self._traces_started = self.registry.counter(
-                "teemon_trace_traces_total",
-                "Traces started by the pipeline tracer",
-            )
-            self._traces_sampled_out = self.registry.counter(
-                "teemon_trace_traces_sampled_out_total",
-                "Traces dropped at the root by the head sampler",
-            )
-            self._spans_unsampled = self.registry.counter(
-                "teemon_trace_spans_unsampled_total",
-                "Span requests served by the unsampled fast path",
-            )
-            self._trace_spans_stored = self.registry.counter(
-                "teemon_trace_spans_stored_total",
-                "Spans accepted into the trace store",
-            )
-            self._traces_evicted = self.registry.counter(
-                "teemon_trace_traces_evicted_total",
-                "Whole traces FIFO-evicted past the store's capacity",
-            )
-            self._traces_kept = self.registry.counter(
-                "teemon_trace_traces_kept_total",
-                "Completed traces the tail keep rules promoted",
-            )
-            self._traces_dropped = self.registry.counter(
-                "teemon_trace_traces_dropped_total",
-                "Completed traces the tail keep rules discarded",
-            )
-            self._trace_spans_dropped = self.registry.counter(
-                "teemon_trace_spans_dropped_total",
-                "Spans discarded with tail-dropped traces",
-            )
-            self._trace_pending = self.registry.gauge(
-                "teemon_trace_pending_traces",
-                "Traces buffered awaiting a tail-sampling verdict",
-            )
-            self._span_duration = None
-            if span_metrics:
-                # The per-span-name duration histogram is the expensive
-                # part of trace self-telemetry: ~10 bucket series per
-                # span name, encoded, scraped, parsed, and ingested every
-                # cycle.  Deployments that head-sample leave it off by
-                # default — a 10% sample skews duration quantiles anyway.
-                self._span_duration = self.registry.histogram(
-                    "teemon_span_duration_seconds",
-                    "Span durations in virtual time, by span name",
-                    label_names=("span",),
-                    buckets=SPAN_DURATION_BUCKETS,
-                )
-                tracer.on_span_end(self._observe_span)
-            self.registry.on_collect(self._sync_tracer_counters)
-        if wal is not None:
-            # Durability telemetry: live views over the WAL writer.  The
-            # counters reset on a restart (a fresh writer per process
-            # incarnation, as with a real daemon's in-process counters);
-            # ``rate()`` handles counter resets.
-            self._wal_records = self.registry.counter(
-                "teemon_wal_records_total",
-                "Samples written through to the write-ahead log",
-            )
-            self._wal_flushes = self.registry.counter(
-                "teemon_wal_flushes_total",
-                "WAL segment fsyncs performed",
-            )
-            self._wal_checkpoints = self.registry.counter(
-                "teemon_wal_checkpoints_total",
-                "Checkpoints written (snapshot + segment truncation)",
-            )
-            self._wal_segments = self.registry.counter(
-                "teemon_wal_segments_total",
-                "WAL segments opened",
-            )
-            self._wal_unflushed = self.registry.gauge(
-                "teemon_wal_unflushed_records",
-                "Records appended since the last flush (the loss window)",
-            )
-            self.registry.on_collect(self._sync_wal_counters)
-        if recovery_stats is not None:
-            # Recovery telemetry: cumulative across every resurrection of
-            # the deployment (the deployment object outlives the monitor
-            # process, so these never reset).
-            self._recoveries = self.registry.counter(
-                "teemon_recovery_total",
-                "Crash recoveries performed by this deployment",
-            )
-            self._recovery_replayed = self.registry.counter(
-                "teemon_recovery_records_replayed_total",
-                "WAL records replayed into the database across recoveries",
-            )
-            self._recovery_quarantined = self.registry.counter(
-                "teemon_recovery_records_quarantined_total",
-                "Corrupt WAL records skipped (CRC mismatch or bad payload)",
-            )
-            self._recovery_segments_quarantined = self.registry.counter(
-                "teemon_recovery_segments_quarantined_total",
-                "WAL segments abandoned for unwalkable corruption",
-            )
-            self._recovery_samples_lost = self.registry.gauge(
-                "teemon_recovery_samples_lost",
-                "Exact samples destroyed by crashes, as measured against "
-                "the medium's own loss report",
-            )
-            self.registry.on_collect(self._sync_recovery_counters)
-        if storage is not None:
-            # Storage-engine telemetry: shard layout and the block
-            # lifecycle's compaction counters, refreshed at collect time
-            # from the engine's ``storage_stats()``.
-            self._storage_shards = self.registry.gauge(
-                "teemon_storage_shards",
-                "Shards behind the storage engine",
-            )
-            self._storage_series = self.registry.gauge(
-                "teemon_storage_series",
-                "Distinct series held, per shard",
-                label_names=("shard",),
-            )
-            self._storage_samples = self.registry.gauge(
-                "teemon_storage_samples",
-                "Raw (not yet downsampled) samples held, per shard",
-                label_names=("shard",),
-            )
-            self._storage_rollup_samples = self.registry.gauge(
-                "teemon_storage_rollup_samples",
-                "Samples folded into downsampled buckets, per shard",
-                label_names=("shard",),
-            )
-            self._storage_compactions = self.registry.counter(
-                "teemon_storage_compactions_total",
-                "Block-compaction passes run",
-            )
-            self._storage_compacted = self.registry.counter(
-                "teemon_storage_samples_compacted_total",
-                "Raw samples folded into downsampled rollup buckets",
-            )
-            self._storage_bytes_saved = self.registry.gauge(
-                "teemon_storage_downsample_bytes_saved",
-                "Approximate bytes released by replacing raw chunks with "
-                "rollup buckets",
-            )
-            self._storage_downsampled_reads = self.registry.counter(
-                "teemon_storage_downsampled_reads_total",
-                "Range-function evaluations served from downsampled buckets",
-            )
-            self.registry.on_collect(self._sync_storage_counters)
-        if rules is not None:
-            # Rule-evaluation telemetry: the modelled evaluation time of
-            # the recording/alerting rule engine, recording-rule
-            # backfill activity, and static-label conflicts surfaced by
-            # the collision detector.
-            self._rule_eval_seconds = self.registry.gauge(
-                "teemon_rule_eval_seconds",
-                "Cumulative modelled rule-evaluation time (virtual)",
-            )
-            self._rule_conflicts = self.registry.counter(
-                "teemon_rule_conflicts_total",
-                "Recording-rule label collisions (static labels stomping "
-                "series labels, or output label sets collapsing)",
-            )
-            self._rule_backfilled = self.registry.counter(
-                "teemon_rule_backfilled_steps_total",
-                "Missed rule intervals recovered by incremental backfill",
-            )
-            self._rule_gap_fallbacks = self.registry.counter(
-                "teemon_rule_gap_fallbacks_total",
-                "Evaluation gaps too wide to backfill (full re-evaluation)",
-            )
-            self.registry.on_collect(self._sync_rule_counters)
-        if alerting is not None:
-            # Alerting telemetry: live alert-state gauges plus the
-            # notification router's per-receiver delivery outcomes.
-            self._alerts_firing = self.registry.gauge(
-                "teemon_alerts_firing",
-                "Alert instances currently in the firing state",
-            )
-            self._alerts_pending = self.registry.gauge(
-                "teemon_alerts_pending",
-                "Alert instances currently in the pending state",
-            )
-            self._notifications = self.registry.counter(
-                "teemon_notifications_total",
-                "Notification deliveries by receiver and outcome",
-                label_names=("receiver", "outcome"),
-            )
-            self.registry.on_collect(self._sync_alerting_counters)
 
-    def _sync_rule_counters(self) -> None:
-        stats = self._rules()
-        self._rule_eval_seconds.labels().set_to(float(stats["eval_seconds"]))
-        self._rule_conflicts.labels().set_to(float(stats["conflicts_total"]))
-        self._rule_backfilled.labels().set_to(
-            float(stats["backfilled_steps_total"])
-        )
-        self._rule_gap_fallbacks.labels().set_to(
-            float(stats["gap_fallbacks_total"])
-        )
-
-    def _sync_alerting_counters(self) -> None:
-        stats = self._alerting()
-        self._alerts_firing.labels().set_to(float(stats["firing"]))
-        self._alerts_pending.labels().set_to(float(stats["pending"]))
-        for (receiver, outcome), count in sorted(
-            stats["notifications"].items()
-        ):
-            self._notifications.labels(receiver, outcome).set_to(float(count))
-
-    def _sync_storage_counters(self) -> None:
-        stats = self._storage()
-        self._storage_shards.labels().set_to(float(stats["shards"]))
-        for index, shard in enumerate(stats["per_shard"]):
-            label = str(index)
-            self._storage_series.labels(label).set_to(float(shard["series"]))
-            self._storage_samples.labels(label).set_to(float(shard["samples"]))
-            self._storage_rollup_samples.labels(label).set_to(
-                float(shard["rollup_samples"])
-            )
-        self._storage_compactions.labels().set_to(
-            float(stats["compactions_total"])
-        )
-        self._storage_compacted.labels().set_to(
-            float(stats["samples_compacted_total"])
-        )
-        self._storage_bytes_saved.labels().set_to(
-            float(stats["bytes_saved_total"])
-        )
-        self._storage_downsampled_reads.labels().set_to(
-            float(stats["downsampled_reads_total"])
-        )
-
-    def _sync_wal_counters(self) -> None:
-        self._wal_records.labels().set_to(float(self._wal.records_total))
-        self._wal_flushes.labels().set_to(float(self._wal.flushes_total))
-        self._wal_checkpoints.labels().set_to(float(self._wal.checkpoints_total))
-        self._wal_segments.labels().set_to(float(self._wal.segments_total))
-        self._wal_unflushed.labels().set_to(float(self._wal.unflushed_records))
-
-    def _sync_recovery_counters(self) -> None:
-        stats = self._recovery_stats()
-        self._recoveries.labels().set_to(float(stats["recoveries"]))
-        self._recovery_replayed.labels().set_to(float(stats["records_replayed"]))
-        self._recovery_quarantined.labels().set_to(
-            float(stats["records_quarantined"])
-        )
-        self._recovery_segments_quarantined.labels().set_to(
-            float(stats["segments_quarantined"])
-        )
-        self._recovery_samples_lost.labels().set_to(float(stats["samples_lost"]))
-
-    def _sync_tracer_counters(self) -> None:
-        tracer = self._tracer
-        self._spans_started.labels().set_to(float(tracer.spans_started))
-        self._spans_ended.labels().set_to(float(tracer.spans_ended))
-        self._traces_started.labels().set_to(float(tracer.traces_started))
-        self._traces_sampled_out.labels().set_to(
-            float(getattr(tracer, "traces_sampled_out", 0))
-        )
-        self._spans_unsampled.labels().set_to(
-            float(getattr(tracer, "spans_unsampled", 0))
-        )
-        store = getattr(tracer, "store", None)
-        if store is None:
-            return
-        self._trace_spans_stored.labels().set_to(float(store.spans_stored))
-        self._traces_evicted.labels().set_to(float(store.traces_evicted))
-        self._traces_kept.labels().set_to(float(store.traces_kept))
-        self._traces_dropped.labels().set_to(float(store.traces_dropped))
-        self._trace_spans_dropped.labels().set_to(float(store.spans_dropped))
-        self._trace_pending.labels().set_to(float(store.pending_count()))
+    def _refresh(self) -> None:
+        """Re-read every source (runs at scrape time)."""
+        for source, read in self._sources.items():
+            rows = read()
+            if source not in SOURCE_LABELS:
+                rows = {(): rows}
+            for values, stats in rows.items():
+                for family, key in self._families[source]:
+                    family.labels(*values).set_to(float(stats[key]))
 
     def _observe_span(self, span) -> None:
         duration_s = span.duration_ns / NANOS_PER_SEC

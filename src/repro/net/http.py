@@ -76,14 +76,15 @@ class HttpResponse:
 class HttpEndpoint:
     """A registered HTTP route.
 
-    ``handler`` serves GETs (no body); ``post_handler``, when present,
-    serves POSTs (body in, body out).
+    ``handler``, when present, serves GETs (no body); ``post_handler``,
+    when present, serves POSTs (body in, body out).  A method without a
+    handler is answered 405.
     """
 
     host: str
     port: int
     path: str
-    handler: Callable[[], str]
+    handler: Optional[Callable[[], str]]
     post_handler: Optional[Callable[[str], str]] = None
     healthy: bool = True
 
@@ -110,7 +111,8 @@ class HttpNetwork:
         self.requests_failed = 0
 
     def register(
-        self, host: str, port: int, path: str, handler: Callable[[], str]
+        self, host: str, port: int, path: str,
+        handler: Optional[Callable[[], str]],
     ) -> HttpEndpoint:
         """Expose a route; replaces nothing — double registration is an error."""
         key = (host, port, path)
@@ -155,15 +157,12 @@ class HttpNetwork:
         if not endpoint.healthy:
             self.requests_failed += 1
             return HttpResponse(status=503, body="service unavailable", headers=echo)
+        serve: Optional[Callable[[], str]] = None
         if request.method == "GET":
-            serve: Callable[[], str] = endpoint.handler
-        elif request.method == "POST":
-            if endpoint.post_handler is None:
-                self.requests_failed += 1
-                return HttpResponse(status=405, body="method not allowed",
-                                    headers=echo)
+            serve = endpoint.handler
+        elif request.method == "POST" and endpoint.post_handler is not None:
             serve = lambda: endpoint.post_handler(request.body)  # noqa: E731
-        else:
+        if serve is None:
             self.requests_failed += 1
             return HttpResponse(status=405, body="method not allowed", headers=echo)
         try:

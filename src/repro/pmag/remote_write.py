@@ -60,12 +60,13 @@ This module is that uplink, hardened the same way the scrape path is:
   collect window can never advance the cursor past samples whose
   delivery was still pending.
 
-Self-telemetry lands in the local TSDB as ``teemon_remote_write_*``
-series (queue depth, frames in flight, retries, dropped frames, dedup
-hits) and, on the receiving side, per-sender
-``teemon_federation_lag_seconds`` — so the federation tier is observable
-with the same PromQL as everything else, and the ``pmv`` federation
-timeline renders the lag per sender.
+Both ends keep plain counters (:meth:`RemoteWriteClient.stats`,
+:meth:`RemoteWriteReceiver.stats`, per-sender
+:meth:`RemoteWriteReceiver.lag_seconds`) that the ``teemon_self`` target
+serves as ``teemon_remote_write_*`` and ``teemon_federation_lag_seconds``
+— so the federation tier is observable with the same PromQL as
+everything else, and the ``pmv`` federation timeline renders the lag
+per sender.
 """
 
 from __future__ import annotations
@@ -99,15 +100,6 @@ REMOTE_WRITE_PATH = "/api/v1/write"
 #: the flat record stream with shard-partitioned per-series blocks
 #: (fingerprint + one label block + packed samples, CRC32 per block).
 FRAME_MAGIC = "teemon-rw/3"
-
-#: Identity labels of the client's self-series in the *local* TSDB.
-#: ``record_self_series`` adds a ``source`` label so the series of
-#: different senders never collide when they meet at an upper tier.
-CLIENT_IDENTITY = {"job": "pmag", "instance": "remote_write"}
-#: Identity labels of the receiver's self-series in the ingesting TSDB.
-#: ``record_self_series`` adds a ``host`` label so a relay's receiver
-#: series stay distinct from the global receiver's after forwarding.
-RECEIVER_IDENTITY = {"job": "pmag", "instance": "remote_write_receiver"}
 
 
 #: WAL cursor keys persisting the client's durable uplink position.
@@ -384,7 +376,6 @@ class RemoteWriteReceiver:
         #: one entry per series shipped here, gone with this incarnation.
         self._interned: Dict[bytes, tuple] = {}
         self._endpoint = None
-        self._host: Optional[str] = None
         self.frames_received = 0
         self.frames_applied = 0
         self.frames_replayed = 0
@@ -397,11 +388,11 @@ class RemoteWriteReceiver:
     def expose(self, network: HttpNetwork, host: str,
                port: int = REMOTE_WRITE_PORT,
                path: str = REMOTE_WRITE_PATH):
-        """Register the write endpoint on the simulated network."""
-        endpoint = network.register(host, port, path, self._status_body)
+        """Register the write endpoint (POST only) on the simulated
+        network."""
+        endpoint = network.register(host, port, path, None)
         endpoint.post_handler = self.handle
         self._endpoint = endpoint
-        self._host = host
         return endpoint
 
     def withdraw(self, network: HttpNetwork, host: str,
@@ -425,12 +416,6 @@ class RemoteWriteReceiver:
         lands in the shadow of its collected watermark.
         """
         self._relay_clients.append(client)
-
-    def _status_body(self) -> str:
-        return (
-            f"remote_write_frames_received_total {self.frames_received}\n"
-            f"remote_write_samples_applied_total {self.samples_applied}\n"
-        )
 
     # ------------------------------------------------------------------
     def handle(self, body: str) -> str:
@@ -508,37 +493,6 @@ class RemoteWriteReceiver:
             "samples_deduped": self.samples_deduped,
             "replay_dedup_hits": self.replay_dedup_hits,
         }
-
-    def record_self_series(self, now_ns: int) -> None:
-        """Append the receiver's counters into the receiving TSDB.
-
-        The ``host`` label keeps a relay's receiver series distinct from
-        the next tier's own once they are forwarded upstream; the
-        per-sender lag gauge is what the ``pmv`` federation timeline
-        renders.
-        """
-        identity = dict(RECEIVER_IDENTITY)
-        if self._host is not None:
-            identity["host"] = self._host
-        counters = (
-            ("teemon_remote_write_frames_received_total", self.frames_received),
-            ("teemon_remote_write_frames_replayed_total", self.frames_replayed),
-            ("teemon_remote_write_samples_applied_total", self.samples_applied),
-            ("teemon_remote_write_samples_deduped_total", self.samples_deduped),
-            ("teemon_remote_write_replay_dedup_hits_total",
-             self.replay_dedup_hits),
-        )
-        entries = [
-            (Labels.of(metric, **identity), now_ns, float(value))
-            for metric, value in counters
-        ]
-        entries.extend(
-            (Labels.of("teemon_federation_lag_seconds", sender=sender,
-                       **identity), now_ns, lag_s)
-            for sender, lag_s in self.lag_seconds(now_ns).items()
-        )
-        # One commit; at a repeated instant the duplicates are dropped.
-        self._tsdb.append_batch(entries)
 
 
 class _Frame:
@@ -937,7 +891,7 @@ class RemoteWriteClient:
             )
 
     # ------------------------------------------------------------------
-    # Introspection / self-telemetry
+    # Introspection
     # ------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
@@ -973,32 +927,3 @@ class RemoteWriteClient:
             "watermark_ns": self.watermark_ns,
             "acked_seq": self.acked_seq,
         }
-
-    def record_self_series(self, now_ns: int) -> None:
-        """Append the client's counters into the *local* TSDB.
-
-        They ride the next collect upstream like every other series, so
-        the global tier can alert on a leaf's queue growth.  The
-        ``source`` label keeps each sender's series distinct once many
-        of them meet in one upstream TSDB.
-        """
-        identity = dict(CLIENT_IDENTITY)
-        identity["source"] = self.source
-        counters = (
-            ("teemon_remote_write_queue_depth", self.queue_depth),
-            ("teemon_remote_write_queue_frames", self.queue_depth),
-            ("teemon_remote_write_queue_samples", self.queued_samples),
-            ("teemon_remote_write_frames_inflight", self.frames_inflight),
-            ("teemon_remote_write_frames_sent_total", self.frames_sent),
-            ("teemon_remote_write_frames_acked_total", self.frames_acked),
-            ("teemon_remote_write_frames_dropped_total", self.frames_dropped),
-            ("teemon_remote_write_retries_total", self.retries_total),
-            ("teemon_remote_write_samples_shipped_total", self.samples_shipped),
-            ("teemon_remote_write_samples_dropped_total", self.samples_dropped),
-            ("teemon_remote_write_bytes_shipped_total", self.bytes_shipped),
-        )
-        # One commit; at a repeated instant the duplicates are dropped.
-        self._tsdb.append_batch([
-            (Labels.of(metric, **identity), now_ns, float(value))
-            for metric, value in counters
-        ])

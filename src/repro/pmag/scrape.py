@@ -20,12 +20,12 @@ behaviours live here, hardened against the failure modes
 * staleness — a target that misses ``staleness_intervals`` consecutive
   scheduled scrapes gets a ``scrape_target_stale`` marker (cleared on
   recovery), so dashboards can distinguish "briefly down" from "gone";
-* self-monitoring — the scraper's own counters are real OpenMetrics
-  :class:`~repro.openmetrics.types.Counter` families in
-  :attr:`ScrapeManager.self_registry` (served by the ``teemon_self``
-  target, so ``rate(teemon_scrape_retries_total[1m])`` works in PromQL);
-  the legacy ``scrape_*_total`` series are still appended each cycle and
-  :meth:`ScrapeManager.self_stats` remains a dict view over the counters;
+* self-monitoring — the scraper's own counters are plain int attributes
+  (``samples_ingested``, ``timeouts_total``, …) that count from zero in
+  each monitor incarnation; :meth:`ScrapeManager.self_stats` maps them
+  by name for the ``teemon_self`` target, so
+  ``rate(teemon_scrape_retries_total[1m])`` is a query over scraped
+  series;
 * tracing — when constructed with a :class:`~repro.trace.tracer.Tracer`,
   every scrape cycle produces one trace: per-target child spans cover the
   HTTP fetch (with a W3C ``traceparent`` header propagated through the
@@ -46,10 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import OpenMetricsError, TsdbError
+from repro.errors import TsdbError
 from repro.net.http import HttpNetwork
 from repro.openmetrics.parser import SeriesTable, parse_exposition
-from repro.openmetrics.registry import CollectorRegistry
 from repro.openmetrics.types import Exemplar
 from repro.pmag.model import Labels, METRIC_NAME_LABEL
 from repro.pmag.tsdb import Tsdb
@@ -60,9 +59,6 @@ from repro.trace import NOOP_TRACER, TRACEPARENT_HEADER
 DEFAULT_SCRAPE_INTERVAL_NS = 5 * NANOS_PER_SEC
 #: Scrape responses slower than this are treated as timeouts.
 SCRAPE_TIMEOUT_S = 1.0
-
-#: Identity labels under which the scraper's own counters are stored.
-SELF_IDENTITY = {"job": "pmag", "instance": "scraper"}
 
 #: Modelled exposition-transfer rate used for ``scrape_duration_seconds``
 #: and the fetch span's virtual time (bytes per second).
@@ -142,9 +138,7 @@ class ScrapeManager:
         backoff_jitter: float = 0.5,
         staleness_intervals: int = 3,
         rng: Optional[DeterministicRng] = None,
-        self_monitor: bool = True,
         tracer=None,
-        host: Optional[str] = None,
     ) -> None:
         if interval_ns <= 0:
             raise TsdbError(f"scrape interval must be positive, got {interval_ns}")
@@ -167,15 +161,6 @@ class ScrapeManager:
         self.backoff_base_s = backoff_base_s
         self.backoff_jitter = backoff_jitter
         self.staleness_intervals = staleness_intervals
-        self.self_monitor = self_monitor
-        #: Federation identity: stamped onto the scraper's own meta
-        #: series (which otherwise carry only the fixed
-        #: :data:`SELF_IDENTITY`), so copies remote-written from
-        #: different monitors stay distinct series instead of colliding
-        #: sample-for-sample at a relay tier.
-        self._self_identity = dict(SELF_IDENTITY)
-        if host is not None:
-            self._self_identity["host"] = host
         self._tracer = tracer if tracer is not None else NOOP_TRACER
         self._backoff_rng = (rng or DeterministicRng(0)).fork("scrape-backoff")
         self._static_targets: List[ScrapeTarget] = []
@@ -186,48 +171,25 @@ class ScrapeManager:
         #: same trace instead of starting a fresh one.
         self._retry_contexts: Dict[ScrapeTarget, object] = {}
         self._timer = None
-        # The scraper's own counters, as registered OpenMetrics families —
-        # the ``teemon_self`` target serves this registry, which is what
-        # makes ``rate(teemon_scrape_retries_total[1m])`` a real PromQL
-        # query.  The int attributes below are properties over these.
-        registry = CollectorRegistry()
-        self.self_registry = registry
-        self._ingested_counter = registry.counter(
-            "teemon_scrape_samples_ingested_total",
-            "Exposition samples appended to the TSDB",
-        )
-        self._up_writes_counter = registry.counter(
-            "teemon_scrape_up_writes_total",
-            "Synthetic up-series samples written",
-        )
-        self._meta_writes_counter = registry.counter(
-            "teemon_scrape_meta_writes_total",
-            "Scrape metadata samples written (duration, sample count)",
-        )
-        self._dropped_counter = registry.counter(
-            "teemon_scrape_samples_dropped_total",
-            "Duplicate-timestamp samples dropped on append",
-        )
-        self._stale_writes_counter = registry.counter(
-            "teemon_scrape_stale_writes_total",
-            "Staleness-marker transitions written",
-        )
-        self._timeouts_counter = registry.counter(
-            "teemon_scrape_timeouts_total",
-            "Scrapes discarded because the response exceeded the budget",
-        )
-        self._retries_counter = registry.counter(
-            "teemon_scrape_retries_total",
-            "Retry attempts issued after failed scrapes",
-        )
-        self._flaps_counter = registry.counter(
-            "teemon_target_flaps_total",
-            "Target up/down transitions observed",
-        )
-        self._removed_counter = registry.counter(
-            "teemon_scrape_targets_removed_total",
-            "Targets dropped by discovery and retired with staleness markers",
-        )
+        # The scraper's own counters (:meth:`self_stats`).
+        #: Exposition samples appended (``up``/metadata counted apart).
+        self.samples_ingested = 0
+        #: Synthetic ``up`` samples written.
+        self.up_writes = 0
+        #: Scrape-metadata samples written.
+        self.meta_writes = 0
+        #: Duplicate-timestamp samples dropped on append.
+        self.samples_dropped = 0
+        #: Staleness-marker transitions written (1.0 stale, 0.0 clear).
+        self.stale_writes = 0
+        #: Scrapes discarded past the timeout budget.
+        self.timeouts_total = 0
+        #: Retry attempts issued.
+        self.retries_total = 0
+        #: Up/down transitions observed.
+        self.flaps_total = 0
+        #: Targets retired after discovery stopped returning them.
+        self.targets_removed = 0
         #: (job, instance) identities whose removal wrote a staleness
         #: marker; if discovery ever returns them again, the first
         #: healthy scrape clears the marker.  Keyed by identity (not
@@ -235,58 +197,8 @@ class ScrapeManager:
         #: carries — which lets crash recovery rebuild this set from the
         #: recovered TSDB (:meth:`seed_removed_stale`).
         self._removed_stale: set = set()
-        #: The label sets of the scraper's own self-series, by name.
-        self._own: Dict[str, Labels] = {}
         #: Latest exemplar seen per metric name on ingested samples.
         self._exemplars: Dict[str, Tuple[Tuple[Tuple[str, str], ...], Exemplar]] = {}
-
-    # ------------------------------------------------------------------
-    # Self-monitoring counters (dict/attribute views over the registry)
-    # ------------------------------------------------------------------
-    @property
-    def samples_ingested(self) -> int:
-        """Exposition samples appended (``up``/metadata counted separately)."""
-        return int(self._ingested_counter.value)
-
-    @property
-    def up_writes(self) -> int:
-        """Synthetic ``up`` samples written."""
-        return int(self._up_writes_counter.value)
-
-    @property
-    def meta_writes(self) -> int:
-        """Scrape-metadata samples written."""
-        return int(self._meta_writes_counter.value)
-
-    @property
-    def samples_dropped(self) -> int:
-        """Duplicate-timestamp samples silently dropped on append."""
-        return int(self._dropped_counter.value)
-
-    @property
-    def stale_writes(self) -> int:
-        """Staleness-marker transitions written (1.0 stale, 0.0 clear)."""
-        return int(self._stale_writes_counter.value)
-
-    @property
-    def timeouts_total(self) -> int:
-        """Scrapes discarded past the timeout budget."""
-        return int(self._timeouts_counter.value)
-
-    @property
-    def retries_total(self) -> int:
-        """Retry attempts issued."""
-        return int(self._retries_counter.value)
-
-    @property
-    def flaps_total(self) -> int:
-        """Up/down transitions observed."""
-        return int(self._flaps_counter.value)
-
-    @property
-    def targets_removed(self) -> int:
-        """Targets retired after discovery stopped returning them."""
-        return int(self._removed_counter.value)
 
     # ------------------------------------------------------------------
     # Target management
@@ -353,23 +265,6 @@ class ScrapeManager:
         """
         self._removed_stale.update(identities)
 
-    def seed_counters(self, values: Dict[str, float]) -> None:
-        """Restore self-stat counters from recovered series values.
-
-        Keys are family names (e.g. ``teemon_scrape_timeouts_total``);
-        unknown names are ignored and counters only move forward, so
-        seeding from a stale recovered value can never rewind a live
-        counter.
-        """
-        for name, value in values.items():
-            try:
-                family = self.self_registry.get(name)
-            except OpenMetricsError:
-                continue
-            child = family.labels()
-            if value > child.value:
-                child.set_to(value)
-
     def stale_targets(self) -> List[ScrapeTarget]:
         """Targets that missed the staleness threshold of intervals."""
         return [t for t, h in self._health.items() if h.stale]
@@ -400,9 +295,6 @@ class ScrapeManager:
                     # health record in agreement.
                     continue
                 ingested += self._scrape_target(target, now, attempt=0)
-            if self.self_monitor:
-                with tracer.span("scrape.self_series"):
-                    self._record_self_series(now)
             with tracer.span("tsdb.retention"):
                 self._tsdb.enforce_retention(now)
         return ingested
@@ -439,7 +331,7 @@ class ScrapeManager:
             # The body (if any) arrived past the budget: discard it, as a
             # real scraper's deadline would have fired already.
             health.timeouts += 1
-            self._timeouts_counter.inc()
+            self.timeouts_total += 1
             span.add_event("scrape.timeout", latency_s=latency_s,
                            budget_s=self.timeout_budget_s)
             return self._handle_failure(target, health, now_ns, attempt,
@@ -481,7 +373,7 @@ class ScrapeManager:
                 entries.append((labels, now_ns, value))
             rejected = self._tsdb.append_batch(entries) if entries else []
             if rejected:
-                self._dropped_counter.inc(len(rejected))
+                self.samples_dropped += len(rejected)
             ingested = len(entries) - len(rejected)
             if carrying:
                 dropped = set(rejected)
@@ -491,7 +383,7 @@ class ScrapeManager:
                         self._exemplars[name] = (pairs, exemplar)
             append_span.set_attribute("ingested", ingested)
             append_span.add_virtual_time(len(samples) * APPEND_NS_PER_SAMPLE)
-        self._ingested_counter.inc(ingested)
+        self.samples_ingested += ingested
         # The report, as Prometheus records it: ``up``, how long the
         # scrape took (modelled from the exposition size plus transport
         # latency) and how many samples the body's commit accepted — hence
@@ -500,10 +392,10 @@ class ScrapeManager:
         duration_s = (latency_s + len(response.body) / TRANSFER_BYTES_PER_S
                       + 0.001)
         self._append(now_ns, [
-            ("up", 1.0, self._up_writes_counter),
-            ("scrape_duration_seconds", duration_s, self._meta_writes_counter),
+            ("up", 1.0, "up_writes"),
+            ("scrape_duration_seconds", duration_s, "meta_writes"),
             ("scrape_samples_scraped", float(ingested),
-             self._meta_writes_counter),
+             "meta_writes"),
         ], identity, health.own)
         return ingested
 
@@ -521,15 +413,15 @@ class ScrapeManager:
                 continue
             health = self._health.pop(target)
             self._cancel_retry(target)
-            self._removed_counter.inc()
+            self.targets_removed += 1
             if not health.observed:
                 continue  # never scraped: nothing in the TSDB to retire
             writes = []
             if health.up:
-                writes.append(("up", 0.0, self._up_writes_counter))
+                writes.append(("up", 0.0, "up_writes"))
             if not health.stale:
                 writes.append(
-                    ("scrape_target_stale", 1.0, self._stale_writes_counter))
+                    ("scrape_target_stale", 1.0, "stale_writes"))
             self._append(now_ns, writes, target.identity(), health.own)
             self._removed_stale.add((target.job, target.instance))
 
@@ -551,14 +443,14 @@ class ScrapeManager:
             health.missed_intervals += 1
         if health.observed and health.up:
             health.flaps += 1
-            self._flaps_counter.inc()
+            self.flaps_total += 1
         health.up = False
         health.observed = True
-        writes = [("up", 0.0, self._up_writes_counter)]
+        writes = [("up", 0.0, "up_writes")]
         if not health.stale and health.missed_intervals >= self.staleness_intervals:
             health.stale = True
             writes.append(
-                ("scrape_target_stale", 1.0, self._stale_writes_counter))
+                ("scrape_target_stale", 1.0, "stale_writes"))
         self._append(now_ns, writes, identity, health.own)
         if span is not None:
             span.set_status("error")
@@ -581,7 +473,7 @@ class ScrapeManager:
     ) -> None:
         if health.observed and not health.up:
             health.flaps += 1
-            self._flaps_counter.inc()
+            self.flaps_total += 1
         health.up = True
         health.observed = True
         health.consecutive_failures = 0
@@ -592,7 +484,7 @@ class ScrapeManager:
             # record: clear the staleness marker, ahead of the body.
             health.stale = False
             self._append(now_ns, [("scrape_target_stale", 0.0,
-                                   self._stale_writes_counter)],
+                                   "stale_writes")],
                          identity, health.own)
         self._removed_stale.discard(key)
 
@@ -625,7 +517,7 @@ class ScrapeManager:
             return  # target went away between failure and retry
         health = self.health(target)
         health.retries += 1
-        self._retries_counter.inc()
+        self.retries_total += 1
         # The retry joins its cycle's trace through the saved context —
         # one scrape, one trace, however many attempts it took.
         with self._tracer.span("scrape.retry", {"attempt": attempt},
@@ -648,10 +540,10 @@ class ScrapeManager:
     def _append(self, now_ns: int, writes, identity: Dict[str, str],
                 own: Dict[str, Labels]) -> None:
         """Commit the scraper's own ``(name, value, counter)`` samples
-        under ``identity`` as one batch; each accepted one bumps its
-        ``counter`` (if any).  ``own`` remembers the series'
-        :class:`Labels` by name: a target's :attr:`TargetHealth.own`, or
-        the manager's table for its self-series.
+        about one target under ``identity`` as one batch; each accepted
+        one adds 1 to the attribute named ``counter``.  ``own`` is the
+        target's :attr:`TargetHealth.own`: the series' :class:`Labels` by
+        name.
         """
         if not writes:
             return
@@ -667,34 +559,24 @@ class ScrapeManager:
             # produce a duplicate timestamp; the later sample is dropped,
             # which is what Prometheus does with out-of-order ingestion —
             # but the drop is counted so operators can see it happening.
-            self._dropped_counter.inc(len(rejected))
+            self.samples_dropped += len(rejected)
         for index, (_name, _value, counter) in enumerate(writes):
-            if counter is not None and index not in rejected:
-                counter.inc()
-
-    def _record_self_series(self, now_ns: int) -> None:
-        """Append the scraper's own counters — the monitor monitors itself."""
-        self._append(now_ns, [
-            (name, float(value), None) for name, value in (
-                ("scrape_timeouts_total", self.timeouts_total),
-                ("scrape_retries_total", self.retries_total),
-                ("scrape_samples_dropped_total", self.samples_dropped),
-                ("target_flaps_total", self.flaps_total),
-                ("scrape_targets_removed_total", self.targets_removed),
-            )
-        ], self._self_identity, self._own)
+            if index not in rejected:
+                setattr(self, counter, getattr(self, counter) + 1)
 
     def self_stats(self) -> Dict[str, int]:
-        """The self-monitoring counters as a plain mapping (a view over
-        the registered OpenMetrics families in :attr:`self_registry`)."""
+        """The scraper's own counters by attribute name (what the
+        ``teemon_self`` target serves)."""
         return {
-            "scrape_timeouts_total": self.timeouts_total,
-            "scrape_retries_total": self.retries_total,
-            "scrape_samples_dropped_total": self.samples_dropped,
-            "target_flaps_total": self.flaps_total,
-            "scrape_targets_removed_total": self.targets_removed,
             "samples_ingested": self.samples_ingested,
             "up_writes": self.up_writes,
+            "meta_writes": self.meta_writes,
+            "samples_dropped": self.samples_dropped,
+            "stale_writes": self.stale_writes,
+            "timeouts_total": self.timeouts_total,
+            "retries_total": self.retries_total,
+            "flaps_total": self.flaps_total,
+            "targets_removed": self.targets_removed,
         }
 
     # ------------------------------------------------------------------

@@ -41,6 +41,7 @@ from repro.exporters.teemon_self import (
     SELF_EXPORTER_PATH,
     SELF_EXPORTER_PORT,
     SELF_JOB,
+    Reader,
     TeemonSelfExporter,
 )
 from repro.net.http import HttpNetwork
@@ -54,7 +55,6 @@ from repro.pmag.alerting import (
     Route,
     SilenceStore,
 )
-from repro.pmag.model import Labels
 from repro.pmag.query.engine import QueryEngine
 from repro.pmag.remote_write import (
     REMOTE_WRITE_PATH,
@@ -67,7 +67,7 @@ from repro.pmag.remote_write import (
     watermark_cursor_key,
 )
 from repro.pmag.rules import RecordingRule, RuleEvaluator, RuleGroup
-from repro.pmag.scrape import SELF_IDENTITY, ScrapeManager, ScrapeTarget
+from repro.pmag.scrape import ScrapeManager, ScrapeTarget
 from repro.pmag.storage import build_storage_engine
 from repro.pmag.tsdb import StorageEngine
 from repro.pmag.wal import RecoveryReport, open_log
@@ -90,6 +90,7 @@ from repro.trace import (
     Tracer,
     TraceStore,
 )
+from repro.trace.detect import ANOMALY_ACTIVE
 
 #: Anomaly-detector cadence (window width of each baseline delta).
 ANOMALY_INTERVAL_S = 30.0
@@ -270,16 +271,13 @@ class TeemonDeployment:
             self.anomaly_detector = AnomalyDetector(
                 self.tsdb,
                 trace_store=self.trace_store,
-                self_labels={
-                    "job": "teemon_detector", "instance": kernel.hostname,
-                },
+                instance=kernel.hostname,
             )
         self.scrape_manager = ScrapeManager(
             kernel.clock, self.network, self.tsdb,
             interval_ns=int(config.scrape_interval_s * NANOS_PER_SEC),
             rng=kernel.rng,
             tracer=self.tracer,
-            host=kernel.hostname,
         )
         for job, exporter in self.exporters.items():
             self.scrape_manager.add_target(
@@ -335,32 +333,6 @@ class TeemonDeployment:
             if self.remote_write_receiver is not None:
                 for client in self._remote_write_clients():
                     self.remote_write_receiver.attach_relay(client)
-        self.self_exporter: Optional[TeemonSelfExporter] = None
-        if config.enable_self_telemetry:
-            rules_on = config.enable_recording_rules or config.enable_alerting
-            self.self_exporter = TeemonSelfExporter(
-                kernel.hostname,
-                scrape_manager=self.scrape_manager,
-                tracer=self.tracer if config.enable_tracing else None,
-                wal=self.wal,
-                recovery_stats=(
-                    (lambda: self.recovery_stats) if config.enable_wal else None
-                ),
-                storage=lambda: self.tsdb.storage_stats(),
-                rules=(
-                    (lambda: self.rule_evaluator.stats()) if rules_on else None
-                ),
-                alerting=(
-                    (lambda: self.alerting_stats())
-                    if config.enable_alerting else None
-                ),
-                span_metrics=config.span_metrics_enabled(),
-            )
-            self.self_exporter.expose(self.network)
-            self.scrape_manager.add_target(ScrapeTarget(
-                job=SELF_JOB, instance=kernel.hostname,
-                url=self.self_exporter.url,
-            ))
         self.engine = QueryEngine(self.tsdb, tracer=self.tracer)
         # Alerting: cloned per build so a resurrected monitor starts from
         # explicitly restored state, never leftover in-memory state.
@@ -383,10 +355,10 @@ class TeemonDeployment:
             alert_sink = self.notification_router.handle
             specs = list(config.alert_rules) or default_alerting_rules()
             if config.enable_anomaly_detection and not config.alert_rules:
-                # Page on the detector's verdicts: the self-series it
-                # writes make anomalies alertable like any other signal.
+                # Page on the detector's verdicts: the series it writes
+                # make anomalies alertable like any other signal.
                 specs.append(AlertingRule(
-                    "AnomalyDetected", "teemon_anomaly_active == 1",
+                    "AnomalyDetected", f"{ANOMALY_ACTIVE} == 1",
                     for_s=0.0, labels={"severity": "critical"},
                 ))
             self.alert_rules = [rule.clone() for rule in specs]
@@ -423,6 +395,60 @@ class TeemonDeployment:
         }
         for dashboard in self.dashboards.values():
             self.analyzer.add_sink(dashboard.alert_sink())
+        self.self_exporter: Optional[TeemonSelfExporter] = None
+        if config.enable_self_telemetry:
+            span_metrics = config.enable_tracing and config.span_metrics_enabled()
+            self.self_exporter = TeemonSelfExporter(
+                kernel.hostname, self._self_sources(),
+                tracer=self.tracer if span_metrics else None,
+            )
+            self.self_exporter.expose(self.network)
+            self.scrape_manager.add_target(ScrapeTarget(
+                job=SELF_JOB, instance=kernel.hostname,
+                url=self.self_exporter.url,
+            ))
+
+    def _self_sources(self) -> Dict[str, Reader]:
+        """Readers of what this monitor runs, by ``teemon_self`` source
+        name (see :data:`~repro.exporters.teemon_self.FAMILIES`)."""
+        tsdb, engine = self.tsdb, self.engine
+        sources: Dict[str, Reader] = {
+            "scrape": self.scrape_manager.self_stats,
+            "storage": tsdb.storage_stats,
+            "shard": lambda: {
+                (str(index),): shard for index, shard
+                in enumerate(tsdb.storage_stats()["per_shard"])
+            },
+            "query_cache": lambda: vars(engine.cache_stats()),
+        }
+        if self.trace_store is not None:
+            sources["trace"] = lambda: self.session.trace_stats()
+        if self.wal is not None:
+            sources["wal"] = lambda: self.session.wal_stats()
+            sources["recovery"] = lambda: self.recovery_stats
+        if self._rules_active():
+            sources["rules"] = self.rule_evaluator.stats
+        if self.notification_router is not None:
+            router = self.notification_router
+            sources["alerts"] = self.alerting_stats
+            sources["notifications"] = lambda: {
+                key: {"count": count}
+                for key, count in sorted(router.counters.items())
+            }
+        clients = self._remote_write_clients()
+        if clients:
+            sources["uplink"] = lambda: {
+                (client.cursor_name,): client.stats() for client in clients
+            }
+        receiver = self.remote_write_receiver
+        if receiver is not None:
+            clock = self.kernel.clock
+            sources["receiver"] = receiver.stats
+            sources["lag"] = lambda: {
+                (sender,): {"seconds": lag}
+                for sender, lag in receiver.lag_seconds(clock.now_ns).items()
+            }
+        return sources
 
     # ------------------------------------------------------------------
     def _create_exporters(self) -> None:
@@ -536,8 +562,8 @@ class TeemonDeployment:
         return (self.config.enable_recording_rules
                 or self.config.enable_alerting)
 
-    def alerting_stats(self) -> Dict[str, object]:
-        """Alert-state and notification counters for the self-exporter."""
+    def alerting_stats(self) -> Dict[str, int]:
+        """Alert instances now firing and pending, counted."""
         firing = pending = 0
         for rule in self.alert_rules:
             for instance in rule.active():
@@ -545,14 +571,7 @@ class TeemonDeployment:
                     firing += 1
                 else:
                     pending += 1
-        notifications = {}
-        if self.notification_router is not None:
-            notifications = dict(self.notification_router.counters)
-        return {
-            "firing": firing,
-            "pending": pending,
-            "notifications": notifications,
-        }
+        return {"firing": firing, "pending": pending}
 
     # ------------------------------------------------------------------
     # Crash and recovery
@@ -647,7 +666,8 @@ class TeemonDeployment:
         self.start()
 
     def _seed_scrape_state(self) -> None:
-        """Rebuild scraper health/counters from the recovered TSDB."""
+        """Rebuild scraper health from the recovered TSDB (its counters
+        start from zero, as every incarnation's do)."""
         manager = self.scrape_manager
         for target in manager.current_targets():
             identity = target.identity()
@@ -674,20 +694,6 @@ class TeemonDeployment:
                 ))
         if removed_stale:
             manager.seed_removed_stale(removed_stale)
-        seeds = {}
-        for series_name, family_name in (
-            ("scrape_timeouts_total", "teemon_scrape_timeouts_total"),
-            ("scrape_retries_total", "teemon_scrape_retries_total"),
-            ("scrape_samples_dropped_total", "teemon_scrape_samples_dropped_total"),
-            ("target_flaps_total", "teemon_target_flaps_total"),
-            ("scrape_targets_removed_total",
-             "teemon_scrape_targets_removed_total"),
-        ):
-            sample = self.tsdb.latest(series_name, **SELF_IDENTITY)
-            if sample is not None:
-                seeds[family_name] = sample.value
-        if seeds:
-            manager.seed_counters(seeds)
 
     def _schedule_periodic(self) -> None:
         """The monitor's timed work beyond scraping, analysis and rules.
@@ -755,10 +761,7 @@ class TeemonDeployment:
         Exporters charge CPU when they serve scrapes; the Prometheus,
         Grafana and PMAN processes do their work continuously, so a
         periodic tick charges each its calibrated fraction — this is the
-        CPU the Figure-4 experiment measures.  The same tick records the
-        PMAG's own query-plan-cache counters, per §4's "monitor the
-        monitor" discussion: the monitoring stack's internals are series
-        like any other.
+        CPU the Figure-4 experiment measures.
         """
         interval_ns = int(self.config.scrape_interval_s * NANOS_PER_SEC)
         for service in self.services.values():
@@ -768,27 +771,6 @@ class TeemonDeployment:
             self.kernel.scheduler.account_cpu_time(
                 thread, int(interval_ns * service.footprint.cpu_fraction)
             )
-        self._record_self_metrics(self.kernel.clock.now_ns)
-
-    def _record_self_metrics(self, now_ns: int) -> None:
-        """Append the PMAG's query-cache statistics as ``pmag_query_cache_*``."""
-        stats = self.engine.cache_stats()
-        identity = {"job": "prometheus", "instance": self.kernel.hostname}
-        samples = (
-            ("pmag_query_cache_hits_total", float(stats.hits)),
-            ("pmag_query_cache_misses_total", float(stats.misses)),
-            ("pmag_query_cache_evictions_total", float(stats.evictions)),
-            ("pmag_query_cache_size", float(stats.size)),
-        )
-        # One commit; at a repeated instant the duplicates are dropped.
-        self.tsdb.append_batch([
-            (Labels.of(metric, **identity), now_ns, value)
-            for metric, value in samples
-        ])
-        for client in self._remote_write_clients():
-            client.record_self_series(now_ns)
-        if self.remote_write_receiver is not None:
-            self.remote_write_receiver.record_self_series(now_ns)
 
     def shutdown(self) -> None:
         """Full teardown: stop everything and exit all TEEMon processes."""

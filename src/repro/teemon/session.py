@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import DeploymentError
+from repro.exporters.teemon_self import FEDERATION_LAG
 from repro.pmag.alerting import AlertInstance
 from repro.pmag.model import Series
 from repro.pmv.render import render_dashboard
@@ -146,14 +147,20 @@ class MonitoringSession:
                                    width: int = 72) -> str:
         """Per-sender federation-lag bars (the pmv federation view).
 
-        Reads the ``teemon_federation_lag_seconds`` self-series the
-        receiver appends each accounting tick, grouped by sender.
+        Reads the ``teemon_federation_lag_seconds`` series the
+        ``teemon_self`` target serves, grouped by sender, so it needs a
+        receiver and self-telemetry.
         """
         deployment = self._deployment
         if deployment.remote_write_receiver is None:
             raise DeploymentError(
                 "this deployment runs no remote-write receiver; deploy "
                 "with TeemonConfig(remote_write_receiver=True)"
+            )
+        if deployment.self_exporter is None:
+            raise DeploymentError(
+                "self-telemetry is disabled; deploy with "
+                "TeemonConfig(enable_self_telemetry=True)"
             )
         from repro.pmv.federation_view import render_federation_timeline
 
@@ -168,7 +175,7 @@ class MonitoringSession:
                 [(s.time_ns, s.value) for s in series.samples],
             )
             for series in deployment.tsdb.select_metric(
-                "teemon_federation_lag_seconds", start_ns, end_ns
+                FEDERATION_LAG, start_ns, end_ns
             )
         ]
         return render_federation_timeline(

@@ -16,9 +16,13 @@ previous window deltas) *and* an absolute floor, and on a hit emits:
 1. an :class:`AnomalyEvent` appended to a deterministically-ordered
    journal (same seed ⇒ byte-identical text, like the fault and alert
    journals);
-2. ``teemon_anomaly_*`` self-series written straight into the TSDB, so
+2. ``teemon_anomaly_*`` series written straight into the TSDB, so
    dashboards can plot them and alerting rules can page on
-   ``teemon_anomaly_active == 1``;
+   ``teemon_anomaly_active == 1``.  They are detection outputs, not
+   counters of the monitor's own work: like a recording rule's output
+   they are computed at the detector's tick and read by the
+   ``AnomalyDetected`` rule at its own tick, so they are the only
+   ``teemon_*`` series the ``teemon_self`` target does not serve;
 3. a trace join: the newest kept trace with a ``scrape.target`` span for
    the signal's exporter job inside the window, recorded as evidence on
    the event — the span-level view of *what the pipeline saw* while the
@@ -35,6 +39,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
+
+#: ``job`` label of the detector's output series.
+DETECTOR_JOB = "teemon_detector"
+#: 1 while a kind's latest window is flagged (what an alert pages on).
+ANOMALY_ACTIVE = "teemon_anomaly_active"
 
 #: Anomaly kinds (the journal vocabulary).
 KIND_EPC_THRASH = "epc-thrash"
@@ -110,7 +119,7 @@ class AnomalyDetector:
         rules: Tuple[AnomalyRule, ...] = DEFAULT_RULES,
         baseline_windows: int = 6,
         warmup_windows: int = 1,
-        self_labels: Optional[Dict[str, str]] = None,
+        instance: Optional[str] = None,
     ) -> None:
         if baseline_windows < 1:
             raise ValueError("baseline_windows must be >= 1")
@@ -121,7 +130,9 @@ class AnomalyDetector:
         self.rules = tuple(rules)
         self.baseline_windows = baseline_windows
         self.warmup_windows = warmup_windows
-        self._self_labels = dict(self_labels or {"job": "teemon_detector"})
+        self._self_labels = {"job": DETECTOR_JOB}
+        if instance is not None:
+            self._self_labels["instance"] = instance
         #: Per-kind previous cumulative value (None until first seen).
         self._prev_cum: Dict[str, Optional[float]] = {}
         #: Per-kind previous bucket snapshot (syscall rule only).
@@ -263,7 +274,7 @@ class AnomalyDetector:
                 if len(history) > self.baseline_windows:
                     history.pop(0)
             for metric, sample in (
-                ("teemon_anomaly_active", 1.0 if flagged else 0.0),
+                (ANOMALY_ACTIVE, 1.0 if flagged else 0.0),
                 ("teemon_anomaly_score", value),
                 ("teemon_anomalies_total",
                  float(self.anomalies_by_kind.get(rule.kind, 0))),
@@ -292,6 +303,7 @@ class AnomalyDetector:
 
 
 __all__ = [
+    "ANOMALY_ACTIVE",
     "AnomalyDetector",
     "AnomalyEvent",
     "AnomalyRule",

@@ -21,6 +21,7 @@ from repro.faults import (
     SlowLinkInjector,
     StaleReplayInjector,
 )
+from repro.exporters.teemon_self import SELF_JOB, TeemonSelfExporter
 from repro.net.http import HttpNetwork
 from repro.net.network import Link
 from repro.openmetrics import CollectorRegistry, encode_registry
@@ -235,22 +236,21 @@ def test_ingest_counters_reconcile_with_tsdb_appends():
         batches.append(len(entries)), append_batch(entries))[1]
     drive(rig, cycles)
     manager = rig.manager
-    self_writes = 5 * cycles  # five self-monitoring series per cycle
     assert rig.tsdb.total_appends == (
         manager.samples_ingested + manager.up_writes + manager.meta_writes
-        + self_writes + manager.stale_writes
+        + manager.stale_writes
     )
     # No retention: nothing was thrown away either.
     assert rig.tsdb.sample_count() == rig.tsdb.total_appends
     assert manager.samples_dropped == 0
     # Every sample reached storage in a batch.  A delivered scrape
-    # commits twice (body, then report), a failed one once, and each
-    # cycle once more for the scraper's own series.  A stale target's
-    # recovery adds its marker clear, but only after failed attempts.
+    # commits twice (body, then report), a failed one once.  A stale
+    # target's recovery adds its marker clear, but only after failed
+    # attempts.
     assert sum(batches) == rig.tsdb.total_appends
     attempts = sum(manager.health(t).scrapes for t in rig.targets)
     assert attempts == len(rig.targets) * cycles  # no retries
-    assert cycles + attempts <= len(batches) <= cycles + 2 * attempts
+    assert attempts <= len(batches) <= 2 * attempts
 
 
 def test_retention_under_chaos_bounds_the_tsdb():
@@ -308,8 +308,18 @@ def test_query_engine_over_chaotic_history():
     assert series
     for s in series:
         assert all(v.value >= 0.0 for v in s.samples)
-    # Self-monitoring counters are queryable like any other series.
-    timeout_vec = rig.engine.instant("scrape_timeouts_total", now)
+    # The scraper's counters are queryable like any other series, once
+    # a teemon_self target serves them (scraped here past the fault
+    # plan, so the one scrape cannot itself be delayed or corrupted).
+    exporter = TeemonSelfExporter(
+        "monitor", {"scrape": rig.manager.self_stats})
+    exporter.expose(rig.network.inner)
+    monitor = ScrapeManager(rig.clock, rig.network.inner, rig.tsdb)
+    monitor.add_target(ScrapeTarget(
+        job=SELF_JOB, instance="monitor", url=exporter.url))
+    monitor.scrape_once()
+    timeout_vec = rig.engine.instant("teemon_scrape_timeouts_total", now)
+    assert rig.manager.timeouts_total > 0
     assert timeout_vec and timeout_vec[0][1] == float(rig.manager.timeouts_total)
 
 

@@ -70,7 +70,7 @@ def test_soak_under_continuous_faults():
     # --- ingest accounting reconciles exactly ---------------------------
     assert rig.tsdb.total_appends == (
         manager.samples_ingested + manager.up_writes + manager.meta_writes
-        + 5 * CYCLES + manager.stale_writes
+        + manager.stale_writes
     )
     assert manager.samples_dropped == 0
 

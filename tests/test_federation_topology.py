@@ -1,10 +1,15 @@
 """FederationTopology: tiered relays, loop guards, HA at any tier."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import DeploymentError
 from repro.net.http import HttpNetwork
+from repro.orchestration.fleet import NodeFleet
+from repro.orchestration.kubernetes import Cluster
 from repro.simkernel.clock import VirtualClock, seconds
+from repro.simkernel.rng import DeterministicRng
 from repro.teemon import FederationTopology, HAMonitorPair, TeemonConfig
 
 #: Monitor-only knobs: no exporters (self-telemetry still generates
@@ -21,10 +26,10 @@ RELAY = TeemonConfig(
 GLOBAL = RELAY
 
 
-def _chain(depth_leaves=1):
+def _chain(depth_leaves=1, global_config=GLOBAL):
     clock = VirtualClock()
     topo = FederationTopology(clock, HttpNetwork())
-    topo.add("global", GLOBAL)
+    topo.add("global", global_config)
     topo.add("region-0", RELAY, uplink="global")
     for index in range(depth_leaves):
         topo.add(f"leaf-{index}", LEAF, uplink="region-0")
@@ -123,7 +128,8 @@ def test_ledger_reconciles_at_every_tier():
 
 
 def test_federation_lag_gauge_and_timeline():
-    clock, topo, nodes = _chain()
+    clock, topo, nodes = _chain(
+        global_config=replace(GLOBAL, enable_self_telemetry=True))
     clock.advance(seconds(60))
     lag = nodes["global"].session.federation_lag()
     assert set(lag) == {"region-0"}
@@ -136,7 +142,66 @@ def test_federation_lag_gauge_and_timeline():
     # Leaves run no receiver: the session says so instead of guessing.
     with pytest.raises(DeploymentError):
         nodes["leaf-0"].session.federation_lag()
+    # The relay's receiver keeps lag, but with self-telemetry off no
+    # series holds it: the timeline refuses like other disabled views.
+    assert nodes["region-0"].session.federation_lag()
+    with pytest.raises(DeploymentError):
+        nodes["region-0"].session.render_federation_timeline()
     for deployment in nodes.values():
+        deployment.stop()
+
+
+def test_self_telemetry_off_means_no_self_series():
+    # Fleet -> leaf -> relay -> global, every monitor with self-telemetry
+    # off: the relay stores the fleet's series and none of its own (no
+    # scraper counters, no uplink or receiver counters, no query cache).
+    clock = VirtualClock()
+    network = HttpNetwork()
+    fleet = NodeFleet(Cluster(clock=clock), network, DeterministicRng(3))
+    fleet.add_nodes(4)
+    topo = FederationTopology(clock, network)
+    topo.add("global", GLOBAL)
+    topo.add("region-0", replace(RELAY, enable_wal=True), uplink="global")
+    topo.add("leaf-0", replace(LEAF, enable_self_telemetry=False),
+             uplink="region-0")
+    nodes = topo.build()
+    nodes["leaf-0"].add_discovery(fleet.discovery())
+    clock.advance(seconds(60))
+    relay = nodes["region-0"]
+    stored = relay.tsdb.select([], 0, clock.now_ns + 1)
+    assert relay.tsdb.latest("up", instance="node-0") is not None
+    jobs = {series.labels.get("job") for series in stored}
+    assert not jobs & {"pmag", "prometheus", "teemon_self"}, jobs
+    for deployment in nodes.values():
+        deployment.stop()
+
+
+def test_every_uplink_of_an_ha_parent_lands_its_own_series():
+    # A relay shipping to an HA parent runs two clients (primary and
+    # mirror).  Each is its own teemon_self row, so neither's counters
+    # collide with the other's at the relay or at either parent replica.
+    clock = VirtualClock()
+    topo = FederationTopology(clock, HttpNetwork())
+    topo.add("global", GLOBAL, ha=True)
+    topo.add("region-0", replace(RELAY, enable_self_telemetry=True),
+             uplink="global")
+    topo.add("leaf-0", LEAF, uplink="region-0")
+    nodes = topo.build()
+    clock.advance(seconds(60))
+    relay = nodes["region-0"]
+    clients = [relay.remote_write_client] + relay.remote_write_mirrors
+    uplinks = sorted(client.cursor_name for client in clients)
+    assert len(uplinks) == 2
+    for tsdb in [relay.tsdb] + [r.tsdb for r in nodes["global"].replicas]:
+        series = [
+            one for one in tsdb.select_metric(
+                "teemon_remote_write_frames_sent_total", 0, clock.now_ns + 1)
+            if one.labels.get("instance") == "region-0"
+        ]
+        assert sorted(s.labels.get("uplink") for s in series) == uplinks
+        for one in series:
+            assert one.samples[-1].value > 0
+    for deployment in [nodes["leaf-0"], relay] + nodes["global"].replicas:
         deployment.stop()
 
 

@@ -218,5 +218,5 @@ def test_churned_fleet_keeps_monitor_view_consistent():
             assert instance in live
     assert deployment.scrape_manager.targets_removed > 0
     stats = deployment.scrape_manager.self_stats()
-    assert stats["scrape_targets_removed_total"] > 0
+    assert stats["targets_removed"] > 0
     deployment.stop()

@@ -147,7 +147,7 @@ def test_deployment_exports_query_cache_metrics():
     ):
         vector = session.query(metric)
         assert vector, f"{metric} not exported"
-        assert vector[0][0].get("job") == "prometheus"
+        assert vector[0][0].get("job") == "teemon_self"
     hits = session.query("pmag_query_cache_hits_total")[0][1]
     misses = session.query("pmag_query_cache_misses_total")[0][1]
     assert misses > 0

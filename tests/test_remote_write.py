@@ -730,7 +730,9 @@ def _federated_pair(seed=2, leaf_wal=True):
 
 
 def test_deployed_leaf_ships_to_global_tier():
-    clock, _net, leaf_dep, global_dep = _federated_pair()
+    clock, network, leaf_dep, global_dep = _federated_pair()
+    # The write endpoint takes frames only: a GET is not a scrape.
+    assert network.get_url(global_dep.remote_write_receiver.url).status == 405
     clock.advance(seconds(60))
     leaf_dep.stop()  # graceful stop flushes the tail
     stats = leaf_dep.session.remote_write_stats()["client"]

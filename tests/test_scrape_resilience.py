@@ -157,7 +157,6 @@ def test_flapping_target_recovers_within_one_scheduled_interval():
     manager.stop()
     assert manager.flaps_total == 2  # up -> down -> up
     assert manager.health(target).flaps == 2
-    assert tsdb.latest("target_flaps_total").value == 2.0
 
 
 def test_stop_cancels_pending_retries():
@@ -239,7 +238,7 @@ def test_duplicate_timestamp_drops_are_counted_and_exposed():
     manager.add_target(target)
     clock.advance(seconds(1))
     own = {}
-    counter = manager._meta_writes_counter
+    counter = "meta_writes"
     manager._append(clock.now_ns, [("m_total", 1.0, counter)],
                     {"job": "x"}, own)
     assert (manager.meta_writes, manager.samples_dropped) == (1, 0)
@@ -250,32 +249,8 @@ def test_duplicate_timestamp_drops_are_counted_and_exposed():
                     {"job": "x"}, own)
     assert list(own) == ["m_total", "n_total"]
     assert (manager.meta_writes, manager.samples_dropped) == (2, 1)
-    # The counter is exported as a self-monitoring series on the next cycle.
-    clock.advance(seconds(1))
-    manager.scrape_once()
-    assert tsdb.latest("scrape_samples_dropped_total", job="pmag").value == 1.0
-
-
-def test_self_monitoring_series_written_each_cycle():
-    clock, network, tsdb, manager = _setup(max_retries=0)
-    counter, _endpoint, target = _expose(network)
-    manager.add_target(target)
-    clock.advance(seconds(1))
-    manager.scrape_once()
-    for name in ("scrape_timeouts_total", "scrape_retries_total",
-                 "scrape_samples_dropped_total", "target_flaps_total"):
-        sample = tsdb.latest(name, job="pmag", instance="scraper")
-        assert sample is not None and sample.value == 0.0
-    stats = manager.self_stats()
-    assert stats["samples_ingested"] == 1 and stats["up_writes"] == 1
-
-
-def test_self_monitoring_can_be_disabled():
-    clock, network, tsdb, manager = _setup(max_retries=0, self_monitor=False)
-    counter, _endpoint, target = _expose(network)
-    manager.add_target(target)
-    manager.scrape_once()
-    assert tsdb.latest("scrape_timeouts_total") is None
+    # ...and served to the teemon_self target.
+    assert manager.self_stats()["samples_dropped"] == 1
 
 
 def test_parameter_validation():

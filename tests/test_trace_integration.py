@@ -150,9 +150,9 @@ def test_self_counters_are_queryable_via_promql():
     assert vector, "self-telemetry series must be scraped and rate()-able"
     assert vector[0][1] > 0
     assert vector[0][0].get("job") == "teemon_self"
-    # The dict view stays consistent with the registered counters.
+    # The served mapping is the manager's own counters.
     stats = deployment.scrape_manager.self_stats()
-    assert stats["scrape_retries_total"] == \
+    assert stats["retries_total"] == \
         deployment.scrape_manager.retries_total > 0
 
 
@@ -167,7 +167,7 @@ def test_retry_joins_the_original_cycle_trace():
     tracer = Tracer(clock, rng=rng, store=store)
     manager = ScrapeManager(
         clock, network, Tsdb(), interval_ns=INTERVAL_NS,
-        max_retries=2, rng=rng, tracer=tracer, self_monitor=False,
+        max_retries=2, rng=rng, tracer=tracer,
     )
     manager.add_target(ScrapeTarget(
         job="j", instance="i", url="http://missing:9100/metrics"

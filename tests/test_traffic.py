@@ -1,7 +1,9 @@
 """Only what runs: every module is imported by something that runs,
 every ``TeemonConfig`` field is set by something, no module imports a
-thread API, every writer under ``src/`` commits a batch, and every method
-the end-to-end benchmark's tracer wraps exists on its class.
+thread API, every writer under ``src/`` commits a batch, only the
+``teemon_self`` table and the anomaly detector name self-series families,
+and every method the end-to-end benchmark's tracer wraps exists on its
+class.
 
 The walks are static (``ast``), so they see the repository as written,
 not whatever this process happens to have imported.
@@ -10,6 +12,7 @@ not whatever this process happens to have imported.
 import ast
 import dataclasses
 import importlib
+import re
 from pathlib import Path
 
 from repro.teemon import TeemonConfig
@@ -148,6 +151,39 @@ def test_every_writer_under_src_commits_a_batch():
              or (node.func.attr == "append"
                  and _receiver_name(node.func.value) in _WRITER_NAMES))
     )
+    assert offenders == [], offenders
+
+
+#: The modules that may name a monitor self-series family: the
+#: ``teemon_self`` table, and the anomaly detector's output series.
+_FAMILY_NAMERS = {"repro/exporters/teemon_self.py", "repro/trace/detect.py"}
+#: A ``teemon_*``/``pmag_*`` family name inside a string constant (not a
+#: dotted module path, not a ``teemon_*`` prefix pattern).
+_FAMILY_NAME = re.compile(r"(?<![\w.])(?:teemon|pmag)_[a-z0-9]\w*")
+
+
+def test_only_teemon_self_and_the_detector_name_self_series():
+    # One self-telemetry path: a module that spells a family name is
+    # about to write or read a self-series of its own.  Docstrings are
+    # prose and may name families.
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        name = path.relative_to(SRC).as_posix()
+        if name in _FAMILY_NAMERS:
+            continue
+        tree = _parse(path)
+        prose = {
+            id(node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Constant)
+        }
+        offenders.extend(
+            f"{name}:{node.lineno}: {family}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in prose
+            for family in _FAMILY_NAME.findall(node.value)
+        )
     assert offenders == [], offenders
 
 
