@@ -10,7 +10,8 @@ end-to-end cycle, then writes ``BENCH_pipeline.json``:
 * ``range_query``   — step-grid range evaluation, many steps over one
   long counter; ``range_query_resets`` is the same counter with resets;
 * ``hook_fire``     — hook dispatch throughput with zero and one
-  observers (the two common cases during app simulation);
+  observers, and ``SyscallTable.dispatch`` calls per second with the
+  eBPF exporter's three syscall programs attached;
 * ``scrape_cycle``  — one full scrape + rule evaluation + dashboard
   render against a real single-host deployment.
 
@@ -28,11 +29,13 @@ import sys
 from benchmarks.perf.harness import BenchReport, best_of
 
 from repro.experiments.common import make_sgx_host
+from repro.exporters.ebpf_exporter import EbpfExporter, EbpfExporterConfig
 from repro.pmag.model import Labels
 from repro.pmag.query.engine import QueryEngine
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import NANOS_PER_SEC, seconds
 from repro.simkernel.hooks import HookRegistry
+from repro.simkernel.kernel import Kernel
 from repro.teemon import TeemonConfig, deploy
 
 SCRAPE_INTERVAL_NS = 5 * NANOS_PER_SEC  # the paper's default exporter rate
@@ -142,7 +145,8 @@ def bench_range_query(report: BenchReport, quick: bool) -> None:
 
 
 def bench_hook_fire(report: BenchReport, quick: bool) -> None:
-    """Hook dispatch throughput: nothing attached vs one observer."""
+    """Hook dispatch throughput: nothing attached, one observer, and
+    syscall dispatch with the eBPF exporter's syscall programs attached."""
     fires = 20_000 if quick else 200_000
     registry = HookRegistry()
     hook = "raw_syscalls:sys_enter"
@@ -159,10 +163,25 @@ def bench_hook_fire(report: BenchReport, quick: bool) -> None:
     observed_s = best_of(3, fire_all)
     handle.detach()
 
+    # One dispatch fires sys_enter and sys_exit and runs the exporter's
+    # three syscall programs: one on enter, two on exit.
+    kernel = Kernel(seed=7)
+    EbpfExporter(kernel, EbpfExporterConfig(
+        context_switches=False, page_faults=False, cache=False))
+    dispatches = fires // 4
+
+    def dispatch_all() -> None:
+        dispatch = kernel.syscalls.dispatch
+        for index in range(dispatches):
+            dispatch(SYSCALLS[index % len(SYSCALLS)], 1, count=2)
+
+    exporter_s = best_of(3, dispatch_all)
+
     report.add(
         "hook_fire",
         no_observer_per_sec=fires / idle_s,
         one_observer_per_sec=fires / observed_s,
+        ebpf_exporter_per_sec=dispatches / exporter_s,
         fires=fires,
     )
 

@@ -11,7 +11,7 @@ experiments (Figure 5) have something real to measure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import EbpfError
 from repro.ebpf.maps import BpfMap, MapRegistry
@@ -27,29 +27,45 @@ from repro.simkernel.kernel import Kernel
 PROGRAM_RUN_COST_NS = 120
 
 
-@dataclass
+@dataclass(eq=False)
 class ProgramAttachment:
     """One loaded-and-attached program."""
 
     program: Program
     hook: str
-    handle: AttachmentHandle
+    _runtime: "EbpfRuntime" = field(repr=False)
     runs: int = 0
     events_seen: int = 0
 
     def detach(self) -> None:
-        """Remove the program from its hook."""
-        self.handle.detach()
+        """Remove the program from its hook; the hook's others keep running."""
+        self._runtime._detach(self)
+
+
+class _HookPrograms:
+    """The programs attached to one hook and the observer that runs them."""
+
+    __slots__ = ("attachments", "handle")
+
+    def __init__(self) -> None:
+        self.attachments: Tuple[ProgramAttachment, ...] = ()
+        self.handle: Optional[AttachmentHandle] = None
 
 
 class EbpfRuntime:
-    """Loads, verifies, attaches and accounts eBPF programs on one host."""
+    """Loads, verifies, attaches and accounts eBPF programs on one host.
+
+    A hook carries one registry observer however many programs are
+    attached to it: the observer runs them in attach order, each through
+    :meth:`Vm.run`, and keeps each attachment's statistics.
+    """
 
     def __init__(self, kernel: Kernel) -> None:
         self._kernel = kernel
         self.maps = MapRegistry()
         self.vm = Vm(self.maps, time_source=lambda: kernel.clock.now_ns)
         self._attachments: List[ProgramAttachment] = []
+        self._hooks: Dict[str, _HookPrograms] = {}
         #: Cumulative instrumentation CPU cost charged to the kernel, ns.
         self.overhead_ns = 0
 
@@ -69,21 +85,46 @@ class EbpfRuntime:
         for fd in program.map_fds:
             self.maps.get(fd)  # raises MapError on dangling fds
         self.vm.lower(program)
-        attachment = ProgramAttachment(program=program, hook=hook, handle=None)  # type: ignore[arg-type]
-
-        def on_fire(ctx: HookContext, _attachment=attachment) -> None:
-            self.vm.run(_attachment.program, ctx)
-            _attachment.runs += 1
-            _attachment.events_seen += ctx.count
-            # One VM run per hook *firing*; batched firings cost one run
-            # (this is exactly why batch simulation does not distort the
-            # overhead measurements: overhead is charged per event below).
-            self.overhead_ns += PROGRAM_RUN_COST_NS * ctx.count
-
-        handle = self._kernel.hooks.attach(hook, on_fire)
-        attachment.handle = handle
+        programs = self._hooks.get(hook)
+        if programs is None:
+            programs = _HookPrograms()
+            programs.handle = self._kernel.hooks.attach(
+                hook, self._observer(programs)
+            )
+            self._hooks[hook] = programs
+        attachment = ProgramAttachment(program, hook, self)
+        programs.attachments += (attachment,)
         self._attachments.append(attachment)
         return attachment
+
+    def _observer(self, programs: _HookPrograms) -> Callable[[HookContext], None]:
+        vm = self.vm
+
+        def on_fire(ctx: HookContext) -> None:
+            count = ctx.count
+            # One VM run per program per hook *firing*; batched firings
+            # cost one run each (this is exactly why batch simulation does
+            # not distort the overhead measurements: overhead is charged
+            # per event below).
+            cost_ns = PROGRAM_RUN_COST_NS * count
+            for attachment in programs.attachments:
+                vm.run(attachment.program, ctx)
+                attachment.runs += 1
+                attachment.events_seen += count
+                self.overhead_ns += cost_ns
+
+        return on_fire
+
+    def _detach(self, attachment: ProgramAttachment) -> None:
+        programs = self._hooks.get(attachment.hook)
+        if programs is None or attachment not in programs.attachments:
+            return
+        programs.attachments = tuple(
+            a for a in programs.attachments if a is not attachment
+        )
+        if not programs.attachments:
+            programs.handle.detach()
+            del self._hooks[attachment.hook]
 
     def detach_all(self) -> None:
         """Detach every program (monitoring OFF)."""

@@ -438,5 +438,13 @@ class Vm:
         return entry[1]
 
     def run(self, program: Program, ctx: HookContext, cpu: int = 0) -> ExecutionResult:
-        """Execute ``program`` once against ``ctx``."""
-        return self.lower(program)(self, ctx, cpu)
+        """Execute ``program`` once against ``ctx``.
+
+        The one entry point of every program run.  A program already
+        lowered runs straight from the cache, without a call through
+        :meth:`lower`.
+        """
+        entry = self._lowered.get(id(program))
+        if entry is None or entry[0] is not program:
+            return self.lower(program)(self, ctx, cpu)
+        return entry[1](self, ctx, cpu)

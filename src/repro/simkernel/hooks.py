@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional
+from types import MappingProxyType
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import HookError
 
@@ -53,19 +54,27 @@ TABLE2_HOOKS: Dict[str, HookKind] = {
 }
 
 
-@dataclass(frozen=True)
-class HookContext:
+#: The ``fields`` of a firing that carries none: read-only, so no two
+#: contexts can share a dict one of them mutates.
+_NO_FIELDS: Mapping[str, object] = MappingProxyType({})
+
+
+class HookContext(NamedTuple):
     """Payload delivered to hook observers.
 
     ``fields`` carries hook-specific data (``pid``, ``syscall_nr``,
     ``fault_kind``, ...).  ``count`` is the event multiplicity of this
     firing; observers that count events must add ``count``, not 1.
+
+    A named tuple rather than a frozen dataclass: it is just as
+    immutable and costs well under half as much to build, and one is
+    built per observed firing.
     """
 
     hook: str
     time_ns: int
     count: int = 1
-    fields: Mapping[str, object] = field(default_factory=dict)
+    fields: Mapping[str, object] = _NO_FIELDS
 
     def get(self, key: str, default: object = None) -> object:
         """Convenience accessor into :attr:`fields`."""
@@ -86,14 +95,22 @@ class AttachmentHandle:
 
 
 class HookRegistry:
-    """Registry of hook points and their attached observers."""
+    """Registry of hook points and their attached observers.
+
+    Each hook keeps its observers twice: by attachment index, for
+    :meth:`attach` and detach, and as one tuple in attach order, rebuilt
+    on every attach and detach, which is all :meth:`fire` reads.
+    """
 
     def __init__(self, catalogue: Optional[Mapping[str, HookKind]] = None) -> None:
         self._kinds: Dict[str, HookKind] = dict(
             TABLE2_HOOKS if catalogue is None else catalogue
         )
-        self._observers: Dict[str, Dict[int, Callable[[HookContext], None]]] = {
+        self._attached: Dict[str, Dict[int, Callable[[HookContext], None]]] = {
             name: {} for name in self._kinds
+        }
+        self._observers: Dict[str, Tuple[Callable[[HookContext], None], ...]] = {
+            name: () for name in self._kinds
         }
         self._next_index = 0
         self._fire_counts: Dict[str, int] = {name: 0 for name in self._kinds}
@@ -103,7 +120,8 @@ class HookRegistry:
         if name in self._kinds:
             raise HookError(f"hook already registered: {name}")
         self._kinds[name] = kind
-        self._observers[name] = {}
+        self._attached[name] = {}
+        self._observers[name] = ()
         self._fire_counts[name] = 0
 
     def kind_of(self, name: str) -> HookKind:
@@ -125,11 +143,14 @@ class HookRegistry:
             raise HookError(f"unknown hook: {name}")
         index = self._next_index
         self._next_index += 1
-        self._observers[name][index] = observer
+        self._attached[name][index] = observer
+        self._observers[name] = tuple(self._attached[name].values())
         return AttachmentHandle(name, index, self)
 
     def _detach(self, handle: AttachmentHandle) -> None:
-        self._observers.get(handle.hook, {}).pop(handle.index, None)
+        attached = self._attached.get(handle.hook, {})
+        if attached.pop(handle.index, None) is not None:
+            self._observers[handle.hook] = tuple(attached.values())
 
     def observer_count(self, name: str) -> int:
         """Number of observers currently attached to a hook."""
@@ -146,32 +167,29 @@ class HookRegistry:
     ) -> None:
         """Fire a hook with multiplicity ``count``.
 
-        Firing an unregistered hook is an error: it means a kernel subsystem
-        and the hook catalogue disagree, which would silently lose metrics.
+        Firing an unregistered hook is an error, whatever the count: it
+        means a kernel subsystem and the hook catalogue disagree, which
+        would silently lose metrics.  A firing of count zero or less is
+        otherwise a no-op.
 
-        Zero and one attached observers are fast-pathed: most of the Table-2
-        hooks have nothing attached during app simulation, and the attached
-        ones almost always have exactly the eBPF VM — neither case needs the
-        defensive snapshot of the observer dict (taken only when several
-        observers could detach each other mid-dispatch), and the zero case
-        allocates no :class:`HookContext` at all.
+        The observers run in attach order, from the hook's observer tuple
+        as it stood when the firing began: one attached or detached by an
+        observer takes effect from the next firing.  A hook with nothing
+        attached builds no :class:`HookContext`; one with observers
+        builds one, shared by all of them.  The eBPF runtime attaches a
+        single observer per hook however many programs it runs there.
         """
-        if count <= 0:
-            return
         try:
             observers = self._observers[name]
         except KeyError:
             raise HookError(f"fired unknown hook: {name}") from None
+        if count <= 0:
+            return
         self._fire_counts[name] += count
-        remaining = len(observers)
-        if remaining == 0:
-            return
-        ctx = HookContext(hook=name, time_ns=time_ns, count=count, fields=fields)
-        if remaining == 1:
-            next(iter(observers.values()))(ctx)
-            return
-        for observer in list(observers.values()):
-            observer(ctx)
+        if observers:
+            ctx = HookContext(name, time_ns, count, fields)
+            for observer in observers:
+                observer(ctx)
 
     def fire_count(self, name: str) -> int:
         """Total event multiplicity fired on a hook since construction."""

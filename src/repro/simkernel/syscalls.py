@@ -16,7 +16,7 @@ OCALL round trip).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.errors import SyscallError
 from repro.simkernel.clock import VirtualClock
@@ -114,6 +114,13 @@ class SyscallTable:
         self._counts: Dict[str, int] = {}
         self._handlers: Dict[str, Callable[[SyscallRecord], None]] = {}
         self._total = 0
+        #: name -> (number, service time in ns, the exit latency in µs):
+        #: all :meth:`dispatch` needs to know about a syscall, in one lookup.
+        self._table: Dict[str, Tuple[int, int, int]] = {
+            name: (nr, DEFAULT_COSTS_NS[name],
+                   max(1, DEFAULT_COSTS_NS[name] // 1_000))
+            for name, nr in SYSCALL_NUMBERS.items()
+        }
 
     @property
     def total_dispatched(self) -> int:
@@ -163,9 +170,12 @@ class SyscallTable:
         the batch multiplicity and returns the total kernel service time in
         nanoseconds (the caller decides whether and how to charge it).
         """
+        try:
+            nr, cost, latency_us = self._table[name]
+        except KeyError:
+            raise SyscallError(f"unknown syscall: {name}") from None
         if count <= 0:
             return 0
-        nr = self.number_of(name)
         now = self._clock.now_ns
         self._counts[name] = self._counts.get(name, 0) + count
         self._total += count
@@ -176,12 +186,11 @@ class SyscallTable:
         handler = self._handlers.get(name)
         if handler is not None:
             handler(SyscallRecord(name=name, nr=nr, pid=pid, count=count, time_ns=now))
-        cost = self.cost_ns(name)
         # sys_exit carries the service latency (what a tracepoint-based
         # latency histogram measures: exit time minus enter time).
         self._hooks.fire(
             "raw_syscalls:sys_exit", now, count=count, pid=pid, syscall_nr=nr,
-            syscall_name=name, latency_us=max(1, cost // 1_000),
+            syscall_name=name, latency_us=latency_us,
         )
         return cost * count
 

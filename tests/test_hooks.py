@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import HookError
-from repro.simkernel.hooks import HookKind, HookRegistry, TABLE2_HOOKS
+from repro.simkernel.hooks import HookContext, HookKind, HookRegistry, TABLE2_HOOKS
 
 
 def test_table2_hooks_preregistered():
@@ -60,6 +60,12 @@ def test_fire_unknown_hook_raises():
         HookRegistry().fire("nope", time_ns=0)
 
 
+def test_fire_unknown_hook_with_zero_count_raises():
+    # The name is checked before the count short-circuit.
+    with pytest.raises(HookError):
+        HookRegistry().fire("nope", 0, count=0)
+
+
 def test_fire_zero_count_is_noop():
     registry = HookRegistry()
     seen = []
@@ -93,6 +99,64 @@ def test_detach_stops_delivery():
     handle.detach()
     registry.fire("sched:sched_switches", time_ns=1)
     assert calls == [1]
+
+
+def test_observers_run_in_attach_order():
+    registry = HookRegistry()
+    calls = []
+    for name in "abc":
+        registry.attach("sched:sched_switches", lambda c, n=name: calls.append(n))
+    registry.fire("sched:sched_switches", time_ns=0)
+    assert calls == ["a", "b", "c"]
+
+
+def test_observer_detached_mid_firing_sees_that_firing_and_misses_the_next():
+    registry = HookRegistry()
+    calls = []
+    handles = {}
+
+    def first(ctx):
+        calls.append(("first", ctx.time_ns))
+        handles["second"].detach()
+
+    registry.attach("sched:sched_switches", first)
+    handles["second"] = registry.attach(
+        "sched:sched_switches", lambda c: calls.append(("second", c.time_ns))
+    )
+    registry.fire("sched:sched_switches", time_ns=1)
+    registry.fire("sched:sched_switches", time_ns=2)
+    assert calls == [("first", 1), ("second", 1), ("first", 2)]
+    assert registry.observer_count("sched:sched_switches") == 1
+
+
+def test_observer_attached_mid_firing_starts_with_the_next():
+    registry = HookRegistry()
+    calls = []
+
+    def attacher(ctx):
+        calls.append(("attacher", ctx.time_ns))
+        if ctx.time_ns == 1:
+            registry.attach(
+                "sched:sched_switches", lambda c: calls.append(("late", c.time_ns))
+            )
+
+    registry.attach("sched:sched_switches", attacher)
+    registry.fire("sched:sched_switches", time_ns=1)
+    registry.fire("sched:sched_switches", time_ns=2)
+    assert calls == [("attacher", 1), ("attacher", 2), ("late", 2)]
+
+
+def test_context_is_immutable_and_its_default_fields_are_read_only():
+    registry = HookRegistry()
+    seen = []
+    registry.attach("sched:sched_switches", seen.append)
+    registry.fire("sched:sched_switches", time_ns=0)
+    with pytest.raises(AttributeError):
+        seen[0].count = 2  # type: ignore[misc]
+    bare = HookContext("h", 0)
+    assert bare.count == 1 and bare.fields == {} and bare.get("pid") is None
+    with pytest.raises(TypeError):
+        bare.fields["pid"] = 1  # type: ignore[index]
 
 
 def test_observer_count():

@@ -93,3 +93,12 @@ def test_handler_runs_between_enter_and_exit(kernel):
 def test_handler_on_unknown_syscall_rejected(kernel):
     with pytest.raises(SyscallError):
         kernel.syscalls.set_handler("frobnicate", lambda r: None)
+
+
+def test_dispatch_unknown_syscall_with_zero_count_raises(kernel):
+    # The name is checked before the count: a zero-count dispatch of an
+    # unknown syscall is the same error as a positive one.
+    with pytest.raises(SyscallError):
+        kernel.syscalls.dispatch("nope", 1, count=0)
+    with pytest.raises(SyscallError):
+        kernel.syscalls.dispatch("nope", 1, count=1)
