@@ -38,7 +38,7 @@ def main() -> None:
     release = install_teemon_chart(cluster, network)
     print(f"nodes: {[n.name for n in cluster.nodes()]}")
     print(f"pods after install: {len(cluster.pods())}")
-    print(f"scrape targets discovered: {len(release.scrape_manager.current_targets())}")
+    print(f"scrape targets discovered: {len(release.deployment.scrape_manager.current_targets())}")
     sgx_pods = [p for p in cluster.pods() if p.spec.name == "teemon-sgx-exporter"]
     print(f"sgx-exporter pods (SGX nodes only): "
           f"{sorted(p.node_name for p in sgx_pods)}\n")
@@ -65,9 +65,9 @@ def main() -> None:
                                duration_ns=1_000_000_000)
         clock.advance(seconds(1))
 
-    print(f"TSDB series: {release.tsdb.series_count()}, "
-          f"samples: {release.tsdb.sample_count():,}")
-    per_node = release.engine.instant(
+    print(f"TSDB series: {release.deployment.tsdb.series_count()}, "
+          f"samples: {release.deployment.tsdb.sample_count():,}")
+    per_node = release.deployment.engine.instant(
         "sum by (instance) (rate(ebpf_syscalls_total[1m]))", clock.now_ns
     )
     print("syscall rates per node:")
@@ -78,10 +78,10 @@ def main() -> None:
     cluster.add_node(make_node(clock, 4, sgx=True))
     clock.advance(seconds(10))
     print(f"\nafter worker-4 joined: pods={len(cluster.pods())}, "
-          f"targets={len(release.scrape_manager.current_targets())}")
+          f"targets={len(release.deployment.scrape_manager.current_targets())}")
 
     print("\n" + render_dashboard(
-        release.dashboards["infra"], release.engine, clock.now_ns, width=76
+        release.deployment.dashboards["infra"], release.deployment.engine, clock.now_ns, width=76
     ))
     release.uninstall()
 

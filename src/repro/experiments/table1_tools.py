@@ -48,13 +48,13 @@ SURVEYED_TOOLS = (
 
 def derive_teemon_row() -> ToolCapabilities:
     """Derive TEEMon's capabilities from the implementation itself."""
-    from repro.exporters.tme import _METRIC_MAP
+    from repro.exporters.tme import TeeMetricsExporter
     from repro.frameworks import ALL_FRAMEWORKS
     from repro.orchestration.helm import TEEMON_CHART
     from repro.pman.analyzer import DEFAULT_EVERY_NS
     from repro.simkernel.hooks import TABLE2_HOOKS
 
-    exported_metrics = {name for name, *_ in _METRIC_MAP}
+    exported_metrics = {name for name, *_ in TeeMetricsExporter.PARAMS}
     paging = "sgx_epc_pages_evicted_total" in exported_metrics
     # Transitions are observable through the driver hooks + AEX accounting.
     transitions = "sgx_epc_pages_reclaimed_total" in exported_metrics

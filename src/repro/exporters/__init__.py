@@ -17,7 +17,10 @@ deployment:
 
 All exporters share :class:`~repro.exporters.base.Exporter`: a collector
 registry, an HTTP endpoint, and a modelled resource footprint (CPU share
-and memory) that the Figure-4 experiment measures.
+and memory) that the Figure-4 experiment measures.  Each class spells
+its container name (``PROCESS_NAME``), scrape ``JOB``, port and path;
+:data:`HOST_EXPORTERS` is the catalog both ``deploy()`` and the Helm
+chart iterate.
 """
 
 from repro.exporters.base import Exporter, ExporterFootprint
@@ -27,7 +30,12 @@ from repro.exporters.node_exporter import NodeExporter
 from repro.exporters.teemon_self import TeemonSelfExporter
 from repro.exporters.tme import TeeMetricsExporter
 
+#: The per-host exporters in Docker start order (it fixes pids and hook
+#: attach order).
+HOST_EXPORTERS = (TeeMetricsExporter, EbpfExporter, NodeExporter, CadvisorExporter)
+
 __all__ = [
+    "HOST_EXPORTERS",
     "Exporter",
     "ExporterFootprint",
     "TeeMetricsExporter",

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
+from repro.errors import DeploymentError
 from repro.net.http import HttpEndpoint, HttpNetwork
 from repro.openmetrics.encoder import encode_registry
 from repro.openmetrics.registry import CollectorRegistry
@@ -37,8 +38,12 @@ class Exporter:
     PORT = 9099
     #: Metrics path.
     PATH = "/metrics"
-    #: Process/command name on the host.
+    #: Process/command name on the host; also the container (image) name.
     PROCESS_NAME = "exporter"
+    #: Scrape job the exporter's series are stored under.
+    JOB = "exporter"
+    #: Kernel module the exporter reads (a TEE driver); None runs anywhere.
+    MODULE: Optional[str] = None
 
     def __init__(self, kernel: Kernel, container_id: Optional[str] = None) -> None:
         self.kernel = kernel
@@ -49,6 +54,7 @@ class Exporter:
         self.process.rss_bytes = self.FOOTPRINT.memory_bytes
         self._thread = next(iter(self.process.threads.values()))
         self._endpoint: Optional[HttpEndpoint] = None
+        self._network: Optional[HttpNetwork] = None
         self._last_serve_ns = kernel.clock.now_ns
         self.scrapes_served = 0
 
@@ -64,6 +70,7 @@ class Exporter:
         self._endpoint = network.register(
             self.kernel.hostname, self.PORT, self.PATH, self._serve
         )
+        self._network = network
         return self._endpoint
 
     def footprint(self) -> ExporterFootprint:
@@ -82,6 +89,47 @@ class Exporter:
         return encode_registry(self.registry)
 
     def shutdown(self) -> None:
-        """Stop the exporter's host process."""
+        """Stop the exporter: withdraw its route, exit its host process.
+
+        A route already gone (or since taken by another exporter) is left
+        alone: only this exporter's own endpoint is withdrawn.
+        """
+        endpoint, network = self._endpoint, self._network
+        if network is not None:
+            route = (endpoint.host, endpoint.port, endpoint.path)
+            if network.lookup(*route) is endpoint:
+                network.unregister(*route)
+            self._network = None
         if not self.process.exited:
             self.kernel.exit_process(self.process)
+
+
+class ModuleParamsExporter(Exporter):
+    """A TEE exporter: a dumb reader over its driver's module parameters.
+
+    Subclasses name the driver (:attr:`MODULE`), where it publishes its
+    parameters, and one ``(family, parameter, help, is_counter)`` row per
+    family; every row is re-read at scrape time.
+    """
+
+    PARAMS_DIR = ""
+    PARAMS: Tuple[Tuple[str, str, str, bool], ...] = ()
+
+    def __init__(self, kernel: Kernel, container_id: Optional[str] = None) -> None:
+        if not kernel.has_module(self.MODULE):
+            raise DeploymentError(
+                f"{self.PROCESS_NAME} requires the {self.MODULE} driver "
+                f"to be loaded"
+            )
+        super().__init__(kernel, container_id=container_id)
+        registry = self.registry
+        self._params = [
+            ((registry.counter if is_counter else registry.gauge)(family, help_text),
+             f"{self.PARAMS_DIR}/{param}")
+            for family, param, help_text, is_counter in self.PARAMS
+        ]
+        registry.on_collect(self._refresh)
+
+    def _refresh(self) -> None:
+        for family, path in self._params:
+            family.labels().set_to(float(self.kernel.vfs.read(path)))

@@ -27,6 +27,7 @@ class CadvisorExporter(Exporter):
     PORT = 8080
     PATH = "/metrics"
     PROCESS_NAME = "cadvisor"
+    JOB = "cadvisor"
 
     def __init__(self, kernel: Kernel, container_id: Optional[str] = None) -> None:
         super().__init__(kernel, container_id=container_id)

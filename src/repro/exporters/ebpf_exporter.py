@@ -136,6 +136,7 @@ class EbpfExporter(Exporter):
     FOOTPRINT = ExporterFootprint(cpu_fraction=0.008, memory_bytes=45 * MIB)
     PORT = 9102
     PROCESS_NAME = "ebpf-exporter"
+    JOB = "ebpf"
 
     def __init__(
         self,

@@ -23,6 +23,7 @@ class NodeExporter(Exporter):
     FOOTPRINT = ExporterFootprint(cpu_fraction=0.003, memory_bytes=25 * MIB)
     PORT = 9100
     PROCESS_NAME = "node-exporter"
+    JOB = "node"
 
     def __init__(self, kernel: Kernel, container_id: Optional[str] = None) -> None:
         super().__init__(kernel, container_id=container_id)

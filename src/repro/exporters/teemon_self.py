@@ -168,6 +168,7 @@ class TeemonSelfExporter:
             )
             tracer.on_span_end(self._observe_span)
         self._endpoint: Optional[HttpEndpoint] = None
+        self._network: Optional[HttpNetwork] = None
         self.scrapes_served = 0
 
     def _refresh(self) -> None:
@@ -204,7 +205,18 @@ class TeemonSelfExporter:
         self._endpoint = network.register(
             self.hostname, SELF_EXPORTER_PORT, SELF_EXPORTER_PATH, self._serve
         )
+        self._network = network
         return self._endpoint
+
+    def withdraw(self) -> None:
+        """Take the endpoint down.  A route already gone (or since taken
+        by another incarnation) is left alone."""
+        endpoint, network = self._endpoint, self._network
+        if network is not None:
+            route = (endpoint.host, endpoint.port, endpoint.path)
+            if network.lookup(*route) is endpoint:
+                network.unregister(*route)
+            self._network = None
 
     def _serve(self) -> str:
         self.scrapes_served += 1

@@ -14,61 +14,28 @@ reclaimed).
 
 from __future__ import annotations
 
-from typing import Optional
-
-from repro.errors import DeploymentError
-from repro.exporters.base import Exporter, ExporterFootprint, MIB
-from repro.simkernel.kernel import Kernel
-
-PARAMS_DIR = "/sys/module/isgx/parameters"
-
-#: (metric name, module parameter, help text, is_counter)
-_METRIC_MAP = (
-    ("sgx_enclaves_active", "sgx_nr_enclaves", "Enclaves currently active", False),
-    ("sgx_enclaves_initialized_total", "sgx_init_enclaves", "Enclaves initialized since driver load", True),
-    ("sgx_enclaves_removed_total", "sgx_nr_removed_enclaves", "Enclaves removed since driver load", True),
-    ("sgx_epc_total_pages", "sgx_nr_total_epc_pages", "Usable EPC pages", False),
-    ("sgx_epc_free_pages", "sgx_nr_free_pages", "Free EPC pages", False),
-    ("sgx_epc_pages_marked_old_total", "sgx_nr_marked_old", "EPC pages marked old (aging)", True),
-    ("sgx_epc_pages_evicted_total", "sgx_nr_evicted", "EPC pages evicted to main memory (EWB)", True),
-    ("sgx_epc_pages_added_total", "sgx_nr_added_pages", "Pages added to enclaves (EADD/EAUG)", True),
-    ("sgx_epc_pages_reclaimed_total", "sgx_nr_reclaimed", "Pages reclaimed from main memory (ELD)", True),
-    ("sgx_aexs_total", "sgx_nr_aexs", "Asynchronous enclave exits since driver load", True),
-)
+from repro.exporters.base import ExporterFootprint, MIB, ModuleParamsExporter
+from repro.sgx import driver as sgx_driver
 
 
-class TeeMetricsExporter(Exporter):
+class TeeMetricsExporter(ModuleParamsExporter):
     """Per-host SGX metrics exporter (one instance per machine, §4)."""
 
     FOOTPRINT = ExporterFootprint(cpu_fraction=0.002, memory_bytes=20 * MIB)
     PORT = 9101
     PROCESS_NAME = "sgx-exporter"
-
-    def __init__(self, kernel: Kernel, container_id: Optional[str] = None) -> None:
-        if not kernel.has_module("isgx"):
-            raise DeploymentError(
-                "TEE metrics exporter requires the isgx driver to be loaded"
-            )
-        super().__init__(kernel, container_id=container_id)
-        self._gauges = {}
-        self._counters = {}
-        for metric_name, param, help_text, is_counter in _METRIC_MAP:
-            if is_counter:
-                self._counters[metric_name] = (
-                    self.registry.counter(metric_name, help_text), param
-                )
-            else:
-                self._gauges[metric_name] = (
-                    self.registry.gauge(metric_name, help_text), param
-                )
-        self.registry.on_collect(self._refresh)
-
-    def _read_param(self, param: str) -> float:
-        return float(self.kernel.vfs.read(f"{PARAMS_DIR}/{param}"))
-
-    def _refresh(self) -> None:
-        """Re-read every module parameter (runs at scrape time)."""
-        for gauge, param in self._gauges.values():
-            gauge.set_to(self._read_param(param))
-        for counter, param in self._counters.values():
-            counter.labels().set_to(self._read_param(param))
+    JOB = "sgx"
+    MODULE = sgx_driver.MODULE_NAME
+    PARAMS_DIR = sgx_driver.PARAMS_DIR
+    PARAMS = (
+        ("sgx_enclaves_active", "sgx_nr_enclaves", "Enclaves currently active", False),
+        ("sgx_enclaves_initialized_total", "sgx_init_enclaves", "Enclaves initialized since driver load", True),
+        ("sgx_enclaves_removed_total", "sgx_nr_removed_enclaves", "Enclaves removed since driver load", True),
+        ("sgx_epc_total_pages", "sgx_nr_total_epc_pages", "Usable EPC pages", False),
+        ("sgx_epc_free_pages", "sgx_nr_free_pages", "Free EPC pages", False),
+        ("sgx_epc_pages_marked_old_total", "sgx_nr_marked_old", "EPC pages marked old (aging)", True),
+        ("sgx_epc_pages_evicted_total", "sgx_nr_evicted", "EPC pages evicted to main memory (EWB)", True),
+        ("sgx_epc_pages_added_total", "sgx_nr_added_pages", "Pages added to enclaves (EADD/EAUG)", True),
+        ("sgx_epc_pages_reclaimed_total", "sgx_nr_reclaimed", "Pages reclaimed from main memory (ELD)", True),
+        ("sgx_aexs_total", "sgx_nr_aexs", "Asynchronous enclave exits since driver load", True),
+    )

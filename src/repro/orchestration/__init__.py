@@ -16,8 +16,11 @@ This package models all of that:
 * :mod:`repro.orchestration.kubernetes` — a cluster of simulated hosts,
   pods, node labels/taints and tolerations, DaemonSets, and
   annotation-driven service discovery;
-* :mod:`repro.orchestration.helm` — a chart model and the TEEMon chart
-  that installs the full monitoring stack onto a cluster;
+* :mod:`repro.orchestration.helm` — a chart model and the TEEMon chart:
+  one DaemonSet per exporter of the :data:`repro.exporters.HOST_EXPORTERS`
+  catalog (the one Docker deployments start), and one
+  :class:`~repro.teemon.deploy.TeemonDeployment` on a monitor host,
+  discovering the exporters' pods durably;
 * :mod:`repro.orchestration.fleet` — node fleets at scale: DaemonSet
   exporters across hundreds of nodes with seeded churn and rolling
   upgrades.

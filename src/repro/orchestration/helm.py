@@ -3,45 +3,39 @@
 "We created a chart to install TEEMon in large-scale infrastructures
 managed by Kubernetes." (§5.4)  A :class:`HelmChart` is a named set of
 resource factories parameterised by values; :func:`install_teemon_chart`
-is the TEEMon chart itself: per-node exporter DaemonSets (the SGX exporter
-restricted to SGX-labelled nodes), a Prometheus-equivalent aggregation pod
-wired to annotation-based service discovery, Grafana-equivalent
-dashboards, and the PMAN analyzer.
+is the TEEMon chart itself: one DaemonSet per catalog exporter
+(:data:`repro.exporters.HOST_EXPORTERS`, plus SEV; TEE exporters only on
+nodes labelled for their driver), and one
+:class:`~repro.teemon.deploy.TeemonDeployment` — the same monitor
+``deploy()`` stands up on a Docker host — wired to annotation-based
+service discovery.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from repro.errors import OrchestrationError
-from repro.exporters import (
-    CadvisorExporter,
-    EbpfExporter,
-    NodeExporter,
-    TeeMetricsExporter,
-)
+from repro.exporters import HOST_EXPORTERS, CadvisorExporter
 from repro.net.http import HttpNetwork
 from repro.orchestration.container import ContainerImage
 from repro.orchestration.kubernetes import (
+    TEE_LABELS,
     Cluster,
+    DaemonSet,
     PodSpec,
-    SEV_ENABLED,
-    SEV_LABEL,
-    SGX_ENABLED,
-    SGX_LABEL,
     Taint,
 )
-from repro.pmag.query.engine import QueryEngine
-from repro.pmag.scrape import ScrapeManager
-from repro.pmag.tsdb import Tsdb
-from repro.pman.analyzer import PmanAnalyzer
-from repro.pmv.dashboards import (
-    build_docker_dashboard,
-    build_infra_dashboard,
-    build_sgx_dashboard,
-)
-from repro.simkernel.clock import NANOS_PER_SEC
+from repro.sev.exporter import SevMetricsExporter
+from repro.simkernel.kernel import Kernel
+
+if TYPE_CHECKING:
+    from repro.teemon.deploy import TeemonDeployment
+
+#: Hostname of the monitor host: a kernel on the cluster clock outside
+#: the cluster, so node churn never reschedules (and empties) the monitor.
+MONITOR_HOSTNAME = "teemon-monitor"
 
 
 @dataclass
@@ -76,134 +70,69 @@ class TeemonRelease:
     """A deployed TEEMon instance on a cluster."""
 
     cluster: Cluster
-    network: HttpNetwork
-    tsdb: Tsdb
-    scrape_manager: ScrapeManager
-    engine: QueryEngine
-    analyzer: PmanAnalyzer
-    dashboards: Dict[str, Any] = field(default_factory=dict)
+    deployment: TeemonDeployment
+    #: The exporter DaemonSets the chart applied.
+    daemonsets: List[DaemonSet]
 
     def uninstall(self) -> None:
-        """Stop scraping and analysis; delete TEEMon pods."""
-        self.scrape_manager.stop()
-        self.analyzer.stop()
-        for pod in list(self.cluster.pods()):
-            if pod.spec.name.startswith("teemon-"):
-                self.cluster.delete_pod(pod.name)
+        """Shut the monitor down; delete the DaemonSets and their pods."""
+        self.deployment.shutdown()
+        for daemonset in self.daemonsets:
+            self.cluster.delete_daemonset(daemonset)
 
 
-def _exporter_image(name: str, factory) -> ContainerImage:
-    return ContainerImage(
-        name=name,
-        entrypoint=factory,
-        labels={"app.kubernetes.io/part-of": "teemon"},
+def _exporter_daemonset(exporter_cls, network: HttpNetwork) -> PodSpec:
+    """One catalog exporter as a DaemonSet pod spec; a TEE exporter only
+    lands on nodes carrying its driver's label."""
+
+    def entrypoint(kernel, container_id):
+        exporter = exporter_cls(kernel, container_id=container_id)
+        exporter.expose(network)
+        return exporter
+
+    node_selector, tolerations = {}, []
+    if exporter_cls.MODULE is not None:
+        key, value = TEE_LABELS[exporter_cls.MODULE]
+        node_selector, tolerations = {key: value}, [Taint(key, value)]
+    return PodSpec(
+        name=f"teemon-{exporter_cls.PROCESS_NAME}",
+        image=ContainerImage(
+            name=exporter_cls.PROCESS_NAME, entrypoint=entrypoint,
+            labels={"app.kubernetes.io/part-of": "teemon"},
+        ),
+        node_selector=node_selector,
+        tolerations=tolerations,
+        annotations={
+            "prometheus.io/scrape": "true",
+            "prometheus.io/job": exporter_cls.JOB,
+        },
     )
 
 
 def _install_teemon(cluster: Cluster, network: HttpNetwork,
                     values: Dict[str, Any]) -> TeemonRelease:
-    def node_exporter_entry(kernel, container_id):
-        exporter = NodeExporter(kernel, container_id=container_id)
-        exporter.expose(network)
-        return exporter
+    # Imported here: repro.teemon imports this package (via the container
+    # runtime), so a module-level import would be circular.
+    from repro.teemon import TeemonConfig, deploy
+    from repro.teemon.federation import host_seed
 
-    def ebpf_exporter_entry(kernel, container_id):
-        exporter = EbpfExporter(kernel, container_id=container_id)
-        exporter.expose(network)
-        return exporter
-
-    def cadvisor_entry(kernel, container_id):
-        exporter = CadvisorExporter(kernel, container_id=container_id)
-        exporter.expose(network)
-        return exporter
-
-    def sgx_exporter_entry(kernel, container_id):
-        exporter = TeeMetricsExporter(kernel, container_id=container_id)
-        exporter.expose(network)
-        return exporter
-
-    scrape_annotations = {"prometheus.io/scrape": "true"}
-
-    daemonset_specs = [
-        PodSpec(
-            name="teemon-node-exporter",
-            image=_exporter_image("node-exporter", node_exporter_entry),
-            annotations={**scrape_annotations, "prometheus.io/job": "node"},
-        ),
-        PodSpec(
-            name="teemon-ebpf-exporter",
-            image=_exporter_image("ebpf-exporter", ebpf_exporter_entry),
-            annotations={**scrape_annotations, "prometheus.io/job": "ebpf"},
-        ),
-    ]
-    if values["cadvisor.enabled"]:
-        daemonset_specs.append(
-            PodSpec(
-                name="teemon-cadvisor",
-                image=_exporter_image("cadvisor", cadvisor_entry),
-                annotations={**scrape_annotations, "prometheus.io/job": "cadvisor"},
-            )
-        )
-    # TEE exporters only land on capable nodes (labels + taints).
-    daemonset_specs.append(
-        PodSpec(
-            name="teemon-sgx-exporter",
-            image=_exporter_image("sgx-exporter", sgx_exporter_entry),
-            node_selector={SGX_LABEL: SGX_ENABLED},
-            tolerations=[Taint(SGX_LABEL, SGX_ENABLED)],
-            annotations={**scrape_annotations, "prometheus.io/job": "sgx"},
-        )
-    )
+    catalog = [cls for cls in HOST_EXPORTERS
+               if cls is not CadvisorExporter or values["cadvisor.enabled"]]
     if values["sev.enabled"]:
-        def sev_exporter_entry(kernel, container_id):
-            from repro.sev.exporter import SevMetricsExporter
-
-            exporter = SevMetricsExporter(kernel, container_id=container_id)
-            exporter.expose(network)
-            return exporter
-
-        daemonset_specs.append(
-            PodSpec(
-                name="teemon-sev-exporter",
-                image=_exporter_image("sev-exporter", sev_exporter_entry),
-                node_selector={SEV_LABEL: SEV_ENABLED},
-                tolerations=[Taint(SEV_LABEL, SEV_ENABLED)],
-                annotations={**scrape_annotations, "prometheus.io/job": "sev"},
-            )
-        )
-    for spec in daemonset_specs:
-        cluster.apply_daemonset(spec)
-
-    # Aggregation: Prometheus-equivalent, one instance, discovery-driven.
-    tsdb = Tsdb(retention_ns=int(values["prometheus.retention_hours"] * 3600 * NANOS_PER_SEC))
-    scrape_manager = ScrapeManager(
-        cluster.clock, network, tsdb,
-        interval_ns=int(values["prometheus.scrape_interval_s"] * NANOS_PER_SEC),
-    )
-    scrape_manager.add_discovery(cluster.discover_scrape_targets)
-    scrape_manager.start()
-
-    engine = QueryEngine(tsdb)
-    analyzer = PmanAnalyzer(cluster.clock, engine, tsdb)
-    analyzer.start()
-
-    dashboards = {
-        "sgx": build_sgx_dashboard(),
-        "docker": build_docker_dashboard(),
-        "infra": build_infra_dashboard(),
-    }
-    for dashboard in dashboards.values():
-        analyzer.add_sink(dashboard.alert_sink())
-
-    return TeemonRelease(
-        cluster=cluster,
-        network=network,
-        tsdb=tsdb,
-        scrape_manager=scrape_manager,
-        engine=engine,
-        analyzer=analyzer,
-        dashboards=dashboards,
-    )
+        catalog.append(SevMetricsExporter)
+    daemonsets = [
+        cluster.apply_daemonset(_exporter_daemonset(cls, network))
+        for cls in catalog
+    ]
+    monitor = Kernel(seed=host_seed(MONITOR_HOSTNAME),
+                     hostname=MONITOR_HOSTNAME, clock=cluster.clock)
+    deployment = deploy(monitor, TeemonConfig(
+        enable_exporters=False,
+        scrape_interval_s=values["prometheus.scrape_interval_s"],
+        retention_hours=values["prometheus.retention_hours"],
+    ), network=network)
+    deployment.add_discovery(cluster.discover_scrape_targets)
+    return TeemonRelease(cluster, deployment, daemonsets)
 
 
 TEEMON_CHART = HelmChart(

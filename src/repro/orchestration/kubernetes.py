@@ -30,6 +30,12 @@ SGX_LABEL = "sgx"
 SGX_ENABLED = "enabled"
 SEV_LABEL = "sev"
 SEV_ENABLED = "enabled"
+#: The label a node gets for each loaded TEE driver, by module name; a
+#: TEE exporter (``Exporter.MODULE``) is placed by the same label.
+TEE_LABELS: Dict[str, Tuple[str, str]] = {
+    "isgx": (SGX_LABEL, SGX_ENABLED),
+    "ccp": (SEV_LABEL, SEV_ENABLED),
+}
 
 
 @dataclass(frozen=True)
@@ -105,10 +111,9 @@ class Node:
         self.docker = DockerRuntime(kernel)
         # Nodes advertise TEE capabilities by inspecting their own
         # hardware, like the device-plugin / NFD flow in real clusters.
-        if kernel.has_module("isgx"):
-            self.labels.setdefault(SGX_LABEL, SGX_ENABLED)
-        if kernel.has_module("ccp"):
-            self.labels.setdefault(SEV_LABEL, SEV_ENABLED)
+        for module, (key, value) in TEE_LABELS.items():
+            if kernel.has_module(module):
+                self.labels.setdefault(key, value)
 
 
 class DaemonSet:
@@ -251,7 +256,8 @@ class Cluster:
             pod.container.stop()
         pod.phase = "Terminated"
         for daemonset in self._daemonsets:
-            daemonset.pods_by_node.pop(pod.node_name, None)
+            if daemonset.pods_by_node.get(pod.node_name) is pod:
+                del daemonset.pods_by_node[pod.node_name]
 
     def pods(self) -> List[Pod]:
         """All live pods."""
@@ -270,6 +276,14 @@ class Cluster:
         self._daemonsets.append(daemonset)
         daemonset.reconcile(self)
         return daemonset
+
+    def delete_daemonset(self, daemonset: DaemonSet) -> None:
+        """Remove a DaemonSet and delete every pod it runs."""
+        if daemonset not in self._daemonsets:
+            raise OrchestrationError(f"no such daemonset: {daemonset.spec.name}")
+        for pod in list(daemonset.pods_by_node.values()):
+            self.delete_pod(pod.name)
+        self._daemonsets.remove(daemonset)
 
     def apply_deployment(self, spec: PodSpec, replicas: int) -> Deployment:
         """Install a Deployment and reconcile it now."""

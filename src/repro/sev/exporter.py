@@ -1,38 +1,40 @@
 """The SEV TEE Metrics Exporter.
 
-Structurally identical to the SGX TME — a dumb reader over driver module
-parameters plus the hypervisor's per-VM view — which is exactly the
-paper's generality argument: a new TEE needs a new exporter, not a new
-monitoring stack.  The PMAG scrapes it unchanged.
+The SGX TME's reader over driver module parameters
+(:class:`~repro.exporters.base.ModuleParamsExporter`), plus the
+hypervisor's per-VM view — which is exactly the paper's generality
+argument: a new TEE needs a new exporter, not a new monitoring stack.
+The PMAG scrapes it unchanged.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.errors import DeploymentError
-from repro.exporters.base import Exporter, ExporterFootprint, MIB
-from repro.sev.driver import PARAMS_DIR
+from repro.exporters.base import ExporterFootprint, MIB, ModuleParamsExporter
+from repro.sev import driver as sev_driver
 from repro.sev.hypervisor import QemuSevExtension
 from repro.simkernel.kernel import Kernel
 
-_PARAM_METRICS = (
-    ("sev_asids_total", "sev_nr_asids_total", "SEV ASIDs supported", False),
-    ("sev_asids_free", "sev_nr_asids_free", "SEV ASIDs unbound", False),
-    ("sev_guests_active", "sev_nr_guests_active", "Protected guests active", False),
-    ("sev_launches_total", "sev_launches_total", "LAUNCH_START commands", True),
-    ("sev_measures_total", "sev_measures_total", "LAUNCH_MEASURE commands", True),
-    ("sev_activations_total", "sev_activations_total", "ACTIVATE commands", True),
-    ("sev_decommissions_total", "sev_decommissions_total", "DECOMMISSION commands", True),
-)
 
-
-class SevMetricsExporter(Exporter):
+class SevMetricsExporter(ModuleParamsExporter):
     """Per-host SEV metrics exporter."""
 
     FOOTPRINT = ExporterFootprint(cpu_fraction=0.002, memory_bytes=20 * MIB)
     PORT = 9103
     PROCESS_NAME = "sev-exporter"
+    JOB = "sev"
+    MODULE = sev_driver.MODULE_NAME
+    PARAMS_DIR = sev_driver.PARAMS_DIR
+    PARAMS = (
+        ("sev_asids_total", "sev_nr_asids_total", "SEV ASIDs supported", False),
+        ("sev_asids_free", "sev_nr_asids_free", "SEV ASIDs unbound", False),
+        ("sev_guests_active", "sev_nr_guests_active", "Protected guests active", False),
+        ("sev_launches_total", "sev_launches_total", "LAUNCH_START commands", True),
+        ("sev_measures_total", "sev_measures_total", "LAUNCH_MEASURE commands", True),
+        ("sev_activations_total", "sev_activations_total", "ACTIVATE commands", True),
+        ("sev_decommissions_total", "sev_decommissions_total", "DECOMMISSION commands", True),
+    )
 
     def __init__(
         self,
@@ -40,23 +42,8 @@ class SevMetricsExporter(Exporter):
         hypervisor: Optional[QemuSevExtension] = None,
         container_id: Optional[str] = None,
     ) -> None:
-        if not kernel.has_module("ccp"):
-            raise DeploymentError(
-                "SEV metrics exporter requires the ccp driver to be loaded"
-            )
         super().__init__(kernel, container_id=container_id)
         self.hypervisor = hypervisor
-        self._gauges = {}
-        self._counters = {}
-        for metric, param, help_text, is_counter in _PARAM_METRICS:
-            if is_counter:
-                self._counters[metric] = (
-                    self.registry.counter(metric, help_text), param
-                )
-            else:
-                self._gauges[metric] = (
-                    self.registry.gauge(metric, help_text), param
-                )
         # Per-VM metrics need the hypervisor's view (paper §4: "the amount
         # of protective memory requested by each virtual machine").
         self._vm_memory = self.registry.gauge(
@@ -68,13 +55,9 @@ class SevMetricsExporter(Exporter):
         self._vm_cpu = self.registry.counter(
             "sev_guest_cpu_seconds_total", "Host CPU time per guest", ["vm"]
         )
-        self.registry.on_collect(self._refresh)
 
     def _refresh(self) -> None:
-        for gauge, param in self._gauges.values():
-            gauge.set_to(float(self.kernel.vfs.read(f"{PARAMS_DIR}/{param}")))
-        for counter, param in self._counters.values():
-            counter.labels().set_to(float(self.kernel.vfs.read(f"{PARAMS_DIR}/{param}")))
+        super()._refresh()
         if self.hypervisor is None:
             return
         for vm in self.hypervisor.vms():

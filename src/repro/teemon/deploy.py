@@ -27,10 +27,11 @@ from __future__ import annotations
 import gc
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import DeploymentError
 from repro.exporters import (
+    HOST_EXPORTERS,
     CadvisorExporter,
     EbpfExporter,
     NodeExporter,
@@ -144,6 +145,14 @@ def default_alerting_rules() -> List[AlertingRule]:
             for_s=30.0, labels={"severity": "warning"},
         ),
     ]
+
+
+def _entrypoint(exporter_cls, options: Dict) -> Callable:
+    """Container entrypoint starting ``exporter_cls`` with ``options``
+    (bound now: the image keeps it for any later restart)."""
+    return lambda kernel, container_id: exporter_cls(
+        kernel, container_id=container_id, **options
+    )
 
 
 @dataclass
@@ -452,43 +461,27 @@ class TeemonDeployment:
 
     # ------------------------------------------------------------------
     def _create_exporters(self) -> None:
+        """One container per enabled catalog exporter, in catalog order."""
         config = self.config
-        kernel = self.kernel
         if not config.enable_exporters:
             return
-
-        def containerised(name: str, factory) -> Exporter:
-            image = ContainerImage(name=name, entrypoint=factory)
-            container = self.docker.run(image, name=name)
-            exporter = container.component
+        enabled = {
+            TeeMetricsExporter: config.enable_tme,
+            EbpfExporter: config.enable_ebpf,
+            NodeExporter: config.enable_node_exporter,
+            CadvisorExporter: config.enable_cadvisor,
+        }
+        for exporter_cls in HOST_EXPORTERS:
+            if not enabled[exporter_cls]:
+                continue
+            options = {"config": config.ebpf} if exporter_cls is EbpfExporter else {}
+            image = ContainerImage(
+                name=exporter_cls.PROCESS_NAME,
+                entrypoint=_entrypoint(exporter_cls, options),
+            )
+            exporter = self.docker.run(image, name=image.name).component
             exporter.expose(self.network)
-            return exporter
-
-        if config.enable_tme:
-            if not kernel.has_module("isgx"):
-                raise DeploymentError(
-                    "TME enabled but the isgx driver is not loaded; "
-                    "load repro.sgx.SgxDriver or disable the TME"
-                )
-            self.exporters["sgx"] = containerised(
-                "sgx-exporter",
-                lambda k, cid: TeeMetricsExporter(k, container_id=cid),
-            )
-        if config.enable_ebpf:
-            self.exporters["ebpf"] = containerised(
-                "ebpf-exporter",
-                lambda k, cid: EbpfExporter(k, config=config.ebpf, container_id=cid),
-            )
-        if config.enable_node_exporter:
-            self.exporters["node"] = containerised(
-                "node-exporter",
-                lambda k, cid: NodeExporter(k, container_id=cid),
-            )
-        if config.enable_cadvisor:
-            self.exporters["cadvisor"] = containerised(
-                "cadvisor",
-                lambda k, cid: CadvisorExporter(k, container_id=cid),
-            )
+            self.exporters[exporter_cls.JOB] = exporter
 
     def _create_services(self) -> None:
         for name, footprint in SERVICE_FOOTPRINTS.items():
@@ -773,7 +766,8 @@ class TeemonDeployment:
             )
 
     def shutdown(self) -> None:
-        """Full teardown: stop everything and exit all TEEMon processes."""
+        """Full teardown: stop everything, exit all TEEMon processes and
+        withdraw the self-telemetry endpoint."""
         if self._running:
             self.stop()
         for container in self.docker.containers(running_only=True):
@@ -781,6 +775,8 @@ class TeemonDeployment:
         for service in self.services.values():
             if not service.process.exited:
                 self.kernel.exit_process(service.process)
+        if self.self_exporter is not None:
+            self.self_exporter.withdraw()
 
     # ------------------------------------------------------------------
     def component_footprints(self) -> Dict[str, ExporterFootprint]:

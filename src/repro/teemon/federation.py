@@ -41,7 +41,7 @@ from repro.teemon.supervisor import MonitorSupervisor
 FEDERATION_SUBJECT = "teemon-fed"
 
 
-def _default_seed(name: str) -> int:
+def host_seed(name: str) -> int:
     """Deterministic per-node kernel seed derived from the node name."""
     return zlib.crc32(name.encode("utf-8"))
 
@@ -149,7 +149,7 @@ class FederationTopology:
             )
         self._specs[name] = _NodeSpec(
             name=name, config=config, uplink=uplink,
-            seed=_default_seed(name) if seed is None else seed,
+            seed=host_seed(name) if seed is None else seed,
             ha=ha, network=network,
         )
         self._order.append(name)

@@ -225,6 +225,22 @@ def test_serving_scrapes_charges_cpu(sgx_kernel):
     assert exporter.scrapes_served == 1
 
 
+def test_shutdown_withdraws_only_its_own_route(sgx_kernel):
+    network = HttpNetwork()
+    first = NodeExporter(sgx_kernel)
+    first.expose(network)
+    # The route is already gone (torn down at the network level), and a
+    # successor has taken the port: shutdown leaves the successor alone.
+    network.unregister(sgx_kernel.hostname, first.PORT, first.PATH)
+    successor = NodeExporter(sgx_kernel)
+    successor.expose(network)
+    first.shutdown()
+    assert network.get_url(successor.url).ok
+    successor.shutdown()
+    assert network.get_url(successor.url).status == 404
+    assert successor.process.exited
+
+
 def test_url_before_expose_rejected(sgx_kernel):
     exporter = NodeExporter(sgx_kernel)
     with pytest.raises(RuntimeError):

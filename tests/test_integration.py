@@ -87,7 +87,7 @@ def test_cluster_pipeline_with_node_churn():
         kernel.load_module(SgxDriver())
         cluster.add_node(Node(kernel))
     release = install_teemon_chart(cluster, network)
-    targets_before = len(release.scrape_manager.current_targets())
+    targets_before = len(release.deployment.scrape_manager.current_targets())
 
     # Run an enclave workload on w0.
     node = cluster.node("w0")
@@ -98,7 +98,7 @@ def test_cluster_pipeline_with_node_churn():
     bench.prepopulate(runtime, server, value_size=64)
     bench.run(runtime, server, duration_s=30.0)
 
-    per_instance = release.engine.instant(
+    per_instance = release.deployment.engine.instant(
         "sum by (instance) (ebpf_syscalls_total)", clock.now_ns
     )
     by_instance = {labels.get("instance"): value for labels, value in per_instance}
@@ -109,8 +109,8 @@ def test_cluster_pipeline_with_node_churn():
     joiner = Kernel(seed=99, hostname="w2", clock=clock)
     cluster.add_node(Node(joiner))
     clock.advance(seconds(10))
-    assert len(release.scrape_manager.current_targets()) > targets_before
-    up = release.engine.instant('up{instance="w2"}', clock.now_ns)
+    assert len(release.deployment.scrape_manager.current_targets()) > targets_before
+    up = release.deployment.engine.instant('up{instance="w2"}', clock.now_ns)
     assert up and all(value == 1.0 for _, value in up)
     release.uninstall()
 

@@ -239,12 +239,45 @@ def test_chart_installs_daemonsets_selectively():
     release.uninstall()
 
 
+def test_chart_installs_a_teemon_deployment():
+    # The chart's monitor is the one deploy() builds: its own teemon_self
+    # target, recording rules, and PMAN feeding the three dashboards.
+    from repro.teemon import TeemonDeployment
+    from repro.teemon.deploy import SERVICE_FOOTPRINTS
+
+    clock, cluster = _cluster_with_nodes(sgx_nodes=1, plain_nodes=1)
+    release = install_teemon_chart(cluster, HttpNetwork())
+    deployment = release.deployment
+    assert isinstance(deployment, TeemonDeployment)
+    assert deployment.exporters == {}
+    assert set(deployment.services) == set(SERVICE_FOOTPRINTS)
+    assert set(deployment.dashboards) == {"sgx", "docker", "infra"}
+    process = cluster.node("worker-0").kernel.spawn_process("app")
+    for _ in range(20):
+        cluster.node("worker-0").kernel.syscalls.dispatch(
+            "read", process.pid, count=10_000
+        )
+        clock.advance(seconds(5))
+    session = deployment.session
+    up = {labels.get("job"): value for labels, value in session.query("up")
+          if labels.get("instance") == "teemon-monitor"}
+    assert up == {"teemon_self": 1.0}
+    recorded = session.query('job:syscalls:rate1m{name="read"}')
+    assert recorded and recorded[0][1] > 0
+    assert deployment.analyzer.reports  # PMAN ran its minutely cycle
+    assert set(TEEMON_CHART.default_values) == {
+        "prometheus.scrape_interval_s", "prometheus.retention_hours",
+        "cadvisor.enabled", "sev.enabled",
+    }
+    release.uninstall()
+
+
 def test_chart_scrapes_discovered_targets():
     clock, cluster = _cluster_with_nodes()
     release = install_teemon_chart(cluster, HttpNetwork())
     clock.advance(seconds(20))
-    assert release.tsdb.sample_count() > 0
-    assert release.tsdb.latest("up") is not None
+    assert release.deployment.tsdb.sample_count() > 0
+    assert release.deployment.tsdb.latest("up") is not None
     release.uninstall()
 
 
@@ -272,6 +305,53 @@ def test_uninstall_removes_teemon_pods_only():
     release.uninstall()
     remaining = [p.spec.name for p in cluster.pods()]
     assert remaining == ["user-app"]
+
+
+def test_uninstall_deletes_the_chart_daemonsets():
+    # Nodes joining after uninstall get no TEEMon exporters, the node the
+    # chart ran on gets none back, and no route stays registered.
+    clock, cluster = _cluster_with_nodes(sgx_nodes=1, plain_nodes=0)
+    network = HttpNetwork()
+    install_teemon_chart(cluster, network).uninstall()
+    cluster.add_node(_node(clock, 1, sgx=True))
+    cluster.add_node(_node(clock, 2))
+    assert cluster.pods() == []
+    assert network.endpoints() == []
+    # Nothing is left over for a second install to collide with.
+    release = install_teemon_chart(cluster, network)
+    clock.advance(seconds(10))
+    up = release.deployment.session.query("up")
+    assert len(up) == len(cluster.pods()) + 1  # + teemon_self
+    assert all(value == 1.0 for _, value in up)
+    release.uninstall()
+
+
+def test_deleting_a_user_pod_leaves_daemonset_placement_alone():
+    # Only the DaemonSet that owns a deleted pod forgets its node; the
+    # chart's exporters on that node are not scheduled a second time.
+    clock, cluster = _cluster_with_nodes(sgx_nodes=1, plain_nodes=0)
+    release = install_teemon_chart(cluster, HttpNetwork())
+    before = sorted(p.spec.name for p in cluster.pods_on("worker-0"))
+    user = cluster.schedule_pod(
+        PodSpec(name="user-app", image=_image()), node=cluster.node("worker-0")
+    )
+    cluster.delete_pod(user.name)
+    cluster.add_node(_node(clock, 1))
+    assert sorted(p.spec.name for p in cluster.pods_on("worker-0")) == before
+    release.uninstall()
+
+
+def test_delete_daemonset_deletes_its_pods_only():
+    clock, cluster = _cluster_with_nodes(sgx_nodes=0, plain_nodes=2)
+    kept = cluster.apply_daemonset(PodSpec(name="kept", image=_image()))
+    gone = cluster.apply_daemonset(PodSpec(name="gone", image=_image()))
+    cluster.delete_daemonset(gone)
+    assert sorted(p.spec.name for p in cluster.pods()) == ["kept", "kept"]
+    with pytest.raises(OrchestrationError, match="no such daemonset"):
+        cluster.delete_daemonset(gone)
+    cluster.add_node(_node(clock, 2))
+    assert len(kept.pods_by_node) == 3
+    assert [p.spec.name for p in cluster.pods_on("worker-2")] == ["kept"]
 
 
 def test_cluster_node_limit():

@@ -83,8 +83,8 @@ def test_sev_node_auto_labelled_and_chart_places_exporter():
     assert placement["teemon-sgx-exporter"] == ["sgx-n"]
     assert placement["teemon-sev-exporter"] == ["sev-n"]
     clock.advance(seconds(15))
-    assert release.tsdb.latest("sev_asids_free") is not None
-    assert release.tsdb.latest("sgx_epc_free_pages") is not None
+    assert release.deployment.tsdb.latest("sev_asids_free") is not None
+    assert release.deployment.tsdb.latest("sgx_epc_free_pages") is not None
     release.uninstall()
 
 

@@ -133,6 +133,42 @@ def test_shutdown_exits_all_processes(sgx_kernel):
     assert "ebpf-exporter" not in names
 
 
+def test_stopped_exporter_container_stops_serving(sgx_kernel):
+    deployment = deploy(sgx_kernel)
+    sgx_kernel.clock.advance(seconds(10))
+    url = deployment.exporters["node"].url
+    deployment.docker.stop("node-exporter")
+    assert deployment.network.get_url(url).status == 404
+    sgx_kernel.clock.advance(seconds(10))
+    session = deployment.session
+    ups = {labels.get("job"): value for labels, value in session.query("up")}
+    assert ups["node"] == 0.0
+    assert ups["sgx"] == 1.0
+    deployment.shutdown()
+
+
+def test_shutdown_withdraws_every_endpoint(sgx_kernel):
+    deployment = deploy(sgx_kernel)
+    urls = [exporter.url for exporter in deployment.exporters.values()]
+    urls.append(deployment.self_exporter.url)
+    deployment.shutdown()
+    for url in urls:
+        assert deployment.network.get_url(url).status == 404, url
+
+
+def test_container_images_keep_their_own_exporter(sgx_kernel):
+    # Each image's entrypoint restarts the exporter it was built for,
+    # not whichever catalog class the install loop ended on.
+    deployment = deploy(sgx_kernel, start=False)
+    containers = deployment.docker.containers()
+    deployment.shutdown()
+    for container in containers:
+        restarted = container.image.entrypoint(sgx_kernel, "restart-probe")
+        assert type(restarted) is type(container.component), container.name
+        assert vars(restarted).get("config") == vars(container.component).get("config")
+        restarted.shutdown()
+
+
 # ---------------------------------------------------------------------------
 # Session
 # ---------------------------------------------------------------------------

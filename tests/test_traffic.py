@@ -2,8 +2,8 @@
 every ``TeemonConfig`` field is set by something, no module imports a
 thread API, every writer under ``src/`` commits a batch, only the
 ``teemon_self`` table and the anomaly detector name self-series families,
-and every method the end-to-end benchmark's tracer wraps exists on its
-class.
+only ``deploy.py`` assembles a monitor, and every method the end-to-end
+benchmark's tracer wraps exists on its class.
 
 The walks are static (``ast``), so they see the repository as written,
 not whatever this process happens to have imported.
@@ -184,6 +184,29 @@ def test_only_teemon_self_and_the_detector_name_self_series():
             and id(node) not in prose
             for family in _FAMILY_NAME.findall(node.value)
         )
+    assert offenders == [], offenders
+
+
+#: The parts of a monitor, and the one module that may construct them.
+_MONITOR_PARTS = {"ScrapeManager", "QueryEngine", "PmanAnalyzer", "RuleEvaluator"}
+_ASSEMBLY = "repro/teemon/deploy.py"
+
+
+def test_only_deploy_assembles_a_monitor():
+    # One assembly: Docker hosts, the Helm chart, HA pairs and federation
+    # tiers all stand up a TeemonDeployment.  A scraper, query engine,
+    # rule evaluator or analyzer built anywhere else is a second monitor.
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        name = path.relative_to(SRC).as_posix()
+        if name == _ASSEMBLY:
+            continue
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            called = _receiver_name(node.func)
+            if called in _MONITOR_PARTS:
+                offenders.append(f"{name}:{node.lineno}: {called}")
     assert offenders == [], offenders
 
 
