@@ -6,27 +6,21 @@ fact.  This module serialises a TSDB to a compact binary snapshot (series
 labels + delta-encoded chunks, the on-disk format of
 :mod:`repro.pmag.chunks`) and restores it into a fresh database —
 supporting backup, transfer between deployments, and post-mortem analysis
-of a finished run.
+of a finished run.  It is also the WAL's checkpoint format.
 
-Format (version 2, the single-store layout)::
+Format (version 2, the one layout written and read)::
 
     header:  magic "TMSNAP" | u16 version | u32 crc32 | u32 series count
     series:  u32 label count | (u16 len + utf8 key | u16 len + utf8 value)*
              u32 chunk count | (u32 len | chunk bytes)*
 
-Version 3 is the sharded layout, written when snapshotting a
-:class:`~repro.pmag.storage.ShardedTsdb`::
-
-    header:  magic "TMSNAP" | u16 version=3 | u32 crc32 | u32 shard count
-    shards:  (u32 body length | version-2 body)*   — one per shard, in order
-
 The CRC32 covers every byte after the crc field itself, so a torn or
 bit-flipped snapshot is detected up front instead of restoring
-silently-wrong data.  Version-1 snapshots (no crc field) are still read
-byte-for-byte.  :func:`restore` returns the engine shape the snapshot
-recorded: a plain :class:`~repro.pmag.tsdb.Tsdb` for v1/v2 (the
-single-store layout *is* "shard 0" of a one-shard world) and a
-``ShardedTsdb`` with the recorded shard count for v3.
+silently-wrong data.  Any engine snapshots into this layout — a sharded
+engine's series follow one another in shard order — and :func:`restore`
+always returns a plain :class:`~repro.pmag.tsdb.Tsdb`.  A snapshot of
+any other version, or one whose body does not parse, is a
+:class:`~repro.errors.TsdbError`: restore raises nothing else.
 
 Restore adopts decoded chunks directly into each series — O(chunks), not
 O(samples) — which also preserves the exact chunk boundaries the snapshot
@@ -47,8 +41,8 @@ from repro.pmag.tsdb import Tsdb
 
 MAGIC = b"TMSNAP"
 VERSION = 2
-_V1 = 1
-_V3 = 3
+#: magic | u16 version | u32 crc32 — the CRC covers everything after it.
+_HEADER_SIZE = len(MAGIC) + 6
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 
@@ -57,88 +51,47 @@ def _pack_text(text: str) -> bytes:
     raw = text.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise TsdbError(f"label component too long: {len(raw)} bytes")
-    return struct.pack("<H", len(raw)) + raw
-
-
-class _Reader:
-    def __init__(self, data: bytes) -> None:
-        self._data = data
-        self._offset = 0
-
-    def take(self, count: int) -> bytes:
-        if self._offset + count > len(self._data):
-            raise TsdbError("truncated snapshot")
-        chunk = self._data[self._offset:self._offset + count]
-        self._offset += count
-        return chunk
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    @property
-    def exhausted(self) -> bool:
-        return self._offset >= len(self._data)
-
-
-def _body_pieces(tsdb: Tsdb) -> List[bytes]:
-    """The series payload shared by both snapshot versions, unjoined."""
-    pieces: List[bytes] = [
-        struct.pack("<I", len(tsdb._series))  # noqa: SLF001
-    ]
-    for labels, storage in tsdb._series.items():  # noqa: SLF001 - archival is a DB feature
-        items = labels.items()
-        pieces.append(struct.pack("<I", len(items)))
-        for key, value in items:
-            pieces.append(_pack_text(key))
-            pieces.append(_pack_text(value))
-        chunks = storage._chunks  # noqa: SLF001
-        pieces.append(struct.pack("<I", len(chunks)))
-        for chunk in chunks:
-            encoded = chunk.encode()
-            pieces.append(struct.pack("<I", len(encoded)))
-            pieces.append(encoded)
-    return pieces
+    return _U16.pack(len(raw)) + raw
 
 
 def snapshot(engine) -> bytearray:
-    """Serialise a storage engine to bytes.
-
-    A single-store :class:`Tsdb` writes the version-2 layout it always
-    did (byte-identical for unchanged databases); a sharded engine —
-    even one with a single shard — writes version 3, one version-2 body
-    per shard, so the shard layout survives the round trip exactly.
+    """Serialise a storage engine to bytes, in one pass over
+    ``engine.series_items()``.
 
     The snapshot is joined once, into a buffer the caller owns (the
-    checksum is stamped into it afterwards): at checkpoint time it is
-    the largest transient object in the process.
+    series count and the checksum are stamped into it afterwards): at
+    checkpoint time it is the largest transient object in the process.
     """
-    if isinstance(engine, Tsdb):
-        version, pieces = VERSION, _body_pieces(engine)
-    else:
-        version = _V3
-        pieces = [struct.pack("<I", engine.shard_count)]
-        for index in range(engine.shard_count):
-            shard_pieces = _body_pieces(engine.shard(index))
-            pieces.append(struct.pack("<I", sum(map(len, shard_pieces))))
-            pieces += shard_pieces
-    data = bytearray().join([MAGIC, bytes(6), *pieces])
+    pieces: List[bytes] = [MAGIC, bytes(10)]
+    series_count = 0
+    for labels, storage in engine.series_items():
+        series_count += 1
+        items = labels.items()
+        pieces.append(_U32.pack(len(items)))
+        for key, value in items:
+            pieces.append(_pack_text(key))
+            pieces.append(_pack_text(value))
+        chunks = storage._chunks  # noqa: SLF001 - archival is a DB feature
+        pieces.append(_U32.pack(len(chunks)))
+        for chunk in chunks:
+            encoded = chunk.encode()
+            pieces.append(_U32.pack(len(encoded)))
+            pieces.append(encoded)
+    data = bytearray().join(pieces)
+    _U32.pack_into(data, _HEADER_SIZE, series_count)
     with memoryview(data) as view:
-        crc = zlib.crc32(view[len(MAGIC) + 6:])
-    struct.pack_into("<HI", data, len(MAGIC), version, crc)
+        crc = zlib.crc32(view[_HEADER_SIZE:])
+    struct.pack_into("<HI", data, len(MAGIC), VERSION, crc)
     return data
 
 
-def _decode_series(reader: _Reader, tsdb: Tsdb) -> None:
-    """Read one version-2 body (series count + series) into ``tsdb``.
+def _decode_series(data: bytes, pos: int, tsdb: Tsdb) -> int:
+    """Read the body (series count + series) at ``pos`` into ``tsdb``;
+    returns the offset just past it.
 
     Restore is a third of a crash recovery and this loop is most of
-    restore, so it walks the buffer by offset rather than through one
-    :class:`_Reader` call per field.
+    restore, so it walks the buffer by offset.
     """
-    data, pos = reader._data, reader._offset  # noqa: SLF001
     u16, u32 = _U16.unpack_from, _U32.unpack_from
     try:
         (series_count,) = u32(data, pos)
@@ -173,60 +126,33 @@ def _decode_series(reader: _Reader, tsdb: Tsdb) -> None:
                 tsdb.install_series(labels, storage)
     except struct.error:
         raise TsdbError("truncated snapshot") from None
-    reader._offset = pos  # noqa: SLF001
+    except UnicodeDecodeError as exc:
+        raise TsdbError(f"label text is not UTF-8: {exc}") from None
+    return pos
 
 
-def restore(data: bytes):
-    """Rebuild a storage engine from :func:`snapshot` output (v1/v2/v3).
-
-    Returns a plain :class:`Tsdb` for version 1/2 snapshots and a
-    :class:`~repro.pmag.storage.ShardedTsdb` with the recorded shard
-    count for version 3 — each shard's series installed on the exact
-    shard the snapshot recorded.
-    """
-    reader = _Reader(data)
-    if reader.take(len(MAGIC)) != MAGIC:
+def restore(data: bytes) -> Tsdb:
+    """Rebuild a :class:`Tsdb` from :func:`snapshot` output."""
+    if data[:len(MAGIC)] != MAGIC:
         raise TsdbError("not a TEEMon snapshot (bad magic)")
-    version = reader.u16()
-    if version in (VERSION, _V3):
-        expected_crc = reader.u32()
-        # The CRC covers everything after the crc field itself:
-        # magic (6) | version (2) | crc (4) | covered...
-        with memoryview(data) as view:
-            actual_crc = zlib.crc32(view[len(MAGIC) + 6:])
-        if actual_crc != expected_crc:
-            raise TsdbError(
-                f"snapshot checksum mismatch: "
-                f"crc32 {actual_crc:#010x} != recorded {expected_crc:#010x}"
-            )
-    elif version != _V1:
+    if len(data) < _HEADER_SIZE:
+        raise TsdbError("truncated snapshot")
+    version, expected_crc = struct.unpack_from("<HI", data, len(MAGIC))
+    if version != VERSION:
         raise TsdbError(f"unsupported snapshot version: {version}")
-    if version == _V3:
-        from repro.pmag.storage import ShardedTsdb
-
-        shard_count = reader.u32()
-        if shard_count < 1:
-            raise TsdbError(f"bad shard count in snapshot: {shard_count}")
-        engine = ShardedTsdb(shard_count)
-        for index in range(shard_count):
-            length = reader.u32()
-            shard_reader = _Reader(reader.take(length))
-            _decode_series(shard_reader, engine.shard(index))
-            if not shard_reader.exhausted:
-                raise TsdbError(
-                    f"trailing garbage after shard {index} series"
-                )
-        result = engine
-    else:
-        tsdb = Tsdb()
-        _decode_series(reader, tsdb)
-        result = tsdb
-    if not reader.exhausted:
+    with memoryview(data) as view:
+        actual_crc = zlib.crc32(view[_HEADER_SIZE:])
+    if actual_crc != expected_crc:
         raise TsdbError(
-            f"trailing garbage after last series: "
-            f"{len(data) - reader._offset} bytes"  # noqa: SLF001
+            f"snapshot checksum mismatch: "
+            f"crc32 {actual_crc:#010x} != recorded {expected_crc:#010x}"
         )
-    return result
+    tsdb = Tsdb()
+    end = _decode_series(data, _HEADER_SIZE, tsdb)
+    if end != len(data):
+        raise TsdbError(
+            f"trailing garbage after last series: {len(data) - end} bytes")
+    return tsdb
 
 
 def snapshot_window(tsdb, start_ns: int, end_ns: int) -> bytes:
@@ -234,8 +160,7 @@ def snapshot_window(tsdb, start_ns: int, end_ns: int) -> bytes:
 
     Chunks entirely inside the window are carried over as-is (boundary
     preservation again); only the edge chunks straddling the window are
-    re-built from their surviving samples.  Works on any engine; the
-    trimmed export is always a single-store (version 2) snapshot.
+    re-built from their surviving samples.  Works on any engine.
     """
     if end_ns < start_ns:
         raise TsdbError(f"bad window: {start_ns}..{end_ns}")

@@ -117,19 +117,18 @@ class Chunk:
             return None
         return Sample(self._times[-1], self._values[-1])
 
-    # The wire format delta-encodes timestamps, with a leading 0 delta for
-    # the first sample (which always lands exactly on start_ns).
+    # The wire format delta-encodes timestamps as unsigned 64-bit ints,
+    # with a leading 0 delta for the first sample (which always lands
+    # exactly on start_ns).  Strictly increasing int64 stamps are less
+    # than 2**64 apart, so every chunk the store can hold encodes.
     def encode(self) -> bytes:
         """Serialise to bytes (archival format)."""
         stamps = self._times.tolist()
         count = len(stamps)
         stamps.insert(0, self.start_ns)
-        try:
-            head = struct.pack(
-                f"<qI{count}q", self.start_ns, count,
-                *map(sub, stamps[1:], stamps))
-        except struct.error:
-            raise TsdbError("timestamp delta does not fit int64") from None
+        head = struct.pack(
+            f"<qI{count}Q", self.start_ns, count,
+            *map(sub, stamps[1:], stamps))
         return head + _wire_bytes(self._values)
 
     @staticmethod
@@ -144,12 +143,12 @@ class Chunk:
         chunk = Chunk(start_ns)
         if not count:
             return chunk
-        deltas = list(struct.unpack_from(f"<{count}q", data, 12))
-        # The leading delta must be zero and the rest positive, or the
+        deltas = list(struct.unpack_from(f"<{count}Q", data, 12))
+        # The leading delta must be zero and the rest non-zero, or the
         # chunk bytes are corrupt.
         if deltas[0] != 0:
             raise TsdbError(f"first delta must be 0, got {deltas[0]}")
-        if count > 1 and min(deltas[1:]) <= 0:
+        if count > 1 and min(deltas[1:]) == 0:
             raise TsdbError("non-monotonic timestamps in chunk data")
         # Neither column is filled by a per-sample loop: the timestamps
         # are a running sum over the deltas, the values the bytes as they

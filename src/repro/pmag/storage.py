@@ -315,7 +315,7 @@ class ShardedTsdb(StorageEngine):
         return sum(shard.memory_bytes() for shard in self._shards)
 
     def series_items(self) -> Iterable[Tuple[Labels, ChunkedSeries]]:
-        """All series, shard 0 first — the v3 archive layout order."""
+        """All series, shard 0 first — the order a snapshot writes."""
         for shard in self._shards:
             yield from shard.series_items()
 

@@ -32,9 +32,9 @@ flush or rotation boundary falls inside it, in which case the batch is
 cut there — ``flush_every_records`` and ``segment_max_records`` count
 samples, not records.
 
-Version-1 segments (one record per sample, ``u8 kind=1 | u32 label
-count | labels | i64 time_ns | f64 value``) are still replayed; nothing
-writes them.
+Version 2 is the only segment layout written or replayed: a segment
+whose header names any other version is quarantined like any other bad
+header.
 
 Segments and checkpoints draw from one monotonic sequence counter, which
 gives a total order over durability events: recovery replays exactly the
@@ -70,8 +70,6 @@ from repro.simkernel.disk import DiskCrashReport, SimDisk
 
 SEGMENT_MAGIC = b"TMWALSEG"
 SEGMENT_VERSION = 2
-#: The one-record-per-sample layout: read by :func:`recover`, never written.
-SEGMENT_VERSION_1 = 1
 #: Segment header: magic | u16 version | u32 seq.
 HEADER_SIZE = len(SEGMENT_MAGIC) + 6
 #: Upper bound on one record's payload; a length field beyond this is
@@ -79,8 +77,6 @@ HEADER_SIZE = len(SEGMENT_MAGIC) + 6
 #: cannot be walked and is quarantined wholesale).
 MAX_RECORD_BYTES = 1 << 20
 
-#: A version-1 sample record (labels inline); version-2 segments have none.
-RECORD_SAMPLE_V1 = 1
 #: Cursor (recording rule or uplink): ``u8 kind | u16 len + utf8 key |
 #: i64 ns``.  Cursor frames ride the same segments as samples but are
 #: *metadata* — they are excluded from every sample counter
@@ -475,7 +471,8 @@ class RecoveryReport:
     checkpoints_quarantined: int = 0
     #: Segment files examined (seq greater than the checkpoint's).
     segments_scanned: int = 0
-    #: Segments whose header or framing was unwalkably corrupt.
+    #: Segments whose header was bad (magic, sequence number, or a
+    #: version other than 2) or whose framing was unwalkably corrupt.
     segments_quarantined: int = 0
     #: Samples re-applied to the database.
     records_replayed: int = 0
@@ -554,12 +551,6 @@ class _Replay:
             columns = self._columns[labels] = [labels, array("q"), array("d")]
         return columns
 
-    def _sample(self, columns: list, time_ns: int, value: float) -> None:
-        if not columns[1]:
-            self._order.append(columns)
-        columns[1].append(time_ns)
-        columns[2].append(value)
-
     def _run(self, payload: bytes, refs: Dict[int, list]) -> bool:
         """Gather one intact samples payload; False if it is malformed
         or names a ref this segment never (intactly) declared."""
@@ -581,12 +572,11 @@ class _Replay:
             columns[2].append(value)
         return True
 
-    def segment(self, name: str, data: bytes, version: int) -> None:
+    def segment(self, name: str, data: bytes) -> None:
         """Walk one headered segment, gathering what verifies."""
         report = self.report
         refs: Dict[int, list] = {}
         order = self._order
-        runs = version == SEGMENT_VERSION
         # The loop below runs once per record of the log: its constants
         # and callables are bound to locals once.
         frame_at, crc32 = _FRAME.unpack_from, zlib.crc32
@@ -615,7 +605,7 @@ class _Replay:
             # whether or not its CRC holds.
             kind = payload[0]
             intact = crc32(payload) == crc
-            if intact and runs and kind == RECORD_SAMPLES:
+            if intact and kind == RECORD_SAMPLES:
                 if length == one_size:
                     # The run of one, the most common record there is.
                     _kind, count, ref, time_ns, value = one_sample(payload)
@@ -629,13 +619,13 @@ class _Replay:
                         continue
                 elif self._run(payload, refs):
                     continue
-            if not self._metadata(kind, payload, intact, version, refs):
+            if not self._metadata(kind, payload, intact, refs):
                 self.journal("wal-record-quarantined", f"{name}@{start}")
 
     def _metadata(self, kind: int, payload: bytes, intact: bool,
-                  version: int, refs: Dict[int, list]) -> bool:
-        """Everything that is not an intact run of a version-2 segment;
-        False if the frame had to be quarantined."""
+                  refs: Dict[int, list]) -> bool:
+        """Everything that is not an intact run; False if the frame had
+        to be quarantined."""
         report = self.report
         if kind == RECORD_CURSOR:
             try:
@@ -647,17 +637,6 @@ class _Replay:
                 return False
             report.cursor_records += 1
             report.cursors[key] = cursor_ns
-        elif version == SEGMENT_VERSION_1:
-            # One sample per record, its labels inline.
-            try:
-                if not intact or kind != RECORD_SAMPLE_V1:
-                    raise WalError("not an intact sample record")
-                self._sample(
-                    self._series(payload[1:-16]),
-                    *struct.unpack_from("<qd", payload, len(payload) - 16))
-            except (WalError, struct.error):
-                report.records_quarantined += 1
-                return False
         elif kind == RECORD_SERIES:
             try:
                 if not intact:
@@ -741,11 +720,11 @@ def recover(
         version, header_seq = struct.unpack_from(
             "<HI", data, len(SEGMENT_MAGIC))
         if (data[:len(SEGMENT_MAGIC)] != SEGMENT_MAGIC or header_seq != seq
-                or version not in (SEGMENT_VERSION, SEGMENT_VERSION_1)):
+                or version != SEGMENT_VERSION):
             report.segments_quarantined += 1
             replay.journal("wal-segment-quarantined", name)
             continue
-        replay.segment(name, data, version)
+        replay.segment(name, data)
     replay.land(tsdb)
 
     # -- exact loss accounting -----------------------------------------
@@ -920,12 +899,6 @@ def recover_sharded(
             plan=plan,
             block_policy=block_policy,
         )
-        if isinstance(tsdb, Tsdb):
-            engine.adopt_shard(index, tsdb)
-        else:
-            raise WalError(
-                f"shard {index} checkpoint restored a sharded engine; "
-                f"per-shard checkpoints must be single-store snapshots"
-            )
+        engine.adopt_shard(index, tsdb)
         reports.append(shard_report)
     return engine, _sum_reports(reports)

@@ -148,7 +148,11 @@ class PmanAnalyzer:
         self.boxplot_queries = list(boxplot_queries)
         self.window_ns = window_ns
         self.every_ns = every_ns
-        self.reports: List[AnalysisReport] = []
+        #: The newest cycle's report, and how many cycles have run: a
+        #: monitor analyses every minute for as long as it lives, so
+        #: older reports are not kept.
+        self.latest_report: Optional[AnalysisReport] = None
+        self.analyses_total = 0
         self._timer = None
 
     def add_sink(self, sink: Callable) -> None:
@@ -178,7 +182,8 @@ class PmanAnalyzer:
         report = AnalysisReport(
             time_ns=now, firing=self.firing(), boxplots=boxplots
         )
-        self.reports.append(report)
+        self.latest_report = report
+        self.analyses_total += 1
         return report
 
     # ------------------------------------------------------------------

@@ -1,13 +1,13 @@
-"""Reference codecs: the version-1 WAL (one record per sample, labels
-inline) that production no longer writes — its memoised encoder, its
-decoder and its writer, kept verbatim as the differential reference and
-the benchmark control — and a from-scratch model of the version-2 log
+"""Reference codecs: the version-1 WAL writer (one record per sample,
+labels inline) that production neither writes nor replays any more,
+kept verbatim as ``bench_wal``'s control and as the maker of segments
+recovery must quarantine; a from-scratch model of the version-2 log
 (series records + sample runs): writer, reader and loss count; the
 uncached remote-write v3 frame encoder, plus the byte-level helpers the
 damage tests use to take a frame apart and put a tampered one back
-together; the list-based chunk and archive encoders the typed-column
-ones must match byte for byte; and an exposition encoder that remembers
-nothing between scrapes.
+together; the list-based chunk and version-2 archive encoders the
+typed-column ones must match byte for byte; and an exposition encoder
+that remembers nothing between scrapes.
 
 Nothing here calls the codecs under test — only their format constants
 and ``series_fingerprint`` — so a bug in the production label packer
@@ -28,7 +28,6 @@ from repro.pmag.wal import (
     HEADER_SIZE,
     MAX_RECORD_BYTES,
     RECORD_CURSOR,
-    RECORD_SAMPLE_V1,
     RECORD_SAMPLES,
     RECORD_SERIES,
     SEGMENT_MAGIC,
@@ -71,27 +70,13 @@ def reference_label_bytes(pairs):
     return b"".join(_pack_text(key) + _pack_text(val) for key, val in pairs)
 
 
-def reference_record(pairs, time_ns, value):
-    """One framed WAL sample record from explicit label pairs, written
-    in the order given — damage tests pass non-canonical ones."""
-    payload = (
-        struct.pack("<BI", RECORD_SAMPLE_V1, len(pairs))
-        + reference_label_bytes(pairs)
-        + struct.pack("<qd", time_ns, value)
-    )
-    if len(payload) > MAX_RECORD_BYTES:
-        raise WalError(f"record payload too large: {len(payload)} bytes")
-    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
-
-
-def reference_encode_record(labels, time_ns, value):
-    """One framed WAL sample record, every byte computed from scratch."""
-    return reference_record(labels.items(), time_ns, value)
-
-
 # ----------------------------------------------------------------------
 # WAL version 1, as production wrote it
 # ----------------------------------------------------------------------
+#: A version-1 sample record's kind byte (labels inline).
+RECORD_SAMPLE_V1 = 1
+
+
 def encode_record(labels, time_ns, value, memo=None):
     """One framed version-1 sample record (length prefix + CRC32 +
     payload).  ``memo`` (label set -> payload prefix and its CRC) makes
@@ -135,21 +120,6 @@ def reference_labels(buf, offset, count):
     return Labels(mapping), offset
 
 
-def decode_record_v1(payload):
-    """A version-1 sample payload back into ``(labels, time_ns, value)``."""
-    try:
-        kind, label_count = struct.unpack_from("<BI", payload, 0)
-        if kind != RECORD_SAMPLE_V1:
-            raise WalError(f"unknown record kind: {kind}")
-        labels, offset = reference_labels(payload, 5, label_count)
-        time_ns, value = struct.unpack_from("<qd", payload, offset)
-    except struct.error as exc:
-        raise WalError(f"malformed record payload: {exc}") from exc
-    if offset + 16 != len(payload):
-        raise WalError("trailing bytes in record payload")
-    return labels, time_ns, value
-
-
 def reference_cursor_record(key, cursor_ns):
     """One framed cursor record (the same in both segment versions)."""
     payload = (struct.pack("<B", RECORD_CURSOR) + _pack_text(key)
@@ -160,7 +130,8 @@ def reference_cursor_record(key, cursor_ns):
 class WalWriterV1:
     """The version-1 sample write path as it stood in ``WalWriter``:
     one memoised record per sample, count-based flushes and rotation.
-    Writes fixtures for the read shim and is ``bench_wal``'s control."""
+    Writes segments recovery must quarantine and is ``bench_wal``'s
+    control."""
 
     VERSION = 1
 
@@ -429,24 +400,6 @@ def reference_replay_v2(data):
     return samples, cursors, lost
 
 
-def reference_replay_v1(data):
-    """The same for a version-1 segment: every frame that is not a
-    cursor is one sample, replayed if it decodes and lost if not."""
-    samples, cursors, lost = [], {}, 0
-    for _offset, payload, intact in segment_frames(data):
-        if payload[0] == RECORD_CURSOR:
-            if intact:
-                _read_cursor(payload, cursors)
-            continue
-        try:
-            if not intact:
-                raise WalError("CRC mismatch")
-            samples.append(decode_record_v1(payload))
-        except WalError:
-            lost += 1
-    return samples, cursors, lost
-
-
 # ----------------------------------------------------------------------
 # Remote-write v3 frames
 # ----------------------------------------------------------------------
@@ -538,14 +491,15 @@ def reference_chunks(samples):
 
 
 def reference_chunk_bytes(start_ns, times, values):
-    """One chunk's wire bytes: header, delta-encoded stamps, values."""
+    """One chunk's wire bytes: header, unsigned deltas of the stamps,
+    values."""
     deltas, previous = [], start_ns
     for time_ns in times:
         deltas.append(time_ns - previous)
         previous = time_ns
     count = len(times)
     return struct.pack(
-        f"<qI{count}q{count}d", start_ns, count, *deltas, *values)
+        f"<qI{count}Q{count}d", start_ns, count, *deltas, *values)
 
 
 def reference_archive_body(series):
@@ -563,14 +517,8 @@ def reference_archive_body(series):
 
 
 def reference_snapshot(version, body):
-    """A snapshot container (v2 single store, v3 sharded) around ``body``."""
+    """A snapshot container stamped ``version`` around ``body``."""
     return ARCHIVE_MAGIC + struct.pack("<HI", version, zlib.crc32(body)) + body
-
-
-def reference_sharded_body(shard_bodies):
-    """The version-3 body: shard count, then each length-prefixed v2 body."""
-    return struct.pack("<I", len(shard_bodies)) + b"".join(
-        struct.pack("<I", len(body)) + body for body in shard_bodies)
 
 
 # ----------------------------------------------------------------------

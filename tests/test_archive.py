@@ -1,6 +1,8 @@
-"""TSDB snapshot/restore tests, including a hypothesis roundtrip."""
+"""TSDB snapshot/restore tests, including a hypothesis roundtrip and a
+fuzz test of restore against damaged snapshots."""
 
 import struct
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +14,14 @@ from repro.pmag.chunks import CHUNK_SIZE
 from repro.pmag.model import Matcher
 from repro.pmag.storage import ShardedTsdb, series_fingerprint
 from repro.pmag.tsdb import Tsdb
+from repro.faults import FaultPlan
 from repro.pmag.wal import WalWriter, recover
-from repro.simkernel.clock import seconds
+from repro.simkernel.clock import VirtualClock, seconds
 from repro.simkernel.disk import SimDisk
+from repro.simkernel.rng import DeterministicRng
 from tests.codec_oracle import (
     SERIES_POOL,
     reference_archive_body,
-    reference_sharded_body,
     reference_snapshot,
 )
 
@@ -36,7 +39,8 @@ def _populated_tsdb():
 def _dump(tsdb):
     out = {}
     for labels, storage in tsdb._series.items():  # noqa: SLF001
-        out[labels] = [(s.time_ns, s.value) for s in storage.window(0, 10**18)]
+        out[labels] = [(s.time_ns, s.value)
+                       for s in storage.window(-2**63, 2**63 - 1)]
     return out
 
 
@@ -85,32 +89,91 @@ def test_restore_rejects_garbage():
         restore(bytes(data))
 
 
+def _restamped(data) -> bytes:
+    """``data`` with its checksum recomputed, so only the body walk can
+    reject it (a header too short to hold one is left as it is)."""
+    data = bytearray(data)
+    if len(data) >= 12:
+        struct.pack_into("<I", data, 8, zlib.crc32(data[12:]))
+    return bytes(data)
+
+
 def test_restore_rejects_trailing_garbage():
     data = snapshot(_populated_tsdb())
-    # Appending bytes breaks the v2 checksum...
+    # Appending bytes breaks the checksum...
     with pytest.raises(TsdbError, match="checksum"):
         restore(data + b"\x00garbage")
-    # ...and even a v1 snapshot (no checksum) rejects bytes past the
-    # last series.
-    v1 = _as_v1(data)
-    assert restore(v1).sample_count() == _populated_tsdb().sample_count()
+    # ...and with the checksum stamped over them, the walk still rejects
+    # bytes past the last series.
     with pytest.raises(TsdbError, match="trailing garbage"):
-        restore(v1 + b"\x00garbage")
+        restore(_restamped(data + b"\x00garbage"))
 
 
-def test_every_truncation_of_an_unchecksummed_snapshot_is_a_typed_error():
-    # Version 1 has no CRC to fail up front: the body walk itself must
-    # turn every cut — mid-count, mid-label (mid-character), mid-chunk —
-    # into a TsdbError, never an uncaught struct or unicode error.
+def test_every_truncation_of_a_restamped_snapshot_is_a_typed_error():
+    # With a checksum that verifies, the body walk itself must turn
+    # every cut — mid-count, mid-label (mid-character), mid-chunk — into
+    # a TsdbError, never an uncaught struct or unicode error.
     tsdb = Tsdb()
     for k in range(130):
         tsdb.append_sample("m", (k + 1) * seconds(5), float(k), zone="日本")
         tsdb.append_sample("n", (k + 1) * seconds(5), float(k))
-    v1 = _as_v1(snapshot(tsdb))
-    assert _dump(restore(v1)) == _dump(tsdb)
-    for cut in range(len(v1)):
+    data = snapshot(tsdb)
+    for cut in range(len(data)):
         with pytest.raises(TsdbError):
-            restore(v1[:cut])
+            restore(_restamped(data[:cut]))
+
+
+@pytest.mark.parametrize("version", [0, 1, 3, 0xFFFF])
+def test_restore_accepts_only_version2(version):
+    data = bytearray(snapshot(_populated_tsdb()))
+    struct.pack_into("<H", data, 6, version)
+    with pytest.raises(TsdbError, match="unsupported snapshot version"):
+        restore(_restamped(data))
+
+
+def _non_utf8_snapshot(tsdb):
+    """A snapshot of ``tsdb`` with one byte of its ``zone="QQQ"`` label
+    value made 0xff, checksum and all consistent."""
+    data = bytearray(snapshot(tsdb))
+    data[data.index(b"QQQ")] = 0xFF
+    return _restamped(data)
+
+
+def test_label_text_that_is_not_utf8_is_a_typed_error():
+    tsdb = _populated_tsdb()
+    tsdb.append_sample("m", seconds(5), 1.0, zone="QQQ")
+    with pytest.raises(TsdbError, match="UTF-8"):
+        restore(_non_utf8_snapshot(tsdb))
+
+
+def test_recovery_quarantines_a_checkpoint_with_non_utf8_labels():
+    # The checksum verifies, the label text does not decode: recovery
+    # quarantines the checkpoint and falls back to the one before it.
+    disk = SimDisk()
+    tsdb = Tsdb()
+    writer = WalWriter(disk)
+    tsdb.attach_wal(writer)
+    plan = FaultPlan(VirtualClock(), DeterministicRng(1).fork("plan"))
+    tsdb.append_sample("m", seconds(5), 1.0, zone="QQQ")
+    older = writer.checkpoint(tsdb)
+    kept = bytes(disk.read(older))
+    tsdb.append_sample("m", seconds(10), 2.0, zone="QQQ")
+    newer = writer.checkpoint(tsdb)
+    tsdb.append_sample("m", seconds(15), 3.0, zone="QQQ")
+    writer.flush()
+    disk.write(older, kept)
+    disk.write(newer, _non_utf8_snapshot(tsdb))
+    for name in (older, newer):
+        disk.sync(name)
+    recovered, report = recover(disk, plan=plan)
+    assert report.checkpoints_quarantined == 1
+    assert report.checkpoint_used == older
+    assert f"{newer} wal-checkpoint-quarantined" in plan.journal_text()
+    # The sample only the quarantined checkpoint held is gone; the one
+    # logged after it replays.
+    assert [(s.time_ns, s.value) for s in recovered.select(
+        [Matcher.eq("__name__", "m")], 0, seconds(20))[0].samples] == [
+        (seconds(5), 1.0), (seconds(15), 3.0)]
 
 
 def test_v2_checksum_detects_bitflip():
@@ -118,18 +181,6 @@ def test_v2_checksum_detects_bitflip():
     data[len(data) // 2] ^= 0x10
     with pytest.raises(TsdbError, match="checksum"):
         restore(bytes(data))
-
-
-def _as_v1(v2_snapshot: bytes) -> bytes:
-    """Rewrite a v2 snapshot as the version-1 layout (no crc field)."""
-    assert v2_snapshot[:6] == MAGIC
-    return MAGIC + struct.pack("<H", 1) + v2_snapshot[12:]
-
-
-def test_restore_reads_version1_snapshots():
-    original = _populated_tsdb()
-    restored = restore(_as_v1(snapshot(original)))
-    assert _dump(restored) == _dump(original)
 
 
 def test_snapshot_is_version2():
@@ -227,20 +278,22 @@ def test_v2_snapshot_bytes_match_the_list_based_reference(specs):
 
 @given(_archived_series, st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
-def test_v3_snapshot_bytes_match_the_list_based_reference(specs, shards):
+def test_sharded_snapshot_bytes_match_the_list_based_reference(specs, shards):
+    # One layout for every engine: a sharded engine's series follow one
+    # another in shard order, each shard's in its own insertion order.
     series = _series_with_stamps(specs)
     engine = ShardedTsdb(shards)
     _ingest(engine, series)
-    bodies = [
-        reference_archive_body([
-            entry for entry in series
-            if series_fingerprint(entry[0]) % shards == index
-        ])
+    expected = reference_snapshot(2, reference_archive_body([
+        entry
         for index in range(shards)
-    ]
-    expected = reference_snapshot(3, reference_sharded_body(bodies))
+        for entry in series
+        if series_fingerprint(entry[0]) % shards == index
+    ]))
     assert snapshot(engine) == expected
-    assert snapshot(restore(expected)) == expected
+    restored = restore(expected)
+    assert type(restored) is Tsdb
+    assert snapshot(restored) == expected
 
 
 @given(_archived_series)
@@ -257,3 +310,74 @@ def test_checkpoint_file_bytes_match_the_list_based_reference(specs):
     assert bytes(disk.read(name)) == expected
     recovered, _report = recover(disk)
     assert snapshot(recovered) == expected
+
+
+# ---------------------------------------------------------------------------
+# Every stamp the store can hold encodes
+# ---------------------------------------------------------------------------
+def test_a_store_spanning_the_int64_range_snapshots_restores_and_checkpoints():
+    # Consecutive stamps 2**63 and 2**64 - 1 apart: the chunk deltas do
+    # not fit a signed int64, and must still encode.
+    disk = SimDisk()
+    tsdb = Tsdb()
+    writer = WalWriter(disk)
+    tsdb.attach_wal(writer)
+    tsdb.append_sample("m", -2**62, 0.0)
+    tsdb.append_sample("m", 2**62, 1.0)
+    tsdb.append_sample("n", -2**63, 2.0)
+    tsdb.append_sample("n", 2**63 - 1, 3.0)
+    data = snapshot(tsdb)
+    assert sum(map(len, _dump(tsdb).values())) == 4
+    assert _dump(restore(data)) == _dump(tsdb)
+    name = writer.checkpoint(tsdb)
+    assert bytes(disk.read(name)) == data
+    recovered, report = recover(disk)
+    assert report.checkpoint_used == name
+    assert _dump(recovered) == _dump(tsdb)
+
+
+# ---------------------------------------------------------------------------
+# Hostile bytes: restore raises TsdbError or nothing
+# ---------------------------------------------------------------------------
+def _fuzz_bases():
+    """Snapshots to damage: one mostly label text, one mostly chunks."""
+    labelled = Tsdb()
+    for k, zone in enumerate(("日本", "", "zürich")):
+        labelled.append_sample("m", seconds(5), float(k), zone=zone, job="a")
+    chunked = Tsdb()
+    for k in range(130):  # two chunks
+        chunked.append_sample("m", (k + 1) * seconds(5), float(k), zone="é")
+    return [bytes(snapshot(tsdb)) for tsdb in (labelled, chunked)]
+
+
+_FUZZ_BASES = _fuzz_bases()
+
+
+@st.composite
+def _damaged_snapshots(draw):
+    base = draw(st.sampled_from(_FUZZ_BASES))
+    how = draw(st.sampled_from(("truncate", "extend", "mutate")))
+    if how == "truncate":
+        return base[:draw(st.integers(0, len(base) - 1))]
+    if how == "extend":
+        return base + draw(st.binary(min_size=1, max_size=64))
+    data = bytearray(base)
+    for index, mask in draw(st.lists(
+            st.tuples(st.integers(0, len(base) - 1), st.integers(1, 255)),
+            min_size=1, max_size=8)):
+        data[index] ^= mask
+    return bytes(data)
+
+
+@given(_damaged_snapshots())
+@settings(deadline=None)
+def test_any_damaged_snapshot_restores_or_raises_tsdb_error(damaged):
+    # Truncated, extended or mutated, then stamped with a checksum that
+    # verifies: restore either succeeds — into a store whose own
+    # snapshot round-trips — or raises TsdbError, never anything else.
+    try:
+        restored = restore(_restamped(damaged))
+    except TsdbError:
+        return
+    again = snapshot(restored)
+    assert snapshot(restore(again)) == again

@@ -264,7 +264,7 @@ def test_chart_installs_a_teemon_deployment():
     assert up == {"teemon_self": 1.0}
     recorded = session.query('job:syscalls:rate1m{name="read"}')
     assert recorded and recorded[0][1] > 0
-    assert deployment.analyzer.reports  # PMAN ran its minutely cycle
+    assert deployment.analyzer.analyses_total  # PMAN ran its minutely cycle
     assert set(TEEMON_CHART.default_values) == {
         "prometheus.scrape_interval_s", "prometheus.retention_hours",
         "cadvisor.enabled", "sev.enabled",

@@ -10,7 +10,7 @@ from repro.frameworks import SconeRuntime
 from repro.pmag.alerting import AlertingRule
 from repro.pmag.query.engine import QueryEngine
 from repro.pmag.tsdb import Tsdb
-from repro.pman.analyzer import PmanAnalyzer, default_sgx_rules
+from repro.pman.analyzer import AnalysisReport, PmanAnalyzer, default_sgx_rules
 from repro.pman.boxplot import BoxPlot
 from repro.sgx import SgxDriver
 from repro.simkernel.clock import VirtualClock, seconds
@@ -140,9 +140,28 @@ def test_analyzer_periodic_cadence():
     analyzer.start()
     clock.advance(seconds(5 * 60))
     analyzer.stop()
-    assert len(analyzer.reports) == 5
+    assert analyzer.analyses_total == 5
     clock.advance(seconds(120))
-    assert len(analyzer.reports) == 5  # stopped
+    assert analyzer.analyses_total == 5  # stopped
+
+
+def test_analyzer_keeps_only_the_latest_report():
+    # Three hours of minutely cycles leave one report behind, not 180.
+    clock, engine, tsdb = _analyzer_setup([10_000.0] * 30)
+    analyzer = PmanAnalyzer(
+        clock, engine, tsdb, rules=default_sgx_rules(), every_ns=seconds(60)
+    )
+    assert analyzer.latest_report is None
+    analyzer.start()
+    clock.advance(seconds(3 * 3600))
+    analyzer.stop()
+    assert analyzer.analyses_total == 3 * 60
+    assert analyzer.latest_report.time_ns == clock.now_ns
+    # No attribute collects reports: the one held is the latest.
+    held = [value for value in vars(analyzer).values()
+            if isinstance(value, AnalysisReport) or isinstance(value, list)
+            and any(isinstance(item, AnalysisReport) for item in value)]
+    assert held == [analyzer.latest_report]
 
 
 def test_analyzer_start_twice_rejected():

@@ -13,8 +13,8 @@ The sharded engine is only admissible if nothing above it can tell:
   sample values so float addition is exact under any grouping), and the
   ``downsampled_reads_total`` counter proves the rollup path served
   them;
-* archives round-trip: v3 restores the sharded layout, v2/v1 still
-  restore into a plain monolith.
+* archives round-trip: every engine snapshots into the one layout, and
+  restore always builds a plain monolith with the same series.
 """
 
 from hypothesis import given, settings
@@ -42,8 +42,8 @@ from tests.test_chaos import MIXED, build_rig, drive, tsdb_digest
 # ---------------------------------------------------------------------------
 
 def test_fingerprint_is_stable_across_processes():
-    # The fingerprint is part of the on-disk contract: WAL directories
-    # and v3 archives assume a series routes to the same shard forever.
+    # The fingerprint is part of the on-disk contract: per-shard WAL
+    # directories assume a series routes to the same shard forever.
     # Pin the value so an accidental change fails loudly.
     labels = Labels.of("ebpf_syscalls_total", name="read", job="ebpf")
     assert series_fingerprint(labels) == 4197115419
@@ -430,7 +430,7 @@ def test_deployment_compacts_and_serves_storage_telemetry():
 
 
 # ---------------------------------------------------------------------------
-# Archives: v3 round-trips, v2/v1 stay readable
+# Archives: one layout for every engine
 # ---------------------------------------------------------------------------
 
 def _populated(engine: StorageEngine) -> StorageEngine:
@@ -442,19 +442,17 @@ def _populated(engine: StorageEngine) -> StorageEngine:
     return engine
 
 
-def test_v3_snapshot_roundtrips_the_sharded_layout():
+def test_sharded_snapshot_restores_to_a_monolith():
     original = _populated(ShardedTsdb(4))
-    restored = restore(snapshot(original))
-    assert isinstance(restored, ShardedTsdb)
-    assert restored.shard_count == 4
-    assert restored.select([], 0, seconds(100)) == original.select(
-        [], 0, seconds(100)
+    data = snapshot(original)
+    restored = restore(data)
+    assert type(restored) is Tsdb
+    assert restored.series_count() == original.series_count()
+    assert sorted(restored.select([], 0, seconds(100)), key=repr) == sorted(
+        original.select([], 0, seconds(100)), key=repr
     )
-    for k in range(4):
-        assert (restored.shard(k).series_count()
-                == original.shard(k).series_count())
-    # Same layout, same bytes: a re-snapshot is byte-identical.
-    assert snapshot(restored) == snapshot(original)
+    # Series keep the snapshot's order, so a re-snapshot is byte-identical.
+    assert snapshot(restored) == data
 
 
 def test_monolith_snapshots_stay_version2():
@@ -480,15 +478,9 @@ def test_v3_checksum_detects_bitflip():
 
 
 def test_one_shard_sharded_engine_still_archives():
-    # A deliberately-built one-shard ShardedTsdb is not the monolith; it
-    # writes v3 and restores to its own shape.
-    original = _populated(ShardedTsdb(1))
-    restored = restore(snapshot(original))
-    assert isinstance(restored, ShardedTsdb)
-    assert restored.shard_count == 1
-    assert restored.select([], 0, seconds(100)) == original.select(
-        [], 0, seconds(100)
-    )
+    # A deliberately-built one-shard ShardedTsdb is not the monolith, but
+    # it holds the same series in the same order: same bytes.
+    assert snapshot(_populated(ShardedTsdb(1))) == snapshot(_populated(Tsdb()))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from array import array
 
 import pytest
+from hypothesis import example as hyp_example
 from hypothesis import given as hyp_given
 from hypothesis import settings as hyp_settings
 from hypothesis import strategies as hyp_st
@@ -109,6 +110,7 @@ _column_samples = hyp_st.lists(
 
 
 @hyp_given(_column_samples)
+@hyp_example([(-2**62, 0.0), (2**62, 0.0)])  # a delta of 2**63
 @hyp_settings(max_examples=200, deadline=None)
 def test_chunk_bytes_match_the_list_based_reference(samples):
     start_ns = samples[0][0] if samples else 7

@@ -48,8 +48,6 @@ from tests.codec_oracle import (
     ReferenceLogV2,
     WalWriterV1,
     reference_crash_loss,
-    reference_encode_record,
-    reference_replay_v1,
     reference_replay_v2,
     reference_sample_run,
     reference_series_record,
@@ -1075,7 +1073,7 @@ def test_every_byte_flip_of_durable_segments():
 
 
 # ---------------------------------------------------------------------------
-# Version-1 segments: read, never written
+# Segments of any other version: quarantined, never replayed
 # ---------------------------------------------------------------------------
 V1_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "wal_v1")
 V1_SERIES = [
@@ -1109,27 +1107,30 @@ def _v1_fixture_samples(first, last):
 
 
 def test_v1_fixture_still_recovers():
+    # The checkpoint restores; the three version-1 segments behind it
+    # are quarantined, not replayed.
     disk = _v1_fixture_disk()
     for name in disk.list_files("wal/segment-"):
         assert struct.unpack_from("<H", disk.read(name), 8) == (1,)
-    recovered, report = recover(disk)
+    plan = FaultPlan(VirtualClock(), DeterministicRng(1).fork("plan"))
+    recovered, report = recover(disk, plan=plan)
     assert report.checkpoint_used == checkpoint_name("wal", 3)
-    assert (report.segments_scanned, report.records_replayed) == (3, 36)
-    assert (report.records_quarantined, report.samples_lost) == (0, 0)
-    assert report.cursors == {"rules/fixture": 61_000_000_000}
-    assert _samples(recovered) == _v1_fixture_samples(0, 20)
-    assert [labels for labels, _s in recovered.series_items()] == V1_SERIES
-    # Without the checkpoint the segments alone replay, in the order
-    # scalar appends would have created the series.
+    assert (report.segments_scanned, report.segments_quarantined) == (3, 3)
+    assert (report.records_replayed, report.cursor_records) == (0, 0)
+    assert report.cursors == {}
+    assert _samples(recovered) == _v1_fixture_samples(0, 8)
+    assert plan.journal_text().count("wal-segment-quarantined") == 3
+    # Without the checkpoint nothing is left to restore.
     recovered, report = recover(_v1_fixture_disk(checkpoint=False))
-    assert report.records_replayed == 36
-    assert _samples(recovered) == _v1_fixture_samples(8, 20)
+    assert (report.segments_quarantined, report.records_replayed) == (3, 0)
+    assert recovered.series_count() == 0
 
 
 def test_a_v2_writer_takes_over_a_v1_medium():
-    # The upgrade: recover from version-1 segments, keep writing (the
-    # new writer continues the sequence, in version 2), crash again —
-    # the second recovery replays both versions side by side.
+    # The upgrade: recover what the checkpoint holds, keep writing (the
+    # new writer continues the sequence past the version-1 segments),
+    # crash again — the second recovery replays the version-2 segment
+    # and still quarantines the three older ones.
     disk = _v1_fixture_disk()
     tsdb, _report = recover(disk)
     writer = WalWriter(disk)
@@ -1139,64 +1140,31 @@ def test_a_v2_writer_takes_over_a_v1_medium():
         tsdb.append(labels, 21 * 5_000_000_000, 20 + i / 4)
     writer.flush()
     recovered, report = recover(disk, crash_report=disk.crash())
-    assert report.segments_scanned == 4
-    assert report.records_replayed == 39
-    assert _samples(recovered) == _v1_fixture_samples(0, 21)
+    assert (report.segments_scanned, report.segments_quarantined) == (4, 3)
+    assert report.records_replayed == 3
+    expected = _v1_fixture_samples(0, 8)
+    for labels, samples in _v1_fixture_samples(20, 21).items():
+        expected[labels] += samples
+    assert _samples(recovered) == expected
     header = disk.read(segment_name("wal", 7))[:HEADER_SIZE]
     assert header == SEGMENT_MAGIC + struct.pack("<HI", SEGMENT_VERSION, 7)
 
 
-def test_every_byte_flip_of_a_v1_segment():
-    # The read shim under the same rot: never raises, agrees with the
-    # version-1 reference decoder on every record.
-    rig = _v1_fixture_disk(checkpoint=False)
-    names = rig.list_files("wal/segment-")
-    name = names[-1]
-    clean = rig.read(name)
-    others = [reference_replay_v1(rig.read(other)) for other in names[:-1]]
-    for index in range(HEADER_SIZE, len(clean)):
-        disk = _clone(rig)
-        disk._files[name][index] ^= 1 << (index % 8)  # noqa: SLF001
-        recovered, report = recover(disk)
-        samples, lost = [], 0
-        for replayed, _cursors, gone in others + [
-                reference_replay_v1(disk.read(name))]:
-            samples += replayed
-            lost += gone
-        assert _samples(recovered) == _model(samples), index
-        assert report.records_quarantined == lost, index
-
-
-@given(
-    entries=records,
-    cuts=st.lists(st.integers(0, 40), max_size=6),
-    flush_every=st.integers(0, 5),
-    segment_max=st.integers(1, 7),
-)
-def test_v1_and_v2_media_of_the_same_appends_recover_alike(
-        entries, cuts, flush_every, segment_max):
-    # The version-1 writer as it stood (memoised encoder and all) and
-    # the version-2 writer, fed the same calls, crashed at the same
-    # point: same store, same series order, same replay counts — and
-    # each record of the old medium is what the from-scratch encoder
-    # writes.
-    old = WalWriterV1(SimDisk(), flush_every_records=flush_every,
-                      segment_max_records=segment_max)
-    new = WalWriter(SimDisk(), flush_every_records=flush_every,
-                    segment_max_records=segment_max)
-    _apply((old, new), entries, cuts)
-    assert b"".join(
-        old.disk.read(name)[HEADER_SIZE:]
-        for name in old.disk.list_files("wal/segment-")
-    ) == b"".join(reference_encode_record(*entry) for entry in entries)
-    outcomes = []
-    for writer in (old, new):
-        writer.disk.crash()
-        tsdb, report = recover(writer.disk)
-        outcomes.append((
-            [labels for labels, _s in tsdb.series_items()], _samples(tsdb),
-            report.records_replayed, report.records_duplicate,
-            report.records_quarantined, report.segments_scanned))
-    assert outcomes[0] == outcomes[1]
-    flushed = len(entries) - new.unflushed_records
-    assert outcomes[1][2] + outcomes[1][3] == flushed
+@pytest.mark.parametrize("version", [0, 1, 3, 0xFFFF])
+def test_a_segment_of_any_other_version_is_quarantined(version):
+    # Whatever the frames behind it hold, a header naming a version other
+    # than 2 is a bad header: counted, journalled, never replayed.
+    disk = SimDisk()
+    tsdb, writer = _tsdb_with_wal(disk)
+    for k in range(4):
+        tsdb.append_sample("m", (k + 1) * 1_000_000, float(k), job="j")
+    writer.flush()
+    struct.pack_into(
+        "<H", disk._files[writer.current_segment], 8, version)  # noqa: SLF001
+    plan = FaultPlan(VirtualClock(), DeterministicRng(1).fork("plan"))
+    recovered, report = recover(disk, plan=plan)
+    assert (report.segments_scanned, report.segments_quarantined) == (1, 1)
+    assert (report.records_replayed, report.records_quarantined) == (0, 0)
+    assert recovered.series_count() == 0
+    assert (f"{writer.current_segment} wal-segment-quarantined"
+            in plan.journal_text())
