@@ -97,12 +97,7 @@ FAMILIES = (
     # StorageEngine.storage_stats(), and its per_shard rows
     ("teemon_storage_shards", "storage", "shards", "Shards behind the storage engine", False),
     ("teemon_storage_series", "shard", "series", "Distinct series held, per shard", False),
-    ("teemon_storage_samples", "shard", "samples", "Raw (not yet downsampled) samples held, per shard", False),
-    ("teemon_storage_rollup_samples", "shard", "rollup_samples", "Samples folded into downsampled buckets, per shard", False),
-    ("teemon_storage_compactions_total", "storage", "compactions_total", "Block-compaction passes run", True),
-    ("teemon_storage_samples_compacted_total", "storage", "samples_compacted_total", "Raw samples folded into downsampled rollup buckets", True),
-    ("teemon_storage_downsample_bytes_saved", "storage", "bytes_saved_total", "Approximate bytes released by replacing raw chunks with rollup buckets", False),
-    ("teemon_storage_downsampled_reads_total", "storage", "downsampled_reads_total", "Range-function evaluations served from downsampled buckets", True),
+    ("teemon_storage_samples", "shard", "samples", "Samples held, per shard", False),
     # RuleEvaluator.stats()
     ("teemon_rule_eval_seconds", "rules", "eval_seconds", "Cumulative modelled rule-evaluation time (virtual)", False),
     ("teemon_rule_conflicts_total", "rules", "conflicts_total", "Recording-rule label collisions (static labels stomping series labels, or output label sets collapsing)", True),
