@@ -1,4 +1,4 @@
-"""Storage-engine benchmark: shard scaling and downsampled query cost.
+"""Storage-engine benchmark: shard scaling of ingest and range queries.
 
 Measures the pluggable storage engine along the axes the ISSUE-5
 refactor touches, then writes ``BENCH_storage.json``:
@@ -12,10 +12,7 @@ refactor touches, then writes ``BENCH_storage.json``:
 * ``storage_query``  — wide-window range-query latency over a
   many-series database at 1/2/4/8 shards, a ``sum by (rate)`` and a
   ``sum by (avg_over_time)`` query: both evaluate the step grid over
-  the fan-out merge, the second beside an interleaved monolith control;
-* ``storage_downsample`` — the same composable range query over old
-  data served from raw chunks vs from compacted rollup buckets, plus
-  what compaction folded and saved.
+  the fan-out merge, the second beside an interleaved monolith control.
 
 Sharded ingest against the monolith (``shardN_vs_monolith``) is
 measured and printed, not gated: splitting each batch by shard makes a
@@ -43,12 +40,11 @@ from typing import Callable, Tuple
 
 from benchmarks.perf.harness import BenchReport, best_of
 
-from repro.pmag.blocks import BlockPolicy
 from repro.pmag.model import Labels
 from repro.pmag.query.engine import QueryEngine
 from repro.pmag.storage import build_storage_engine
 from repro.pmag.tsdb import Tsdb
-from repro.simkernel.clock import NANOS_PER_SEC, seconds
+from repro.simkernel.clock import NANOS_PER_SEC
 
 SCHEMA = "teemon.bench.storage/1"
 SCRAPE_INTERVAL_NS = 5 * NANOS_PER_SEC
@@ -196,64 +192,10 @@ def bench_storage_query(report: BenchReport, quick: bool) -> None:
     report.add("storage_query", **metrics)
 
 
-def bench_storage_downsample(report: BenchReport, quick: bool) -> None:
-    """The same wide-step query over raw samples vs rollup buckets."""
-    per_series = 2000 if quick else 20_000
-    n_series = 3
-    # The configured defaults' shape: a 5-second scrape cadence folded
-    # into 5-minute buckets — 60 raw samples per rollup bucket.
-    policy = BlockPolicy(
-        block_range_ns=seconds(600),
-        downsample_after_ns=seconds(600),
-        resolution_ns=seconds(300),
-    )
-
-    def populate(engine) -> None:
-        for index in range(n_series):
-            for step in range(per_series):
-                engine.append_sample(
-                    "bench_signal", (step + 1) * seconds(5),
-                    float(step % 997), idx=str(index),
-                )
-
-    raw = Tsdb()
-    compacted = Tsdb(block_policy=policy)
-    populate(raw)
-    populate(compacted)
-    end_ns = per_series * seconds(5)
-    now_ns = end_ns + seconds(600)
-    folded = compacted.compact(now_ns)
-
-    # A dashboard's "daily overview" shape: hour-wide windows, coarse
-    # steps.  Raw evaluation slices ~720 samples per window; the rollup
-    # path reads ~12 buckets.
-    query = "avg_over_time(bench_signal[1h])"
-    step_ns = seconds(600)
-    start_ns = seconds(3600)
-    raw_engine, rollup_engine = QueryEngine(raw), QueryEngine(compacted)
-    raw_s = best_of(3, lambda: raw_engine.range_query(
-        query, start_ns, end_ns, step_ns
-    ))
-    rollup_s = best_of(3, lambda: rollup_engine.range_query(
-        query, start_ns, end_ns, step_ns
-    ))
-    assert (rollup_engine.range_query(query, start_ns, end_ns, step_ns)
-            == raw_engine.range_query(query, start_ns, end_ns, step_ns))
-    report.add(
-        "storage_downsample",
-        raw_ms=raw_s * 1e3,
-        rollup_ms=rollup_s * 1e3,
-        speedup=raw_s / rollup_s if rollup_s else 0.0,
-        samples_folded=folded,
-        bytes_saved=compacted.stats.bytes_saved_total,
-    )
-
-
 def run_suite(quick: bool) -> BenchReport:
     report = BenchReport(quick=quick)
     bench_storage_ingest(report, quick)
     bench_storage_query(report, quick)
-    bench_storage_downsample(report, quick)
     return report
 
 

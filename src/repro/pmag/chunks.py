@@ -219,8 +219,7 @@ class ChunkedSeries:
             self._starts.append(time_ns)
         self._count += 1
 
-    def append_run(self, times, values, floor_ns: Optional[int] = None
-                   ) -> List[int]:
+    def append_run(self, times, values) -> List[int]:
         """Append a run of samples; returns the indices it rejected.
 
         Sample for sample the outcome of calling :meth:`append` in
@@ -229,9 +228,7 @@ class ChunkedSeries:
         kind a log replay or a well-behaved sender produces) is checked
         once and copied into the typed columns a chunk's worth per
         slice.  Anything else takes the per-sample path, which is where
-        rejections come from.  ``floor_ns`` stands in for the tail
-        while the series holds no raw sample (its history folded into a
-        rollup): nothing at or before it is accepted.
+        rejections come from.
         """
         count = len(times)
         if len(values) != count:
@@ -240,15 +237,14 @@ class ChunkedSeries:
         if not count:
             return []
         chunks = self._chunks
-        last = chunks[-1].end_ns if chunks else floor_ns
         try:
             stamps = times if _is_column(times, "q") else array("q", times)
             column = values if _is_column(values, "d") else array("d", values)
         except (TypeError, OverflowError):
-            return self._append_each(times, values, floor_ns)
-        if ((last is not None and stamps[0] <= last)
+            return self._append_each(times, values)
+        if ((chunks and stamps[0] <= chunks[-1].end_ns)
                 or not all(map(lt, stamps, islice(stamps, 1, None)))):
-            return self._append_each(times, values, floor_ns)
+            return self._append_each(times, values)
         pos = 0
         if chunks and len(chunks[-1]._values) < CHUNK_SIZE:
             head = chunks[-1]
@@ -265,15 +261,10 @@ class ChunkedSeries:
         self._count += count
         return []
 
-    def _append_each(self, times, values, floor_ns: Optional[int]
-                     ) -> List[int]:
+    def _append_each(self, times, values) -> List[int]:
         rejected: List[int] = []
         for index, (time_ns, value) in enumerate(zip(times, values)):
             try:
-                if (floor_ns is not None and not self._count
-                        and time_ns <= floor_ns):
-                    raise TsdbError(
-                        f"out-of-order append: {time_ns} <= {floor_ns}")
                 self.append(time_ns, value)
             except TsdbError:
                 rejected.append(index)
@@ -348,38 +339,6 @@ class ChunkedSeries:
         del self._starts[:keep]
         self._count -= dropped
         return dropped
-
-    def split_before(self, cutoff_ns: int) -> Tuple[array, array]:
-        """Detach and return every sample with ``t < cutoff_ns``.
-
-        Sample-granular, unlike :meth:`drop_before`: a chunk straddling
-        the cutoff is split, so compaction can fold exactly the samples
-        below a bucket-aligned horizon and no others.  Returns the
-        detached (timestamps, values) parallel arrays in time order.
-        """
-        times = array("q")
-        values = array("d")
-        keep = 0
-        while keep < len(self._chunks) and self._chunks[keep].end_ns < cutoff_ns:
-            chunk = self._chunks[keep]
-            times.extend(chunk._times)
-            values.extend(chunk._values)
-            keep += 1
-        del self._chunks[:keep]
-        del self._starts[:keep]
-        if self._chunks and self._chunks[0].start_ns < cutoff_ns:
-            head = self._chunks[0]
-            split = bisect_left(head._times, cutoff_ns)
-            if split:
-                times.extend(head._times[:split])
-                values.extend(head._values[:split])
-                rebuilt = Chunk(head._times[split])
-                rebuilt._times = head._times[split:]
-                rebuilt._values = head._values[split:]
-                self._chunks[0] = rebuilt
-                self._starts[0] = rebuilt.start_ns
-        self._count -= len(times)
-        return times, values
 
     def memory_bytes(self) -> int:
         """Approximate in-memory footprint."""

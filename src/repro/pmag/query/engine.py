@@ -278,11 +278,7 @@ class QueryEngine:
             return result
 
     def _at(self, expr: Expr, time_ns: int) -> InstantVector:
-        """``expr`` over the one-step grid ``[time_ns]``.
-
-        The step is 1 ns — finer than any rollup resolution — so an
-        instant reads raw samples only, whatever the store has compacted.
-        """
+        """``expr`` over the one-step grid ``[time_ns]``."""
         grid = StepGrid(
             self._tsdb, self._lookback_ns,
             selector_windows(expr, self._lookback_ns),

@@ -212,15 +212,3 @@ COLUMN_RANGE_FUNCTIONS = {
     "count_over_time": _prepare_count_over_time,
 }
 
-
-#: Range functions whose value over a window is a pure function of the
-#: window's :class:`~repro.pmag.blocks.WindowAggregate` — exactly the
-#: rollups compaction stores.  ``rate``/``increase``/``delta`` need every
-#: sample (counter-reset detection) and never read rollups.
-ROLLUP_COMPOSERS = {
-    "avg_over_time": lambda agg: agg.total / agg.count,
-    "min_over_time": lambda agg: agg.minimum,
-    "max_over_time": lambda agg: agg.maximum,
-    "sum_over_time": lambda agg: agg.total,
-    "count_over_time": lambda agg: float(agg.count),
-}

@@ -32,14 +32,12 @@ from operator import is_not
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import QueryError
-from repro.pmag.blocks import aggregate_arrays
 from repro.pmag.model import (
     Labels, METRIC_NAME_LABEL, Sample, Series, sample_of,
 )
 from repro.pmag.query import ops
 from repro.pmag.query.functions import (
     COLUMN_RANGE_FUNCTIONS,
-    ROLLUP_COMPOSERS,
     TimelineMemo,
     quantile_of,
     window_bounds,
@@ -163,33 +161,17 @@ class StepGrid:
     ) -> None:
         """Bulk-select every selector of ``windows`` (a
         :func:`selector_windows` result) over the whole query range."""
-        self._tsdb = tsdb
         self._lookback_ns = lookback_ns
         self.step_times = list(range(start_ns, end_ns + 1, step_ns))
-        spans = {
-            selector: (
+        # (labels, timestamps, values) per matched series, sorted by labels.
+        self._raw = {
+            selector: tsdb.select_arrays(
                 selector.tsdb_matchers(),
                 selector.window(start_ns, window_ns)[0],
                 selector.window(end_ns, window_ns)[1],
             )
             for selector, window_ns in windows.items()
         }
-        # (labels, timestamps, values) per matched series, sorted by labels.
-        self._raw = {
-            selector: tsdb.select_arrays(*span)
-            for selector, span in spans.items()
-        }
-        # Downsampled buckets engage only when the store carries rollups
-        # and the step is at least their resolution — finer steps need
-        # raw samples anyway.
-        resolution = tsdb.downsample_resolution_ns
-        self._resolution = resolution
-        self._rollups: Optional[Dict[VectorSelector, dict]] = None
-        if resolution and step_ns >= resolution and tsdb.has_rollups():
-            self._rollups = {
-                selector: dict(tsdb.select_rollups(*span))
-                for selector, span in spans.items()
-            }
 
     @property
     def series_selected(self) -> int:
@@ -309,60 +291,7 @@ class StepGrid:
             )
         selector = range_selector.selector
         windows = self._windows(selector, range_selector.range_ns)
-        vector = self._leaf(selector, windows, prepare)
-        if self._rollups is not None and name in ROLLUP_COMPOSERS:
-            return self._overlay_rollups(name, selector, windows, vector)
-        return vector
-
-    def _overlay_rollups(
-        self, name: str, selector: VectorSelector, windows, vector: GridVector
-    ) -> GridVector:
-        """Serve the aligned windows of a composable function from rollups.
-
-        Compaction *moves* samples from raw chunks into buckets, so per
-        series an aligned window is rollup-aggregate ⊕ raw-aggregate —
-        exactly what the original raw samples would produce.  Misaligned
-        windows keep the raw cell.  A series may be raw-only (young),
-        rollup-only (fully compacted), or both.
-        """
-        resolution = self._resolution
-        aligned = [
-            index for index, (low, high) in enumerate(windows)
-            if low % resolution == 0 and high % resolution == 0
-        ]
-        self._tsdb.stats.downsampled_reads_total += len(aligned)
-        rollups = self._rollups[selector]
-        if not aligned or not rollups:
-            return vector
-        compose = ROLLUP_COMPOSERS[name]
-        raw = {
-            labels: (times, values, column)
-            for (labels, times, values), (_sans, column)
-            in zip(self._raw[selector], vector)
-        }
-        order = list(raw)
-        compacted = rollups.keys() - raw.keys()
-        if compacted:
-            order = sorted(order + list(compacted), key=Labels.items)
-        blank = [None] * len(windows)
-        result: GridVector = []
-        for labels in order:
-            times, values, column = raw.get(labels, ((), (), blank))
-            rollup = rollups.get(labels)
-            if rollup is not None:
-                column = list(column)
-                for index in aligned:
-                    low, high = windows[index]
-                    aggregate = rollup.window_aggregate(low, high)
-                    if times:
-                        aggregate = aggregate.merge(
-                            aggregate_arrays(times, values, low, high)
-                        )
-                    column[index] = (
-                        compose(aggregate) if aggregate.count else None
-                    )
-            result.append((labels.without(METRIC_NAME_LABEL), column))
-        return result
+        return self._leaf(selector, windows, prepare)
 
     def _aggregation(self, node: Aggregation) -> GridValue:
         value = self._eval(node.expr)

@@ -22,7 +22,6 @@ from heapq import merge as heap_merge
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import TsdbError
-from repro.pmag.blocks import BlockPolicy, SeriesRollup, StorageStats
 from repro.pmag.chunks import ChunkedSeries
 from repro.pmag.model import Labels, Matcher, Sample
 from repro.pmag.tsdb import ArrivalFeed, StorageEngine, Tsdb
@@ -52,9 +51,7 @@ def shard_for(labels: Labels, shards: int) -> int:
 
 
 def build_storage_engine(
-    shards: int,
-    retention_ns: Optional[int] = None,
-    block_policy: Optional[BlockPolicy] = None,
+    shards: int, retention_ns: Optional[int] = None
 ) -> StorageEngine:
     """Build the engine a config asks for.
 
@@ -63,10 +60,8 @@ def build_storage_engine(
     path (and produce the exact bytes) they did before sharding existed.
     """
     if shards == 1:
-        return Tsdb(retention_ns=retention_ns, block_policy=block_policy)
-    return ShardedTsdb(
-        shards, retention_ns=retention_ns, block_policy=block_policy
-    )
+        return Tsdb(retention_ns=retention_ns)
+    return ShardedTsdb(shards, retention_ns=retention_ns)
 
 
 def _labels_key(entry):
@@ -77,25 +72,17 @@ class ShardedTsdb(StorageEngine):
     """Routes each series to one of N :class:`Tsdb` shards.
 
     Writes are single-shard; reads fan out and merge.  Per-shard
-    postings stay small, retention/compaction parallelise naturally (in
+    postings stay small, retention parallelises naturally (in
     this simulated kernel: shard loops), and every shard can carry its
     own WAL so recovery replays them independently.
     """
 
-    def __init__(
-        self,
-        shards: int,
-        retention_ns: Optional[int] = None,
-        block_policy: Optional[BlockPolicy] = None,
-    ) -> None:
+    def __init__(self, shards: int, retention_ns: Optional[int] = None) -> None:
         if shards < 1:
             raise TsdbError(f"shard count must be >= 1: {shards}")
         self._shards: List[Tsdb] = [
-            Tsdb(retention_ns=retention_ns, block_policy=block_policy)
-            for _ in range(shards)
+            Tsdb(retention_ns=retention_ns) for _ in range(shards)
         ]
-        self.block_policy = block_policy
-        self.stats = StorageStats()
         #: Route cache: label set -> shard *index* (not shard object, so
         #: :meth:`adopt_shard` replacing a shard keeps it valid).  The
         #: mapping is a pure function of the labels and the shard count,
@@ -141,7 +128,6 @@ class ShardedTsdb(StorageEngine):
                     f"was this layout written with a different shard count?"
                 )
         tsdb.retention_ns = self.retention_ns
-        tsdb.block_policy = self.block_policy
         self._shards[index] = tsdb
         for feed in self._feeds:
             # The adopted samples never passed through the feed.
@@ -266,13 +252,7 @@ class ShardedTsdb(StorageEngine):
                  for s in self._shards]
         return list(heap_merge(*parts, key=_labels_key))
 
-    def select_rollups(
-        self, matchers: Sequence[Matcher], start_ns: int, end_ns: int
-    ) -> List[Tuple[Labels, SeriesRollup]]:
-        """Fan-out rollup select merged back into one sorted result."""
-        parts = [s.select_rollups(matchers, start_ns, end_ns)
-                 for s in self._shards]
-        return list(heap_merge(*parts, key=_labels_key))
+    select_rollups = Tsdb.select_rollups
 
     def latest(self, metric: str, **label_filters: str) -> Optional[Sample]:
         """Newest matching sample across every shard.
@@ -300,7 +280,7 @@ class ShardedTsdb(StorageEngine):
         return sum(shard.series_count() for shard in self._shards)
 
     def sample_count(self) -> int:
-        """Total raw samples, summed over shards."""
+        """Total samples, summed over shards."""
         return sum(shard.sample_count() for shard in self._shards)
 
     def label_values(self, label_name: str) -> List[str]:
@@ -319,28 +299,11 @@ class ShardedTsdb(StorageEngine):
         for shard in self._shards:
             yield from shard.series_items()
 
-    def has_rollups(self) -> bool:
-        """Whether any shard carries downsampled buckets."""
-        return any(shard.has_rollups() for shard in self._shards)
-
     def storage_stats(self) -> dict:
-        """Per-shard layout plus summed compaction counters.
-
-        ``downsampled_reads_total`` lives on this engine's own ``stats``
-        (the query engine talks to the façade, not to shards), so it is
-        merged in alongside the per-shard compaction counters.
-        """
-        merged = StorageStats()
-        for shard in self._shards:
-            merged.merge(shard.stats)
-        merged.merge(self.stats)
+        """Shard count and per-shard layout."""
         return {
             "shards": len(self._shards),
             "per_shard": [shard.shard_stats() for shard in self._shards],
-            "compactions_total": merged.compactions_total,
-            "samples_compacted_total": merged.samples_compacted_total,
-            "bytes_saved_total": merged.bytes_saved_total,
-            "downsampled_reads_total": merged.downsampled_reads_total,
         }
 
     # ------------------------------------------------------------------
@@ -354,6 +317,4 @@ class ShardedTsdb(StorageEngine):
         """Apply retention on every shard; returns samples dropped."""
         return sum(shard.enforce_retention(now_ns) for shard in self._shards)
 
-    def compact(self, now_ns: int) -> int:
-        """Compact every shard; returns samples folded."""
-        return sum(shard.compact(now_ns) for shard in self._shards)
+    compact = Tsdb.compact

@@ -14,7 +14,6 @@ from abc import ABC, abstractmethod
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import TsdbError
-from repro.pmag.blocks import BlockPolicy, SeriesRollup, StorageStats
 from repro.pmag.chunks import ChunkedSeries
 from repro.pmag.model import (
     Labels, Matcher, METRIC_NAME_LABEL, Sample, Series, sample_of,
@@ -31,7 +30,7 @@ class ArrivalFeed:
     ``batches`` holds each commit's accepted ``(labels, time_ns, value)``
     entries by reference, in commit order: the engine appends, the
     reader takes them away.  Samples can also leave the store without
-    passing through here (retention, compaction, ``delete_series``) or
+    passing through here (retention, ``delete_series``) or
     land around it (``install_series``), so the engine raises
     ``unsure_below_ns`` to cover them: below that timestamp the store may
     differ from what the feed has shown since the reader last reset it.
@@ -62,8 +61,8 @@ class StorageEngine(ABC):
     * appends are per-series monotonic (out-of-order rejected), so WAL
       replay is idempotent regardless of how series are routed;
     * ``storage_stats()`` returns the shape the ``teemon_storage_*``
-      self-telemetry renders: shard count, per-shard series/sample
-      counts, and the compaction counters;
+      self-telemetry renders: shard count and per-shard series/sample
+      counts;
     * every :class:`ArrivalFeed` attached with :meth:`attach_feed` gets
       each commit's accepted entries (``append_batch``, ``append_run``)
       as one list, in commit order, and any other change to the stored
@@ -72,14 +71,12 @@ class StorageEngine(ABC):
       mutated after the commit.  With no feed attached, a commit pays
       one empty-list check.
 
-    The attributes ``retention_ns``, ``total_appends``, ``stats`` and
-    ``block_policy`` are part of the interface as plain attributes.
+    The attributes ``retention_ns`` and ``total_appends`` are part of
+    the interface as plain attributes.
     """
 
     retention_ns: Optional[int]
     total_appends: int
-    stats: StorageStats
-    block_policy: Optional[BlockPolicy]
 
     # -- ingest --------------------------------------------------------
     def append(self, labels: Labels, time_ns: int, value: float) -> None:
@@ -176,12 +173,6 @@ class StorageEngine(ABC):
         parallel (timestamps, values) arrays, sorted by ``labels.items()``."""
 
     @abstractmethod
-    def select_rollups(
-        self, matchers: Sequence[Matcher], start_ns: int, end_ns: int
-    ) -> List[Tuple[Labels, SeriesRollup]]:
-        """Downsampled rollups of matching series overlapping the window."""
-
-    @abstractmethod
     def latest(self, metric: str, **label_filters: str) -> Optional[Sample]:
         """Newest sample of the best series matching name + filters."""
 
@@ -200,7 +191,7 @@ class StorageEngine(ABC):
 
     @abstractmethod
     def sample_count(self) -> int:
-        """Total raw (not yet downsampled) samples."""
+        """Total stored samples."""
 
     @abstractmethod
     def label_values(self, label_name: str) -> List[str]:
@@ -215,12 +206,8 @@ class StorageEngine(ABC):
         """Every (labels, raw storage) pair, in stable insertion order."""
 
     @abstractmethod
-    def has_rollups(self) -> bool:
-        """Whether any series carries downsampled buckets."""
-
-    @abstractmethod
     def storage_stats(self) -> dict:
-        """Shard layout and compaction counters (self-telemetry shape)."""
+        """Shard layout (self-telemetry shape)."""
 
     def metric_names(self) -> List[str]:
         """All metric names with at least one series."""
@@ -231,12 +218,6 @@ class StorageEngine(ABC):
     def shard_count(self) -> int:
         """Number of shards behind this engine (1 for the monolith)."""
 
-    @property
-    def downsample_resolution_ns(self) -> Optional[int]:
-        """Rollup bucket width, or None when downsampling is off."""
-        policy = self.block_policy
-        return policy.resolution_ns if policy is not None else None
-
     # -- maintenance ---------------------------------------------------
     @abstractmethod
     def delete_series(self, matchers: Sequence[Matcher]) -> int:
@@ -245,10 +226,6 @@ class StorageEngine(ABC):
     @abstractmethod
     def enforce_retention(self, now_ns: int) -> int:
         """Drop data older than the retention horizon; returns samples dropped."""
-
-    @abstractmethod
-    def compact(self, now_ns: int) -> int:
-        """Fold raw samples past the downsample horizon into rollups."""
 
 
 class Tsdb(StorageEngine):
@@ -259,32 +236,19 @@ class Tsdb(StorageEngine):
     for every (label name, value) pair, the set of series carrying it.
     Selection intersects postings for equality matchers, then filters the
     survivors with the remaining matchers.
-
-    With a :class:`~repro.pmag.blocks.BlockPolicy`, :meth:`compact` folds
-    samples older than the downsample horizon into per-series
-    :class:`~repro.pmag.blocks.SeriesRollup` buckets and drops the raw
-    chunks; retention then cuts at block granularity.
     """
 
-    def __init__(
-        self,
-        retention_ns: Optional[int] = None,
-        block_policy: Optional[BlockPolicy] = None,
-    ) -> None:
+    def __init__(self, retention_ns: Optional[int] = None) -> None:
         self._series: Dict[Labels, ChunkedSeries] = {}
         self._postings: Dict[tuple, Set[Labels]] = {}
-        self._rollups: Dict[Labels, SeriesRollup] = {}
         self.retention_ns = retention_ns
-        self.block_policy = block_policy
         self.total_appends = 0
-        self.stats = StorageStats()
         self._wal = None
         self._feeds: List[ArrivalFeed] = []
-        #: Retention's low-water mark: no chunk and no rollup bucket can
-        #: expire until the cutoff passes this.  A lower bound on every
-        #: series' first chunk end and first bucket's newest sample —
-        #: exact after a retention scan, lowered (never raised) by
-        #: whatever lands or is folded in between.
+        #: Retention's low-water mark: no chunk can expire until the
+        #: cutoff passes this.  A lower bound on every series' first
+        #: chunk end — exact after a retention scan, lowered (never
+        #: raised) by whatever lands in between.
         self._expiry_floor_ns = _NEVER_NS
 
     def attach_wal(self, wal) -> None:
@@ -320,17 +284,15 @@ class Tsdb(StorageEngine):
     ) -> List[int]:
         """The ingest body every writer commits through.
 
-        Per entry, in order: rollup monotonicity (a series whose raw
-        head is empty may have history folded into a rollup), chunk
-        append, and series creation — a series exists from its first
-        accepted sample on.  Accepted samples reach the WAL as one
+        Per entry, in order: chunk append, and series creation — a
+        series exists from its first accepted sample on.  Accepted
+        samples reach the WAL as one
         :meth:`WalWriter.append_many` batch: flush and rotation
         boundaries are counted in samples, so they do not depend on the
         batching, but the log costs a few disk writes per commit instead
         of one per sample.  The same list goes to every attached feed.
         """
         series = self._series
-        rollups = self._rollups
         wal = self._wal
         feeds = self._feeds
         accepted: Optional[List[Tuple[Labels, int, float]]] = (
@@ -348,12 +310,6 @@ class Tsdb(StorageEngine):
             fresh = storage is None
             if fresh:
                 storage = ChunkedSeries()
-            if rollups and storage.sample_count == 0:
-                rollup = rollups.get(labels)
-                last = rollup.last_time_ns() if rollup is not None else None
-                if last is not None and time_ns <= last:
-                    rejected.append(index)
-                    continue
             try:
                 storage.append(time_ns, value)
             except TsdbError:
@@ -377,10 +333,9 @@ class Tsdb(StorageEngine):
 
     def append_run(self, labels: Labels, times, values) -> Tuple[int, int]:
         """One series' samples as parallel columns: the semantics of
-        :meth:`append_batch` — rollup monotonicity, accept/reject,
-        series creation, WAL and feed write-through of what was
-        accepted — with
-        the series looked up once and the columns filled by
+        :meth:`append_batch` — accept/reject, series creation, WAL and
+        feed write-through of what was accepted — with the series
+        looked up once and the columns filled by
         :meth:`ChunkedSeries.append_run`.  This is how WAL replay lands
         a series.  Returns ``(appended, rejected)``.
         """
@@ -391,11 +346,7 @@ class Tsdb(StorageEngine):
         fresh = storage is None
         if fresh:
             storage = ChunkedSeries()
-        folded_tail = None
-        if self._rollups and storage.sample_count == 0:
-            rollup = self._rollups.get(labels)
-            folded_tail = rollup.last_time_ns() if rollup is not None else None
-        rejected = storage.append_run(times, values, folded_tail)
+        rejected = storage.append_run(times, values)
         appended = count - len(rejected)
         if not appended:
             return 0, count
@@ -513,33 +464,11 @@ class Tsdb(StorageEngine):
         result.sort(key=lambda entry: entry[0].items())
         return result
 
-    def select_rollups(
-        self,
-        matchers: Sequence[Matcher],
-        start_ns: int,
-        end_ns: int,
-    ) -> List[Tuple[Labels, SeriesRollup]]:
-        """Rollups of matching series that overlap ``[start_ns, end_ns]``.
-
-        Sorted by ``labels.items()`` like :meth:`select_arrays`, so the
-        query engine can merge rollup and raw streams positionally.  The
-        bucket starting exactly at ``end_ns`` still counts as overlap —
-        its first sample may sit on the inclusive window edge.
-        """
-        if end_ns < start_ns:
-            raise TsdbError(f"bad window: {start_ns}..{end_ns}")
-        if not self._rollups:
-            return []
-        result: List[Tuple[Labels, SeriesRollup]] = []
-        for labels in self._matching_series(matchers):
-            rollup = self._rollups.get(labels)
-            if rollup is None or not rollup.bucket_count:
-                continue
-            if rollup._starts[0] > end_ns or rollup.last_time_ns() < start_ns:  # noqa: SLF001
-                continue
-            result.append((labels, rollup))
-        result.sort(key=lambda entry: entry[0].items())
-        return result
+    def select_rollups(self, matchers, start_ns, end_ns) -> list:
+        """Always empty: the store keeps raw samples only.  The name
+        stays because ``benchmarks/e2e/tracing.py`` wraps it on both
+        engines."""
+        return []
 
     def latest(self, metric: str, **label_filters: str) -> Optional[Sample]:
         """Newest sample of the best series matching name + filters.
@@ -581,7 +510,7 @@ class Tsdb(StorageEngine):
         return len(self._series)
 
     def sample_count(self) -> int:
-        """Total raw stored samples (folded samples live in rollups)."""
+        """Total stored samples."""
         return sum(s.sample_count for s in self._series.values())
 
     def label_values(self, label_name: str) -> List[str]:
@@ -591,11 +520,8 @@ class Tsdb(StorageEngine):
         })
 
     def memory_bytes(self) -> int:
-        """Approximate storage footprint (raw chunks plus rollup buckets)."""
-        total = sum(s.memory_bytes() for s in self._series.values())
-        if self._rollups:
-            total += sum(r.memory_bytes() for r in self._rollups.values())
-        return total
+        """Approximate storage footprint."""
+        return sum(s.memory_bytes() for s in self._series.values())
 
     def series_items(self) -> Iterable[Tuple[Labels, ChunkedSeries]]:
         """Every (labels, raw storage) pair in insertion order.
@@ -605,10 +531,6 @@ class Tsdb(StorageEngine):
         same order.
         """
         return self._series.items()
-
-    def has_rollups(self) -> bool:
-        """Whether any series carries downsampled buckets."""
-        return bool(self._rollups)
 
     @property
     def shard_count(self) -> int:
@@ -620,26 +542,15 @@ class Tsdb(StorageEngine):
         return {
             "shards": 1,
             "per_shard": [self.shard_stats()],
-            "compactions_total": self.stats.compactions_total,
-            "samples_compacted_total": self.stats.samples_compacted_total,
-            "bytes_saved_total": self.stats.bytes_saved_total,
-            "downsampled_reads_total": self.stats.downsampled_reads_total,
         }
 
     def shard_stats(self) -> dict:
         """This store's contribution to the per-shard telemetry."""
-        rollups = self._rollups.values()
-        return {
-            "series": len(self._series),
-            "samples": self.sample_count(),
-            "rollup_buckets": sum(r.bucket_count for r in rollups),
-            "rollup_samples": sum(r.sample_count for r in rollups),
-        }
+        return {"series": len(self._series), "samples": self.sample_count()}
 
     def _unindex(self, labels: Labels) -> None:
-        """Remove a dead series: storage, rollup, and postings entries."""
+        """Remove a dead series: storage and postings entries."""
         self._series.pop(labels, None)
-        self._rollups.pop(labels, None)
         for pair in labels.items():
             postings = self._postings.get(pair)
             if postings is not None:
@@ -664,17 +575,12 @@ class Tsdb(StorageEngine):
     def enforce_retention(self, now_ns: int) -> int:
         """Drop data older than the retention horizon; returns samples dropped.
 
-        Without a block policy this is the chunk-granular cut it always
-        was.  With one, the cutoff is aligned down to a block boundary so
-        retention acts at block granularity, and rollup buckets past the
-        cut are released along with raw chunks.  A pass whose cutoff has
-        not reached the expiry floor looks at no series.
+        The cut is chunk-granular.  A pass whose cutoff has not reached
+        the expiry floor looks at no series.
         """
         if self.retention_ns is None:
             return 0
         cutoff = now_ns - self.retention_ns
-        if self.block_policy is not None:
-            cutoff -= cutoff % self.block_policy.block_range_ns
         if cutoff <= self._expiry_floor_ns:
             # Nothing stored ends before the cutoff: the common pass, on
             # every scrape cycle, that has nothing to expire.
@@ -686,60 +592,18 @@ class Tsdb(StorageEngine):
             dropped += storage.drop_before(cutoff)
             if storage.sample_count:
                 floor = min(floor, storage.first_chunk_end_ns())
-            rollup = self._rollups.get(labels)
-            if rollup is not None:
-                dropped += rollup.drop_before(cutoff)
-                if rollup.bucket_count:
-                    floor = min(floor, rollup.first_bucket_end_ns())
-                elif storage.sample_count == 0:
-                    empty.append(labels)
-            elif storage.sample_count == 0:
+            else:
                 empty.append(labels)
         for labels in empty:
             self._unindex(labels)
         self._expiry_floor_ns = floor
         if dropped:
-            # Whole chunks and buckets ending before the cutoff.
+            # Whole chunks ending before the cutoff.
             self._doubt(cutoff)
         return dropped
 
     def compact(self, now_ns: int) -> int:
-        """Fold raw samples past the downsample horizon into rollups.
-
-        The horizon is aligned down to a block boundary (hence to a
-        bucket boundary), so folded samples fill whole buckets and
-        rollup reads stay exact.  Returns the samples folded.
-        """
-        policy = self.block_policy
-        if policy is None:
-            return 0
-        horizon = now_ns - policy.downsample_after_ns
-        horizon -= horizon % policy.block_range_ns
-        if horizon <= 0:
-            return 0
-        folded = 0
-        saved = 0
-        for labels, storage in self._series.items():
-            times, values = storage.split_before(horizon)
-            if not times:
-                continue
-            rollup = self._rollups.get(labels)
-            if rollup is None:
-                rollup = SeriesRollup(policy.resolution_ns)
-                self._rollups[labels] = rollup
-            before = rollup.memory_bytes()
-            rollup.fold(times, values)
-            folded += len(times)
-            # The new buckets end no earlier than the first folded sample,
-            # but possibly before the chunk that held it did.
-            if times[0] < self._expiry_floor_ns:
-                self._expiry_floor_ns = times[0]
-            # A raw sample is ~16 bytes (8B timestamp + 8B value).
-            saved += 16 * len(times) - (rollup.memory_bytes() - before)
-        self.stats.compactions_total += 1
-        if folded:
-            self.stats.samples_compacted_total += folded
-            self.stats.bytes_saved_total += saved
-            # Folded samples leave the raw store select_arrays reads.
-            self._doubt(horizon)
-        return folded
+        """Nothing to fold: retention is the store's only lifecycle.  The
+        name stays because ``benchmarks/e2e/tracing.py`` wraps it on both
+        engines."""
+        return 0

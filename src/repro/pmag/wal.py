@@ -667,7 +667,6 @@ def recover(
     retention_ns: Optional[int] = None,
     crash_report: Optional[DiskCrashReport] = None,
     plan=None,
-    block_policy=None,
 ) -> Tuple[Tsdb, RecoveryReport]:
     """Rebuild a TSDB from the medium after a crash.
 
@@ -676,14 +675,12 @@ def recover(
     whatever fails verification — recovery never raises on corrupt data,
     it counts it.  ``crash_report`` (from :meth:`SimDisk.crash`) is the
     loss oracle; ``plan`` (a :class:`~repro.faults.plan.FaultPlan`)
-    journals every quarantine decision.  ``block_policy`` re-arms
-    compaction on the recovered store (checkpoints carry raw chunks
-    only, so rollups rebuild from future compaction passes).
+    journals every quarantine decision.
     """
     report = RecoveryReport()
 
     # -- choose a checkpoint -------------------------------------------
-    tsdb = Tsdb(retention_ns=retention_ns, block_policy=block_policy)
+    tsdb = Tsdb(retention_ns=retention_ns)
     checkpoint_seq = 0
     for name in reversed(disk.list_files(f"{directory}/checkpoint-")):
         seq = _parse_seq(name)
@@ -697,7 +694,6 @@ def recover(
                 plan.record("wal-checkpoint-quarantined", name)
             continue
         restored.retention_ns = retention_ns
-        restored.block_policy = block_policy
         tsdb = restored
         checkpoint_seq = seq
         report.checkpoint_used = name
@@ -868,7 +864,6 @@ def recover_sharded(
     retention_ns: Optional[int] = None,
     crash_report: Optional[DiskCrashReport] = None,
     plan=None,
-    block_policy=None,
 ) -> Tuple[StorageEngine, RecoveryReport]:
     """Rebuild the engine :func:`open_log` logged for: one independent
     :func:`recover` per shard (``shards=1`` is :func:`recover` itself).
@@ -884,11 +879,9 @@ def recover_sharded(
     if shards == 1:
         return recover(
             disk, directory, retention_ns=retention_ns,
-            crash_report=crash_report, plan=plan, block_policy=block_policy,
+            crash_report=crash_report, plan=plan,
         )
-    engine = ShardedTsdb(
-        shards, retention_ns=retention_ns, block_policy=block_policy
-    )
+    engine = ShardedTsdb(shards, retention_ns=retention_ns)
     reports: List[RecoveryReport] = []
     for index in range(shards):
         tsdb, shard_report = recover(
@@ -897,7 +890,6 @@ def recover_sharded(
             retention_ns=retention_ns,
             crash_report=crash_report,
             plan=plan,
-            block_policy=block_policy,
         )
         engine.adopt_shard(index, tsdb)
         reports.append(shard_report)

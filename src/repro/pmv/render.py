@@ -32,7 +32,7 @@ def sparkline(values: List[float], width: int = 60) -> str:
     if not finite:
         return "(no data)"
     if len(values) > width:
-        # Downsample by averaging fixed-size strides (NaN-aware).
+        # Resample to the width by averaging fixed-size strides (NaN-aware).
         stride = len(values) / width
         resampled = []
         for index in range(width):

@@ -10,7 +10,6 @@ from repro.exporters.ebpf_exporter import EbpfExporterConfig
 from repro.pmag.alerting import AlertingRule
 from repro.pmag.remote_write import is_wire_safe
 from repro.pmag.scrape import SCRAPE_TIMEOUT_S
-from repro.simkernel.clock import NANOS_PER_SEC
 
 
 @dataclass(frozen=True)
@@ -100,16 +99,6 @@ class TeemonConfig:
     #: Pre-configured silences and inhibition rules.
     alert_silences: Sequence[object] = ()
     alert_inhibit_rules: Sequence[object] = ()
-    #: Width of one storage block; compaction horizons and (with a block
-    #: policy active) retention cuts align to multiples of it.
-    block_range_s: float = 7200.0
-    #: Fold raw samples older than this into downsampled rollup buckets,
-    #: dropping the raw chunks.  ``None`` (the default) disables the
-    #: block/downsample lifecycle entirely.
-    downsample_after_s: Optional[float] = None
-    #: Rollup bucket width.  Range queries whose step is at least this
-    #: are served from the downsampled buckets.
-    downsample_resolution_s: float = 300.0
     #: Build the per-node exporters and register their scrape targets.
     #: Off for monitor-only tiers — a federation *global* monitor ingests
     #: exclusively via remote-write and scrapes nothing locally, and an
@@ -168,19 +157,6 @@ class TeemonConfig:
             or self.trace_sampling_probability >= 1.0
         )
 
-    def block_policy(self):
-        """The :class:`~repro.pmag.blocks.BlockPolicy` this config asks
-        for, or None when downsampling is disabled."""
-        if self.downsample_after_s is None:
-            return None
-        from repro.pmag.blocks import BlockPolicy
-
-        return BlockPolicy(
-            block_range_ns=int(self.block_range_s * NANOS_PER_SEC),
-            downsample_after_ns=int(self.downsample_after_s * NANOS_PER_SEC),
-            resolution_ns=int(self.downsample_resolution_s * NANOS_PER_SEC),
-        )
-
     def __post_init__(self) -> None:
         if self.trace_max_traces < 1:
             raise DeploymentError("trace store capacity must be >= 1")
@@ -220,10 +196,6 @@ class TeemonConfig:
                 "storage_executor_workers must be 0: shard fan-out runs in "
                 "the calling thread"
             )
-        if self.block_range_s <= 0:
-            raise DeploymentError("block_range_s must be positive")
-        if self.downsample_resolution_s <= 0:
-            raise DeploymentError("downsample_resolution_s must be positive")
         if self.remote_write_frame_samples < 1:
             raise DeploymentError("remote_write_frame_samples must be >= 1")
         if self.remote_write_priority < 0:
@@ -247,13 +219,3 @@ class TeemonConfig:
                 f"federation_mode must be 'raw' or 'aggregate': "
                 f"{self.federation_mode!r}"
             )
-        if self.downsample_after_s is not None:
-            if self.downsample_after_s <= 0:
-                raise DeploymentError("downsample_after_s must be positive")
-            block_ns = int(self.block_range_s * NANOS_PER_SEC)
-            resolution_ns = int(self.downsample_resolution_s * NANOS_PER_SEC)
-            if block_ns % resolution_ns:
-                raise DeploymentError(
-                    "block_range_s must be a whole multiple of "
-                    "downsample_resolution_s"
-                )

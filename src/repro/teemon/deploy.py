@@ -230,11 +230,10 @@ class TeemonDeployment:
 
         ``tsdb`` is the recovered storage engine on resurrection, None on
         first build (the engine is then built from config:
-        ``storage_shards`` picks monolith vs sharded, the downsample
-        knobs its block policy).  Substrate objects (exporters, services,
-        network, disk) are untouched; everything the aggregation process
-        holds in memory is built fresh — which is exactly what a process
-        restart does.
+        ``storage_shards`` picks monolith vs sharded).  Substrate objects
+        (exporters, services, network, disk) are untouched; everything
+        the aggregation process holds in memory is built fresh — which
+        is exactly what a process restart does.
         """
         kernel = self.kernel
         config = self.config
@@ -242,7 +241,6 @@ class TeemonDeployment:
             tsdb = build_storage_engine(
                 config.storage_shards,
                 retention_ns=int(config.retention_hours * 3600 * NANOS_PER_SEC),
-                block_policy=config.block_policy(),
             )
         self.tsdb = tsdb
         self.wal = None
@@ -702,9 +700,6 @@ class TeemonDeployment:
           trailing the scrape tick means a cycle's samples land before
           the flush that makes them durable;
         * WAL checkpoint, every ``checkpoint_every_s``;
-        * block compaction, every ``block_range_s`` — the horizon only
-          advances across a block boundary, so ticking faster would just
-          re-scan the head;
         * anomaly detection, every :data:`ANOMALY_INTERVAL_S` (one tick
           is one baseline window);
         * remote-write flush, every :data:`REMOTE_WRITE_INTERVAL_S`,
@@ -733,9 +728,6 @@ class TeemonDeployment:
             every(flush_every_s, self.wal.flush)
             every(config.checkpoint_every_s,
                   lambda: self.wal.checkpoint(self.tsdb))
-        if config.downsample_after_s is not None:
-            every(config.block_range_s,
-                  lambda: self.tsdb.compact(clock.now_ns))
         if self.anomaly_detector is not None:
             every(ANOMALY_INTERVAL_S,
                   lambda: self.anomaly_detector.run(clock.now_ns))

@@ -102,7 +102,7 @@ class MonitoringSession:
         return dict(self._deployment.recovery_stats)
 
     def storage_stats(self) -> Dict[str, object]:
-        """The storage engine's shard layout and compaction counters."""
+        """The storage engine's shard layout."""
         return self._deployment.tsdb.storage_stats()
 
     # ------------------------------------------------------------------

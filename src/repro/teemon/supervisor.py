@@ -82,7 +82,6 @@ class MonitorSupervisor:
             retention_ns=int(config.retention_hours * 3600 * NANOS_PER_SEC),
             crash_report=self._last_crash,
             plan=self.plan,
-            block_policy=config.block_policy(),
         )
         self._last_crash = None
         deployment.resurrect(tsdb, report)

@@ -1,8 +1,8 @@
 """Run-shaped ingest: ``Tsdb.append_run`` / ``ChunkedSeries.append_run``
 against the scalar ``append`` they must be indistinguishable from —
-accept/reject per sample, chunk boundaries, series creation order,
-rollup monotonicity and WAL write-through — and the retention low-water
-mark against the full scan it lets ``enforce_retention`` skip."""
+accept/reject per sample, chunk boundaries, series creation order and
+WAL write-through — and the retention low-water mark against the full
+scan it lets ``enforce_retention`` skip."""
 
 from array import array
 
@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import TsdbError
 from repro.pmag import archive
-from repro.pmag.blocks import BlockPolicy
 from repro.pmag.chunks import CHUNK_SIZE, ChunkedSeries
 from repro.pmag.model import Labels, Matcher
 from repro.pmag.storage import ShardedTsdb, shard_for
@@ -20,18 +19,14 @@ from repro.pmag.wal import WalWriter, recover
 from repro.simkernel.disk import SimDisk
 
 SERIES = [Labels.of("m", i=str(i)) for i in range(3)] + [Labels({"job": "x"})]
-POLICY = BlockPolicy(block_range_ns=100, downsample_after_ns=150,
-                     resolution_ns=10)
 
 
 def _state(tsdb):
-    """Everything retention, compaction and ingest can change."""
+    """Everything retention and ingest can change."""
     return (
         [(labels, [(chunk.start_ns, list(chunk._times), list(chunk._values))
                    for chunk in storage._chunks])  # noqa: SLF001
          for labels, storage in tsdb.series_items()],
-        {labels: (list(r._starts), list(r._counts), list(r._last_times))  # noqa: SLF001
-         for labels, r in tsdb._rollups.items()},  # noqa: SLF001
         {pair: set(members) for pair, members in tsdb._postings.items()},  # noqa: SLF001
         tsdb.total_appends,
     )
@@ -70,28 +65,21 @@ def _columns(start, steps, shape):
     return times, values
 
 
-@given(st.lists(_runs | st.just("compact"), max_size=12),
-       st.booleans())
+@given(st.lists(_runs, max_size=12))
 @settings(deadline=None)
-def test_append_run_is_scalar_append_sample_for_sample(ops, policy):
+def test_append_run_is_scalar_append_sample_for_sample(runs):
     disks = SimDisk(), SimDisk()
     stores = []
     for disk in disks:
-        tsdb = Tsdb(block_policy=POLICY if policy else None)
+        tsdb = Tsdb()
         tsdb.attach_wal(WalWriter(disk, flush_every_records=7,
                                   segment_max_records=50))
         stores.append(tsdb)
     by_run, by_sample = stores
-    now = 0
-    for op in ops:
-        if op == "compact":
-            assert by_run.compact(now) == by_sample.compact(now)
-        else:
-            labels, start, steps, shape = op
-            times, values = _columns(start, steps, shape)
-            assert by_run.append_run(labels, times, values) == _append_each(
-                by_sample, labels, times, values)
-            now = max([now] + [t for t in times if isinstance(t, int)])
+    for labels, start, steps, shape in runs:
+        times, values = _columns(start, steps, shape)
+        assert by_run.append_run(labels, times, values) == _append_each(
+            by_sample, labels, times, values)
         assert _state(by_run) == _state(by_sample)
     # The WAL saw the same accepted samples, in the same order.
     logs = [recover(disk)[0] for disk in disks]
@@ -118,9 +106,6 @@ def test_append_run_rejections_are_positions():
     series = ChunkedSeries()
     assert series.append_run([5, 3, 4, 6, 6, 7], [0.0] * 6) == [1, 2, 4]
     assert series.window_arrays(0, 100)[0].tolist() == [5, 6, 7]
-    # While the raw head is empty the folded tail stands in for it.
-    empty = ChunkedSeries()
-    assert empty.append_run([8, 9, 10, 11], [0.0] * 4, floor_ns=9) == [0, 1]
 
 
 def test_sharded_engine_routes_runs_to_the_owning_shard():
@@ -151,18 +136,11 @@ def full_scan_retention(tsdb, now_ns):
     if tsdb.retention_ns is None:
         return 0
     cutoff = now_ns - tsdb.retention_ns
-    if tsdb.block_policy is not None:
-        cutoff -= cutoff % tsdb.block_policy.block_range_ns
     dropped = 0
     empty = []
     for labels, storage in tsdb._series.items():  # noqa: SLF001
         dropped += storage.drop_before(cutoff)
-        rollup = tsdb._rollups.get(labels)  # noqa: SLF001
-        if rollup is not None:
-            dropped += rollup.drop_before(cutoff)
-            if storage.sample_count == 0 and rollup.bucket_count == 0:
-                empty.append(labels)
-        elif storage.sample_count == 0:
+        if storage.sample_count == 0:
             empty.append(labels)
     for labels in empty:
         tsdb._unindex(labels)  # noqa: SLF001
@@ -172,7 +150,6 @@ def full_scan_retention(tsdb, now_ns):
 def _round_trip(tsdb, retention_ns):
     copy = archive.restore(archive.snapshot(tsdb))
     copy.retention_ns = retention_ns
-    copy.block_policy = tsdb.block_policy
     return copy
 
 
@@ -182,26 +159,22 @@ _retention_ops = st.one_of(
         st.tuples(st.sampled_from(SERIES[:3]), st.integers(0, 600)),
         max_size=8)),
     st.tuples(st.just("retain"), st.integers(0, 900)),
-    st.tuples(st.just("compact"), st.integers(0, 900)),
     st.tuples(st.just("delete"), st.sampled_from(["0", "1", "2"])),
     st.tuples(st.just("restore"), st.none()),
 )
 
 
-@given(st.lists(_retention_ops, max_size=25), st.booleans(),
+@given(st.lists(_retention_ops, max_size=25),
        st.sampled_from([40, 130, 300]))
 @settings(deadline=None)
 def test_retention_with_the_low_water_mark_equals_the_full_scan(
-        ops, policy, retention_ns):
+        ops, retention_ns):
     # Same operations on two stores; one expires through the low-water
     # mark, the other by scanning every series on every pass.  The clock
     # may run backwards and samples may arrive late: the mark has to be
-    # lowered by whatever lands, is folded or is installed.
-    def build():
-        return Tsdb(retention_ns=retention_ns,
-                    block_policy=POLICY if policy else None)
-
-    fast, scan = build(), build()
+    # lowered by whatever lands or is installed.
+    fast = Tsdb(retention_ns=retention_ns)
+    scan = Tsdb(retention_ns=retention_ns)
     for kind, arg in ops:
         if kind == "run":
             labels, start, steps, shape = arg
@@ -220,14 +193,12 @@ def test_retention_with_the_low_water_mark_equals_the_full_scan(
                         pass
         elif kind == "retain":
             assert fast.enforce_retention(arg) == full_scan_retention(scan, arg)
-        elif kind == "compact":
-            assert fast.compact(arg) == scan.compact(arg)
         elif kind == "delete":
             matchers = [Matcher.eq("i", arg)]
             assert fast.delete_series(matchers) == scan.delete_series(matchers)
-        elif not fast.has_rollups():
-            # A checkpoint round trip (raw chunks only) installs whole
-            # series into a store whose mark starts from nothing.
+        else:
+            # A checkpoint round trip installs whole series into a store
+            # whose mark starts from nothing.
             fast, scan = (
                 _round_trip(tsdb, retention_ns) for tsdb in (fast, scan))
         assert _state(fast) == _state(scan)

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.errors import QueryError
-from repro.pmag.blocks import BlockPolicy
-from repro.pmag.model import Labels
 from repro.pmag.query.engine import QueryEngine
 from repro.pmag.query.parser import parse_query
 from repro.pmag.storage import build_storage_engine
@@ -25,7 +23,6 @@ from repro.trace import Tracer
 from tests.query_oracle import PerInstantEvaluator
 from tests.test_perf_equivalence import (
     RANGE_QUERIES,
-    _POLICY,
     _fill,
     _series_strategy,
 )
@@ -46,24 +43,13 @@ _REJECTED = (
     "ebpf_syscalls_total + ebpf_syscalls_total[1m]",
 )
 
-_STORES = ("monolith", "sharded", "compacted", "compacted-sharded")
+_STORES = ("monolith", "sharded")
 
 
 def _store(kind, values_by_series):
-    """A filled store of ``kind``; compacted kinds fold everything older
-    than the policy's horizon into rollup buckets first."""
-    shards = 4 if kind.endswith("sharded") else 1
-    compacted = kind.startswith("compacted")
-    tsdb = _fill(
-        build_storage_engine(
-            shards, block_policy=_POLICY if compacted else None
-        ),
-        values_by_series,
-    )
-    if compacted and values_by_series:
-        longest = max(len(values) for _p, values in values_by_series.values())
-        tsdb.compact((longest + 2) * seconds(5))
-    return tsdb
+    """A filled store of ``kind``."""
+    shards = 4 if kind == "sharded" else 1
+    return _fill(build_storage_engine(shards), values_by_series)
 
 
 def _outcome(evaluate):
@@ -152,45 +138,6 @@ def test_fixed_store_has_the_cases_it_is_there_for():
     assert engine.instant("absent(ebpf_syscalls_total)", seconds(42)) == []
     assert engine.instant("1 + 2 * 3", 0)[0][1] == 7.0
     assert QueryEngine(Tsdb()).instant("absent(ebpf_syscalls_total)", 0) != []
-
-
-# ---------------------------------------------------------------------------
-# Instants read raw samples only, whatever the store has compacted
-# ---------------------------------------------------------------------------
-def test_instants_on_a_compacted_store_read_raw_samples_only():
-    policy = BlockPolicy(
-        block_range_ns=seconds(60),
-        downsample_after_ns=seconds(60),
-        resolution_ns=seconds(60),
-    )
-    tsdb = Tsdb(block_policy=policy)
-    for step in range(1, 61):
-        tsdb.append_sample("signal", step * seconds(5), float(step), job="j")
-    now_ns = seconds(300)
-    assert tsdb.compact(now_ns) > 0 and tsdb.has_rollups()
-    engine = QueryEngine(tsdb)
-    # Raw survivors are the samples of the last block only.
-    survivors = [
-        sample.value
-        for series in tsdb.select([], 0, now_ns) for sample in series.samples
-    ]
-    assert 0 < len(survivors) < 60
-    before = tsdb.storage_stats()["downsampled_reads_total"]
-    # Bucket-aligned window (0..300 s at a 60 s resolution): a range
-    # query at a coarse step serves it from rollups ⊕ raw and sees all
-    # sixty samples; the instant sees the survivors alone.
-    assert engine.instant("count_over_time(signal[5m])", now_ns) == [
-        (Labels({"job": "j"}), float(len(survivors)))
-    ]
-    assert engine.instant("sum_over_time(signal[5m])", now_ns)[0][1] == sum(
-        survivors
-    )
-    assert tsdb.storage_stats()["downsampled_reads_total"] == before
-    ranged = engine.range_query(
-        "count_over_time(signal[5m])", now_ns, now_ns, seconds(60)
-    )
-    assert ranged[0].samples[0].value == 60.0
-    assert tsdb.storage_stats()["downsampled_reads_total"] == before + 1
 
 
 # ---------------------------------------------------------------------------

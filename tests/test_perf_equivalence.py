@@ -5,9 +5,8 @@ semantics it replaced:
 
 * step-grid range evaluation (``range_query``) vs per-step evaluation
   (``range_query_per_step``, the seed algorithm, kept in
-  ``tests/query_oracle.py``) — on a monolith, through a sharded engine,
-  and over a compacted store where aligned windows are served from
-  rollups;
+  ``tests/query_oracle.py``) — on a monolith and through a sharded
+  engine;
 * indexed chunk windows (``window``/``window_arrays``) vs a linear decode
   of ``chunk.samples()`` (the seed algorithm, re-implemented here);
 * column-form range functions vs the Sample-form originals;
@@ -26,24 +25,17 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.errors import QueryError
-from repro.pmag.blocks import BlockPolicy, aggregate_arrays
 from repro.pmag.chunks import CHUNK_SIZE, Chunk, ChunkedSeries
-from repro.pmag.model import METRIC_NAME_LABEL, Sample
-from repro.pmag.query import ops
+from repro.pmag.model import Sample
 from repro.pmag.query.engine import QueryEngine
 from repro.pmag.query.functions import (
     COLUMN_RANGE_FUNCTIONS,
-    ROLLUP_COMPOSERS,
     window_bounds,
 )
 from repro.pmag.storage import build_storage_engine
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import seconds
-from tests.query_oracle import (
-    RANGE_FUNCTIONS,
-    PerInstantEvaluator,
-    range_query_per_step,
-)
+from tests.query_oracle import RANGE_FUNCTIONS, range_query_per_step
 
 # ---------------------------------------------------------------------------
 # Step-grid vs per-step range evaluation
@@ -227,97 +219,6 @@ def test_bulk_range_query_matches_on_dense_series():
 
 
 # ---------------------------------------------------------------------------
-# Rollup-served windows vs a per-step rollup oracle
-# ---------------------------------------------------------------------------
-_POLICY = BlockPolicy(
-    block_range_ns=seconds(40),
-    downsample_after_ns=seconds(40),
-    resolution_ns=seconds(20),
-)
-
-
-class _RollupOracle(PerInstantEvaluator):
-    """``range_query_per_step`` extended with the downsampled-read rule.
-
-    Per step and per composable ``*_over_time`` call: when the store has
-    rollups, the step is at least their resolution and the window is
-    bucket-aligned, the value is rollup-aggregate ⊕ raw-aggregate per
-    series (one counted downsampled read); otherwise the raw samples.
-    """
-
-    def __init__(self, tsdb, step_ns, **kwargs):
-        super().__init__(tsdb, **kwargs)
-        resolution = tsdb.downsample_resolution_ns
-        self.resolution = (
-            resolution
-            if resolution and step_ns >= resolution and tsdb.has_rollups()
-            else None
-        )
-        self.downsampled_reads = 0
-
-    def _eval_function(self, call, time_ns):
-        if self.resolution is None or call.name not in ROLLUP_COMPOSERS:
-            return super()._eval_function(call, time_ns)
-        _quantile, range_selector = ops.range_call(call)
-        selector = range_selector.selector
-        low, high = selector.window(time_ns, range_selector.range_ns)
-        if low % self.resolution or high % self.resolution:
-            return super()._eval_function(call, time_ns)
-        self.downsampled_reads += 1
-        matchers = selector.tsdb_matchers()
-        aggregates = {
-            labels: aggregate_arrays(times, values, low, high)
-            for labels, times, values
-            in self._tsdb.select_arrays(matchers, low, high)
-        }
-        for labels, rollup in self._tsdb.select_rollups(matchers, low, high):
-            aggregates[labels] = rollup.window_aggregate(low, high).merge(
-                aggregates.get(labels)
-            )
-        compose = ROLLUP_COMPOSERS[call.name]
-        return [
-            (labels.without(METRIC_NAME_LABEL), compose(aggregate))
-            for labels, aggregate
-            in sorted(aggregates.items(), key=lambda kv: kv[0].items())
-            if aggregate.count
-        ]
-
-
-@given(
-    _series_strategy,
-    st.sampled_from(RANGE_QUERIES),
-    st.sampled_from((1, 4)),                # shards
-    st.sampled_from((0, 20, 40, 100)),      # start, seconds
-    st.sampled_from((0, 5)),                # grid misalignment, seconds
-    st.sampled_from((20, 40, 60)),          # step >= resolution, seconds
-)
-@settings(max_examples=300, deadline=None)
-def test_bulk_range_query_matches_per_step_on_compacted_store(
-    values_by_series, query, shards, start_s, skew_s, step_s
-):
-    """Aligned windows are served rollup ⊕ raw, misaligned ones raw —
-    same results and the same ``downsampled_reads_total`` as per step."""
-    tsdb = _fill(
-        build_storage_engine(shards, block_policy=_POLICY), values_by_series
-    )
-    longest = max(len(values) for _phase, values in values_by_series.values())
-    end_ns = (longest + 2) * seconds(5)
-    tsdb.compact(end_ns)
-    engine = QueryEngine(tsdb)
-    start_ns = min(seconds(start_s + skew_s), end_ns)
-    oracle = _RollupOracle(tsdb, seconds(step_s))
-    expected = oracle.range_query_per_step(
-        query, start_ns, end_ns, seconds(step_s)
-    )
-    before = tsdb.storage_stats()["downsampled_reads_total"]
-    assert _bits(
-        engine.range_query(query, start_ns, end_ns, seconds(step_s))
-    ) == _bits(expected)
-    served = tsdb.storage_stats()["downsampled_reads_total"] - before
-    assert served == oracle.downsampled_reads
-
-
-# ---------------------------------------------------------------------------
 # Re-entrancy: a query's state lives on its own grid, not on the engine
 # ---------------------------------------------------------------------------
 _REENTRANT_QUERIES = (
@@ -329,14 +230,12 @@ _REENTRANT_QUERIES = (
 
 
 def _reentrancy_store(shards=1):
-    tsdb = build_storage_engine(shards, block_policy=_POLICY)
+    tsdb = build_storage_engine(shards)
     _fill(tsdb, {
         (name, idx): (idx, [float((step * 7 + idx * 13) % 50)
                             for step in range(60)])
         for name in ("read", "write") for idx in range(3)
     })
-    tsdb.compact(seconds(310))
-    assert tsdb.has_rollups()
     return tsdb
 
 
@@ -357,16 +256,16 @@ def test_range_query_is_reentrant_through_a_selector_callback():
         _bits(engine.range_query(query, *window)) for query, window in cases
     ]
     nested = {}
-    select_rollups = tsdb.select_rollups
+    select_arrays = tsdb.select_arrays
 
     def select_then_reenter(matchers, start_ns, end_ns):
         if not nested:
             nested["running"] = True
             for index, (query, window) in enumerate(cases[1:], start=1):
                 nested[index] = _bits(engine.range_query(query, *window))
-        return select_rollups(matchers, start_ns, end_ns)
+        return select_arrays(matchers, start_ns, end_ns)
 
-    tsdb.select_rollups = select_then_reenter
+    tsdb.select_arrays = select_then_reenter
     outer = engine.range_query(cases[0][0], *cases[0][1])
     assert _bits(outer) == isolated[0]
     assert [nested[index] for index in range(1, len(cases))] == isolated[1:]

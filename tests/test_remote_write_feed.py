@@ -7,7 +7,7 @@ hypothesis state machine below runs it beside
 window from the store, on one shared engine (monolith and 4 shards)
 through arbitrary interleavings of ingest — rejected, future and
 behind-watermark samples included — flushes, late arrivals, stop,
-seed, retention shorter than a flush, compaction and deletes.  After
+seed, retention shorter than a flush, and deletes.  After
 every flush both must have queued the same ``(seq, entries, end_ns)``
 and put byte-identical frames on the wire.
 
@@ -28,7 +28,6 @@ from hypothesis.stateful import RuleBasedStateMachine, rule
 from repro.net.http import HttpNetwork
 from repro.orchestration.fleet import NodeFleet
 from repro.orchestration.kubernetes import Cluster
-from repro.pmag.blocks import BlockPolicy
 from repro.pmag.model import Labels, Matcher
 from repro.pmag.remote_write import RemoteWriteClient, encode_frame
 from repro.pmag.storage import ShardedTsdb, series_fingerprint
@@ -49,10 +48,8 @@ offsets = st.integers(-12, 8)
 #: A value the store takes, NaN, or one its typed column refuses.
 values = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
                    st.sampled_from([math.nan, "x"]))
-#: Short enough that retention and compaction cut into a flush window.
+#: Short enough that retention cuts into a flush window.
 RETENTION_NS = 4
-POLICY = BlockPolicy(block_range_ns=2, downsample_after_ns=4,
-                     resolution_ns=1)
 
 
 class _Uplink:
@@ -90,10 +87,9 @@ class FeedMachine(RuleBasedStateMachine):
         self.clock = VirtualClock()
         self.clock.advance(20)
         if self.SHARDS == 1:
-            self.tsdb = Tsdb(retention_ns=RETENTION_NS, block_policy=POLICY)
+            self.tsdb = Tsdb(retention_ns=RETENTION_NS)
         else:
-            self.tsdb = ShardedTsdb(self.SHARDS, retention_ns=RETENTION_NS,
-                                    block_policy=POLICY)
+            self.tsdb = ShardedTsdb(self.SHARDS, retention_ns=RETENTION_NS)
         self.client = _client(RemoteWriteClient, self.clock, self.tsdb)
         self.reference = _client(ReferenceClient, self.clock, self.tsdb)
 
@@ -159,14 +155,11 @@ class FeedMachine(RuleBasedStateMachine):
             self.flush()
 
     # -- samples leaving the store -----------------------------------------
-    @rule(how=st.sampled_from(["retention", "compaction", "delete"]),
+    @rule(how=st.sampled_from(["retention", "delete"]),
           job=st.sampled_from(["a", "b"]))
     def remove(self, how, job):
-        now = self.clock.now_ns
         if how == "retention":
-            self.tsdb.enforce_retention(now)
-        elif how == "compaction":
-            self.tsdb.compact(now)
+            self.tsdb.enforce_retention(self.clock.now_ns)
         else:
             self.tsdb.delete_series([Matcher.eq("job", job)])
 
@@ -256,13 +249,11 @@ def test_stopped_client_retains_nothing_and_catches_up_exactly(shards):
 
 
 @pytest.mark.parametrize("shards", [1, 4])
-@pytest.mark.parametrize("removal", ["retention", "compaction", "delete"])
+@pytest.mark.parametrize("removal", ["retention", "delete"])
 def test_samples_removed_before_the_flush_never_ship(shards, removal):
     clock = VirtualClock()
-    policy = BlockPolicy(block_range_ns=10, downsample_after_ns=20,
-                         resolution_ns=5)
-    tsdb = (Tsdb(retention_ns=20, block_policy=policy) if shards == 1 else
-            ShardedTsdb(shards, retention_ns=20, block_policy=policy))
+    tsdb = (Tsdb(retention_ns=20) if shards == 1 else
+            ShardedTsdb(shards, retention_ns=20))
     client, reference = (
         _client(cls, clock, tsdb, max_frame_samples=500, queue_max_frames=64)
         for cls in (RemoteWriteClient, ReferenceClient))
@@ -275,8 +266,6 @@ def test_samples_removed_before_the_flush_never_ship(shards, removal):
     tsdb.append_batch([(kept, 40, 3.0)])
     if removal == "retention":
         assert tsdb.enforce_retention(clock.now_ns) == 1
-    elif removal == "compaction":
-        assert tsdb.compact(clock.now_ns) == 1
     else:
         assert tsdb.delete_series([Matcher.eq("job", "a")]) == 1
     for c in (client, reference):
@@ -287,8 +276,8 @@ def test_samples_removed_before_the_flush_never_ship(shards, removal):
     # Expiring only what was shipped leaves the feed's word good.
     clock.advance(20)
     tsdb.append_batch([(kept, 60, 4.0)])
-    # early's chunk, and gone's rollup bucket where it was folded
-    assert tsdb.enforce_retention(clock.now_ns) >= 1
+    # early's chunk
+    assert tsdb.enforce_retention(clock.now_ns) == 1
     for c in (client, reference):
         c.flush()
     assert client._network.bodies == reference._network.bodies

@@ -8,11 +8,6 @@ The sharded engine is only admissible if nothing above it can tell:
   properties);
 * the same chaos seed produces the same TSDB digest whether the rig runs
   a monolith, ``build_storage_engine(1)``, or a 4-shard engine;
-* downsampled range reads are *equal* to raw evaluation for the
-  composable ``*_over_time`` functions on aligned windows (integer
-  sample values so float addition is exact under any grouping), and the
-  ``downsampled_reads_total`` counter proves the rollup path served
-  them;
 * archives round-trip: every engine snapshots into the one layout, and
   restore always builds a plain monolith with the same series.
 """
@@ -23,7 +18,6 @@ import pytest
 
 from repro.errors import TsdbError
 from repro.pmag.archive import restore, snapshot
-from repro.pmag.blocks import BlockPolicy
 from repro.pmag.model import Labels, Matcher
 from repro.pmag.query.engine import QueryEngine
 from repro.pmag.storage import (
@@ -224,108 +218,10 @@ def test_chaos_digest_identical_across_shard_counts():
     assert four == one
 
 
-# ---------------------------------------------------------------------------
-# Downsampled reads are exact
-# ---------------------------------------------------------------------------
-
-#: 1h of samples every 10s, integer values — float addition over
-#: integers is exact under any grouping, so rollup-composed sums equal
-#: raw sums bit for bit.
-_POLICY = BlockPolicy(
-    block_range_ns=seconds(600),
-    downsample_after_ns=seconds(600),
-    resolution_ns=seconds(60),
-)
-
 _COMPOSABLE = (
     "avg_over_time", "min_over_time", "max_over_time",
     "sum_over_time", "count_over_time",
 )
-
-
-def _ingest_hour(engine: StorageEngine) -> None:
-    for series in range(3):
-        for step in range(360):
-            engine.append_sample(
-                "signal", (step + 1) * seconds(10),
-                float((step * 7 + series * 13) % 1000), idx=str(series),
-            )
-
-
-@pytest.mark.parametrize("shards", [1, 4])
-def test_downsampled_range_reads_equal_raw(shards):
-    raw = Tsdb()
-    compacted = build_storage_engine(shards, block_policy=_POLICY)
-    _ingest_hour(raw)
-    _ingest_hour(compacted)
-    now_ns = seconds(3600)
-    folded = compacted.compact(now_ns)
-    # Horizon: 3600 - 600 aligned down to the block = 3000s; samples at
-    # 10..2990s fold (299 per series), the block-aligned tail stays raw.
-    assert folded == 3 * 299
-    assert compacted.has_rollups()
-    assert compacted.sample_count() == raw.sample_count() - folded
-    assert compacted.total_appends == raw.total_appends
-
-    raw_engine, engine = QueryEngine(raw), QueryEngine(compacted)
-    # Aligned windows: start/end/step all multiples of the 60s
-    # resolution, spanning folded history, the straddle, and the raw
-    # head.
-    for function in _COMPOSABLE:
-        query = f"{function}(signal[10m])"
-        expect = raw_engine.range_query(
-            query, seconds(600), now_ns, seconds(300)
-        )
-        before = compacted.storage_stats()["downsampled_reads_total"]
-        got = engine.range_query(query, seconds(600), now_ns, seconds(300))
-        assert got == expect, function
-        # The counter proves the rollup path actually served the steps.
-        after = compacted.storage_stats()["downsampled_reads_total"]
-        assert after > before, function
-
-
-def test_fine_steps_and_misaligned_windows_fall_back_to_raw():
-    compacted = Tsdb(block_policy=_POLICY)
-    _ingest_hour(compacted)
-    compacted.compact(seconds(3600))
-    engine = QueryEngine(compacted)
-    # Step below the resolution: the rollup path must not engage.
-    engine.range_query(
-        "avg_over_time(signal[10m])", seconds(3000), seconds(3600), seconds(30)
-    )
-    assert compacted.storage_stats()["downsampled_reads_total"] == 0
-    # rate() needs every sample and never reads rollups.
-    engine.range_query(
-        "rate(signal[10m])", seconds(3000), seconds(3600), seconds(300)
-    )
-    assert compacted.storage_stats()["downsampled_reads_total"] == 0
-
-
-def test_append_behind_the_rollup_is_rejected():
-    engine = Tsdb(block_policy=_POLICY)
-    labels = Labels.of("signal", idx="0")
-    for step in range(360):
-        engine.append(labels, (step + 1) * seconds(10), 1.0)
-    engine.compact(seconds(3600))
-    # Fully compact the series: drop the raw head entirely.
-    times, _values = engine._series[labels].split_before(seconds(4000))  # noqa: SLF001
-    assert times
-    with pytest.raises(TsdbError, match="out-of-order"):
-        engine.append(labels, seconds(100), 1.0)
-    engine.append(labels, seconds(4000), 1.0)  # past the rollup: fine
-
-
-def test_block_aligned_retention_drops_rollups_too():
-    engine = Tsdb(retention_ns=seconds(1200), block_policy=_POLICY)
-    _ingest_hour(engine)
-    engine.compact(seconds(3600))
-    dropped = engine.enforce_retention(seconds(3600))
-    assert dropped > 0
-    # Cutoff 3600-1200=2400s is block-aligned; nothing older survives in
-    # either representation.
-    assert not engine.select([], 0, seconds(2399))
-    stats = engine.shard_stats()
-    assert stats["rollup_samples"] > 0  # 2400..2990s stayed folded
 
 
 # ---------------------------------------------------------------------------
@@ -345,22 +241,15 @@ def _ingest_fractions(engine: StorageEngine) -> None:
             )
 
 
-@pytest.mark.parametrize("compacted", [False, True], ids=["raw", "compacted"])
 @pytest.mark.parametrize("shards", [1, 2, 4, 8])
-def test_sharded_aggregations_are_bit_identical_to_the_monolith(
-    shards, compacted
-):
-    policy = _POLICY if compacted else None
-    mono = Tsdb(block_policy=policy)
-    sharded = ShardedTsdb(shards, block_policy=policy)
+def test_sharded_aggregations_are_bit_identical_to_the_monolith(shards):
+    mono = Tsdb()
+    sharded = ShardedTsdb(shards)
     now_ns = seconds(1800)
     for db in (mono, sharded):
         _ingest_fractions(db)
-        if compacted:
-            assert db.compact(now_ns) > 0
     mono_engine, sharded_engine = QueryEngine(mono), QueryEngine(sharded)
-    # A rollup-aligned grid and one that is not (on a compacted store:
-    # windows served bucket ⊕ raw, and windows that fall back to raw).
+    # A grid on whole minutes and one that is not.
     grids = (
         (seconds(600), now_ns, seconds(300)),
         (seconds(610), now_ns - seconds(10), seconds(70)),
@@ -377,46 +266,34 @@ def test_sharded_aggregations_are_bit_identical_to_the_monolith(
 
 
 # ---------------------------------------------------------------------------
-# The deployment thread-through: compaction on the clock, telemetry out
+# The deployment thread-through: storage telemetry out
 # ---------------------------------------------------------------------------
 
-def test_deployment_compacts_and_serves_storage_telemetry():
+def test_deployment_serves_storage_telemetry():
     from repro.simkernel.kernel import Kernel
     from repro.sgx.driver import SgxDriver
     from repro.teemon import TeemonConfig, deploy
 
     kernel = Kernel(seed=7, hostname="storage-host")
     kernel.load_module(SgxDriver())
-    config = TeemonConfig(
-        storage_shards=4,
-        block_range_s=120.0,
-        downsample_after_s=120.0,
-        downsample_resolution_s=60.0,
-    )
-    deployment = deploy(kernel, config)
+    deployment = deploy(kernel, TeemonConfig(storage_shards=4))
     kernel.clock.advance(seconds(600))
     session = deployment.session
 
     stats = session.storage_stats()
     assert stats["shards"] == 4
-    assert len(stats["per_shard"]) == 4
-    assert stats["compactions_total"] > 0
-    assert stats["samples_compacted_total"] > 0
-    assert stats["bytes_saved_total"] > 0
-    assert sum(s["rollup_samples"] for s in stats["per_shard"]) == (
-        stats["samples_compacted_total"]
+    assert [sorted(shard) for shard in stats["per_shard"]] == (
+        [["samples", "series"]] * 4
     )
     assert sum(s["series"] for s in stats["per_shard"]) == (
         deployment.tsdb.series_count()
     )
+    assert sum(s["samples"] for s in stats["per_shard"]) == (
+        deployment.tsdb.sample_count()
+    )
 
-    # A wide-step range query over folded history reads the rollups...
-    before = session.storage_stats()["downsampled_reads_total"]
-    session.query_range("avg_over_time(up[5m])", window_s=240, step_s=60)
-    assert session.storage_stats()["downsampled_reads_total"] > before
-
-    # ...and the whole family round-trips through the teemon_self
-    # scrape as real queryable series.
+    # The family round-trips through the teemon_self scrape as real
+    # queryable series.
     assert session.query("teemon_storage_shards")[0][1] == 4.0
     per_shard = session.query("teemon_storage_samples")
     assert {labels.get("shard") for labels, _v in per_shard} == {

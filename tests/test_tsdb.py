@@ -167,11 +167,6 @@ def test_windows_come_back_as_typed_arrays():
     assert isinstance(values, array) and values.typecode == "d"
     assert list(times) == [s.time_ns for s in series.window(15, 20 * CHUNK_SIZE + 5)]
     assert list(values) == [s.value for s in series.window(15, 20 * CHUNK_SIZE + 5)]
-    detached_times, detached_values = series.split_before(CHUNK_SIZE * 10 + 35)
-    assert isinstance(detached_times, array)
-    assert list(detached_times) == list(range(0, CHUNK_SIZE * 10 + 35, 10))
-    assert list(detached_values) == [t * 0.05 for t in detached_times]
-    assert series.sample_count == 3 * CHUNK_SIZE - len(detached_times)
 
 
 def test_chunked_series_rolls_over():
