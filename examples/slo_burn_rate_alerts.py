@@ -89,7 +89,6 @@ def main() -> None:
     web_runtime = SconeRuntime()
     web_runtime.setup(kernel, container_id="nginx")
     web = NginxLikeServer()
-    web.put_document("/index.html", b"x" * 16_384)
     for _ in range(14):
         web.run_load_slice(web_runtime, requests=2_000,
                            duration_ns=30 * 10**9)

@@ -2,14 +2,15 @@
 
 The paper evaluates TEEMon with three real applications — Redis, NGINX and
 MongoDB (§6.3) — driven by memtier_benchmark / redis-benchmark (§6.4-6.5).
-This package provides executable models of all of them:
+This package models each of them as aggregate load, which is how TEEMon
+sees them (counts of syscalls, faults and cache events per slice):
 
-* :class:`~repro.apps.kvstore.RedisLikeServer` — an in-memory key-value
-  store with a real command set and RESP-style byte accounting;
+* :class:`~repro.apps.kvstore.RedisLikeServer` — a synthetic key-value
+  population with RESP-style byte accounting;
 * :class:`~repro.apps.webserver.NginxLikeServer` — a static web server
-  with a page-cache-backed document root;
-* :class:`~repro.apps.docstore.MongoLikeServer` — a document store with
-  collections, filter queries and disk-flush behaviour;
+  whose request slices read through the page cache;
+* :class:`~repro.apps.docstore.MongoLikeServer` — a document store's
+  per-operation cost and syscall mix;
 * :class:`~repro.apps.clients.MemtierBenchmark` and
   :class:`~repro.apps.clients.RedisBenchmark` — load generators matching
   the paper's configurations (8 client threads, a pipeline of 8, GET

@@ -6,19 +6,15 @@ in-process work (BSON decode, index lookup, journal append) relative to
 its syscall count, so monitoring costs it the least (95 % of baseline in
 the paper).
 
-The store is real: named collections of dict documents with ``insert``,
-``find`` (equality filters), ``update`` and ``delete``, plus periodic
-journal flushes that dirty page-cache pages (the ``fsync`` traffic TEEMon
-sees from database workloads).
+The model is the operation's cost and its instrumented syscall mix
+(journal group commits included); :meth:`MongoLikeServer.achievable_rate`
+turns them into the operation rate under each monitoring configuration.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Tuple
 
-from repro.errors import ReproError
 from repro.frameworks.base import SgxFramework
 
 #: Syscalls per operation: few, large batches (snappy-compressed wire).
@@ -33,127 +29,17 @@ SYSCALLS_PER_OP: Tuple[Tuple[str, float], ...] = (
 #: In-enclave service cost per operation under SCONE, ns (≈ 40 K op/s).
 OP_COST_NS = 25_000.0
 
-JOURNAL_INODE = 7_777_777
-
-
-@dataclass
-class DocStats:
-    """Operation counters."""
-
-    inserts: int = 0
-    finds: int = 0
-    updates: int = 0
-    deletes: int = 0
-
-
-class Collection:
-    """One named collection."""
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._docs: Dict[int, Dict[str, Any]] = {}
-        self._ids = itertools.count(start=1)
-
-    def insert(self, document: Dict[str, Any]) -> int:
-        """Insert a document; returns its _id."""
-        doc_id = next(self._ids)
-        stored = dict(document)
-        stored["_id"] = doc_id
-        self._docs[doc_id] = stored
-        return doc_id
-
-    def find(self, filter_: Optional[Dict[str, Any]] = None) -> List[Dict[str, Any]]:
-        """Equality-filter query (empty filter returns everything)."""
-        if not filter_:
-            return [dict(d) for d in self._docs.values()]
-        return [
-            dict(d) for d in self._docs.values()
-            if all(d.get(k) == v for k, v in filter_.items())
-        ]
-
-    def update(self, filter_: Dict[str, Any], changes: Dict[str, Any]) -> int:
-        """Apply ``changes`` to matching documents; returns count."""
-        if "_id" in changes:
-            raise ReproError("_id is immutable")
-        matched = 0
-        for doc in self._docs.values():
-            if all(doc.get(k) == v for k, v in filter_.items()):
-                doc.update(changes)
-                matched += 1
-        return matched
-
-    def delete(self, filter_: Dict[str, Any]) -> int:
-        """Delete matching documents; returns count."""
-        victims = [
-            doc_id for doc_id, doc in self._docs.items()
-            if all(doc.get(k) == v for k, v in filter_.items())
-        ]
-        for doc_id in victims:
-            del self._docs[doc_id]
-        return len(victims)
-
-    def __len__(self) -> int:
-        return len(self._docs)
-
 
 class MongoLikeServer:
-    """Document store with journal-flush page-cache behaviour."""
+    """Document store: per-operation cost and syscall mix."""
 
     def __init__(self, name: str = "mongod") -> None:
         self.name = name
-        self._collections: Dict[str, Collection] = {}
-        self.stats = DocStats()
-        self._journal_page = 0
 
-    def collection(self, name: str) -> Collection:
-        """Get or create a collection."""
-        if name not in self._collections:
-            self._collections[name] = Collection(name)
-        return self._collections[name]
-
-    def insert(self, collection: str, document: Dict[str, Any]) -> int:
-        """Insert into a collection."""
-        self.stats.inserts += 1
-        return self.collection(collection).insert(document)
-
-    def find(self, collection: str, filter_: Optional[Dict[str, Any]] = None):
-        """Query a collection."""
-        self.stats.finds += 1
-        return self.collection(collection).find(filter_)
-
-    def journal_flush(self, runtime: SgxFramework, dirty_pages: int = 8) -> None:
-        """Group-commit the journal: dirty pages + fsync."""
-        kernel = runtime._require_setup()  # noqa: SLF001 - harness-level access
-        pid = runtime.process.pid
-        for _ in range(dirty_pages):
-            kernel.page_cache.write(JOURNAL_INODE, self._journal_page, pid=pid)
-            self._journal_page += 1
-        kernel.syscalls.dispatch("fsync", pid)
-
-    # ------------------------------------------------------------------
-    # Aggregate load (Figure 5 overhead experiment)
-    # ------------------------------------------------------------------
     @staticmethod
     def events_per_op() -> float:
         """Instrumented syscall events per operation."""
         return sum(rate for _, rate in SYSCALLS_PER_OP)
-
-    def run_load_slice(
-        self, runtime: SgxFramework, operations: int, duration_ns: int
-    ) -> None:
-        """Replay ``operations`` worth of traffic in aggregate."""
-        if operations <= 0:
-            return
-        kernel = runtime._require_setup()  # noqa: SLF001
-        pid = runtime.process.pid
-        for name, per_op in SYSCALLS_PER_OP:
-            count = int(per_op * operations)
-            if count > 0:
-                runtime._dispatch_syscalls(name, count)  # noqa: SLF001
-        kernel.page_cache.account_activity(
-            pid, writes=max(1, operations // 100), hit_ratio=0.95
-        )
-        self.stats.finds += operations
 
     def achievable_rate(
         self,

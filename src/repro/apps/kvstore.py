@@ -1,25 +1,18 @@
 """A Redis-like in-memory key-value store.
 
-Two layers:
-
-* a **real data structure** — commands ``SET``/``GET``/``DEL``/``EXISTS``/
-  ``INCR``/``FLUSHALL`` over a dict, with RESP-style wire-size accounting,
-  used directly by tests and examples;
-* a **synthetic population** layer — the paper pre-populates 720 000 keys,
-  which would be wasteful to materialise for every benchmark
-  configuration, so :meth:`RedisLikeServer.populate_synthetic` records the
-  key count and value size and the store answers size queries from that
-  metadata.  Real keys written with :meth:`set` overlay the synthetic
-  space.
+The store is a **synthetic population**: the paper pre-populates 720 000
+keys, which would be wasteful to materialise for every benchmark
+configuration, so :meth:`RedisLikeServer.populate_synthetic` records the
+key count and value size and the store answers the size queries the load
+generators ask (key count, database bytes, RESP response bytes) from that
+metadata.  The load itself is aggregate: the framework models replay a
+slice's worth of GETs as syscall, fault, cache and EPC events.
 
 The paper's database sizes (§6.5: values of 32/64/96 bytes giving 78, 105
 and 127 MB) are reproduced by :func:`db_bytes_for`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Dict, Optional
 
 from repro.errors import ReproError
 
@@ -43,76 +36,11 @@ def db_bytes_for(keys: int, value_size: int) -> int:
     return keys * (value_size + PER_KEY_OVERHEAD_BYTES)
 
 
-class WrongTypeError(ReproError):
-    """INCR on a non-integer value (Redis WRONGTYPE)."""
-
-
-@dataclass
-class KvStats:
-    """Command counters."""
-
-    gets: int = 0
-    sets: int = 0
-    hits: int = 0
-    misses: int = 0
-
-
 class RedisLikeServer:
     """The store itself (no networking; the benchmark models transport)."""
 
     def __init__(self, name: str = "redis-server") -> None:
         self.name = name
-        self._data: Dict[str, bytes] = {}
-        self._synthetic_keys = 0
-        self._synthetic_value_size = 0
-        self.stats = KvStats()
-
-    # ------------------------------------------------------------------
-    # Real commands
-    # ------------------------------------------------------------------
-    def set(self, key: str, value: bytes) -> None:
-        """SET key value."""
-        if not isinstance(value, bytes):
-            raise ReproError(f"values are bytes, got {type(value).__name__}")
-        self._data[key] = value
-        self.stats.sets += 1
-
-    def get(self, key: str) -> Optional[bytes]:
-        """GET key (None when missing)."""
-        self.stats.gets += 1
-        value = self._data.get(key)
-        if value is None and not self._covered_by_synthetic(key):
-            self.stats.misses += 1
-            return None
-        if value is None:
-            # Synthetic key: deterministic content derived from the key.
-            self.stats.hits += 1
-            return self._synthetic_value(key)
-        self.stats.hits += 1
-        return value
-
-    def delete(self, key: str) -> bool:
-        """DEL key; True when it existed (real keys only)."""
-        return self._data.pop(key, None) is not None
-
-    def exists(self, key: str) -> bool:
-        """EXISTS key."""
-        return key in self._data or self._covered_by_synthetic(key)
-
-    def incr(self, key: str) -> int:
-        """INCR key (missing keys start at 0)."""
-        raw = self._data.get(key, b"0")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise WrongTypeError(f"value at {key!r} is not an integer") from None
-        value += 1
-        self._data[key] = str(value).encode("ascii")
-        return value
-
-    def flushall(self) -> None:
-        """Drop everything, synthetic population included."""
-        self._data.clear()
         self._synthetic_keys = 0
         self._synthetic_value_size = 0
 
@@ -128,39 +56,18 @@ class RedisLikeServer:
         self._synthetic_keys = keys
         self._synthetic_value_size = value_size
 
-    def _covered_by_synthetic(self, key: str) -> bool:
-        if self._synthetic_keys == 0 or not key.startswith("memtier-"):
-            return False
-        try:
-            index = int(key[len("memtier-"):])
-        except ValueError:
-            return False
-        return 0 <= index < self._synthetic_keys
-
-    def _synthetic_value(self, key: str) -> bytes:
-        pattern = (key * (self._synthetic_value_size // max(1, len(key)) + 1))
-        return pattern.encode("utf-8")[: self._synthetic_value_size]
-
     # ------------------------------------------------------------------
     # Size accounting
     # ------------------------------------------------------------------
     @property
     def key_count(self) -> int:
-        """Total keys, synthetic + real."""
-        return self._synthetic_keys + len(self._data)
+        """Keys in the population."""
+        return self._synthetic_keys
 
     @property
     def db_bytes(self) -> int:
         """Approximate memory footprint of the dataset."""
-        synthetic = (
-            db_bytes_for(self._synthetic_keys, self._synthetic_value_size)
-            if self._synthetic_keys
-            else 0
-        )
-        real = sum(
-            len(k) + len(v) + PER_KEY_OVERHEAD_BYTES for k, v in self._data.items()
-        )
-        return synthetic + real
+        return db_bytes_for(self._synthetic_keys, self._synthetic_value_size)
 
     @property
     def value_size(self) -> int:

@@ -6,19 +6,18 @@ document, sendfile-ish writes, close — which is exactly why it shows the
 *highest* monitoring overhead in the paper (87 % of baseline): every one of
 those syscalls is an instrumented event.
 
-The server keeps a real document root; GETs read documents through the
-kernel page cache, producing the page-cache kprobe traffic TEEMon's cache
+The load is aggregate: :meth:`NginxLikeServer.run_load_slice` replays a
+slice's worth of requests as their syscall mix plus the page-cache reads
+of the served documents, producing the kprobe traffic TEEMon's cache
 metrics count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
-from repro.errors import ReproError
 from repro.frameworks.base import SgxFramework
-from repro.simkernel.clock import NANOS_PER_SEC
 
 #: Syscalls per HTTP request (keep-alive connections, small static files).
 SYSCALLS_PER_REQUEST: Tuple[Tuple[str, float], ...] = (
@@ -40,7 +39,6 @@ class HttpStats:
     """Request counters."""
 
     requests: int = 0
-    not_found: int = 0
     bytes_sent: int = 0
 
 
@@ -49,43 +47,8 @@ class NginxLikeServer:
 
     def __init__(self, name: str = "nginx") -> None:
         self.name = name
-        self._documents: Dict[str, bytes] = {}
-        self._inode_by_path: Dict[str, int] = {}
-        self._next_inode = 1
         self.stats = HttpStats()
 
-    # ------------------------------------------------------------------
-    def put_document(self, path: str, content: bytes) -> None:
-        """Install a document at ``path``."""
-        if not path.startswith("/"):
-            raise ReproError(f"document paths are absolute: {path!r}")
-        self._documents[path] = content
-        if path not in self._inode_by_path:
-            self._inode_by_path[path] = self._next_inode
-            self._next_inode += 1
-
-    def handle_get(self, runtime: SgxFramework, path: str) -> Tuple[int, bytes]:
-        """Serve one GET through the kernel (page cache + syscalls)."""
-        kernel = runtime._require_setup()  # noqa: SLF001 - harness-level access
-        pid = runtime.process.pid
-        kernel.syscalls.dispatch("read", pid)
-        self.stats.requests += 1
-        content = self._documents.get(path)
-        if content is None:
-            self.stats.not_found += 1
-            kernel.syscalls.dispatch("writev", pid)
-            return 404, b"not found"
-        inode = self._inode_by_path[path]
-        pages = max(1, len(content) // 4096)
-        for page_index in range(pages):
-            kernel.page_cache.read(inode, page_index, pid=pid)
-        kernel.syscalls.dispatch("writev", pid)
-        self.stats.bytes_sent += len(content)
-        return 200, content
-
-    # ------------------------------------------------------------------
-    # Aggregate load (Figure 5 overhead experiment)
-    # ------------------------------------------------------------------
     @staticmethod
     def events_per_request() -> float:
         """Instrumented syscall events per request."""

@@ -18,7 +18,7 @@ the seam between the simulated kernel's hook registry and the VM.
 
 from repro.ebpf.attach import EbpfRuntime, ProgramAttachment
 from repro.ebpf.instructions import Instruction, Opcode, Reg
-from repro.ebpf.maps import ArrayMap, BpfMap, HashMap, PerCpuHashMap
+from repro.ebpf.maps import HashMap
 from repro.ebpf.program import Program
 from repro.ebpf.verifier import verify
 from repro.ebpf.vm import ExecutionResult, Vm
@@ -31,10 +31,7 @@ __all__ = [
     "verify",
     "Vm",
     "ExecutionResult",
-    "BpfMap",
     "HashMap",
-    "ArrayMap",
-    "PerCpuHashMap",
     "EbpfRuntime",
     "ProgramAttachment",
 ]

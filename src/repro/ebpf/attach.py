@@ -13,8 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import EbpfError
-from repro.ebpf.maps import BpfMap, MapRegistry
+from repro.ebpf.maps import HashMap, MapRegistry
 from repro.ebpf.program import Program
 from repro.ebpf.verifier import verify
 from repro.ebpf.vm import Vm
@@ -69,7 +68,7 @@ class EbpfRuntime:
         #: Cumulative instrumentation CPU cost charged to the kernel, ns.
         self.overhead_ns = 0
 
-    def create_map(self, bpf_map: BpfMap) -> int:
+    def create_map(self, bpf_map: HashMap) -> int:
         """Register a map; returns its fd for use in programs."""
         return self.maps.create(bpf_map)
 

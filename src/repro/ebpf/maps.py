@@ -1,14 +1,10 @@
 """BPF maps: the kernel/user-space data plane.
 
 Programs running in the VM may only communicate through maps, exactly like
-real eBPF.  Three map types cover everything TEEMon's programs need:
-
-* :class:`HashMap` — ``BPF_MAP_TYPE_HASH``: bounded key/value store; the
-  syscall and page-fault counters key on syscall number / fault class;
-* :class:`ArrayMap` — ``BPF_MAP_TYPE_ARRAY``: fixed-size, zero-initialised;
-  used for single counters and histograms;
-* :class:`PerCpuHashMap` — ``BPF_MAP_TYPE_PERCPU_HASH``: per-CPU shards
-  that user space sums on read, avoiding cross-CPU contention.
+real eBPF.  One map type covers everything TEEMon's programs need:
+:class:`HashMap` — ``BPF_MAP_TYPE_HASH``, a bounded key/value store.  The
+exporter's counters key on syscall number, PID, fault class or
+latency-histogram bucket; a single counter is key 0.
 
 Maps are allocated from a :class:`MapRegistry` which hands out integer
 file descriptors, mirroring ``bpf(BPF_MAP_CREATE)``.
@@ -16,65 +12,34 @@ file descriptors, mirroring ``bpf(BPF_MAP_CREATE)``.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.errors import MapError
 
 
-class BpfMap:
-    """Abstract map interface."""
+class HashMap:
+    """Bounded hash map (BPF_MAP_TYPE_HASH)."""
 
-    def __init__(self, name: str, max_entries: int) -> None:
+    def __init__(self, name: str, max_entries: int = 1024) -> None:
         if max_entries <= 0:
             raise MapError(f"map {name!r}: max_entries must be positive")
         self.name = name
         self.max_entries = max_entries
         self.fd: int = -1  # assigned by the registry
-
-    def lookup(self, key: int) -> Optional[int]:
-        """Return the value at ``key`` or None."""
-        raise NotImplementedError
-
-    def update(self, key: int, value: int) -> None:
-        """Set ``key`` to ``value``."""
-        raise NotImplementedError
-
-    def add(self, key: int, delta: int) -> int:
-        """Atomically add ``delta`` at ``key`` (missing keys start at 0)."""
-        raise NotImplementedError
-
-    def delete(self, key: int) -> None:
-        """Remove ``key``."""
-        raise NotImplementedError
-
-    def items(self) -> Iterator[Tuple[int, int]]:
-        """Iterate (key, value) pairs — the user-space read path."""
-        raise NotImplementedError
-
-    def clear(self) -> None:
-        """Drop all entries."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self.items())
-
-
-class HashMap(BpfMap):
-    """Bounded hash map (BPF_MAP_TYPE_HASH)."""
-
-    def __init__(self, name: str, max_entries: int = 1024) -> None:
-        super().__init__(name, max_entries)
         self._data: Dict[int, int] = {}
 
     def lookup(self, key: int) -> Optional[int]:
+        """Return the value at ``key`` or None."""
         return self._data.get(key)
 
     def update(self, key: int, value: int) -> None:
+        """Set ``key`` to ``value``."""
         if key not in self._data and len(self._data) >= self.max_entries:
             raise MapError(f"map {self.name!r} is full ({self.max_entries} entries)")
         self._data[key] = value
 
     def add(self, key: int, delta: int) -> int:
+        """Atomically add ``delta`` at ``key`` (missing keys start at 0)."""
         if key not in self._data and len(self._data) >= self.max_entries:
             raise MapError(f"map {self.name!r} is full ({self.max_entries} entries)")
         value = self._data.get(key, 0) + delta
@@ -82,224 +47,28 @@ class HashMap(BpfMap):
         return value
 
     def delete(self, key: int) -> None:
+        """Remove ``key``."""
         if key not in self._data:
             raise MapError(f"map {self.name!r}: no such key {key}")
         del self._data[key]
 
     def items(self) -> Iterator[Tuple[int, int]]:
+        """Iterate (key, value) pairs in key order — the user-space read path."""
         return iter(sorted(self._data.items()))
 
     def clear(self) -> None:
+        """Drop all entries."""
         self._data.clear()
-
-
-class ArrayMap(BpfMap):
-    """Fixed-size, zero-initialised array map (BPF_MAP_TYPE_ARRAY)."""
-
-    def __init__(self, name: str, max_entries: int = 64) -> None:
-        super().__init__(name, max_entries)
-        self._data: List[int] = [0] * max_entries
-
-    def _check(self, key: int) -> None:
-        if not 0 <= key < self.max_entries:
-            raise MapError(f"map {self.name!r}: index {key} out of range")
-
-    def lookup(self, key: int) -> Optional[int]:
-        self._check(key)
-        return self._data[key]
-
-    def update(self, key: int, value: int) -> None:
-        self._check(key)
-        self._data[key] = value
-
-    def add(self, key: int, delta: int) -> int:
-        self._check(key)
-        self._data[key] += delta
-        return self._data[key]
-
-    def delete(self, key: int) -> None:
-        # Array entries cannot be deleted in real eBPF either; zero instead.
-        self._check(key)
-        self._data[key] = 0
-
-    def items(self) -> Iterator[Tuple[int, int]]:
-        return iter(enumerate(self._data))
-
-    def clear(self) -> None:
-        self._data = [0] * self.max_entries
-
-
-class PerCpuHashMap(BpfMap):
-    """Per-CPU sharded hash map (BPF_MAP_TYPE_PERCPU_HASH).
-
-    Writes go to the shard of the CPU the program ran on (supplied by the
-    VM); :meth:`items` sums shards, which is what user-space readers do.
-    """
-
-    def __init__(self, name: str, max_entries: int = 1024, num_cpus: int = 8) -> None:
-        super().__init__(name, max_entries)
-        if num_cpus <= 0:
-            raise MapError(f"map {name!r}: need at least one CPU")
-        self._shards: List[Dict[int, int]] = [{} for _ in range(num_cpus)]
-        self.current_cpu = 0
-
-    def _shard(self) -> Dict[int, int]:
-        return self._shards[self.current_cpu % len(self._shards)]
-
-    def lookup(self, key: int) -> Optional[int]:
-        total = 0
-        present = False
-        for shard in self._shards:
-            if key in shard:
-                present = True
-                total += shard[key]
-        return total if present else None
-
-    def update(self, key: int, value: int) -> None:
-        shard = self._shard()
-        if key not in shard and len(shard) >= self.max_entries:
-            raise MapError(f"map {self.name!r} shard is full")
-        shard[key] = value
-
-    def add(self, key: int, delta: int) -> int:
-        shard = self._shard()
-        if key not in shard and len(shard) >= self.max_entries:
-            raise MapError(f"map {self.name!r} shard is full")
-        shard[key] = shard.get(key, 0) + delta
-        return shard[key]
-
-    def delete(self, key: int) -> None:
-        found = False
-        for shard in self._shards:
-            if key in shard:
-                del shard[key]
-                found = True
-        if not found:
-            raise MapError(f"map {self.name!r}: no such key {key}")
-
-    def items(self) -> Iterator[Tuple[int, int]]:
-        merged: Dict[int, int] = {}
-        for shard in self._shards:
-            for key, value in shard.items():
-                merged[key] = merged.get(key, 0) + value
-        return iter(sorted(merged.items()))
-
-    def clear(self) -> None:
-        for shard in self._shards:
-            shard.clear()
-
-
-class LruHashMap(HashMap):
-    """LRU-evicting hash map (BPF_MAP_TYPE_LRU_HASH).
-
-    Where a plain hash map rejects inserts at capacity, the LRU variant
-    evicts the least-recently-*updated* entry — the standard choice for
-    per-flow / per-PID state that must never fail in the hot path.
-    """
-
-    def __init__(self, name: str, max_entries: int = 1024) -> None:
-        super().__init__(name, max_entries)
-        from collections import OrderedDict
-
-        self._data = OrderedDict()  # type: ignore[assignment]
-        self.evictions = 0
-
-    def _touch(self, key: int) -> None:
-        self._data.move_to_end(key)
-
-    def _make_room(self) -> None:
-        while len(self._data) >= self.max_entries:
-            self._data.popitem(last=False)
-            self.evictions += 1
-
-    def lookup(self, key: int) -> Optional[int]:
-        value = self._data.get(key)
-        if value is not None:
-            self._touch(key)
-        return value
-
-    def update(self, key: int, value: int) -> None:
-        if key not in self._data:
-            self._make_room()
-        self._data[key] = value
-        self._touch(key)
-
-    def add(self, key: int, delta: int) -> int:
-        if key not in self._data:
-            self._make_room()
-        value = self._data.get(key, 0) + delta
-        self._data[key] = value
-        self._touch(key)
-        return value
-
-
-class RingBufferMap(BpfMap):
-    """Event ring buffer (BPF_MAP_TYPE_RINGBUF).
-
-    Programs *reserve-and-commit* records; user space consumes them in
-    order.  When the buffer is full the producer drops the record and the
-    drop counter advances — the back-pressure behaviour real ring buffers
-    have.  Since this VM's values are integers, a record is one integer
-    (callers pack what they need).
-
-    Map-interface mapping: ``add(key, value)`` commits ``value`` (the key
-    is ignored, as ringbuf submissions are positionless); ``items()``
-    enumerates unconsumed records as (sequence, value).
-    """
-
-    def __init__(self, name: str, max_entries: int = 4096) -> None:
-        super().__init__(name, max_entries)
-        from collections import deque
-
-        self._records = deque()
-        self._next_seq = 0
-        self.dropped = 0
-
-    def lookup(self, key: int) -> Optional[int]:
-        for sequence, value in self._records:
-            if sequence == key:
-                return value
-        return None
-
-    def update(self, key: int, value: int) -> None:
-        raise MapError(f"ringbuf {self.name!r} is append-only; use add()")
-
-    def add(self, key: int, value: int) -> int:
-        """Commit one record; returns its sequence number (drops return -1
-        masked to unsigned by the VM, distinguishable as huge)."""
-        if len(self._records) >= self.max_entries:
-            self.dropped += 1
-            return -1
-        sequence = self._next_seq
-        self._next_seq += 1
-        self._records.append((sequence, value))
-        return sequence
-
-    def delete(self, key: int) -> None:
-        raise MapError(f"ringbuf {self.name!r} does not support delete")
-
-    def consume(self, limit: Optional[int] = None) -> List[Tuple[int, int]]:
-        """User-space drain: pop up to ``limit`` records in order."""
-        out: List[Tuple[int, int]] = []
-        while self._records and (limit is None or len(out) < limit):
-            out.append(self._records.popleft())
-        return out
-
-    def items(self) -> Iterator[Tuple[int, int]]:
-        return iter(list(self._records))
-
-    def clear(self) -> None:
-        self._records.clear()
 
 
 class MapRegistry:
     """Hands out map file descriptors, mirroring bpf(BPF_MAP_CREATE)."""
 
     def __init__(self) -> None:
-        self._maps: Dict[int, BpfMap] = {}
+        self._maps: Dict[int, HashMap] = {}
         self._next_fd = 3  # 0..2 are stdio, for flavour
 
-    def create(self, bpf_map: BpfMap) -> int:
+    def create(self, bpf_map: HashMap) -> int:
         """Register a map and return its fd."""
         fd = self._next_fd
         self._next_fd += 1
@@ -307,18 +76,9 @@ class MapRegistry:
         self._maps[fd] = bpf_map
         return fd
 
-    def get(self, fd: int) -> BpfMap:
+    def get(self, fd: int) -> HashMap:
         """Resolve an fd to its map."""
         try:
             return self._maps[fd]
         except KeyError:
             raise MapError(f"bad map fd: {fd}") from None
-
-    def close(self, fd: int) -> None:
-        """Release a map fd."""
-        if fd not in self._maps:
-            raise MapError(f"bad map fd: {fd}")
-        del self._maps[fd]
-
-    def __len__(self) -> int:
-        return len(self._maps)

@@ -18,7 +18,7 @@ parsing::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.errors import EbpfError
@@ -32,9 +32,6 @@ class Program:
     name: str
     instructions: Tuple[Instruction, ...]
     map_fds: Tuple[int, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.instructions)
 
     def disassemble(self) -> str:
         """Human-readable listing."""
@@ -56,11 +53,6 @@ class ProgramBuilder:
     def _emit(self, instruction: Instruction) -> "ProgramBuilder":
         self._instructions.append(instruction)
         return self
-
-    @property
-    def position(self) -> int:
-        """Index of the next instruction to be emitted."""
-        return len(self._instructions)
 
     # -- ALU -----------------------------------------------------------
     def mov_imm(self, dst: Reg, imm: int) -> "ProgramBuilder":
@@ -111,10 +103,6 @@ class ProgramBuilder:
     def jeq_imm(self, dst: Reg, imm: int, offset: int) -> "ProgramBuilder":
         """if dst == imm: jump"""
         return self._emit(Instruction(Opcode.JEQ_IMM, dst=dst, imm=imm, offset=offset))
-
-    def jne_imm(self, dst: Reg, imm: int, offset: int) -> "ProgramBuilder":
-        """if dst != imm: jump"""
-        return self._emit(Instruction(Opcode.JNE_IMM, dst=dst, imm=imm, offset=offset))
 
     def jgt_imm(self, dst: Reg, imm: int, offset: int) -> "ProgramBuilder":
         """if dst > imm: jump"""

@@ -364,9 +364,7 @@ class _Lowering:
             self.registers.add(3)
             if helper is Helper.MAP_UPDATE:
                 return [resolve, "m.update(r2, r3)", "r0 = 0"]
-            return [resolve,
-                    'if hasattr(m, "current_cpu"): m.current_cpu = cpu',
-                    f"r0 = m.add(r2, r3) & {_MASK}"]
+            return [resolve, f"r0 = m.add(r2, r3) & {_MASK}"]
         if helper is Helper.KTIME_GET_NS:
             return ["v = vm._time_source",
                     "if v is None: " + self.fault(
@@ -379,7 +377,7 @@ class _Lowering:
         return [self.fault(f"{where}: unknown helper {helper}")]
 
     def function(self) -> Callable:
-        """Generate, compile and return ``run(vm, ctx, cpu)``."""
+        """Generate, compile and return ``run(vm, ctx)``."""
         self.analyse()
         closes = None  # end of the open region, if any
         for start, end in zip(self.starts, self.ends):
@@ -405,7 +403,7 @@ class _Lowering:
         if self.uses_fields:
             prologue.append("field = ctx.fields.get")
         source = "\n".join(
-            ["def run(vm, ctx, cpu):"]
+            ["def run(vm, ctx):"]
             + [_INDENT + statement for statement in prologue]
             + self.lines
         )
@@ -437,7 +435,7 @@ class Vm:
             self._lowered[id(program)] = entry
         return entry[1]
 
-    def run(self, program: Program, ctx: HookContext, cpu: int = 0) -> ExecutionResult:
+    def run(self, program: Program, ctx: HookContext) -> ExecutionResult:
         """Execute ``program`` once against ``ctx``.
 
         The one entry point of every program run.  A program already
@@ -446,5 +444,5 @@ class Vm:
         """
         entry = self._lowered.get(id(program))
         if entry is None or entry[0] is not program:
-            return self.lower(program)(self, ctx, cpu)
-        return entry[1](self, ctx, cpu)
+            return self.lower(program)(self, ctx)
+        return entry[1](self, ctx)

@@ -62,10 +62,6 @@ class FrameworkError(ReproError):
     """An SGX framework model rejected an operation."""
 
 
-class ManifestError(FrameworkError):
-    """A Graphene-style manifest failed validation."""
-
-
 class NetworkError(ReproError):
     """Simulated network failure (unreachable endpoint, ...)."""
 

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import NetworkError
 from repro.net.http import HttpResponse
 from repro.net.network import Link
-from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock
+from repro.simkernel.clock import NANOS_PER_SEC
 from repro.simkernel.rng import DeterministicRng
 
 
@@ -189,10 +189,6 @@ class PartitionInjector(Injector):
 
             clock.call_at(start_ns, begin)
             clock.call_at(end_ns, heal)
-
-    def windows(self, url: str) -> List[Tuple[int, int]]:
-        """The configured cut windows for one URL."""
-        return list(self._windows.get(url, ()))
 
     def active_at(self, url: str, now_ns: int) -> bool:
         """Whether ``url`` is partitioned away at ``now_ns``."""

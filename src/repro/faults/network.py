@@ -55,11 +55,6 @@ class FaultyHttpNetwork:
         """Successful requests on the wrapped network."""
         return self.inner.requests_served
 
-    @property
-    def requests_failed(self) -> int:
-        """Failed requests on the wrapped network."""
-        return self.inner.requests_failed
-
     # ------------------------------------------------------------------
     # Request path — inject around the wrapped network
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ passed at construction — no wall time, no global randomness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.errors import NetworkError
 from repro.faults.injectors import FaultContext, Injector
@@ -65,14 +65,6 @@ class FaultPlan:
             raise NetworkError("empty URL scope; pass None for all URLs")
         self._rules.append(_Rule(injector, urls))
         return injector
-
-    def injectors(self) -> List[Injector]:
-        """The installed injectors, in application order."""
-        return [rule.injector for rule in self._rules]
-
-    def find(self, kind: str) -> List[Injector]:
-        """Installed injectors of one kind (e.g. ``"flap"``)."""
-        return [r.injector for r in self._rules if r.injector.kind == kind]
 
     # ------------------------------------------------------------------
     # Application (called by FaultyHttpNetwork)

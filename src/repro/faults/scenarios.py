@@ -76,10 +76,6 @@ class WorkloadScenario:
         """Bursts not yet fired."""
         return len(self._bursts) - self._next
 
-    def subject(self) -> str:
-        """Journal subject (what was perturbed)."""
-        return "workload"
-
     def _fire(self, now_ns: int, magnitude: int) -> None:
         raise NotImplementedError
 
@@ -100,9 +96,6 @@ class EpcThrashScenario(WorkloadScenario):
         self._driver = driver
         self._enclave = enclave
 
-    def subject(self) -> str:
-        return f"enclave-{self._enclave.enclave_id}"
-
     def _fire(self, now_ns: int, magnitude: int) -> None:
         self._driver.churn_pages(self._enclave, magnitude)
 
@@ -120,9 +113,6 @@ class AexStormScenario(WorkloadScenario):
     def __init__(self, enclave, bursts, plan=None) -> None:
         super().__init__(bursts, plan)
         self._enclave = enclave
-
-    def subject(self) -> str:
-        return f"enclave-{self._enclave.enclave_id}"
 
     def _fire(self, now_ns: int, magnitude: int) -> None:
         self._enclave.aex(magnitude)
@@ -154,9 +144,6 @@ class SyscallLatencyScenario(WorkloadScenario):
         self.latency_us = latency_us
         self._syscall_nr = syscall_nr
         self._syscall_name = syscall_name
-
-    def subject(self) -> str:
-        return f"pid-{self._pid}"
 
     def _fire(self, now_ns: int, magnitude: int) -> None:
         self._kernel.hooks.fire(

@@ -10,9 +10,7 @@ Each runtime implements the mechanism the paper describes for it (§3.2):
   not force an enclave exit.  Supports the two code-evolution commits of
   §6.4 (clock_gettime via the queue vs handled in-enclave);
 * :class:`~repro.frameworks.graphene.GrapheneRuntime` — a library OS in
-  the enclave, configured by a **manifest** of trusted files
-  (:mod:`repro.frameworks.manifest`); every host syscall is a synchronous
-  OCALL round trip;
+  the enclave; every host syscall is a synchronous OCALL round trip;
 * :class:`~repro.frameworks.sgxlkl.SgxLklRuntime` — an in-enclave Linux
   Kernel Library: most syscalls are served inside the enclave, only disk
   and network I/O cross the boundary.
@@ -24,7 +22,6 @@ execute here and fire the kernel hooks TEEMon measures.
 
 from repro.frameworks.base import SgxFramework, WorkloadSlice
 from repro.frameworks.graphene import GrapheneRuntime
-from repro.frameworks.manifest import Manifest, TrustedFile
 from repro.frameworks.native import NativeRuntime
 from repro.frameworks.scone import SconeRuntime
 from repro.frameworks.sgxlkl import SgxLklRuntime
@@ -54,8 +51,6 @@ __all__ = [
     "SconeRuntime",
     "GrapheneRuntime",
     "SgxLklRuntime",
-    "Manifest",
-    "TrustedFile",
     "ALL_FRAMEWORKS",
     "create_runtime",
 ]

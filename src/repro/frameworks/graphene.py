@@ -12,43 +12,23 @@ mechanism behind every Graphene pathology the paper measures:
 * host-wide context switches reach ~12x the other frameworks
   (Figure 11(f)) because each OCALL bounces between the enclave thread
   and its untrusted helper.
-
-Enclave construction verifies the manifest's trusted files, building the
-measurement log (attestation model).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Optional
 
 from repro.calibration.profiles import GRAPHENE_CALIBRATION, FrameworkCalibration
 from repro.errors import FrameworkError
 from repro.frameworks.base import SgxFramework
-from repro.frameworks.manifest import Manifest
-from repro.sgx.attestation import MeasurementLog
 
 
 class GrapheneRuntime(SgxFramework):
     """Graphene-SGX: libOS in the enclave, synchronous OCALL syscalls."""
 
-    def __init__(
-        self,
-        manifest: Optional[Manifest] = None,
-        file_contents: Optional[Mapping[str, bytes]] = None,
-        calibration: Optional[FrameworkCalibration] = None,
-    ) -> None:
+    def __init__(self, calibration: Optional[FrameworkCalibration] = None) -> None:
         super().__init__(calibration or GRAPHENE_CALIBRATION)
-        self.manifest = manifest
-        self._file_contents = dict(file_contents or {})
-        self.measurement: Optional[MeasurementLog] = None
         self.ocalls_issued = 0
-
-    def setup(self, kernel, app_name="redis-server", container_id=None):
-        # Verify the manifest before the enclave runs anything (EINIT gate).
-        if self.manifest is not None:
-            self.measurement = self.manifest.verify(self._file_contents)
-        process = super().setup(kernel, app_name, container_id)
-        return process
 
     def _dispatch_syscalls(self, name: str, count: int) -> int:
         kernel = self._require_setup()

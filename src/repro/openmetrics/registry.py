@@ -45,10 +45,6 @@ class CollectorRegistry:
         """All families in registration order."""
         return list(self._families.values())
 
-    def names(self) -> List[str]:
-        """Registered family names."""
-        return list(self._families)
-
     def on_collect(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` before every collection."""
         self._collect_callbacks.append(callback)

@@ -292,10 +292,6 @@ class Cluster:
         deployment.reconcile(self)
         return deployment
 
-    def deployments(self) -> List[Deployment]:
-        """Installed Deployments."""
-        return list(self._deployments)
-
     def reconcile_deployments(self) -> None:
         """Converge every Deployment (called after topology changes)."""
         for deployment in self._deployments:

@@ -60,10 +60,6 @@ class SilenceStore:
         """Register a silence."""
         self._silences.append(silence)
 
-    def silences(self) -> List[Silence]:
-        """All registered silences."""
-        return list(self._silences)
-
     def covering(self, labels: Labels, now_ns: int) -> Optional[Silence]:
         """The first silence muting these labels now, if any."""
         for silence in self._silences:
@@ -96,10 +92,6 @@ class Inhibitor:
 
     def __init__(self, rules: Sequence[InhibitRule] = ()) -> None:
         self._rules = list(rules)
-
-    def rules(self) -> List[InhibitRule]:
-        """Registered inhibition rules."""
-        return list(self._rules)
 
     @staticmethod
     def _matches(labels: Labels, match: Dict[str, str]) -> bool:

@@ -11,7 +11,7 @@ suite asserts exactly that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.pmag.model import Labels
 
@@ -103,14 +103,3 @@ class AlertJournal:
             line for line in self.entries
             if line.split(" ", 2)[1] == kind
         ]
-
-    def counts(self) -> Dict[str, int]:
-        """Events per kind."""
-        result: Dict[str, int] = {}
-        for line in self.entries:
-            kind = line.split(" ", 2)[1]
-            result[kind] = result.get(kind, 0) + 1
-        return result
-
-    def __len__(self) -> int:
-        return len(self.entries)

@@ -182,7 +182,3 @@ class Series:
 
     labels: Labels
     samples: List[Sample] = field(default_factory=list)
-
-    def last_value(self) -> Optional[float]:
-        """Value of the newest sample, if any."""
-        return self.samples[-1].value if self.samples else None

@@ -760,10 +760,6 @@ class ShardedWal:
         """Number of per-shard writers."""
         return len(self.writers)
 
-    def shard(self, index: int) -> WalWriter:
-        """The writer serving one shard."""
-        return self.writers[index]
-
     @property
     def current_segment(self) -> str:
         """Shard 0's live segment (fault-injection hooks poke one shard)."""
@@ -772,10 +768,6 @@ class ShardedWal:
     @property
     def records_total(self) -> int:
         return sum(w.records_total for w in self.writers)
-
-    @property
-    def cursor_records_total(self) -> int:
-        return sum(w.cursor_records_total for w in self.writers)
 
     @property
     def flushes_total(self) -> int:

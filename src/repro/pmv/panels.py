@@ -10,11 +10,10 @@ evaluation, which implements the paper's process filter.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import AnalysisError
 from repro.pmag.model import Labels, Series
-from repro.pmag.query.engine import QueryEngine
 from repro.simkernel.clock import NANOS_PER_SEC
 
 DEFAULT_GRAPH_WINDOW_NS = 5 * 60 * NANOS_PER_SEC
@@ -50,12 +49,6 @@ class Panel:
         for name, value in variables.items():
             query = query.replace(f"${name}", value)
         return query
-
-    def snapshot(
-        self, engine: QueryEngine, now_ns: int, variables: Optional[Dict[str, str]] = None
-    ) -> PanelData:
-        """Evaluate the panel; subclasses decide instant vs range."""
-        raise NotImplementedError
 
 
 class GraphPanel(Panel):

@@ -15,8 +15,8 @@ flame-graph-style report is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ReproError
 
@@ -79,11 +79,6 @@ class TeePerf:
         self._overhead_ns = 0
         self._running = False
         self._start_ns = 0
-
-    @property
-    def running(self) -> bool:
-        """Whether a profile is in progress."""
-        return self._running
 
     def start(self, now_ns: int) -> None:
         """Begin a profile."""

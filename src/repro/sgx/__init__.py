@@ -15,9 +15,7 @@ SGX that produce the phenomena TEEMon monitors:
   ``/sys/module/isgx/parameters`` and as kprobe-able driver hooks;
 * the ``ksgxswapd`` kernel thread (:mod:`repro.sgx.swapd`) that performs
   background eviction and shows up in host-wide context switches
-  (Figure 11(f));
-* a minimal measurement/attestation model (:mod:`repro.sgx.attestation`)
-  used by the Graphene manifest checks.
+  (Figure 11(f)).
 """
 
 from repro.sgx.driver import SgxDriver

@@ -24,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.errors import EnclaveError, SgxError
+from repro.errors import SgxError
 from repro.sgx.enclave import Enclave, EnclaveState, TransitionCosts
 from repro.sgx.epc import EPC_PAGE_SIZE, EpcRegion
 from repro.sgx.mee import MeeModel
@@ -198,13 +198,6 @@ class SgxDriver(KernelModule):
         kernel.hooks.fire(
             "isgx:sgx_encl_release", kernel.clock.now_ns, pid=enclave.owner_pid
         )
-
-    def enclave(self, enclave_id: int) -> Enclave:
-        """Look up an enclave by id."""
-        try:
-            return self._enclaves[enclave_id]
-        except KeyError:
-            raise EnclaveError(f"no such enclave: {enclave_id}") from None
 
     # ------------------------------------------------------------------
     # Paging

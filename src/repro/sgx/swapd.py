@@ -68,10 +68,6 @@ class Ksgxswapd:
         self.process: Process = kernel.spawn_process("ksgxswapd")
         self._thread = next(iter(self.process.threads.values()))
 
-    def pressure(self) -> bool:
-        """Whether free EPC is below the low watermark."""
-        return self._epc.free_pages < self.low_watermark_pages
-
     def reclaim(self, want_pages: int = 0) -> int:
         """Evict until the high watermark (or ``want_pages``) is free.
 

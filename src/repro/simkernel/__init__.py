@@ -24,6 +24,11 @@ It provides
   (:mod:`repro.simkernel.disk`), and
 * the :class:`~repro.simkernel.kernel.Kernel` facade that wires it all
   together.
+
+The scheduler, memory, page-cache and LLC models are driven per
+simulation slice: workloads record batches through their ``account_*``
+methods, and each batch fires its hooks once with the batch size as the
+firing's ``count``.
 """
 
 from repro.simkernel.clock import VirtualClock

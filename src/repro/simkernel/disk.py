@@ -27,7 +27,7 @@ semantics:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.errors import StorageError
 
@@ -160,10 +160,6 @@ class SimDisk:
             return bytes(self._files[name])
         except KeyError:
             raise StorageError(f"no such file: {name}") from None
-
-    def exists(self, name: str) -> bool:
-        """Whether a file exists."""
-        return name in self._files
 
     def size(self, name: str) -> int:
         """Current length of a file in bytes."""

@@ -53,8 +53,6 @@ class Kernel:
         hostname: str = "node-0",
         num_cpus: int = 8,
         memory_bytes: int = 32 * GIB,
-        llc_bytes: int = 8 * 1024 * 1024,
-        page_cache_pages: int = 262_144,
         clock: Optional[VirtualClock] = None,
     ) -> None:
         self.hostname = hostname
@@ -65,8 +63,8 @@ class Kernel:
         self.hooks = HookRegistry()
         self.scheduler = Scheduler(self.clock, self.hooks, num_cpus=num_cpus)
         self.memory = VirtualMemory(self.clock, self.hooks, total_bytes=memory_bytes)
-        self.page_cache = PageCache(self.clock, self.hooks, capacity_pages=page_cache_pages)
-        self.llc = LlcModel(self.clock, self.hooks, capacity_bytes=llc_bytes)
+        self.page_cache = PageCache(self.clock, self.hooks)
+        self.llc = LlcModel(self.clock, self.hooks)
         self.syscalls = SyscallTable(self.clock, self.hooks)
         self.vfs = VirtualFs()
         self.memory_bytes = memory_bytes
@@ -174,17 +172,13 @@ class Kernel:
         self.vfs.publish("/proc/uptime", lambda: f"{self.clock.now_seconds:.2f}")
 
     def _render_proc_stat(self) -> str:
-        lines = []
-        total_busy = total_idle = 0
-        for cpu in (self.scheduler.cpu(i) for i in range(self.scheduler.num_cpus)):
-            total_busy += cpu.busy_ns
-            total_idle += cpu.idle_ns
-        # /proc/stat counts in USER_HZ (100 Hz) ticks.
-        lines.append(f"cpu {total_busy // 10_000_000} 0 0 {total_idle // 10_000_000}")
-        for cpu in (self.scheduler.cpu(i) for i in range(self.scheduler.num_cpus)):
-            lines.append(
-                f"cpu{cpu.cpu_id} {cpu.busy_ns // 10_000_000} 0 0 {cpu.idle_ns // 10_000_000}"
-            )
+        # /proc/stat counts in USER_HZ (100 Hz) ticks.  Only busy time is
+        # accounted, so the idle column reads 0.
+        cpus = [self.scheduler.cpu(i) for i in range(self.scheduler.num_cpus)]
+        total_busy = sum(cpu.busy_ns for cpu in cpus)
+        lines = [f"cpu {total_busy // 10_000_000} 0 0 0"]
+        for cpu in cpus:
+            lines.append(f"cpu{cpu.cpu_id} {cpu.busy_ns // 10_000_000} 0 0 0")
         lines.append(f"ctxt {self.scheduler.total_switches}")
         return "\n".join(lines) + "\n"
 
@@ -192,9 +186,9 @@ class Kernel:
         total_kb = self.memory_bytes // 1024
         used_kb = self.memory.physical.allocated * 4
         free_kb = total_kb - used_kb
-        cached_kb = self.page_cache.resident_pages * 4
+        # The page cache counts activity and keeps no residency.
         return (
             f"MemTotal: {total_kb} kB\n"
             f"MemFree: {free_kb} kB\n"
-            f"Cached: {cached_kb} kB\n"
+            f"Cached: 0 kB\n"
         )

@@ -1,26 +1,24 @@
 """Virtual-memory model: address spaces, frames and page faults.
 
 The model is page-granular (4 KiB).  Each process owns a sparse page table
-mapping virtual page numbers to physical frames; touching an unmapped page
-raises a page fault, which fires the instruments TEEMon watches
+of mapped pages backed by physical frames (:meth:`VirtualMemory.map_range`
+populates it eagerly, as ``mmap`` with ``MAP_POPULATE`` would).  Page
+faults are accounted per simulation slice:
+:meth:`VirtualMemory.account_faults` records a batch of faults for a
+process and fires the instruments TEEMon watches
 (``exceptions:page_fault_user`` / ``page_fault_kernel`` tracepoints and the
 ``PERF_COUNT_SW_PAGE_FAULTS`` perf event).
 
 The fault tracepoint carries a ``fault_kind`` field with the four user-space
 fault classes the paper's Figure 11(a) breaks out: ``no_page_found``,
 ``write_prot_fault``, ``write_fault`` and ``instr_fetch_fault``.
-
-Like the scheduler, the memory model supports both per-event driving
-(:meth:`VirtualMemory.touch`) and aggregate driving
-(:meth:`VirtualMemory.account_faults`), and both flow through the same
-hooks.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, Set
 
 from repro.errors import MemoryError_
 from repro.simkernel.clock import VirtualClock
@@ -96,27 +94,11 @@ class AddressSpace:
 
     pid: int
     mapped_pages: Set[int] = field(default_factory=set)
-    writable_pages: Set[int] = field(default_factory=set)
 
     @property
     def rss_pages(self) -> int:
         """Resident pages."""
         return len(self.mapped_pages)
-
-
-@dataclass
-class FaultCounters:
-    """Per-process fault accounting, broken down by class."""
-
-    by_kind: Dict[FaultKind, int] = field(default_factory=dict)
-
-    def add(self, kind: FaultKind, count: int = 1) -> None:
-        """Accumulate faults of a class."""
-        self.by_kind[kind] = self.by_kind.get(kind, 0) + count
-
-    def total(self) -> int:
-        """All user faults for the process."""
-        return sum(self.by_kind.values())
 
 
 class VirtualMemory:
@@ -171,32 +153,7 @@ class VirtualMemory:
         except KeyError:
             raise MemoryError_(f"no address space for pid {pid}") from None
 
-    # ------------------------------------------------------------------
-    # Per-event driving
-    # ------------------------------------------------------------------
-    def touch(self, pid: int, page: int, write: bool = False) -> bool:
-        """Access one page; returns True when the access faulted.
-
-        A fault on an unmapped page demand-allocates a frame (as an
-        anonymous mapping would); a write to a read-only page is upgraded
-        and reported as a write-protection fault (copy-on-write style).
-        """
-        space = self.space(pid)
-        if page in space.mapped_pages:
-            if write and page not in space.writable_pages:
-                space.writable_pages.add(page)
-                self._fire_user_fault(pid, FaultKind.WRITE_PROT_FAULT, 1)
-                return True
-            return False
-        self.physical.allocate(1)
-        space.mapped_pages.add(page)
-        if write:
-            space.writable_pages.add(page)
-        kind = FaultKind.WRITE_FAULT if write else FaultKind.NO_PAGE_FOUND
-        self._fire_user_fault(pid, kind, 1)
-        return True
-
-    def map_range(self, pid: int, start_page: int, num_pages: int, writable: bool = True) -> None:
+    def map_range(self, pid: int, start_page: int, num_pages: int) -> None:
         """Eagerly map a contiguous range (mmap with MAP_POPULATE)."""
         if num_pages < 0:
             raise MemoryError_(f"negative page count: {num_pages}")
@@ -207,22 +164,7 @@ class VirtualMemory:
         ]
         self.physical.allocate(len(new_pages))
         space.mapped_pages.update(new_pages)
-        if writable:
-            space.writable_pages.update(new_pages)
 
-    def unmap_range(self, pid: int, start_page: int, num_pages: int) -> None:
-        """Unmap a contiguous range, releasing frames."""
-        space = self.space(pid)
-        victims = {
-            p for p in range(start_page, start_page + num_pages)
-            if p in space.mapped_pages
-        }
-        space.mapped_pages -= victims
-        space.writable_pages -= victims
-        self.physical.release(len(victims))
-
-    # ------------------------------------------------------------------
-    # Aggregate driving
     # ------------------------------------------------------------------
     def account_faults(
         self,

@@ -2,18 +2,17 @@
 
 TEEMon's cache metrics come from four kprobes on the Linux page cache:
 ``add_to_page_cache_lru``, ``mark_page_accessed``,
-``account_page_dirtied`` and ``mark_buffer_dirty``.  This module models an
-LRU page cache for file-backed pages and fires those kprobes from the same
-causes the kernel would: inserting a page on read miss, touching a page on
-read hit, dirtying a page on write, and dirtying its buffer head on
-writeback marking.
+``account_page_dirtied`` and ``mark_buffer_dirty``.  The model is driven
+per simulation slice: :meth:`PageCache.account_activity` records a batch
+of file reads and writes and fires those kprobes from the same causes the
+kernel would — an insertion per read miss, a page touch per read hit, and
+a page plus buffer-head dirtying per write.  It keeps no page residency:
+TEEMon only reads the counters.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Tuple
 
 from repro.errors import MemoryError_
 from repro.simkernel.clock import VirtualClock
@@ -28,7 +27,6 @@ class PageCacheStats:
     hits: int = 0
     misses: int = 0
     dirtied: int = 0
-    evictions: int = 0
 
     def hit_ratio(self) -> float:
         """Fraction of lookups served from the cache."""
@@ -37,59 +35,12 @@ class PageCacheStats:
 
 
 class PageCache:
-    """LRU cache of file-backed pages, keyed by (inode, page index)."""
+    """Read/write activity counters of the host's file-page cache."""
 
-    def __init__(
-        self,
-        clock: VirtualClock,
-        hooks: HookRegistry,
-        capacity_pages: int,
-    ) -> None:
-        if capacity_pages <= 0:
-            raise MemoryError_(f"page cache needs capacity, got {capacity_pages}")
+    def __init__(self, clock: VirtualClock, hooks: HookRegistry) -> None:
         self._clock = clock
         self._hooks = hooks
-        self._capacity = capacity_pages
-        self._lru: "OrderedDict[Tuple[int, int], bool]" = OrderedDict()
         self.stats = PageCacheStats()
-
-    @property
-    def capacity_pages(self) -> int:
-        """Maximum resident pages."""
-        return self._capacity
-
-    @property
-    def resident_pages(self) -> int:
-        """Pages currently cached."""
-        return len(self._lru)
-
-    def read(self, inode: int, page_index: int, pid: int = 0) -> bool:
-        """Read one file page; returns True on cache hit."""
-        key = (inode, page_index)
-        now = self._clock.now_ns
-        if key in self._lru:
-            self._lru.move_to_end(key)
-            self.stats.hits += 1
-            self._hooks.fire("mark_page_accessed", now, count=1, pid=pid)
-            return True
-        self.stats.misses += 1
-        self._insert(key, dirty=False, pid=pid)
-        return False
-
-    def write(self, inode: int, page_index: int, pid: int = 0) -> None:
-        """Write one file page, dirtying it."""
-        key = (inode, page_index)
-        now = self._clock.now_ns
-        if key not in self._lru:
-            self._insert(key, dirty=True, pid=pid)
-        else:
-            self._lru.move_to_end(key)
-            self._hooks.fire("mark_page_accessed", now, count=1, pid=pid)
-        if not self._lru[key]:
-            self._lru[key] = True
-        self.stats.dirtied += 1
-        self._hooks.fire("account_page_dirtied", now, count=1, pid=pid)
-        self._hooks.fire("mark_buffer_dirty", now, count=1, pid=pid)
 
     def account_activity(
         self,
@@ -98,7 +49,7 @@ class PageCache:
         writes: int = 0,
         hit_ratio: float = 0.95,
     ) -> None:
-        """Aggregate driving: record a batch of reads/writes.
+        """Record a batch of file-page reads and writes.
 
         ``hit_ratio`` models how much of the read traffic the cache absorbs;
         misses produce insertions (``add_to_page_cache_lru``), hits produce
@@ -121,11 +72,3 @@ class PageCache:
             self.stats.dirtied += writes
             self._hooks.fire("account_page_dirtied", now, count=writes, pid=pid)
             self._hooks.fire("mark_buffer_dirty", now, count=writes, pid=pid)
-
-    def _insert(self, key: Tuple[int, int], dirty: bool, pid: int) -> None:
-        while len(self._lru) >= self._capacity:
-            self._lru.popitem(last=False)
-            self.stats.evictions += 1
-        self._lru[key] = dirty
-        self.stats.insertions += 1
-        self._hooks.fire("add_to_page_cache_lru", self._clock.now_ns, count=1, pid=pid)

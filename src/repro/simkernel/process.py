@@ -2,8 +2,8 @@
 
 A :class:`Process` owns an address space (managed by
 :class:`~repro.simkernel.memory.VirtualMemory`) and one or more
-:class:`Thread` objects scheduled by
-:class:`~repro.simkernel.scheduler.Scheduler`.  Processes carry the
+:class:`Thread` objects whose CPU time
+:class:`~repro.simkernel.scheduler.Scheduler` accounts.  Processes carry the
 metadata TEEMon's exporters care about: a command name (for process
 filtering in the dashboard, e.g. ``redis-server``), an optional container
 id (for the cAdvisor exporter), and accumulated CPU time.
@@ -20,8 +20,6 @@ class ThreadState(enum.Enum):
     """Lifecycle states of a simulated thread."""
 
     RUNNABLE = "runnable"
-    RUNNING = "running"
-    BLOCKED = "blocked"
     EXITED = "exited"
 
 
@@ -34,17 +32,6 @@ class Thread:
     name: str = ""
     state: ThreadState = ThreadState.RUNNABLE
     cpu_time_ns: int = 0
-    voluntary_switches: int = 0
-    involuntary_switches: int = 0
-
-    @property
-    def pid(self) -> int:
-        """The owning process id."""
-        return self.process.pid
-
-    def total_switches(self) -> int:
-        """Context switches this thread has been part of."""
-        return self.voluntary_switches + self.involuntary_switches
 
 
 @dataclass
@@ -64,7 +51,3 @@ class Process:
     def live_threads(self) -> List[Thread]:
         """Threads that have not exited."""
         return [t for t in self.threads.values() if t.state is not ThreadState.EXITED]
-
-    def total_switches(self) -> int:
-        """Context switches across all of this process's threads."""
-        return sum(t.total_switches() for t in self.threads.values())

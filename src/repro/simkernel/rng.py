@@ -63,10 +63,6 @@ class DeterministicRng:
             return True
         return self._random.random() < probability
 
-    def gauss(self, mu: float, sigma: float) -> float:
-        """Normal sample."""
-        return self._random.gauss(mu, sigma)
-
     def exponential(self, mean: float) -> float:
         """Exponential sample with the given mean."""
         return self._random.expovariate(1.0 / mean) if mean > 0 else 0.0

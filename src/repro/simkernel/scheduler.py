@@ -3,34 +3,22 @@
 TEEMon observes the scheduler through two instruments (Table 2): the
 ``sched:sched_switches`` tracepoint and the
 ``PERF_COUNT_SW_CONTEXT_SWITCHES`` software perf event.  This module fires
-both.  It supports two driving styles:
-
-* **per-event** — :meth:`Scheduler.switch_to` performs a single, fully
-  modelled context switch between two threads (used by fine-grained tests
-  and by the enclave-transition model);
-* **aggregate** — :meth:`Scheduler.account_switches` records that a batch of
-  N switches happened to a process during a simulation slice (used by the
-  statistical workload models, where simulating millions of individual
-  switches would not change anything the monitoring pipeline can see).
-
-Both styles flow through the same hook firings, so exporters cannot tell
-them apart.
+both.  The model is driven per simulation slice:
+:meth:`Scheduler.account_switches` records that a batch of N switches
+happened to a process, and :meth:`Scheduler.account_cpu_time` charges a
+thread's CPU time.  Simulating millions of individual switches would not
+change anything the monitoring pipeline can see: TEEMon only reads the
+counters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
 
 from repro.errors import SchedulerError
 from repro.simkernel.clock import VirtualClock
 from repro.simkernel.hooks import HookRegistry
-from repro.simkernel.process import Thread, ThreadState
-
-#: Cost of one context switch on the modelled hardware (Skylake-class,
-#: ~1.5 us including cache effects — consistent with the transition-cost
-#: literature the paper cites).
-CONTEXT_SWITCH_COST_NS = 1_500
+from repro.simkernel.process import Thread
 
 
 @dataclass
@@ -38,14 +26,11 @@ class CpuState:
     """Per-CPU bookkeeping."""
 
     cpu_id: int
-    current: Optional[Thread] = None
     busy_ns: int = 0
-    idle_ns: int = 0
-    switches: int = 0
 
 
 class Scheduler:
-    """Round-robin scheduler over a fixed set of CPUs."""
+    """Context-switch and CPU-time accounting over a fixed set of CPUs."""
 
     def __init__(
         self,
@@ -58,7 +43,6 @@ class Scheduler:
         self._clock = clock
         self._hooks = hooks
         self._cpus = [CpuState(cpu_id=i) for i in range(num_cpus)]
-        self._runqueue: List[Thread] = []
         self._total_switches = 0
 
     @property
@@ -78,123 +62,18 @@ class Scheduler:
         except IndexError:
             raise SchedulerError(f"no such CPU: {cpu_id}") from None
 
-    # ------------------------------------------------------------------
-    # Per-event driving
-    # ------------------------------------------------------------------
-    def enqueue(self, thread: Thread) -> None:
-        """Put a runnable thread on the run queue."""
-        if thread.state is ThreadState.EXITED:
-            raise SchedulerError(f"cannot enqueue exited thread {thread.tid}")
-        thread.state = ThreadState.RUNNABLE
-        self._runqueue.append(thread)
-
-    def runqueue_length(self) -> int:
-        """Number of runnable (not yet running) threads."""
-        return len(self._runqueue)
-
-    def switch_to(
-        self,
-        thread: Thread,
-        cpu_id: int = 0,
-        voluntary: bool = True,
-    ) -> None:
-        """Context-switch ``cpu_id`` to ``thread``, firing scheduler hooks."""
-        if thread.state is ThreadState.EXITED:
-            raise SchedulerError(f"cannot run exited thread {thread.tid}")
-        cpu = self.cpu(cpu_id)
-        previous = cpu.current
-        if previous is thread:
-            return
-        if previous is not None:
-            previous.state = ThreadState.RUNNABLE
-            if voluntary:
-                previous.voluntary_switches += 1
-            else:
-                previous.involuntary_switches += 1
-        if thread in self._runqueue:
-            self._runqueue.remove(thread)
-        thread.state = ThreadState.RUNNING
-        cpu.current = thread
-        cpu.switches += 1
-        self._record_switches(
-            count=1,
-            pid=thread.pid,
-            prev_pid=previous.pid if previous is not None else 0,
-        )
-
-    def run_current(self, cpu_id: int, duration_ns: int) -> None:
-        """Account ``duration_ns`` of CPU time to the thread on ``cpu_id``."""
-        if duration_ns < 0:
-            raise SchedulerError(f"negative duration: {duration_ns}")
-        cpu = self.cpu(cpu_id)
-        if cpu.current is None:
-            cpu.idle_ns += duration_ns
-            return
-        cpu.busy_ns += duration_ns
-        cpu.current.cpu_time_ns += duration_ns
-        cpu.current.process.cpu_time_ns += duration_ns
-
-    def block_current(self, cpu_id: int) -> Optional[Thread]:
-        """Block the running thread (e.g. on I/O); returns it, if any."""
-        cpu = self.cpu(cpu_id)
-        thread = cpu.current
-        if thread is None:
-            return None
-        thread.state = ThreadState.BLOCKED
-        thread.voluntary_switches += 1
-        cpu.current = None
-        self._record_switches(count=1, pid=0, prev_pid=thread.pid)
-        return thread
-
-    def run_quantum(
-        self,
-        duration_ns: int,
-        timeslice_ns: int = 4_000_000,
-        cpu_id: int = 0,
-    ) -> int:
-        """Preemptively round-robin the run queue for ``duration_ns``.
-
-        The CFS-flavoured loop: the current thread runs one timeslice, is
-        preempted (involuntary switch) if anyone else is runnable, and goes
-        to the back of the queue.  Context-switch costs are charged as lost
-        CPU time.  Returns the number of switches performed.
-        """
-        if duration_ns < 0 or timeslice_ns <= 0:
-            raise SchedulerError("bad quantum parameters")
-        cpu = self.cpu(cpu_id)
-        switches = 0
-        remaining = duration_ns
-        while remaining > 0:
-            if cpu.current is None:
-                if not self._runqueue:
-                    cpu.idle_ns += remaining
-                    break
-                self.switch_to(self._runqueue[0], cpu_id=cpu_id)
-                switches += 1
-            slice_ns = min(timeslice_ns, remaining)
-            self.run_current(cpu_id, slice_ns)
-            remaining -= slice_ns
-            if self._runqueue and remaining > 0:
-                preempted = cpu.current
-                self.switch_to(self._runqueue[0], cpu_id=cpu_id, voluntary=False)
-                switches += 1
-                if preempted is not None:
-                    self.enqueue(preempted)
-                # The switch itself costs CPU time nobody gets to use.
-                overhead = min(CONTEXT_SWITCH_COST_NS, remaining)
-                cpu.busy_ns += overhead
-                remaining -= overhead
-        return switches
-
-    # ------------------------------------------------------------------
-    # Aggregate driving
-    # ------------------------------------------------------------------
-    def account_switches(self, pid: int, count: int, cpu_id: int = 0) -> None:
+    def account_switches(self, pid: int, count: int) -> None:
         """Record a batch of context switches attributed to ``pid``."""
         if count <= 0:
             return
-        self.cpu(cpu_id).switches += count
-        self._record_switches(count=count, pid=pid, prev_pid=0)
+        self._total_switches += count
+        now = self._clock.now_ns
+        self._hooks.fire(
+            "sched:sched_switches", now, count=count, pid=pid, prev_pid=0
+        )
+        self._hooks.fire(
+            "PERF_COUNT_SW_CONTEXT_SWITCHES", now, count=count, pid=pid
+        )
 
     def account_cpu_time(self, thread: Thread, duration_ns: int, cpu_id: int = 0) -> None:
         """Record a batch of CPU time for a thread without running it."""
@@ -203,20 +82,3 @@ class Scheduler:
         self.cpu(cpu_id).busy_ns += duration_ns
         thread.cpu_time_ns += duration_ns
         thread.process.cpu_time_ns += duration_ns
-
-    def account_idle(self, duration_ns: int, cpu_id: int = 0) -> None:
-        """Record a batch of idle time on a CPU."""
-        if duration_ns < 0:
-            raise SchedulerError(f"negative duration: {duration_ns}")
-        self.cpu(cpu_id).idle_ns += duration_ns
-
-    # ------------------------------------------------------------------
-    def _record_switches(self, count: int, pid: int, prev_pid: int) -> None:
-        self._total_switches += count
-        now = self._clock.now_ns
-        self._hooks.fire(
-            "sched:sched_switches", now, count=count, pid=pid, prev_pid=prev_pid
-        )
-        self._hooks.fire(
-            "PERF_COUNT_SW_CONTEXT_SWITCHES", now, count=count, pid=pid
-        )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Union
 
 from repro.errors import DeploymentError
 from repro.net.http import HttpNetwork
@@ -228,20 +228,6 @@ class FederationTopology:
         return kernel
 
     # ------------------------------------------------------------------
-    def node(self, name: str) -> Union[TeemonDeployment, HAMonitorPair]:
-        """One built node by name."""
-        try:
-            return self.nodes[name]
-        except KeyError:
-            raise DeploymentError(f"unknown federation node: {name!r}") from None
-
-    def deployments(self, name: str) -> List[TeemonDeployment]:
-        """The node's deployments (one, or an HA pair's two replicas)."""
-        node = self.node(name)
-        if isinstance(node, HAMonitorPair):
-            return list(node.replicas)
-        return [node]
-
     def crash(self, name: str):
         """Crash a supervised non-HA node (kill + disk power loss)."""
         try:

@@ -305,11 +305,6 @@ class MonitoringSession:
             instances.extend(rule.firing())
         return instances
 
-    def alert_journal(self) -> List[str]:
-        """The deployment's canonical alerting journal lines."""
-        self._require_alerting()
-        return self._deployment.alert_journal.lines()
-
     def notification_stats(self) -> Dict[str, object]:
         """The notification router's per-receiver outcome counters."""
         deployment = self._require_alerting()

@@ -50,11 +50,6 @@ class MonitorSupervisor:
         self._last_crash: Optional[DiskCrashReport] = None
         self.reports: List[RecoveryReport] = []
 
-    @property
-    def running(self) -> bool:
-        """Whether the monitor is currently alive."""
-        return not self.deployment.crashed
-
     def crash(self) -> DiskCrashReport:
         """Kill the monitor and power-fail the disk; returns what the
         medium destroyed (held for the next :meth:`recover`)."""

@@ -287,12 +287,6 @@ class AnomalyDetector:
         return fired
 
     # ------------------------------------------------------------------
-    # Determinism witness
-    # ------------------------------------------------------------------
-    def journal_text(self) -> str:
-        """Every detection as canonical text (byte-comparable)."""
-        return "\n".join(event.line() for event in self.journal)
-
     def stats(self) -> Dict[str, object]:
         """Detector counters for the session API / self-telemetry."""
         return {

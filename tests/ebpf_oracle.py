@@ -32,7 +32,7 @@ class OracleVm:
         self.total_steps = 0
         self.total_runs = 0
 
-    def run(self, program: Program, ctx: HookContext, cpu: int = 0) -> ExecutionResult:
+    def run(self, program: Program, ctx: HookContext) -> ExecutionResult:
         regs = [0] * NUM_REGISTERS
         regs[Reg.R1] = 1  # the "context pointer"; field access goes via LD_CTX
         instructions = program.instructions
@@ -134,13 +134,13 @@ class OracleVm:
                     pc += 1 + instruction.offset
                     continue
             elif opcode is Opcode.CALL:
-                self._call_helper(program, pc, instruction.helper, regs, ctx, cpu)
+                self._call_helper(program, pc, instruction.helper, regs, ctx)
             else:
                 raise VmFault(f"{program.name}:{pc}: unimplemented opcode {opcode}")
 
             pc += 1
 
-    def _call_helper(self, program, pc, helper, regs, ctx, cpu) -> None:
+    def _call_helper(self, program, pc, helper, regs, ctx) -> None:
         if helper is Helper.MAP_LOOKUP:
             bpf_map = self._maps.get(regs[Reg.R1])
             value = bpf_map.lookup(regs[Reg.R2])
@@ -151,8 +151,6 @@ class OracleVm:
             regs[Reg.R0] = 0
         elif helper is Helper.MAP_ADD:
             bpf_map = self._maps.get(regs[Reg.R1])
-            if hasattr(bpf_map, "current_cpu"):
-                bpf_map.current_cpu = cpu
             regs[Reg.R0] = bpf_map.add(regs[Reg.R2], regs[Reg.R3]) & U64_MASK
         elif helper is Helper.KTIME_GET_NS:
             if self._time_source is None:

@@ -7,7 +7,6 @@ from repro.apps.docstore import MongoLikeServer
 from repro.apps.kvstore import (
     PAPER_DB_SIZES,
     RedisLikeServer,
-    WrongTypeError,
     db_bytes_for,
 )
 from repro.apps.webserver import NginxLikeServer
@@ -21,39 +20,6 @@ MIB = 1024 * 1024
 # ---------------------------------------------------------------------------
 # KV store
 # ---------------------------------------------------------------------------
-def test_set_get_delete_roundtrip():
-    server = RedisLikeServer()
-    server.set("k", b"v")
-    assert server.get("k") == b"v"
-    assert server.exists("k")
-    assert server.delete("k")
-    assert server.get("k") is None
-    assert not server.delete("k")
-
-
-def test_get_miss_counted():
-    server = RedisLikeServer()
-    server.get("missing")
-    assert server.stats.misses == 1
-    server.set("k", b"v")
-    server.get("k")
-    assert server.stats.hits == 1
-
-
-def test_incr_semantics():
-    server = RedisLikeServer()
-    assert server.incr("counter") == 1
-    assert server.incr("counter") == 2
-    server.set("text", b"hello")
-    with pytest.raises(WrongTypeError):
-        server.incr("text")
-
-
-def test_set_requires_bytes():
-    with pytest.raises(ReproError):
-        RedisLikeServer().set("k", "string")  # type: ignore[arg-type]
-
-
 def test_paper_db_size_mapping():
     assert db_bytes_for(720_000, 32) == 78 * MIB
     assert db_bytes_for(720_000, 64) == 105 * MIB
@@ -71,27 +37,6 @@ def test_synthetic_population():
     assert server.key_count == 720_000
     assert server.db_bytes == 105 * MIB
     assert server.value_size == 64
-    value = server.get("memtier-12345")
-    assert value is not None and len(value) == 64
-    assert server.get("memtier-720000") is None  # out of range
-    assert server.get("memtier-x") is None
-
-
-def test_synthetic_plus_real_overlay():
-    server = RedisLikeServer()
-    server.populate_synthetic(100, 32)
-    server.set("extra", b"x" * 10)
-    assert server.key_count == 101
-    assert server.db_bytes > db_bytes_for(100, 32)
-
-
-def test_flushall_clears_everything():
-    server = RedisLikeServer()
-    server.populate_synthetic(100, 32)
-    server.set("k", b"v")
-    server.flushall()
-    assert server.key_count == 0
-    assert server.db_bytes == 0
 
 
 def test_bad_population_rejected():
@@ -195,30 +140,13 @@ def test_redis_benchmark_single_host_uncapped(kernel):
 # ---------------------------------------------------------------------------
 # Web server
 # ---------------------------------------------------------------------------
-def test_nginx_serves_documents_through_page_cache(sgx_kernel):
-    runtime = SconeRuntime()
-    runtime.setup(sgx_kernel, app_name="nginx")
-    server = NginxLikeServer()
-    server.put_document("/index.html", b"<html>hi</html>")
-    status, body = server.handle_get(runtime, "/index.html")
-    assert status == 200 and body.startswith(b"<html>")
-    assert sgx_kernel.page_cache.stats.insertions >= 1
-    status, _ = server.handle_get(runtime, "/nope")
-    assert status == 404
-    assert server.stats.not_found == 1
-
-
-def test_nginx_document_path_validated():
-    with pytest.raises(ReproError):
-        NginxLikeServer().put_document("relative.html", b"x")
-
-
 def test_nginx_aggregate_load_emits_syscalls(sgx_kernel):
     runtime = SconeRuntime()
     runtime.setup(sgx_kernel, app_name="nginx")
     server = NginxLikeServer()
     server.run_load_slice(runtime, requests=10_000, duration_ns=10**9)
     assert sgx_kernel.syscalls.count_of("writev") > 0
+    assert sgx_kernel.page_cache.stats.hits > 0
     assert server.stats.requests == 10_000
 
 
@@ -230,44 +158,3 @@ def test_nginx_overhead_is_largest_of_the_three(sgx_kernel):
     nginx_norm = nginx.achievable_rate(runtime, True, True) / nginx.achievable_rate(runtime)
     mongo_norm = mongo.achievable_rate(runtime, True, True) / mongo.achievable_rate(runtime)
     assert nginx_norm < mongo_norm  # NGINX suffers more (paper: 87% vs 95%)
-
-
-# ---------------------------------------------------------------------------
-# Document store
-# ---------------------------------------------------------------------------
-def test_docstore_crud():
-    server = MongoLikeServer()
-    doc_id = server.insert("users", {"name": "ada", "role": "engineer"})
-    assert doc_id == 1
-    results = server.find("users", {"name": "ada"})
-    assert len(results) == 1
-    assert results[0]["role"] == "engineer"
-    collection = server.collection("users")
-    assert collection.update({"name": "ada"}, {"role": "fellow"}) == 1
-    assert collection.find({"role": "fellow"})
-    assert collection.delete({"name": "ada"}) == 1
-    assert len(collection) == 0
-
-
-def test_docstore_find_all_and_copies():
-    server = MongoLikeServer()
-    server.insert("c", {"x": 1})
-    docs = server.find("c")
-    docs[0]["x"] = 999  # mutation of the copy must not leak
-    assert server.find("c")[0]["x"] == 1
-
-
-def test_docstore_id_immutable():
-    server = MongoLikeServer()
-    server.insert("c", {"x": 1})
-    with pytest.raises(ReproError):
-        server.collection("c").update({"x": 1}, {"_id": 99})
-
-
-def test_docstore_journal_flush_dirties_pages(sgx_kernel):
-    runtime = SconeRuntime()
-    runtime.setup(sgx_kernel, app_name="mongod")
-    server = MongoLikeServer()
-    server.journal_flush(runtime, dirty_pages=4)
-    assert sgx_kernel.page_cache.stats.dirtied == 4
-    assert sgx_kernel.syscalls.count_of("fsync") == 1

@@ -1,53 +1,8 @@
-"""Attestation and MEE model tests."""
+"""MEE model tests."""
 
 import pytest
 
-from repro.sgx.attestation import MeasurementLog, Quote, measure_bytes
 from repro.sgx.mee import MeeModel
-
-
-def test_measure_bytes_deterministic():
-    assert measure_bytes(b"abc") == measure_bytes(b"abc")
-    assert measure_bytes(b"abc") != measure_bytes(b"abd")
-
-
-def test_measurement_log_order_sensitive():
-    a = MeasurementLog()
-    a.extend("x", measure_bytes(b"1"))
-    a.extend("y", measure_bytes(b"2"))
-    b = MeasurementLog()
-    b.extend("y", measure_bytes(b"2"))
-    b.extend("x", measure_bytes(b"1"))
-    assert a.mrenclave() != b.mrenclave()
-
-
-def test_identical_logs_same_mrenclave():
-    def build():
-        log = MeasurementLog()
-        log.extend("lib", measure_bytes(b"code"))
-        return log
-
-    assert build().mrenclave() == build().mrenclave()
-
-
-def test_quote_generation_and_verification():
-    log = MeasurementLog()
-    log.extend("app", measure_bytes(b"binary"))
-    quote = Quote.generate(log, report_data="nonce-123")
-    assert quote.verify()
-    assert quote.mrenclave == log.mrenclave()
-
-
-def test_tampered_quote_fails_verification():
-    log = MeasurementLog()
-    log.extend("app", measure_bytes(b"binary"))
-    quote = Quote.generate(log, report_data="nonce")
-    tampered = Quote(
-        mrenclave=quote.mrenclave,
-        report_data="other-nonce",
-        signature=quote.signature,
-    )
-    assert not tampered.verify()
 
 
 def test_mee_miss_cost_exceeds_dram():

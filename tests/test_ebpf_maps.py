@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ebpf.maps import ArrayMap, HashMap, MapRegistry, PerCpuHashMap
+from repro.ebpf.maps import HashMap, MapRegistry
 from repro.errors import MapError
 
 
@@ -57,90 +57,14 @@ def test_hash_clear_and_len():
     m = HashMap("h")
     m.update(1, 1)
     m.update(2, 2)
-    assert len(m) == 2
+    assert len(list(m.items())) == 2
     m.clear()
-    assert len(m) == 0
+    assert list(m.items()) == []
 
 
 def test_zero_capacity_rejected():
     with pytest.raises(MapError):
         HashMap("h", max_entries=0)
-
-
-# ---------------------------------------------------------------------------
-# ArrayMap
-# ---------------------------------------------------------------------------
-def test_array_zero_initialised():
-    m = ArrayMap("a", max_entries=4)
-    assert m.lookup(0) == 0
-    assert m.lookup(3) == 0
-
-
-def test_array_bounds_checked():
-    m = ArrayMap("a", max_entries=4)
-    with pytest.raises(MapError):
-        m.lookup(4)
-    with pytest.raises(MapError):
-        m.update(-1, 5)
-
-
-def test_array_delete_zeroes():
-    m = ArrayMap("a", max_entries=4)
-    m.update(2, 9)
-    m.delete(2)
-    assert m.lookup(2) == 0
-
-
-def test_array_add():
-    m = ArrayMap("a", max_entries=4)
-    assert m.add(1, 5) == 5
-    assert m.add(1, 5) == 10
-
-
-def test_array_items_enumerate_all_slots():
-    m = ArrayMap("a", max_entries=3)
-    m.update(1, 7)
-    assert list(m.items()) == [(0, 0), (1, 7), (2, 0)]
-
-
-# ---------------------------------------------------------------------------
-# PerCpuHashMap
-# ---------------------------------------------------------------------------
-def test_percpu_shards_sum_on_read():
-    m = PerCpuHashMap("p", num_cpus=4)
-    m.current_cpu = 0
-    m.add(1, 10)
-    m.current_cpu = 2
-    m.add(1, 5)
-    assert m.lookup(1) == 15
-    assert list(m.items()) == [(1, 15)]
-
-
-def test_percpu_missing_key_none():
-    assert PerCpuHashMap("p").lookup(9) is None
-
-
-def test_percpu_delete_all_shards():
-    m = PerCpuHashMap("p", num_cpus=2)
-    m.current_cpu = 0
-    m.add(1, 1)
-    m.current_cpu = 1
-    m.add(1, 2)
-    m.delete(1)
-    assert m.lookup(1) is None
-    with pytest.raises(MapError):
-        m.delete(1)
-
-
-def test_percpu_shard_capacity():
-    m = PerCpuHashMap("p", max_entries=1, num_cpus=2)
-    m.current_cpu = 0
-    m.add(1, 1)
-    with pytest.raises(MapError):
-        m.add(2, 1)
-    m.current_cpu = 1
-    m.add(2, 1)  # different shard has its own budget
-    assert m.lookup(2) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +82,3 @@ def test_registry_bad_fd():
     with pytest.raises(MapError):
         MapRegistry().get(99)
 
-
-def test_registry_close():
-    registry = MapRegistry()
-    fd = registry.create(HashMap("a"))
-    registry.close(fd)
-    with pytest.raises(MapError):
-        registry.get(fd)
-    with pytest.raises(MapError):
-        registry.close(fd)

@@ -30,36 +30,12 @@ def test_fault_kind_codes_are_stable_and_bijective():
         assert FAULT_KIND_BY_CODE[kind.code] is kind
 
 
-def test_touch_unmapped_page_faults(kernel):
-    process = kernel.spawn_process("app")
-    faulted = kernel.memory.touch(process.pid, page=100)
-    assert faulted is True
-    assert kernel.memory.user_faults == 1
-    assert kernel.hooks.fire_count("exceptions:page_fault_user") == 1
-    assert kernel.hooks.fire_count("PERF_COUNT_SW_PAGE_FAULTS") == 1
-
-
-def test_touch_mapped_page_no_fault(kernel):
-    process = kernel.spawn_process("app")
-    kernel.memory.touch(process.pid, page=100)
-    assert kernel.memory.touch(process.pid, page=100) is False
-    assert kernel.memory.user_faults == 1
-
-
-def test_write_to_readonly_page_is_protection_fault(kernel):
-    process = kernel.spawn_process("app")
-    kernel.memory.touch(process.pid, page=5, write=False)
-    faulted = kernel.memory.touch(process.pid, page=5, write=True)
-    assert faulted is True
-    # Second write: page already writable.
-    assert kernel.memory.touch(process.pid, page=5, write=True) is False
-
-
 def test_fault_carries_kind_fields(kernel):
     process = kernel.spawn_process("app")
     seen = []
     kernel.hooks.attach("exceptions:page_fault_user", seen.append)
-    kernel.memory.touch(process.pid, page=9, write=True)
+    kernel.memory.account_faults(process.pid, 3, kind=FaultKind.WRITE_FAULT)
+    assert seen[0].count == 3
     assert seen[0].get("fault_kind") == "write_fault"
     assert seen[0].get("fault_kind_code") == FaultKind.WRITE_FAULT.code
 
@@ -77,14 +53,6 @@ def test_map_range_idempotent_on_overlap(kernel):
     kernel.memory.map_range(process.pid, 0, 10)
     kernel.memory.map_range(process.pid, 5, 10)  # 5 overlap
     assert kernel.memory.space(process.pid).rss_pages == 15
-
-
-def test_unmap_range_releases_frames(kernel):
-    process = kernel.spawn_process("app")
-    before = kernel.memory.physical.free_frames
-    kernel.memory.map_range(process.pid, 0, 10)
-    kernel.memory.unmap_range(process.pid, 0, 10)
-    assert kernel.memory.physical.free_frames == before
 
 
 def test_destroy_space_releases_everything(kernel):
@@ -111,6 +79,8 @@ def test_account_faults_user_batch(kernel):
     kernel.memory.account_faults(process.pid, 500, kind=FaultKind.NO_PAGE_FOUND)
     assert kernel.memory.user_faults == 500
     assert kernel.memory.total_faults == 500
+    assert kernel.hooks.fire_count("exceptions:page_fault_user") == 500
+    assert kernel.hooks.fire_count("PERF_COUNT_SW_PAGE_FAULTS") == 500
 
 
 def test_account_faults_kernel_batch(kernel):

@@ -5,7 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ebpf.maps import ArrayMap, HashMap, PerCpuHashMap
+from repro.ebpf.maps import HashMap
 from repro.openmetrics import CollectorRegistry, encode_registry, parse_exposition
 from repro.pmag.chunks import Chunk, ChunkedSeries
 from repro.pmag.model import Labels, Matcher
@@ -73,29 +73,6 @@ def test_hashmap_add_matches_reference_dict(operations):
         bpf_map.add(key, delta)
         reference[key] = reference.get(key, 0) + delta
     assert dict(bpf_map.items()) == dict(sorted(reference.items()))
-
-
-@given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3),
-                          st.integers(1, 100)), max_size=60))
-def test_percpu_sum_equals_total_of_shard_writes(operations):
-    bpf_map = PerCpuHashMap("m", num_cpus=4)
-    totals = {}
-    for key, cpu, delta in operations:
-        bpf_map.current_cpu = cpu
-        bpf_map.add(key, delta)
-        totals[key] = totals.get(key, 0) + delta
-    for key, total in totals.items():
-        assert bpf_map.lookup(key) == total
-
-
-@given(st.integers(1, 64), st.lists(st.tuples(st.integers(0, 63),
-                                              st.integers(0, 10**6)), max_size=50))
-def test_arraymap_never_exceeds_bounds(size, writes):
-    bpf_map = ArrayMap("a", max_entries=size)
-    for index, value in writes:
-        if index < size:
-            bpf_map.update(index, value)
-    assert len(list(bpf_map.items())) == size
 
 
 # ---------------------------------------------------------------------------

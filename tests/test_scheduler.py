@@ -3,8 +3,6 @@
 import pytest
 
 from repro.errors import SchedulerError
-from repro.simkernel.kernel import Kernel
-from repro.simkernel.process import ThreadState
 
 
 def _thread(kernel, name="app"):
@@ -12,92 +10,12 @@ def _thread(kernel, name="app"):
     return next(iter(process.threads.values()))
 
 
-def test_switch_to_fires_both_hooks(kernel):
-    thread = _thread(kernel)
-    kernel.scheduler.switch_to(thread)
-    assert kernel.hooks.fire_count("sched:sched_switches") == 1
-    assert kernel.hooks.fire_count("PERF_COUNT_SW_CONTEXT_SWITCHES") == 1
-
-
-def test_switch_to_same_thread_is_noop(kernel):
-    thread = _thread(kernel)
-    kernel.scheduler.switch_to(thread)
-    kernel.scheduler.switch_to(thread)
-    assert kernel.scheduler.total_switches == 1
-
-
-def test_switch_tracks_running_state(kernel):
-    a = _thread(kernel, "a")
-    b = _thread(kernel, "b")
-    kernel.scheduler.switch_to(a)
-    assert a.state is ThreadState.RUNNING
-    kernel.scheduler.switch_to(b)
-    assert a.state is ThreadState.RUNNABLE
-    assert b.state is ThreadState.RUNNING
-
-
-def test_voluntary_flag_attribution(kernel):
-    a = _thread(kernel, "a")
-    b = _thread(kernel, "b")
-    kernel.scheduler.switch_to(a)
-    kernel.scheduler.switch_to(b, voluntary=False)
-    assert a.involuntary_switches == 1
-    assert a.voluntary_switches == 0
-
-
-def test_cannot_run_exited_thread(kernel):
-    process = kernel.spawn_process("dead")
-    thread = next(iter(process.threads.values()))
-    kernel.exit_process(process)
-    with pytest.raises(SchedulerError):
-        kernel.scheduler.switch_to(thread)
-
-
-def test_enqueue_and_runqueue_length(kernel):
-    a = _thread(kernel, "a")
-    kernel.scheduler.enqueue(a)
-    assert kernel.scheduler.runqueue_length() == 1
-    kernel.scheduler.switch_to(a)
-    assert kernel.scheduler.runqueue_length() == 0
-
-
-def test_run_current_accounts_cpu_time(kernel):
-    thread = _thread(kernel)
-    kernel.scheduler.switch_to(thread)
-    kernel.scheduler.run_current(0, 5_000)
-    assert thread.cpu_time_ns == 5_000
-    assert thread.process.cpu_time_ns == 5_000
-    assert kernel.scheduler.cpu(0).busy_ns == 5_000
-
-
-def test_run_current_idle_when_empty(kernel):
-    kernel.scheduler.run_current(0, 3_000)
-    assert kernel.scheduler.cpu(0).idle_ns == 3_000
-
-
-def test_run_current_negative_rejected(kernel):
-    with pytest.raises(SchedulerError):
-        kernel.scheduler.run_current(0, -1)
-
-
-def test_block_current_clears_cpu(kernel):
-    thread = _thread(kernel)
-    kernel.scheduler.switch_to(thread)
-    blocked = kernel.scheduler.block_current(0)
-    assert blocked is thread
-    assert thread.state is ThreadState.BLOCKED
-    assert kernel.scheduler.cpu(0).current is None
-
-
-def test_block_current_empty_cpu_returns_none(kernel):
-    assert kernel.scheduler.block_current(0) is None
-
-
 def test_account_switches_aggregate(kernel):
     process = kernel.spawn_process("batch")
     kernel.scheduler.account_switches(process.pid, 250)
     assert kernel.scheduler.total_switches == 250
     assert kernel.hooks.fire_count("sched:sched_switches") == 250
+    assert kernel.hooks.fire_count("PERF_COUNT_SW_CONTEXT_SWITCHES") == 250
 
 
 def test_account_switches_zero_is_noop(kernel):
@@ -112,11 +30,6 @@ def test_account_cpu_time_aggregate(kernel):
     assert kernel.scheduler.cpu(0).busy_ns == 10_000
 
 
-def test_account_idle(kernel):
-    kernel.scheduler.account_idle(7_000, cpu_id=2)
-    assert kernel.scheduler.cpu(2).idle_ns == 7_000
-
-
 def test_bad_cpu_id_rejected(kernel):
     with pytest.raises(SchedulerError):
         kernel.scheduler.cpu(999)
@@ -129,11 +42,3 @@ def test_zero_cpus_rejected():
 
     with pytest.raises(SchedulerError):
         Scheduler(VirtualClock(), HookRegistry(), num_cpus=0)
-
-
-def test_process_total_switches_rollup(kernel):
-    process = kernel.spawn_process("multi", threads=2)
-    threads = list(process.threads.values())
-    kernel.scheduler.switch_to(threads[0])
-    kernel.scheduler.switch_to(threads[1])
-    assert process.total_switches() == 1  # threads[0] was displaced once

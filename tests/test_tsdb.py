@@ -343,6 +343,35 @@ def test_delete_series_with_empty_value_matcher():
     assert sorted(s.samples[0].value for s in remaining) == [1.0, 3.0]
 
 
+def test_delete_series_by_matcher():
+    tsdb = Tsdb()
+    tsdb.append_sample("m", 1, 1.0, job="good")
+    tsdb.append_sample("m", 1, 2.0, job="bad")
+    tsdb.append_sample("other", 1, 3.0, job="bad")
+    deleted = tsdb.delete_series([Matcher.eq("job", "bad")])
+    assert deleted == 2
+    assert tsdb.series_count() == 1
+    assert tsdb.label_values("job") == ["good"]
+    # The survivors are still selectable.
+    assert tsdb.select_metric("m", 0, 10, job="good")
+
+
+def test_delete_series_no_match_is_zero():
+    tsdb = Tsdb()
+    tsdb.append_sample("m", 1, 1.0)
+    assert tsdb.delete_series([Matcher.eq("job", "nope")]) == 0
+    assert tsdb.series_count() == 1
+
+
+def test_deleted_series_can_be_re_ingested_fresh():
+    tsdb = Tsdb()
+    tsdb.append_sample("m", 100, 1.0)
+    tsdb.delete_series([Matcher.eq("__name__", "m")])
+    # Re-ingest at an *earlier* timestamp: legal, the series is gone.
+    tsdb.append_sample("m", 50, 9.0)
+    assert tsdb.latest("m").value == 9.0
+
+
 # ---------------------------------------------------------------------------
 # Postings-index consistency under interleaved mutation
 # ---------------------------------------------------------------------------
