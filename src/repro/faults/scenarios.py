@@ -7,24 +7,19 @@ the detection test family — the anomaly detector
 (:mod:`repro.trace.detect`) must flag every injected burst and stay
 silent on the clean same-seed control run.
 
-Each scenario is a schedule of bursts on the virtual clock, journalled
-through the shared :class:`~repro.faults.plan.FaultPlan` under the
-``WORKLOAD`` method, so one journal text still captures the whole fault
-history of a run.  Scenarios are driven by calling :meth:`tick` as
-virtual time advances (typically once per scrape cycle); firing is a
-pure function of the schedule and the clock, hence deterministic.
+Each scenario is a schedule of bursts on the virtual clock, recorded in
+its own :attr:`~WorkloadScenario.fired` list.  Scenarios are driven by
+calling :meth:`tick` as virtual time advances (typically once per scrape
+cycle); firing is a pure function of the schedule and the clock, hence
+deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
-from repro.faults.plan import FaultPlan
 from repro.simkernel.clock import NANOS_PER_SEC
-
-#: Journal method for workload faults (network uses GET, disk uses DISK).
-WORKLOAD_METHOD = "WORKLOAD"
 
 
 @dataclass(frozen=True)
@@ -42,17 +37,9 @@ class Burst:
 class WorkloadScenario:
     """Base: a burst schedule driven by :meth:`tick`."""
 
-    #: Journal kind (and detector vocabulary) — set by subclasses.
-    kind = "workload"
-
-    def __init__(
-        self,
-        bursts: Sequence[Burst],
-        plan: Optional[FaultPlan] = None,
-    ) -> None:
+    def __init__(self, bursts: Sequence[Burst]) -> None:
         self._bursts: List[Burst] = sorted(bursts, key=lambda b: b.at_ns)
         self._next = 0
-        self._plan = plan
         self.fired: List[Tuple[int, int]] = []  # (time_ns, magnitude)
 
     def tick(self, now_ns: int) -> int:
@@ -65,10 +52,6 @@ class WorkloadScenario:
             self._next += 1
             self._fire(now_ns, burst.magnitude)
             self.fired.append((now_ns, burst.magnitude))
-            if self._plan is not None:
-                self._plan.record(
-                    self.kind, self.subject(), method=WORKLOAD_METHOD
-                )
             fired += 1
         return fired
 
@@ -89,10 +72,8 @@ class EpcThrashScenario(WorkloadScenario):
     ``epc-thrash`` detector rule watches.
     """
 
-    kind = "epc-thrash"
-
-    def __init__(self, driver, enclave, bursts, plan=None) -> None:
-        super().__init__(bursts, plan)
+    def __init__(self, driver, enclave, bursts) -> None:
+        super().__init__(bursts)
         self._driver = driver
         self._enclave = enclave
 
@@ -108,10 +89,8 @@ class AexStormScenario(WorkloadScenario):
     moving any EPC pages — so it trips only the ``aex-storm`` rule.
     """
 
-    kind = "aex-storm"
-
-    def __init__(self, enclave, bursts, plan=None) -> None:
-        super().__init__(bursts, plan)
+    def __init__(self, enclave, bursts) -> None:
+        super().__init__(bursts)
         self._enclave = enclave
 
     def _fire(self, now_ns: int, magnitude: int) -> None:
@@ -126,8 +105,6 @@ class SyscallLatencyScenario(WorkloadScenario):
     histogram and drags the window p95 past the detector's floor.
     """
 
-    kind = "syscall-latency"
-
     def __init__(
         self,
         kernel,
@@ -136,9 +113,8 @@ class SyscallLatencyScenario(WorkloadScenario):
         latency_us: int = 8192,
         syscall_nr: int = 0,
         syscall_name: str = "read",
-        plan=None,
     ) -> None:
-        super().__init__(bursts, plan)
+        super().__init__(bursts)
         self._kernel = kernel
         self._pid = pid
         self.latency_us = latency_us
@@ -159,5 +135,4 @@ __all__ = [
     "EpcThrashScenario",
     "SyscallLatencyScenario",
     "WorkloadScenario",
-    "WORKLOAD_METHOD",
 ]

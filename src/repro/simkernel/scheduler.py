@@ -75,10 +75,10 @@ class Scheduler:
             "PERF_COUNT_SW_CONTEXT_SWITCHES", now, count=count, pid=pid
         )
 
-    def account_cpu_time(self, thread: Thread, duration_ns: int, cpu_id: int = 0) -> None:
-        """Record a batch of CPU time for a thread without running it."""
+    def account_cpu_time(self, thread: Thread, duration_ns: int) -> None:
+        """Charge a batch of CPU time to a thread (on CPU 0)."""
         if duration_ns < 0:
             raise SchedulerError(f"negative duration: {duration_ns}")
-        self.cpu(cpu_id).busy_ns += duration_ns
+        self._cpus[0].busy_ns += duration_ns
         thread.cpu_time_ns += duration_ns
         thread.process.cpu_time_ns += duration_ns
