@@ -1,8 +1,10 @@
-"""WAL benchmark: what durability costs the pipeline, and what the
-version-2 log costs against the version-1 log it replaced.
+"""WAL benchmark: what durability costs the pipeline, what the
+version-2 log costs against the version-1 log it replaced, and what a
+checkpoint weighs.
 
-Two measurements, both interleaved in this process so neither depends on
-another process's numbers or on which CPU mode the box happens to be in:
+Three measurements, all in this process so none depends on another
+process's numbers; the first two interleave their sides so neither side
+depends on which CPU mode the box happens to be in:
 
 * ``wal_overhead`` — the same full scrape → rule-evaluation → render
   cycle as ``bench_pipeline``'s ``scrape_cycle``, on two deployments
@@ -20,6 +22,11 @@ another process's numbers or on which CPU mode the box happens to be in:
   way a 4-shard engine hands them to its per-shard writers
   (``sharded4``: mostly batches of one or two).  ``ratio`` is the median
   over adjacent pairs of ``v2 / v1``.
+* ``wal_checkpoint`` — the WAL-on deployment's store as a checkpoint:
+  ``bytes_per_sample`` of the archive's version-3 (deflated) snapshot
+  against ``v2_bytes_per_sample``, the same body stored raw as version 2
+  did (``reference_snapshot`` from ``tests/codec_oracle.py``), plus the
+  median ``snapshot_ms`` and ``restore_ms``.  It gates nothing.
 
 The gate (always on): ``ratio`` must stay within ``--max-regression``
 (default 5 %) on both mixes — the small-batch path matters as much as
@@ -38,16 +45,18 @@ import json
 import statistics
 import sys
 import time
+import zlib
 
 from benchmarks.perf.harness import BenchReport
 
 from repro.experiments.common import make_sgx_host
+from repro.pmag.archive import restore, snapshot
 from repro.pmag.storage import series_fingerprint
 from repro.pmag.wal import WalWriter
 from repro.simkernel.clock import seconds
 from repro.simkernel.disk import SimDisk
 from repro.teemon import TeemonConfig, deploy
-from tests.codec_oracle import WalWriterV1
+from tests.codec_oracle import WalWriterV1, reference_snapshot
 
 SCHEMA = "teemon.bench.wal/2"
 
@@ -86,7 +95,7 @@ class _Pipeline:
 
 def time_pipeline(cycles: int):
     """Median WAL-off and WAL-on cycle seconds, stepped in turn; plus
-    the WAL-on run's volume and the writer calls it made."""
+    the WAL-on run's volume, the writer calls it made and its store."""
     off, on = _Pipeline(False), _Pipeline(True)
     for pipeline in (off, on):
         pipeline.cycle()  # warm-up: first scrape creates every series
@@ -101,7 +110,7 @@ def time_pipeline(cycles: int):
     for pipeline in (off, on):
         pipeline.deployment.shutdown()
     return (statistics.median(samples[off]), statistics.median(samples[on]),
-            volume, calls)
+            volume, calls, on.deployment.tsdb)
 
 
 def cut_by_shard(calls, shards: int = 4):
@@ -152,12 +161,35 @@ def time_writers(calls, pairs: int):
     }
 
 
+def time_checkpoint(engine, repeats: int):
+    """Snapshot and restore ``engine`` in turn; the version-3 file
+    against the raw version-2 body it deflates."""
+    snapshot_s, restore_s = [], []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        data = snapshot(engine)
+        snapshot_s.append(time.perf_counter() - started)
+        started = time.perf_counter()
+        restore(data)
+        restore_s.append(time.perf_counter() - started)
+    samples = engine.sample_count()
+    raw = reference_snapshot(2, zlib.decompress(bytes(data[12:])))
+    return {
+        "samples": samples,
+        "series": engine.series_count(),
+        "v2_bytes_per_sample": len(raw) / samples,
+        "bytes_per_sample": len(data) / samples,
+        "snapshot_ms": statistics.median(snapshot_s) * 1e3,
+        "restore_ms": statistics.median(restore_s) * 1e3,
+    }
+
+
 def run_suite(quick: bool) -> BenchReport:
     """Measure the pipeline with the WAL off and on, then the writers."""
     report = BenchReport(quick=quick)
     cycles = 10 if quick else 50
     pairs = 7 if quick else 25
-    off_s, on_s, (records, wal_bytes), calls = time_pipeline(cycles)
+    off_s, on_s, (records, wal_bytes), calls, store = time_pipeline(cycles)
     report.add(
         "wal_overhead",
         off_ms=off_s * 1e3,
@@ -171,6 +203,7 @@ def run_suite(quick: bool) -> BenchReport:
     report.add("wal_writer_monolith", **time_writers(calls, pairs))
     report.add("wal_writer_sharded4",
                **time_writers(cut_by_shard(calls), pairs))
+    report.add("wal_checkpoint", **time_checkpoint(store, pairs))
     return report
 
 

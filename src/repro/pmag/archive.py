@@ -4,22 +4,28 @@ The paper's §2.1 distinguishes TEEMon from SGX-TOP partly by "archival
 functionality": monitoring data survives and can be inspected after the
 fact.  This module serialises a TSDB to a compact binary snapshot (series
 labels + delta-encoded chunks, the on-disk format of
-:mod:`repro.pmag.chunks`) and restores it into a fresh database —
-supporting backup, transfer between deployments, and post-mortem analysis
-of a finished run.  It is also the WAL's checkpoint format.
+:mod:`repro.pmag.chunks`, deflated) and restores it into a fresh
+database — supporting backup, transfer between deployments, and
+post-mortem analysis of a finished run.  It is also the WAL's checkpoint
+format.
 
-Format (version 2, the one layout written and read)::
+Format (version 3, the one layout written and read)::
 
-    header:  magic "TMSNAP" | u16 version | u32 crc32 | u32 series count
+    header:  magic "TMSNAP" | u16 version | u32 crc32
+    body:    deflate( u32 series count | series* )
     series:  u32 label count | (u16 len + utf8 key | u16 len + utf8 value)*
              u32 chunk count | (u32 len | chunk bytes)*
 
-The CRC32 covers every byte after the crc field itself, so a torn or
-bit-flipped snapshot is detected up front instead of restoring
-silently-wrong data.  Any engine snapshots into this layout — a sharded
-engine's series follow one another in shard order — and :func:`restore`
-always returns a plain :class:`~repro.pmag.tsdb.Tsdb`.  A snapshot of
-any other version, or one whose body does not parse, is a
+The series layout is version 2's byte for byte; version 3 deflates the
+body as it is written, one series at a time, so a checkpoint never
+holds the raw store in memory.  The CRC32 covers every byte after the
+crc field itself (the deflated stream), so a torn or bit-flipped
+snapshot is detected up front instead of restoring silently-wrong data.
+Any engine snapshots into this layout — a sharded engine's series follow
+one another in shard order — and :func:`restore` always returns a plain
+:class:`~repro.pmag.tsdb.Tsdb`.  A snapshot of any other version, one
+whose body does not inflate to exactly one complete deflate stream, or
+one whose inflated body does not parse, is a
 :class:`~repro.errors.TsdbError`: restore raises nothing else.
 
 Restore adopts decoded chunks directly into each series — O(chunks), not
@@ -40,7 +46,11 @@ from repro.pmag.model import Labels
 from repro.pmag.tsdb import Tsdb
 
 MAGIC = b"TMSNAP"
-VERSION = 2
+VERSION = 3
+#: zlib level of the body.  Level 1 already shrinks a fleet store 38-40x;
+#: level 6 takes 2-3x the deflate time for 54-62x, and for 4 % fewer
+#: bytes on ``crash_loop`` (EXPERIMENTS.md "Checkpoint footprint").
+LEVEL = 1
 #: magic | u16 version | u32 crc32 — the CRC covers everything after it.
 _HEADER_SIZE = len(MAGIC) + 6
 _U16 = struct.Struct("<H")
@@ -58,17 +68,20 @@ def snapshot(engine) -> bytearray:
     """Serialise a storage engine to bytes, in one pass over
     ``engine.series_items()``.
 
-    The snapshot is joined once, into a buffer the caller owns (the
-    series count and the checksum are stamped into it afterwards): at
-    checkpoint time it is the largest transient object in the process.
+    Each series is encoded and fed to one deflate stream on its own, so
+    the raw body never exists whole: besides the result — the deflated
+    body, in a buffer the caller owns, checksum stamped in afterwards —
+    a snapshot holds only the deflate state and one series' bytes.
     """
-    pieces: List[bytes] = [MAGIC, bytes(10)]
-    series_count = 0
-    for labels, storage in engine.series_items():
-        series_count += 1
-        items = labels.items()
-        pieces.append(_U32.pack(len(items)))
-        for key, value in items:
+    items = list(engine.series_items())  # the count leads the stream
+    deflate = zlib.compressobj(LEVEL)
+    data = bytearray(MAGIC)
+    data += bytes(6)
+    data += deflate.compress(_U32.pack(len(items)))
+    for labels, storage in items:
+        pairs = labels.items()
+        pieces: List[bytes] = [_U32.pack(len(pairs))]
+        for key, value in pairs:
             pieces.append(_pack_text(key))
             pieces.append(_pack_text(value))
         chunks = storage._chunks  # noqa: SLF001 - archival is a DB feature
@@ -77,8 +90,8 @@ def snapshot(engine) -> bytearray:
             encoded = chunk.encode()
             pieces.append(_U32.pack(len(encoded)))
             pieces.append(encoded)
-    data = bytearray().join(pieces)
-    _U32.pack_into(data, _HEADER_SIZE, series_count)
+        data += deflate.compress(b"".join(pieces))
+    data += deflate.flush()
     with memoryview(data) as view:
         crc = zlib.crc32(view[_HEADER_SIZE:])
     struct.pack_into("<HI", data, len(MAGIC), VERSION, crc)
@@ -140,18 +153,31 @@ def restore(data: bytes) -> Tsdb:
     version, expected_crc = struct.unpack_from("<HI", data, len(MAGIC))
     if version != VERSION:
         raise TsdbError(f"unsupported snapshot version: {version}")
+    # ``zlib.decompress`` ignores bytes past the end of the stream, so
+    # the body inflates through an object that reports them.
+    inflate = zlib.decompressobj()
     with memoryview(data) as view:
         actual_crc = zlib.crc32(view[_HEADER_SIZE:])
-    if actual_crc != expected_crc:
+        if actual_crc != expected_crc:
+            raise TsdbError(
+                f"snapshot checksum mismatch: "
+                f"crc32 {actual_crc:#010x} != recorded {expected_crc:#010x}"
+            )
+        try:
+            body = inflate.decompress(view[_HEADER_SIZE:])
+        except zlib.error as exc:
+            raise TsdbError(f"snapshot body does not inflate: {exc}") from None
+    if not inflate.eof:
+        raise TsdbError("truncated snapshot: deflate stream does not end")
+    if inflate.unused_data:
         raise TsdbError(
-            f"snapshot checksum mismatch: "
-            f"crc32 {actual_crc:#010x} != recorded {expected_crc:#010x}"
-        )
+            f"trailing garbage after the deflate stream: "
+            f"{len(inflate.unused_data)} bytes")
     tsdb = Tsdb()
-    end = _decode_series(data, _HEADER_SIZE, tsdb)
-    if end != len(data):
+    end = _decode_series(body, 0, tsdb)
+    if end != len(body):
         raise TsdbError(
-            f"trailing garbage after last series: {len(data) - end} bytes")
+            f"trailing garbage after last series: {len(body) - end} bytes")
     return tsdb
 
 

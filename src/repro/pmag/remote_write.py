@@ -245,10 +245,17 @@ def decode_frame_blocks(
         count = int(pieces[4])
     except ValueError:
         raise WalError(f"bad frame epoch/sequence/count: {header!r}") from None
+    # Strictly: a lenient decode skips non-base64 characters, and
+    # ``zlib.decompress`` ignores bytes past the end of the stream.
+    inflate = zlib.decompressobj()
     try:
-        payload = zlib.decompress(base64.b64decode(body.encode("ascii")))
+        payload = inflate.decompress(
+            base64.b64decode(body.encode("ascii"), validate=True))
     except Exception as exc:  # noqa: BLE001 - any transport damage
         raise WalError(f"undecodable frame payload: {exc}") from exc
+    if not inflate.eof or inflate.unused_data:
+        raise WalError(
+            "undecodable frame payload: not exactly one deflate stream")
     if interned is None:
         interned = {}
     fresh: Dict[bytes, tuple] = {}

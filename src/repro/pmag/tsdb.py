@@ -526,9 +526,10 @@ class Tsdb(StorageEngine):
     def series_items(self) -> Iterable[Tuple[Labels, ChunkedSeries]]:
         """Every (labels, raw storage) pair in insertion order.
 
-        Insertion order is the archive's byte-identity contract: v2
+        Insertion order is the archive's byte-identity contract:
         snapshots of the same ingest sequence must encode series in the
-        same order.
+        same order, so their bodies — and, deflated alike, their files —
+        are identical.
         """
         return self._series.items()
 

@@ -13,7 +13,8 @@ On-disk layout (all little-endian), under one directory prefix::
 
     segment-{seq:08d}.wal     header: magic "TMWALSEG" | u16 version | u32 seq
                               record: u32 len | u32 crc32(payload) | payload
-    checkpoint-{seq:08d}.ckpt archive snapshot bytes (version 2, self-checksummed)
+    checkpoint-{seq:08d}.ckpt archive snapshot bytes (version 3: deflated,
+                              self-checksummed)
 
 Record payloads of a version-2 segment, by their leading ``u8 kind``::
 

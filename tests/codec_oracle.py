@@ -5,8 +5,9 @@ recovery must quarantine; a from-scratch model of the version-2 log
 (series records + sample runs): writer, reader and loss count; the
 uncached remote-write v3 frame encoder, plus the byte-level helpers the
 damage tests use to take a frame apart and put a tampered one back
-together; the list-based chunk and version-2 archive encoders the
-typed-column ones must match byte for byte; and an exposition encoder
+together; the list-based chunk and archive-body encoders the
+typed-column ones must match byte for byte (the body as version 2
+stored it raw and version 3 deflates it); and an exposition encoder
 that remembers nothing between scrapes.
 
 Nothing here calls the codecs under test — only their format constants
@@ -503,7 +504,8 @@ def reference_chunk_bytes(start_ns, times, values):
 
 
 def reference_archive_body(series):
-    """A version-2 body from ``[(Labels, [(t, v)])]`` in the order given."""
+    """An archive body from ``[(Labels, [(t, v)])]`` in the order given:
+    version 2 stored it raw, version 3 deflates it."""
     pieces = [struct.pack("<I", len(series))]
     for labels, samples in series:
         pieces.append(struct.pack("<I", len(labels.items())))
@@ -517,8 +519,16 @@ def reference_archive_body(series):
 
 
 def reference_snapshot(version, body):
-    """A snapshot container stamped ``version`` around ``body``."""
+    """A snapshot container stamped ``version`` around ``body`` stored
+    raw: the version-2 layout, which restore refuses."""
     return ARCHIVE_MAGIC + struct.pack("<HI", version, zlib.crc32(body)) + body
+
+
+def reference_deflated_snapshot(body):
+    """A version-3 snapshot of ``body``: the same container around the
+    body deflated in one call (equal to the writer's bytes once
+    inflated, not necessarily before)."""
+    return reference_snapshot(3, zlib.compress(body))
 
 
 # ----------------------------------------------------------------------

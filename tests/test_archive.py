@@ -2,6 +2,7 @@
 fuzz test of restore against damaged snapshots."""
 
 import struct
+import tracemalloc
 import zlib
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from repro.errors import TsdbError
 from repro.pmag.archive import MAGIC, VERSION, restore, snapshot, snapshot_window
 from repro.pmag.chunks import CHUNK_SIZE
-from repro.pmag.model import Matcher
+from repro.pmag.model import Labels, Matcher
 from repro.pmag.storage import ShardedTsdb, series_fingerprint
 from repro.pmag.tsdb import Tsdb
 from repro.faults import FaultPlan
@@ -22,6 +23,7 @@ from repro.simkernel.rng import DeterministicRng
 from tests.codec_oracle import (
     SERIES_POOL,
     reference_archive_body,
+    reference_deflated_snapshot,
     reference_snapshot,
 )
 
@@ -79,7 +81,7 @@ def test_snapshot_window_validation():
 def test_restore_rejects_garbage():
     with pytest.raises(TsdbError, match="magic"):
         restore(b"NOTASNAPSHOT")
-    # A truncated v2 snapshot fails its whole-file checksum up front.
+    # A truncated snapshot fails its whole-file checksum up front.
     with pytest.raises(TsdbError, match="checksum"):
         restore(snapshot(_populated_tsdb())[:20])
     # Wrong version.
@@ -87,6 +89,11 @@ def test_restore_rejects_garbage():
     data[6] = 99
     with pytest.raises(TsdbError, match="version"):
         restore(bytes(data))
+
+
+def _inflated(data) -> bytes:
+    """A snapshot's body, inflated."""
+    return zlib.decompress(bytes(data[12:]))
 
 
 def _restamped(data) -> bytes:
@@ -123,8 +130,8 @@ def test_every_truncation_of_a_restamped_snapshot_is_a_typed_error():
             restore(_restamped(data[:cut]))
 
 
-@pytest.mark.parametrize("version", [0, 1, 3, 0xFFFF])
-def test_restore_accepts_only_version2(version):
+@pytest.mark.parametrize("version", [0, 1, 2, 0xFFFF])
+def test_restore_accepts_only_version3(version):
     data = bytearray(snapshot(_populated_tsdb()))
     struct.pack_into("<H", data, 6, version)
     with pytest.raises(TsdbError, match="unsupported snapshot version"):
@@ -133,10 +140,10 @@ def test_restore_accepts_only_version2(version):
 
 def _non_utf8_snapshot(tsdb):
     """A snapshot of ``tsdb`` with one byte of its ``zone="QQQ"`` label
-    value made 0xff, checksum and all consistent."""
-    data = bytearray(snapshot(tsdb))
-    data[data.index(b"QQQ")] = 0xFF
-    return _restamped(data)
+    value made 0xff, deflate stream and checksum all consistent."""
+    body = bytearray(_inflated(snapshot(tsdb)))
+    body[body.index(b"QQQ")] = 0xFF
+    return reference_deflated_snapshot(bytes(body))
 
 
 def test_label_text_that_is_not_utf8_is_a_typed_error():
@@ -146,9 +153,9 @@ def test_label_text_that_is_not_utf8_is_a_typed_error():
         restore(_non_utf8_snapshot(tsdb))
 
 
-def test_recovery_quarantines_a_checkpoint_with_non_utf8_labels():
-    # The checksum verifies, the label text does not decode: recovery
-    # quarantines the checkpoint and falls back to the one before it.
+def _recover_past_a_bad_newer_checkpoint(damage):
+    """Checkpoint twice, log one more sample, replace the newer
+    checkpoint with ``damage(tsdb, its bytes)`` and recover."""
     disk = SimDisk()
     tsdb = Tsdb()
     writer = WalWriter(disk)
@@ -162,7 +169,7 @@ def test_recovery_quarantines_a_checkpoint_with_non_utf8_labels():
     tsdb.append_sample("m", seconds(15), 3.0, zone="QQQ")
     writer.flush()
     disk.write(older, kept)
-    disk.write(newer, _non_utf8_snapshot(tsdb))
+    disk.write(newer, damage(tsdb, disk.read(newer)))
     for name in (older, newer):
         disk.sync(name)
     recovered, report = recover(disk, plan=plan)
@@ -176,6 +183,25 @@ def test_recovery_quarantines_a_checkpoint_with_non_utf8_labels():
         (seconds(5), 1.0), (seconds(15), 3.0)]
 
 
+def test_recovery_quarantines_a_checkpoint_with_non_utf8_labels():
+    # The checksum verifies, the label text does not decode: recovery
+    # quarantines the checkpoint and falls back to the one before it.
+    _recover_past_a_bad_newer_checkpoint(
+        lambda tsdb, _data: _non_utf8_snapshot(tsdb))
+
+
+def test_recovery_quarantines_a_version2_checkpoint():
+    # The layout version 3 replaced, checksum and body intact: restore
+    # refuses it, and recovery falls back to the version-3 one before it.
+    def as_version2(_tsdb, data):
+        old = reference_snapshot(2, _inflated(data))
+        with pytest.raises(TsdbError, match="unsupported snapshot version: 2"):
+            restore(old)
+        return old
+
+    _recover_past_a_bad_newer_checkpoint(as_version2)
+
+
 def test_v2_checksum_detects_bitflip():
     data = bytearray(snapshot(_populated_tsdb()))
     data[len(data) // 2] ^= 0x10
@@ -183,11 +209,11 @@ def test_v2_checksum_detects_bitflip():
         restore(bytes(data))
 
 
-def test_snapshot_is_version2():
+def test_snapshot_is_version3():
     data = snapshot(Tsdb())
     assert data[:6] == MAGIC
     (version,) = struct.unpack_from("<H", data, 6)
-    assert version == VERSION == 2
+    assert version == VERSION == 3
 
 
 def test_restore_preserves_chunk_boundaries():
@@ -265,15 +291,26 @@ def _ingest(engine, series):
             engine.append(labels, time_ns, value)
 
 
+def _assert_snapshot_of(data, body):
+    """``data`` is a version-3 snapshot whose body inflates to ``body``
+    byte for byte, and restoring it snapshots back to ``data``; a
+    reference-deflated file of ``body`` restores to the same store."""
+    assert bytes(data[:12]) == MAGIC + struct.pack(
+        "<HI", VERSION, zlib.crc32(data[12:]))
+    assert _inflated(data) == body
+    restored = restore(data)
+    assert type(restored) is Tsdb
+    assert snapshot(restored) == data
+    assert snapshot(restore(reference_deflated_snapshot(body))) == data
+
+
 @given(_archived_series)
 @settings(max_examples=60, deadline=None)
-def test_v2_snapshot_bytes_match_the_list_based_reference(specs):
+def test_snapshot_body_bytes_match_the_list_based_reference(specs):
     series = _series_with_stamps(specs)
     tsdb = Tsdb()
     _ingest(tsdb, series)
-    expected = reference_snapshot(2, reference_archive_body(series))
-    assert snapshot(tsdb) == expected
-    assert snapshot(restore(expected)) == expected
+    _assert_snapshot_of(snapshot(tsdb), reference_archive_body(series))
 
 
 @given(_archived_series, st.integers(1, 4))
@@ -284,16 +321,12 @@ def test_sharded_snapshot_bytes_match_the_list_based_reference(specs, shards):
     series = _series_with_stamps(specs)
     engine = ShardedTsdb(shards)
     _ingest(engine, series)
-    expected = reference_snapshot(2, reference_archive_body([
+    _assert_snapshot_of(snapshot(engine), reference_archive_body([
         entry
         for index in range(shards)
         for entry in series
         if series_fingerprint(entry[0]) % shards == index
     ]))
-    assert snapshot(engine) == expected
-    restored = restore(expected)
-    assert type(restored) is Tsdb
-    assert snapshot(restored) == expected
 
 
 @given(_archived_series)
@@ -306,10 +339,44 @@ def test_checkpoint_file_bytes_match_the_list_based_reference(specs):
     tsdb.attach_wal(writer)
     _ingest(tsdb, series)
     name = writer.checkpoint(tsdb)
-    expected = reference_snapshot(2, reference_archive_body(series))
-    assert bytes(disk.read(name)) == expected
+    data = bytes(disk.read(name))
+    _assert_snapshot_of(data, reference_archive_body(series))
     recovered, _report = recover(disk)
-    assert snapshot(recovered) == expected
+    assert snapshot(recovered) == data
+
+
+def _checkpoint_peak(values):
+    """Checkpoint a 500-series store of 120 samples each, filled by
+    ``values(series, k)``; returns (peak bytes allocated inside
+    ``WalWriter.checkpoint``, raw body bytes)."""
+    tsdb = Tsdb()
+    times = [(k + 1) * seconds(5) for k in range(CHUNK_SIZE)]
+    for index in range(500):
+        tsdb.append_run(
+            Labels.of("ckpt_total", job="ckpt", instance=f"host{index}"),
+            times, [values(index, k) for k in range(CHUNK_SIZE)])
+    assert tsdb.sample_count() == 60_000
+    disk = SimDisk()
+    writer = WalWriter(disk)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        name = writer.checkpoint(tsdb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before, len(_inflated(disk.read(name)))
+
+
+def test_a_checkpoint_allocates_less_than_the_raw_body():
+    # Series are deflated one at a time, so the raw body never exists
+    # whole: the peak is the deflate state plus the deflated output.
+    # Building the raw body and then joining it peaks at over 2.5x.
+    rng = DeterministicRng(3)
+    for values in (lambda index, k: float(index * 1000 + 7 * k),
+                   lambda index, k: rng.random()):
+        peak, raw = _checkpoint_peak(values)
+        assert peak < raw, (peak, raw)
 
 
 # ---------------------------------------------------------------------------

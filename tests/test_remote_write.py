@@ -1,5 +1,6 @@
 """Remote-write federation tier: framing, dedup, spill, recovery."""
 
+import base64
 import struct
 from dataclasses import replace
 
@@ -101,6 +102,27 @@ def test_frame_rejects_damage():
         decode_frame(" ".join(pieces) + "\n" + payload)
     with pytest.raises(WalError):
         encode_frame("has space", 0, 1, _entries(1))
+
+
+def test_frame_body_must_be_exactly_one_base64_deflate_stream():
+    # A lenient decoder accepts bytes after the deflate stream and skips
+    # characters outside the base64 alphabet; both are damage.
+    entries = _entries(2)
+    body = encode_frame("leaf-0", 0, 1, entries)
+    header, text = body.split("\n", 1)
+    stream = base64.b64decode(text, validate=True)
+
+    def rebuilt(payload):
+        return header + "\n" + base64.b64encode(payload).decode("ascii")
+
+    assert decode_frame(rebuilt(stream))[3] == entries
+    for damaged in (
+        rebuilt(stream + b"\x00garbage"),
+        rebuilt(stream[:-4]),
+        header + "\n" + text[:8] + " *\n" + text[8:],
+    ):
+        with pytest.raises(WalError, match="undecodable frame payload"):
+            decode_frame_blocks(damaged)
 
 
 # ---------------------------------------------------------------------------

@@ -328,13 +328,13 @@ def test_sharded_snapshot_restores_to_a_monolith():
     assert snapshot(restored) == data
 
 
-def test_monolith_snapshots_stay_version2():
+def test_monolith_snapshots_stay_version3():
     original = _populated(Tsdb())
     data = snapshot(original)
     import struct
 
     (version,) = struct.unpack_from("<H", data, 6)
-    assert version == 2
+    assert version == 3
     restored = restore(data)
     assert isinstance(restored, Tsdb)
     assert not isinstance(restored, ShardedTsdb)

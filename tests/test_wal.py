@@ -48,6 +48,7 @@ from tests.codec_oracle import (
     ReferenceLogV2,
     WalWriterV1,
     reference_crash_loss,
+    reference_deflated_snapshot,
     reference_replay_v2,
     reference_sample_run,
     reference_series_record,
@@ -1083,17 +1084,21 @@ V1_SERIES = [
 ]
 
 
-def _v1_fixture_disk(checkpoint=True):
+def _v1_fixture_disk(checkpoint=True, current_layout=False):
     """The medium a pre-v2 monitor left behind (written by the last
     commit whose ``WalWriter`` produced version 1): a checkpoint of 8
-    scrapes of three series, then 12 more scrapes and a cursor over
-    three version-1 segments."""
+    scrapes of three series (archive version 2), then 12 more scrapes
+    and a cursor over three version-1 segments.  ``current_layout``
+    re-wraps the checkpoint's body in archive version 3."""
     disk = SimDisk()
     for base in sorted(os.listdir(V1_FIXTURE)):
         if base.endswith(".ckpt") and not checkpoint:
             continue
         with open(os.path.join(V1_FIXTURE, base), "rb") as handle:
-            disk.append(f"wal/{base}", handle.read())
+            data = handle.read()
+        if base.endswith(".ckpt") and current_layout:
+            data = reference_deflated_snapshot(data[12:])
+        disk.append(f"wal/{base}", data)
         disk.sync(f"wal/{base}")
     return disk
 
@@ -1107,11 +1112,25 @@ def _v1_fixture_samples(first, last):
 
 
 def test_v1_fixture_still_recovers():
-    # The checkpoint restores; the three version-1 segments behind it
-    # are quarantined, not replayed.
+    # As written, every file is a layout recovery no longer reads: the
+    # version-2 checkpoint and the three version-1 segments are all
+    # quarantined, and nothing is restored.
     disk = _v1_fixture_disk()
     for name in disk.list_files("wal/segment-"):
         assert struct.unpack_from("<H", disk.read(name), 8) == (1,)
+    plan = FaultPlan(VirtualClock(), DeterministicRng(1).fork("plan"))
+    recovered, report = recover(disk, plan=plan)
+    assert report.checkpoint_used is None
+    assert report.checkpoints_quarantined == 1
+    assert (report.segments_scanned, report.segments_quarantined) == (3, 3)
+    assert report.records_replayed == 0
+    assert recovered.series_count() == 0
+    assert plan.journal_text().count("wal-checkpoint-quarantined") == 1
+    assert plan.journal_text().count("wal-segment-quarantined") == 3
+    # With its checkpoint in the current layout, the checkpoint
+    # restores; the three version-1 segments behind it are quarantined,
+    # not replayed.
+    disk = _v1_fixture_disk(current_layout=True)
     plan = FaultPlan(VirtualClock(), DeterministicRng(1).fork("plan"))
     recovered, report = recover(disk, plan=plan)
     assert report.checkpoint_used == checkpoint_name("wal", 3)
@@ -1131,7 +1150,7 @@ def test_a_v2_writer_takes_over_a_v1_medium():
     # new writer continues the sequence past the version-1 segments),
     # crash again — the second recovery replays the version-2 segment
     # and still quarantines the three older ones.
-    disk = _v1_fixture_disk()
+    disk = _v1_fixture_disk(current_layout=True)
     tsdb, _report = recover(disk)
     writer = WalWriter(disk)
     assert writer.segment_seq == 7
