@@ -519,8 +519,8 @@ def reference_archive_body(series):
 
 
 def reference_snapshot(version, body):
-    """A snapshot container stamped ``version`` around ``body`` stored
-    raw: the version-2 layout, which restore refuses."""
+    """A snapshot container stamped ``version`` around ``body`` as
+    given; around a raw body, the version-2 layout restore refuses."""
     return ARCHIVE_MAGIC + struct.pack("<HI", version, zlib.crc32(body)) + body
 
 
