@@ -22,7 +22,9 @@ line when it has one, which is the code object's ``co_firstlineno``.
 Its *own lines* are its span, decorators included, minus the spans of
 the defs nested in it.  It is *driven* when a driver entered it,
 *tests-only* when only the tests did, and *unreached* otherwise.  The
-ledger prints the three totals, then the unreached functions.  Each
+ledger prints the three totals, then one line per file that holds
+tests-only functions (their count and own lines, most lines first), then
+the unreached functions.  Each
 command's exit status and wall time go to stderr; a failing command is
 reported, not fatal (a perf bench's own timing gate can trip under the
 hook).
@@ -216,6 +218,14 @@ def main() -> int:
     for name, keys in classes.items():
         lines = sum(defs[key][1] for key in keys)
         print(f"  {name:<11} {len(keys):>6,} functions {lines:>8,} own lines")
+    per_file: Dict[str, List[int]] = {}
+    for key in classes["tests-only"]:
+        tally = per_file.setdefault(os.path.relpath(key[0], ROOT), [0, 0])
+        tally[0] += 1
+        tally[1] += defs[key][1]
+    print("\ntests-only by file:")
+    for path, (count, lines) in sorted(per_file.items(), key=lambda item: (-item[1][1], item[0])):
+        print(f"  {path:<48} {count:>4} functions {lines:>6} own lines")
     print("\nunreached:")
     for key in sorted(classes["unreached"]):
         path, lineno = key

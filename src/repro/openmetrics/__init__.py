@@ -4,8 +4,8 @@ TEEMon's exporters publish metrics "in the standard text-based format as
 specified by the OpenMetrics project" (§4), which the aggregation
 component scrapes and parses.  This package implements both directions:
 
-* :mod:`repro.openmetrics.types` — Counter, Gauge, Histogram and Summary
-  with label support and the usual semantic rules (counters only go up);
+* :mod:`repro.openmetrics.types` — Counter, Gauge and Histogram with
+  label support and the usual semantic rules (counters only go up);
 * :mod:`repro.openmetrics.registry` — a collector registry exporters
   expose;
 * :mod:`repro.openmetrics.encoder` — render a registry to exposition text;
@@ -22,7 +22,6 @@ from repro.openmetrics.types import (
     Gauge,
     Histogram,
     MetricKind,
-    Summary,
 )
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "Summary",
     "Exemplar",
     "CollectorRegistry",
     "encode_registry",

@@ -8,15 +8,7 @@ from typing import List, Mapping, Tuple
 from typing import Optional
 
 from repro.openmetrics.registry import CollectorRegistry
-from repro.openmetrics.types import (
-    Counter,
-    Exemplar,
-    Gauge,
-    Histogram,
-    MetricFamily,
-    MetricKind,
-    Summary,
-)
+from repro.openmetrics.types import Exemplar, MetricFamily, MetricKind
 
 
 def _escape_label_value(value: str) -> str:
@@ -65,22 +57,16 @@ def _line_prefixes(family: MetricFamily, values: Tuple[str, ...], child):
     """Everything of a child's lines that precedes the value.
 
     A counter or gauge has one line; a histogram one per bucket plus
-    ``_sum`` and ``_count``; a summary one per quantile plus the same.
+    ``_sum`` and ``_count``.
     """
     name, label_names = family.name, family.label_names
     plain = format_labels(label_names, values)
     if family.kind in (MetricKind.COUNTER, MetricKind.GAUGE):
         return f"{name}{plain} "
-    if family.kind is MetricKind.HISTOGRAM:
-        extra, suffix = "le", "_bucket"
-        marks = child.upper_bounds + [float("inf")]
-    else:
-        extra, suffix = "quantile", ""
-        marks = child.quantiles
     split = [
-        f"{name}{suffix}"
-        f"{format_labels(label_names + (extra,), values + (_format_value(mark),))} "
-        for mark in marks
+        f"{name}_bucket"
+        f"{format_labels(label_names + ('le',), values + (_format_value(bound),))} "
+        for bound in child.upper_bounds + [float("inf")]
     ]
     return split, f"{name}_sum{plain} ", f"{name}_count{plain} "
 
@@ -110,16 +96,10 @@ def encode_family(family: MetricFamily) -> str:
             lines.append(f"{prefixes}{_format_value(child.value)}{exemplar}")
             continue
         split, sum_prefix, count_prefix = prefixes
-        if kind is MetricKind.HISTOGRAM:
-            for index, (prefix, (_bound, cumulative)) in enumerate(
-                    zip(split, child.cumulative_buckets())):
-                exemplar = _exemplar_suffix(child.exemplars.get(index))
-                lines.append(f"{prefix}{cumulative}{exemplar}")
-        else:
-            for prefix, (_quantile, estimate) in zip(
-                    split, child.quantile_values()):
-                if not math.isnan(estimate):
-                    lines.append(f"{prefix}{_format_value(estimate)}")
+        for index, (prefix, (_bound, cumulative)) in enumerate(
+                zip(split, child.cumulative_buckets())):
+            exemplar = _exemplar_suffix(child.exemplars.get(index))
+            lines.append(f"{prefix}{cumulative}{exemplar}")
         lines.append(f"{sum_prefix}{_format_value(child.sum)}")
         lines.append(f"{count_prefix}{child.count}")
     return "\n".join(lines)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import OpenMetricsError
-from repro.openmetrics.types import Counter, Gauge, Histogram, MetricFamily, Summary
+from repro.openmetrics.types import Counter, Gauge, Histogram, MetricFamily
 
 
 class CollectorRegistry:
@@ -75,7 +75,3 @@ class CollectorRegistry:
         if buckets is None:
             return self.register(Histogram(name, help_text, label_names))  # type: ignore[return-value]
         return self.register(Histogram(name, help_text, label_names, buckets))  # type: ignore[return-value]
-
-    def summary(self, name: str, help_text: str, label_names: Sequence[str] = ()) -> Summary:
-        """Create and register a Summary."""
-        return self.register(Summary(name, help_text, label_names))  # type: ignore[return-value]

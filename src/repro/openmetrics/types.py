@@ -6,8 +6,10 @@ Semantics follow the spec:
 
 * **Counter** — monotonically non-decreasing; decrements raise;
 * **Gauge** — arbitrary up/down;
-* **Histogram** — cumulative buckets plus ``_sum`` and ``_count``;
-* **Summary** — ``_sum`` / ``_count`` plus pre-computed quantiles.
+* **Histogram** — cumulative buckets plus ``_sum`` and ``_count``.
+
+No exporter here publishes a summary, so there is no Summary type; the
+parser reads one's lines like any other samples.
 
 Metric and label names are validated against the OpenMetrics grammar so a
 bad exporter fails at construction, not at scrape time.
@@ -61,7 +63,6 @@ class MetricKind(enum.Enum):
     COUNTER = "counter"
     GAUGE = "gauge"
     HISTOGRAM = "histogram"
-    SUMMARY = "summary"
 
 
 def _validate_name(name: str) -> str:
@@ -297,69 +298,3 @@ class Histogram(MetricFamily):
                 exemplar: Optional[Exemplar] = None) -> None:
         """Observe into the unlabelled child."""
         self.labels().observe(value, exemplar=exemplar)
-
-
-class _SummaryChild:
-    """One summary time series with streaming quantile estimates.
-
-    Keeps a bounded reservoir; exact for small streams, sampled beyond,
-    which is the usual client-library trade-off.
-    """
-
-    RESERVOIR = 4096
-
-    def __init__(self, quantiles: Sequence[float]) -> None:
-        self.quantiles = list(quantiles)
-        self.sum = 0.0
-        self.count = 0
-        self._window: List[float] = []
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        self.sum += value
-        self.count += 1
-        if len(self._window) < self.RESERVOIR:
-            self._window.append(value)
-        else:
-            # Deterministic decimation keeps the library seed-free here.
-            index = self.count % self.RESERVOIR
-            self._window[index] = value
-
-    def quantile_values(self) -> List[Tuple[float, float]]:
-        """(quantile, estimate) pairs for the configured quantiles."""
-        if not self._window:
-            return [(q, float("nan")) for q in self.quantiles]
-        ordered = sorted(self._window)
-        result = []
-        for quantile in self.quantiles:
-            position = min(len(ordered) - 1, int(quantile * len(ordered)))
-            result.append((quantile, ordered[position]))
-        return result
-
-
-class Summary(MetricFamily):
-    """Sum/count/quantiles family."""
-
-    kind = MetricKind.SUMMARY
-    DEFAULT_QUANTILES = (0.5, 0.9, 0.99)
-
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        label_names: Sequence[str] = (),
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
-    ) -> None:
-        for quantile in quantiles:
-            if not 0.0 <= quantile <= 1.0:
-                raise OpenMetricsError(f"quantile out of range: {quantile}")
-        # Set before super().__init__: the base may eagerly create a child.
-        self._quantiles = tuple(quantiles)
-        super().__init__(name, help_text, label_names)
-
-    def _new_child(self) -> _SummaryChild:
-        return _SummaryChild(self._quantiles)
-
-    def observe(self, value: float) -> None:
-        """Observe into the unlabelled child."""
-        self.labels().observe(value)

@@ -22,8 +22,7 @@ This package models all of that:
   :class:`~repro.teemon.deploy.TeemonDeployment` on a monitor host,
   discovering the exporters' pods durably;
 * :mod:`repro.orchestration.fleet` — node fleets at scale: DaemonSet
-  exporters across hundreds of nodes with seeded churn and rolling
-  upgrades.
+  exporters across hundreds of nodes with seeded churn.
 """
 
 from repro.orchestration.container import Container, ContainerImage, DockerRuntime
@@ -32,7 +31,6 @@ from repro.orchestration.helm import HelmChart, install_teemon_chart
 from repro.orchestration.kubernetes import (
     Cluster,
     DaemonSet,
-    Deployment,
     Node,
     Pod,
     PodSpec,
@@ -49,7 +47,6 @@ __all__ = [
     "PodSpec",
     "Taint",
     "DaemonSet",
-    "Deployment",
     "FleetChurner",
     "FleetExporter",
     "NodeFleet",

@@ -6,13 +6,13 @@ annotation-driven discovery.  This module scales that shape to a
 simulated host on the shared cluster clock) carrying one
 :class:`FleetExporter` pod from a DaemonSet, with seeded churn
 (:class:`FleetChurner` joins, drains and reboots nodes on the virtual
-clock) and rolling exporter upgrades — every topology event journalled
-in the run's one :class:`~repro.faults.plan.FaultPlan`.
+clock) — every topology event journalled in the run's one
+:class:`~repro.faults.plan.FaultPlan`.
 
 Two properties make fleets chaos-testable:
 
 * **pure expositions** — a fleet exporter's body is a pure function of
-  (node name, virtual time, exporter version).  Two HA monitor replicas
+  (node name, virtual time).  Two HA monitor replicas
   scraping the same node at the same instant read identical bytes, and
   same-seed reruns are byte-identical end to end;
 * **explicit route lifecycle** — a failed node's ``/metrics`` route is
@@ -45,20 +45,18 @@ class FleetExporter:
 
     Serves the enclave-health signals the anomaly detector and the
     built-in alert rules watch (EPC evictions, AEXs, syscalls) plus a
-    ``fleet_exporter_build_info`` version marker.  Counters are computed
+    ``fleet_exporter_build_info`` marker.  Counters are computed
     from elapsed virtual time and the node's name-derived phase — no
     internal mutable state — so any number of monitors scraping at any
     cadence observe one consistent timeline.
     """
 
     def __init__(self, kernel: Kernel, network: HttpNetwork,
-                 version: str = "v1",
                  epc_evictions_per_s: float = 8.0,
                  aexs_per_s: float = 20.0,
                  syscalls_per_s: float = 400.0) -> None:
         self.kernel = kernel
         self.network = network
-        self.version = version
         self.epc_evictions_per_s = epc_evictions_per_s
         self.aexs_per_s = aexs_per_s
         self.syscalls_per_s = syscalls_per_s
@@ -132,7 +130,7 @@ class FleetExporter:
         # Sawtooth utilization staggered by the name-derived phase.
         utilization = 0.30 + 0.40 * (((t / 60.0) + self.phase) % 1.0)
         return (
-            f'fleet_exporter_build_info{{version="{self.version}"}} 1\n'
+            'fleet_exporter_build_info{version="v1"} 1\n'
             f"sgx_epc_pages_evicted_total {evicted:.3f}\n"
             f"sgx_aexs_total {aexs:.3f}\n"
             f'ebpf_syscalls_total{{name="read"}} {syscalls:.3f}\n'
@@ -150,16 +148,12 @@ class NodeFleet:
 
     def __init__(self, cluster: Cluster, network: HttpNetwork,
                  rng: DeterministicRng, plan=None,
-                 job: str = "sgx", node_prefix: str = "node",
-                 version: str = "v1") -> None:
+                 job: str = "sgx", node_prefix: str = "node") -> None:
         self.cluster = cluster
         self.network = network
         self.plan = plan
         self.job = job
         self.node_prefix = node_prefix
-        #: Exporter version new pods are built with (rolling upgrades
-        #: bump this, then recreate pods batch by batch).
-        self.version = version
         self._rng = rng.fork("fleet")
         self._exporters: Dict[str, FleetExporter] = {}
         self._next_index = 0
@@ -167,8 +161,7 @@ class NodeFleet:
         self.joins = 0
         self.leaves = 0
         self.reboots = 0
-        self.upgraded = 0
-        self._daemonset = cluster.apply_daemonset(PodSpec(
+        cluster.apply_daemonset(PodSpec(
             name="fleet-exporter",
             image=ContainerImage(
                 name="fleet-exporter", entrypoint=self._entrypoint
@@ -183,7 +176,7 @@ class NodeFleet:
     # Topology
     # ------------------------------------------------------------------
     def _entrypoint(self, kernel: Kernel, container_id: str) -> FleetExporter:
-        exporter = FleetExporter(kernel, self.network, version=self.version)
+        exporter = FleetExporter(kernel, self.network)
         self._exporters[kernel.hostname] = exporter
         return exporter
 
@@ -255,60 +248,6 @@ class NodeFleet:
         """The scrape-discovery callback (pass to ``add_discovery``)."""
         return self.cluster.discover_scrape_targets
 
-    # ------------------------------------------------------------------
-    # Rolling upgrades
-    # ------------------------------------------------------------------
-    def rolling_upgrade(self, version: str, batch_size: int = 10,
-                        interval_s: float = 5.0) -> int:
-        """Upgrade the fleet's exporters batch by batch on the clock.
-
-        Bumps :attr:`version` immediately (new joins get it), then every
-        ``interval_s`` recreates ``batch_size`` pods: graceful delete
-        (stopping a container withdraws its route), DaemonSet reconcile
-        (the fresh pod's exporter is built at the new version).  Returns
-        the number of scheduled batches; nodes that depart mid-upgrade
-        are skipped when their batch comes due.
-        """
-        if batch_size < 1:
-            raise OrchestrationError(f"batch_size must be >= 1: {batch_size}")
-        if interval_s <= 0:
-            raise OrchestrationError(
-                f"interval_s must be positive: {interval_s}"
-            )
-        self.version = version
-        pending = self.node_names()
-        batches = [
-            pending[start:start + batch_size]
-            for start in range(0, len(pending), batch_size)
-        ]
-        clock = self.cluster.clock
-        interval_ns = int(interval_s * NANOS_PER_SEC)
-
-        def upgrade_batch(index: int) -> None:
-            for name in batches[index]:
-                pod = self._daemonset.pods_by_node.get(name)
-                if pod is None:
-                    continue  # node departed mid-upgrade
-                self.cluster.delete_pod(pod.name)
-                self.upgraded += 1
-                self._record("upgrade", name)
-            self._daemonset.reconcile(self.cluster)
-            if index + 1 < len(batches):
-                clock.call_later(
-                    interval_ns, lambda: upgrade_batch(index + 1)
-                )
-
-        if batches:
-            clock.call_later(interval_ns, lambda: upgrade_batch(0))
-        return len(batches)
-
-    def versions(self) -> Dict[str, str]:
-        """Exporter version per live node."""
-        return {
-            name: exporter.version
-            for name, exporter in sorted(self._exporters.items())
-        }
-
     def stats(self) -> Dict[str, int]:
         """Fleet lifecycle counters."""
         return {
@@ -316,7 +255,6 @@ class NodeFleet:
             "joins": self.joins,
             "leaves": self.leaves,
             "reboots": self.reboots,
-            "upgraded": self.upgraded,
             "rebooting": len(self._rebooting),
         }
 

@@ -11,7 +11,9 @@ Covers the §5.4 feature set TEEMon relies on:
   later* (the controller reconciles on node join);
 * **annotations + service discovery** — pods annotated with
   ``prometheus.io/scrape`` surface scrape targets, which the PMAG's
-  discovery callback consumes, adapting to topology changes.
+  discovery callback consumes, adapting to topology changes;
+* **node failure** — a failed node's pods terminate with it, and its
+  DaemonSet pods are not moved elsewhere.
 """
 
 from __future__ import annotations
@@ -137,48 +139,8 @@ class DaemonSet:
         return created
 
 
-class Deployment:
-    """Replica-count controller: keeps N pods of a spec running.
-
-    Reconciliation creates missing replicas (least-loaded placement) and
-    deletes extras; pods lost to node failure are replaced on the next
-    reconcile, which the cluster triggers automatically.
-    """
-
-    def __init__(self, spec: PodSpec, replicas: int) -> None:
-        if replicas < 0:
-            raise OrchestrationError("replicas must be non-negative")
-        self.spec = spec
-        self.replicas = replicas
-        self.pods: List[Pod] = []
-
-    def scale(self, replicas: int) -> None:
-        """Change the desired replica count (reconciled by the cluster)."""
-        if replicas < 0:
-            raise OrchestrationError("replicas must be non-negative")
-        self.replicas = replicas
-
-    def reconcile(self, cluster: "Cluster") -> Tuple[List[Pod], List[Pod]]:
-        """Converge to the desired count; returns (created, deleted)."""
-        self.pods = [p for p in self.pods if p.phase == "Running"]
-        created: List[Pod] = []
-        deleted: List[Pod] = []
-        while len(self.pods) < self.replicas:
-            try:
-                pod = cluster.schedule_pod(self.spec)
-            except OrchestrationError:
-                break  # no schedulable node: stay degraded, retry later
-            self.pods.append(pod)
-            created.append(pod)
-        while len(self.pods) > self.replicas:
-            victim = self.pods.pop()
-            cluster.delete_pod(victim.name)
-            deleted.append(victim)
-        return created, deleted
-
-
 class Cluster:
-    """The cluster: nodes, pods, DaemonSets, Deployments, discovery."""
+    """The cluster: nodes, pods, DaemonSets, discovery."""
 
     #: Kubernetes supports up to 5000 nodes per cluster (§5.4 / [20]).
     MAX_NODES = 5000
@@ -188,7 +150,6 @@ class Cluster:
         self._nodes: Dict[str, Node] = {}
         self._pods: Dict[str, Pod] = {}
         self._daemonsets: List[DaemonSet] = []
-        self._deployments: List[Deployment] = []
         self._pod_ids = itertools.count(start=1)
 
     # ------------------------------------------------------------------
@@ -208,7 +169,6 @@ class Cluster:
         self._nodes[node.name] = node
         for daemonset in self._daemonsets:
             daemonset.reconcile(self)
-        self.reconcile_deployments()  # degraded Deployments recover
         return node
 
     def node(self, name: str) -> Node:
@@ -285,24 +245,11 @@ class Cluster:
             self.delete_pod(pod.name)
         self._daemonsets.remove(daemonset)
 
-    def apply_deployment(self, spec: PodSpec, replicas: int) -> Deployment:
-        """Install a Deployment and reconcile it now."""
-        deployment = Deployment(spec, replicas)
-        self._deployments.append(deployment)
-        deployment.reconcile(self)
-        return deployment
-
-    def reconcile_deployments(self) -> None:
-        """Converge every Deployment (called after topology changes)."""
-        for deployment in self._deployments:
-            deployment.reconcile(self)
-
     def fail_node(self, name: str) -> List[Pod]:
-        """A node dies: its pods terminate, controllers reconcile.
+        """A node dies: its pods terminate with it.
 
         Returns the pods that were lost.  DaemonSet pods are not
-        rescheduled elsewhere (they are node-bound); Deployment replicas
-        are recreated on surviving nodes.
+        rescheduled elsewhere (they are node-bound).
         """
         node = self.node(name)
         lost: List[Pod] = []
@@ -315,7 +262,6 @@ class Cluster:
         del self._nodes[name]
         for daemonset in self._daemonsets:
             daemonset.pods_by_node.pop(name, None)
-        self.reconcile_deployments()
         return lost
 
     def discover_scrape_targets(self) -> List[ScrapeTarget]:

@@ -179,33 +179,3 @@ def restore(data: bytes) -> Tsdb:
         raise TsdbError(
             f"trailing garbage after last series: {len(body) - end} bytes")
     return tsdb
-
-
-def snapshot_window(tsdb, start_ns: int, end_ns: int) -> bytes:
-    """Snapshot only the samples inside a time window (incident export).
-
-    Chunks entirely inside the window are carried over as-is (boundary
-    preservation again); only the edge chunks straddling the window are
-    re-built from their surviving samples.  Works on any engine.
-    """
-    if end_ns < start_ns:
-        raise TsdbError(f"bad window: {start_ns}..{end_ns}")
-    trimmed = Tsdb()
-    for labels, storage in tsdb.series_items():
-        out = ChunkedSeries()
-        for chunk in storage._chunks:  # noqa: SLF001
-            if chunk.start_ns > end_ns or chunk.end_ns < start_ns:
-                continue
-            if chunk.start_ns >= start_ns and chunk.end_ns <= end_ns:
-                out.adopt_chunk(chunk)
-                continue
-            low, high = chunk.window_bounds(start_ns, end_ns)
-            if low == high:
-                continue
-            partial = Chunk(chunk._times[low])  # noqa: SLF001
-            partial._times = chunk._times[low:high]  # noqa: SLF001
-            partial._values = chunk._values[low:high]  # noqa: SLF001
-            out.adopt_chunk(partial)
-        if out.sample_count:
-            trimmed.install_series(labels, out)
-    return snapshot(trimmed)

@@ -84,8 +84,8 @@ from repro.errors import TsdbError, WalError
 from repro.net.http import HttpNetwork
 from repro.pmag.model import Labels, METRIC_NAME_LABEL
 from repro.pmag.rules import is_recorded_output
-from repro.pmag.storage import series_fingerprint
-from repro.pmag.tsdb import ArrivalFeed, StorageEngine
+from repro.pmag.storage import StorageEngine, series_fingerprint
+from repro.pmag.tsdb import ArrivalFeed
 from repro.pmag.wal import MAX_RECORD_BYTES, pack_labels, unpack_labels
 from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock
 from repro.simkernel.rng import DeterministicRng

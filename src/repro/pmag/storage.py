@@ -1,5 +1,35 @@
-"""Sharded storage engine: N independent :class:`Tsdb` shards behind one
-:class:`~repro.pmag.tsdb.StorageEngine`.
+"""The two storage engines and the contract they share.
+
+:class:`~repro.pmag.tsdb.Tsdb` is one store; :class:`ShardedTsdb` routes
+each series to one of N of them.  :data:`StorageEngine` names either,
+and everything above — scrape ingest, the query engine, rules,
+dashboards, archive, WAL, remote-write — calls the methods both classes
+carry, so shard count is configuration, not surgery.  Both engines keep
+four invariants, so the layers above stay engine-agnostic:
+
+* ``select_arrays`` (and ``select``, its :class:`Sample` view) return
+  series sorted by ``labels.items()`` — the merge key the sharded
+  engine preserves;
+* appends are per-series monotonic (out-of-order rejected), so WAL
+  replay is idempotent regardless of how series are routed;
+* ``storage_stats()`` returns the shape the ``teemon_storage_*``
+  self-telemetry renders: shard count and per-shard series/sample
+  counts;
+* every :class:`~repro.pmag.tsdb.ArrivalFeed` attached with
+  ``attach_feed`` gets each commit's accepted entries (``append_batch``,
+  ``append_run``) as one list, in commit order, and any other change to
+  the stored samples raises its ``unsure_below_ns`` past the newest
+  timestamp the change may have touched.  Accepted entries must not be
+  mutated after the commit.  With no feed attached, a commit pays one
+  empty-list check.
+
+``retention_ns`` and ``total_appends`` read as attributes on both
+(properties summed or shared over the shards on the sharded engine).
+The entry points written once in terms of the others (``append``,
+``append_sample``, ``append_fingerprinted``, ``select``,
+``select_metric``, ``metric_names``) are :class:`Tsdb` functions that
+:class:`ShardedTsdb` binds by name, so every entry point is an
+attribute of each engine class itself.
 
 Each series lives on exactly one shard, chosen by a *stable* fingerprint
 of its label set (CRC32 over the canonical sorted pairs — Python's own
@@ -19,22 +49,26 @@ from __future__ import annotations
 
 import zlib
 from heapq import merge as heap_merge
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import TsdbError
 from repro.pmag.chunks import ChunkedSeries
 from repro.pmag.model import Labels, Matcher, Sample
-from repro.pmag.tsdb import ArrivalFeed, StorageEngine, Tsdb
+from repro.pmag.tsdb import ArrivalFeed, Tsdb
 
 
 def series_fingerprint(labels: Labels) -> int:
     """Stable 32-bit fingerprint of a label set.
 
     CRC32 over the canonical sorted (name, value) pairs with unit/record
-    separators, so ``{"a": "b,c"}`` and ``{"a": "b", "c": ""}`` cannot
-    collide structurally.  Identical across processes and platforms —
-    the property shard routing, WAL recovery and archive restore all
-    lean on.
+    separators.  Identical across processes and platforms — the property
+    shard routing, WAL recovery and archive restore all lean on.  It is
+    not an identity: label values may hold the separators, so distinct
+    label sets can collide (``{a="b\\x1ec\\x1f"}`` and ``{a="b", c=""}``
+    under one name do), and any two may collide by chance.  A collision
+    only puts two series on the same shard; the frame decoder's
+    fingerprint check is an integrity check, and series are keyed by
+    their labels everywhere.
     """
     digest = 0
     for name, value in labels.items():
@@ -50,25 +84,11 @@ def shard_for(labels: Labels, shards: int) -> int:
     return series_fingerprint(labels) % shards
 
 
-def build_storage_engine(
-    shards: int, retention_ns: Optional[int] = None
-) -> StorageEngine:
-    """Build the engine a config asks for.
-
-    One shard returns a plain :class:`Tsdb` — not a one-shard
-    :class:`ShardedTsdb` — so default deployments take the exact code
-    path (and produce the exact bytes) they did before sharding existed.
-    """
-    if shards == 1:
-        return Tsdb(retention_ns=retention_ns)
-    return ShardedTsdb(shards, retention_ns=retention_ns)
-
-
 def _labels_key(entry):
     return entry[0].items()
 
 
-class ShardedTsdb(StorageEngine):
+class ShardedTsdb:
     """Routes each series to one of N :class:`Tsdb` shards.
 
     Writes are single-shard; reads fan out and merge.  Per-shard
@@ -225,11 +245,10 @@ class ShardedTsdb(StorageEngine):
                 rejected.append(i)
         return rejected
 
-    # Bound here, not inherited, so the class carries every ingest entry
-    # point by name: one sample and a remote-write frame both go through
-    # append_batch.
-    append = StorageEngine.append
-    append_fingerprinted = StorageEngine.append_fingerprinted
+    # One sample and a remote-write frame both go through append_batch.
+    append = Tsdb.append
+    append_sample = Tsdb.append_sample
+    append_fingerprinted = Tsdb.append_fingerprinted
 
     def append_run(self, labels: Labels, times, values) -> Tuple[int, int]:
         """One series' run, landed whole on the owning shard."""
@@ -242,7 +261,8 @@ class ShardedTsdb(StorageEngine):
     # ------------------------------------------------------------------
     # Selection: fan out, merge sorted
     # ------------------------------------------------------------------
-    select = StorageEngine.select
+    select = Tsdb.select
+    select_metric = Tsdb.select_metric
 
     def select_arrays(
         self, matchers: Sequence[Matcher], start_ns: int, end_ns: int
@@ -290,6 +310,8 @@ class ShardedTsdb(StorageEngine):
             values.update(shard.label_values(label_name))
         return sorted(values)
 
+    metric_names = Tsdb.metric_names
+
     def memory_bytes(self) -> int:
         """Footprint, summed over shards."""
         return sum(shard.memory_bytes() for shard in self._shards)
@@ -318,3 +340,21 @@ class ShardedTsdb(StorageEngine):
         return sum(shard.enforce_retention(now_ns) for shard in self._shards)
 
     compact = Tsdb.compact
+
+
+#: Either engine: every layer above storage takes one of these.
+StorageEngine = Union[Tsdb, ShardedTsdb]
+
+
+def build_storage_engine(
+    shards: int, retention_ns: Optional[int] = None
+) -> StorageEngine:
+    """Build the engine a config asks for.
+
+    One shard returns a plain :class:`Tsdb` — not a one-shard
+    :class:`ShardedTsdb` — so default deployments take the exact code
+    path (and produce the exact bytes) they did before sharding existed.
+    """
+    if shards == 1:
+        return Tsdb(retention_ns=retention_ns)
+    return ShardedTsdb(shards, retention_ns=retention_ns)

@@ -1,16 +1,15 @@
-"""The time-series database.
+"""The time-series database: :class:`Tsdb`, one labelled store.
 
-Storage is pluggable behind :class:`StorageEngine`: :class:`Tsdb` (this
-module) is the single-shard implementation, and
-:class:`repro.pmag.storage.ShardedTsdb` fans the same interface out over
-N of them.  Everything above — scrape ingest, the query engine, rules,
-dashboards, archive, WAL — talks to the interface, so shard count is
-configuration, not surgery.
+:class:`repro.pmag.storage.ShardedTsdb` fans the same methods out over N
+of them, and :data:`repro.pmag.storage.StorageEngine` names either.
+Everything above — scrape ingest, the query engine, rules, dashboards,
+archive, WAL — calls those methods, so shard count is configuration,
+not surgery.  The contract both engines keep is in
+:mod:`repro.pmag.storage`'s docstring.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import TsdbError
@@ -49,186 +48,7 @@ class ArrivalFeed:
             self.unsure_below_ns = below_ns
 
 
-class StorageEngine(ABC):
-    """What the rest of the stack needs from time-series storage.
-
-    Implementations must keep three wire-shape invariants so the layers
-    above stay engine-agnostic:
-
-    * ``select_arrays`` (and ``select``, its :class:`Sample` view)
-      return series sorted by ``labels.items()`` — the merge key sharded
-      engines must preserve;
-    * appends are per-series monotonic (out-of-order rejected), so WAL
-      replay is idempotent regardless of how series are routed;
-    * ``storage_stats()`` returns the shape the ``teemon_storage_*``
-      self-telemetry renders: shard count and per-shard series/sample
-      counts;
-    * every :class:`ArrivalFeed` attached with :meth:`attach_feed` gets
-      each commit's accepted entries (``append_batch``, ``append_run``)
-      as one list, in commit order, and any other change to the stored
-      samples raises its ``unsure_below_ns`` past the newest timestamp
-      the change may have touched.  Accepted entries must not be
-      mutated after the commit.  With no feed attached, a commit pays
-      one empty-list check.
-
-    The attributes ``retention_ns`` and ``total_appends`` are part of
-    the interface as plain attributes.
-    """
-
-    retention_ns: Optional[int]
-    total_appends: int
-
-    # -- ingest --------------------------------------------------------
-    def append(self, labels: Labels, time_ns: int, value: float) -> None:
-        """Append one sample — :meth:`append_batch` of one — raising
-        :class:`TsdbError` if it is rejected.  For hand-written samples:
-        every writer in the stack commits a batch."""
-        if self.append_batch([(labels, time_ns, value)]):
-            raise TsdbError(
-                f"series needs a {METRIC_NAME_LABEL} label: {labels!r}"
-                if not labels.metric_name else
-                f"out-of-order or unstorable append to {labels!r}: "
-                f"{time_ns!r}, {value!r}")
-
-    @abstractmethod
-    def install_series(self, labels: Labels, storage: ChunkedSeries) -> None:
-        """Install a fully-built series (archive/WAL restore fast path)."""
-
-    @abstractmethod
-    def attach_wal(self, wal) -> None:
-        """Write successful appends through to a write-ahead log."""
-
-    @abstractmethod
-    def attach_feed(self, feed: ArrivalFeed) -> None:
-        """Push every commit's accepted entries into ``feed``."""
-
-    @abstractmethod
-    def detach_feed(self, feed: ArrivalFeed) -> None:
-        """Stop pushing into ``feed`` (absent: nothing to do)."""
-
-    def append_sample(
-        self, metric: str, time_ns: int, value: float, **labels: str
-    ) -> None:
-        """:meth:`append` by metric name and keyword labels
-        (:meth:`Labels.of`)."""
-        self.append(Labels.of(metric, **labels), time_ns, value)
-
-    @abstractmethod
-    def append_batch(
-        self, entries: Sequence[Tuple[Labels, int, float]]
-    ) -> List[int]:
-        """Append one commit's samples — a scrape body, a rule step, a
-        remote-write frame — in a single engine call.
-
-        Returns the indices (into ``entries``) of rejected samples —
-        out-of-order appends, missing metric names, unstorable values —
-        in ascending order; everything else was accepted.  Entries are
-        applied in order, so the outcome per series does not depend on
-        how a writer groups its samples into batches.
-        """
-
-    @abstractmethod
-    def append_run(self, labels: Labels, times, values) -> Tuple[int, int]:
-        """Append one series' samples, given as parallel columns, in
-        order; returns ``(appended, rejected)``.  The outcome per sample
-        is that of :meth:`append_batch`; columns of different lengths
-        raise."""
-
-    def append_fingerprinted(
-        self,
-        blocks: Sequence[Tuple[int, Labels, Sequence[Tuple[int, float]]]],
-    ) -> int:
-        """Ingest one remote-write frame's ``(fingerprint, labels,
-        samples)`` blocks; returns the number of rejected samples.
-
-        The blocks flatten into one :meth:`append_batch`, which routes by
-        labels.  The fingerprints go unread: the frame decoder has already
-        checked each against its labels.
-        """
-        return len(self.append_batch([
-            (labels, time_ns, value)
-            for _fingerprint, labels, samples in blocks
-            for time_ns, value in samples
-        ]))
-
-    # -- selection -----------------------------------------------------
-    def select(
-        self, matchers: Sequence[Matcher], start_ns: int, end_ns: int
-    ) -> List[Series]:
-        """All series matching every matcher, with samples in the window:
-        :meth:`select_arrays` with each column pair zipped into samples.
-        Both engines bind it in their class bodies, so every read entry
-        point is an attribute of the engine class itself."""
-        return [
-            Series(labels, list(map(sample_of, zip(times, values))))
-            for labels, times, values in self.select_arrays(
-                matchers, start_ns, end_ns)
-        ]
-
-    @abstractmethod
-    def select_arrays(
-        self, matchers: Sequence[Matcher], start_ns: int, end_ns: int
-    ) -> List[Tuple[Labels, List[int], List[float]]]:
-        """All series matching every matcher, with the window's samples as
-        parallel (timestamps, values) arrays, sorted by ``labels.items()``."""
-
-    @abstractmethod
-    def latest(self, metric: str, **label_filters: str) -> Optional[Sample]:
-        """Newest sample of the best series matching name + filters."""
-
-    def select_metric(
-        self, metric: str, start_ns: int, end_ns: int, **label_filters: str
-    ) -> List[Series]:
-        """Select by metric name plus equality label filters."""
-        matchers = [Matcher.eq(METRIC_NAME_LABEL, metric)]
-        matchers.extend(Matcher.eq(k, v) for k, v in label_filters.items())
-        return self.select(matchers, start_ns, end_ns)
-
-    # -- introspection -------------------------------------------------
-    @abstractmethod
-    def series_count(self) -> int:
-        """Number of distinct series."""
-
-    @abstractmethod
-    def sample_count(self) -> int:
-        """Total stored samples."""
-
-    @abstractmethod
-    def label_values(self, label_name: str) -> List[str]:
-        """Distinct values of one label across all series."""
-
-    @abstractmethod
-    def memory_bytes(self) -> int:
-        """Approximate storage footprint."""
-
-    @abstractmethod
-    def series_items(self) -> Iterable[Tuple[Labels, ChunkedSeries]]:
-        """Every (labels, raw storage) pair, in stable insertion order."""
-
-    @abstractmethod
-    def storage_stats(self) -> dict:
-        """Shard layout (self-telemetry shape)."""
-
-    def metric_names(self) -> List[str]:
-        """All metric names with at least one series."""
-        return self.label_values(METRIC_NAME_LABEL)
-
-    @property
-    @abstractmethod
-    def shard_count(self) -> int:
-        """Number of shards behind this engine (1 for the monolith)."""
-
-    # -- maintenance ---------------------------------------------------
-    @abstractmethod
-    def delete_series(self, matchers: Sequence[Matcher]) -> int:
-        """Admin API: drop every series matching all matchers."""
-
-    @abstractmethod
-    def enforce_retention(self, now_ns: int) -> int:
-        """Drop data older than the retention horizon; returns samples dropped."""
-
-
-class Tsdb(StorageEngine):
+class Tsdb:
     """Labelled time-series storage with an inverted label index.
 
     Append-only per series (out-of-order appends are rejected, as in
@@ -277,12 +97,36 @@ class Tsdb(StorageEngine):
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    append = StorageEngine.append
+    def append(self, labels: Labels, time_ns: int, value: float) -> None:
+        """Append one sample — :meth:`append_batch` of one — raising
+        :class:`TsdbError` if it is rejected.  For hand-written samples:
+        every writer in the stack commits a batch."""
+        if self.append_batch([(labels, time_ns, value)]):
+            raise TsdbError(
+                f"series needs a {METRIC_NAME_LABEL} label: {labels!r}"
+                if not labels.metric_name else
+                f"out-of-order or unstorable append to {labels!r}: "
+                f"{time_ns!r}, {value!r}")
+
+    def append_sample(
+        self, metric: str, time_ns: int, value: float, **labels: str
+    ) -> None:
+        """:meth:`append` by metric name and keyword labels
+        (:meth:`Labels.of`)."""
+        self.append(Labels.of(metric, **labels), time_ns, value)
 
     def append_batch(
         self, entries: Sequence[Tuple[Labels, int, float]]
     ) -> List[int]:
-        """The ingest body every writer commits through.
+        """The ingest body every writer commits through: one commit's
+        samples — a scrape body, a rule step, a remote-write frame — in a
+        single engine call.
+
+        Returns the indices (into ``entries``) of rejected samples —
+        out-of-order appends, missing metric names, unstorable values —
+        in ascending order; everything else was accepted.  Entries are
+        applied in order, so the outcome per series does not depend on
+        how a writer groups its samples into batches.
 
         Per entry, in order: chunk append, and series creation — a
         series exists from its first accepted sample on.  Accepted
@@ -337,7 +181,8 @@ class Tsdb(StorageEngine):
         feed write-through of what was accepted — with the series
         looked up once and the columns filled by
         :meth:`ChunkedSeries.append_run`.  This is how WAL replay lands
-        a series.  Returns ``(appended, rejected)``.
+        a series.  Returns ``(appended, rejected)``; columns of
+        different lengths raise.
         """
         count = len(times)
         if not labels.metric_name:
@@ -367,6 +212,23 @@ class Tsdb(StorageEngine):
             for feed in self._feeds:
                 feed.batches.append(accepted)
         return appended, len(rejected)
+
+    def append_fingerprinted(
+        self,
+        blocks: Sequence[Tuple[int, Labels, Sequence[Tuple[int, float]]]],
+    ) -> int:
+        """Ingest one remote-write frame's ``(fingerprint, labels,
+        samples)`` blocks; returns the number of rejected samples.
+
+        The blocks flatten into one :meth:`append_batch`, which routes by
+        labels.  The fingerprints go unread: the frame decoder has already
+        checked each against its labels.
+        """
+        return len(self.append_batch([
+            (labels, time_ns, value)
+            for _fingerprint, labels, samples in blocks
+            for time_ns, value in samples
+        ]))
 
     def _index(self, labels: Labels, storage: ChunkedSeries) -> None:
         """Enter a series into the store and the postings."""
@@ -442,7 +304,16 @@ class Tsdb(StorageEngine):
             if all(m.matches(labels) for m in residual):
                 yield labels
 
-    select = StorageEngine.select
+    def select(
+        self, matchers: Sequence[Matcher], start_ns: int, end_ns: int
+    ) -> List[Series]:
+        """All series matching every matcher, with samples in the window:
+        :meth:`select_arrays` with each column pair zipped into samples."""
+        return [
+            Series(labels, list(map(sample_of, zip(times, values))))
+            for labels, times, values in self.select_arrays(
+                matchers, start_ns, end_ns)
+        ]
 
     def select_arrays(
         self,
@@ -502,6 +373,14 @@ class Tsdb(StorageEngine):
                 best_key = key
         return best_key, best
 
+    def select_metric(
+        self, metric: str, start_ns: int, end_ns: int, **label_filters: str
+    ) -> List[Series]:
+        """Select by metric name plus equality label filters."""
+        matchers = [Matcher.eq(METRIC_NAME_LABEL, metric)]
+        matchers.extend(Matcher.eq(k, v) for k, v in label_filters.items())
+        return self.select(matchers, start_ns, end_ns)
+
     # ------------------------------------------------------------------
     # Introspection and maintenance
     # ------------------------------------------------------------------
@@ -518,6 +397,10 @@ class Tsdb(StorageEngine):
         return sorted({
             value for (name, value) in self._postings if name == label_name
         })
+
+    def metric_names(self) -> List[str]:
+        """All metric names with at least one series."""
+        return self.label_values(METRIC_NAME_LABEL)
 
     def memory_bytes(self) -> int:
         """Approximate storage footprint."""

@@ -66,7 +66,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import StorageError, TsdbError, WalError
 from repro.pmag import archive
 from repro.pmag.model import Labels
-from repro.pmag.tsdb import StorageEngine, Tsdb
+from repro.pmag.storage import StorageEngine
+from repro.pmag.tsdb import Tsdb
 from repro.simkernel.disk import DiskCrashReport, SimDisk
 
 SEGMENT_MAGIC = b"TMWALSEG"

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import List, Sequence, TypeVar
+from typing import Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -71,10 +71,6 @@ class DeterministicRng:
         """Pick one item uniformly."""
         return self._random.choice(items)
 
-    def shuffle(self, items: List[T]) -> None:
-        """Shuffle ``items`` in place."""
-        self._random.shuffle(items)
-
     def binomial(self, n: int, p: float) -> int:
         """Binomial sample; exact for small n, normal approximation for large n.
 
@@ -93,17 +89,3 @@ class DeterministicRng:
         stddev = (n * p * (1.0 - p)) ** 0.5
         sample = int(round(self._random.gauss(mean, stddev)))
         return max(0, min(n, sample))
-
-    def poisson(self, mean: float) -> int:
-        """Poisson sample; exact (Knuth) for small means, normal approx above."""
-        if mean <= 0:
-            return 0
-        if mean < 30.0:
-            limit = 2.718281828459045 ** (-mean)
-            count = 0
-            product = self._random.random()
-            while product > limit:
-                count += 1
-                product *= self._random.random()
-            return count
-        return max(0, int(round(self._random.gauss(mean, mean ** 0.5))))

@@ -69,8 +69,7 @@ from repro.pmag.remote_write import (
 )
 from repro.pmag.rules import RecordingRule, RuleEvaluator, RuleGroup
 from repro.pmag.scrape import ScrapeManager, ScrapeTarget
-from repro.pmag.storage import build_storage_engine
-from repro.pmag.tsdb import StorageEngine
+from repro.pmag.storage import StorageEngine, build_storage_engine
 from repro.pmag.wal import RecoveryReport, open_log
 from repro.pman.analyzer import PmanAnalyzer, default_sgx_rules
 from repro.pmv.dashboards import (

@@ -578,22 +578,12 @@ def reference_encode_registry(registry):
                     f"{name}{plain} {_reference_value(child.value)}"
                     + _reference_exemplar(getattr(child, "exemplar", None)))
                 continue
-            if kind == "histogram":
-                for index, (bound, total) in enumerate(
-                        child.cumulative_buckets()):
-                    labels = _reference_labels(
-                        names + ("le",), values + (_reference_value(bound),))
-                    lines.append(
-                        f"{name}_bucket{labels} {total}"
-                        + _reference_exemplar(child.exemplars.get(index)))
-            else:
-                for quantile, estimate in child.quantile_values():
-                    if estimate == estimate:  # NaN: no observation yet
-                        labels = _reference_labels(
-                            names + ("quantile",),
-                            values + (_reference_value(quantile),))
-                        lines.append(
-                            f"{name}{labels} {_reference_value(estimate)}")
+            for index, (bound, total) in enumerate(child.cumulative_buckets()):
+                labels = _reference_labels(
+                    names + ("le",), values + (_reference_value(bound),))
+                lines.append(
+                    f"{name}_bucket{labels} {total}"
+                    + _reference_exemplar(child.exemplars.get(index)))
             lines.append(f"{name}_sum{plain} {_reference_value(child.sum)}")
             lines.append(f"{name}_count{plain} {child.count}")
     lines.append("# EOF")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TsdbError
-from repro.pmag.archive import MAGIC, VERSION, restore, snapshot, snapshot_window
+from repro.pmag.archive import MAGIC, VERSION, restore, snapshot
 from repro.pmag.chunks import CHUNK_SIZE
 from repro.pmag.model import Labels, Matcher
 from repro.pmag.storage import ShardedTsdb, series_fingerprint
@@ -62,20 +62,6 @@ def test_restored_database_is_queryable():
     now = 50 * seconds(5)
     rate = engine.instant('rate(syscalls_total{name="read"}[1m])', now)
     assert rate and rate[0][1] == pytest.approx(20.0)
-
-
-def test_snapshot_window_trims():
-    tsdb = _populated_tsdb()
-    start, end = 10 * seconds(5), 20 * seconds(5)
-    restored = restore(snapshot_window(tsdb, start, end))
-    for _, samples in _dump(restored).items():
-        assert all(start <= t <= end for t, _ in samples)
-    assert restored.sample_count() == 3 * 11  # 3 series x 11 scrapes
-
-
-def test_snapshot_window_validation():
-    with pytest.raises(TsdbError):
-        snapshot_window(Tsdb(), 100, 50)
 
 
 def test_restore_rejects_garbage():

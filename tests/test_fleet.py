@@ -1,4 +1,4 @@
-"""Fleet scaling: exporters, DaemonSet discovery, churn, upgrades."""
+"""Fleet scaling: exporters, DaemonSet discovery, churn."""
 
 import pytest
 
@@ -70,6 +70,16 @@ def test_exporter_withdraw_removes_route():
     exporter.withdraw()  # idempotent
 
 
+def test_graceful_pod_stop_withdraws_the_route():
+    _clock, network, cluster, fleet = _fleet()
+    fleet.add_nodes(1)
+    url = fleet.exporter("node-0").url
+    assert network.get_url(url).ok
+    (pod,) = cluster.pods_on("node-0")
+    cluster.delete_pod(pod.name)
+    assert network.get_url(url).status == 404
+
+
 # ---------------------------------------------------------------------------
 # NodeFleet topology
 # ---------------------------------------------------------------------------
@@ -121,37 +131,6 @@ def test_reboot_rejoins_same_node_with_same_seed():
     assert probe_after == probe_before
     assert fleet.stats()["reboots"] == 1
     assert fleet.stats()["rebooting"] == 0
-
-
-# ---------------------------------------------------------------------------
-# Rolling upgrades
-# ---------------------------------------------------------------------------
-def test_rolling_upgrade_batches_to_new_version():
-    clock, _network, _cluster, fleet = _fleet()
-    fleet.add_nodes(25)
-    batches = fleet.rolling_upgrade("v2", batch_size=10, interval_s=5.0)
-    assert batches == 3
-    # Nothing upgraded yet: batches run on the clock.
-    assert set(fleet.versions().values()) == {"v1"}
-    clock.advance(seconds(6))
-    assert sum(1 for v in fleet.versions().values() if v == "v2") == 10
-    clock.advance(seconds(20))
-    assert set(fleet.versions().values()) == {"v2"}
-    assert fleet.stats()["upgraded"] == 25
-    # Upgraded exporters still serve, at the new version.
-    body = fleet.cluster.clock and fleet.network.get_url(
-        fleet.exporter("node-3").url).body
-    assert 'version="v2"' in body
-
-
-def test_rolling_upgrade_skips_departed_nodes():
-    clock, _network, _cluster, fleet = _fleet()
-    fleet.add_nodes(10)
-    fleet.rolling_upgrade("v2", batch_size=5, interval_s=5.0)
-    fleet.remove_node("node-2")
-    clock.advance(seconds(30))
-    assert fleet.stats()["upgraded"] == 9
-    assert set(fleet.versions().values()) == {"v2"}
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from repro.openmetrics import (
     Counter,
     Gauge,
     Histogram,
-    Summary,
     encode_registry,
     parse_exposition,
 )
@@ -102,22 +101,6 @@ def test_histogram_unordered_buckets_rejected():
         Histogram("h", "h", buckets=(5.0, 1.0))
     with pytest.raises(OpenMetricsError):
         Histogram("h", "h", buckets=(1.0, 1.0))
-
-
-def test_summary_quantiles_ordered():
-    summary = Summary("s", "s", quantiles=(0.5, 0.9))
-    for value in range(100):
-        summary.observe(float(value))
-    child = summary.labels()
-    estimates = dict(child.quantile_values())
-    assert 45 <= estimates[0.5] <= 55
-    assert 85 <= estimates[0.9] <= 95
-    assert child.count == 100
-
-
-def test_summary_bad_quantile_rejected():
-    with pytest.raises(OpenMetricsError):
-        Summary("s", "s", quantiles=(1.5,))
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +507,6 @@ def test_memoised_exposition_is_byte_identical_to_the_reference():
     counter = registry.counter("c_total", 'help "text"', ["name", "kind"])
     gauge = registry.gauge("g", "g")
     histogram = registry.histogram("h_seconds", "h", ["op"], buckets=[0.1, 1.0])
-    summary = registry.summary("s_seconds", "s", ["op"])
     bare_histogram = registry.histogram("hb", "hb")
 
     def check():
@@ -539,8 +521,6 @@ def test_memoised_exposition_is_byte_identical_to_the_reference():
         histogram.labels("get").observe(
             0.05 * (round_no + 1), exemplar=Exemplar.of(0.05, trace_id="t"))
         histogram.labels(f"op{round_no}").observe(5.0)
-        summary.labels("get").observe(float(round_no))
-        summary.labels(f"new{round_no}")  # quantiles still NaN: skipped
         bare_histogram.observe(0.3)
         check()
         check()  # a second scrape with nothing changed

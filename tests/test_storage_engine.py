@@ -20,13 +20,15 @@ from repro.errors import TsdbError
 from repro.pmag.archive import restore, snapshot
 from repro.pmag.model import Labels, Matcher
 from repro.pmag.query.engine import QueryEngine
+from repro.pmag.remote_write import decode_frame_blocks, encode_frame
 from repro.pmag.storage import (
     ShardedTsdb,
+    StorageEngine,
     build_storage_engine,
     series_fingerprint,
     shard_for,
 )
-from repro.pmag.tsdb import StorageEngine, Tsdb
+from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import seconds
 
 from tests.test_chaos import MIXED, build_rig, drive, tsdb_digest
@@ -52,6 +54,51 @@ def test_fingerprint_separators_prevent_structural_collisions():
     ) != series_fingerprint(Labels({"__name__": "m", "a": "b", "c": ""}))
 
 
+#: Label sets whose fingerprints collide: a pair told apart only by the
+#: separators a value may hold, and a same-shaped pair found by search.
+_COLLIDING = (
+    (Labels({"__name__": "m", "a": "b\x1ec\x1f"}),
+     Labels({"__name__": "m", "a": "b", "c": ""})),
+    (Labels({"__name__": "m", "a": "v98918"}),
+     Labels({"__name__": "m", "a": "v9720002"})),
+)
+
+
+def _listed(selected):
+    return [(labels, list(times), list(values))
+            for labels, times, values in selected]
+
+
+@pytest.mark.parametrize("pair", _COLLIDING)
+def test_colliding_fingerprints_stay_distinct_series(pair):
+    # A fingerprint picks a shard and guards a frame block's integrity;
+    # series are keyed by their labels, so a collision only shares a shard.
+    first, second = pair
+    assert first != second
+    assert series_fingerprint(first) == series_fingerprint(second)
+    entries = [(first, seconds(1), 1.0), (second, seconds(1), 2.0),
+               (first, seconds(2), 3.0), (second, seconds(2), 4.0)]
+    expected = sorted([
+        (first, [seconds(1), seconds(2)], [1.0, 3.0]),
+        (second, [seconds(1), seconds(2)], [2.0, 4.0]),
+    ], key=lambda entry: entry[0].items())
+    engine = ShardedTsdb(4)
+    assert engine.append_batch(entries) == []
+    assert engine.shard(shard_for(first, 4)).series_count() == 2
+    assert _listed(engine.select_arrays([], 0, seconds(3))) == expected
+    interned = {}
+    for seq in (1, 2):  # the second decode meets the interned headers
+        _sender, _epoch, _seq, blocks = decode_frame_blocks(
+            encode_frame("leaf", 1, seq, entries), interned)
+        assert [(labels, samples) for _fp, labels, samples in blocks] == [
+            (first, [(seconds(1), 1.0), (seconds(2), 3.0)]),
+            (second, [(seconds(1), 2.0), (seconds(2), 4.0)]),
+        ]
+        receiver = ShardedTsdb(4)
+        assert receiver.append_fingerprinted(blocks) == 0
+        assert _listed(receiver.select_arrays([], 0, seconds(3))) == expected
+
+
 def test_every_series_lives_on_exactly_one_shard():
     engine = ShardedTsdb(4)
     for i in range(40):
@@ -62,6 +109,36 @@ def test_every_series_lives_on_exactly_one_shard():
     for k in range(4):
         for labels, _storage in engine.shard(k).series_items():
             assert shard_for(labels, 4) == k
+
+
+# ---------------------------------------------------------------------------
+# One interface on two classes
+# ---------------------------------------------------------------------------
+
+#: Public names only one engine has: the sharded engine's shard plumbing,
+#: and what each of its shards hands up to it.
+_SHARD_PLUMBING = {
+    "shard", "adopt_shard", "attach_wals", "latest_keyed", "shard_stats",
+}
+
+#: The entry points written once, on the monolith, in terms of the others.
+_SHARED = (
+    "append", "append_sample", "append_fingerprinted", "select",
+    "select_metric", "metric_names", "select_rollups", "compact",
+)
+
+
+def _public(engine):
+    return {name for name in dir(engine) if not name.startswith("_")}
+
+
+def test_both_engines_carry_the_whole_interface():
+    assert _public(Tsdb()) ^ _public(ShardedTsdb(2)) == _SHARD_PLUMBING
+
+
+@pytest.mark.parametrize("name", _SHARED)
+def test_sharded_engine_binds_the_monolith_function(name):
+    assert vars(ShardedTsdb)[name] is vars(Tsdb)[name]
 
 
 # ---------------------------------------------------------------------------
