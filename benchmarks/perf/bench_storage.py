@@ -35,10 +35,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from typing import Callable, Tuple
 
-from benchmarks.perf.harness import BenchReport, best_of
+from benchmarks.perf.harness import BenchReport, best_of, interleaved
 
 from repro.pmag.model import Labels
 from repro.pmag.query.engine import QueryEngine
@@ -49,29 +47,6 @@ from repro.simkernel.clock import NANOS_PER_SEC
 SCHEMA = "teemon.bench.storage/1"
 SCRAPE_INTERVAL_NS = 5 * NANOS_PER_SEC
 SHARD_COUNTS = (1, 2, 4, 8)
-
-
-def paired_best(
-    runs: int, control: Callable[[], None], measured: Callable[[], None]
-) -> Tuple[float, float]:
-    """Best-of timing of two workloads with *interleaved* repetitions.
-
-    The gated comparisons ask "is the 1-shard engine path slower than a
-    plain Tsdb doing the same work?" — a ratio of two ~10ms numbers.
-    Timing each side in its own block lets a CPU-contention burst land
-    entirely on one of them and fake a regression; alternating the reps
-    makes both minima sample the same quiet moments, so the ratio stays
-    honest on a noisy machine.
-    """
-    best_control = best_measured = float("inf")
-    for _ in range(runs):
-        started = time.perf_counter()
-        control()
-        best_control = min(best_control, time.perf_counter() - started)
-        started = time.perf_counter()
-        measured()
-        best_measured = min(best_measured, time.perf_counter() - started)
-    return best_control, best_measured
 
 
 def bench_storage_ingest(report: BenchReport, quick: bool) -> None:
@@ -99,11 +74,12 @@ def bench_storage_ingest(report: BenchReport, quick: bool) -> None:
 
     ingest_into(Tsdb)  # warm-up
     for shards in SHARD_COUNTS:
-        control_s, shard_s = paired_best(
+        control_s, shard_s = map(min, interleaved(
             5,
             lambda: ingest_into(Tsdb),
             lambda: ingest_into(lambda: build_storage_engine(shards)),
-        )
+            warmup=0,
+        ))
         metrics[f"monolith_vs{shards}_elapsed_s"] = control_s
         metrics[f"shard{shards}_elapsed_s"] = shard_s
         metrics[f"shard{shards}_vs_monolith"] = shard_s / control_s
@@ -141,11 +117,12 @@ def bench_storage_query(report: BenchReport, quick: bool) -> None:
     control_engine = QueryEngine(counter_db(Tsdb))
     shard1_engine = QueryEngine(counter_db(lambda: build_storage_engine(1)))
     shard1_engine.range_query(query, start_ns, end_ns, step_ns)  # warm-up
-    control_s, shard1_s = paired_best(
+    control_s, shard1_s = map(min, interleaved(
         5,
         lambda: control_engine.range_query(query, start_ns, end_ns, step_ns),
         lambda: shard1_engine.range_query(query, start_ns, end_ns, step_ns),
-    )
+        warmup=0,
+    ))
     metrics = {"steps": steps, "series_samples": samples,
                "monolith_gate_ms": control_s * 1e3,
                "shard1_gate_ms": shard1_s * 1e3}
@@ -180,12 +157,13 @@ def bench_storage_query(report: BenchReport, quick: bool) -> None:
             "sharded result diverged from the monolith's"
         )
         # Interleaved with the monolith control so the two columns
-        # sample the same quiet moments (see paired_best).
-        control_s, agg_s = paired_best(
+        # sample the same quiet moments (see harness.interleaved).
+        control_s, agg_s = map(min, interleaved(
             3,
             lambda: control_wide.range_query(agg_query, *grid),
             lambda: query_engine.range_query(agg_query, *grid),
-        )
+            warmup=0,
+        ))
         monolith_agg_s = min(monolith_agg_s, control_s)
         metrics[f"shard{shards}_agg_wide_ms"] = agg_s * 1e3
     metrics["monolith_agg_wide_ms"] = monolith_agg_s * 1e3

@@ -13,7 +13,7 @@ import json
 import platform
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 SCHEMA = "teemon.bench.pipeline/1"
 
@@ -93,3 +93,33 @@ def best_of(runs: int, workload: Callable[[], None], warmup: int = 1) -> float:
         if elapsed < best:
             best = elapsed
     return best
+
+
+def interleaved(
+    runs: int, *workloads: Callable[[], None], warmup: int = 1
+) -> Tuple[List[float], ...]:
+    """Wall-clock seconds of every run of each workload, with the
+    repetitions *interleaved*: one run of each in turn, ``runs`` times.
+
+    A gate on the ratio of two numbers timed in separate blocks measures
+    the machine whenever its speed changes between the blocks — a
+    CPU-contention burst or a shift in clock speed lands on one side and
+    fakes a regression (or hides one).  Alternating the runs makes run
+    ``i`` of every workload sample the same moment: their minima see the
+    same quiet spells, and run ``i``'s ratio compares like with like.
+    ``warmup`` untimed runs of each come first, as in :func:`best_of`.
+    """
+    if runs < 1:
+        raise ValueError(f"need at least one run, got {runs}")
+    if warmup < 0:
+        raise ValueError(f"warmup cannot be negative, got {warmup}")
+    for _ in range(warmup):
+        for workload in workloads:
+            workload()
+    timings: Tuple[List[float], ...] = tuple([] for _ in workloads)
+    for _ in range(runs):
+        for workload, elapsed in zip(workloads, timings):
+            started = time.perf_counter()
+            workload()
+            elapsed.append(time.perf_counter() - started)
+    return timings

@@ -12,6 +12,18 @@ binary-search retrieval over time ranges — both across chunks (on chunk
 start times) and inside each chunk (on sample timestamps).  Windows come
 back as arrays too, built by ``array.extend(array)``: a copy of bytes,
 not a boxing of every sample.
+
+Each chunk also answers one question about its values, the fact the
+counter functions (``rate``/``increase``) read to skip their reset scan:
+is it NaN-free and nondecreasing (:meth:`Chunk.rising`)?  The answer is
+worked out when a select first reads the chunk, never at ingest, and
+kept on the chunk — it leaves with the chunk under retention.  Samples
+only ever land at a chunk's end, so what was checked stays checked: a
+full chunk is checked once, and the growing head chunk, on each read,
+only over the samples appended since the last.  A window is reset-free
+when every chunk it draws on is rising and no boundary between two of
+them drops (:meth:`ChunkedSeries.window_arrays`): a slice of a
+nondecreasing chunk is nondecreasing too.
 """
 
 from __future__ import annotations
@@ -28,6 +40,8 @@ from repro.errors import TsdbError
 from repro.pmag.model import Sample, sample_of
 
 CHUNK_SIZE = 120  # samples per chunk; 10 minutes at the 5 s default interval
+
+_INF = float("inf")
 
 #: The wire format is little-endian; array bytes are native.
 _SWAP = sys.byteorder != "little"
@@ -52,15 +66,29 @@ def _is_column(data, typecode: str) -> bool:
     return isinstance(data, array) and data.typecode == typecode
 
 
+def nondecreasing(values: List[float]) -> bool:
+    """Whether ``values`` holds no NaN and never drops.
+
+    Two C-level passes instead of a pairwise Python scan: a sum that is
+    not NaN rules NaN out, and a NaN-free list equal to its own sort is
+    nondecreasing.  A sum of ``inf`` and ``-inf`` is NaN too, so such a
+    list reads as not nondecreasing; callers only lose a shortcut.
+    """
+    total = sum(values)
+    return total == total and values == sorted(values)
+
+
 class Chunk:
     """Up to CHUNK_SIZE samples; absolute timestamps, sorted ascending."""
 
-    __slots__ = ("start_ns", "_times", "_values")
+    __slots__ = ("start_ns", "_times", "_values", "_rising")
 
     def __init__(self, start_ns: int) -> None:
         self.start_ns = start_ns
         self._times = array("q")
         self._values = array("d")
+        #: :meth:`rising`'s memo: samples known rising, -1 for none.
+        self._rising = 0
 
     def __len__(self) -> int:
         return len(self._values)
@@ -101,6 +129,32 @@ class Chunk:
                 f"not an int64 timestamp and a float value: "
                 f"{time_ns!r}, {value!r} ({exc})"
             ) from None
+
+    def rising(self) -> bool:
+        """Whether the values are NaN-free and nondecreasing
+        (:func:`nondecreasing`).
+
+        Worked out when first asked, never at ingest, and remembered in
+        one slot: how many leading samples are known to be rising, or -1
+        once a drop or NaN is found.  A chunk only ever gains samples at
+        its end, so -1 is final and a count stays true; a later call
+        checks only the samples appended since, from the last one
+        checked on (so a drop across the seam is seen).  A full chunk is
+        checked once; the growing head chunk is checked as far as it has
+        grown, every time it is read.
+        """
+        checked = self._rising
+        values = self._values
+        count = len(values)
+        if checked == count:
+            return True
+        if checked < 0:
+            return False
+        if nondecreasing(values[max(checked - 1, 0):].tolist()):
+            self._rising = count
+            return True
+        self._rising = -1
+        return False
 
     def samples(self) -> Iterator[Sample]:
         """Iterate samples in time order."""
@@ -290,15 +344,23 @@ class ChunkedSeries:
 
     def window(self, start_ns: int, end_ns: int) -> List[Sample]:
         """Samples with ``start_ns <= t <= end_ns``."""
-        return list(map(sample_of, zip(*self.window_arrays(start_ns, end_ns))))
+        times, values, _reset_free = self.window_arrays(start_ns, end_ns)
+        return list(map(sample_of, zip(times, values)))
 
-    def window_arrays(self, start_ns: int, end_ns: int) -> Tuple[array, array]:
+    def window_arrays(
+        self, start_ns: int, end_ns: int
+    ) -> Tuple[array, array, bool]:
         """Samples with ``start_ns <= t <= end_ns`` as parallel
-        (timestamps, values) arrays.
+        (timestamps, values) arrays, and whether those values are
+        reset-free: NaN-free and nondecreasing.
 
         ``array('q')``/``array('d')`` extended from chunk columns — bytes
         are copied, no per-sample object is allocated, which is what
-        makes the query engine's range evaluation cheap.
+        makes the query engine's range evaluation cheap.  ``reset_free``
+        holds when every chunk that contributes is :meth:`Chunk.rising`
+        and each one's newest value is at most the next one's oldest.
+        It is never true of a window that has a drop or a NaN, but may be
+        false of one that has neither (a chunk cut off before its drop).
         """
         if end_ns < start_ns:
             raise TsdbError(f"bad window: {start_ns}..{end_ns}")
@@ -308,20 +370,29 @@ class ChunkedSeries:
         last = bisect_right(self._starts, end_ns, first)
         times = array("q")
         values = array("d")
+        reset_free = True
+        tail = -_INF  # newest value of the previous contributing chunk
         for chunk in self._chunks[first:last]:
             chunk_times = chunk._times
+            chunk_values = chunk._values
             if chunk_times[0] >= start_ns and chunk_times[-1] <= end_ns:
                 # Wholly inside the window: no bisects, no slice copies.
                 times.extend(chunk_times)
-                values.extend(chunk._values)
+                values.extend(chunk_values)
+            elif chunk_times[-1] < start_ns:
                 continue
-            if chunk_times[-1] < start_ns:
-                continue
-            low, high = chunk.window_bounds(start_ns, end_ns)
-            if low < high:
+            else:
+                low, high = chunk.window_bounds(start_ns, end_ns)
+                if low >= high:
+                    continue
                 times.extend(chunk_times[low:high])
-                values.extend(chunk._values[low:high])
-        return times, values
+                values.extend(chunk_values[low:high])
+            # Only the last contributing chunk can lose its tail, so the
+            # boundary test reads whole-chunk ends.
+            if reset_free:
+                reset_free = chunk.rising() and tail <= chunk_values[0]
+                tail = chunk_values[-1]
+        return times, values, reset_free
 
     def drop_before(self, cutoff_ns: int) -> int:
         """Retention: drop whole chunks entirely older than ``cutoff_ns``.

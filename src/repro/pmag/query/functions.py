@@ -5,18 +5,30 @@ parallel (timestamps, values) lists and evaluates a range function over
 EVERY window of the query in one call.  ``COLUMN_RANGE_FUNCTIONS`` maps
 each range function to ``prepare(times, los, his, spans)`` — the work
 that depends only on the timeline and the windows, done once per
-distinct timeline — returning ``column(values)``, which yields one cell
-per window (``None`` where the window is empty or too short for the
-function).  ``rate``/``increase`` take Prometheus' closed form (its
-``extrapolatedRate`` before extrapolation): last - first, plus the value
-before each reset (a drop) inside the window — O(1) per reset-free
-window, no fold.  A NaN inside a window is no reset, so a reset right
-after it is missed and the increase can come out low or negative
-(``[10, NaN, 2]`` gives -8), as in Prometheus; a NaN at either end
-gives NaN.  ``irate`` reads its last pair only.  The one-window-at-a-time
-Sample-list forms these were derived from live in ``tests/query_oracle.py``;
-a property test in tests/test_perf_equivalence pins the two families
-together, float bit for float bit.
+distinct timeline — returning ``column(values, reset_free=False)``,
+which yields one cell per window (``None`` where the window is empty or
+too short for the function).  ``rate``/``increase`` take Prometheus'
+closed form (its ``extrapolatedRate`` before extrapolation): last -
+first, plus the value before each reset (a drop) inside the window —
+O(1) per reset-free window, no fold.  A NaN inside a window is no reset,
+so a reset right after it is missed and the increase can come out low or
+negative (``[10, NaN, 2]`` gives -8), as in Prometheus; a NaN at either
+end gives NaN.  ``irate`` reads its last pair only.
+
+``reset_free`` is the select's word that the series' values hold no NaN
+and no drop (per-chunk facts, :mod:`repro.pmag.chunks`).  With it the
+counter functions skip :func:`counter_resets` — the copy, sum and sort
+every query would otherwise spend to learn the same thing — and
+``increase`` is the ``delta`` column, ``rate`` one pass over the window
+ends.  Both are the float operations the general path performs when it
+finds no reset, in the same order, so the cells are bit-identical.  The
+other functions ignore the flag.
+
+The one-window-at-a-time Sample-list forms these were derived from live
+in ``tests/query_oracle.py``; a property test in
+tests/test_perf_equivalence pins the two families together, float bit
+for float bit, and tests/test_reset_free pins the flagged path to the
+general one.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from operator import lt, sub
 from typing import Callable, List
 
 from repro.errors import QueryError
+from repro.pmag.chunks import nondecreasing
 
 NANOS_PER_SEC = 1_000_000_000
 
@@ -100,18 +113,17 @@ def counter_resets(values: List[float]) -> List[int]:
     """Indices ``i`` with ``values[i] < values[i - 1]``, ascending.
 
     A NaN compares false both ways, so neither it nor the drop after it
-    is a reset.  A NaN-free list equal to its sort is nondecreasing: that
-    C-level test clears a reset-free counter — every counter the e2e
-    workloads query — in half the pairwise scan's time.
+    is a reset.  :func:`~repro.pmag.chunks.nondecreasing` (a C-level sum
+    and sort) clears a reset-free list in half the pairwise scan's time;
+    a select that already knows its window is reset-free skips even that.
     """
-    total = sum(values)
-    if total == total and values == sorted(values):
+    if nondecreasing(values):
         return []
     return list(compress(count(1), map(lt, values[1:], values)))
 
 
 def _prepare_delta(times, los, his, spans):
-    def column(values):
+    def column(values, reset_free=False):
         return [
             values[hi - 1] - values[lo] if n >= 2 else None
             for lo, hi, n in zip(los, his, spans)
@@ -121,10 +133,13 @@ def _prepare_delta(times, los, his, spans):
 
 def _prepare_increase(times, los, his, spans):
     """Prometheus' closed form: last - first, then ``+= values[i - 1]``
-    for each reset ``i`` inside the window, in order."""
+    for each reset ``i`` inside the window, in order.  A reset-free
+    series has none: its increase is its delta."""
     delta = _prepare_delta(times, los, his, spans)
 
-    def column(values):
+    def column(values, reset_free=False):
+        if reset_free:
+            return delta(values)
         values = list(values)
         resets = counter_resets(values)
         cells = delta(values)
@@ -146,7 +161,15 @@ def _prepare_rate(times, los, his, spans):
         for lo, hi, n in zip(los, his, spans)
     ]
 
-    def column(values):
+    def column(values, reset_free=False):
+        if reset_free:
+            # increase's delta and this division, fused: same operands,
+            # same order, same bits.
+            return [
+                (values[hi - 1] - values[lo]) * NANOS_PER_SEC / e
+                if e > 0 else None
+                for lo, hi, e in zip(los, his, elapsed)
+            ]
         return [
             total * NANOS_PER_SEC / e if e > 0 else None
             for total, e in zip(increase(values), elapsed)
@@ -165,7 +188,7 @@ def _prepare_irate(times, los, his, spans):
         for hi, n in zip(his, spans)
     ]
 
-    def column(values):
+    def column(values, reset_free=False):
         return [
             _counter_step(values[hi - 2], values[hi - 1]) * NANOS_PER_SEC / e
             if e > 0 else None
@@ -177,7 +200,7 @@ def _prepare_irate(times, los, his, spans):
 def window_reducer(reduce_window):
     """``prepare`` for a function of nothing but the window's values."""
     def prepare(times, los, his, spans):
-        def column(values):
+        def column(values, reset_free=False):
             return [
                 reduce_window(values[lo:hi]) if lo < hi else None
                 for lo, hi in zip(los, his)
@@ -187,7 +210,7 @@ def window_reducer(reduce_window):
 
 
 def _prepare_avg_over_time(times, los, his, spans):
-    def column(values):
+    def column(values, reset_free=False):
         return [
             sum(values[lo:hi]) / n if n else None
             for lo, hi, n in zip(los, his, spans)
@@ -197,7 +220,7 @@ def _prepare_avg_over_time(times, los, his, spans):
 
 def _prepare_count_over_time(times, los, his, spans):
     counts = [float(n) if n else None for n in spans]
-    return lambda values: counts
+    return lambda values, reset_free=False: counts
 
 
 COLUMN_RANGE_FUNCTIONS = {

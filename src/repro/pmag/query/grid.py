@@ -145,7 +145,7 @@ def _match_cells(
 
 def _last_in_window(times, los, his, spans):
     """``prepare`` of an instant selector: the newest value in lookback."""
-    def column(values):
+    def column(values, reset_free=False):
         return [
             values[hi - 1] if lo < hi else None for lo, hi in zip(los, his)
         ]
@@ -163,7 +163,8 @@ class StepGrid:
         :func:`selector_windows` result) over the whole query range."""
         self._lookback_ns = lookback_ns
         self.step_times = list(range(start_ns, end_ns + 1, step_ns))
-        # (labels, timestamps, values) per matched series, sorted by labels.
+        # (labels, timestamps, values, reset_free) per matched series,
+        # sorted by labels.
         self._raw = {
             selector: tsdb.select_arrays(
                 selector.tsdb_matchers(),
@@ -253,14 +254,16 @@ class StepGrid:
         self, selector: VectorSelector, windows, prepare,
         keep_name: bool = False,
     ) -> GridVector:
-        """One column per selected series: ``prepare`` over its windows."""
+        """One column per selected series: ``prepare`` over its windows.
+        The select's ``reset_free`` flag goes to the column function,
+        which the counter functions read and the others ignore."""
         memo = TimelineMemo(
             lambda times: prepare(times, *window_bounds(times, windows))
         )
         return [
             (labels if keep_name else labels.without(METRIC_NAME_LABEL),
-             memo.get(times)(values))
-            for labels, times, values in self._raw[selector]
+             memo.get(times)(values, reset_free))
+            for labels, times, values, reset_free in self._raw[selector]
         ]
 
     def _function(self, call: FunctionCall) -> GridValue:

@@ -820,7 +820,7 @@ class RemoteWriteClient:
         later: List[Tuple[Labels, int, float]] = []
         # select is inclusive on both ends, so the left edge is nudged
         # one ns past the last collected stamp.
-        for labels, times, values in self._tsdb.select_arrays(
+        for labels, times, values, _reset_free in self._tsdb.select_arrays(
                 [], self._collected_ns + 1, _END_OF_TIME_NS):
             cut = bisect_right(times, now_ns)
             if cut < len(times):

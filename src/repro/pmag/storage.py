@@ -9,7 +9,10 @@ four invariants, so the layers above stay engine-agnostic:
 
 * ``select_arrays`` (and ``select``, its :class:`Sample` view) return
   series sorted by ``labels.items()`` — the merge key the sharded
-  engine preserves;
+  engine preserves.  Each ``select_arrays`` entry is ``(labels, times,
+  values, reset_free)``; the last field says the window's values are
+  NaN-free and nondecreasing, read from per-chunk facts
+  (:mod:`repro.pmag.chunks`), and only the counter functions use it;
 * appends are per-series monotonic (out-of-order rejected), so WAL
   replay is idempotent regardless of how series are routed;
 * ``storage_stats()`` returns the shape the ``teemon_storage_*``
@@ -266,7 +269,7 @@ class ShardedTsdb:
 
     def select_arrays(
         self, matchers: Sequence[Matcher], start_ns: int, end_ns: int
-    ) -> List[Tuple[Labels, List[int], List[float]]]:
+    ) -> List[Tuple[Labels, List[int], List[float], bool]]:
         """Fan-out array select merged back into one sorted result."""
         parts = [s.select_arrays(matchers, start_ns, end_ns)
                  for s in self._shards]

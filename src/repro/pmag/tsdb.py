@@ -311,7 +311,7 @@ class Tsdb:
         :meth:`select_arrays` with each column pair zipped into samples."""
         return [
             Series(labels, list(map(sample_of, zip(times, values))))
-            for labels, times, values in self.select_arrays(
+            for labels, times, values, _reset_free in self.select_arrays(
                 matchers, start_ns, end_ns)
         ]
 
@@ -320,18 +320,21 @@ class Tsdb:
         matchers: Sequence[Matcher],
         start_ns: int,
         end_ns: int,
-    ) -> List[Tuple[Labels, List[int], List[float]]]:
+    ) -> List[Tuple[Labels, List[int], List[float], bool]]:
         """Matching series, sorted by ``labels.items()``, each with the
         window's samples as parallel (timestamps, values) arrays — no
-        :class:`Sample` per point.  The query engine reads through this.
+        :class:`Sample` per point — and whether those values are
+        reset-free (:meth:`ChunkedSeries.window_arrays`).  The query
+        engine reads through this; the counter functions take the flag.
         """
         if end_ns < start_ns:
             raise TsdbError(f"bad window: {start_ns}..{end_ns}")
-        result: List[Tuple[Labels, List[int], List[float]]] = []
+        result: List[Tuple[Labels, List[int], List[float], bool]] = []
         for labels in self._matching_series(matchers):
-            times, values = self._series[labels].window_arrays(start_ns, end_ns)
+            times, values, reset_free = self._series[labels].window_arrays(
+                start_ns, end_ns)
             if times:
-                result.append((labels, times, values))
+                result.append((labels, times, values, reset_free))
         result.sort(key=lambda entry: entry[0].items())
         return result
 

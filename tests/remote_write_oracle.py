@@ -22,7 +22,7 @@ class ReferenceClient(RemoteWriteClient):
     def _window(self, now_ns):
         entries = []
         ship = self.ship_filter
-        for labels, times, values in self._tsdb.select_arrays(
+        for labels, times, values, _reset_free in self._tsdb.select_arrays(
                 [], self._collected_ns + 1, now_ns):
             if ship is None or ship(labels):
                 entries.extend(zip(repeat(labels), times, values))

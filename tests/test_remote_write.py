@@ -836,7 +836,7 @@ def test_intern_table_is_bounded_by_series_and_dies_with_the_receiver():
     assert receiver.frames_applied > frames
     assert len(table) == size  # steady state: no growth per frame
     shipped = {
-        labels for labels, _t, _v in leaf.tsdb.select_arrays(
+        labels for labels, _t, _v, _r in leaf.tsdb.select_arrays(
             [], 0, leaf.remote_write_client.watermark_ns)
     }
     assert {entry[2] for entry in table.values()} == shipped

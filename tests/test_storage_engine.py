@@ -66,7 +66,7 @@ _COLLIDING = (
 
 def _listed(selected):
     return [(labels, list(times), list(values))
-            for labels, times, values in selected]
+            for labels, times, values, _reset_free in selected]
 
 
 @pytest.mark.parametrize("pair", _COLLIDING)

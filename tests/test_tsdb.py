@@ -162,7 +162,7 @@ def test_windows_come_back_as_typed_arrays():
     series = ChunkedSeries()
     for index in range(3 * CHUNK_SIZE):
         series.append(index * 10, index * 0.5)
-    times, values = series.window_arrays(15, 20 * CHUNK_SIZE + 5)
+    times, values, _reset_free = series.window_arrays(15, 20 * CHUNK_SIZE + 5)
     assert isinstance(times, array) and times.typecode == "q"
     assert isinstance(values, array) and values.typecode == "d"
     assert list(times) == [s.time_ns for s in series.window(15, 20 * CHUNK_SIZE + 5)]
