@@ -22,8 +22,8 @@ volume:
   rule outputs plus the raw ``up`` allowlist) against shipping raw.
 
 The saturation sweep (``sweep_n{N}_f{F}_{mode}`` cells) drives a
-sharded receiver across fleet sizes x frame sizes x raw/aggregate, the
-curve EXPERIMENTS.md's knee recipe reads.
+receiver across fleet sizes x frame sizes x raw/aggregate, the curve
+EXPERIMENTS.md's knee recipe reads.
 
 Gates:
 
@@ -59,7 +59,6 @@ from repro.pmag.remote_write import (
     build_ship_filter,
     encode_frame,
 )
-from repro.pmag.storage import ShardedTsdb
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock
 
@@ -74,10 +73,6 @@ SWEEP_NODES_QUICK = (10, 20, 40)
 SWEEP_FRAME_SAMPLES = (100, 500)
 SWEEP_CYCLES = 40
 SWEEP_CYCLES_QUICK = 12
-
-#: Shard count of the sweep's receiving engine (the ``federated`` test
-#: profile's storage shape).
-RECEIVER_SHARDS = 4
 
 METRICS = ("sgx_epc_pages_evicted_total", "sgx_aexs_total",
            "ebpf_syscalls_total", "node_cpu_utilization",
@@ -295,8 +290,8 @@ def run_suite(quick: bool) -> BenchReport:
     )
 
     # ------------------------------------------------------------------
-    # Saturation sweep: nodes x frame size x mode into a sharded
-    # receiver.  The samples_per_s column is the saturation curve.
+    # Saturation sweep: nodes x frame size x mode into a receiver.  The
+    # samples_per_s column is the saturation curve.
     # ------------------------------------------------------------------
     sweep_nodes = SWEEP_NODES_QUICK if quick else SWEEP_NODES
     sweep_cycles = SWEEP_CYCLES_QUICK if quick else SWEEP_CYCLES
@@ -319,9 +314,7 @@ def run_suite(quick: bool) -> BenchReport:
                 cell_bytes = sum(len(f) for f in cell_frames)
 
                 def cell_ingest():
-                    receiver = RemoteWriteReceiver(
-                        ShardedTsdb(shards=RECEIVER_SHARDS)
-                    )
+                    receiver = RemoteWriteReceiver(Tsdb())
                     for body in cell_frames:
                         receiver.handle(body)
 

@@ -111,9 +111,9 @@ def bench_instant_query(report: BenchReport, quick: bool) -> None:
 def bench_range_query(report: BenchReport, quick: bool) -> None:
     """Step-grid range evaluation: 1k steps over a 10k-sample counter.
 
-    ``range_query`` times a reset-free counter (bench_storage's baseline
-    gate compares against it); ``range_query_resets`` times the same
-    series reset to zero every 100 samples, reported but not gated.
+    ``range_query`` times a reset-free counter; ``range_query_resets``
+    times the same series reset to zero every 100 samples, reported but
+    not gated.
     """
     samples = 2000 if quick else 10_000
     steps = 200 if quick else 1000
@@ -186,12 +186,16 @@ def bench_hook_fire(report: BenchReport, quick: bool) -> None:
     )
 
 
-def bench_scrape_cycle(report: BenchReport, quick: bool) -> None:
-    """One full scrape -> rule evaluation -> dashboard render cycle."""
+def build_cycle(**config_kwargs):
+    """A single-host deployment and its full scrape -> rule evaluation
+    -> dashboard render cycle, warmed up once.  With no arguments it is
+    the ``scrape_cycle`` deployment, the control the tracing and
+    alerting gates hold their off paths to."""
     kernel, _driver = make_sgx_host(seed=7)
-    deployment = deploy(kernel, TeemonConfig(), start=False)
+    deployment = deploy(
+        kernel, TeemonConfig(**config_kwargs), start=False
+    )
     session = deployment.session
-    cycles = 5 if quick else 25
 
     def cycle() -> None:
         kernel.clock.advance(seconds(5))
@@ -200,6 +204,13 @@ def bench_scrape_cycle(report: BenchReport, quick: bool) -> None:
         session.render("sgx")
 
     cycle()  # warm-up: first scrape creates every series
+    return deployment, cycle
+
+
+def bench_scrape_cycle(report: BenchReport, quick: bool) -> None:
+    """One full scrape -> rule evaluation -> dashboard render cycle."""
+    deployment, cycle = build_cycle()
+    cycles = 5 if quick else 25
     started_cycles = best_of(1, lambda: [cycle() for _ in range(cycles)])
     deployment.shutdown()
     report.add(

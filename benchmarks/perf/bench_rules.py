@@ -1,16 +1,19 @@
 """Rule-engine benchmark: what alerting costs a pipeline cycle.
 
 One leg, ``alerting_overhead``: the full scrape -> rules -> render cycle
-with the alerting engine off vs on.  With ``--baseline
-BENCH_pipeline.json`` the alerting-off cycle is gated against the
-baseline report's ``scrape_cycle.cycle_ms`` (default 5%): deployments
-that did not ask for alerting must not pay for it.
+(:func:`~benchmarks.perf.bench_pipeline.build_cycle`) with the alerting
+engine off and on, side by side, their timed blocks of cycles
+interleaved (:func:`~benchmarks.perf.bench_trace.time_cycles`); then
+alerting off again the same way beside a control, ``bench_pipeline``'s
+own ``scrape_cycle`` deployment.  The ratios are medians of
+per-repetition ratios.  The alerting-off cycle
+is gated against the control (``--max-regression``, default 5%):
+deployments that did not ask for alerting must not pay for it.
 
 Usage::
 
     PYTHONPATH=src python -m benchmarks.perf.bench_rules [--quick]
-        [--output BENCH_rules.json]
-        [--baseline BENCH_pipeline.json] [--max-regression 0.05]
+        [--output BENCH_rules.json] [--max-regression 0.05]
 """
 
 from __future__ import annotations
@@ -19,65 +22,51 @@ import argparse
 import json
 import sys
 
-from benchmarks.perf.harness import BenchReport, best_of
+from benchmarks.perf.bench_trace import paired_ratio, time_cycles
+from benchmarks.perf.harness import BenchReport
 
-from repro.experiments.common import make_sgx_host
-from repro.simkernel.clock import seconds
-from repro.teemon import TeemonConfig, deploy
+SCHEMA = "teemon.bench.rules/3"
 
-SCHEMA = "teemon.bench.rules/2"
+#: The two configurations, in the order every repetition runs them.
+CONFIGS = {
+    "off": {"enable_alerting": False},
+    "on": {"enable_alerting": True},
+}
 
-
-def time_pipeline_cycles(enable_alerting: bool, cycles: int, repeats: int):
-    """Best seconds per full scrape->rules->render cycle."""
-    kernel, _driver = make_sgx_host(seed=7)
-    deployment = deploy(
-        kernel, TeemonConfig(enable_alerting=enable_alerting), start=False
-    )
-    session = deployment.session
-
-    def cycle() -> None:
-        kernel.clock.advance(seconds(5))
-        deployment.scrape_manager.scrape_once()
-        deployment.rule_evaluator.evaluate_all_once()
-        session.render("sgx")
-
-    cycle()  # warm-up: first scrape creates every series
-    elapsed = best_of(repeats, lambda: [cycle() for _ in range(cycles)])
-    deployment.shutdown()
-    return elapsed / cycles
+#: The gate's pair: alerting off beside the ``scrape_cycle`` deployment,
+#: timed on their own as in bench_trace.
+CONTROL_PAIR = {"off": CONFIGS["off"], "control": {}}
 
 
 def run_suite(quick: bool) -> BenchReport:
     report = BenchReport(quick=quick)
-    # bench_wal sizes: enough to measure a ~2ms cycle without noise
-    # drowning the gate.
-    cycles, repeats = (10, 4) if quick else (25, 4)
-    off_s = time_pipeline_cycles(False, cycles, repeats)
-    on_s = time_pipeline_cycles(True, cycles, repeats)
+    # Enough interleaved repetitions to span several of the machine's
+    # speed changes, in either form, as in bench_trace.
+    cycles, repeats = (5 if quick else 25), 40
+    per_cycle = time_cycles(CONFIGS, cycles, repeats)
+    off, on = per_cycle["off"], per_cycle["on"]
+    pair = time_cycles(CONTROL_PAIR, cycles, repeats)
     report.add(
         "alerting_overhead",
-        off_ms=off_s * 1e3,
-        on_ms=on_s * 1e3,
-        overhead_ratio=on_s / off_s,
+        off_ms=min(off) * 1e3,
+        on_ms=min(on) * 1e3,
+        off_vs_control_ratio=paired_ratio(pair["off"], pair["control"]),
+        overhead_ratio=paired_ratio(on, off),
         cycles=cycles,
+        repeats=repeats,
     )
     return report
 
 
-def check_baseline(report: BenchReport, baseline_path: str,
-                   max_regression: float) -> int:
-    """Gate: alerting-off must stay within ``max_regression`` of baseline."""
-    with open(baseline_path, encoding="utf-8") as handle:
-        baseline = json.load(handle)
-    baseline_ms = baseline["results"]["scrape_cycle"]["cycle_ms"]
-    off_ms = report.results[0].metrics["off_ms"]
-    ratio = off_ms / baseline_ms
+def check_control_gate(report: BenchReport, max_regression: float) -> int:
+    """Gate: alerting off must stay within ``max_regression`` of the
+    pipeline control timed beside it."""
+    ratio = report.results[0].metrics["off_vs_control_ratio"]
     limit = 1.0 + max_regression
     verdict = "OK" if ratio <= limit else "REGRESSION"
     print(
-        f"alerting-off cycle: {off_ms:.3f}ms vs baseline "
-        f"{baseline_ms:.3f}ms -> x{ratio:.3f} (limit x{limit:.3f}) {verdict}"
+        f"alerting-off cycle: x{ratio:.3f} vs the pipeline control "
+        f"(limit x{limit:.3f}) {verdict}"
     )
     return 0 if ratio <= limit else 1
 
@@ -88,10 +77,8 @@ def main(argv=None) -> int:
                         help="reduced sizes for CI smoke runs")
     parser.add_argument("--output", default="BENCH_rules.json",
                         help="report path (default: ./BENCH_rules.json)")
-    parser.add_argument("--baseline", default=None,
-                        help="BENCH_pipeline.json to gate alerting-off against")
     parser.add_argument("--max-regression", type=float, default=0.05,
-                        help="allowed alerting-off regression vs baseline")
+                        help="allowed alerting-off regression vs the control")
     args = parser.parse_args(argv)
     report = run_suite(quick=args.quick)
     payload = report.to_payload()
@@ -101,9 +88,7 @@ def main(argv=None) -> int:
         handle.write("\n")
     print(report.render())
     print(f"\nwrote {args.output}")
-    if args.baseline:
-        return check_baseline(report, args.baseline, args.max_regression)
-    return 0
+    return check_control_gate(report, args.max_regression)
 
 
 if __name__ == "__main__":

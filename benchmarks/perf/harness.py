@@ -74,10 +74,10 @@ def best_of(runs: int, workload: Callable[[], None], warmup: int = 1) -> float:
     ``warmup`` untimed executions run first.  The first call after a
     data-structure build pays one-off costs — allocator growth, lazily
     built caches, cold branch predictors — that later calls never see;
-    timing it skews a best-of sample enough to flip gate decisions (the
-    historical ``shard2_wide_ms`` outlier in ``BENCH_storage.json`` was
-    exactly this: the first-timed shard count absorbing warmup that the
-    later counts did not pay).
+    timing it skews a best-of sample enough to flip gate decisions (a
+    storage bench's historical ``shard2_wide_ms`` outlier was exactly
+    this: the first-timed shard count absorbing warmup that the later
+    counts did not pay).
     """
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")

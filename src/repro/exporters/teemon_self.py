@@ -11,7 +11,7 @@ source it runs; families of absent sources are not registered.
 
 A reader returns the source's mapping; for a source with labels
 (:data:`SOURCE_LABELS`) it returns ``{label values: mapping}`` — one
-row per shard, uplink client, notification outcome or sender.
+row per WAL partition, uplink client, notification outcome or sender.
 
 Beside the table, ``teemon_span_duration_seconds`` is a histogram of
 span durations (virtual time) by span name, fed from the tracer's
@@ -94,7 +94,7 @@ FAMILIES = (
     ("teemon_recovery_records_quarantined_total", "recovery", "records_quarantined", "Corrupt WAL records skipped (CRC mismatch or bad payload)", True),
     ("teemon_recovery_segments_quarantined_total", "recovery", "segments_quarantined", "WAL segments abandoned for unwalkable corruption", True),
     ("teemon_recovery_samples_lost", "recovery", "samples_lost", "Exact samples destroyed by crashes, as measured against the medium's own loss report", False),
-    # StorageEngine.storage_stats(), and its per_shard rows
+    # TeemonDeployment.storage_stats(), and its per-WAL-partition rows
     ("teemon_storage_shards", "storage", "shards", "Shards behind the storage engine", False),
     ("teemon_storage_series", "shard", "series", "Distinct series held, per shard", False),
     ("teemon_storage_samples", "shard", "samples", "Samples held, per shard", False),

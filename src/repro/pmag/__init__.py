@@ -9,10 +9,12 @@ supports data queries over specified time ranges and labeled dimensions"
 
 * :mod:`repro.pmag.model` — labelled series and samples;
 * :mod:`repro.pmag.chunks` — chunked, delta-encoded sample storage;
-* :mod:`repro.pmag.tsdb` — the database: :class:`Tsdb`, one store;
-* :mod:`repro.pmag.storage` — :class:`ShardedTsdb`, the fingerprint-
-  routed multi-shard engine, :data:`StorageEngine` (either engine) with
-  the contract both keep, and :func:`build_storage_engine`;
+* :mod:`repro.pmag.tsdb` — the database: :class:`Tsdb`, the one index
+  every layer reads and writes;
+* :mod:`repro.pmag.storage` — the stable series fingerprint the WAL's
+  partitions (``storage_shards``) route by;
+* :mod:`repro.pmag.wal` — the write-ahead log, its partitions and crash
+  recovery;
 * :mod:`repro.pmag.scrape` — pull-based scraping with service discovery
   and target health (the ``up`` metric);
 * :mod:`repro.pmag.query` — a PromQL-subset query engine with range
@@ -26,7 +28,6 @@ supports data queries over specified time ranges and labeled dimensions"
 from repro.pmag.model import Labels, Sample, Series
 from repro.pmag.remote_write import RemoteWriteClient, RemoteWriteReceiver
 from repro.pmag.scrape import ScrapeManager, ScrapeTarget
-from repro.pmag.storage import ShardedTsdb, StorageEngine, build_storage_engine
 from repro.pmag.tsdb import Tsdb
 
 __all__ = [
@@ -35,10 +36,7 @@ __all__ = [
     "RemoteWriteReceiver",
     "Sample",
     "Series",
-    "ShardedTsdb",
-    "StorageEngine",
     "Tsdb",
-    "build_storage_engine",
     "ScrapeManager",
     "ScrapeTarget",
 ]

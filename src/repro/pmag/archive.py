@@ -21,9 +21,9 @@ body as it is written, one series at a time, so a checkpoint never
 holds the raw store in memory.  The CRC32 covers every byte after the
 crc field itself (the deflated stream), so a torn or bit-flipped
 snapshot is detected up front instead of restoring silently-wrong data.
-Any engine snapshots into this layout — a sharded engine's series follow
-one another in shard order — and :func:`restore` always returns a plain
-:class:`~repro.pmag.tsdb.Tsdb`.  A snapshot of any other version, one
+A store snapshots its series in index (ingest) order, a WAL partition's
+checkpoint its own series in the same order, and :func:`restore` returns
+a :class:`~repro.pmag.tsdb.Tsdb`.  A snapshot of any other version, one
 whose body does not inflate to exactly one complete deflate stream, or
 one whose inflated body does not parse, is a
 :class:`~repro.errors.TsdbError`: restore raises nothing else.
@@ -38,11 +38,11 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import List
+from typing import Dict, List
 
 from repro.errors import TsdbError
 from repro.pmag.chunks import Chunk, ChunkedSeries
-from repro.pmag.model import Labels
+from repro.pmag.model import METRIC_NAME_LABEL, Labels
 from repro.pmag.tsdb import Tsdb
 
 MAGIC = b"TMSNAP"
@@ -65,8 +65,8 @@ def _pack_text(text: str) -> bytes:
 
 
 def snapshot(engine) -> bytearray:
-    """Serialise a storage engine to bytes, in one pass over
-    ``engine.series_items()``.
+    """Serialise a store (or a WAL partition's view of one) to bytes,
+    in one pass over ``engine.series_items()``.
 
     Each series is encoded and fed to one deflate stream on its own, so
     the raw body never exists whole: besides the result — the deflated
@@ -98,9 +98,11 @@ def snapshot(engine) -> bytearray:
     return data
 
 
-def _decode_series(data: bytes, pos: int, tsdb: Tsdb) -> int:
-    """Read the body (series count + series) at ``pos`` into ``tsdb``;
-    returns the offset just past it.
+def _decode_series(data: bytes, pos: int,
+                   series: Dict[Labels, ChunkedSeries]) -> int:
+    """Read the body (series count + series) at ``pos`` into ``series``,
+    refusing what :meth:`Tsdb.install_series` would; returns the offset
+    just past it.
 
     Restore is a third of a crash recovery and this loop is most of
     restore, so it walks the buffer by offset.
@@ -136,7 +138,12 @@ def _decode_series(data: bytes, pos: int, tsdb: Tsdb) -> int:
                 if len(chunk):
                     storage.adopt_chunk(chunk)
             if storage.sample_count:
-                tsdb.install_series(labels, storage)
+                if not labels.metric_name:
+                    raise TsdbError(
+                        f"series needs a {METRIC_NAME_LABEL} label: {labels!r}")
+                if labels in series:
+                    raise TsdbError(f"series already exists: {labels!r}")
+                series[labels] = storage
     except struct.error:
         raise TsdbError("truncated snapshot") from None
     except UnicodeDecodeError as exc:
@@ -146,6 +153,15 @@ def _decode_series(data: bytes, pos: int, tsdb: Tsdb) -> int:
 
 def restore(data: bytes) -> Tsdb:
     """Rebuild a :class:`Tsdb` from :func:`snapshot` output."""
+    tsdb = Tsdb()
+    for labels, storage in decode(data).items():
+        tsdb.install_series(labels, storage)
+    return tsdb
+
+
+def decode(data: bytes) -> Dict[Labels, ChunkedSeries]:
+    """Every series of :func:`snapshot` output, in snapshot order,
+    decoded whole: nothing is handed back unless all of it verifies."""
     if data[:len(MAGIC)] != MAGIC:
         raise TsdbError("not a TEEMon snapshot (bad magic)")
     if len(data) < _HEADER_SIZE:
@@ -173,9 +189,9 @@ def restore(data: bytes) -> Tsdb:
         raise TsdbError(
             f"trailing garbage after the deflate stream: "
             f"{len(inflate.unused_data)} bytes")
-    tsdb = Tsdb()
-    end = _decode_series(body, 0, tsdb)
+    series: Dict[Labels, ChunkedSeries] = {}
+    end = _decode_series(body, 0, series)
     if end != len(body):
         raise TsdbError(
             f"trailing garbage after last series: {len(body) - end} bytes")
-    return tsdb
+    return series

@@ -8,11 +8,11 @@ This module is that uplink, hardened the same way the scrape path is:
 
 * :class:`RemoteWriteClient` — runs inside a leaf monitor.  Each flush
   tick it *collects* every sample the leaf TSDB accepted since its
-  watermark — drained from an arrival feed the engine pushes each
+  watermark — drained from an arrival feed the store pushes each
   commit into, so the cost follows new samples, not the store's size —
-  packs them into compressed shard-partitioned frames (one
+  packs them into compressed frames of per-series blocks (one
   CRC-guarded block per series, fingerprinted with the same CRC32 the
-  sharded engine routes on), and *pumps* the frame queue to the receiver
+  WAL partitions route on), and *pumps* the frame queue to the receiver
   with jittered-exponential retry/backoff on the virtual clock.  The
   queue is bounded: while the uplink is down the leaf keeps serving
   local queries and spills frames to the queue; past ``queue_max_frames``
@@ -34,8 +34,8 @@ This module is that uplink, hardened the same way the scrape path is:
   granularity, which is also what deduplicates an HA *pair* of leaves
   shipping the same scrape (see :mod:`repro.teemon.ha`) and absorbs the
   overlap a recovered incarnation re-ships under its fresh epoch.  The
-  per-series blocks land through the engine's ``append_fingerprinted``:
-  one ``append_batch``, routed by labels on a sharded engine.
+  per-series blocks land through the store's ``append_fingerprinted``:
+  one ``append_batch``.
 * *Relays* — a monitor that is both receiver and client forwards
   everything it ingests upstream under its **own** sender identity,
   epoch and sequence numbering (re-stamping is automatic: the relay's
@@ -84,8 +84,8 @@ from repro.errors import TsdbError, WalError
 from repro.net.http import HttpNetwork
 from repro.pmag.model import Labels, METRIC_NAME_LABEL
 from repro.pmag.rules import is_recorded_output
-from repro.pmag.storage import StorageEngine, series_fingerprint
-from repro.pmag.tsdb import ArrivalFeed
+from repro.pmag.storage import series_fingerprint
+from repro.pmag.tsdb import ArrivalFeed, Tsdb
 from repro.pmag.wal import MAX_RECORD_BYTES, pack_labels, unpack_labels
 from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock
 from repro.simkernel.rng import DeterministicRng
@@ -165,7 +165,7 @@ def encode_frame(
     entries: List[Tuple[Labels, int, float]],
     headers: Optional[Dict[Labels, bytes]] = None,
 ) -> str:
-    """One batched, compressed, shard-partitioned frame as an HTTP body.
+    """One batched, compressed frame of per-series blocks as an HTTP body.
 
     Header line ``teemon-rw/3 <sender> <epoch> <seq> <count>``, then the
     base64 of the zlib-compressed concatenation of per-series blocks::
@@ -176,9 +176,9 @@ def encode_frame(
                 u32 sample_count | (i64 time_ns | f64 value)*
 
     Each series' label set is encoded **once** per frame and stamped
-    with the same CRC32 fingerprint :func:`series_fingerprint` computes,
-    so a sharded receiver routes whole blocks to their shards without
-    re-deriving the fingerprint per sample.  Per-block CRC32 keeps the
+    with the CRC32 fingerprint :func:`series_fingerprint` computes,
+    which the receiver checks against the labels once per block.
+    Per-block CRC32 keeps the
     on-the-wire integrity story of the on-disk log.  ``epoch``
     identifies the sender *incarnation* (a recovered monitor gets a
     fresh, strictly larger one), ``seq`` orders frames within it.
@@ -222,8 +222,8 @@ def decode_frame_blocks(
     """Inverse of :func:`encode_frame`, keeping the per-series shape.
 
     Returns ``(sender, epoch, seq, blocks)`` where each block is
-    ``(fingerprint, labels, [(time_ns, value), ...])`` — the unit the
-    sharded ingest path routes.  Raises :class:`WalError` on any
+    ``(fingerprint, labels, [(time_ns, value), ...])`` — the unit
+    ``append_fingerprinted`` lands.  Raises :class:`WalError` on any
     framing, CRC, count or compression damage.
 
     ``interned`` is a receiver's table of headers already parsed:
@@ -347,12 +347,10 @@ class RemoteWriteReceiver:
       ticks by priority so "first" is deterministically the
       lower-priority-number replica.
 
-    Shard routing: the frame's per-series blocks go to the engine's
-    ``append_fingerprinted`` whole and flatten into one ``append_batch``;
-    a sharded engine splits that into per-shard batches by labels.  The
-    decoder has already checked every block's fingerprint against its
-    labels.  Accept/reject outcomes are identical on every layout, so
-    the dedup ledger reconciles exactly.
+    Ingest: the frame's per-series blocks go to the store's
+    ``append_fingerprinted`` whole and flatten into one ``append_batch``.
+    The decoder has already checked every block's fingerprint against
+    its labels.
 
     Relays: :meth:`attach_relay` couples this receiver to the
     co-resident :class:`RemoteWriteClient` of a relay deployment.  Every
@@ -369,7 +367,7 @@ class RemoteWriteReceiver:
     for the overlap a resuming client re-sends.
     """
 
-    def __init__(self, tsdb: StorageEngine,
+    def __init__(self, tsdb: Tsdb,
                  identity: Optional[str] = None) -> None:
         self._tsdb = tsdb
         self._identity = identity
@@ -562,7 +560,7 @@ class RemoteWriteClient:
         self,
         clock: VirtualClock,
         network: HttpNetwork,
-        tsdb: StorageEngine,
+        tsdb: Tsdb,
         url: str,
         source: str,
         wal=None,

@@ -354,8 +354,8 @@ class ScrapeManager:
             ))
         self._mark_up(target, health, identity, now_ns)
         with tracer.span("tsdb.append", {"samples": len(samples)}) as append_span:
-            # The body is one commit: the batch routes series by shard in
-            # a single pass and amortises WAL write-through.  Entry order
+            # The body is one commit: one store call, which amortises
+            # WAL write-through.  Entry order
             # matches the exposition, so each exemplar follows its own
             # sample's accept/reject.
             entries = []

@@ -1,11 +1,21 @@
-"""The time-series database: :class:`Tsdb`, one labelled store.
+"""The time-series database: :class:`Tsdb`, the one labelled store.
 
-:class:`repro.pmag.storage.ShardedTsdb` fans the same methods out over N
-of them, and :data:`repro.pmag.storage.StorageEngine` names either.
-Everything above — scrape ingest, the query engine, rules, dashboards,
-archive, WAL — calls those methods, so shard count is configuration,
-not surgery.  The contract both engines keep is in
-:mod:`repro.pmag.storage`'s docstring.
+Every layer above — scrape ingest, queries, rules, dashboards, archive,
+WAL, remote-write — reads and writes this index; ``storage_shards``
+partitions the write-ahead log (:class:`repro.pmag.wal.ShardedWal`), not
+the index.  Three invariants the layers above lean on:
+
+* ``select_arrays`` returns series sorted by ``labels.items()``, each
+  entry ``(labels, times, values, reset_free)``; the flag says the
+  window is NaN-free and nondecreasing, read from per-chunk facts
+  (:mod:`repro.pmag.chunks`), and only the counter functions use it;
+* appends are per-series monotonic (out-of-order rejected), so WAL
+  replay is idempotent;
+* every attached :class:`ArrivalFeed` gets each commit's accepted
+  entries (``append_batch``, ``append_run``) as one list, in commit
+  order, and any other change to the stored samples raises its
+  ``unsure_below_ns`` past the newest timestamp it may have touched.
+  Accepted entries must not be mutated after the commit.
 """
 
 from __future__ import annotations
@@ -24,13 +34,13 @@ _NEVER_NS = 1 << 63
 
 
 class ArrivalFeed:
-    """What an engine accepted since its reader last drained the feed.
+    """What the store accepted since its reader last drained the feed.
 
     ``batches`` holds each commit's accepted ``(labels, time_ns, value)``
-    entries by reference, in commit order: the engine appends, the
+    entries by reference, in commit order: the store appends, the
     reader takes them away.  Samples can also leave the store without
     passing through here (retention, ``delete_series``) or
-    land around it (``install_series``), so the engine raises
+    land around it (``install_series``), so the store raises
     ``unsure_below_ns`` to cover them: below that timestamp the store may
     differ from what the feed has shown since the reader last reset it.
     """
@@ -58,7 +68,7 @@ class Tsdb:
     survivors with the remaining matchers.
     """
 
-    def __init__(self, retention_ns: Optional[int] = None) -> None:
+    def __init__(self, *, retention_ns: Optional[int] = None) -> None:
         self._series: Dict[Labels, ChunkedSeries] = {}
         self._postings: Dict[tuple, Set[Labels]] = {}
         self.retention_ns = retention_ns
@@ -120,7 +130,7 @@ class Tsdb:
     ) -> List[int]:
         """The ingest body every writer commits through: one commit's
         samples — a scrape body, a rule step, a remote-write frame — in a
-        single engine call.
+        single store call.
 
         Returns the indices (into ``entries``) of rejected samples —
         out-of-order appends, missing metric names, unstorable values —
@@ -220,9 +230,9 @@ class Tsdb:
         """Ingest one remote-write frame's ``(fingerprint, labels,
         samples)`` blocks; returns the number of rejected samples.
 
-        The blocks flatten into one :meth:`append_batch`, which routes by
-        labels.  The fingerprints go unread: the frame decoder has already
-        checked each against its labels.
+        The blocks flatten into one :meth:`append_batch`.  The
+        fingerprints go unread: the frame decoder has already checked
+        each against its labels.
         """
         return len(self.append_batch([
             (labels, time_ns, value)
@@ -340,8 +350,7 @@ class Tsdb:
 
     def select_rollups(self, matchers, start_ns, end_ns) -> list:
         """Always empty: the store keeps raw samples only.  The name
-        stays because ``benchmarks/e2e/tracing.py`` wraps it on both
-        engines."""
+        stays because ``benchmarks/e2e/tracing.py`` wraps it."""
         return []
 
     def latest(self, metric: str, **label_filters: str) -> Optional[Sample]:
@@ -349,17 +358,7 @@ class Tsdb:
 
         Timestamp ties break towards the smallest ``labels.items()`` —
         a total order, so the answer is independent of index iteration
-        order and of how series are sharded.
-        """
-        return self.latest_keyed(metric, **label_filters)[1]
-
-    def latest_keyed(
-        self, metric: str, **label_filters: str
-    ) -> Tuple[Optional[tuple], Optional[Sample]]:
-        """:meth:`latest` plus the winning series' sort key (items tuple).
-
-        The key lets a sharded engine apply the same tie-break across
-        shards without re-deriving which series won.
+        order.
         """
         matchers = [Matcher.eq(METRIC_NAME_LABEL, metric)]
         matchers.extend(Matcher.eq(k, v) for k, v in label_filters.items())
@@ -374,7 +373,7 @@ class Tsdb:
                     or (sample.time_ns == best.time_ns and key < best_key)):
                 best = sample
                 best_key = key
-        return best_key, best
+        return best
 
     def select_metric(
         self, metric: str, start_ns: int, end_ns: int, **label_filters: str
@@ -418,22 +417,6 @@ class Tsdb:
         are identical.
         """
         return self._series.items()
-
-    @property
-    def shard_count(self) -> int:
-        """The monolith is its own single shard."""
-        return 1
-
-    def storage_stats(self) -> dict:
-        """Single-shard stats in the engine-wide telemetry shape."""
-        return {
-            "shards": 1,
-            "per_shard": [self.shard_stats()],
-        }
-
-    def shard_stats(self) -> dict:
-        """This store's contribution to the per-shard telemetry."""
-        return {"series": len(self._series), "samples": self.sample_count()}
 
     def _unindex(self, labels: Labels) -> None:
         """Remove a dead series: storage and postings entries."""
@@ -491,6 +474,5 @@ class Tsdb:
 
     def compact(self, now_ns: int) -> int:
         """Nothing to fold: retention is the store's only lifecycle.  The
-        name stays because ``benchmarks/e2e/tracing.py`` wraps it on both
-        engines."""
+        name stays because ``benchmarks/e2e/tracing.py`` wraps it."""
         return 0

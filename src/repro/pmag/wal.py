@@ -37,6 +37,11 @@ Version 2 is the only segment layout written or replayed: a segment
 whose header names any other version is quarantined like any other bad
 header.
 
+With ``storage_shards`` above one the log is split into partitions
+(:class:`ShardedWal`), directories ``shard-NN`` laid out as above; a
+series is logged in the one :func:`~repro.pmag.storage.shard_for` names,
+and :func:`recover_sharded` replays them in order into the one index.
+
 Segments and checkpoints draw from one monotonic sequence counter, which
 gives a total order over durability events: recovery replays exactly the
 segments whose sequence number is greater than the chosen checkpoint's.
@@ -61,12 +66,13 @@ import struct
 import zlib
 from array import array
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import StorageError, TsdbError, WalError
 from repro.pmag import archive
+from repro.pmag.chunks import ChunkedSeries
 from repro.pmag.model import Labels
-from repro.pmag.storage import StorageEngine
+from repro.pmag.storage import series_fingerprint
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.disk import DiskCrashReport, SimDisk
 
@@ -96,7 +102,7 @@ _SERIES_HEAD = struct.Struct("<BII")
 _RUN_HEAD = struct.Struct("<BI")
 _SAMPLE = struct.Struct("<Iqd")
 #: The whole payload of a one-sample run: the many one-sample batches a
-#: sharded store hands its shards pay one precompiled pack.
+#: partitioned log hands its writers pay one precompiled pack.
 _ONE_SAMPLE = struct.Struct("<BIIqd")
 _RUN_HEAD_SIZE, _SAMPLE_SIZE = _RUN_HEAD.size, _SAMPLE.size
 #: Samples in the largest run that still fits one record.
@@ -208,7 +214,7 @@ def segment_name(directory: str, seq: int) -> str:
 
 
 def shard_directory(directory: str, index: int) -> str:
-    """Per-shard WAL directory under one base directory."""
+    """One WAL partition's directory under one base directory."""
     return f"{directory}/shard-{index:02d}"
 
 
@@ -425,7 +431,9 @@ class WalWriter:
         self.flushes_total += 1
 
     def checkpoint(self, tsdb: Tsdb) -> str:
-        """Serialise ``tsdb``, then truncate the segments it subsumes.
+        """Serialise ``tsdb`` (or anything with the ``series_items`` of
+        :func:`archive.snapshot`), then truncate the segments it
+        subsumes.
 
         The write order is the crash-safety invariant (see the module
         docstring): the old state is deleted only after the new
@@ -501,13 +509,15 @@ class RecoveryReport:
     #: Series records that failed CRC or parse.  Not loss in themselves:
     #: the runs that named them are, and are counted above.
     series_records_quarantined: int = 0
-    #: One report per shard, in shard order, when this report is their
-    #: sum (:func:`recover_sharded`); empty for a single log.
+    #: One report per WAL partition, in partition order, when this
+    #: report is their sum (:func:`recover_sharded`); empty for a single
+    #: log.
     shards: List["RecoveryReport"] = field(default_factory=list, repr=False)
 
     @property
     def samples_lost_by_shard(self) -> List[int]:
-        """Exact loss per shard — what the sharded soak test proves."""
+        """Exact loss per partition — what the partitioned soak test
+        proves."""
         return [report.samples_lost for report in self.shards]
 
 
@@ -530,7 +540,7 @@ class _Replay:
         self._columns: Dict[Labels, list] = {}
         #: The same lists in order of first sample, which is the order
         #: appending sample by sample would have created the series in.
-        self._order: List[list] = []
+        self.order: List[list] = []
 
     def journal(self, kind: str, where: str) -> None:
         if self.plan is not None:
@@ -565,7 +575,7 @@ class _Replay:
             if columns is None:
                 return False  # before anything of the run has landed
             picked.append((columns, time_ns, value))
-        order = self._order
+        order = self.order
         for columns, time_ns, value in picked:
             times = columns[1]
             if not times:
@@ -578,7 +588,7 @@ class _Replay:
         """Walk one headered segment, gathering what verifies."""
         report = self.report
         refs: Dict[int, list] = {}
-        order = self._order
+        order = self.order
         # The loop below runs once per record of the log: its constants
         # and callables are bound to locals once.
         frame_at, crc32 = _FRAME.unpack_from, zlib.crc32
@@ -657,7 +667,7 @@ class _Replay:
 
     def land(self, tsdb) -> None:
         """Append every gathered series to the store, as runs."""
-        for labels, times, values in self._order:
+        for labels, times, values in self.order:
             appended, rejected = tsdb.append_run(labels, times, values)
             self.report.records_replayed += appended
             self.report.records_duplicate += rejected
@@ -669,6 +679,8 @@ def recover(
     retention_ns: Optional[int] = None,
     crash_report: Optional[DiskCrashReport] = None,
     plan=None,
+    into: Optional[Tsdb] = None,
+    check: Optional[Callable[[Labels], None]] = None,
 ) -> Tuple[Tsdb, RecoveryReport]:
     """Rebuild a TSDB from the medium after a crash.
 
@@ -678,25 +690,29 @@ def recover(
     it counts it.  ``crash_report`` (from :meth:`SimDisk.crash`) is the
     loss oracle; ``plan`` (a :class:`~repro.faults.plan.FaultPlan`)
     journals every quarantine decision.
+
+    The samples land in ``into`` (default: a fresh store).  A checkpoint
+    is decoded whole before any of it lands, so one that fails part-way
+    leaves the store untouched and the next older one is tried.
+    ``check`` sees every series found before anything lands; it may raise.
     """
+    tsdb = Tsdb(retention_ns=retention_ns) if into is None else into
     report = RecoveryReport()
 
     # -- choose a checkpoint -------------------------------------------
-    tsdb = Tsdb(retention_ns=retention_ns)
+    restored: Dict[Labels, ChunkedSeries] = {}
     checkpoint_seq = 0
     for name in reversed(disk.list_files(f"{directory}/checkpoint-")):
         seq = _parse_seq(name)
         if seq is None:
             continue
         try:
-            restored = archive.restore(disk.read(name))
+            restored = archive.decode(disk.read(name))
         except (TsdbError, StorageError):
             report.checkpoints_quarantined += 1
             if plan is not None:
                 plan.record("wal-checkpoint-quarantined", name)
             continue
-        restored.retention_ns = retention_ns
-        tsdb = restored
         checkpoint_seq = seq
         report.checkpoint_used = name
         break
@@ -723,6 +739,15 @@ def recover(
             replay.journal("wal-segment-quarantined", name)
             continue
         replay.segment(name, data)
+
+    # -- land both in the store ----------------------------------------
+    if check is not None:
+        for labels in restored:
+            check(labels)
+        for columns in replay.order:
+            check(columns[0])
+    for labels, storage in restored.items():
+        tsdb.install_series(labels, storage)
     replay.land(tsdb)
 
     # -- exact loss accounting -----------------------------------------
@@ -743,99 +768,113 @@ def recover(
     return tsdb, report
 
 
-class ShardedWal:
-    """One :class:`WalWriter` per storage shard behind a single façade.
+class PartitionMap(dict):
+    """Label set -> WAL partition (:func:`~repro.pmag.storage.shard_for`
+    over ``count``), filled on first use.  Entries never go stale: the
+    map grows with the distinct label sets seen, like the index."""
 
-    The deployment layer flushes and checkpoints "the WAL" without
-    caring how many shards sit underneath; counters are summed over the
-    writers so existing ``teemon_wal_*`` telemetry and ``wal_stats()``
-    keep their meaning (totals across the deployment).
+    __slots__ = ("count",)
+
+    def __init__(self, count: int) -> None:
+        super().__init__()
+        self.count = count
+
+    def __missing__(self, labels: Labels) -> int:
+        index = self[labels] = series_fingerprint(labels) % self.count
+        return index
+
+
+class _Partition(list):
+    """One partition's ``(labels, series)`` pairs in index order: what
+    its checkpoint snapshots."""
+
+    series_items = list.__iter__
+
+
+def _summed(name: str) -> property:
+    """A counter summed over a partitioned log's writers."""
+    return property(lambda self: sum(
+        getattr(writer, name) for writer in self.writers))
+
+
+class ShardedWal:
+    """One :class:`WalWriter` per partition behind a single façade.
+
+    The store writes through :meth:`append_many` as through one writer;
+    each entry goes to its series' partition (``routes``).  The
+    deployment flushes and checkpoints "the WAL" without caring how many
+    partitions sit underneath; counters are summed over the writers so
+    ``teemon_wal_*`` telemetry and ``wal_stats()`` keep their meaning
+    (totals across the deployment).
     """
 
-    def __init__(self, writers: Sequence[WalWriter]) -> None:
-        if not writers:
-            raise WalError("a sharded WAL needs at least one writer")
+    def __init__(self, writers: Sequence[WalWriter],
+                 routes: PartitionMap) -> None:
+        #: One writer per partition ``routes`` names, in partition order.
         self.writers: List[WalWriter] = list(writers)
+        self.routes = routes
 
-    @property
-    def shard_count(self) -> int:
-        """Number of per-shard writers."""
-        return len(self.writers)
+    records_total = _summed("records_total")
+    flushes_total = _summed("flushes_total")
+    checkpoints_total = _summed("checkpoints_total")
+    segments_total = _summed("segments_total")
+    unflushed_records = _summed("unflushed_records")
 
-    @property
-    def current_segment(self) -> str:
-        """Shard 0's live segment (fault-injection hooks poke one shard)."""
-        return self.writers[0].current_segment
-
-    @property
-    def records_total(self) -> int:
-        return sum(w.records_total for w in self.writers)
-
-    @property
-    def flushes_total(self) -> int:
-        return sum(w.flushes_total for w in self.writers)
-
-    @property
-    def checkpoints_total(self) -> int:
-        return sum(w.checkpoints_total for w in self.writers)
-
-    @property
-    def segments_total(self) -> int:
-        return sum(w.segments_total for w in self.writers)
-
-    @property
-    def unflushed_records(self) -> int:
-        return sum(w.unflushed_records for w in self.writers)
-
-    @property
-    def unflushed_by_shard(self) -> List[int]:
-        """Per-shard unflushed windows — the per-crash loss bound."""
-        return [w.unflushed_records for w in self.writers]
+    def append_many(self, entries: Sequence[Tuple[Labels, int, float]]) -> None:
+        """Split one commit's accepted samples by partition, keeping
+        their order within each, and hand every non-empty part to its
+        writer, in partition order."""
+        routes = self.routes
+        parts: List[list] = [[] for _ in self.writers]
+        for entry in entries:
+            parts[routes[entry[0]]].append(entry)
+        for writer, part in zip(self.writers, parts):
+            if part:
+                writer.append_many(part)
 
     def append_cursor(self, key: str, cursor_ns: int) -> None:
-        """Cursor frames live on shard 0 (they are not sample-routed)."""
+        """Cursor frames live in partition 0 (they are not sample-routed)."""
         self.writers[0].append_cursor(key, cursor_ns)
 
     def record_cursors(self, cursors: dict) -> None:
-        """Seed and persist a cursor map on shard 0."""
+        """Seed and persist a cursor map in partition 0."""
         self.writers[0].record_cursors(cursors)
 
     def flush(self) -> None:
-        """Flush every shard's live segment."""
+        """Flush every partition's live segment."""
         for writer in self.writers:
             writer.flush()
 
-    def checkpoint(self, engine) -> List[str]:
-        """Checkpoint every shard of a sharded engine, in shard order."""
-        return [
-            writer.checkpoint(engine.shard(index))
-            for index, writer in enumerate(self.writers)
-        ]
+    def checkpoint(self, tsdb: Tsdb) -> List[str]:
+        """Checkpoint every partition's series of ``tsdb``, in partition
+        order, after one pass that groups the index by partition."""
+        routes = self.routes
+        parts = [_Partition() for _ in self.writers]
+        for item in tsdb.series_items():
+            parts[routes[item[0]]].append(item)
+        return [writer.checkpoint(part)
+                for writer, part in zip(self.writers, parts)]
 
 
-def open_log(disk: SimDisk, directory: str, engine: StorageEngine,
+def open_log(disk: SimDisk, directory: str, routes: PartitionMap,
              flush_every_records: int):
-    """Build and attach the log ``engine``'s layout needs: one
-    :class:`WalWriter` in ``directory`` for a single store, a
+    """The log a store writes through, over ``routes.count`` partitions:
+    one :class:`WalWriter` in ``directory`` for one, a
     :class:`ShardedWal` with one writer per ``shard-NN`` subdirectory
-    for a sharded one."""
-    if engine.shard_count == 1:
-        writer = WalWriter(disk, directory, flush_every_records)
-        engine.attach_wal(writer)
-        return writer
-    writers = [
+    for more."""
+    if routes.count == 1:
+        return WalWriter(disk, directory, flush_every_records)
+    return ShardedWal([
         WalWriter(disk, shard_directory(directory, index), flush_every_records)
-        for index in range(engine.shard_count)
-    ]
-    engine.attach_wals(writers)
-    return ShardedWal(writers)
+        for index in range(routes.count)
+    ], routes)
 
 
 def _sum_reports(shards: List[RecoveryReport]) -> RecoveryReport:
-    """One report for a sharded recovery: every counter summed, the
+    """One report for a partitioned recovery: every counter summed, the
     first checkpoint used, cursors newest per key (cursor frames are
-    written to shard 0 only; merging keeps media written by a different
-    shard layout correct)."""
+    written to partition 0 only; merging keeps media written by a
+    different partition layout correct)."""
     total = RecoveryReport(shards=shards)
     total.quarantine_only = all(r.quarantine_only for r in shards)
     for report in shards:
@@ -858,33 +897,35 @@ def recover_sharded(
     retention_ns: Optional[int] = None,
     crash_report: Optional[DiskCrashReport] = None,
     plan=None,
-) -> Tuple[StorageEngine, RecoveryReport]:
-    """Rebuild the engine :func:`open_log` logged for: one independent
-    :func:`recover` per shard (``shards=1`` is :func:`recover` itself).
+) -> Tuple[Tsdb, RecoveryReport]:
+    """Rebuild the store :func:`open_log` logged for over ``shards``
+    partitions (``shards=1`` is :func:`recover` itself).
 
-    Each shard replays only its own ``{directory}/shard-NN`` segments and
-    checkpoints, and the crash report's tails are attributed per shard by
-    the same directory-prefix filtering :func:`recover` already does —
-    which is what makes ``samples_lost_by_shard`` exact rather than a
-    deployment-wide estimate.
+    Each partition, in order, restores its own ``{directory}/shard-NN``
+    checkpoint and replays its own segments into the one store.  The
+    crash report's tails are attributed per partition by directory
+    prefix, which is what makes ``samples_lost_by_shard`` exact rather
+    than a deployment-wide estimate.  A series found in a partition it
+    does not route to raises :class:`TsdbError`: the log was written
+    with a different partition count, and appends would go astray.
     """
-    from repro.pmag.storage import ShardedTsdb
-
     if shards == 1:
         return recover(
             disk, directory, retention_ns=retention_ns,
             crash_report=crash_report, plan=plan,
         )
-    engine = ShardedTsdb(shards, retention_ns=retention_ns)
+    tsdb = Tsdb(retention_ns=retention_ns)
+    routes = PartitionMap(shards)
     reports: List[RecoveryReport] = []
     for index in range(shards):
-        tsdb, shard_report = recover(
-            disk,
-            directory=shard_directory(directory, index),
-            retention_ns=retention_ns,
-            crash_report=crash_report,
-            plan=plan,
-        )
-        engine.adopt_shard(index, tsdb)
-        reports.append(shard_report)
-    return engine, _sum_reports(reports)
+        def check(labels: Labels, index: int = index) -> None:
+            if routes[labels] != index:
+                raise TsdbError(
+                    f"series {labels!r} routes to shard {routes[labels]}, "
+                    f"not {index}: was this log written with a different "
+                    f"shard count?")
+
+        reports.append(recover(
+            disk, shard_directory(directory, index),
+            crash_report=crash_report, plan=plan, into=tsdb, check=check)[1])
+    return tsdb, _sum_reports(reports)

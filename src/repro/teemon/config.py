@@ -74,13 +74,11 @@ class TeemonConfig:
     wal_flush_every_s: Optional[float] = None
     #: Take a checkpoint (snapshot + segment truncation) this often.
     checkpoint_every_s: float = 300.0
-    #: Storage shards: 1 builds the plain :class:`~repro.pmag.tsdb.Tsdb`
-    #: (the exact pre-sharding path), >1 builds a
-    #: :class:`~repro.pmag.storage.ShardedTsdb` routing each series by
-    #: its stable label fingerprint.  With the WAL on, each shard gets
-    #: its own log directory and replays independently on recovery.
+    #: WAL partitions: the store is one :class:`~repro.pmag.tsdb.Tsdb`
+    #: index, and with the WAL on each series is logged in the
+    #: ``shard-NN`` directory its stable label fingerprint picks.
     storage_shards: int = 1
-    #: Shard fan-out runs in the calling thread: 0 is the only value.
+    #: Partition writes run in the calling thread: 0 is the only value.
     storage_executor_workers: int = 0
     #: Evaluate alerting rules and route notifications.  Off by default:
     #: alerting-off must cost nothing.
@@ -193,8 +191,8 @@ class TeemonConfig:
             raise DeploymentError("storage_shards must be >= 1")
         if self.storage_executor_workers != 0:
             raise DeploymentError(
-                "storage_executor_workers must be 0: shard fan-out runs in "
-                "the calling thread"
+                "storage_executor_workers must be 0: partition writes run "
+                "in the calling thread"
             )
         if self.remote_write_frame_samples < 1:
             raise DeploymentError("remote_write_frame_samples must be >= 1")

@@ -69,8 +69,8 @@ from repro.pmag.remote_write import (
 )
 from repro.pmag.rules import RecordingRule, RuleEvaluator, RuleGroup
 from repro.pmag.scrape import ScrapeManager, ScrapeTarget
-from repro.pmag.storage import StorageEngine, build_storage_engine
-from repro.pmag.wal import RecoveryReport, open_log
+from repro.pmag.tsdb import Tsdb
+from repro.pmag.wal import PartitionMap, RecoveryReport, open_log
 from repro.pman.analyzer import PmanAnalyzer, default_sgx_rules
 from repro.pmv.dashboards import (
     build_docker_dashboard,
@@ -224,12 +224,12 @@ class TeemonDeployment:
         self._create_services()
         self.session = MonitoringSession(self)
 
-    def _build_monitor(self, tsdb: Optional[StorageEngine] = None) -> None:
+    def _build_monitor(self, tsdb: Optional[Tsdb] = None) -> None:
         """(Re)create the monitoring process's in-memory objects.
 
-        ``tsdb`` is the recovered storage engine on resurrection, None on
-        first build (the engine is then built from config:
-        ``storage_shards`` picks monolith vs sharded).  Substrate objects
+        ``tsdb`` is the recovered store on resurrection, None on first
+        build (an empty one is then made; ``storage_shards`` partitions
+        its WAL, not the store).  Substrate objects
         (exporters, services, network, disk) are untouched; everything
         the aggregation process holds in memory is built fresh — which
         is exactly what a process restart does.
@@ -237,16 +237,19 @@ class TeemonDeployment:
         kernel = self.kernel
         config = self.config
         if tsdb is None:
-            tsdb = build_storage_engine(
-                config.storage_shards,
-                retention_ns=int(config.retention_hours * 3600 * NANOS_PER_SEC),
-            )
+            tsdb = Tsdb(retention_ns=int(
+                config.retention_hours * 3600 * NANOS_PER_SEC))
         self.tsdb = tsdb
+        #: Label set -> WAL partition, shared by the log and the
+        #: per-partition storage telemetry.
+        self.partitions = PartitionMap(config.storage_shards)
         self.wal = None
         if config.enable_wal:
             self.wal = open_log(
-                self.disk, config.wal_dir, tsdb, config.wal_flush_records
+                self.disk, config.wal_dir, self.partitions,
+                config.wal_flush_records,
             )
+            tsdb.attach_wal(self.wal)
         # Pipeline tracing: one tracer shared by the scraper, the query
         # engine and the rule evaluator, so a scrape cycle or a rule
         # evaluation is one connected trace.  Span ids come from a named
@@ -414,16 +417,32 @@ class TeemonDeployment:
                 url=self.self_exporter.url,
             ))
 
+    def storage_stats(self) -> Dict[str, object]:
+        """The store's series and samples per WAL partition
+        (``storage_shards`` of them): the ``teemon_storage_*`` shape."""
+        tsdb, partitions = self.tsdb, self.partitions
+        count = partitions.count
+        if count == 1:
+            return {"shards": 1, "per_shard": [
+                {"series": tsdb.series_count(), "samples": tsdb.sample_count()}]}
+        series, samples = [0] * count, [0] * count
+        for labels, storage in tsdb.series_items():
+            index = partitions[labels]
+            series[index] += 1
+            samples[index] += storage.sample_count
+        return {"shards": count, "per_shard": [
+            {"series": n, "samples": m} for n, m in zip(series, samples)]}
+
     def _self_sources(self) -> Dict[str, Reader]:
         """Readers of what this monitor runs, by ``teemon_self`` source
         name (see :data:`~repro.exporters.teemon_self.FAMILIES`)."""
-        tsdb, engine = self.tsdb, self.engine
+        engine = self.engine
         sources: Dict[str, Reader] = {
             "scrape": self.scrape_manager.self_stats,
-            "storage": tsdb.storage_stats,
+            "storage": lambda: {"shards": self.partitions.count},
             "shard": lambda: {
-                (str(index),): shard for index, shard
-                in enumerate(tsdb.storage_stats()["per_shard"])
+                (str(index),): row for index, row
+                in enumerate(self.storage_stats()["per_shard"])
             },
             "query_cache": lambda: vars(engine.cache_stats()),
         }
@@ -587,9 +606,9 @@ class TeemonDeployment:
             )
         self.crashed = True
 
-    def resurrect(self, tsdb: StorageEngine,
+    def resurrect(self, tsdb: Tsdb,
                   report: Optional[RecoveryReport] = None) -> None:
-        """Restart the monitor after :meth:`kill` with a recovered engine.
+        """Restart the monitor after :meth:`kill` with a recovered store.
 
         Rebuilds every in-memory monitor object around ``tsdb`` (normally
         the result of :func:`repro.pmag.wal.recover_sharded`, with its

@@ -102,8 +102,8 @@ class MonitoringSession:
         return dict(self._deployment.recovery_stats)
 
     def storage_stats(self) -> Dict[str, object]:
-        """The storage engine's shard layout."""
-        return self._deployment.tsdb.storage_stats()
+        """The store's series and samples per WAL partition."""
+        return self._deployment.storage_stats()
 
     # ------------------------------------------------------------------
     # Federation

@@ -65,7 +65,7 @@ class MonitorSupervisor:
 
     def recover(self) -> RecoveryReport:
         """Replay the WAL and resurrect the monitor; returns the report
-        (per-shard loss rides along in ``report.shards``)."""
+        (per-partition loss rides along in ``report.shards``)."""
         deployment = self.deployment
         if not deployment.crashed:
             raise DeploymentError("monitor is not crashed")

@@ -41,10 +41,12 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 _SHARDED = {"storage_shards": 4, "enable_wal": True}
 TEST_PROFILES = {
     "": {},
-    # 4-shard engine with the WAL on (durability rides the sharded path).
+    # 4 WAL partitions, with the WAL on (durability rides the
+    # partitioned log).
     "sharded": _SHARDED,
     # ... plus small remote-write frames: every uplink ships many frames
-    # per flush and the shard-routed receiver path gets full coverage.
+    # per flush and the receiver's partitioned write-through gets full
+    # coverage.
     "federated": {**_SHARDED, "remote_write_frame_samples": 50},
     # Sampled tracing always on, at a real (sub-1.0) head-sampling
     # probability so both keep and drop paths run; trace tests that need

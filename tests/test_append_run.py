@@ -13,9 +13,9 @@ from repro.errors import TsdbError
 from repro.pmag import archive
 from repro.pmag.chunks import CHUNK_SIZE, ChunkedSeries
 from repro.pmag.model import Labels, Matcher
-from repro.pmag.storage import ShardedTsdb, shard_for
+from repro.pmag.storage import shard_for
 from repro.pmag.tsdb import Tsdb
-from repro.pmag.wal import WalWriter, recover
+from repro.pmag.wal import PartitionMap, WalWriter, open_log, recover
 from repro.simkernel.disk import SimDisk
 
 SERIES = [Labels.of("m", i=str(i)) for i in range(3)] + [Labels({"job": "x"})]
@@ -109,22 +109,31 @@ def test_append_run_rejections_are_positions():
 
 
 def test_sharded_engine_routes_runs_to_the_owning_shard():
-    mono, sharded = Tsdb(), ShardedTsdb(4)
+    # A run lands in the one index and is logged whole in the partition
+    # its series routes to — the same records the per-shard writer of
+    # the sharded engine took.
+    mono, disk = Tsdb(), SimDisk()
+    store = Tsdb()
+    store.attach_wal(open_log(disk, "wal", PartitionMap(4), 0))
     for labels in SERIES[:3]:
-        for engine in (mono, sharded):
+        for engine in (mono, store):
             assert engine.append_run(labels, [1, 2, 2, 3], [0.0] * 4) == (3, 1)
-    assert sharded.select_arrays([], 0, 10) == mono.select_arrays([], 0, 10)
+    assert store.select_arrays([], 0, 10) == mono.select_arrays([], 0, 10)
+    writers = store._wal.writers  # noqa: SLF001
     for labels in SERIES[:3]:
-        owner = sharded.shard(shard_for(labels, 4))
-        assert owner.select_arrays([Matcher.eq("i", labels.get("i"))], 0, 10)
-    # Mismatched columns raise on both engines and change nothing.
-    for engine in (mono, sharded):
+        owner = shard_for(labels, 4)
+        assert [labels in writer._series for writer in writers] == [  # noqa: SLF001
+            index == owner for index in range(4)]
+    assert sum(writer.records_total for writer in writers) == 9
+    # Mismatched columns raise with or without the log and change nothing.
+    for engine in (mono, store):
         before = (engine.select_arrays([], 0, 10), engine.total_appends)
         for labels in (SERIES[0], Labels.of("m", i="new")):
             with pytest.raises(TsdbError, match="differ in length"):
                 engine.append_run(labels, [4, 5], [1.0])
         assert (engine.select_arrays([], 0, 10), engine.total_appends) == before
         assert engine.series_count() == 3
+    assert sum(writer.records_total for writer in writers) == 9
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ from repro.errors import TsdbError
 from repro.pmag.archive import MAGIC, VERSION, restore, snapshot
 from repro.pmag.chunks import CHUNK_SIZE
 from repro.pmag.model import Labels, Matcher
-from repro.pmag.storage import ShardedTsdb, series_fingerprint
+from repro.pmag.storage import series_fingerprint
 from repro.pmag.tsdb import Tsdb
 from repro.faults import FaultPlan
-from repro.pmag.wal import WalWriter, recover
+from repro.pmag.wal import PartitionMap, WalWriter, open_log, recover
 from repro.simkernel.clock import VirtualClock, seconds
 from repro.simkernel.disk import SimDisk
 from repro.simkernel.rng import DeterministicRng
@@ -302,17 +302,22 @@ def test_snapshot_body_bytes_match_the_list_based_reference(specs):
 @given(_archived_series, st.integers(1, 4))
 @settings(max_examples=40, deadline=None)
 def test_sharded_snapshot_bytes_match_the_list_based_reference(specs, shards):
-    # One layout for every engine: a sharded engine's series follow one
-    # another in shard order, each shard's in its own insertion order.
+    # One layout everywhere: a whole store snapshots in ingest order,
+    # and each WAL partition's checkpoint holds the series routed to it,
+    # in the same order.
     series = _series_with_stamps(specs)
-    engine = ShardedTsdb(shards)
-    _ingest(engine, series)
-    _assert_snapshot_of(snapshot(engine), reference_archive_body([
-        entry
-        for index in range(shards)
-        for entry in series
-        if series_fingerprint(entry[0]) % shards == index
-    ]))
+    disk = SimDisk()
+    tsdb = Tsdb()
+    log = open_log(disk, "wal", PartitionMap(shards), 0)
+    tsdb.attach_wal(log)
+    _ingest(tsdb, series)
+    _assert_snapshot_of(snapshot(tsdb), reference_archive_body(series))
+    names = log.checkpoint(tsdb)
+    for index, name in enumerate([names] if shards == 1 else names):
+        _assert_snapshot_of(bytes(disk.read(name)), reference_archive_body([
+            entry for entry in series
+            if series_fingerprint(entry[0]) % shards == index
+        ]))
 
 
 @given(_archived_series)

@@ -27,6 +27,7 @@ from repro.openmetrics import CollectorRegistry, encode_registry
 from repro.errors import TsdbError
 from repro.pmag import archive, wal
 from repro.pmag.scrape import ScrapeTarget
+from repro.pmag.storage import shard_for
 from repro.pmag.wal import RECORD_SAMPLES
 from repro.simkernel.clock import seconds
 from repro.simkernel.disk import SimDisk
@@ -231,7 +232,8 @@ def test_corrupt_wal_record_is_quarantined_without_aborting_recovery():
     corrupted = []
 
     def rot_one_run(rig):
-        segment = rig.deployment.wal.current_segment
+        log = rig.deployment.wal
+        segment = getattr(log, "writers", [log])[0].current_segment
         offset, samples = _runs(rig.disk.read(segment))[0]
         rig.disk._files[segment][offset + 8 + 10] ^= 0x01  # noqa: SLF001
         corrupted.append((segment, offset, samples))
@@ -330,15 +332,20 @@ def test_replay_interning_recovers_what_per_record_decoding_does(damage):
     tsdb, report, journal = replay()
     assert replay()[2] == journal
     directories = [segment.rsplit("/", 1)[0] for segment in segments]
-    shards = [tsdb.shard(i) for i in range(len(directories))] \
-        if len(directories) > 1 else [tsdb]
     lost = 0
-    for shard, directory in zip(shards, directories):
+    for index, directory in enumerate(directories):
+        # What partition ``index`` logs, in the one index's order.
+        view = [(labels, storage) for labels, storage in tsdb.series_items()
+                if shard_for(labels, len(directories)) == index]
         control, gone = _replay_per_record(rig.disk, directory, crash_report)
         lost += gone
-        assert ([labels for labels, _s in shard.series_items()]
+        assert ([labels for labels, _s in view]
                 == [labels for labels, _s in control.series_items()])
-        assert sample_set(shard, 0, end_ns) == sample_set(control, 0, end_ns)
+        assert {
+            (labels.items(), sample.time_ns, sample.value)
+            for labels, storage in view
+            for sample in storage.window(0, end_ns)
+        } == sample_set(control, 0, end_ns)
     assert report.samples_lost == lost
     assert report.records_replayed > 0
     if damage in (_rot_two_records, _splice_non_canonical_record):

@@ -54,7 +54,7 @@ def run_kill_loop(seed, torn=False, shards=1):
 
     # Capture the WAL's unflushed count at each kill: with clean
     # truncation it is exactly what the crash is about to destroy —
-    # per shard, when the WAL is sharded.
+    # per partition, when the WAL is partitioned.
     unflushed_at_crash = []
     unflushed_by_shard_at_crash = []
     real_crash = supervisor.crash
@@ -63,7 +63,7 @@ def run_kill_loop(seed, torn=False, shards=1):
         unflushed_at_crash.append(deployment.wal.unflushed_records)
         if shards > 1:
             unflushed_by_shard_at_crash.append(
-                list(deployment.wal.unflushed_by_shard)
+                [writer.unflushed_records for writer in deployment.wal.writers]
             )
         return real_crash()
 
@@ -153,9 +153,9 @@ def test_kill_loop_with_torn_writes_never_loses_more():
 
 
 def test_sharded_kill_loop_loss_is_exact_per_shard():
-    """The 4-shard durability contract: each crash's loss decomposes
-    exactly into the per-shard unflushed windows, and the resurrected
-    deployment carries the sharded layout forward."""
+    """The 4-partition durability contract: each crash's loss
+    decomposes exactly into the per-partition unflushed windows, and the
+    resurrected deployment carries the partitioned log forward."""
     soak = run_kill_loop(97, shards=4)
     supervisor = soak.supervisor
 
@@ -163,12 +163,13 @@ def test_sharded_kill_loop_loss_is_exact_per_shard():
     assert supervisor.crashes == supervisor.recoveries == len(soak.crash_times)
     assert not soak.deployment.crashed
 
-    # Every resurrection restored the 4-shard layout (engine and WAL).
-    assert soak.deployment.tsdb.shard_count == 4
-    assert soak.deployment.wal.shard_count == 4
+    # Every resurrection restored the 4-partition log and its telemetry.
+    assert len(soak.deployment.wal.writers) == 4
+    assert soak.deployment.session.storage_stats()["shards"] == 4
 
-    # Per-crash, per-shard exactness: shard k lost precisely the records
-    # its own WAL had not flushed — crash for crash, shard for shard.
+    # Per-crash, per-partition exactness: partition k lost precisely the
+    # records its own writer had not flushed — crash for crash,
+    # partition for partition.
     assert len(soak.unflushed_by_shard_at_crash) == supervisor.crashes
     for report, unflushed in zip(
         supervisor.reports, soak.unflushed_by_shard_at_crash
@@ -182,8 +183,8 @@ def test_sharded_kill_loop_loss_is_exact_per_shard():
     assert (soak.deployment.session.recovery_stats()["samples_lost"]
             == sum(losses))
 
-    # More than one shard actually took losses across the loop — the
-    # decomposition is not vacuous.
+    # More than one partition actually took losses across the loop —
+    # the decomposition is not vacuous.
     lost_per_shard = [
         sum(by_shard[k] for by_shard in soak.unflushed_by_shard_at_crash)
         for k in range(4)

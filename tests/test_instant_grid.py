@@ -14,7 +14,6 @@ import pytest
 from repro.errors import QueryError
 from repro.pmag.query.engine import QueryEngine
 from repro.pmag.query.parser import parse_query
-from repro.pmag.storage import build_storage_engine
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import VirtualClock, seconds
 from repro.simkernel.rng import DeterministicRng
@@ -26,6 +25,7 @@ from tests.test_perf_equivalence import (
     _fill,
     _series_strategy,
 )
+from tests.test_storage_engine import partitioned
 
 #: Shapes that raise: both evaluators must refuse them the same way,
 #: with or without data underneath.
@@ -47,9 +47,10 @@ _STORES = ("monolith", "sharded")
 
 
 def _store(kind, values_by_series):
-    """A filled store of ``kind``."""
-    shards = 4 if kind == "sharded" else 1
-    return _fill(build_storage_engine(shards), values_by_series)
+    """A filled store of ``kind``: without a WAL, or writing through a
+    4-partition one."""
+    return _fill(partitioned(4) if kind == "sharded" else Tsdb(),
+                 values_by_series)
 
 
 def _outcome(evaluate):

@@ -5,8 +5,8 @@ semantics it replaced:
 
 * step-grid range evaluation (``range_query``) vs per-step evaluation
   (``range_query_per_step``, the seed algorithm, kept in
-  ``tests/query_oracle.py``) — on a monolith and through a sharded
-  engine;
+  ``tests/query_oracle.py``) — on a store without a WAL and on one
+  writing through a 4-partition WAL;
 * indexed chunk windows (``window``/``window_arrays``) vs a linear decode
   of ``chunk.samples()`` (the seed algorithm, re-implemented here);
 * column-form range functions vs the Sample-form originals;
@@ -32,10 +32,10 @@ from repro.pmag.query.functions import (
     COLUMN_RANGE_FUNCTIONS,
     window_bounds,
 )
-from repro.pmag.storage import build_storage_engine
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import seconds
 from tests.query_oracle import RANGE_FUNCTIONS, range_query_per_step
+from tests.test_storage_engine import partitioned
 
 # ---------------------------------------------------------------------------
 # Step-grid vs per-step range evaluation
@@ -190,8 +190,8 @@ def test_bulk_range_query_matches_per_step(values_by_series, query, grid, lookba
 def test_bulk_range_query_matches_per_step_sharded(
     values_by_series, query, grid, lookback
 ):
-    """The same panel through a 4-shard engine."""
-    tsdb = _fill(build_storage_engine(4), values_by_series)
+    """The same panel over a store writing through a 4-partition WAL."""
+    tsdb = _fill(partitioned(4), values_by_series)
     engine = QueryEngine(tsdb, lookback_ns=lookback)
     window = _grid(values_by_series, *grid)
     assert _bits(engine.range_query(query, *window)) == _bits(
@@ -230,7 +230,7 @@ _REENTRANT_QUERIES = (
 
 
 def _reentrancy_store(shards=1):
-    tsdb = build_storage_engine(shards)
+    tsdb = Tsdb() if shards == 1 else partitioned(shards)
     _fill(tsdb, {
         (name, idx): (idx, [float((step * 7 + idx * 13) % 50)
                             for step in range(60)])
@@ -272,8 +272,8 @@ def test_range_query_is_reentrant_through_a_selector_callback():
 
 
 def test_range_query_is_reentrant_across_threads():
-    """Threads sharing one engine over a sharded store: every result
-    equals the single-threaded one."""
+    """Threads sharing one engine over a store with a partitioned WAL:
+    every result equals the single-threaded one."""
     tsdb = _reentrancy_store(shards=4)
     engine = QueryEngine(tsdb)
     cases = list(zip(_REENTRANT_QUERIES, _windows()))

@@ -17,9 +17,10 @@ from repro.pmag.query.nodes import (
     VectorSelector,
 )
 from repro.pmag.query.parser import parse_query
-from repro.pmag.storage import build_storage_engine
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import seconds
+
+from tests.test_storage_engine import partitioned
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +308,7 @@ def test_scalar_requires_single_value(populated):
 # Counter functions: Prometheus' closed form, hand-computed
 # ---------------------------------------------------------------------------
 ENGINES = pytest.mark.parametrize(
-    "build", [Tsdb, lambda: build_storage_engine(4)],
+    "build", [Tsdb, lambda: partitioned(4)],
     ids=["monolith", "sharded4"],
 )
 

@@ -22,7 +22,7 @@ from repro.pmag.remote_write import (
     sequence_cursor_key,
     watermark_cursor_key,
 )
-from repro.pmag.storage import ShardedTsdb, series_fingerprint
+from repro.pmag.storage import series_fingerprint
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import VirtualClock, seconds
 from repro.simkernel.kernel import Kernel
@@ -42,6 +42,7 @@ from tests.codec_oracle import (
     reference_encode_frame,
     wire_entries,
 )
+from tests.test_storage_engine import partitioned
 
 
 def _entries(count, start_ns=1, metric="m_total", **labels):
@@ -64,7 +65,8 @@ def test_frame_roundtrip():
 
 def test_frame_blocks_are_shard_partitioned_per_series():
     # v3 frames carry one block per series, stamped with the same CRC32
-    # fingerprint ShardedTsdb routes on, labels encoded once per frame.
+    # fingerprint the WAL partitions route on, labels encoded once per
+    # frame.
     entries = (
         _entries(3, job="sgx", instance="n0")
         + _entries(2, start_ns=10, metric="other_total", job="sgx",
@@ -233,7 +235,7 @@ def _damaged_variants(body):
                         label_count=count_a), second)
 
 
-@pytest.mark.parametrize("engine", [Tsdb, lambda: ShardedTsdb(shards=4)],
+@pytest.mark.parametrize("engine", [Tsdb, lambda: partitioned(4)],
                          ids=["monolith", "sharded"])
 def test_damaged_frames_with_interned_headers_are_rejected(engine):
     tsdb = engine()
@@ -264,9 +266,9 @@ def test_damaged_frames_with_interned_headers_are_rejected(engine):
 
 
 def test_first_sight_of_a_series_verifies_its_stamp_on_a_monolith():
-    # The stamp used to be checked only by ShardedTsdb, whose TsdbError
-    # escaped handle() with no frame counter bumped.
-    for tsdb in (Tsdb(), ShardedTsdb(shards=4)):
+    # The stamp used to be checked only by the sharded engine, whose
+    # TsdbError escaped handle() with no frame counter bumped.
+    for tsdb in (Tsdb(), partitioned(4)):
         receiver = RemoteWriteReceiver(tsdb)
         bad = frame_from_blocks("leaf-0", 0, 1, 1, [reference_block(
             series_fingerprint(SERIES_A) ^ 1, SERIES_A.items(), [(1, 0.0)])])
@@ -701,9 +703,9 @@ def test_aggregate_client_ships_only_filtered_series():
 
 
 def test_sharded_receiver_ledger_matches_flat_ingest():
-    # The same frames applied to a sharded engine (fingerprint-routed
-    # blocks) and a monolith must accept/reject identically, so the
-    # dedup ledger reconciles regardless of layout.
+    # The same frames applied to a store with a 4-partition WAL and one
+    # without must accept/reject identically, so the dedup ledger
+    # reconciles regardless of layout.
     entries = (
         _entries(40, job="sgx", instance="n0")
         + _entries(40, start_ns=1, metric="other_total", job="sgx",
@@ -715,7 +717,7 @@ def test_sharded_receiver_ledger_matches_flat_ingest():
     ]
     duplicate = encode_frame("replica-1", 0, 1, entries[:30])
     flat, sharded = RemoteWriteReceiver(Tsdb()), RemoteWriteReceiver(
-        ShardedTsdb(shards=4))
+        partitioned(4))
     for receiver in (flat, sharded):
         for body in frames:
             receiver.handle(body)

@@ -4,8 +4,8 @@ A :class:`RemoteWriteClient` collects each flush window from its
 engine's arrival feed and reads the store only to catch up.  The
 hypothesis state machine below runs it beside
 :class:`tests.remote_write_oracle.ReferenceClient`, which reads every
-window from the store, on one shared engine (monolith and 4 shards)
-through arbitrary interleavings of ingest — rejected, future and
+window from the store, on one shared store (without a WAL, and with a
+4-partition one) through arbitrary interleavings of ingest — rejected, future and
 behind-watermark samples included — flushes, late arrivals, stop,
 seed, retention shorter than a flush, and deletes.  After
 every flush both must have queued the same ``(seq, entries, end_ns)``
@@ -30,12 +30,13 @@ from repro.orchestration.fleet import NodeFleet
 from repro.orchestration.kubernetes import Cluster
 from repro.pmag.model import Labels, Matcher
 from repro.pmag.remote_write import RemoteWriteClient, encode_frame
-from repro.pmag.storage import ShardedTsdb, series_fingerprint
+from repro.pmag.storage import series_fingerprint
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import VirtualClock, seconds
 from repro.simkernel.rng import DeterministicRng
 from repro.teemon import FederationTopology, TeemonConfig
 from tests.remote_write_oracle import ReferenceClient
+from tests.test_storage_engine import partitioned
 
 SERIES = [Labels.of("m", job="a", i=str(i)) for i in range(3)] + [
     Labels.of("n", job="b", i="3"),
@@ -89,7 +90,7 @@ class FeedMachine(RuleBasedStateMachine):
         if self.SHARDS == 1:
             self.tsdb = Tsdb(retention_ns=RETENTION_NS)
         else:
-            self.tsdb = ShardedTsdb(self.SHARDS, retention_ns=RETENTION_NS)
+            self.tsdb = partitioned(self.SHARDS, retention_ns=RETENTION_NS)
         self.client = _client(RemoteWriteClient, self.clock, self.tsdb)
         self.reference = _client(ReferenceClient, self.clock, self.tsdb)
 
@@ -220,7 +221,7 @@ def test_steady_flushes_never_catch_up_and_a_late_arrival_costs_one():
 @pytest.mark.parametrize("shards", [1, 4])
 def test_stopped_client_retains_nothing_and_catches_up_exactly(shards):
     clock = VirtualClock()
-    tsdb = Tsdb() if shards == 1 else ShardedTsdb(shards)
+    tsdb = Tsdb() if shards == 1 else partitioned(shards)
     client, reference = (
         _client(cls, clock, tsdb, max_frame_samples=500, queue_max_frames=64)
         for cls in (RemoteWriteClient, ReferenceClient))
@@ -236,8 +237,7 @@ def test_stopped_client_retains_nothing_and_catches_up_exactly(shards):
         c.flush()
         c.stop()
     assert client._feed is None
-    stores = tsdb._shards if shards > 1 else [tsdb]
-    assert all(store._feeds == [] for store in stores)
+    assert tsdb._feeds == []
     ingest(6, 100)  # 10k samples while stopped
     assert client._feed is None
     clock.advance(100)
@@ -253,7 +253,7 @@ def test_stopped_client_retains_nothing_and_catches_up_exactly(shards):
 def test_samples_removed_before_the_flush_never_ship(shards, removal):
     clock = VirtualClock()
     tsdb = (Tsdb(retention_ns=20) if shards == 1 else
-            ShardedTsdb(shards, retention_ns=20))
+            partitioned(shards, retention_ns=20))
     client, reference = (
         _client(cls, clock, tsdb, max_frame_samples=500, queue_max_frames=64)
         for cls in (RemoteWriteClient, ReferenceClient))

@@ -7,9 +7,7 @@ columns skip the reset scan.  These tests hold that:
 
 * whenever the flag is true, :func:`counter_resets` finds nothing and the
   window holds no NaN — so the shortcut answers what the scan would;
-* the flagged columns equal the unflagged ones float bit for float bit,
-  on a monolith and on a 4-shard engine, whose selects agree flag for
-  flag;
+* the flagged columns equal the unflagged ones float bit for float bit;
 * over series built by scalar appends, runs, a snapshot restore
   (``adopt_chunk``) and retention, with windows that cut chunks, NaN,
   ``±inf``, drops landing on chunk boundaries, plateaus, and a head
@@ -29,7 +27,6 @@ from repro.pmag.query.engine import QueryEngine
 from repro.pmag.query.functions import (
     COLUMN_RANGE_FUNCTIONS, counter_resets, window_bounds,
 )
-from repro.pmag.storage import ShardedTsdb
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import seconds
 
@@ -98,44 +95,16 @@ def _stream():
     )))
 
 
-# ---------------------------------------------------------------------------
-# Engines under test
-# ---------------------------------------------------------------------------
-def _engines():
-    return [Tsdb(), ShardedTsdb(4)]
-
-
-def _restored(engine):
-    """The engine round-tripped through a snapshot: chunks come back
-    through ``adopt_chunk`` with the layout they had."""
-    restored = restore(bytes(snapshot(engine)))
-    if isinstance(engine, Tsdb):
-        return restored
-    sharded = ShardedTsdb(4)
-    for labels, storage in restored.series_items():
-        sharded.install_series(labels, storage)
-    return sharded
-
-
 def _grid_windows(start_ns, end_ns, range_ns, step_ns):
     return [(t - range_ns, t) for t in range(start_ns, end_ns + 1, step_ns)]
 
 
-def _check(engines, start_ns, end_ns, range_ns, step_ns):
-    """Select on every engine; the flags agree, hold what they claim, and
-    the flagged counter columns match the general path bit for bit."""
-    selected = [
-        engine.select_arrays(SELECT_M, start_ns - range_ns, end_ns)
-        for engine in engines
-    ]
-    listed = [
-        [(labels, list(times), list(values), flag)
-         for labels, times, values, flag in one]
-        for one in selected
-    ]
-    assert _bits(listed[0]) == _bits(listed[1])
+def _check(tsdb, start_ns, end_ns, range_ns, step_ns):
+    """Select; the flags hold what they claim, and the flagged counter
+    columns match the general path bit for bit."""
     windows = _grid_windows(start_ns, end_ns, range_ns, step_ns)
-    for _labels, times, values, reset_free in selected[0]:
+    for _labels, times, values, reset_free in tsdb.select_arrays(
+            SELECT_M, start_ns - range_ns, end_ns):
         assert isinstance(reset_free, bool)
         if not reset_free:
             continue
@@ -172,14 +141,14 @@ def _ingest(engine, labels, times, values, scalar):
 def test_reset_free_columns_match_the_general_path(
     streams, pieces, snapshot_midway, retention_s, queries
 ):
-    engines = _engines()
+    tsdb = Tsdb()
     longest = max(len(values) for values in streams)
     end_s = longest + 1
 
     def check_all():
         for a, b, range_s, step_s in queries:
             low, high = sorted((min(a, end_s), min(b, end_s)))
-            _check(engines, seconds(low), seconds(high),
+            _check(tsdb, seconds(low), seconds(high),
                    seconds(range_s), seconds(step_s))
 
     position = 0
@@ -190,19 +159,18 @@ def test_reset_free_columns_match_the_general_path(
             if seam_reset and piece:
                 piece[0] = 0.0
             times = [_time(i) for i in range(position, position + len(piece))]
-            for engine in engines:
-                _ingest(engine, _labels(index), times, piece, scalar)
+            _ingest(tsdb, _labels(index), times, piece, scalar)
         position = upto
         check_all()
         if snapshot_midway and number == 0:
-            engines = [_restored(engine) for engine in engines]
+            # Chunks come back through ``adopt_chunk`` with their layout.
+            tsdb = restore(bytes(snapshot(tsdb)))
             check_all()
         if position >= longest:
             break
     if retention_s is not None:
-        for engine in engines:
-            engine.retention_ns = seconds(retention_s)
-            engine.enforce_retention(seconds(end_s))
+        tsdb.retention_ns = seconds(retention_s)
+        tsdb.enforce_retention(seconds(end_s))
         check_all()
 
 
@@ -211,15 +179,15 @@ def test_reset_free_columns_match_the_general_path(
 def test_rate_queries_match_the_per_step_oracle(values, lag_s, range_s):
     """Through the query engine: the grid hands the flag on, and what it
     returns is what the seed per-step evaluator computes."""
-    for engine in _engines():
-        engine.append_run(_labels(0), [_time(i) for i in range(len(values))],
-                          values)
-        end = seconds(len(values) + 1)
-        window = (max(0, end - seconds(lag_s)), end, seconds(7))
-        query_engine = QueryEngine(engine)
-        for query in (f"rate(m[{range_s}s])", f"increase(m[{range_s}s])"):
-            assert _bits(query_engine.range_query(query, *window)) == _bits(
-                range_query_per_step(engine, query, *window))
+    tsdb = Tsdb()
+    tsdb.append_run(_labels(0), [_time(i) for i in range(len(values))],
+                    values)
+    end = seconds(len(values) + 1)
+    window = (max(0, end - seconds(lag_s)), end, seconds(7))
+    query_engine = QueryEngine(tsdb)
+    for query in (f"rate(m[{range_s}s])", f"increase(m[{range_s}s])"):
+        assert _bits(query_engine.range_query(query, *window)) == _bits(
+            range_query_per_step(tsdb, query, *window))
 
 
 # ---------------------------------------------------------------------------

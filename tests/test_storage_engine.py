@@ -1,45 +1,71 @@
-"""Equivalence and exactness proofs for the pluggable storage engine.
+"""One index, a partitioned write-ahead log.
 
-The sharded engine is only admissible if nothing above it can tell:
+``storage_shards`` splits the WAL, never the store: every series lives in
+the one :class:`Tsdb`, and each is logged in the partition
+:func:`shard_for` names.  This file holds:
 
-* any ingest sequence, any shard count — ``select``/``select_arrays``/
-  ``label_values``/``latest`` and a full instant + range query panel are
-  identical between :class:`ShardedTsdb` and the monolith (hypothesis
-  properties);
-* the same chaos seed produces the same TSDB digest whether the rig runs
-  a monolith, ``build_storage_engine(1)``, or a 4-shard engine;
-* archives round-trip: every engine snapshots into the one layout, and
-  restore always builds a plain monolith with the same series.
+* routing is stable and spreads series over the partitions;
+* the store with a partitioned log attached (:func:`partitioned`, the
+  shape ``storage_shards=N`` deploys) ingests, rejects, deletes and
+  expires like the store without one;
+* the partitioned log against :mod:`tests.sharded_oracle` — N whole
+  stores with one log each, the engine it replaced: one seeded sequence
+  of batches, flushes, checkpoints, retention, bit rot, torn crashes
+  and recoveries leaves the same bytes on both media, recovers the same
+  samples and reports the same loss, partition for partition;
+* archives: one layout, restored into the one index;
+* the deployment's per-partition storage telemetry.
 """
+
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
 from repro.errors import TsdbError
+from repro.pmag import wal
 from repro.pmag.archive import restore, snapshot
 from repro.pmag.model import Labels, Matcher
 from repro.pmag.query.engine import QueryEngine
 from repro.pmag.remote_write import decode_frame_blocks, encode_frame
 from repro.pmag.storage import (
     ShardedTsdb,
-    StorageEngine,
     build_storage_engine,
     series_fingerprint,
     shard_for,
 )
 from repro.pmag.tsdb import Tsdb
+from repro.pmag.wal import PartitionMap, ShardedWal, WalWriter, open_log
 from repro.simkernel.clock import seconds
+from repro.simkernel.disk import SimDisk
 
+from tests import sharded_oracle
+from tests.codec_oracle import reference_archive_body, reference_deflated_snapshot
 from tests.test_chaos import MIXED, build_rig, drive, tsdb_digest
+
+
+def partitioned(partitions=4, retention_ns=None, disk=None):
+    """The store as ``storage_shards=partitions`` deploys it with the WAL
+    on: one index writing through a partitioned log."""
+    tsdb = Tsdb(retention_ns=retention_ns)
+    tsdb.attach_wal(open_log(disk if disk is not None else SimDisk(), "wal",
+                             PartitionMap(partitions), 0))
+    return tsdb
+
+
+def _logged(tsdb):
+    """Series each partition's writer has logged, in partition order."""
+    return [set(writer._series) for writer in tsdb._wal.writers]  # noqa: SLF001
+
 
 # ---------------------------------------------------------------------------
 # Routing is stable
 # ---------------------------------------------------------------------------
 
 def test_fingerprint_is_stable_across_processes():
-    # The fingerprint is part of the on-disk contract: per-shard WAL
-    # directories assume a series routes to the same shard forever.
+    # The fingerprint is part of the on-disk contract: per-partition WAL
+    # directories assume a series routes to the same partition forever.
     # Pin the value so an accidental change fails loudly.
     labels = Labels.of("ebpf_syscalls_total", name="read", job="ebpf")
     assert series_fingerprint(labels) == 4197115419
@@ -71,8 +97,9 @@ def _listed(selected):
 
 @pytest.mark.parametrize("pair", _COLLIDING)
 def test_colliding_fingerprints_stay_distinct_series(pair):
-    # A fingerprint picks a shard and guards a frame block's integrity;
-    # series are keyed by their labels, so a collision only shares a shard.
+    # A fingerprint picks a partition and guards a frame block's
+    # integrity; series are keyed by their labels, so a collision only
+    # shares a partition.
     first, second = pair
     assert first != second
     assert series_fingerprint(first) == series_fingerprint(second)
@@ -82,10 +109,10 @@ def test_colliding_fingerprints_stay_distinct_series(pair):
         (first, [seconds(1), seconds(2)], [1.0, 3.0]),
         (second, [seconds(1), seconds(2)], [2.0, 4.0]),
     ], key=lambda entry: entry[0].items())
-    engine = ShardedTsdb(4)
-    assert engine.append_batch(entries) == []
-    assert engine.shard(shard_for(first, 4)).series_count() == 2
-    assert _listed(engine.select_arrays([], 0, seconds(3))) == expected
+    store = partitioned(4)
+    assert store.append_batch(entries) == []
+    assert _logged(store)[shard_for(first, 4)] == {first, second}
+    assert _listed(store.select_arrays([], 0, seconds(3))) == expected
     interned = {}
     for seq in (1, 2):  # the second decode meets the interned headers
         _sender, _epoch, _seq, blocks = decode_frame_blocks(
@@ -94,46 +121,45 @@ def test_colliding_fingerprints_stay_distinct_series(pair):
             (first, [(seconds(1), 1.0), (seconds(2), 3.0)]),
             (second, [(seconds(1), 2.0), (seconds(2), 4.0)]),
         ]
-        receiver = ShardedTsdb(4)
+        receiver = partitioned(4)
         assert receiver.append_fingerprinted(blocks) == 0
         assert _listed(receiver.select_arrays([], 0, seconds(3))) == expected
 
 
 def test_every_series_lives_on_exactly_one_shard():
-    engine = ShardedTsdb(4)
+    store = partitioned(4)
     for i in range(40):
-        engine.append_sample("metric", seconds(1), float(i), idx=str(i))
-    counts = [engine.shard(k).series_count() for k in range(4)]
-    assert sum(counts) == engine.series_count() == 40
-    assert sum(1 for c in counts if c) > 1  # routing actually spreads
-    for k in range(4):
-        for labels, _storage in engine.shard(k).series_items():
-            assert shard_for(labels, 4) == k
+        store.append_sample("metric", seconds(1), float(i), idx=str(i))
+    logged = _logged(store)
+    assert sum(map(len, logged)) == store.series_count() == 40
+    assert sum(1 for part in logged if part) > 1  # routing actually spreads
+    for k, part in enumerate(logged):
+        assert all(shard_for(labels, 4) == k for labels in part)
+    # The partition view the deployment reports covers the one index.
+    stats = PartitionMap(4)
+    assert sorted(stats[labels] for labels, _s in store.series_items()) == (
+        sorted(k for k, part in enumerate(logged) for _ in part))
 
 
 # ---------------------------------------------------------------------------
-# One interface on two classes
+# One class under two names
 # ---------------------------------------------------------------------------
 
-#: Public names only one engine has: the sharded engine's shard plumbing,
-#: and what each of its shards hands up to it.
-_SHARD_PLUMBING = {
-    "shard", "adopt_shard", "attach_wals", "latest_keyed", "shard_stats",
-}
-
-#: The entry points written once, on the monolith, in terms of the others.
+#: The entry points written once, on the store, in terms of the others.
 _SHARED = (
     "append", "append_sample", "append_fingerprinted", "select",
     "select_metric", "metric_names", "select_rollups", "compact",
 )
 
 
-def _public(engine):
-    return {name for name in dir(engine) if not name.startswith("_")}
-
-
-def test_both_engines_carry_the_whole_interface():
-    assert _public(Tsdb()) ^ _public(ShardedTsdb(2)) == _SHARD_PLUMBING
+def test_sharded_tsdb_is_the_one_index_and_takes_no_shard_count():
+    # ShardedTsdb stays a name for the one class.  A leftover
+    # ShardedTsdb(4) must fail, not build a store with a 4 ns retention.
+    assert ShardedTsdb is Tsdb
+    with pytest.raises(TypeError):
+        ShardedTsdb(4)
+    assert Tsdb(retention_ns=4).retention_ns == 4
+    assert type(build_storage_engine(4)) is Tsdb
 
 
 @pytest.mark.parametrize("name", _SHARED)
@@ -142,105 +168,192 @@ def test_sharded_engine_binds_the_monolith_function(name):
 
 
 # ---------------------------------------------------------------------------
-# Sharded vs monolith: byte-identical reads for any ingest
+# The partitioned log against the sharded oracle
 # ---------------------------------------------------------------------------
 
-_series_strategy = st.dictionaries(
-    st.tuples(st.sampled_from(("read", "write", "futex", "mmap")),
-              st.integers(0, 3)),
-    st.lists(st.floats(0, 1e6, allow_nan=False), min_size=1, max_size=30),
-    min_size=1, max_size=8,
-)
+_POOL = [Labels.of("m", i=str(i), job="j") for i in range(8)] + [
+    Labels({"job": "nameless"})]  # no metric name: rejected
+#: Small enough that batches straddle flush and rotation boundaries.
+_FLUSH_EVERY, _SEGMENT_MAX, _RETENTION_NS = 8, 13, 60
+
+_KINDS = ("batch",) * 9 + ("flush", "flush", "checkpoint", "cursor",
+                          "retention", "retention", "rot", "crash", "crash",
+                          "crash")
 
 
-def _ingest(engine: StorageEngine, values_by_series) -> None:
-    for (name, idx), values in values_by_series.items():
-        for step, value in enumerate(values):
-            engine.append_sample(
-                "ebpf_syscalls_total", (step + 1) * seconds(5), value,
-                name=name, idx=str(idx), job="ebpf",
-            )
+def _ops(rng, count):
+    """A seeded sequence of what can happen to a log, mostly batches so
+    crashes find unflushed samples to lose."""
+    for _ in range(count):
+        kind = rng.choice(_KINDS)
+        if kind == "batch":
+            yield kind, [(rng.randrange(len(_POOL)), rng.randint(-1, 3))
+                         for _ in range(rng.randint(0, 12))]
+        elif kind == "crash":
+            # Torn bytes: none (the whole unflushed tail is lost) or a prefix.
+            yield kind, rng.choice((0, rng.randint(1, 300)))
+        else:
+            yield kind, rng.randrange(2**20)
 
 
-_MATCHER_SETS = (
-    [],
-    [Matcher.eq("__name__", "ebpf_syscalls_total")],
-    [Matcher.eq("name", "read")],
-    [Matcher.eq("name", "nope")],
-    [Matcher.regex("name", "r.*|f.*")],
-    [Matcher.ne("idx", "0")],
-    [Matcher.eq("__name__", "ebpf_syscalls_total"), Matcher.eq("idx", "1")],
-)
+class _Side:
+    """One store, its log and its disk: the production layout or the
+    oracle's."""
+
+    def __init__(self, partitions, oracle):
+        self.partitions, self.oracle = partitions, oracle
+        self.disk = SimDisk()
+        #: Bytes of each unflushed tail the next crash leaves behind.
+        self.torn = 0
+        self.disk.add_crash_fault(lambda _name, _tail: self.torn)
+        self.store = (
+            sharded_oracle.ShardedTsdb(partitions, retention_ns=_RETENTION_NS)
+            if oracle else Tsdb(retention_ns=_RETENTION_NS))
+        self._open()
+
+    def _open(self):
+        if self.oracle:
+            self.log = sharded_oracle.open_log(
+                self.disk, "wal", self.store, _FLUSH_EVERY, _SEGMENT_MAX)
+            return
+        self.log = ShardedWal([
+            WalWriter(self.disk, wal.shard_directory("wal", index),
+                      _FLUSH_EVERY, _SEGMENT_MAX)
+            for index in range(self.partitions)
+        ], PartitionMap(self.partitions))
+        self.store.attach_wal(self.log)
+
+    def crash_and_recover(self, torn):
+        self.torn = torn
+        crash_report = self.disk.crash()
+        recover = (sharded_oracle.recover_sharded if self.oracle
+                   else wal.recover_sharded)
+        self.store, report = recover(
+            self.disk, "wal", self.partitions, retention_ns=_RETENTION_NS,
+            crash_report=crash_report)
+        self._open()
+        return report
+
+    def rot(self, pick):
+        names = self.disk.list_files()
+        data = self.disk._files[names[pick % len(names)]]  # noqa: SLF001
+        if data:
+            data[pick % len(data)] ^= 0x40
+
+    def medium(self):
+        return [(name, self.disk.read(name), self.disk.synced_size(name))
+                for name in self.disk.list_files()]
+
+    def contents(self):
+        return {
+            labels: [(s.time_ns, s.value)
+                     for s in storage.window(-2**63, 2**63 - 1)]
+            for labels, storage in self.store.series_items()
+        }
 
 
-@given(_series_strategy, st.integers(2, 8), st.integers(0, 40))
-@settings(max_examples=80, deadline=None)
-def test_sharded_reads_match_monolith(values_by_series, shards, start_s):
-    mono, sharded = Tsdb(), ShardedTsdb(shards)
-    _ingest(mono, values_by_series)
-    _ingest(sharded, values_by_series)
-    start_ns, end_ns = seconds(start_s), seconds(1000)
-    for matchers in _MATCHER_SETS:
-        assert (sharded.select(matchers, start_ns, end_ns)
-                == mono.select(matchers, start_ns, end_ns))
-        assert (sharded.select_arrays(matchers, start_ns, end_ns)
-                == mono.select_arrays(matchers, start_ns, end_ns))
-    for label in ("__name__", "name", "idx", "job", "absent"):
-        assert sharded.label_values(label) == mono.label_values(label)
-    assert sharded.latest("ebpf_syscalls_total") == mono.latest(
-        "ebpf_syscalls_total"
-    )
-    assert sharded.latest("ebpf_syscalls_total", name="read") == mono.latest(
-        "ebpf_syscalls_total", name="read"
-    )
-    assert sharded.series_count() == mono.series_count()
-    assert sharded.sample_count() == mono.sample_count()
-    assert sharded.total_appends == mono.total_appends
-    assert sharded.metric_names() == mono.metric_names()
-
-
-#: Instant + range panel: selectors, range functions, grouping,
-#: arithmetic — everything the dashboards throw at the engine.
-_QUERY_PANEL = (
-    "ebpf_syscalls_total",
-    'ebpf_syscalls_total{name="read"}',
-    "rate(ebpf_syscalls_total[1m])",
-    "avg_over_time(ebpf_syscalls_total[2m])",
-    "max_over_time(ebpf_syscalls_total[1m])",
-    "sum by (name) (rate(ebpf_syscalls_total[1m]))",
-    "sum(ebpf_syscalls_total)",
-    "rate(ebpf_syscalls_total[1m]) * 2 + 1",
-)
-
-
-@given(_series_strategy, st.integers(2, 6))
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_sharded_query_panel_matches_monolith(values_by_series, shards):
-    mono, sharded = Tsdb(), ShardedTsdb(shards)
-    _ingest(mono, values_by_series)
-    _ingest(sharded, values_by_series)
-    mono_engine, sharded_engine = QueryEngine(mono), QueryEngine(sharded)
-    now_ns = seconds(150)
-    for query in _QUERY_PANEL:
-        assert (sharded_engine.instant(query, now_ns)
-                == mono_engine.instant(query, now_ns)), query
-        assert (sharded_engine.range_query(query, seconds(30), now_ns, seconds(15))
-                == mono_engine.range_query(query, seconds(30), now_ns, seconds(15))), query
+def test_partitioned_log_matches_the_sharded_oracle(partitions, seed):
+    index, oracle = _Side(partitions, False), _Side(partitions, True)
+    sides = (index, oracle)
+    newest = {}
+    now = 0
+    for op, arg in _ops(random.Random(seed), 80):
+        if op == "batch":
+            entries = []
+            for pick, step in arg:
+                labels = _POOL[pick]
+                time_ns = newest.get(labels, 0) + step
+                newest[labels] = max(newest.get(labels, 0), time_ns)
+                now = max(now, time_ns)
+                entries.append((labels, time_ns, time_ns / 4))
+            assert (index.store.append_batch(entries)
+                    == oracle.store.append_batch(entries))
+        elif op == "flush":
+            for side in sides:
+                side.log.flush()
+        elif op == "checkpoint":
+            for side in sides:
+                side.log.checkpoint(side.store)
+        elif op == "cursor":
+            for side in sides:
+                side.log.append_cursor("rules/a", arg)
+        elif op == "retention":
+            now += arg % 120
+            assert (index.store.enforce_retention(now)
+                    == oracle.store.enforce_retention(now))
+        elif op == "rot":
+            # One bit flipped at the same place on both media.
+            for side in sides:
+                side.rot(arg)
+        else:
+            report = index.crash_and_recover(arg)
+            assert report == oracle.crash_and_recover(arg)
+            assert len(report.shards) == partitions
+            assert report.samples_lost == sum(report.samples_lost_by_shard)
+        assert index.medium() == oracle.medium()
+        assert index.contents() == oracle.contents()
+        assert index.store.total_appends == oracle.store.total_appends
 
+
+def _two_partition_log():
+    disk = SimDisk()
+    store = partitioned(2, disk=disk)
+    for i in range(12):
+        store.append_sample("m", seconds(1), float(i), idx=str(i))
+    store._wal.checkpoint(store)  # noqa: SLF001
+    store.append_batch([(labels, seconds(2), 1.0)
+                        for labels, _s in list(store.series_items())])
+    store._wal.flush()  # noqa: SLF001
+    return disk, store
+
+
+def test_recovery_refuses_a_log_written_with_another_partition_count():
+    disk, _store = _two_partition_log()
+    with pytest.raises(TsdbError, match="different shard count"):
+        wal.recover_sharded(disk, "wal", 4)
+
+
+def test_a_checkpoint_failing_part_way_leaves_the_index_to_the_next_one():
+    disk, store = _two_partition_log()
+    expected, _report = wal.recover_sharded(disk, "wal", 2)
+    # A newer checkpoint in partition 1 whose checksum holds but whose
+    # third series repeats its first: it decodes two series, then fails.
+    mine = [labels for labels, _s in store.series_items()
+            if shard_for(labels, 2) == 1]
+    body = reference_archive_body(
+        [(labels, [(seconds(3), 9.0)]) for labels in mine[:2] + mine[:1]])
+    disk.write("wal/shard-01/checkpoint-99999999.ckpt",
+               bytes(reference_deflated_snapshot(body)))
+    recovered, report = wal.recover_sharded(disk, "wal", 2)
+    assert report.checkpoints_quarantined == 1
+    assert [r.checkpoints_quarantined for r in report.shards] == [0, 1]
+    # Nothing of the two series it decoded landed.
+    assert recovered.series_count() == 12
+    assert (recovered.select([], 0, seconds(9))
+            == expected.select([], 0, seconds(9)))
+    assert recovered.total_appends == expected.total_appends
+
+
+# ---------------------------------------------------------------------------
+# The store with a partitioned log ingests like the one without
+# ---------------------------------------------------------------------------
 
 def test_out_of_order_rejection_survives_sharding():
-    engine = ShardedTsdb(3)
+    store = partitioned(3)
     labels = Labels.of("m", idx="1")
-    engine.append(labels, seconds(10), 1.0)
+    store.append(labels, seconds(10), 1.0)
     with pytest.raises(TsdbError, match="out-of-order"):
-        engine.append(labels, seconds(5), 2.0)
-    assert engine.sample_count() == 1
+        store.append(labels, seconds(5), 2.0)
+    assert store.sample_count() == 1
+    assert store._wal.records_total == 1  # noqa: SLF001
 
 
 def test_delete_and_retention_fan_out():
     mono = Tsdb(retention_ns=seconds(700))
-    sharded = ShardedTsdb(4, retention_ns=seconds(700))
-    for engine in (mono, sharded):
+    store = partitioned(4, retention_ns=seconds(700))
+    for engine in (mono, store):
         for i in range(8):
             # 130 samples per series: the first chunk (120 samples,
             # CHUNK_SIZE) ages out whole under chunk-granular retention.
@@ -248,19 +361,19 @@ def test_delete_and_retention_fan_out():
                 engine.append_sample(
                     "m", (step + 1) * seconds(5), float(i), idx=str(i)
                 )
-    assert sharded.delete_series([Matcher.eq("idx", "3")]) == 1
+    assert store.delete_series([Matcher.eq("idx", "3")]) == 1
     assert mono.delete_series([Matcher.eq("idx", "3")]) == 1
-    assert sharded.series_count() == mono.series_count() == 7
+    assert store.series_count() == mono.series_count() == 7
     # Cutoff 610s: each series' first chunk (120 samples, t=5..600s)
     # ages out whole; the 10-sample tail chunk stays.
     now_ns = seconds(1310)
-    assert sharded.enforce_retention(now_ns) == mono.enforce_retention(now_ns) > 0
-    assert sharded.sample_count() == mono.sample_count()
-    assert sharded.select([], 0, now_ns) == mono.select([], 0, now_ns)
+    assert store.enforce_retention(now_ns) == mono.enforce_retention(now_ns) > 0
+    assert store.sample_count() == mono.sample_count()
+    assert store.select([], 0, now_ns) == mono.select([], 0, now_ns)
 
 
 # ---------------------------------------------------------------------------
-# Chaos parity: shard count is invisible to the pipeline
+# Chaos parity: the partition count is invisible to the pipeline
 # ---------------------------------------------------------------------------
 
 def test_chaos_digest_unchanged_by_the_engine_builder():
@@ -277,13 +390,12 @@ def test_chaos_digest_unchanged_by_the_engine_builder():
         1, retention_ns=retention_ns
     ))
     assert via_builder == baseline
-    assert isinstance(build_storage_engine(1), Tsdb)
-    assert not isinstance(build_storage_engine(1), ShardedTsdb)
+    assert type(build_storage_engine(1)) is Tsdb
 
 
 def test_chaos_digest_identical_across_shard_counts():
     def digest(shards):
-        factory = lambda retention_ns=None: build_storage_engine(
+        factory = lambda retention_ns=None: partitioned(  # noqa: E731
             shards, retention_ns=retention_ns
         )
         rig = build_rig(31, tsdb_factory=factory, **MIXED)
@@ -302,10 +414,10 @@ _COMPOSABLE = (
 
 
 # ---------------------------------------------------------------------------
-# Aggregations over range functions: sharded == monolith on any data
+# The oracle's fan-out reads: bit-identical to the index on any data
 # ---------------------------------------------------------------------------
 
-def _ingest_fractions(engine: StorageEngine) -> None:
+def _ingest_fractions(engine) -> None:
     """Half an hour of twelve series in three groups, values with no
     exact binary form: float addition re-associated across shards or
     served from a prefix sum would show in the last bits."""
@@ -320,8 +432,11 @@ def _ingest_fractions(engine: StorageEngine) -> None:
 
 @pytest.mark.parametrize("shards", [1, 2, 4, 8])
 def test_sharded_aggregations_are_bit_identical_to_the_monolith(shards):
+    # The oracle's select merges its shards back into the index's
+    # order; the sample sets the differential test compares are read
+    # through it.
     mono = Tsdb()
-    sharded = ShardedTsdb(shards)
+    sharded = sharded_oracle.ShardedTsdb(shards)
     now_ns = seconds(1800)
     for db in (mono, sharded):
         _ingest_fractions(db)
@@ -351,39 +466,47 @@ def test_deployment_serves_storage_telemetry():
     from repro.sgx.driver import SgxDriver
     from repro.teemon import TeemonConfig, deploy
 
-    kernel = Kernel(seed=7, hostname="storage-host")
-    kernel.load_module(SgxDriver())
-    deployment = deploy(kernel, TeemonConfig(storage_shards=4))
-    kernel.clock.advance(seconds(600))
-    session = deployment.session
+    for enable_wal in (False, True):
+        kernel = Kernel(seed=7, hostname="storage-host")
+        kernel.load_module(SgxDriver())
+        deployment = deploy(kernel, TeemonConfig(
+            storage_shards=4, enable_wal=enable_wal))
+        kernel.clock.advance(seconds(600))
+        session = deployment.session
 
-    stats = session.storage_stats()
-    assert stats["shards"] == 4
-    assert [sorted(shard) for shard in stats["per_shard"]] == (
-        [["samples", "series"]] * 4
-    )
-    assert sum(s["series"] for s in stats["per_shard"]) == (
-        deployment.tsdb.series_count()
-    )
-    assert sum(s["samples"] for s in stats["per_shard"]) == (
-        deployment.tsdb.sample_count()
-    )
+        stats = session.storage_stats()
+        assert stats["shards"] == 4
+        assert [sorted(shard) for shard in stats["per_shard"]] == (
+            [["samples", "series"]] * 4
+        )
+        assert sum(s["series"] for s in stats["per_shard"]) == (
+            deployment.tsdb.series_count()
+        )
+        assert sum(s["samples"] for s in stats["per_shard"]) == (
+            deployment.tsdb.sample_count()
+        )
+        routes = PartitionMap(4)
+        assert [s["series"] for s in stats["per_shard"]] == [
+            sum(1 for labels, _s in deployment.tsdb.series_items()
+                if routes[labels] == k)
+            for k in range(4)
+        ]
 
-    # The family round-trips through the teemon_self scrape as real
-    # queryable series.
-    assert session.query("teemon_storage_shards")[0][1] == 4.0
-    per_shard = session.query("teemon_storage_samples")
-    assert {labels.get("shard") for labels, _v in per_shard} == {
-        "0", "1", "2", "3"
-    }
-    deployment.stop()
+        # The family round-trips through the teemon_self scrape as real
+        # queryable series.
+        assert session.query("teemon_storage_shards")[0][1] == 4.0
+        per_shard = session.query("teemon_storage_samples")
+        assert {labels.get("shard") for labels, _v in per_shard} == {
+            "0", "1", "2", "3"
+        }
+        deployment.stop()
 
 
 # ---------------------------------------------------------------------------
-# Archives: one layout for every engine
+# Archives: one layout, restored into the one index
 # ---------------------------------------------------------------------------
 
-def _populated(engine: StorageEngine) -> StorageEngine:
+def _populated(engine):
     for i in range(12):
         for step in range(5):
             engine.append_sample(
@@ -393,7 +516,8 @@ def _populated(engine: StorageEngine) -> StorageEngine:
 
 
 def test_sharded_snapshot_restores_to_a_monolith():
-    original = _populated(ShardedTsdb(4))
+    # The oracle snapshots shard-major; restore takes any series order.
+    original = _populated(sharded_oracle.ShardedTsdb(4))
     data = snapshot(original)
     restored = restore(data)
     assert type(restored) is Tsdb
@@ -413,28 +537,28 @@ def test_monolith_snapshots_stay_version3():
     (version,) = struct.unpack_from("<H", data, 6)
     assert version == 3
     restored = restore(data)
-    assert isinstance(restored, Tsdb)
-    assert not isinstance(restored, ShardedTsdb)
+    assert type(restored) is Tsdb
     assert restored.select([], 0, seconds(100)) == original.select(
         [], 0, seconds(100)
     )
 
 
 def test_v3_checksum_detects_bitflip():
-    data = bytearray(snapshot(_populated(ShardedTsdb(2))))
+    data = bytearray(snapshot(_populated(partitioned(2))))
     data[len(data) // 2] ^= 0x40
     with pytest.raises(TsdbError, match="checksum"):
         restore(bytes(data))
 
 
 def test_one_shard_sharded_engine_still_archives():
-    # A deliberately-built one-shard ShardedTsdb is not the monolith, but
-    # it holds the same series in the same order: same bytes.
-    assert snapshot(_populated(ShardedTsdb(1))) == snapshot(_populated(Tsdb()))
+    # A one-shard oracle holds the same series in the same order as the
+    # index: same bytes.
+    assert snapshot(_populated(sharded_oracle.ShardedTsdb(1))) == snapshot(
+        _populated(Tsdb()))
 
 
 # ---------------------------------------------------------------------------
-# Batched ingest: one routing pass per scrape cycle
+# Batched ingest through a partitioned log
 # ---------------------------------------------------------------------------
 
 def _batch(entries):
@@ -445,7 +569,7 @@ def _batch(entries):
     ]
 
 
-@pytest.mark.parametrize("factory", [Tsdb, lambda: ShardedTsdb(4)])
+@pytest.mark.parametrize("factory", [Tsdb, lambda: partitioned(4)])
 def test_append_batch_equals_per_sample_appends(factory):
     batched, serial = factory(), factory()
     for cycle in range(1, 30):
@@ -463,20 +587,21 @@ def test_append_batch_equals_per_sample_appends(factory):
 
 
 def test_append_batch_reports_rejected_positions():
-    engine = ShardedTsdb(4)
+    store = partitioned(4)
     good = _batch([(0, seconds(10), 1.0), (1, seconds(10), 2.0)])
-    assert engine.append_batch(good) == []
+    assert store.append_batch(good) == []
     mixed = _batch([
         (0, seconds(5), 9.0),    # out of order for idx=0
         (2, seconds(15), 3.0),   # fine: new series
         (1, seconds(10), 8.0),   # duplicate timestamp, different value
         (0, seconds(20), 4.0),   # fine: advances idx=0
     ])
-    assert engine.append_batch(mixed) == [0, 2]
-    # Rejected entries left no trace; accepted ones all landed.
-    assert engine.sample_count() == 4
+    assert store.append_batch(mixed) == [0, 2]
+    # Rejected entries left no trace, in the store or its log; accepted
+    # ones all landed.
+    assert store.sample_count() == 4 == store._wal.records_total  # noqa: SLF001
     bad_name = [(Labels({"job": "batch"}), seconds(30), 1.0)]
-    assert engine.append_batch(bad_name) == [0]
+    assert store.append_batch(bad_name) == [0]
 
 
 def _reject_scalar(engine):
@@ -495,23 +620,23 @@ def _reject_run(engine):
 
 
 def _index_state(engine):
-    """The store, every shard's postings, and what they answer."""
-    shards = ([engine] if isinstance(engine, Tsdb)
-              else [engine.shard(k) for k in range(engine.shard_count)])
+    """The store, its postings, what they answer, and what its log took."""
+    log = engine._wal  # noqa: SLF001
     return (
         [(labels, storage.sample_count)
          for labels, storage in engine.series_items()],
-        [{pair: set(members) for pair, members in shard._postings.items()}  # noqa: SLF001
-         for shard in shards],
+        {pair: set(members)
+         for pair, members in engine._postings.items()},  # noqa: SLF001
         engine.metric_names(),
         engine.label_values("i"),
         engine.series_count(),
+        None if log is None else log.records_total,
     )
 
 
 @pytest.mark.parametrize("reject", [_reject_scalar, _reject_batch, _reject_run],
                          ids=["append", "append_batch", "append_run"])
-@pytest.mark.parametrize("factory", [Tsdb, lambda: ShardedTsdb(4)],
+@pytest.mark.parametrize("factory", [Tsdb, lambda: partitioned(4)],
                          ids=["monolith", "sharded4"])
 def test_a_rejected_first_sample_leaves_no_series(factory, reject):
     engine = factory()
