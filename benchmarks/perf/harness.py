@@ -108,18 +108,28 @@ def interleaved(
     ``i`` of every workload sample the same moment: their minima see the
     same quiet spells, and run ``i``'s ratio compares like with like.
     ``warmup`` untimed runs of each come first, as in :func:`best_of`.
+
+    The first mover rotates: repetition ``i`` starts with workload
+    ``i mod n`` and runs the rest in order after it, so each workload
+    leads equally often.  Whichever runs first in a repetition reads about
+    2 % slower, so a fixed order would bias every ratio against the
+    leader.
     """
     if runs < 1:
         raise ValueError(f"need at least one run, got {runs}")
     if warmup < 0:
         raise ValueError(f"warmup cannot be negative, got {warmup}")
+    if not workloads:
+        raise ValueError("need at least one workload")
     for _ in range(warmup):
         for workload in workloads:
             workload()
+    count = len(workloads)
     timings: Tuple[List[float], ...] = tuple([] for _ in workloads)
-    for _ in range(runs):
-        for workload, elapsed in zip(workloads, timings):
+    for repetition in range(runs):
+        for offset in range(count):
+            index = (repetition + offset) % count
             started = time.perf_counter()
-            workload()
-            elapsed.append(time.perf_counter() - started)
+            workloads[index]()
+            timings[index].append(time.perf_counter() - started)
     return timings

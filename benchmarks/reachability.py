@@ -23,8 +23,9 @@ Its *own lines* are its span, decorators included, minus the spans of
 the defs nested in it.  It is *driven* when a driver entered it,
 *tests-only* when only the tests did, and *unreached* otherwise.  The
 ledger prints the three totals, then one line per file that holds
-tests-only functions (their count and own lines, most lines first), then
-the unreached functions.  Each
+tests-only functions (their count and own lines, most lines first), each
+followed by those functions (first line, qualified name and own lines,
+in file order), then the unreached functions.  Each
 command's exit status and wall time go to stderr; a failing command is
 reported, not fatal (a perf bench's own timing gate can trip under the
 hook).
@@ -218,14 +219,17 @@ def main() -> int:
     for name, keys in classes.items():
         lines = sum(defs[key][1] for key in keys)
         print(f"  {name:<11} {len(keys):>6,} functions {lines:>8,} own lines")
-    per_file: Dict[str, List[int]] = {}
-    for key in classes["tests-only"]:
-        tally = per_file.setdefault(os.path.relpath(key[0], ROOT), [0, 0])
-        tally[0] += 1
-        tally[1] += defs[key][1]
+    per_file: Dict[str, List[Key]] = {}
+    for key in sorted(classes["tests-only"]):
+        per_file.setdefault(os.path.relpath(key[0], ROOT), []).append(key)
+    totals = {path: sum(defs[key][1] for key in keys) for path, keys in per_file.items()}
     print("\ntests-only by file:")
-    for path, (count, lines) in sorted(per_file.items(), key=lambda item: (-item[1][1], item[0])):
-        print(f"  {path:<48} {count:>4} functions {lines:>6} own lines")
+    for path in sorted(per_file, key=lambda path: (-totals[path], path)):
+        keys = per_file[path]
+        print(f"  {path:<48} {len(keys):>4} functions {totals[path]:>6} own lines")
+        for key in keys:
+            qualname, own = defs[key]
+            print(f"      {key[1]:>5}  {qualname}  ({own})")
     print("\nunreached:")
     for key in sorted(classes["unreached"]):
         path, lineno = key

@@ -14,22 +14,7 @@ from __future__ import annotations
 import sys
 from typing import List
 
-from repro.experiments.runner import ALL_EXPERIMENTS
-
-
-def _run_experiments(ids: List[str]) -> int:
-    known = dict(ALL_EXPERIMENTS)
-    if not ids:
-        ids = [experiment_id for experiment_id, _ in ALL_EXPERIMENTS]
-    unknown = [i for i in ids if i not in known]
-    if unknown:
-        print(f"unknown experiment ids: {unknown}; known: {sorted(known)}")
-        return 2
-    for experiment_id in ids:
-        result = known[experiment_id]()
-        print(result.render())
-        print()
-    return 0
+from repro.experiments.runner import ALL_EXPERIMENTS, run_all
 
 
 def _demo() -> int:
@@ -69,7 +54,12 @@ def main(argv: List[str]) -> int:
             print(experiment_id)
         return 0
     if command == "experiments":
-        return _run_experiments(rest)
+        try:
+            run_all(rest)
+        except ValueError as error:
+            print(error)
+            return 2
+        return 0
     if command == "demo":
         return _demo()
     print(f"unknown command: {command!r}\n")

@@ -25,12 +25,6 @@ from repro.net.network import Link
 from repro.simkernel.clock import NANOS_PER_SEC, seconds
 
 
-import math
-
-#: z-scores for the percentiles memtier reports.
-_Z_SCORES = {0.50: 0.0, 0.95: 1.6449, 0.99: 2.3263, 0.999: 3.0902}
-
-
 @dataclass
 class SlicePoint:
     """Per-slice measurement."""
@@ -38,23 +32,8 @@ class SlicePoint:
     time_s: float
     throughput_rps: float
     latency_ms: float
-    #: Link utilisation during the slice (drives the latency tail).
+    #: Link utilisation during the slice.
     utilisation: float = 0.0
-
-    def latency_percentile(self, quantile: float) -> float:
-        """Analytic per-request latency percentile within this slice.
-
-        Per-request latency is modelled log-normally around the slice
-        mean; the dispersion grows with link utilisation (queueing near
-        saturation fattens the tail, which is what memtier's p99 shows).
-        """
-        if quantile not in _Z_SCORES:
-            raise ReproError(
-                f"supported percentiles: {sorted(_Z_SCORES)}, got {quantile}"
-            )
-        sigma = 0.20 + 0.45 * min(1.0, max(0.0, self.utilisation))
-        median = self.latency_ms / math.exp(sigma * sigma / 2.0)
-        return median * math.exp(sigma * _Z_SCORES[quantile])
 
 
 @dataclass
@@ -72,18 +51,6 @@ class BenchmarkResult:
     latency_ms: float
     slices: List[SlicePoint] = field(default_factory=list)
     emissions: List[WorkloadSlice] = field(default_factory=list)
-
-    def latency_percentile_ms(self, quantile: float) -> float:
-        """Run-level latency percentile (request-weighted over slices)."""
-        if not self.slices:
-            return float("inf")
-        total_weight = sum(p.throughput_rps for p in self.slices)
-        if total_weight <= 0:
-            return float("inf")
-        return sum(
-            p.latency_percentile(quantile) * p.throughput_rps
-            for p in self.slices
-        ) / total_weight
 
     def describe(self) -> str:
         """One-line summary."""

@@ -1,15 +1,14 @@
 """Run every experiment and render the paper-vs-measured report.
 
-``python -m repro.experiments.runner`` executes all ten experiments (with
-reduced durations by default so the full suite finishes in minutes) and
-prints each table; :func:`summary_markdown` renders the EXPERIMENTS.md
-comparison body.
+``python -m repro.experiments.runner`` executes all eleven experiments
+(with reduced durations by default so the full suite finishes in minutes)
+and prints each table; ``python -m repro experiments [ids...]`` runs the
+same loop, :func:`run_all`, over all of them or a subset.
 """
 
 from __future__ import annotations
 
-import sys
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Sequence, Tuple
 
 from repro.experiments.common import ExperimentResult
 from repro.experiments.fig3_dashboard import run_fig3
@@ -39,36 +38,22 @@ ALL_EXPERIMENTS: Tuple[Tuple[str, Callable[[], ExperimentResult]], ...] = (
 )
 
 
-def run_all(verbose: bool = True) -> Dict[str, ExperimentResult]:
-    """Execute every experiment; returns results keyed by id."""
-    results: Dict[str, ExperimentResult] = {}
-    for experiment_id, runner in ALL_EXPERIMENTS:
-        result = runner()
-        results[experiment_id] = result
-        if verbose:
-            print(result.render())
-            print()
-    return results
+def run_all(ids: Sequence[str] = ()) -> None:
+    """Run the experiments named in ``ids`` (all of them when empty), in
+    order, printing each table.
 
-
-def summary_markdown(results: Dict[str, ExperimentResult]) -> str:
-    """Markdown tables for EXPERIMENTS.md."""
-    lines: List[str] = []
-    for experiment_id, result in results.items():
-        lines.append(f"### {experiment_id}: {result.title}\n")
-        if result.rows:
-            columns = list(result.rows[0].keys())
-            lines.append("| " + " | ".join(columns) + " |")
-            lines.append("|" + "---|" * len(columns))
-            for row in result.rows:
-                lines.append(
-                    "| " + " | ".join(str(row.get(c, "")) for c in columns) + " |"
-                )
-        for note in result.notes:
-            lines.append(f"\n> {note}")
-        lines.append("")
-    return "\n".join(lines)
+    Raises :class:`ValueError` on an unknown id, before running any.
+    """
+    known = dict(ALL_EXPERIMENTS)
+    unknown = [i for i in ids if i not in known]
+    if unknown:
+        raise ValueError(
+            f"unknown experiment ids: {unknown}; known: {sorted(known)}"
+        )
+    for experiment_id in ids or known:
+        print(known[experiment_id]().render())
+        print()
 
 
 if __name__ == "__main__":  # pragma: no cover - CLI entry point
-    run_all(verbose=True)
+    run_all()

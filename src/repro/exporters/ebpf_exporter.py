@@ -20,12 +20,13 @@ Program groups and their metrics:
   ``ebpf_llc_misses_pid_total{pid}``, ``ebpf_page_cache_ops_total{op}``
 
 The paper notes overhead knobs: a PID-filter macro and per-group disable
-flags; both are in :class:`EbpfExporterConfig`.
+flags; both are fields of :class:`EbpfExporterConfig` (the macro is
+``pid_filter``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.ebpf.attach import EbpfRuntime
@@ -59,75 +60,6 @@ class EbpfExporterConfig:
     #: When set, syscall and context-switch programs only count this PID
     #: (the paper's overhead-reduction macro, §6.3).
     pid_filter: Optional[int] = None
-
-    def enabled_groups(self) -> List[str]:
-        """Names of the enabled program groups."""
-        names = []
-        for group in ("syscalls", "context_switches", "page_faults", "cache"):
-            if getattr(self, group):
-                names.append(group)
-        return names
-
-    @staticmethod
-    def parse(text: str) -> "EbpfExporterConfig":
-        """Parse the exporter's configuration-file format.
-
-        The paper: "we provide a macro for some of the programs which can
-        be set in the eBPF configuration file" (§6.3).  The format is a
-        flat key/value file::
-
-            # teemon ebpf-exporter configuration
-            programs.syscalls = on
-            programs.context_switches = on
-            programs.page_faults = on
-            programs.cache = off
-            filter.pid = 4242
-        """
-        values: Dict[str, str] = {}
-        for line_no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#")[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"line {line_no}: expected key = value")
-            key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-
-        def flag(key: str, default: bool) -> bool:
-            text_value = values.get(key)
-            if text_value is None:
-                return default
-            if text_value.lower() in ("on", "true", "yes", "1"):
-                return True
-            if text_value.lower() in ("off", "false", "no", "0"):
-                return False
-            raise ValueError(f"{key}: expected on/off, got {text_value!r}")
-
-        pid_filter: Optional[int] = None
-        if "filter.pid" in values:
-            try:
-                pid_filter = int(values["filter.pid"])
-            except ValueError:
-                raise ValueError(
-                    f"filter.pid: expected an integer, got {values['filter.pid']!r}"
-                ) from None
-        return EbpfExporterConfig(
-            syscalls=flag("programs.syscalls", True),
-            context_switches=flag("programs.context_switches", True),
-            page_faults=flag("programs.page_faults", True),
-            cache=flag("programs.cache", True),
-            pid_filter=pid_filter,
-        )
-
-    def render(self) -> str:
-        """Serialise to the configuration-file format."""
-        lines = ["# teemon ebpf-exporter configuration"]
-        for group in ("syscalls", "context_switches", "page_faults", "cache"):
-            state = "on" if getattr(self, group) else "off"
-            lines.append(f"programs.{group} = {state}")
-        if self.pid_filter is not None:
-            lines.append(f"filter.pid = {self.pid_filter}")
-        return "\n".join(lines) + "\n"
 
 
 class EbpfExporter(Exporter):

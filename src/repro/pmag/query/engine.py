@@ -81,9 +81,6 @@ class QueryPlanCache:
         self.misses = 0
         self.evictions = 0
 
-    def __len__(self) -> int:
-        return len(self._plans)
-
     def get(self, query: str) -> Optional[Expr]:
         """The cached plan, promoted to most-recently-used; None on miss."""
         plan = self._plans.get(query)
@@ -103,10 +100,6 @@ class QueryPlanCache:
         while len(self._plans) > self.capacity:
             self._plans.popitem(last=False)
             self.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every cached plan (statistics are kept)."""
-        self._plans.clear()
 
     def stats(self) -> CacheStats:
         """Current counters."""
@@ -175,10 +168,6 @@ class QueryEngine:
         """Plan-cache statistics (exported as ``pmag_query_cache_*``)."""
         return self._plan_cache.stats()
 
-    def clear_plan_cache(self) -> None:
-        """Drop cached plans; useful after engine reconfiguration."""
-        self._plan_cache.clear()
-
     def _parse_traced(self, query: str):
         """Parse under a ``query.parse`` span recording the cache outcome."""
         if not self._tracer.recording():
@@ -223,15 +212,6 @@ class QueryEngine:
                     EVAL_NS_PER_SERIES * max(1, len(value))
                 )
         return value
-
-    def scalar(self, query: str, time_ns: int) -> float:
-        """Evaluate a query expected to yield exactly one value."""
-        vector = self.instant(query, time_ns)
-        if len(vector) != 1:
-            raise QueryError(
-                f"expected a single value from {query!r}, got {len(vector)} series"
-            )
-        return vector[0][1]
 
     def range_query(
         self, query: str, start_ns: int, end_ns: int, step_ns: int

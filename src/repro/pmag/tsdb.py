@@ -394,16 +394,6 @@ class Tsdb:
         """Total stored samples."""
         return sum(s.sample_count for s in self._series.values())
 
-    def label_values(self, label_name: str) -> List[str]:
-        """Distinct values of one label across all series."""
-        return sorted({
-            value for (name, value) in self._postings if name == label_name
-        })
-
-    def metric_names(self) -> List[str]:
-        """All metric names with at least one series."""
-        return self.label_values(METRIC_NAME_LABEL)
-
     def memory_bytes(self) -> int:
         """Approximate storage footprint."""
         return sum(s.memory_bytes() for s in self._series.values())

@@ -15,8 +15,8 @@ paper's comparison and are reproduced here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from repro.errors import ReproError
 from repro.frameworks.base import SgxFramework
@@ -43,32 +43,6 @@ class SgxPerfReport:
     pages_evicted: int
     pages_reclaimed: int
     sdk_compatible: bool
-
-    def transitions_per_second(self) -> float:
-        """Enclave boundary crossings per second."""
-        if self.duration_ns <= 0:
-            return 0.0
-        total = self.ecalls + self.ocalls + self.aexs
-        return total * 1e9 / self.duration_ns
-
-    def render(self) -> str:
-        """Human-readable report text."""
-        if not self.sdk_compatible:
-            return (
-                "sgx-perf report: no events recorded — the application does "
-                "not use SDK-style ECALL/OCALL bridges (e.g. SCONE's "
-                "asynchronous syscalls are invisible to sgx-perf)."
-            )
-        return (
-            "sgx-perf report\n"
-            f"  duration        : {self.duration_ns / 1e9:.1f} s\n"
-            f"  ecalls          : {self.ecalls}\n"
-            f"  ocalls          : {self.ocalls}\n"
-            f"  async exits     : {self.aexs}\n"
-            f"  EPC evicted     : {self.pages_evicted}\n"
-            f"  EPC reclaimed   : {self.pages_reclaimed}\n"
-            f"  transitions/s   : {self.transitions_per_second():,.0f}"
-        )
 
 
 class SgxPerf:

@@ -9,14 +9,14 @@ reason it suits development, not production.
 The model instruments the workload at method granularity (the paper's
 Table 1 lists TEE-Perf's granularity as "function"): callers wrap their
 request processing in :meth:`TeePerf.profile_calls`, which accounts the
-per-call counter cost and maintains a call-count table from which the
-flame-graph-style report is built.
+per-call counter cost and maintains a call-count table, keyed by folded
+call stack, that the report carries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import ReproError
 
@@ -43,25 +43,12 @@ REDIS_GET_CALL_PROFILE: Tuple[Tuple[str, float], ...] = (
 
 @dataclass
 class TeePerfReport:
-    """Method-level profile with flame-graph text output."""
+    """Method-level profile: call counts and the counters' cost."""
 
     duration_ns: int
     call_counts: Dict[str, int]
     instrumented_calls: int
     overhead_ns: int
-
-    def hottest(self, limit: int = 5) -> List[Tuple[str, int]]:
-        """Most-called methods."""
-        ordered = sorted(self.call_counts.items(), key=lambda kv: -kv[1])
-        return ordered[:limit]
-
-    def folded_stacks(self) -> str:
-        """Brendan-Gregg folded-stack format (flamegraph.pl input)."""
-        lines = [
-            f"{stack} {count}"
-            for stack, count in sorted(self.call_counts.items())
-        ]
-        return "\n".join(lines)
 
     def slowdown_factor(self, useful_ns: int) -> float:
         """Run-time inflation from the injected counters."""

@@ -23,9 +23,6 @@ class TeemonConfig:
     scrape_interval_s: float = 5.0
     retention_hours: float = 24.0
     enable_tme: bool = True
-    enable_ebpf: bool = True
-    enable_node_exporter: bool = True
-    enable_cadvisor: bool = True
     ebpf: EbpfExporterConfig = field(default_factory=EbpfExporterConfig)
     analysis_window_s: float = 300.0
     analysis_every_s: float = 60.0
@@ -39,8 +36,6 @@ class TeemonConfig:
     #: the virtual clock.  Off by default: the no-op tracer keeps the
     #: query hot path untouched.
     enable_tracing: bool = False
-    #: Bound of the in-memory trace store (whole traces, FIFO-evicted).
-    trace_max_traces: int = 256
     #: Head-sampling probability: the seeded keep/drop decision made at
     #: root-span creation and propagated via the traceparent flags.
     #: ``None`` disables head sampling (every trace is recorded — the
@@ -156,8 +151,6 @@ class TeemonConfig:
         )
 
     def __post_init__(self) -> None:
-        if self.trace_max_traces < 1:
-            raise DeploymentError("trace store capacity must be >= 1")
         if self.trace_sampling_probability is not None and not (
             0.0 <= self.trace_sampling_probability <= 1.0
         ):
@@ -173,10 +166,6 @@ class TeemonConfig:
             raise DeploymentError("retention must be positive")
         if self.analysis_every_s <= 0 or self.analysis_window_s <= 0:
             raise DeploymentError("analysis cadence/window must be positive")
-        if self.enable_exporters and not (
-                self.enable_tme or self.enable_ebpf
-                or self.enable_node_exporter or self.enable_cadvisor):
-            raise DeploymentError("at least one exporter must be enabled")
         if self.wal_flush_records < 0:
             raise DeploymentError("wal_flush_records cannot be negative")
         if self.wal_flush_every_s is not None and self.wal_flush_every_s <= 0:

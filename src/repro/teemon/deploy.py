@@ -32,9 +32,7 @@ from typing import Callable, Dict, List, Optional
 from repro.errors import DeploymentError
 from repro.exporters import (
     HOST_EXPORTERS,
-    CadvisorExporter,
     EbpfExporter,
-    NodeExporter,
     TeeMetricsExporter,
 )
 from repro.exporters.base import Exporter, ExporterFootprint, MIB
@@ -256,7 +254,6 @@ class TeemonDeployment:
         # fork of the kernel's seeded rng — same seed, same trace ids.
         if config.enable_tracing:
             self.trace_store: Optional[TraceStore] = TraceStore(
-                max_traces=config.trace_max_traces,
                 tail_rules=TailRules() if config.trace_tail_sampling else None,
             )
             sampler = None
@@ -481,14 +478,8 @@ class TeemonDeployment:
         config = self.config
         if not config.enable_exporters:
             return
-        enabled = {
-            TeeMetricsExporter: config.enable_tme,
-            EbpfExporter: config.enable_ebpf,
-            NodeExporter: config.enable_node_exporter,
-            CadvisorExporter: config.enable_cadvisor,
-        }
         for exporter_cls in HOST_EXPORTERS:
-            if not enabled[exporter_cls]:
+            if exporter_cls is TeeMetricsExporter and not config.enable_tme:
                 continue
             options = {"config": config.ebpf} if exporter_cls is EbpfExporter else {}
             image = ContainerImage(

@@ -48,10 +48,10 @@ class HAMonitorPair:
     """Two supervised monitor replicas behind one query lease.
 
     Both replicas are fully independent deployments (own TSDB, WAL,
-    disk) that happen to watch the same world; the pair adds the lease,
-    the failover journal, and pair-wide target/discovery registration.
-    Build replicas yourself for full control, or use
-    :func:`deploy_ha_pair` for the common shape.
+    disk) that happen to watch the same world; the pair adds the lease
+    and the failover journal.  Targets and discovery sources are
+    registered on each of :attr:`replicas`.  Build replicas yourself for
+    full control, or use :func:`deploy_ha_pair` for the common shape.
     """
 
     def __init__(self, replicas: Sequence[TeemonDeployment], plan=None,
@@ -174,19 +174,6 @@ class HAMonitorPair:
         return self.session.query(expr)
 
     # ------------------------------------------------------------------
-    # Pair-wide registration
-    # ------------------------------------------------------------------
-    def add_target(self, target) -> None:
-        """Register a scrape target on both replicas."""
-        for replica in self.replicas:
-            replica.scrape_manager.add_target(target)
-
-    def add_discovery(self, discoverer) -> None:
-        """Register a discovery source durably on both replicas."""
-        for replica in self.replicas:
-            replica.add_discovery(discoverer)
-
-    # ------------------------------------------------------------------
     # Chaos handles
     # ------------------------------------------------------------------
     def crash(self, index: int):
@@ -196,24 +183,6 @@ class HAMonitorPair:
     def recover(self, index: int):
         """Recover one replica from its WAL, journalled."""
         return self.supervisors[index].recover()
-
-    def stats(self) -> dict:
-        """Pair counters plus each replica's supervisor tallies."""
-        return {
-            "active_index": self.active_index,
-            "heartbeats": self.heartbeats,
-            "failovers": self.failovers,
-            "replicas": [
-                {
-                    "crashed": replica.crashed,
-                    "crashes": supervisor.crashes,
-                    "recoveries": supervisor.recoveries,
-                    "samples_lost": supervisor.total_samples_lost(),
-                }
-                for replica, supervisor in zip(self.replicas,
-                                               self.supervisors)
-            ],
-        }
 
 
 def deploy_ha_pair(

@@ -49,7 +49,6 @@ def detection_rig(seed=11, inject=True, **config_kwargs):
     driver.page_in(enclave, 256)  # resident pages for the churn to cycle
     config_kwargs.setdefault("enable_tracing", True)
     config_kwargs.setdefault("trace_sampling_probability", 1.0)
-    config_kwargs.setdefault("trace_max_traces", 4096)
     deployment = deploy(kernel, TeemonConfig(
         enable_anomaly_detection=True, **config_kwargs,
     ), start=True)

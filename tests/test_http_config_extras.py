@@ -1,6 +1,4 @@
-"""Tests: HTTP POST, eBPF config file, scrape metadata."""
-
-import pytest
+"""Tests: HTTP POST, eBPF exporter config, scrape metadata."""
 
 from repro.exporters.ebpf_exporter import EbpfExporterConfig
 from repro.net.http import HttpNetwork
@@ -39,38 +37,12 @@ def test_post_unknown_404_and_error_500():
 
 
 # ---------------------------------------------------------------------------
-# eBPF config file
+# eBPF exporter config
 # ---------------------------------------------------------------------------
-def test_ebpf_config_parse_and_render_roundtrip():
-    original = EbpfExporterConfig(cache=False, pid_filter=4242)
-    restored = EbpfExporterConfig.parse(original.render())
-    assert restored == original
-
-
-def test_ebpf_config_parse_defaults_and_comments():
-    config = EbpfExporterConfig.parse(
-        "# comment only\nprograms.cache = off\n"
-    )
-    assert config.cache is False
-    assert config.syscalls is True
-    assert config.pid_filter is None
-
-
-def test_ebpf_config_parse_errors():
-    with pytest.raises(ValueError, match="expected key"):
-        EbpfExporterConfig.parse("not an assignment")
-    with pytest.raises(ValueError, match="on/off"):
-        EbpfExporterConfig.parse("programs.cache = maybe")
-    with pytest.raises(ValueError, match="integer"):
-        EbpfExporterConfig.parse("filter.pid = xyz")
-
-
-def test_ebpf_config_file_drives_exporter(sgx_kernel):
+def test_ebpf_config_drives_exporter(sgx_kernel):
     from repro.exporters import EbpfExporter
 
-    config = EbpfExporterConfig.parse(
-        "programs.cache = off\nfilter.pid = 42\n"
-    )
+    config = EbpfExporterConfig(cache=False, pid_filter=42)
     exporter = EbpfExporter(sgx_kernel, config=config)
     hooks = {a.hook for a in exporter.runtime.attachments()}
     assert "PERF_COUNT_HW_CACHE_MISSES" not in hooks

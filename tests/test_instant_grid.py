@@ -9,7 +9,6 @@ store and must agree entry for entry, in order, float bit for float bit
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-import pytest
 
 from repro.errors import QueryError
 from repro.pmag.query.engine import QueryEngine
@@ -25,7 +24,6 @@ from tests.test_perf_equivalence import (
     _fill,
     _series_strategy,
 )
-from tests.test_storage_engine import partitioned
 
 #: Shapes that raise: both evaluators must refuse them the same way,
 #: with or without data underneath.
@@ -42,16 +40,6 @@ _REJECTED = (
     "sum(ebpf_syscalls_total[1m])",
     "ebpf_syscalls_total + ebpf_syscalls_total[1m]",
 )
-
-_STORES = ("monolith", "sharded")
-
-
-def _store(kind, values_by_series):
-    """A filled store of ``kind``: without a WAL, or writing through a
-    4-partition one."""
-    return _fill(partitioned(4) if kind == "sharded" else Tsdb(),
-                 values_by_series)
-
 
 def _outcome(evaluate):
     """``repr`` of the result (every float bit, NaN == NaN), or the
@@ -74,7 +62,6 @@ def _assert_same(tsdb, query, time_ns, lookback_ns):
 @given(
     st.one_of(st.just({}), _series_strategy),
     st.sampled_from(RANGE_QUERIES + _REJECTED),
-    st.sampled_from(_STORES),
     # Before the first sample (5 s), between samples (off the 5 s grid,
     # down to the nanosecond), past the last one (at most 40 slots =
     # 200 s) and past it by more than either lookback; small times clamp
@@ -88,9 +75,9 @@ def _assert_same(tsdb, query, time_ns, lookback_ns):
 )
 @settings(max_examples=400, deadline=None)
 def test_instant_matches_the_per_instant_oracle(
-    values_by_series, query, kind, time_ns, lookback_ns
+    values_by_series, query, time_ns, lookback_ns
 ):
-    _assert_same(_store(kind, values_by_series), query, time_ns, lookback_ns)
+    _assert_same(_fill(Tsdb(), values_by_series), query, time_ns, lookback_ns)
 
 
 #: A fixed store with what the random one only sometimes has: ``topk``
@@ -112,10 +99,9 @@ _FIXED_TIMES = tuple(seconds(s) for s in (0, 4, 5, 17, 30, 41, 42, 60, 360)) + (
 )
 
 
-@pytest.mark.parametrize("kind", _STORES)
-def test_every_shape_matches_on_a_fixed_and_an_empty_store(kind):
+def test_every_shape_matches_on_a_fixed_and_an_empty_store():
     for values in (_FIXED, {}):
-        tsdb = _store(kind, values)
+        tsdb = _fill(Tsdb(), values)
         for query in RANGE_QUERIES + _REJECTED:
             for time_ns in _FIXED_TIMES:
                 for lookback_ns in (seconds(12), seconds(300)):
@@ -123,7 +109,7 @@ def test_every_shape_matches_on_a_fixed_and_an_empty_store(kind):
 
 
 def test_fixed_store_has_the_cases_it_is_there_for():
-    engine = QueryEngine(_store("monolith", _FIXED))
+    engine = QueryEngine(_fill(Tsdb(), _FIXED))
     # Three series tie at 9.0 for the last two places: topk keeps them
     # in selection order.
     tied = engine.instant("topk(4, ebpf_syscalls_total)", seconds(42))
@@ -189,7 +175,7 @@ def test_traced_instants_keep_their_spans_and_virtual_time():
     engine.instant("m", now_ns)                         # three series
     engine.instant("1 + 2", now_ns)                     # scalar: one entry
     engine.instant('m{name="nope"}', now_ns)            # empty
-    assert engine.scalar("sum(m)", now_ns) == 45.0
+    assert engine.instant("sum(m)", now_ns)[0][1] == 45.0
     store = tracer.store
     lines = []
     for trace_id in store.trace_ids():

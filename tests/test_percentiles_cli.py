@@ -1,60 +1,4 @@
-"""Latency percentiles, SEV-aware chart, and CLI tests."""
-
-import pytest
-
-from repro.apps import MemtierBenchmark, RedisLikeServer
-from repro.apps.clients import SlicePoint
-from repro.errors import ReproError
-from repro.frameworks.native import NativeRuntime
-
-
-# ---------------------------------------------------------------------------
-# Latency percentiles
-# ---------------------------------------------------------------------------
-def test_slice_percentiles_ordered():
-    point = SlicePoint(time_s=0, throughput_rps=1000, latency_ms=10.0,
-                       utilisation=0.5)
-    p50 = point.latency_percentile(0.50)
-    p95 = point.latency_percentile(0.95)
-    p99 = point.latency_percentile(0.99)
-    p999 = point.latency_percentile(0.999)
-    assert p50 < p95 < p99 < p999
-    assert p50 < 10.0  # median below the mean for a right-skewed tail
-
-
-def test_tail_fattens_with_utilisation():
-    relaxed = SlicePoint(0, 1000, 10.0, utilisation=0.1)
-    saturated = SlicePoint(0, 1000, 10.0, utilisation=0.95)
-    assert (saturated.latency_percentile(0.99) / saturated.latency_percentile(0.50)
-            > relaxed.latency_percentile(0.99) / relaxed.latency_percentile(0.50))
-
-
-def test_unsupported_percentile_rejected():
-    point = SlicePoint(0, 1000, 10.0)
-    with pytest.raises(ReproError):
-        point.latency_percentile(0.42)
-
-
-def test_run_level_percentiles(kernel):
-    runtime = NativeRuntime()
-    runtime.setup(kernel)
-    server = RedisLikeServer()
-    bench = MemtierBenchmark(connections=320)
-    bench.prepopulate(runtime, server, value_size=32)
-    result = bench.run(runtime, server, duration_s=5.0)
-    p50 = result.latency_percentile_ms(0.50)
-    p99 = result.latency_percentile_ms(0.99)
-    assert 0 < p50 < result.latency_ms < p99
-
-
-def test_empty_result_percentile_is_inf():
-    from repro.apps.clients import BenchmarkResult
-
-    result = BenchmarkResult(
-        framework="x", connections=8, pipeline=8, db_bytes=0, value_size=0,
-        duration_s=0, requests_total=0, throughput_rps=0, latency_ms=0,
-    )
-    assert result.latency_percentile_ms(0.99) == float("inf")
+"""SEV-aware chart and CLI tests."""
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from repro.pmag.query.functions import (
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import seconds
 from tests.query_oracle import RANGE_FUNCTIONS, range_query_per_step
-from tests.test_storage_engine import partitioned
 
 # ---------------------------------------------------------------------------
 # Step-grid vs per-step range evaluation
@@ -184,21 +183,6 @@ def test_bulk_range_query_matches_per_step(values_by_series, query, grid, lookba
     )
 
 
-@given(_series_strategy, st.sampled_from(RANGE_QUERIES), _grid_strategy,
-       _lookback_strategy)
-@settings(max_examples=150, deadline=None)
-def test_bulk_range_query_matches_per_step_sharded(
-    values_by_series, query, grid, lookback
-):
-    """The same panel over a store writing through a 4-partition WAL."""
-    tsdb = _fill(partitioned(4), values_by_series)
-    engine = QueryEngine(tsdb, lookback_ns=lookback)
-    window = _grid(values_by_series, *grid)
-    assert _bits(engine.range_query(query, *window)) == _bits(
-        range_query_per_step(tsdb, query, *window, lookback_ns=lookback)
-    )
-
-
 def test_bulk_range_query_matches_on_dense_series():
     """The acceptance shape: many steps across a multi-chunk series."""
     tsdb = Tsdb()
@@ -229,8 +213,8 @@ _REENTRANT_QUERIES = (
 )
 
 
-def _reentrancy_store(shards=1):
-    tsdb = Tsdb() if shards == 1 else partitioned(shards)
+def _reentrancy_store():
+    tsdb = Tsdb()
     _fill(tsdb, {
         (name, idx): (idx, [float((step * 7 + idx * 13) % 50)
                             for step in range(60)])
@@ -272,9 +256,9 @@ def test_range_query_is_reentrant_through_a_selector_callback():
 
 
 def test_range_query_is_reentrant_across_threads():
-    """Threads sharing one engine over a store with a partitioned WAL:
-    every result equals the single-threaded one."""
-    tsdb = _reentrancy_store(shards=4)
+    """Threads sharing one engine: every result equals the
+    single-threaded one."""
+    tsdb = _reentrancy_store()
     engine = QueryEngine(tsdb)
     cases = list(zip(_REENTRANT_QUERIES, _windows()))
     isolated = [

@@ -65,7 +65,7 @@ def test_eviction_at_capacity():
     cache.put("a", parse_query("metric_a"))
     cache.put("b", parse_query("metric_b"))
     cache.put("c", parse_query("metric_c"))
-    assert len(cache) == 2
+    assert cache.stats().size == 2
     assert cache.evictions == 1
     assert cache.get("a") is None          # least-recently-used went first
     assert cache.get("b") is not None
@@ -95,15 +95,6 @@ def test_zero_capacity_disables_caching():
 def test_negative_capacity_rejected():
     with pytest.raises(QueryError):
         QueryPlanCache(capacity=-1)
-
-
-def test_clear_keeps_statistics():
-    engine = QueryEngine(Tsdb())
-    engine.parse("metric_a")
-    engine.clear_plan_cache()
-    stats = engine.cache_stats()
-    assert stats.size == 0
-    assert stats.misses == 1
 
 
 # ---------------------------------------------------------------------------

@@ -77,10 +77,10 @@ def test_vector_scalar_comparison_filters(engine):
 
 
 def test_scalar_scalar_comparison_is_bool(engine):
-    assert engine.scalar("2 > 1", NOW) == 1.0
-    assert engine.scalar("1 > 2", NOW) == 0.0
-    assert engine.scalar("3 == 3", NOW) == 1.0
-    assert engine.scalar("3 != 3", NOW) == 0.0
+    assert engine.instant("2 > 1", NOW)[0][1] == 1.0
+    assert engine.instant("1 > 2", NOW)[0][1] == 0.0
+    assert engine.instant("3 == 3", NOW)[0][1] == 1.0
+    assert engine.instant("3 != 3", NOW)[0][1] == 0.0
 
 
 def test_vector_vector_comparison(engine):

@@ -1,25 +1,13 @@
-"""Experiment runner and summary-rendering tests."""
+"""Experiment runner and result-rendering tests."""
 
 from repro.experiments.common import ExperimentResult
-from repro.experiments.runner import ALL_EXPERIMENTS, summary_markdown
+from repro.experiments.runner import ALL_EXPERIMENTS
 
 
 def test_all_experiments_registered_in_order():
     ids = [experiment_id for experiment_id, _ in ALL_EXPERIMENTS]
     assert ids == ["table1", "table2", "fig3", "fig4", "fig5", "fig6",
                    "fig7", "fig8", "fig9", "fig10", "fig11"]
-
-
-def test_summary_markdown_renders_tables():
-    result = ExperimentResult("demo", "A demo")
-    result.add(metric="x", value=1.5)
-    result.add(metric="y", value=2.0)
-    result.note("a footnote")
-    text = summary_markdown({"demo": result})
-    assert "### demo: A demo" in text
-    assert "| metric | value |" in text
-    assert "| x | 1.5 |" in text
-    assert "> a footnote" in text
 
 
 def test_experiment_result_helpers():

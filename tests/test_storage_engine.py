@@ -148,7 +148,7 @@ def test_every_series_lives_on_exactly_one_shard():
 #: The entry points written once, on the store, in terms of the others.
 _SHARED = (
     "append", "append_sample", "append_fingerprinted", "select",
-    "select_metric", "metric_names", "select_rollups", "compact",
+    "select_metric", "select_rollups", "compact",
 )
 
 
@@ -627,8 +627,6 @@ def _index_state(engine):
          for labels, storage in engine.series_items()],
         {pair: set(members)
          for pair, members in engine._postings.items()},  # noqa: SLF001
-        engine.metric_names(),
-        engine.label_values("i"),
         engine.series_count(),
         None if log is None else log.records_total,
     )

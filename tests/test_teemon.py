@@ -27,9 +27,6 @@ def test_config_validation():
         TeemonConfig(scrape_interval_s=0)
     with pytest.raises(DeploymentError):
         TeemonConfig(retention_hours=0)
-    with pytest.raises(DeploymentError):
-        TeemonConfig(enable_tme=False, enable_ebpf=False,
-                     enable_node_exporter=False, enable_cadvisor=False)
 
 
 def test_shard_fan_out_takes_no_worker_threads():

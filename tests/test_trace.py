@@ -227,6 +227,11 @@ def test_store_evicts_whole_oldest_traces():
     assert store.traces_evicted == 1
 
 
+def test_store_rejects_a_capacity_below_one():
+    with pytest.raises(ValueError, match="trace capacity"):
+        TraceStore(max_traces=0)
+
+
 def test_store_latest_by_root_name():
     store = TraceStore()
     tracer = make_tracer(store=store)

@@ -226,15 +226,3 @@ def test_tracing_disabled_is_inert_and_session_raises():
         deployment.session.traces()
     with pytest.raises(DeploymentError):
         deployment.session.render_trace()
-
-
-def test_trace_store_bound_is_enforced_at_deployment():
-    deployment = traced_deployment(cycles=8, trace_max_traces=4)
-    store = deployment.trace_store
-    assert len(store) <= 4
-    assert store.traces_evicted > 0
-
-
-def test_config_rejects_bad_trace_capacity():
-    with pytest.raises(DeploymentError):
-        TeemonConfig(trace_max_traces=0)
