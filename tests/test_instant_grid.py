@@ -9,6 +9,7 @@ store and must agree entry for entry, in order, float bit for float bit
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import pytest
 
 from repro.errors import QueryError
 from repro.pmag.query.engine import QueryEngine
@@ -24,6 +25,7 @@ from tests.test_perf_equivalence import (
     _fill,
     _series_strategy,
 )
+from tests.test_storage_engine import partitioned
 
 #: Shapes that raise: both evaluators must refuse them the same way,
 #: with or without data underneath.
@@ -99,9 +101,11 @@ _FIXED_TIMES = tuple(seconds(s) for s in (0, 4, 5, 17, 30, 41, 42, 60, 360)) + (
 )
 
 
-def test_every_shape_matches_on_a_fixed_and_an_empty_store():
+@pytest.mark.parametrize("kind", ("monolith", "sharded"))
+def test_every_shape_matches_on_a_fixed_and_an_empty_store(kind):
+    """``sharded``: the same store writing through a 4-partition WAL."""
     for values in (_FIXED, {}):
-        tsdb = _fill(Tsdb(), values)
+        tsdb = _fill(partitioned(4) if kind == "sharded" else Tsdb(), values)
         for query in RANGE_QUERIES + _REJECTED:
             for time_ns in _FIXED_TIMES:
                 for lookback_ns in (seconds(12), seconds(300)):

@@ -35,6 +35,7 @@ from repro.pmag.query.functions import (
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import seconds
 from tests.query_oracle import RANGE_FUNCTIONS, range_query_per_step
+from tests.test_storage_engine import partitioned
 
 # ---------------------------------------------------------------------------
 # Step-grid vs per-step range evaluation
@@ -176,6 +177,21 @@ def _grid(values_by_series, lag_s, step_s):
 def test_bulk_range_query_matches_per_step(values_by_series, query, grid, lookback):
     """range_query == range_query_per_step, sample for sample, bit for bit."""
     tsdb = _fill(Tsdb(), values_by_series)
+    engine = QueryEngine(tsdb, lookback_ns=lookback)
+    window = _grid(values_by_series, *grid)
+    assert _bits(engine.range_query(query, *window)) == _bits(
+        range_query_per_step(tsdb, query, *window, lookback_ns=lookback)
+    )
+
+
+@given(_series_strategy, st.sampled_from(RANGE_QUERIES), _grid_strategy,
+       _lookback_strategy)
+@settings(max_examples=150, deadline=None)
+def test_bulk_range_query_matches_per_step_sharded(
+    values_by_series, query, grid, lookback
+):
+    """The same panel over a store writing through a 4-partition WAL."""
+    tsdb = _fill(partitioned(4), values_by_series)
     engine = QueryEngine(tsdb, lookback_ns=lookback)
     window = _grid(values_by_series, *grid)
     assert _bits(engine.range_query(query, *window)) == _bits(

@@ -20,6 +20,7 @@ from repro.pmag.query.parser import parse_query
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import seconds
 
+from tests.test_storage_engine import partitioned
 
 
 # ---------------------------------------------------------------------------
@@ -300,9 +301,15 @@ def test_rate_insufficient_samples_drops_series():
 # ---------------------------------------------------------------------------
 # Counter functions: Prometheus' closed form, hand-computed
 # ---------------------------------------------------------------------------
-def _counter_engine(values):
+ENGINES = pytest.mark.parametrize(
+    "build", [Tsdb, lambda: partitioned(4)],
+    ids=["monolith", "sharded4"],
+)
+
+
+def _counter_engine(build, values):
     """``c`` scraped once a second from t = 1 s."""
-    tsdb = Tsdb()
+    tsdb = build()
     for index, value in enumerate(values):
         tsdb.append_sample("c", (index + 1) * seconds(1), float(value))
     return QueryEngine(tsdb)
@@ -314,36 +321,40 @@ def _only(engine, query, at_s):
     return vector[0][1]
 
 
-def test_increase_adds_the_value_before_a_reset_inside_the_window():
-    engine = _counter_engine([5, 10, 2, 8])
+@ENGINES
+def test_increase_adds_the_value_before_a_reset_inside_the_window(build):
+    engine = _counter_engine(build, [5, 10, 2, 8])
     # 8 - 5, plus 10 reached before the reset to 2.
     assert _only(engine, "increase(c[10s])", 4) == 13.0
     assert _only(engine, "rate(c[10s])", 4) == 13.0 * 10**9 / (3 * 10**9)
 
 
-def test_reset_on_a_window_edge():
-    engine = _counter_engine([5, 10, 2, 8])
+@ENGINES
+def test_reset_on_a_window_edge(build):
+    engine = _counter_engine(build, [5, 10, 2, 8])
     # The reset sample opens the window [3 s, 4 s]: nothing to add.
     assert _only(engine, "increase(c[1s])", 4) == 6.0
     # The reset sample closes the window [1 s, 3 s]: 2 - 5 + 10.
     assert _only(engine, "increase(c[2s])", 3) == 7.0
 
 
-def test_nan_strictly_inside_a_window_gives_a_finite_value():
-    engine = _counter_engine([1, 2, float("nan"), 4, 6])
+@ENGINES
+def test_nan_strictly_inside_a_window_gives_a_finite_value(build):
+    engine = _counter_engine(build, [1, 2, float("nan"), 4, 6])
     assert _only(engine, "increase(c[10s])", 5) == 5.0
     assert _only(engine, "rate(c[10s])", 5) == 5.0 * 10**9 / (4 * 10**9)
 
 
+@ENGINES
 @pytest.mark.parametrize(
     "values, increase",
     [([10, float("nan"), 2], -8.0), ([5, 10, float("nan"), 2, 8], 3.0)],
     ids=["negative", "low"],
 )
-def test_a_reset_right_after_a_nan_is_missed(values, increase):
+def test_a_reset_right_after_a_nan_is_missed(build, values, increase):
     # Both comparisons that touch the NaN are false, so the drop to 2 is
     # no reset: last - first alone, as Prometheus' extrapolatedRate gives.
-    engine = _counter_engine(values)
+    engine = _counter_engine(build, values)
     at_s = len(values)
     assert _only(engine, "increase(c[10s])", at_s) == increase
     assert _only(engine, "rate(c[10s])", at_s) == (
@@ -351,18 +362,20 @@ def test_a_reset_right_after_a_nan_is_missed(values, increase):
     )
 
 
+@ENGINES
 @pytest.mark.parametrize(
     "values", [[float("nan"), 2, 4], [1, 2, float("nan")]],
     ids=["first", "last"],
 )
-def test_nan_at_a_window_end_gives_nan(values):
-    engine = _counter_engine(values)
+def test_nan_at_a_window_end_gives_nan(build, values):
+    engine = _counter_engine(build, values)
     assert math.isnan(_only(engine, "increase(c[10s])", 3))
     assert math.isnan(_only(engine, "rate(c[10s])", 3))
 
 
-def test_irate_across_a_reset_counts_from_zero():
-    engine = _counter_engine([5, 10, 2])
+@ENGINES
+def test_irate_across_a_reset_counts_from_zero(build):
+    engine = _counter_engine(build, [5, 10, 2])
     assert _only(engine, "irate(c[10s])", 3) == 2.0
 
 

@@ -21,6 +21,7 @@ from repro.simkernel.rng import DeterministicRng
 from repro.teemon.config import TeemonConfig
 from repro.teemon.deploy import deploy
 from repro.trace import TRACEPARENT_HEADER, Tracer, TraceStore
+from repro.trace.store import DEFAULT_MAX_TRACES
 
 INTERVAL_NS = 5 * NANOS_PER_SEC
 
@@ -226,3 +227,13 @@ def test_tracing_disabled_is_inert_and_session_raises():
         deployment.session.traces()
     with pytest.raises(DeploymentError):
         deployment.session.render_trace()
+
+
+def test_trace_store_bound_is_enforced_at_deployment():
+    # Two traces a cycle (scrape and rules): enough cycles to overflow
+    # the store a deployment builds.
+    deployment = traced_deployment(cycles=DEFAULT_MAX_TRACES // 2 + 4)
+    store = deployment.trace_store
+    assert store.max_traces == DEFAULT_MAX_TRACES
+    assert len(store) <= DEFAULT_MAX_TRACES
+    assert store.traces_evicted > 0
