@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.apps.kvstore import RedisLikeServer, db_bytes_for
+from repro.apps.kvstore import RedisLikeServer
 from repro.errors import ReproError
 from repro.frameworks.base import SgxFramework, WorkloadSlice
 from repro.net.network import Link
@@ -32,8 +32,6 @@ class SlicePoint:
     time_s: float
     throughput_rps: float
     latency_ms: float
-    #: Link utilisation during the slice.
-    utilisation: float = 0.0
 
 
 @dataclass
@@ -147,7 +145,6 @@ class MemtierBenchmark:
                     time_s=kernel.clock.now_seconds,
                     throughput_rps=rate,
                     latency_ms=latency_ms,
-                    utilisation=rate / max(network_cap, 1e-9),
                 )
             )
             kernel.clock.advance(seconds(step))

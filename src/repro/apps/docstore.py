@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Tuple
 
-from repro.frameworks.base import SgxFramework
+from repro.frameworks.base import SgxFramework, monitoring_factor
 
 #: Syscalls per operation: few, large batches (snappy-compressed wire).
 SYSCALLS_PER_OP: Tuple[Tuple[str, float], ...] = (
@@ -48,9 +48,7 @@ class MongoLikeServer:
         full_monitoring: bool = False,
     ) -> float:
         """Operations/s under the runtime and monitoring configuration."""
-        from repro.apps.webserver import _monitoring_factor
-
-        factor = _monitoring_factor(
+        factor = monitoring_factor(
             self.events_per_op(), OP_COST_NS, ebpf_active, full_monitoring
         )
         return (1e9 / OP_COST_NS) * factor

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from repro.frameworks.base import SgxFramework
+from repro.frameworks.base import SgxFramework, monitoring_factor
 
 #: Syscalls per HTTP request (keep-alive connections, small static files).
 SYSCALLS_PER_REQUEST: Tuple[Tuple[str, float], ...] = (
@@ -83,23 +83,7 @@ class NginxLikeServer:
         full_monitoring: bool = False,
     ) -> float:
         """Requests/s under the runtime and monitoring configuration."""
-        overhead = _monitoring_factor(
+        overhead = monitoring_factor(
             self.events_per_request(), REQUEST_COST_NS, ebpf_active, full_monitoring
         )
         return (1e9 / REQUEST_COST_NS) * overhead
-
-
-def _monitoring_factor(
-    events_per_request: float,
-    request_cost_ns: float,
-    ebpf_active: bool,
-    full_monitoring: bool,
-) -> float:
-    """Shared overhead model (same shape as the framework one)."""
-    if not ebpf_active and not full_monitoring:
-        return 1.0
-    from repro.frameworks.base import EBPF_EVENT_COST_NS
-
-    share = events_per_request * EBPF_EVENT_COST_NS / request_cost_ns
-    overhead = share * (2.0 if full_monitoring else 1.0)
-    return 1.0 / (1.0 + overhead)

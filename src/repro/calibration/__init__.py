@@ -14,7 +14,6 @@ from repro.calibration.profiles import (
     NATIVE_CALIBRATION,
     SCONE_CALIBRATION,
     SGXLKL_CALIBRATION,
-    calibration_for,
 )
 
 __all__ = [
@@ -23,5 +22,4 @@ __all__ = [
     "SCONE_CALIBRATION",
     "SGXLKL_CALIBRATION",
     "GRAPHENE_CALIBRATION",
-    "calibration_for",
 ]

@@ -13,10 +13,8 @@ connection dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
-
-from repro.errors import FrameworkError
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 #: Connection counts at which Figure 11 reports rates.
 CONN_POINTS: Tuple[int, int, int] = (8, 320, 580)
@@ -274,22 +272,3 @@ GRAPHENE_CALIBRATION = FrameworkCalibration(
     ),
     llc_miss_ratio=0.08,
 )
-
-_BY_NAME: Dict[str, FrameworkCalibration] = {
-    c.name: c
-    for c in (
-        NATIVE_CALIBRATION, SCONE_CALIBRATION,
-        SGXLKL_CALIBRATION, GRAPHENE_CALIBRATION,
-    )
-}
-
-
-def calibration_for(name: str) -> FrameworkCalibration:
-    """Look up a calibration by framework name."""
-    try:
-        return _BY_NAME[name]
-    except KeyError:
-        raise FrameworkError(
-            f"no calibration for framework {name!r}; "
-            f"known: {sorted(_BY_NAME)}"
-        ) from None

@@ -73,10 +73,6 @@ class Exporter:
         self._network = network
         return self._endpoint
 
-    def footprint(self) -> ExporterFootprint:
-        """The exporter's modelled footprint."""
-        return self.FOOTPRINT
-
     def _serve(self) -> str:
         """Render the exposition, charging CPU time since the last serve."""
         now = self.kernel.clock.now_ns

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.calibration.profiles import FrameworkCalibration
 from repro.errors import FrameworkError
@@ -33,6 +33,23 @@ from repro.simkernel.process import Process
 
 #: eBPF per-event instrumentation cost (matches repro.ebpf.attach).
 EBPF_EVENT_COST_NS = 120.0
+
+
+def monitoring_factor(
+    events: float, cost_ns: float, ebpf_active: bool, full_monitoring: bool
+) -> float:
+    """Multiplicative slowdown from active monitoring.
+
+    The eBPF share is mechanism-derived: instrumented ``events`` per
+    request times the per-event program cost, relative to the request
+    cost ``cost_ns``.  Full TEEMon doubles it (aggregation, cAdvisor and
+    exporter interference contribute "the other half", §6.3).
+    """
+    if not ebpf_active and not full_monitoring:
+        return 1.0
+    share = events * EBPF_EVENT_COST_NS / cost_ns
+    overhead = share * (2.0 if full_monitoring else 1.0)
+    return 1.0 / (1.0 + overhead)
 
 
 @dataclass
@@ -162,15 +179,8 @@ class SgxFramework:
     def monitoring_overhead_factor(
         self, ebpf_active: bool, full_monitoring: bool
     ) -> float:
-        """Multiplicative slowdown from active monitoring.
-
-        The eBPF share is mechanism-derived: instrumented events per
-        request times the per-event program cost, relative to the request
-        cost.  Full TEEMon doubles it (aggregation, cAdvisor and exporter
-        interference contribute "the other half", §6.3).
-        """
-        if not ebpf_active and not full_monitoring:
-            return 1.0
+        """:func:`monitoring_factor` over this runtime's instrumented
+        events per request."""
         events = self.calibration.events_per_request()
         # Context switches and faults are also instrumented events.
         rates = self.calibration.rates(0)
@@ -178,9 +188,9 @@ class SgxFramework:
             rates.at("ctx_switches_process", 320)
             + rates.at("user_faults", 320)
         ) / 100.0 * 4.0  # both HW and SW counters, enter+exit
-        ebpf_share = (events * EBPF_EVENT_COST_NS) / self.calibration.request_cost_ns
-        overhead = ebpf_share * (2.0 if full_monitoring else 1.0)
-        return 1.0 / (1.0 + overhead)
+        return monitoring_factor(
+            events, self.calibration.request_cost_ns, ebpf_active, full_monitoring
+        )
 
     def achievable_rate(
         self,

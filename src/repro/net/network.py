@@ -2,11 +2,9 @@
 
 A :class:`Link` models a full-duplex pipe with a fixed capacity and a base
 propagation latency.  The benchmark harness uses it in *rate* terms: given
-an offered load in bytes/second, :meth:`Link.admissible_rate` returns how
-much the link actually carries, and :meth:`Link.queueing_delay_s` gives the
-M/M/1-style queueing delay at a utilisation level — enough to reproduce
-both the native-Redis throughput plateau and the latency growth as client
-connections push the link toward saturation.
+an offered load in bytes/second, :meth:`Link.queueing_delay_s` gives the
+M/M/1-style queueing delay at that utilisation — enough to reproduce the
+latency growth as client connections push the link toward saturation.
 """
 
 from __future__ import annotations
@@ -40,12 +38,6 @@ class Link:
     def payload_bytes_per_s(self) -> float:
         """Usable payload bandwidth in bytes/second."""
         return self.bandwidth_bits_per_s / 8.0 * self.protocol_efficiency
-
-    def admissible_rate(self, offered_bytes_per_s: float) -> float:
-        """Carried payload rate for an offered load (cap at capacity)."""
-        if offered_bytes_per_s < 0:
-            raise NetworkError(f"negative offered load: {offered_bytes_per_s}")
-        return min(offered_bytes_per_s, self.payload_bytes_per_s)
 
     def utilisation(self, offered_bytes_per_s: float) -> float:
         """Offered load as a fraction of capacity (may exceed 1)."""

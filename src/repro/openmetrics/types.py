@@ -21,7 +21,7 @@ import bisect
 import enum
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import OpenMetricsError
 
@@ -142,11 +142,6 @@ class MetricFamily:
     def children(self) -> Iterable[Tuple[LabelValues, object]]:
         """All (label values, child) pairs, in insertion order."""
         return self._children.items()
-
-    def clear(self) -> None:
-        """Drop all children (exporter restart)."""
-        self._children.clear()
-        self.rendered.clear()
 
 
 class _CounterChild:

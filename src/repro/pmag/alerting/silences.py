@@ -56,10 +56,6 @@ class SilenceStore:
     def __init__(self, silences: Iterable[Silence] = ()) -> None:
         self._silences: List[Silence] = list(silences)
 
-    def add(self, silence: Silence) -> None:
-        """Register a silence."""
-        self._silences.append(silence)
-
     def covering(self, labels: Labels, now_ns: int) -> Optional[Silence]:
         """The first silence muting these labels now, if any."""
         for silence in self._silences:

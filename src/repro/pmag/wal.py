@@ -72,7 +72,7 @@ from repro.errors import StorageError, TsdbError, WalError
 from repro.pmag import archive
 from repro.pmag.chunks import ChunkedSeries
 from repro.pmag.model import Labels
-from repro.pmag.storage import series_fingerprint
+from repro.pmag.storage import shard_for
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.disk import DiskCrashReport, SimDisk
 
@@ -780,7 +780,7 @@ class PartitionMap(dict):
         self.count = count
 
     def __missing__(self, labels: Labels) -> int:
-        index = self[labels] = series_fingerprint(labels) % self.count
+        index = self[labels] = shard_for(labels, self.count)
         return index
 
 

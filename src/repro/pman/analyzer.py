@@ -90,21 +90,6 @@ class AnalysisReport:
     firing: List[AlertInstance]
     boxplots: Dict[str, BoxPlot]
 
-    def render(self, width: int = 60) -> str:
-        """Human-readable report: firing alerts first, then the box plots."""
-        lines = [f"── PMAN analysis @ {self.time_ns / 1e9:.0f}s ──"]
-        if self.firing:
-            lines.append(f"firing ({len(self.firing)}):")
-            for instance in self.firing:
-                lines.append(f"  ! {instance.name()} {instance.labels!r} "
-                             f"= {instance.value:g}")
-        else:
-            lines.append("firing: none")
-        for query, box in self.boxplots.items():
-            lines.append(f"boxplot {query}:")
-            lines.append("  " + box.render(width))
-        return "\n".join(lines)
-
 
 class PmanAnalyzer:
     """Periodic rule evaluation + box-plot refresh."""

@@ -2,8 +2,8 @@
 
 PMAN "provides a box plot for SGX metrics" in each analysis window (§4).
 A :class:`BoxPlot` is the standard five-number summary with 1.5×IQR
-whiskers and explicit outliers, plus an ASCII rendering for terminal
-output (the PMV component renders the graphical version).
+whiskers and explicit outliers, kept on each
+:class:`~repro.pman.analyzer.AnalysisReport`.
 """
 
 from __future__ import annotations
@@ -57,34 +57,4 @@ class BoxPlot:
             whisker_high=whisker_high,
             outliers=outliers,
             count=len(data),
-        )
-
-    @property
-    def iqr(self) -> float:
-        """Interquartile range."""
-        return self.q3 - self.q1
-
-    def render(self, width: int = 60) -> str:
-        """One-line ASCII box plot."""
-        span = self.maximum - self.minimum
-        if span <= 0:
-            return "|" + "=" * 3 + f"| (constant at {self.median:g}, n={self.count})"
-
-        def pos(value: float) -> int:
-            return int((value - self.minimum) / span * (width - 1))
-
-        line = [" "] * width
-        for index in range(pos(self.whisker_low), pos(self.whisker_high) + 1):
-            line[index] = "-"
-        for index in range(pos(self.q1), pos(self.q3) + 1):
-            line[index] = "="
-        line[pos(self.median)] = "#"
-        line[pos(self.whisker_low)] = "|"
-        line[pos(self.whisker_high)] = "|"
-        for outlier in self.outliers:
-            line[pos(outlier)] = "o"
-        return (
-            "".join(line)
-            + f"  [min={self.minimum:g} q1={self.q1:g} med={self.median:g} "
-            + f"q3={self.q3:g} max={self.maximum:g} n={self.count}]"
         )

@@ -31,10 +31,3 @@ class MeeModel:
     extra_miss_ratio: float = 0.01
     bandwidth_penalty: float = 0.35  # fraction of DRAM bandwidth lost
 
-    def miss_cost_ns(self, base_dram_ns: float = 90.0) -> float:
-        """Total cost of one LLC miss into the EPC."""
-        return base_dram_ns + self.extra_latency_ns
-
-    def effective_bandwidth(self, dram_bandwidth_bytes_per_s: float) -> float:
-        """DRAM bandwidth available to enclave code."""
-        return dram_bandwidth_bytes_per_s * (1.0 - self.bandwidth_penalty)

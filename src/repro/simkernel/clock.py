@@ -167,7 +167,3 @@ class VirtualClock:
     def pending_count(self) -> int:
         """Number of timers that are scheduled and not cancelled."""
         return len(self._entries)
-
-    def sleep(self, delta_ns: int) -> None:
-        """Alias for :meth:`advance`, reads naturally in driver code."""
-        self.advance(delta_ns)

@@ -11,7 +11,7 @@ materialise current kernel state).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Union
+from typing import Callable, Dict, Union
 
 from repro.errors import SimulationError
 
@@ -40,13 +40,6 @@ class VirtualFs:
         """
         self._entries[self._normalise(path)] = content
 
-    def remove(self, path: str) -> None:
-        """Delete a pseudo-file."""
-        path = self._normalise(path)
-        if path not in self._entries:
-            raise SimulationError(f"no such file: {path}")
-        del self._entries[path]
-
     def exists(self, path: str) -> bool:
         """Whether a pseudo-file exists at ``path``."""
         return self._normalise(path) in self._entries
@@ -60,16 +53,3 @@ class VirtualFs:
             raise SimulationError(f"no such file: {path}") from None
         return content() if callable(content) else content
 
-    def listdir(self, path: str) -> List[str]:
-        """List the immediate children of a directory."""
-        prefix = self._normalise(path)
-        if prefix != "/":
-            prefix += "/"
-        children = set()
-        for entry in self._entries:
-            if entry.startswith(prefix):
-                rest = entry[len(prefix):]
-                children.add(rest.split("/", 1)[0])
-        if not children and not self.exists(path):
-            raise SimulationError(f"no such directory: {path}")
-        return sorted(children)

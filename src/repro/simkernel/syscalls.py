@@ -15,8 +15,7 @@ OCALL round trip).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import SyscallError
 from repro.simkernel.clock import VirtualClock
@@ -94,17 +93,6 @@ DEFAULT_COSTS_NS: Dict[str, int] = {
 }
 
 
-@dataclass
-class SyscallRecord:
-    """One dispatched syscall batch (for per-event inspection in tests)."""
-
-    name: str
-    nr: int
-    pid: int
-    count: int
-    time_ns: int
-
-
 class SyscallTable:
     """Dispatches syscalls, firing the raw_syscalls tracepoints."""
 
@@ -112,7 +100,6 @@ class SyscallTable:
         self._clock = clock
         self._hooks = hooks
         self._counts: Dict[str, int] = {}
-        self._handlers: Dict[str, Callable[[SyscallRecord], None]] = {}
         self._total = 0
         #: name -> (number, service time in ns, the exit latency in µs):
         #: all :meth:`dispatch` needs to know about a syscall, in one lookup.
@@ -157,12 +144,6 @@ class SyscallTable:
             raise SyscallError(f"unknown syscall: {name}")
         return self._counts.get(name, 0)
 
-    def set_handler(self, name: str, handler: Callable[[SyscallRecord], None]) -> None:
-        """Install a side-effect handler run on each dispatch of ``name``."""
-        if name not in SYSCALL_NUMBERS:
-            raise SyscallError(f"unknown syscall: {name}")
-        self._handlers[name] = handler
-
     def dispatch(self, name: str, pid: int, count: int = 1) -> int:
         """Dispatch ``count`` invocations of syscall ``name`` from ``pid``.
 
@@ -183,9 +164,6 @@ class SyscallTable:
             "raw_syscalls:sys_enter", now, count=count, pid=pid, syscall_nr=nr,
             syscall_name=name,
         )
-        handler = self._handlers.get(name)
-        if handler is not None:
-            handler(SyscallRecord(name=name, nr=nr, pid=pid, count=count, time_ns=now))
         # sys_exit carries the service latency (what a tracepoint-based
         # latency histogram measures: exit time minus enter time).
         self._hooks.fire(

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.errors import DeploymentError
@@ -56,8 +56,6 @@ from repro.pmag.alerting import (
 )
 from repro.pmag.query.engine import QueryEngine
 from repro.pmag.remote_write import (
-    REMOTE_WRITE_PATH,
-    REMOTE_WRITE_PORT,
     RemoteWriteClient,
     RemoteWriteReceiver,
     build_ship_filter,
@@ -778,20 +776,6 @@ class TeemonDeployment:
                 self.kernel.exit_process(service.process)
         if self.self_exporter is not None:
             self.self_exporter.withdraw()
-
-    # ------------------------------------------------------------------
-    def component_footprints(self) -> Dict[str, ExporterFootprint]:
-        """Modelled footprint of every running component (Figure 4)."""
-        result: Dict[str, ExporterFootprint] = {}
-        for job, exporter in self.exporters.items():
-            result[exporter.PROCESS_NAME] = exporter.footprint()
-        for name, service in self.services.items():
-            result[name] = service.footprint
-        return result
-
-    def total_memory_bytes(self) -> int:
-        """Total modelled memory of the monitoring stack."""
-        return sum(fp.memory_bytes for fp in self.component_footprints().values())
 
 
 def deploy(

@@ -212,14 +212,6 @@ class TraceStore:
         """Spans currently held (evicted traces excluded)."""
         return sum(len(spans) for spans in self._traces.values())
 
-    def clear(self) -> None:
-        """Drop everything (statistics are kept)."""
-        self._traces.clear()
-        self._sorted_views.clear()
-        self._pending.clear()
-        self._complete.clear()
-        self._dropped.clear()
-
     # ------------------------------------------------------------------
     # Determinism witness
     # ------------------------------------------------------------------

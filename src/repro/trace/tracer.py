@@ -436,9 +436,6 @@ class NoopTracer:
     def current_context(self) -> None:  # noqa: D102
         return None
 
-    def on_span_end(self, callback) -> None:  # noqa: D102
-        pass
-
 
 #: The shared no-op tracer — the off-by-default fast path.
 NOOP_TRACER = NoopTracer()

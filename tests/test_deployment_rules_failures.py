@@ -88,11 +88,16 @@ def test_driver_unload_while_monitored(sgx_kernel):
     deployment = deploy(sgx_kernel)
     sgx_kernel.clock.advance(seconds(20))
     assert deployment.tsdb.latest("up", job="sgx").value == 1.0
-    # Driver goes away (with its module parameters).
-    from repro.sgx.driver import PARAMS_DIR
+    # Driver goes away: every module parameter the TME reads fails as a
+    # missing file does.
+    from repro.errors import SimulationError
+    from repro.exporters.tme import TeeMetricsExporter
 
-    for param in list(sgx_kernel.vfs.listdir(PARAMS_DIR)):
-        sgx_kernel.vfs.remove(f"{PARAMS_DIR}/{param}")
+    def gone():
+        raise SimulationError("no such file")
+
+    for _family, param, _help, _counter in TeeMetricsExporter.PARAMS:
+        sgx_kernel.vfs.publish(f"{TeeMetricsExporter.PARAMS_DIR}/{param}", gone)
     sgx_kernel.clock.advance(seconds(20))
     assert deployment.tsdb.latest("up", job="sgx").value == 0.0
     assert deployment.tsdb.latest("up", job="node").value == 1.0

@@ -8,7 +8,6 @@ from repro.calibration.profiles import (
     NATIVE_CALIBRATION,
     SCONE_CALIBRATION,
     SGXLKL_CALIBRATION,
-    calibration_for,
     interpolate_rate,
 )
 from repro.errors import FrameworkError
@@ -29,13 +28,6 @@ MIB = 1024 * 1024
 # ---------------------------------------------------------------------------
 # Calibration
 # ---------------------------------------------------------------------------
-def test_calibration_lookup():
-    for name in ALL_FRAMEWORKS:
-        assert calibration_for(name).name == name
-    with pytest.raises(FrameworkError):
-        calibration_for("unknown")
-
-
 def test_interpolation_clamps_and_interpolates():
     points = (10.0, 20.0, 30.0)
     assert interpolate_rate(points, 1) == 10.0

@@ -19,18 +19,6 @@ def test_default_is_one_gbe():
     assert Link().bandwidth_bits_per_s == 1 * GBIT
 
 
-def test_admissible_rate_caps_at_capacity():
-    link = Link()
-    cap = link.payload_bytes_per_s
-    assert link.admissible_rate(cap / 2) == cap / 2
-    assert link.admissible_rate(cap * 10) == cap
-
-
-def test_admissible_negative_rejected():
-    with pytest.raises(NetworkError):
-        Link().admissible_rate(-1)
-
-
 def test_utilisation():
     link = Link()
     assert link.utilisation(link.payload_bytes_per_s) == pytest.approx(1.0)

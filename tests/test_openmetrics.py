@@ -524,8 +524,3 @@ def test_memoised_exposition_is_byte_identical_to_the_reference():
         bare_histogram.observe(0.3)
         check()
         check()  # a second scrape with nothing changed
-    counter.clear()
-    histogram.clear()
-    assert counter.rendered == {} and histogram.rendered == {}
-    counter.labels("read", "after-restart").inc()
-    check()

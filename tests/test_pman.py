@@ -27,7 +27,6 @@ def test_boxplot_five_numbers():
     assert box.maximum == 9
     assert box.median == 5
     assert box.q1 == 3 and box.q3 == 7
-    assert box.iqr == 4
     assert box.count == 9
     assert box.outliers == ()
 
@@ -43,17 +42,10 @@ def test_boxplot_empty_rejected():
         BoxPlot.from_values([])
 
 
-def test_boxplot_render_constant_and_spread():
-    assert "constant" in BoxPlot.from_values([5, 5, 5]).render()
-    rendered = BoxPlot.from_values(list(range(100))).render(width=40)
-    assert "#" in rendered and "=" in rendered
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_boxplot_summarises_finite_values_only(bad):
     box = BoxPlot.from_values([1.0, bad, 3.0])
     assert (box.minimum, box.median, box.maximum, box.count) == (1.0, 2.0, 3.0, 2)
-    assert "med=2" in box.render()
 
 
 def test_boxplot_of_no_finite_value_rejected():

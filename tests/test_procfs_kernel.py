@@ -47,28 +47,6 @@ def test_missing_file_read_raises():
         VirtualFs().read("/nope")
 
 
-def test_remove():
-    fs = VirtualFs()
-    fs.publish("/x", "1")
-    fs.remove("/x")
-    assert not fs.exists("/x")
-    with pytest.raises(SimulationError):
-        fs.remove("/x")
-
-
-def test_listdir():
-    fs = VirtualFs()
-    fs.publish("/sys/module/isgx/parameters/a", "1")
-    fs.publish("/sys/module/isgx/parameters/b", "2")
-    assert fs.listdir("/sys/module/isgx/parameters") == ["a", "b"]
-    assert fs.listdir("/sys/module") == ["isgx"]
-
-
-def test_listdir_missing_raises():
-    with pytest.raises(SimulationError):
-        VirtualFs().listdir("/nope")
-
-
 # ---------------------------------------------------------------------------
 # Kernel facade
 # ---------------------------------------------------------------------------

