@@ -13,9 +13,10 @@ depends on which CPU mode the box happens to be in:
   ``overhead_ratio`` is ``on / off``, the price of crash safety;
   ``bytes_per_sample`` is what the medium took per logged sample,
   series records included.
-* ``wal_writer_*`` — the writer alone.  Every ``append_many`` call the
-  WAL-on deployment made is recorded and replayed, in alternation, into
-  a fresh version-1 writer (``WalWriterV1`` from
+* ``wal_writer_*`` — the writer alone.  Every commit the WAL-on
+  deployment's store made is recorded and replayed, one ``append_many``
+  each (no commit groups), in alternation, into a fresh version-1
+  writer (``WalWriterV1`` from
   ``tests/codec_oracle.py``: the memoised per-sample encoder as it stood
   in production) and a fresh ``WalWriter``, once as recorded
   (``monolith``) and once with every batch cut by series fingerprint the
@@ -72,14 +73,14 @@ class _Pipeline:
         self.calls: list = []
         wal = self.deployment.wal
         if wal is not None:
-            # Record what the storage engine hands the writer.
-            append_many = wal.append_many
+            # Record what the storage engine commits to the writer.
+            commit = wal.commit
 
-            def recorded_append_many(entries):
+            def recorded_commit(entries):
                 self.calls.append(list(entries))
-                append_many(entries)
+                commit(entries)
 
-            wal.append_many = recorded_append_many
+            wal.commit = recorded_commit
 
     def cycle(self) -> float:
         deployment = self.deployment

@@ -276,12 +276,14 @@ class ScrapeManager:
         """Scrape every current target now; returns exposition samples
         ingested (the ``up`` write and scrape metadata are counted in
         :attr:`up_writes` / :attr:`meta_writes`, not here — a failed
-        scrape ingests nothing)."""
+        scrape ingests nothing).  The cycle's commits are one WAL commit
+        group: written once per log partition when the cycle ends."""
         now = self._clock.now_ns
         tracer = self._tracer
         ingested = 0
         targets = self.current_targets()
-        with tracer.span("scrape.cycle", {"targets": len(targets)}):
+        with tracer.span("scrape.cycle", {"targets": len(targets)}), \
+                self._tsdb.commit_group():
             self._retire_removed_targets(
                 {target.url for target in targets}, now
             )

@@ -20,6 +20,7 @@ the index.  Three invariants the layers above lean on:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import TsdbError
@@ -90,6 +91,21 @@ class Tsdb:
         """
         self._wal = wal
 
+    @contextmanager
+    def commit_group(self) -> Iterator[None]:
+        """Group the WAL writes of every commit made inside the block:
+        each is counted when it is made and written when the block ends
+        (see :meth:`WalWriter.commit`).  Without a log, nothing to do."""
+        wal = self._wal
+        if wal is None:
+            yield
+            return
+        wal.open_group()
+        try:
+            yield
+        finally:
+            wal.close_group()
+
     def attach_feed(self, feed: ArrivalFeed) -> None:
         """Push every commit's accepted entries into ``feed``."""
         self._feeds.append(feed)
@@ -140,11 +156,11 @@ class Tsdb:
 
         Per entry, in order: chunk append, and series creation — a
         series exists from its first accepted sample on.  Accepted
-        samples reach the WAL as one
-        :meth:`WalWriter.append_many` batch: flush and rotation
-        boundaries are counted in samples, so they do not depend on the
-        batching, but the log costs a few disk writes per commit instead
-        of one per sample.  The same list goes to every attached feed.
+        samples reach the WAL as one :meth:`WalWriter.commit`: flush
+        and rotation boundaries are counted in samples, so they do not
+        depend on the batching, but the log costs a few disk writes per
+        commit (or per :meth:`commit_group`) instead of one per sample.
+        The same list goes to every attached feed.
         """
         series = self._series
         wal = self._wal
@@ -180,7 +196,7 @@ class Tsdb:
         self.total_appends += appended
         if accepted:
             if wal is not None:
-                wal.append_many(accepted)
+                wal.commit(accepted)
             for feed in feeds:
                 feed.batches.append(accepted)
         return rejected
@@ -218,7 +234,7 @@ class Tsdb:
                 if index not in skip
             ]
             if self._wal is not None:
-                self._wal.append_many(accepted)
+                self._wal.commit(accepted)
             for feed in self._feeds:
                 feed.batches.append(accepted)
         return appended, len(rejected)

@@ -33,6 +33,16 @@ flush or rotation boundary falls inside it, in which case the batch is
 cut there — ``flush_every_records`` and ``segment_max_records`` count
 samples, not records.
 
+The store hands the log each commit's accepted samples through
+:meth:`WalWriter.commit`.  Inside a *commit group*
+(:meth:`WalWriter.open_group` … :meth:`WalWriter.close_group`; the
+scraper opens one per cycle) a commit is counted at once but only
+staged; the group's samples are written as one ``append_many`` when it
+closes, or up to a boundary as soon as a commit reaches one, and a
+flush or checkpoint inside the group writes them first.  The medium
+then holds what one ``append_many`` of all the group's commits would
+have written: same samples, same boundaries, fewer and longer runs.
+
 Version 2 is the only segment layout written or replayed: a segment
 whose header names any other version is quarantined like any other bad
 header.
@@ -101,9 +111,6 @@ _FRAME = struct.Struct("<II")
 _SERIES_HEAD = struct.Struct("<BII")
 _RUN_HEAD = struct.Struct("<BI")
 _SAMPLE = struct.Struct("<Iqd")
-#: The whole payload of a one-sample run: the many one-sample batches a
-#: partitioned log hands its writers pay one precompiled pack.
-_ONE_SAMPLE = struct.Struct("<BIIqd")
 _RUN_HEAD_SIZE, _SAMPLE_SIZE = _RUN_HEAD.size, _SAMPLE.size
 #: Samples in the largest run that still fits one record.
 MAX_RUN_SAMPLES = (MAX_RECORD_BYTES - _RUN_HEAD_SIZE) // _SAMPLE_SIZE
@@ -162,8 +169,6 @@ def encode_series_record(ref: int, labels: Labels) -> bytes:
 def encode_sample_run(flat: Sequence, count: int) -> bytes:
     """One framed samples record from ``count`` samples laid out flat,
     ``[ref, time_ns, value, ref, time_ns, value, ...]``."""
-    if count == 1:
-        return _framed(_ONE_SAMPLE.pack(RECORD_SAMPLES, 1, *flat))
     if not 0 < count <= MAX_RUN_SAMPLES:
         raise WalError(f"a run holds 1..{MAX_RUN_SAMPLES} samples: {count}")
     return _framed(struct.pack(
@@ -264,7 +269,7 @@ class WalWriter:
     """Appends ingest records to segment files on a simulated disk.
 
     Attach to a database with :meth:`Tsdb.attach_wal`; the TSDB calls
-    :meth:`append_many` with each batch's accepted samples.
+    :meth:`commit` with each batch's accepted samples.
     ``flush_every_records`` bounds the unflushed window by count (0 =
     only explicit flushes); the deployment layer adds time-based flushes
     on the virtual clock.
@@ -285,13 +290,17 @@ class WalWriter:
         self.directory = directory
         self.flush_every_records = flush_every_records
         self.segment_max_records = segment_max_records
-        self.records_total = 0
+        #: Samples written to the medium, and of them since the last flush.
+        self._written = 0
+        self._unflushed = 0
         self.cursor_records_total = 0
         self.flushes_total = 0
         self.checkpoints_total = 0
         self.segments_total = 0
-        self.unflushed_records = 0
         self._segment_records = 0
+        #: The open commit group's samples, counted but not yet written;
+        #: None while no group is open.
+        self._staged: Optional[list] = None
         #: Latest cursor per key; re-emitted into the fresh segment on
         #: every checkpoint so truncation never drops cursor durability.
         self._cursors: dict = {}
@@ -336,6 +345,21 @@ class WalWriter:
         """Sequence number of the live segment."""
         return self._seq
 
+    @property
+    def records_total(self) -> int:
+        """Samples committed to this log, staged ones included."""
+        return self._written + len(self._staged or ())
+
+    @property
+    def unflushed_records(self) -> int:
+        """Samples committed since the last flush: what a crash takes."""
+        return self._unflushed + len(self._staged or ())
+
+    @property
+    def group_open(self) -> bool:
+        """Whether a commit group is open."""
+        return self._staged is not None
+
     # ------------------------------------------------------------------
     # The write path
     # ------------------------------------------------------------------
@@ -349,6 +373,52 @@ class WalWriter:
     def append(self, labels: Labels, time_ns: int, value: float) -> None:
         """Write one accepted sample: :meth:`append_many` of one."""
         self.append_many([(labels, time_ns, value)])
+
+    def open_group(self) -> None:
+        """Start a commit group: :meth:`commit` stages until it closes."""
+        if self._staged is not None:
+            raise WalError("a commit group is already open")
+        self._staged = []
+
+    def close_group(self) -> None:
+        """End the commit group, writing what it staged."""
+        try:
+            self._write_staged()
+        finally:
+            self._staged = None
+
+    def _write_staged(self) -> None:
+        staged = self._staged
+        if staged:
+            self._staged = []
+            self.append_many(staged)
+
+    def commit(self, entries: Sequence[Tuple[Labels, int, float]]) -> None:
+        """One store commit's accepted samples.
+
+        Without an open group, :meth:`append_many`.  Inside one they are
+        counted now and staged; a commit that reaches the next flush or
+        rotation boundary writes the staged samples up to it, so the
+        boundaries fall on the same samples as without the group.
+        """
+        staged = self._staged
+        if staged is None:
+            self.append_many(entries)
+            return
+        flush_every = self.flush_every_records
+        while entries:
+            room = self.segment_max_records - self._segment_records
+            if flush_every and flush_every - self._unflushed < room:
+                room = flush_every - self._unflushed
+            room -= len(staged)
+            if len(entries) < room:
+                staged += entries
+                return
+            cut = room if room > 0 else 1
+            self._staged = []
+            self.append_many(staged + list(entries[:cut]))
+            staged = self._staged
+            entries = entries[cut:]
 
     def append_many(self, entries: Sequence[Tuple[Labels, int, float]]) -> None:
         """Write a batch of accepted ``(labels, time_ns, value)`` samples.
@@ -365,8 +435,8 @@ class WalWriter:
             # Up to the next boundary, whichever it is.
             count = total - start
             room = self.segment_max_records - self._segment_records
-            if flush_every and flush_every - self.unflushed_records < room:
-                room = flush_every - self.unflushed_records
+            if flush_every and flush_every - self._unflushed < room:
+                room = flush_every - self._unflushed
             if count > room:
                 count = room if room > 0 else 1
             if count > MAX_RUN_SAMPLES:
@@ -393,12 +463,12 @@ class WalWriter:
                 if out:
                     self.disk.append(self._segment, b"".join(out))
             start += count
-            self.records_total += count
-            self.unflushed_records += count
+            self._written += count
+            self._unflushed += count
             self._segment_records += count
             rotate_due = self._segment_records >= self.segment_max_records
             if rotate_due or (
-                    flush_every and self.unflushed_records >= flush_every):
+                    flush_every and self._unflushed >= flush_every):
                 self.flush()
                 if rotate_due:
                     self._open_segment()
@@ -409,8 +479,10 @@ class WalWriter:
         Cursor frames are excluded from the sample counters and never
         trigger a flush on their own: a cursor becomes durable with the
         next flush, and a rule cursor lost to a crash only means the
-        outage is not backfilled — no stored data is at stake.
+        outage is not backfilled — no stored data is at stake.  The open
+        group's staged samples are written first, keeping log order.
         """
+        self._write_staged()
         self.disk.append(self._segment, encode_cursor_record(key, cursor_ns))
         self._cursors[key] = cursor_ns
         self.cursor_records_total += 1
@@ -422,12 +494,13 @@ class WalWriter:
             self.append_cursor(key, cursors[key])
 
     def flush(self) -> None:
-        """Make everything appended so far durable (``fsync``)."""
+        """Make everything committed so far durable (``fsync``); the
+        open group's staged samples are written first."""
+        self._write_staged()
+        self._unflushed = 0
         if self.disk.synced_size(self._segment) == self.disk.size(self._segment):
-            self.unflushed_records = 0
             return
         self.disk.sync(self._segment)
-        self.unflushed_records = 0
         self.flushes_total += 1
 
     def checkpoint(self, tsdb: Tsdb) -> str:
@@ -588,11 +661,9 @@ class _Replay:
         """Walk one headered segment, gathering what verifies."""
         report = self.report
         refs: Dict[int, list] = {}
-        order = self.order
         # The loop below runs once per record of the log: its constants
         # and callables are bound to locals once.
         frame_at, crc32 = _FRAME.unpack_from, zlib.crc32
-        one_sample, one_size = _ONE_SAMPLE.unpack, _ONE_SAMPLE.size
         size = len(data)
         pos = HEADER_SIZE
         while pos < size:
@@ -617,20 +688,8 @@ class _Replay:
             # whether or not its CRC holds.
             kind = payload[0]
             intact = crc32(payload) == crc
-            if intact and kind == RECORD_SAMPLES:
-                if length == one_size:
-                    # The run of one, the most common record there is.
-                    _kind, count, ref, time_ns, value = one_sample(payload)
-                    columns = refs.get(ref)
-                    if count == 1 and columns is not None:
-                        times = columns[1]
-                        if not times:
-                            order.append(columns)
-                        times.append(time_ns)
-                        columns[2].append(value)
-                        continue
-                elif self._run(payload, refs):
-                    continue
+            if intact and kind == RECORD_SAMPLES and self._run(payload, refs):
+                continue
             if not self._metadata(kind, payload, intact, refs):
                 self.journal("wal-record-quarantined", f"{name}@{start}")
 
@@ -800,7 +859,7 @@ def _summed(name: str) -> property:
 class ShardedWal:
     """One :class:`WalWriter` per partition behind a single façade.
 
-    The store writes through :meth:`append_many` as through one writer;
+    The store commits through :meth:`commit` as through one writer;
     each entry goes to its series' partition (``routes``).  The
     deployment flushes and checkpoints "the WAL" without caring how many
     partitions sit underneath; counters are summed over the writers so
@@ -820,7 +879,22 @@ class ShardedWal:
     segments_total = _summed("segments_total")
     unflushed_records = _summed("unflushed_records")
 
-    def append_many(self, entries: Sequence[Tuple[Labels, int, float]]) -> None:
+    @property
+    def group_open(self) -> bool:
+        """Whether a commit group is open."""
+        return self.writers[0].group_open
+
+    def open_group(self) -> None:
+        """Open a commit group on every partition."""
+        for writer in self.writers:
+            writer.open_group()
+
+    def close_group(self) -> None:
+        """Close every partition's group: one write per partition."""
+        for writer in self.writers:
+            writer.close_group()
+
+    def commit(self, entries: Sequence[Tuple[Labels, int, float]]) -> None:
         """Split one commit's accepted samples by partition, keeping
         their order within each, and hand every non-empty part to its
         writer, in partition order."""
@@ -830,7 +904,7 @@ class ShardedWal:
             parts[routes[entry[0]]].append(entry)
         for writer, part in zip(self.writers, parts):
             if part:
-                writer.append_many(part)
+                writer.commit(part)
 
     def append_cursor(self, key: str, cursor_ns: int) -> None:
         """Cursor frames live in partition 0 (they are not sample-routed)."""

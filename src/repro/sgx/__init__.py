@@ -9,7 +9,6 @@ SGX that produce the phenomena TEEMon monitors:
 * enclaves (:mod:`repro.sgx.enclave`) — lifecycle, ECALL/OCALL/AEX
   transitions with Skylake-era costs, and working-set access that drives
   EPC paging;
-* the Memory Encryption Engine cost model (:mod:`repro.sgx.mee`);
 * the ``isgx`` driver (:mod:`repro.sgx.driver`) — a loadable kernel module
   exposing the paper's counters as module parameters under
   ``/sys/module/isgx/parameters`` and as kprobe-able driver hooks;

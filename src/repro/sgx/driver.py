@@ -27,7 +27,6 @@ from typing import Dict, Optional
 from repro.errors import SgxError
 from repro.sgx.enclave import Enclave, EnclaveState, TransitionCosts
 from repro.sgx.epc import EPC_PAGE_SIZE, EpcRegion
-from repro.sgx.mee import MeeModel
 from repro.sgx.swapd import Ksgxswapd
 from repro.simkernel.hooks import HookKind
 from repro.simkernel.kernel import Kernel, KernelModule
@@ -71,12 +70,10 @@ class SgxDriver(KernelModule):
     def __init__(
         self,
         epc: Optional[EpcRegion] = None,
-        mee: Optional[MeeModel] = None,
         costs: Optional[TransitionCosts] = None,
         sgx2: bool = True,
     ) -> None:
         self.epc = epc or EpcRegion()
-        self.mee = mee or MeeModel()
         self.costs = costs or TransitionCosts()
         #: SGX2 (EDMM): heap pages are EAUGed on demand after EINIT, so
         #: enclave startup is fast and only touched memory occupies EPC.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.errors import SimulationError
 
@@ -87,9 +87,11 @@ class VirtualClock:
     def __init__(self, start_ns: int = 0) -> None:
         self._now_ns = start_ns
         self._sequence = itertools.count()
-        # Heap entries: (deadline, sequence, callback-or-None). A cancelled
-        # timer has its callback replaced with None and is skipped on pop.
-        self._queue: List[Tuple[int, int, Optional[Callable[[], None]]]] = []
+        # Heap entries: [deadline, sequence, callback-or-None], the same
+        # lists ``_entries`` holds by (deadline, sequence).  A cancelled
+        # timer has its callback replaced with None, so nothing it closes
+        # over stays reachable, and is skipped on pop.
+        self._queue: List[list] = []
         self._entries: dict = {}
 
     @property
@@ -112,7 +114,7 @@ class VirtualClock:
         handle = TimerHandle(deadline_ns, seq, self)
         entry = [deadline_ns, seq, callback]
         self._entries[(deadline_ns, seq)] = entry
-        heapq.heappush(self._queue, (deadline_ns, seq, callback))
+        heapq.heappush(self._queue, entry)
         return handle
 
     def call_later(self, delay_ns: int, callback: Callable[[], None]) -> TimerHandle:
@@ -136,8 +138,9 @@ class VirtualClock:
         )
 
     def _cancel(self, handle: TimerHandle) -> None:
-        key = (handle.deadline_ns, handle.sequence)
-        self._entries.pop(key, None)
+        entry = self._entries.pop((handle.deadline_ns, handle.sequence), None)
+        if entry is not None:
+            entry[2] = None
 
     def advance(self, delta_ns: int) -> None:
         """Move time forward by ``delta_ns``, firing due callbacks in order."""
@@ -157,7 +160,7 @@ class VirtualClock:
             )
         while self._queue and self._queue[0][0] <= deadline_ns:
             when, seq, callback = heapq.heappop(self._queue)
-            if (when, seq) not in self._entries:
+            if callback is None:
                 continue  # cancelled
             del self._entries[(when, seq)]
             self._now_ns = when

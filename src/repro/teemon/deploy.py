@@ -36,13 +36,7 @@ from repro.exporters import (
     TeeMetricsExporter,
 )
 from repro.exporters.base import Exporter, ExporterFootprint, MIB
-from repro.exporters.teemon_self import (
-    SELF_EXPORTER_PATH,
-    SELF_EXPORTER_PORT,
-    SELF_JOB,
-    Reader,
-    TeemonSelfExporter,
-)
+from repro.exporters.teemon_self import SELF_JOB, Reader, TeemonSelfExporter
 from repro.net.http import HttpNetwork
 from repro.orchestration.container import ContainerImage, DockerRuntime
 from repro.pmag.alerting import (
@@ -66,7 +60,9 @@ from repro.pmag.remote_write import (
 from repro.pmag.rules import RecordingRule, RuleEvaluator, RuleGroup
 from repro.pmag.scrape import ScrapeManager, ScrapeTarget
 from repro.pmag.tsdb import Tsdb
-from repro.pmag.wal import PartitionMap, RecoveryReport, open_log
+from repro.pmag.wal import (
+    PartitionMap, RecoveryReport, open_log, recover_sharded,
+)
 from repro.pman.analyzer import PmanAnalyzer, default_sgx_rules
 from repro.pmv.dashboards import (
     build_docker_dashboard,
@@ -74,7 +70,7 @@ from repro.pmv.dashboards import (
     build_sgx_dashboard,
 )
 from repro.simkernel.clock import NANOS_PER_SEC
-from repro.simkernel.disk import SimDisk
+from repro.simkernel.disk import DiskCrashReport, SimDisk
 from repro.simkernel.kernel import Kernel
 from repro.teemon.config import TeemonConfig
 from repro.teemon.session import MonitoringSession
@@ -216,7 +212,11 @@ class TeemonDeployment:
         self.silence_store = SilenceStore(config.alert_silences)
 
         self._create_exporters()
+        substrate = set(vars(self))
         self._build_monitor()
+        #: What :meth:`_build_monitor` made: the monitor's memory, which
+        #: :meth:`resurrect` drops before it rebuilds.
+        self._monitor_attributes = sorted(set(vars(self)) - substrate)
         self._create_services()
         self.session = MonitoringSession(self)
 
@@ -233,8 +233,7 @@ class TeemonDeployment:
         kernel = self.kernel
         config = self.config
         if tsdb is None:
-            tsdb = Tsdb(retention_ns=int(
-                config.retention_hours * 3600 * NANOS_PER_SEC))
+            tsdb = Tsdb(retention_ns=self._retention_ns())
         self.tsdb = tsdb
         #: Label set -> WAL partition, shared by the log and the
         #: per-partition storage telemetry.
@@ -412,6 +411,9 @@ class TeemonDeployment:
                 url=self.self_exporter.url,
             ))
 
+    def _retention_ns(self) -> int:
+        return int(self.config.retention_hours * 3600 * NANOS_PER_SEC)
+
     def storage_stats(self) -> Dict[str, object]:
         """The store's series and samples per WAL partition
         (``storage_shards`` of them): the ``teemon_storage_*`` shape."""
@@ -586,51 +588,65 @@ class TeemonDeployment:
         """
         if not self._running:
             raise DeploymentError("cannot kill a deployment that is not running")
+        if self.wal is not None and self.wal.group_open:
+            # Its staged samples are counted as logged but are on no
+            # medium: a crash here would lose them without a trace.
+            raise DeploymentError("cannot kill inside a WAL commit group")
         self._halt(ship_pending=False)
+        # A dead process serves nothing: withdraw its endpoints, so
+        # leaves fail fast and spill to their queues and no route keeps
+        # the dead incarnation reachable.
         if self.remote_write_receiver is not None:
-            # A dead receiving process serves nothing: withdraw the write
-            # endpoint so leaves fail fast and spill to their queues.
             self.remote_write_receiver.withdraw(
                 self.network, self.kernel.hostname
             )
+        if self.self_exporter is not None:
+            self.self_exporter.withdraw()
         self.crashed = True
 
-    def resurrect(self, tsdb: Tsdb,
-                  report: Optional[RecoveryReport] = None) -> None:
-        """Restart the monitor after :meth:`kill` with a recovered store.
+    def resurrect(self, crash_report: Optional[DiskCrashReport] = None,
+                  plan=None) -> RecoveryReport:
+        """Restart the monitor after :meth:`kill`, recovered from its WAL.
 
-        Rebuilds every in-memory monitor object around ``tsdb`` (normally
-        the result of :func:`repro.pmag.wal.recover_sharded`, with its
-        :class:`~repro.pmag.wal.RecoveryReport` as ``report``),
-        re-registers the self-telemetry endpoint, seeds scrape-manager
-        state from the recovered series so ``up``/staleness/flap
-        semantics are correct across the restart, folds ``report`` into
-        the cumulative ``teemon_recovery_*`` statistics, takes a fresh
-        checkpoint (the recovery itself becomes durable), and starts
-        scraping again.
+        In the order a process restart frees and rebuilds memory: drop
+        every in-memory object of the dead incarnation and collect it,
+        replay the WAL (:func:`~repro.pmag.wal.recover_sharded`, with
+        ``crash_report`` as the loss oracle and ``plan`` journalling
+        quarantines), then build the monitor around the recovered store.
+        Scrape-manager state is seeded from the recovered series so
+        ``up``/staleness/flap semantics are correct across the restart,
+        the report is folded into the cumulative ``teemon_recovery_*``
+        statistics, a fresh checkpoint makes the recovery itself
+        durable, and scraping starts again.  Returns the report.
         """
         if not self.crashed:
             raise DeploymentError("resurrect() requires a killed deployment")
-        if self.self_exporter is not None:
-            self.network.unregister(
-                self.kernel.hostname, SELF_EXPORTER_PORT, SELF_EXPORTER_PATH
-            )
-        if report is not None:
-            self.last_recovery = report
-            for name in self.recovery_stats:
-                if name != "recoveries":  # the rest are report counters
-                    self.recovery_stats[name] += getattr(report, name)
+        if self.disk is None:
+            raise DeploymentError(
+                "resurrect() replays the WAL; deploy with "
+                "TeemonConfig(enable_wal=True)")
+        # The dead incarnation is cyclic garbage (exporter callbacks,
+        # registry, rule closures) pinning its store, WAL and codec
+        # caches: drop and collect it before the replay builds the new
+        # store, so the two are never resident at once.
+        for name in self._monitor_attributes:
+            setattr(self, name, None)
+        gc.collect()
+        config = self.config
+        tsdb, report = recover_sharded(
+            self.disk, config.wal_dir, config.storage_shards,
+            retention_ns=self._retention_ns(),
+            crash_report=crash_report, plan=plan,
+        )
+        self.last_recovery = report
+        for name in self.recovery_stats:
+            if name != "recoveries":  # the rest are report counters
+                self.recovery_stats[name] += getattr(report, name)
         self.recovery_stats["recoveries"] += 1
         self.crashed = False
         self._build_monitor(tsdb=tsdb)
-        # A real restart returns the dead process's memory at once.  Here
-        # the replaced incarnation is cyclic garbage (exporter callbacks,
-        # registry, rule closures) pinning its WAL and codec caches:
-        # collect it now, or peak memory depends on when the generational
-        # collector next happens to reach the old generation.
-        gc.collect()
         self._seed_scrape_state()
-        cursors = dict(report.cursors) if report is not None else {}
+        cursors = dict(report.cursors)
         if cursors:
             # Resume recording rules where the dead monitor stopped: the
             # outage is backfilled from the last recorded step, and the
@@ -662,6 +678,7 @@ class TeemonDeployment:
             # the recovered state itself becomes the new durable baseline.
             self.wal.checkpoint(self.tsdb)
         self.start()
+        return report
 
     def _seed_scrape_state(self) -> None:
         """Rebuild scraper health from the recovered TSDB (its counters

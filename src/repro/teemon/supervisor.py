@@ -5,10 +5,9 @@ aggregation process: it owns the crash → recover → continue cycle that
 the :class:`~repro.faults.disk.CrashInjector` drives.  On
 :meth:`crash` the deployment is killed abruptly and the simulated disk
 loses its unsynced writes (capturing the medium's own loss report); on
-:meth:`recover` the WAL is replayed into a fresh TSDB, the deployment is
-resurrected around it, and both events are journalled in the
-:class:`~repro.faults.plan.FaultPlan` alongside the network faults —
-one journal, the whole fault history of a run.
+:meth:`recover` the deployment is resurrected from its WAL.  Both events
+are journalled in the :class:`~repro.faults.plan.FaultPlan` alongside
+the network faults — one journal, the whole fault history of a run.
 
 The supervisor requires ``TeemonConfig(enable_wal=True)``: supervising a
 deployment with no durable storage would just institutionalise total
@@ -20,8 +19,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.errors import DeploymentError
-from repro.pmag.wal import RecoveryReport, recover_sharded
-from repro.simkernel.clock import NANOS_PER_SEC
+from repro.pmag.wal import RecoveryReport
 from repro.simkernel.disk import DiskCrashReport
 from repro.teemon.deploy import TeemonDeployment
 
@@ -64,22 +62,14 @@ class MonitorSupervisor:
         return self._last_crash
 
     def recover(self) -> RecoveryReport:
-        """Replay the WAL and resurrect the monitor; returns the report
-        (per-partition loss rides along in ``report.shards``)."""
+        """Resurrect the monitor from its WAL
+        (:meth:`~repro.teemon.deploy.TeemonDeployment.resurrect`); returns
+        the report (per-partition loss rides along in ``report.shards``)."""
         deployment = self.deployment
         if not deployment.crashed:
             raise DeploymentError("monitor is not crashed")
-        config = deployment.config
-        tsdb, report = recover_sharded(
-            deployment.disk,
-            config.wal_dir,
-            config.storage_shards,
-            retention_ns=int(config.retention_hours * 3600 * NANOS_PER_SEC),
-            crash_report=self._last_crash,
-            plan=self.plan,
-        )
+        report = deployment.resurrect(self._last_crash, self.plan)
         self._last_crash = None
-        deployment.resurrect(tsdb, report)
         self.recoveries += 1
         self.reports.append(report)
         if self.plan is not None:

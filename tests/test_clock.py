@@ -1,5 +1,8 @@
 """Virtual clock unit tests."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
@@ -143,6 +146,26 @@ def test_cancel_is_idempotent():
     handle.cancel()
     handle.cancel()
     clock.advance(200)
+
+
+def test_cancelled_callback_is_released_before_its_deadline():
+    # A cancelled timer must not keep what its callback closes over
+    # alive until the clock gets round to popping it: a killed monitor's
+    # timers would pin the whole dead incarnation.
+    class Callback:
+        def __call__(self):
+            raise AssertionError("cancelled timer fired")
+
+    clock = VirtualClock()
+    callback = Callback()
+    dead = weakref.ref(callback)
+    handle = clock.call_at(10**12, callback)
+    clock.call_at(10**12, lambda: None)  # the instant stays queued
+    del callback
+    handle.cancel()
+    gc.collect()
+    assert dead() is None
+    assert clock.now_ns == 0 and clock.pending_count() == 1
 
 
 def test_pending_count_tracks_cancellation():

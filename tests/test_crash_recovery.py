@@ -17,6 +17,8 @@ invariants, asserted *exactly* against an uninterrupted same-seed run:
   restart with no spurious transitions.
 """
 
+import importlib
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -24,7 +26,7 @@ import pytest
 from repro.faults import FaultPlan
 from repro.net.http import HttpNetwork
 from repro.openmetrics import CollectorRegistry, encode_registry
-from repro.errors import TsdbError
+from repro.errors import DeploymentError, TsdbError
 from repro.pmag import archive, wal
 from repro.pmag.scrape import ScrapeTarget
 from repro.pmag.storage import shard_for
@@ -157,6 +159,46 @@ def test_a_resurrected_monitor_starts_with_empty_scrape_memos():
     rig.clock.advance(seconds(10))
     assert all(h.series and h.stored for h in seeded.values())
     rig.deployment.stop()
+
+
+def test_the_dead_incarnation_is_freed_before_the_replay_starts(monkeypatch):
+    # A restart returns the dead process's memory before the new one
+    # grows: by the time the WAL replay builds the recovered store, the
+    # killed incarnation's store must already be unreachable.
+    deploy_module = importlib.import_module("repro.teemon.deploy")
+    rig = build_rig(3)
+    rig.deployment.start()
+    rig.clock.advance(seconds(30))
+    dead = weakref.ref(rig.deployment.tsdb)
+    seen = []
+    replay = deploy_module.recover_sharded
+
+    def recover_sharded(*args, **kwargs):
+        seen.append(dead())
+        return replay(*args, **kwargs)
+
+    monkeypatch.setattr(deploy_module, "recover_sharded", recover_sharded)
+    rig.supervisor.crash()
+    rig.supervisor.recover()
+    assert seen == [None]
+    rig.clock.advance(seconds(10))
+    assert rig.deployment.session.query("up")
+    rig.deployment.stop()
+
+
+def test_kill_inside_a_wal_commit_group_raises():
+    # A group's staged samples are counted as logged but are on no
+    # medium yet: dying there would lose them without a trace.
+    rig = build_rig(3)
+    rig.deployment.start()
+    rig.clock.advance(seconds(10))
+    with rig.deployment.tsdb.commit_group():
+        with pytest.raises(DeploymentError, match="commit group"):
+            rig.supervisor.crash()
+    assert not rig.deployment.crashed and rig.supervisor.crashes == 0
+    rig.supervisor.crash()
+    rig.supervisor.recover()
+    assert rig.supervisor.reports[0].samples_lost > 0
 
 
 def test_kill_resurrect_under_combined_sharded_traced_profile():

@@ -912,6 +912,69 @@ def test_append_is_append_many_of_one_and_the_reference_record(
         assert writer.records_total == len(entries)
 
 
+@given(
+    entries=records,
+    cuts=st.lists(st.integers(0, 40), max_size=8),
+    flushes=st.sets(st.integers(0, 8), max_size=3),
+    flush_every=st.integers(0, 5),
+    segment_max=st.integers(1, 7),
+)
+def test_a_commit_group_writes_what_one_batch_of_its_commits_would(
+        entries, cuts, flushes, flush_every, segment_max):
+    # Commits inside a group are counted as they are made — every
+    # counter equals the ungrouped writer's after every commit — and
+    # written as if the commits between two explicit flushes had been
+    # one append_many: same bytes, same durable prefix, same boundaries.
+    bounds = sorted(set(cuts) | {0, len(entries)})
+    grouped, plain = (
+        WalWriter(SimDisk(), flush_every_records=flush_every,
+                  segment_max_records=segment_max) for _ in range(2))
+    model = ReferenceLogV2(flush_every, segment_max)
+    pending = []
+    grouped.open_group()
+    for index, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if index in flushes:
+            model.append_many(pending)
+            model.flush()
+            pending = []
+            for writer in (grouped, plain):
+                writer.flush()
+        grouped.commit(entries[lo:hi])
+        plain.commit(entries[lo:hi])
+        pending += entries[lo:hi]
+        for attr in ("records_total", "unflushed_records", "flushes_total",
+                     "segments_total"):
+            assert getattr(grouped, attr) == getattr(plain, attr), attr
+    grouped.close_group()
+    model.append_many(pending)
+    disk = grouped.disk
+    names = disk.list_files("wal/segment-")
+    assert [disk.read(name) for name in names] == model.segments
+    assert [disk.synced_size(name) for name in names] == model.durable
+    assert (grouped.records_total, grouped.unflushed_records) == (
+        model.samples, model.unflushed)
+
+
+def test_commit_groups_do_not_nest_and_close_on_error():
+    writer = WalWriter(SimDisk())
+    tsdb = Tsdb()
+    tsdb.attach_wal(writer)
+    with pytest.raises(RuntimeError):
+        with tsdb.commit_group():
+            tsdb.append(_labels(0), 1, 1.0)
+            assert writer.group_open and writer.records_total == 1
+            with pytest.raises(WalError, match="already open"):
+                writer.open_group()
+            raise RuntimeError("the cycle failed")
+    # The group closed on the way out and wrote what it had staged.
+    assert not writer.group_open
+    samples, _cursors, _lost = reference_replay_v2(
+        writer.disk.read(writer.current_segment))
+    assert samples == [(_labels(0), 1, 1.0)]
+    with Tsdb().commit_group():  # no log attached: nothing to group
+        pass
+
+
 def test_a_batch_too_large_for_one_record_is_cut_into_runs(monkeypatch):
     # A run must fit MAX_RECORD_BYTES; past that a batch becomes several
     # runs with no flush in between.

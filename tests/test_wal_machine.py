@@ -2,7 +2,8 @@
 
 A hypothesis state machine drives a real ``Tsdb`` + ``WalWriter`` +
 ``SimDisk`` through arbitrary interleavings of everything that can
-happen to a log — scalar appends, batches, cursor frames, flushes,
+happen to a log — scalar appends, batches, commit groups with flushes,
+rotations and checkpoints inside them, cursor frames, flushes,
 rotations, checkpoints, power loss that tears the unflushed tail at any
 byte, recovery — and after every step holds:
 
@@ -113,6 +114,21 @@ class WalMachine(RuleBasedStateMachine):
                 expected.append(index)
         assert self.tsdb.append_batch(entries) == expected
         self.log += accepted
+
+    @alive
+    @rule(cycle=st.lists(st.tuples(
+        st.lists(st.tuples(series, steps), max_size=9),
+        st.sampled_from([None, "flush", "rotation", "checkpoint"])),
+        min_size=1, max_size=4))
+    def group(self, cycle):
+        # A scrape cycle's commits as one commit group, with a flush, a
+        # rotation or a checkpoint landing between two of them.
+        with self.tsdb.commit_group():
+            for batch, between in cycle:
+                self.batch_append(batch)
+                if between is not None:
+                    getattr(self, between)()
+        assert not self.writer.group_open
 
     @alive
     @rule(key=st.sampled_from(["rules/a", "rules/b"]),
