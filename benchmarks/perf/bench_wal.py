@@ -1,6 +1,6 @@
 """WAL benchmark: what durability costs the pipeline, what the
-version-2 log costs against the version-1 log it replaced, and what a
-checkpoint weighs.
+version-3 log costs against the version-1 log, and what a checkpoint
+weighs.
 
 Three measurements, all in this process so none depends on another
 process's numbers; the first two interleave their sides so neither side
@@ -14,15 +14,18 @@ depends on which CPU mode the box happens to be in:
   ``bytes_per_sample`` is what the medium took per logged sample,
   series records included.
 * ``wal_writer_*`` — the writer alone.  Every commit the WAL-on
-  deployment's store made is recorded and replayed, one ``append_many``
-  each (no commit groups), in alternation, into a fresh version-1
-  writer (``WalWriterV1`` from
-  ``tests/codec_oracle.py``: the memoised per-sample encoder as it stood
-  in production) and a fresh ``WalWriter``, once as recorded
-  (``monolith``) and once with every batch cut by series fingerprint the
-  way a 4-shard engine hands them to its per-shard writers
-  (``sharded4``: mostly batches of one or two).  ``ratio`` is the median
-  over adjacent pairs of ``v2 / v1``.
+  deployment's store made is recorded with the commit group it fell in
+  (a scrape cycle is one; a commit outside any group is a group of its
+  own) and replayed, in alternation, into fresh version-1 writers
+  (``WalWriterV1`` from ``tests/codec_oracle.py``: the memoised
+  per-sample encoder as it stood in production, which has no groups and
+  takes each group as one ``append_many``) and fresh ``WalWriter`` objects
+  (``open_group``, one ``commit`` per recorded commit, ``close_group``):
+  once into one writer as recorded (``monolith``) and once into four,
+  every commit cut by series fingerprint the way a 4-partition log
+  hands it to its per-partition writers (``sharded4``).  ``ratio`` is
+  the median over adjacent pairs of ``v2 / v1``, ``v2`` naming the
+  current writer.
 * ``wal_checkpoint`` — the WAL-on deployment's store as a checkpoint:
   ``bytes_per_sample`` of the archive's version-3 (deflated) snapshot
   against ``v2_bytes_per_sample``, the same body stored raw as version 2
@@ -70,16 +73,23 @@ class _Pipeline:
         self.deployment = deploy(
             self.kernel, TeemonConfig(enable_wal=enable_wal), start=False
         )
-        self.calls: list = []
+        #: The commits the store made, one list per commit group.
+        self.groups: list = []
         wal = self.deployment.wal
         if wal is not None:
-            # Record what the storage engine commits to the writer.
-            commit = wal.commit
+            commit, open_group = wal.commit, wal.open_group
+
+            def recorded_open_group():
+                self.groups.append([])
+                open_group()
 
             def recorded_commit(entries):
-                self.calls.append(list(entries))
+                if not wal.group_open:
+                    self.groups.append([])
+                self.groups[-1].append(list(entries))
                 commit(entries)
 
+            wal.open_group = recorded_open_group
             wal.commit = recorded_commit
 
     def cycle(self) -> float:
@@ -96,63 +106,80 @@ class _Pipeline:
 
 def time_pipeline(cycles: int):
     """Median WAL-off and WAL-on cycle seconds, stepped in turn; plus
-    the WAL-on run's volume, the writer calls it made and its store."""
+    the WAL-on run's volume, the commit groups it made and its store."""
     off, on = _Pipeline(False), _Pipeline(True)
     for pipeline in (off, on):
         pipeline.cycle()  # warm-up: first scrape creates every series
-    on.calls.clear()
+    on.groups.clear()
     samples = {off: [], on: []}
     for index in range(cycles):
         for pipeline in ((off, on) if index % 2 else (on, off)):
             samples[pipeline].append(pipeline.cycle())
     wal = on.deployment.wal
     volume = (wal.records_total, on.deployment.disk.bytes_written)
-    calls = on.calls
+    groups = on.groups
     for pipeline in (off, on):
         pipeline.deployment.shutdown()
     return (statistics.median(samples[off]), statistics.median(samples[on]),
-            volume, calls, on.deployment.tsdb)
+            volume, groups, on.deployment.tsdb)
 
 
-def cut_by_shard(calls, shards: int = 4):
-    """The calls a ``shards``-way engine would make instead: each batch
-    split by series fingerprint, entry order kept within a shard."""
+def by_partition(groups, shards: int = 1):
+    """What each writer of a ``shards``-way log is handed: per group, one
+    list of commits per partition, every commit cut by series
+    fingerprint (entry order kept, empty parts left out)."""
     out = []
-    for entries in calls:
-        buckets = {}
-        for entry in entries:
-            buckets.setdefault(
-                series_fingerprint(entry[0]) % shards, []).append(entry)
-        out.extend(buckets.values())
+    for commits in groups:
+        parts = [[] for _ in range(shards)]
+        for entries in commits:
+            buckets = {}
+            for entry in entries:
+                buckets.setdefault(
+                    series_fingerprint(entry[0]) % shards, []).append(entry)
+            for shard, part in buckets.items():
+                parts[shard].append(part)
+        out.append(parts)
     return out
 
 
-def replay(writer_class, calls):
-    """Seconds to push ``calls`` through a fresh writer, and its disk."""
+def replay(writer_class, cycles):
+    """Seconds to push ``cycles`` (:func:`by_partition`) through fresh
+    writers, one per partition, and their disk."""
     disk = SimDisk()
-    writer = writer_class(disk)
+    writers = [writer_class(disk, f"wal/shard-{index:02d}")
+               for index in range(len(cycles[0]))]
     started = time.perf_counter()
-    for entries in calls:
-        writer.append_many(entries)
-    writer.flush()
+    for cycle in cycles:
+        for writer, commits in zip(writers, cycle):
+            if writer_class is WalWriterV1:
+                writer.append_many(
+                    [entry for entries in commits for entry in entries])
+                continue
+            writer.open_group()
+            for entries in commits:
+                writer.commit(entries)
+            writer.close_group()
+    for writer in writers:
+        writer.flush()
     return time.perf_counter() - started, disk
 
 
-def time_writers(calls, pairs: int):
-    """v1 control against v2, same calls, adjacent in time."""
-    samples = sum(len(entries) for entries in calls)
+def time_writers(cycles, pairs: int):
+    """v1 control against v2, same groups, adjacent in time."""
+    samples = sum(len(entries) for cycle in cycles
+                  for commits in cycle for entries in commits)
     took = {WalWriterV1: [], WalWriter: []}
     written = {}
     for index in range(pairs + 1):
         order = (WalWriterV1, WalWriter) if index % 2 else (WalWriter, WalWriterV1)
         for writer_class in order:
-            elapsed, disk = replay(writer_class, calls)
+            elapsed, disk = replay(writer_class, cycles)
             written[writer_class] = disk.bytes_written
             if index:  # pair 0 is the warm-up
                 took[writer_class].append(elapsed)
     return {
         "samples": samples,
-        "calls": len(calls),
+        "calls": sum(len(commits) for cycle in cycles for commits in cycle),
         "v1_ns_per_sample": statistics.median(took[WalWriterV1]) / samples * 1e9,
         "v2_ns_per_sample": statistics.median(took[WalWriter]) / samples * 1e9,
         "ratio": statistics.median(
@@ -190,7 +217,7 @@ def run_suite(quick: bool) -> BenchReport:
     report = BenchReport(quick=quick)
     cycles = 10 if quick else 50
     pairs = 7 if quick else 25
-    off_s, on_s, (records, wal_bytes), calls, store = time_pipeline(cycles)
+    off_s, on_s, (records, wal_bytes), groups, store = time_pipeline(cycles)
     report.add(
         "wal_overhead",
         off_ms=off_s * 1e3,
@@ -201,9 +228,10 @@ def run_suite(quick: bool) -> BenchReport:
         wal_bytes=wal_bytes,
         bytes_per_sample=wal_bytes / records,
     )
-    report.add("wal_writer_monolith", **time_writers(calls, pairs))
+    report.add("wal_writer_monolith",
+               **time_writers(by_partition(groups), pairs))
     report.add("wal_writer_sharded4",
-               **time_writers(cut_by_shard(calls), pairs))
+               **time_writers(by_partition(groups, 4), pairs))
     report.add("wal_checkpoint", **time_checkpoint(store, pairs))
     return report
 

@@ -13,14 +13,15 @@ Format (version 3, the one layout written and read)::
 
     header:  magic "TMSNAP" | u16 version | u32 crc32
     body:    deflate( u32 series count | series* )
-    series:  u32 label count | (u16 len + utf8 key | u16 len + utf8 value)*
-             u32 chunk count | (u32 len | chunk bytes)*
+    series:  label block | u32 chunk count | (u32 len | chunk bytes)*
 
-The series layout is version 2's byte for byte; version 3 deflates the
-body as it is written, one series at a time, so a checkpoint never
-holds the raw store in memory.  The CRC32 covers every byte after the
-crc field itself (the deflated stream), so a torn or bit-flipped
-snapshot is detected up front instead of restoring silently-wrong data.
+The label block is :mod:`repro.pmag.codec`'s, which refuses repeated or
+unsorted keys.  The series layout is version 2's byte for byte; version
+3 deflates the body as it is written, one series at a time, so a
+checkpoint never holds the raw store in memory.  The CRC32 covers every
+byte after the crc field itself (the deflated stream), so a torn or
+bit-flipped snapshot is detected up front instead of restoring
+silently-wrong data.
 A store snapshots its series in index (ingest) order, a WAL partition's
 checkpoint its own series in the same order, and :func:`restore` returns
 a :class:`~repro.pmag.tsdb.Tsdb`.  A snapshot of any other version, one
@@ -42,6 +43,7 @@ from typing import Dict, List
 
 from repro.errors import TsdbError
 from repro.pmag.chunks import Chunk, ChunkedSeries
+from repro.pmag.codec import pack_labels, unpack_labels
 from repro.pmag.model import METRIC_NAME_LABEL, Labels
 from repro.pmag.tsdb import Tsdb
 
@@ -53,15 +55,7 @@ VERSION = 3
 LEVEL = 1
 #: magic | u16 version | u32 crc32 — the CRC covers everything after it.
 _HEADER_SIZE = len(MAGIC) + 6
-_U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
-
-
-def _pack_text(text: str) -> bytes:
-    raw = text.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise TsdbError(f"label component too long: {len(raw)} bytes")
-    return _U16.pack(len(raw)) + raw
 
 
 def snapshot(engine) -> bytearray:
@@ -79,11 +73,7 @@ def snapshot(engine) -> bytearray:
     data += bytes(6)
     data += deflate.compress(_U32.pack(len(items)))
     for labels, storage in items:
-        pairs = labels.items()
-        pieces: List[bytes] = [_U32.pack(len(pairs))]
-        for key, value in pairs:
-            pieces.append(_pack_text(key))
-            pieces.append(_pack_text(value))
+        pieces: List[bytes] = [pack_labels(labels)]
         chunks = storage._chunks  # noqa: SLF001 - archival is a DB feature
         pieces.append(_U32.pack(len(chunks)))
         for chunk in chunks:
@@ -107,25 +97,12 @@ def _decode_series(data: bytes, pos: int,
     Restore is a third of a crash recovery and this loop is most of
     restore, so it walks the buffer by offset.
     """
-    u16, u32 = _U16.unpack_from, _U32.unpack_from
+    u32 = _U32.unpack_from
     try:
         (series_count,) = u32(data, pos)
         pos += 4
         for _ in range(series_count):
-            (label_count,) = u32(data, pos)
-            pos += 4
-            mapping = {}
-            for _ in range(label_count):
-                (size,) = u16(data, pos)
-                middle = pos + 2 + size
-                (size,) = u16(data, middle)
-                end = middle + 2 + size
-                if end > len(data):
-                    raise TsdbError("truncated snapshot")
-                mapping[data[pos + 2:middle].decode("utf-8")] = (
-                    data[middle + 2:end].decode("utf-8"))
-                pos = end
-            labels = Labels(mapping)
+            labels, pos = unpack_labels(data, pos)
             (chunk_count,) = u32(data, pos)
             pos += 4
             storage = ChunkedSeries()
@@ -146,8 +123,6 @@ def _decode_series(data: bytes, pos: int,
                 series[labels] = storage
     except struct.error:
         raise TsdbError("truncated snapshot") from None
-    except UnicodeDecodeError as exc:
-        raise TsdbError(f"label text is not UTF-8: {exc}") from None
     return pos
 
 

@@ -6,7 +6,9 @@ them into chunks for faster retrieval".  A :class:`Chunk` holds up to
 and ``array('d')`` values, 16 bytes a sample with no per-sample object —
 timestamps absolute in memory so window queries can binary-search, and
 delta-encoded only in the serialised archival format (scrape intervals
-are regular, so deltas are tiny and mostly constant).  A
+are regular, so deltas are tiny and mostly constant): serialised, a
+chunk is ``i64 start_ns`` and a :mod:`repro.pmag.codec` column run of
+``u64`` deltas and ``f64`` values.  A
 :class:`ChunkedSeries` is an append-only list of chunks with
 binary-search retrieval over time ranges — both across chunks (on chunk
 start times) and inside each chunk (on sample timestamps).  Windows come
@@ -29,7 +31,6 @@ nondecreasing chunk is nondecreasing too.
 from __future__ import annotations
 
 import struct
-import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, islice
@@ -37,29 +38,12 @@ from operator import lt, sub
 from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import TsdbError
+from repro.pmag.codec import pack_column, unpack_run
 from repro.pmag.model import Sample, sample_of
 
 CHUNK_SIZE = 120  # samples per chunk; 10 minutes at the 5 s default interval
 
 _INF = float("inf")
-
-#: The wire format is little-endian; array bytes are native.
-_SWAP = sys.byteorder != "little"
-
-
-def _wire_bytes(column: array) -> bytes:
-    if _SWAP:
-        column = array(column.typecode, column)
-        column.byteswap()
-    return column.tobytes()
-
-
-def _from_wire(typecode: str, data: bytes) -> array:
-    column = array(typecode)
-    column.frombytes(data)
-    if _SWAP:
-        column.byteswap()
-    return column
 
 
 def _is_column(data, typecode: str) -> bool:
@@ -171,10 +155,12 @@ class Chunk:
             return None
         return Sample(self._times[-1], self._values[-1])
 
-    # The wire format delta-encodes timestamps as unsigned 64-bit ints,
-    # with a leading 0 delta for the first sample (which always lands
-    # exactly on start_ns).  Strictly increasing int64 stamps are less
-    # than 2**64 apart, so every chunk the store can hold encodes.
+    # The wire format is ``i64 start_ns`` and a ``Qd`` column run of
+    # :mod:`repro.pmag.codec`: timestamps delta-encoded as unsigned
+    # 64-bit ints, with a leading 0 delta for the first sample (which
+    # always lands exactly on start_ns), then the values.  Strictly
+    # increasing int64 stamps are less than 2**64 apart, so every chunk
+    # the store can hold encodes.
     def encode(self) -> bytes:
         """Serialise to bytes (archival format)."""
         stamps = self._times.tolist()
@@ -183,26 +169,24 @@ class Chunk:
         head = struct.pack(
             f"<qI{count}Q", self.start_ns, count,
             *map(sub, stamps[1:], stamps))
-        return head + _wire_bytes(self._values)
+        return head + pack_column(self._values)
 
     @staticmethod
     def decode(data: bytes) -> "Chunk":
         """Deserialise from :meth:`encode` output."""
-        if len(data) < 12:
+        if len(data) < 8:
             raise TsdbError("chunk data too short")
-        start_ns, count = struct.unpack_from("<qI", data, 0)
-        expected = 12 + count * 8 + count * 8
-        if len(data) != expected:
-            raise TsdbError(f"chunk data length {len(data)} != expected {expected}")
+        (start_ns,) = struct.unpack_from("<q", data, 0)
+        deltas, values = unpack_run("Qd", data, 8)
         chunk = Chunk(start_ns)
-        if not count:
+        if not deltas:
             return chunk
-        deltas = list(struct.unpack_from(f"<{count}Q", data, 12))
+        deltas = deltas.tolist()
         # The leading delta must be zero and the rest non-zero, or the
         # chunk bytes are corrupt.
         if deltas[0] != 0:
             raise TsdbError(f"first delta must be 0, got {deltas[0]}")
-        if count > 1 and min(deltas[1:]) == 0:
+        if len(deltas) > 1 and min(deltas[1:]) == 0:
             raise TsdbError("non-monotonic timestamps in chunk data")
         # Neither column is filled by a per-sample loop: the timestamps
         # are a running sum over the deltas, the values the bytes as they
@@ -213,7 +197,7 @@ class Chunk:
             chunk._times = array("q", list(accumulate(deltas)))
         except OverflowError:
             raise TsdbError("timestamps in chunk data overflow int64") from None
-        chunk._values = _from_wire("d", data[12 + count * 8:])
+        chunk._values = values
         return chunk
 
     def memory_bytes(self) -> int:

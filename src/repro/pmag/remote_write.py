@@ -33,8 +33,9 @@ This module is that uplink, hardened the same way the scrape path is:
   fingerprint, timestamp) already landed — exactly-once at sample
   granularity, which is also what deduplicates an HA *pair* of leaves
   shipping the same scrape (see :mod:`repro.teemon.ha`) and absorbs the
-  overlap a recovered incarnation re-ships under its fresh epoch.  The
-  per-series blocks land through the store's ``append_fingerprinted``:
+  overlap a recovered incarnation re-ships under its fresh epoch.  A
+  frame's blocks decode into one time and one value column for the
+  whole frame, which land through the store's ``append_fingerprinted``:
   one ``append_batch``.
 * *Relays* — a monitor that is both receiver and client forwards
   everything it ingests upstream under its **own** sender identity,
@@ -74,6 +75,7 @@ from __future__ import annotations
 import base64
 import struct
 import zlib
+from array import array
 from bisect import bisect_right
 from collections import deque
 from itertools import repeat
@@ -82,11 +84,13 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import TsdbError, WalError
 from repro.net.http import HttpNetwork
+from repro.pmag.codec import (
+    WIRE_RUN, extend_run, pack_labels, pack_run, unpack_labels)
 from repro.pmag.model import Labels, METRIC_NAME_LABEL
 from repro.pmag.rules import is_recorded_output
 from repro.pmag.storage import series_fingerprint
 from repro.pmag.tsdb import ArrivalFeed, Tsdb
-from repro.pmag.wal import MAX_RECORD_BYTES, pack_labels, unpack_labels
+from repro.pmag.wal import MAX_RECORD_BYTES
 from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock
 from repro.simkernel.rng import DeterministicRng
 
@@ -95,11 +99,9 @@ from repro.simkernel.rng import DeterministicRng
 REMOTE_WRITE_PORT = 9009
 REMOTE_WRITE_PATH = "/api/v1/write"
 
-#: Wire-format version tag, first token of every frame.  Version 2
-#: added the sender-incarnation epoch to the header; version 3 replaced
-#: the flat record stream with shard-partitioned per-series blocks
-#: (fingerprint + one label block + packed samples, CRC32 per block).
-FRAME_MAGIC = "teemon-rw/3"
+#: Wire-format version tag, first token of every frame; a frame tagged
+#: with any other version is rejected.
+FRAME_MAGIC = "teemon-rw/4"
 
 
 #: WAL cursor keys persisting the client's durable uplink position.
@@ -167,23 +169,22 @@ def encode_frame(
 ) -> str:
     """One batched, compressed frame of per-series blocks as an HTTP body.
 
-    Header line ``teemon-rw/3 <sender> <epoch> <seq> <count>``, then the
+    Header line ``teemon-rw/4 <sender> <epoch> <seq> <count>``, then the
     base64 of the zlib-compressed concatenation of per-series blocks::
 
         u32 len | u32 crc32(block) | block
-        block = u32 fingerprint | u32 label_count
-                (u16-len key | u16-len value)*     -- sorted by key
-                u32 sample_count | (i64 time_ns | f64 value)*
+        block = u32 fingerprint | label block | WIRE_RUN column run
 
-    Each series' label set is encoded **once** per frame and stamped
-    with the CRC32 fingerprint :func:`series_fingerprint` computes,
-    which the receiver checks against the labels once per block.
-    Per-block CRC32 keeps the
+    in the encodings of :mod:`repro.pmag.codec`, the WAL's too (the run:
+    ``u32 n | times i64 * n | values f64 * n``).  Each series' label set
+    is encoded **once** per frame and stamped with the CRC32 fingerprint
+    :func:`series_fingerprint` computes, which the receiver checks
+    against the labels once per block.  Per-block CRC32 keeps the
     on-the-wire integrity story of the on-disk log.  ``epoch``
     identifies the sender *incarnation* (a recovered monitor gets a
     fresh, strictly larger one), ``seq`` orders frames within it.
     ``headers`` is an optional cross-frame memo of each series' block
-    header (all before ``sample_count``): a client serialises a label
+    header (fingerprint and label block): a client serialises a label
     set once, and one that fails a check is never memoised.
     """
     if not is_wire_safe(sender):
@@ -197,17 +198,15 @@ def encode_frame(
         header = headers.get(labels)
         if header is None:
             header = headers[labels] = struct.pack(
-                "<II", series_fingerprint(labels), len(labels.items())
-            ) + pack_labels(labels)
-        flat = groups.get(header)
-        if flat is None:
+                "<I", series_fingerprint(labels)) + pack_labels(labels)
+        rows = groups.get(header)
+        if rows is None:
             groups[header] = [time_ns, value]
         else:
-            flat += (time_ns, value)
+            rows += (time_ns, value)
     pieces: List[bytes] = []
-    for header, flat in groups.items():
-        count = len(flat) // 2
-        block = header + struct.pack("<I" + "qd" * count, count, *flat)
+    for header, rows in groups.items():
+        block = header + pack_run(WIRE_RUN, rows)
         if len(block) > MAX_RECORD_BYTES:
             raise WalError(f"series block too large: {len(block)} bytes")
         pieces.append(struct.pack("<II", len(block), zlib.crc32(block)))
@@ -218,13 +217,17 @@ def encode_frame(
 
 def decode_frame_blocks(
     text: str, interned: Optional[Dict[bytes, tuple]] = None,
-) -> Tuple[str, int, int, List[Tuple[int, Labels, List[Tuple[int, float]]]]]:
+) -> Tuple[str, int, int, Tuple[List[Tuple[int, Labels, int]], array, array]]:
     """Inverse of :func:`encode_frame`, keeping the per-series shape.
 
-    Returns ``(sender, epoch, seq, blocks)`` where each block is
-    ``(fingerprint, labels, [(time_ns, value), ...])`` — the unit
-    ``append_fingerprinted`` lands.  Raises :class:`WalError` on any
-    framing, CRC, count or compression damage.
+    Returns ``(sender, epoch, seq, (series, times, values))``:
+    ``series`` holds one ``(fingerprint, labels, count)`` per block, in
+    frame order, and ``times``/``values`` are the frame's sample columns
+    (``array('q')``/``array('d')``), every block's ``count`` samples in
+    that order — the unit ``append_fingerprinted`` lands.  Each block's
+    run extends the two columns (:func:`~repro.pmag.codec.extend_run`).
+    Raises :class:`WalError` on any framing, CRC, count or compression
+    damage.
 
     ``interned`` is a receiver's table of headers already parsed:
     ``block[:8] -> (header, fingerprint, labels)``.  A header is
@@ -259,8 +262,8 @@ def decode_frame_blocks(
     if interned is None:
         interned = {}
     fresh: Dict[bytes, tuple] = {}
-    blocks: List[Tuple[int, Labels, List[Tuple[int, float]]]] = []
-    total = 0
+    series: List[Tuple[int, Labels, int]] = []
+    columns = (array("q"), array("d"))
     pos = 0
     size = len(payload)
     while pos < size:
@@ -274,34 +277,25 @@ def decode_frame_blocks(
             raise WalError("truncated block in remote-write payload")
         if zlib.crc32(block) != crc:
             raise WalError("block CRC mismatch in remote-write frame")
-        try:
-            known = interned.get(block[:8])
-            if known is not None and block.startswith(known[0]):
-                offset = len(known[0])
-            else:
-                fingerprint, label_count = struct.unpack_from("<II", block, 0)
-                labels, offset = unpack_labels(block, 8, label_count)
-                if series_fingerprint(labels) != fingerprint:
-                    raise WalError(
-                        f"block fingerprint {fingerprint} is not {labels!r}'s")
-                known = (block[:offset], fingerprint, labels)
-                fresh[block[:8]] = known
-            (sample_count,) = struct.unpack_from("<I", block, offset)
-            offset += 4
-            if offset + 16 * sample_count != length:
-                raise WalError("block sample region length mismatch")
-            samples = list(struct.iter_unpack("<qd", block[offset:]))
-        except (struct.error, UnicodeDecodeError) as exc:
-            raise WalError(f"malformed series block: {exc}") from exc
-        blocks.append((known[1], known[2], samples))
-        total += sample_count
+        known = interned.get(block[:8])
+        if known is None or not block.startswith(known[0]):
+            labels, offset = unpack_labels(block, 4)
+            fingerprint = int.from_bytes(block[:4], "little")
+            if series_fingerprint(labels) != fingerprint:
+                raise WalError(
+                    f"block fingerprint {fingerprint} is not {labels!r}'s")
+            known = (block[:offset], fingerprint, labels)
+            fresh[block[:8]] = known
+        series.append((known[1], known[2],
+                       extend_run(columns, block, len(known[0]))))
         pos += 8 + length
-    if total != count:
+    times, values = columns
+    if len(times) != count:
         raise WalError(
-            f"frame count mismatch: header {count}, payload {total}"
+            f"frame count mismatch: header {count}, payload {len(times)}"
         )
     interned.update(fresh)
-    return sender, epoch, seq, blocks
+    return sender, epoch, seq, (series, times, values)
 
 
 def decode_frame(
@@ -312,13 +306,10 @@ def decode_frame(
     Entries come back grouped by series (block order), each series in
     its shipped sample order.
     """
-    sender, epoch, seq, blocks = decode_frame_blocks(text)
-    entries = [
-        (labels, time_ns, value)
-        for _fingerprint, labels, samples in blocks
-        for time_ns, value in samples
-    ]
-    return sender, epoch, seq, entries
+    sender, epoch, seq, (series, times, values) = decode_frame_blocks(text)
+    return sender, epoch, seq, list(zip(
+        [labels for _fp, labels, count in series for _ in range(count)],
+        times, values))
 
 
 class RemoteWriteReceiver:
@@ -347,10 +338,10 @@ class RemoteWriteReceiver:
       ticks by priority so "first" is deterministically the
       lower-priority-number replica.
 
-    Ingest: the frame's per-series blocks go to the store's
-    ``append_fingerprinted`` whole and flatten into one ``append_batch``.
-    The decoder has already checked every block's fingerprint against
-    its labels.
+    Ingest: the decoded frame — its series and its two sample columns —
+    goes to the store's ``append_fingerprinted`` whole and lands as one
+    ``append_batch``.  The decoder has already checked every block's
+    fingerprint against its labels.
 
     Relays: :meth:`attach_relay` couples this receiver to the
     co-resident :class:`RemoteWriteClient` of a relay deployment.  Every
@@ -433,7 +424,7 @@ class RemoteWriteReceiver:
         """
         self.frames_received += 1
         try:
-            sender, epoch, seq, blocks = decode_frame_blocks(
+            sender, epoch, seq, frame = decode_frame_blocks(
                 body, self._interned)
         except WalError:
             self.frames_rejected += 1
@@ -444,20 +435,14 @@ class RemoteWriteReceiver:
                 f"federation loop: frame sender {sender!r} is this "
                 f"receiver's own identity"
             )
-        total = 0
-        lows: List[int] = []
-        highs: List[int] = []
-        for _fp, _labels, samples in blocks:
-            if samples:  # (t, v) tuples order by t
-                total += len(samples)
-                lows.append(min(samples)[0])
-                highs.append(max(samples)[0])
+        stamps = frame[1]
+        total = len(stamps)
         last_epoch, last_seq = self._last_applied.get(sender, (-1, 0))
         if epoch < last_epoch or (epoch == last_epoch and seq <= last_seq):
             self.frames_replayed += 1
             self.replay_dedup_hits += total
             return f"ack {seq} replayed={total}"
-        rejected = self._tsdb.append_fingerprinted(blocks) if total else 0
+        rejected = self._tsdb.append_fingerprinted(frame) if total else 0
         applied = total - rejected
         self.samples_applied += applied
         self.samples_deduped += rejected
@@ -465,9 +450,9 @@ class RemoteWriteReceiver:
         self._last_applied[sender] = (epoch, seq)
         if applied:
             self._newest_applied[sender] = max(
-                self._newest_applied.get(sender, 0), *highs)
+                self._newest_applied.get(sender, 0), max(stamps))
             for client in self._relay_clients:
-                client.note_late_arrival(min(lows))
+                client.note_late_arrival(min(stamps))
         return f"ack {seq} applied={applied} deduped={rejected}"
 
     # ------------------------------------------------------------------
@@ -634,7 +619,7 @@ class RemoteWriteClient:
         #: Sequence of the last frame built / last frame acked.
         self._seq = 0
         self.acked_seq = 0
-        #: Cross-frame block-header memo for the v3 encoder.
+        #: Cross-frame block-header memo for the frame encoder.
         self._headers: Dict[Labels, bytes] = {}
         #: What the engine accepted since the last collect; None until
         #: the next collect catches up from the store (:meth:`_window`).

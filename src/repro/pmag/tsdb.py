@@ -241,20 +241,18 @@ class Tsdb:
 
     def append_fingerprinted(
         self,
-        blocks: Sequence[Tuple[int, Labels, Sequence[Tuple[int, float]]]],
+        frame: Tuple[Sequence[Tuple[int, Labels, int]], Sequence[int],
+                     Sequence[float]],
     ) -> int:
-        """Ingest one remote-write frame's ``(fingerprint, labels,
-        samples)`` blocks; returns the number of rejected samples.
-
-        The blocks flatten into one :meth:`append_batch`.  The
-        fingerprints go unread: the frame decoder has already checked
-        each against its labels.
-        """
-        return len(self.append_batch([
-            (labels, time_ns, value)
-            for _fingerprint, labels, samples in blocks
-            for time_ns, value in samples
-        ]))
+        """Ingest one decoded remote-write frame, ``(series, times,
+        values)`` (:func:`~repro.pmag.remote_write.decode_frame_blocks`),
+        as one :meth:`append_batch`; returns the number of rejected
+        samples.  The fingerprints go unread: the decoder has checked
+        each against its labels."""
+        series, times, values = frame
+        return len(self.append_batch(list(zip(
+            [labels for _fp, labels, count in series for _ in range(count)],
+            times, values))))
 
     def _index(self, labels: Labels, storage: ChunkedSeries) -> None:
         """Enter a series into the store and the postings."""

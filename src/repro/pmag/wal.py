@@ -16,22 +16,24 @@ On-disk layout (all little-endian), under one directory prefix::
     checkpoint-{seq:08d}.ckpt archive snapshot bytes (version 3: deflated,
                               self-checksummed)
 
-Record payloads of a version-2 segment, by their leading ``u8 kind``::
+Record payloads of a version-3 segment, by their leading ``u8 kind``,
+in the encodings of :mod:`repro.pmag.codec`::
 
     2 cursor   u16 len + utf8 key | i64 cursor_ns
-    3 series   u32 ref | u32 label count
-               (u16 len + utf8 key | u16 len + utf8 value)*  — sorted by key
-    4 samples  u32 n | (u32 ref | i64 time_ns | f64 value) * n
+    3 series   u32 ref | label block
+    4 samples  LOG_RUN column run: u32 n | refs u32 * n | times i64 * n
+               | values f64 * n
 
 A sample names its series by ``ref``; the series record binding that ref
 to a label set is written the first time the writer uses the series *in
 that segment*, ahead of the run that needs it.  Every segment is
 therefore self-describing: rotation, checkpoint truncation and the loss
 of any other segment never leave a ref dangling.  One ``append_many``
-call is one samples record (one ``struct.pack``, one CRC) unless a
-flush or rotation boundary falls inside it, in which case the batch is
-cut there — ``flush_every_records`` and ``segment_max_records`` count
-samples, not records.
+call is one samples record (three columns, one CRC) unless a flush or
+rotation boundary falls inside it, in which case the batch is cut
+there — ``flush_every_records`` and ``segment_max_records`` count
+samples, not records.  A sample is 20 bytes of its run, so a run's
+sample count is read off its frame length alone.
 
 The store hands the log each commit's accepted samples through
 :meth:`WalWriter.commit`.  Inside a *commit group*
@@ -43,7 +45,7 @@ flush or checkpoint inside the group writes them first.  The medium
 then holds what one ``append_many`` of all the group's commits would
 have written: same samples, same boundaries, fewer and longer runs.
 
-Version 2 is the only segment layout written or replayed: a segment
+Version 3 is the only segment layout written or replayed: a segment
 whose header names any other version is quarantined like any other bad
 header.
 
@@ -81,13 +83,16 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import StorageError, TsdbError, WalError
 from repro.pmag import archive
 from repro.pmag.chunks import ChunkedSeries
+from repro.pmag.codec import (
+    LOG_RUN, pack_labels, pack_run, pack_text, unpack_labels, unpack_run,
+    unpack_text)
 from repro.pmag.model import Labels
 from repro.pmag.storage import shard_for
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.disk import DiskCrashReport, SimDisk
 
 SEGMENT_MAGIC = b"TMWALSEG"
-SEGMENT_VERSION = 2
+SEGMENT_VERSION = 3
 #: Segment header: magic | u16 version | u32 seq.
 HEADER_SIZE = len(SEGMENT_MAGIC) + 6
 #: Upper bound on one record's payload; a length field beyond this is
@@ -108,49 +113,12 @@ RECORD_SERIES = 3
 RECORD_SAMPLES = 4
 
 _FRAME = struct.Struct("<II")
-_SERIES_HEAD = struct.Struct("<BII")
-_RUN_HEAD = struct.Struct("<BI")
-_SAMPLE = struct.Struct("<Iqd")
-_RUN_HEAD_SIZE, _SAMPLE_SIZE = _RUN_HEAD.size, _SAMPLE.size
+#: ``u8 kind | u32 ref`` of a series record; ``u8 kind | u32 n`` of a
+#: run, and a sample's 20 bytes.
+_KIND_REF = struct.Struct("<BI")
+_RUN_HEAD_SIZE, _SAMPLE_SIZE = 5, struct.calcsize("<" + LOG_RUN)
 #: Samples in the largest run that still fits one record.
 MAX_RUN_SAMPLES = (MAX_RECORD_BYTES - _RUN_HEAD_SIZE) // _SAMPLE_SIZE
-
-
-def _pack_text(text: str) -> bytes:
-    raw = text.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise WalError(f"label component too long: {len(raw)} bytes")
-    return struct.pack("<H", len(raw)) + raw
-
-
-def pack_labels(labels: Labels) -> bytes:
-    """The label block ``(u16-len key | u16-len value)*`` in key order,
-    shared by WAL series records and remote-write series blocks."""
-    return b"".join(_pack_text(part) for pair in labels.items() for part in pair)
-
-
-def unpack_labels(buf: bytes, offset: int, count: int) -> Tuple[Labels, int]:
-    """Parse ``count`` label pairs at ``offset``: (labels, end offset).
-
-    Keys must be strictly ascending (the canonical encoding): duplicates
-    would collapse under a stale count, unsorted keys would give one
-    series two encodings.  ``struct.error`` is the caller's to wrap.
-    """
-    mapping: Dict[str, str] = {}
-    previous = None
-    for _ in range(count):
-        (length,) = struct.unpack_from("<H", buf, offset)
-        key = buf[offset + 2:offset + 2 + length].decode("utf-8")
-        offset += 2 + length
-        (length,) = struct.unpack_from("<H", buf, offset)
-        mapping[key] = buf[offset + 2:offset + 2 + length].decode("utf-8")
-        offset += 2 + length
-        if offset > len(buf):
-            raise WalError("truncated label text")
-        if previous is not None and key <= previous:
-            raise WalError(f"label keys not strictly ascending at {key!r}")
-        previous = key
-    return Labels(mapping), offset
 
 
 def _framed(payload: bytes) -> bytes:
@@ -159,20 +127,19 @@ def _framed(payload: bytes) -> bytes:
 
 def encode_series_record(ref: int, labels: Labels) -> bytes:
     """One framed series record binding ``ref`` to ``labels``."""
-    payload = (_SERIES_HEAD.pack(RECORD_SERIES, ref, len(labels.items()))
-               + pack_labels(labels))
+    payload = _KIND_REF.pack(RECORD_SERIES, ref) + pack_labels(labels)
     if len(payload) > MAX_RECORD_BYTES:
         raise WalError(f"record payload too large: {len(payload)} bytes")
     return _framed(payload)
 
 
-def encode_sample_run(flat: Sequence, count: int) -> bytes:
-    """One framed samples record from ``count`` samples laid out flat,
+def encode_sample_run(rows: Sequence) -> bytes:
+    """One framed samples record from its samples laid out flat,
     ``[ref, time_ns, value, ref, time_ns, value, ...]``."""
+    count = len(rows) // 3
     if not 0 < count <= MAX_RUN_SAMPLES:
         raise WalError(f"a run holds 1..{MAX_RUN_SAMPLES} samples: {count}")
-    return _framed(struct.pack(
-        f"<BI{'Iqd' * count}", RECORD_SAMPLES, count, *flat))
+    return _framed(bytes((RECORD_SAMPLES,)) + pack_run(LOG_RUN, rows))
 
 
 def _frame_samples(kind: int, length: int) -> int:
@@ -193,23 +160,15 @@ def _frame_samples(kind: int, length: int) -> int:
 def encode_cursor_record(key: str, cursor_ns: int) -> bytes:
     """One framed cursor record."""
     return _framed(
-        struct.pack("<B", RECORD_CURSOR) + _pack_text(key)
-        + struct.pack("<q", cursor_ns))
+        bytes((RECORD_CURSOR,)) + pack_text(key) + struct.pack("<q", cursor_ns))
 
 
 def decode_cursor_payload(payload: bytes) -> Tuple[str, int]:
     """Parse a cursor payload back into (key, cursor_ns)."""
-    try:
-        (kind,) = struct.unpack_from("<B", payload, 0)
-        if kind != RECORD_CURSOR:
-            raise WalError(f"not a cursor record: kind {kind}")
-        (length,) = struct.unpack_from("<H", payload, 1)
-        if 3 + length + 8 != len(payload):
-            raise WalError("malformed cursor payload")
-        key = payload[3:3 + length].decode("utf-8")
-        (cursor_ns,) = struct.unpack_from("<q", payload, 3 + length)
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise WalError(f"malformed cursor payload: {exc}") from exc
+    key, end = unpack_text(payload, 1)
+    if payload[0] != RECORD_CURSOR or end + 8 != len(payload):
+        raise WalError("malformed cursor payload")
+    (cursor_ns,) = struct.unpack_from("<q", payload, end)
     return key, cursor_ns
 
 
@@ -241,7 +200,7 @@ def _parse_seq(name: str) -> Optional[int]:
 
 def _count_records(data: bytes, file_offset: int = 0) -> int:
     """Samples in the complete frames of a byte range starting at
-    ``file_offset`` of a version-2 segment (the only kind written, so
+    ``file_offset`` of a version-3 segment (the only kind written, so
     the only kind a crash can cut).
 
     The structural loss oracle: walks length prefixes without checking
@@ -444,7 +403,7 @@ class WalWriter:
             # One samples record, behind the series records it needs.
             seq = self._seq
             out: List[bytes] = []
-            flat: list = []
+            rows: list = []
             try:
                 for labels, time_ns, value in (
                         entries if count == total
@@ -455,8 +414,8 @@ class WalWriter:
                     if entry[2] != seq:
                         entry[2] = seq
                         out.append(entry[1])
-                    flat += (entry[0], time_ns, value)
-                out.append(encode_sample_run(flat, count))
+                    rows += (entry[0], time_ns, value)
+                out.append(encode_sample_run(rows))
             finally:
                 # Also on the way out of a failed pack: a series marked
                 # as held by this segment must have its record land.
@@ -555,7 +514,7 @@ class RecoveryReport:
     #: Segment files examined (seq greater than the checkpoint's).
     segments_scanned: int = 0
     #: Segments whose header was bad (magic, sequence number, or a
-    #: version other than 2) or whose framing was unwalkably corrupt.
+    #: version other than 3) or whose framing was unwalkably corrupt.
     segments_quarantined: int = 0
     #: Samples re-applied to the database.
     records_replayed: int = 0
@@ -606,8 +565,8 @@ class _Replay:
     def __init__(self, report: "RecoveryReport", plan) -> None:
         self.report = report
         self.plan = plan
-        #: ``u32 label count | label block`` -> labels: a series' block
-        #: is parsed once however many segments declare it.
+        #: Label block -> labels: a series' block is parsed once however
+        #: many segments declare it.
         self._interned: Dict[bytes, Labels] = {}
         #: labels -> ``[labels, times, values]``.
         self._columns: Dict[Labels, list] = {}
@@ -620,14 +579,10 @@ class _Replay:
             self.plan.record(kind, where)
 
     def _series(self, block: bytes) -> list:
-        """The columns of the series described by ``block``."""
+        """The columns of the series whose label block is ``block``."""
         labels = self._interned.get(block)
         if labels is None:
-            try:
-                (count,) = struct.unpack_from("<I", block, 0)
-                labels, end = unpack_labels(block, 4, count)
-            except (struct.error, UnicodeDecodeError) as exc:
-                raise WalError(f"malformed label block: {exc}") from exc
+            labels, end = unpack_labels(block, 0)
             if end != len(block):
                 raise WalError("trailing bytes after label block")
             self._interned[block] = labels
@@ -639,21 +594,19 @@ class _Replay:
     def _run(self, payload: bytes, refs: Dict[int, list]) -> bool:
         """Gather one intact samples payload; False if it is malformed
         or names a ref this segment never (intactly) declared."""
-        body = payload[_RUN_HEAD_SIZE:]
-        if not body or _RUN_HEAD.unpack_from(payload)[1] * _SAMPLE_SIZE != len(body):
+        try:
+            ref_column, times, values = unpack_run(LOG_RUN, payload, 1)
+        except WalError:
             return False
-        picked = []
-        for ref, time_ns, value in _SAMPLE.iter_unpack(body):
-            columns = refs.get(ref)
-            if columns is None:
-                return False  # before anything of the run has landed
-            picked.append((columns, time_ns, value))
+        picked = list(map(refs.get, ref_column))
+        if not picked or None in picked:
+            return False  # before anything of the run has landed
         order = self.order
-        for columns, time_ns, value in picked:
-            times = columns[1]
-            if not times:
+        for columns, time_ns, value in zip(picked, times, values):
+            column = columns[1]
+            if not column:
                 order.append(columns)
-            times.append(time_ns)
+            column.append(time_ns)
             columns[2].append(value)
         return True
 
@@ -712,8 +665,8 @@ class _Replay:
             try:
                 if not intact:
                     raise WalError("series CRC mismatch")
-                (ref,) = struct.unpack_from("<I", payload, 1)
-                refs[ref] = self._series(payload[5:])
+                refs[_KIND_REF.unpack_from(payload)[1]] = self._series(
+                    payload[_KIND_REF.size:])
             except (WalError, struct.error):
                 report.series_records_quarantined += 1
                 return False

@@ -1,18 +1,20 @@
 """Reference codecs: the version-1 WAL writer (one record per sample,
 labels inline) that production neither writes nor replays any more,
 kept verbatim as ``bench_wal``'s control and as the maker of segments
-recovery must quarantine; a from-scratch model of the version-2 log
-(series records + sample runs): writer, reader and loss count; the
-uncached remote-write v3 frame encoder, plus the byte-level helpers the
-damage tests use to take a frame apart and put a tampered one back
-together; the list-based chunk and archive-body encoders the
-typed-column ones must match byte for byte (the body as version 2
-stored it raw and version 3 deflates it); and an exposition encoder
-that remembers nothing between scrapes.
+recovery must quarantine; a from-scratch model of the version-3 log
+(series records + column runs): writer, reader and loss count, plus the
+interleaved version-2 run recovery must quarantine too; the uncached
+remote-write rw/4 frame encoder, plus the byte-level helpers the damage
+tests use to take a frame apart and put a tampered one back together;
+the list-based chunk and archive-body encoders the typed-column ones
+must match byte for byte (the body as version 2 stored it raw and
+version 3 deflates it); and an exposition encoder that remembers
+nothing between scrapes.
 
 Nothing here calls the codecs under test — only their format constants
 and ``series_fingerprint`` — so a bug in the production label packer
-cannot hide in its own oracle.
+or column codec cannot hide in its own oracle: every cell is packed and
+read one ``struct`` call at a time.
 """
 
 import base64
@@ -209,7 +211,7 @@ class WalWriterV1:
 
 
 # ----------------------------------------------------------------------
-# WAL version 2: a model that shares nothing with the writer under test
+# WAL version 3: a model that shares nothing with the writer under test
 # ----------------------------------------------------------------------
 def _frame(payload):
     return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
@@ -223,17 +225,33 @@ def reference_series_record(ref, pairs, label_count=None):
                   + reference_label_bytes(pairs))
 
 
+def reference_columns(samples, formats):
+    """``samples`` (tuples of cells) as whole columns, one ``struct``
+    call per cell: every first cell, then every second, ..."""
+    return b"".join(
+        struct.pack("<" + fmt, sample[index])
+        for index, fmt in enumerate(formats) for sample in samples)
+
+
 def reference_sample_run(samples, count=None):
-    """One framed samples record from ``[(ref, time_ns, value)]``, one
-    sample at a time; ``count`` overrides the stated length."""
+    """One framed version-3 samples record from ``[(ref, time_ns,
+    value)]``: ``u32 n`` then the ref, time and value columns; ``count``
+    overrides the stated length."""
     stated = len(samples) if count is None else count
+    return _frame(struct.pack("<BI", RECORD_SAMPLES, stated)
+                  + reference_columns(samples, "Iqd"))
+
+
+def reference_sample_run_v2(samples):
+    """One framed version-2 samples record: the same samples interleaved,
+    ``(ref, time_ns, value)`` after ``(ref, time_ns, value)``."""
     return _frame(
-        struct.pack("<BI", RECORD_SAMPLES, stated)
+        struct.pack("<BI", RECORD_SAMPLES, len(samples))
         + b"".join(struct.pack("<Iqd", *sample) for sample in samples))
 
 
-class ReferenceLogV2:
-    """What a version-2 writer must leave on the medium, computed one
+class ReferenceLogV3:
+    """What a version-3 writer must leave on the medium, computed one
     sample at a time: ``segments[i]`` is segment ``i + 1``'s bytes and
     ``durable[i]`` how many of them a flush has covered.
 
@@ -256,7 +274,7 @@ class ReferenceLogV2:
 
     def _open(self):
         self.segments.append(bytearray(
-            SEGMENT_MAGIC + struct.pack("<HI", 2, len(self.segments) + 1)))
+            SEGMENT_MAGIC + struct.pack("<HI", 3, len(self.segments) + 1)))
         self.durable.append(0)
         self.declared = set()
         self.in_segment = 0
@@ -311,7 +329,7 @@ def _frame_sample_count(kind, length):
 
 def reference_count_samples(data, file_offset=0):
     """Samples in the whole frames of a byte range that began at
-    ``file_offset`` of a version-2 segment — no CRC looked at."""
+    ``file_offset`` of a version-3 segment — no CRC looked at."""
     pos = max(0, HEADER_SIZE - file_offset)
     total = 0
     while pos + 8 <= len(data):
@@ -357,8 +375,8 @@ def _read_cursor(payload, cursors):
             (cursors[key],) = struct.unpack_from("<q", payload, 3 + size)
 
 
-def reference_replay_v2(data):
-    """Read one version-2 segment the slow way.
+def reference_replay_v3(data):
+    """Read one version-3 segment the slow way.
 
     Returns ``(samples, cursors, lost)``: the ``(labels, time_ns,
     value)`` triples of every run that verifies, in log order; the
@@ -388,8 +406,12 @@ def reference_replay_v2(data):
                 (count,) = struct.unpack_from("<I", payload, 1)
                 if 5 + 20 * count == length:
                     for index in range(count):
-                        ref, time_ns, value = struct.unpack_from(
-                            "<Iqd", payload, 5 + 20 * index)
+                        (ref,) = struct.unpack_from(
+                            "<I", payload, 5 + 4 * index)
+                        (time_ns,) = struct.unpack_from(
+                            "<q", payload, 5 + 4 * count + 8 * index)
+                        (value,) = struct.unpack_from(
+                            "<d", payload, 5 + 12 * count + 8 * index)
                         if ref not in refs:
                             run = []
                             break
@@ -402,10 +424,11 @@ def reference_replay_v2(data):
 
 
 # ----------------------------------------------------------------------
-# Remote-write v3 frames
+# Remote-write rw/4 frames
 # ----------------------------------------------------------------------
 def reference_block(fingerprint, pairs, samples, label_count=None):
-    """One v3 series block (unframed) from explicit parts.
+    """One rw/4 series block (unframed) from explicit parts: the label
+    block, then ``u32 n`` and the time and value columns.
 
     ``pairs`` are written in the order given and ``fingerprint`` /
     ``label_count`` as given, so damage tests can build non-canonical or
@@ -416,12 +439,12 @@ def reference_block(fingerprint, pairs, samples, label_count=None):
         struct.pack("<II", fingerprint, count)
         + reference_label_bytes(pairs)
         + struct.pack("<I", len(samples))
-        + b"".join(struct.pack("<qd", t, v) for t, v in samples)
+        + reference_columns(samples, "qd")
     )
 
 
 def frame_from_blocks(sender, epoch, seq, count, blocks):
-    """A v3 frame whose payload is ``blocks``, each framed len + CRC."""
+    """An rw/4 frame whose payload is ``blocks``, each framed len + CRC."""
     return frame_from_payload(sender, epoch, seq, count, b"".join(
         struct.pack("<II", len(block), zlib.crc32(block)) + block
         for block in blocks
@@ -429,7 +452,7 @@ def frame_from_blocks(sender, epoch, seq, count, blocks):
 
 
 def frame_from_payload(sender, epoch, seq, count, payload):
-    """A v3 frame around an arbitrary (possibly damaged) payload."""
+    """An rw/4 frame around an arbitrary (possibly damaged) payload."""
     body = base64.b64encode(zlib.compress(payload, 6)).decode("ascii")
     return f"{FRAME_MAGIC} {sender} {epoch} {seq} {count}\n{body}"
 
@@ -451,7 +474,7 @@ def frame_blocks(text):
 
 
 def reference_encode_frame(sender, epoch, seq, entries):
-    """The v3 frame for ``entries``: one block per series in
+    """The rw/4 frame for ``entries``: one block per series in
     first-appearance order, nothing carried over from any other frame."""
     if not sender or any(c in sender for c in " \n"):
         raise WalError(f"sender not wire-safe: {sender!r}")

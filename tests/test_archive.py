@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import TsdbError
-from repro.pmag.archive import MAGIC, VERSION, restore, snapshot
+from repro.pmag.archive import MAGIC, VERSION, decode, restore, snapshot
 from repro.pmag.chunks import CHUNK_SIZE
 from repro.pmag.model import Labels, Matcher
 from repro.pmag.storage import series_fingerprint
@@ -24,6 +24,7 @@ from tests.codec_oracle import (
     SERIES_POOL,
     reference_archive_body,
     reference_deflated_snapshot,
+    reference_label_bytes,
     reference_snapshot,
 )
 
@@ -174,6 +175,48 @@ def test_recovery_quarantines_a_checkpoint_with_non_utf8_labels():
     # quarantines the checkpoint and falls back to the one before it.
     _recover_past_a_bad_newer_checkpoint(
         lambda tsdb, _data: _non_utf8_snapshot(tsdb))
+
+
+#: Series headers for ``m{zone="QQQ"}`` that no encoder writes: every
+#: one decoded to a label set other than the block (the repeated
+#: ``__name__`` as the series ``x{}``) until the checkpoint decoder
+#: shared the WAL's and the wire's strict one.
+NON_CANONICAL_HEADERS = {
+    "unsorted": (("zone", "QQQ"), ("__name__", "m")),
+    "repeated-key": (("__name__", "m"), ("__name__", "x")),
+    "repeated-pair": (("__name__", "m"), ("zone", "QQQ"), ("zone", "QQQ")),
+}
+
+
+def _relabelled_snapshot(tsdb, pairs):
+    """A snapshot of ``tsdb`` whose ``m{zone="QQQ"}`` series header
+    lists ``pairs`` instead, deflate stream and checksum consistent."""
+    body = _inflated(snapshot(tsdb))
+    canonical = struct.pack("<I", 2) + reference_label_bytes(
+        (("__name__", "m"), ("zone", "QQQ")))
+    assert body.count(canonical) == 1
+    return reference_deflated_snapshot(body.replace(
+        canonical,
+        struct.pack("<I", len(pairs)) + reference_label_bytes(pairs)))
+
+
+@pytest.mark.parametrize("pairs", NON_CANONICAL_HEADERS.values(),
+                         ids=NON_CANONICAL_HEADERS.keys())
+def test_a_non_canonical_series_header_is_a_typed_error(pairs):
+    tsdb = _populated_tsdb()
+    tsdb.append_sample("m", seconds(5), 1.0, zone="QQQ")
+    with pytest.raises(TsdbError, match="ascending"):
+        decode(_relabelled_snapshot(tsdb, pairs))
+
+
+@pytest.mark.parametrize("pairs", NON_CANONICAL_HEADERS.values(),
+                         ids=NON_CANONICAL_HEADERS.keys())
+def test_recovery_quarantines_a_checkpoint_with_a_non_canonical_header(pairs):
+    # The checksum verifies, the series header is not the one encoding
+    # of any label set: recovery quarantines the checkpoint and falls
+    # back to the one before it.
+    _recover_past_a_bad_newer_checkpoint(
+        lambda tsdb, _data: _relabelled_snapshot(tsdb, pairs))
 
 
 def test_recovery_quarantines_a_version2_checkpoint():

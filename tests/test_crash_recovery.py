@@ -39,7 +39,7 @@ from repro.sgx.driver import SgxDriver
 from repro.teemon import MonitorSupervisor, TeemonConfig, deploy
 from tests.codec_oracle import (
     reference_crash_loss,
-    reference_replay_v2,
+    reference_replay_v3,
     reference_sample_run,
     reference_series_record,
     segment_frames,
@@ -325,7 +325,7 @@ def _replay_per_record(disk, directory, crash_report):
     for name in disk.list_files(f"{directory}/segment-"):
         if seq(name) < seq(checkpoint):
             continue
-        samples, _cursors, gone = reference_replay_v2(disk.read(name))
+        samples, _cursors, gone = reference_replay_v3(disk.read(name))
         lost += gone
         for labels, time_ns, value in samples:
             try:

@@ -64,9 +64,9 @@ def test_frame_roundtrip():
 
 
 def test_frame_blocks_are_shard_partitioned_per_series():
-    # v3 frames carry one block per series, stamped with the same CRC32
+    # Frames carry one block per series, stamped with the same CRC32
     # fingerprint the WAL partitions route on, labels encoded once per
-    # frame.
+    # frame and samples as a time and a value column.
     entries = (
         _entries(3, job="sgx", instance="n0")
         + _entries(2, start_ns=10, metric="other_total", job="sgx",
@@ -74,17 +74,19 @@ def test_frame_blocks_are_shard_partitioned_per_series():
         + _entries(2, start_ns=20, job="sgx", instance="n0")
     )
     body = encode_frame("leaf-0", 1, 1, entries)
-    sender, epoch, seq, blocks = decode_frame_blocks(body)
+    sender, epoch, seq, (series, times, values) = decode_frame_blocks(body)
     assert (sender, epoch, seq) == ("leaf-0", 1, 1)
     # Two series -> two blocks, first-appearance order, samples merged
-    # per series in shipped order.
-    assert len(blocks) == 2
-    by_labels = {labels: (fp, samples) for fp, labels, samples in blocks}
-    for labels, (fp, samples) in by_labels.items():
-        assert fp == series_fingerprint(labels)
-    first = blocks[0]
-    assert first[1].get("instance") == "n0"
-    assert len(first[2]) == 5  # both n0 runs merged into one block
+    # per series in shipped order, in two columns for the frame.
+    assert [(fp, labels.get("instance"), count)
+            for fp, labels, count in series] == [
+        (series_fingerprint(entries[0][0]), "n0", 5),
+        (series_fingerprint(entries[3][0]), "n1", 2)]
+    assert (times.typecode, values.typecode) == ("q", "d")
+    n0 = series[0][1]
+    assert list(zip(times, values)) == (
+        [(t, v) for labels, t, v in entries if labels == n0]
+        + [(t, v) for labels, t, v in entries if labels != n0])
     # The flat decode preserves every (labels, ts, value) triple.
     key = lambda e: (tuple(e[0].items()), e[1], e[2])  # noqa: E731
     assert sorted(decode_frame(body)[3], key=key) == sorted(entries, key=key)
@@ -180,7 +182,7 @@ def test_warm_intern_table_decodes_exactly_like_a_cold_one(frames):
     # A known series always comes back as the one interned object.
     interned = {entry[2]: entry[2] for entry in table.values()}
     for body in bodies:
-        for _fp, labels, _samples in decode_frame_blocks(body, table)[3]:
+        for _fp, labels, _count in decode_frame_blocks(body, table)[3][0]:
             assert labels is interned[labels]
 
 

@@ -124,9 +124,11 @@ class FeedMachine(RuleBasedStateMachine):
         for labels, time_ns, value in entries:
             blocks.setdefault(labels, []).append((time_ns, value))
         if how == "fingerprinted":
-            self.tsdb.append_fingerprinted([
-                (series_fingerprint(labels), labels, samples)
-                for labels, samples in blocks.items()])
+            self.tsdb.append_fingerprinted((
+                [(series_fingerprint(labels), labels, len(samples))
+                 for labels, samples in blocks.items()],
+                [t for samples in blocks.values() for t, _v in samples],
+                [v for samples in blocks.values() for _t, v in samples]))
             return
         for labels, samples in blocks.items():
             self.tsdb.append_run(labels, [t for t, _v in samples],

@@ -117,10 +117,12 @@ def test_colliding_fingerprints_stay_distinct_series(pair):
     for seq in (1, 2):  # the second decode meets the interned headers
         _sender, _epoch, _seq, blocks = decode_frame_blocks(
             encode_frame("leaf", 1, seq, entries), interned)
-        assert [(labels, samples) for _fp, labels, samples in blocks] == [
-            (first, [(seconds(1), 1.0), (seconds(2), 3.0)]),
-            (second, [(seconds(1), 2.0), (seconds(2), 4.0)]),
-        ]
+        series, times, values = blocks
+        assert [(labels, count) for _fp, labels, count in series] == [
+            (first, 2), (second, 2)]
+        assert (list(times), list(values)) == (
+            [seconds(1), seconds(2), seconds(1), seconds(2)],
+            [1.0, 3.0, 2.0, 4.0])
         receiver = partitioned(4)
         assert receiver.append_fingerprinted(blocks) == 0
         assert _listed(receiver.select_arrays([], 0, seconds(3))) == expected

@@ -45,12 +45,13 @@ from repro.simkernel.clock import VirtualClock, seconds
 from repro.simkernel.disk import SimDisk
 from repro.simkernel.rng import DeterministicRng
 from tests.codec_oracle import (
-    ReferenceLogV2,
+    ReferenceLogV3,
     WalWriterV1,
     reference_crash_loss,
     reference_deflated_snapshot,
-    reference_replay_v2,
+    reference_replay_v3,
     reference_sample_run,
+    reference_sample_run_v2,
     reference_series_record,
     segment_frames,
     wire_entries,
@@ -164,12 +165,13 @@ def _disk_with(*records, flushed=True):
 def test_record_roundtrip():
     labels = Labels.of("m", job="j", zone="eu", a="1")
     series = encode_series_record(7, labels)
-    run = encode_sample_run([7, 12345, -2.5, 7, 12346, 0.5], 2)
+    run = encode_sample_run([7, 12345, -2.5, 7, 12346, 0.5])
     for record in (series, run):
         (length,) = struct.unpack_from("<I", record, 0)
         assert length == len(record) - 8
     assert len(run) == 8 + 5 + 2 * 20
-    samples, _cursors, lost = reference_replay_v2(_segment(series, run))
+    assert run == reference_sample_run([(7, 12345, -2.5), (7, 12346, 0.5)])
+    samples, _cursors, lost = reference_replay_v3(_segment(series, run))
     assert samples == [(labels, 12345, -2.5), (labels, 12346, 0.5)]
     assert lost == 0
     recovered, report = recover(_disk_with(series, run))
@@ -220,7 +222,7 @@ def test_a_failed_batch_still_lands_the_series_it_declared():
     disk = SimDisk()
     tsdb = Tsdb()
     writer = WalWriter(disk)
-    with pytest.raises(struct.error):
+    with pytest.raises(WalError, match="not a"):
         writer.append_many([(_labels(0), 1, 1.0), (_labels(1), 2**70, 1.0)])
     assert writer.records_total == 0
     tsdb.attach_wal(writer)
@@ -252,7 +254,7 @@ def _apply(writers, entries, cuts):
 def test_any_interleaving_through_one_memo_matches_reference(entries):
     disk = SimDisk()
     writer = WalWriter(disk)
-    model = ReferenceLogV2()
+    model = ReferenceLogV3()
     for labels, time_ns, value in entries:
         writer.append(labels, time_ns, value)
         model.append(labels, time_ns, value)
@@ -261,7 +263,7 @@ def test_any_interleaving_through_one_memo_matches_reference(entries):
     assert set(writer._series) == series  # noqa: SLF001
     # ...and replay hands every sample of a series the one interned
     # Labels object, read back exactly as the slow reader reads it.
-    samples, _cursors, lost = reference_replay_v2(model.segments[-1])
+    samples, _cursors, lost = reference_replay_v3(model.segments[-1])
     assert (samples, lost) == (entries, 0)
     recovered, report = recover(disk)
     assert report.records_replayed + report.records_duplicate == len(entries)
@@ -283,7 +285,7 @@ def test_segments_equal_concatenated_reference_records(
     disk = SimDisk()
     writer = WalWriter(disk, flush_every_records=flush_every,
                        segment_max_records=segment_max)
-    model = ReferenceLogV2(flush_every, segment_max)
+    model = ReferenceLogV3(flush_every, segment_max)
     _apply((writer, model), entries, cuts)
     names = disk.list_files("wal/segment-")
     assert [disk.read(name) for name in names] == model.segments
@@ -300,7 +302,7 @@ def test_segments_equal_concatenated_reference_records(
         control.flushes_total, control.unflushed_records)
     assert names == control.disk.list_files("wal/segment-")
     for name in names:
-        durable, _c, _l = reference_replay_v2(
+        durable, _c, _l = reference_replay_v3(
             disk.read(name)[:disk.synced_size(name)])
         assert len(durable) == _v1_records(
             control.disk.read(name)[:control.disk.synced_size(name)])
@@ -339,7 +341,7 @@ def test_decode_rejects_malformed_payloads():
         expected = max(0, (len(record) - 8 - 5) // 20)
         assert report.records_quarantined == expected, what
         assert report.samples_lost == expected, what
-        _s, _c, lost = reference_replay_v2(
+        _s, _c, lost = reference_replay_v3(
             _segment(series, good, record, tail))
         assert lost == expected, what
 
@@ -367,7 +369,7 @@ def test_encode_rejects_oversized_components():
     with pytest.raises(WalError, match="too long"):
         encode_series_record(0, Labels.of("m", k="v" * 70_000))
     with pytest.raises(WalError, match="1\\.\\."):
-        encode_sample_run([], 0)
+        encode_sample_run([])
 
 
 # ---------------------------------------------------------------------------
@@ -829,10 +831,17 @@ def _wal_files(disk):
 
 
 def _unframed_runs(data):
-    """The bare 20-byte samples of each samples record, one entry per
-    record."""
-    return [payload[5:] for _offset, payload, _ok in segment_frames(data)
-            if payload[0] == RECORD_SAMPLES]
+    """The ``(ref, time_ns, value)`` samples of each samples record, one
+    list per record, read column by column."""
+    runs = []
+    for _offset, payload, _ok in segment_frames(data):
+        if payload[0] == RECORD_SAMPLES:
+            count = (len(payload) - 5) // 20
+            runs.append(list(zip(
+                struct.unpack_from(f"<{count}I", payload, 5),
+                struct.unpack_from(f"<{count}q", payload, 5 + 4 * count),
+                struct.unpack_from(f"<{count}d", payload, 5 + 12 * count))))
+    return runs
 
 
 def _unframed(data):
@@ -845,7 +854,7 @@ def _unframed(data):
         data[offset:offset + 8 + len(payload)]
         for offset, payload, _ok in segment_frames(data)
         if payload[0] != RECORD_SAMPLES]
-    return b"".join(metadata), b"".join(_unframed_runs(data))
+    return b"".join(metadata), sum(_unframed_runs(data), [])
 
 
 @pytest.mark.parametrize("flush_every", [0, 3, 7])
@@ -875,8 +884,8 @@ def test_append_many_bytes_and_counters_equal_append(flush_every):
     for name in files_a:
         assert _unframed(files_b[name]) == _unframed(files_a[name]), name
         assert len(files_b[name]) <= len(files_a[name])
-        assert (reference_replay_v2(files_b[name][:disk_b.synced_size(name)])
-                == reference_replay_v2(files_a[name][:disk_a.synced_size(name)]))
+        assert (reference_replay_v3(files_b[name][:disk_b.synced_size(name)])
+                == reference_replay_v3(files_a[name][:disk_a.synced_size(name)]))
     for attr in ("records_total", "flushes_total", "segments_total",
                  "unflushed_records"):
         assert getattr(many, attr) == getattr(one, attr), attr
@@ -896,7 +905,7 @@ def test_append_is_append_many_of_one_and_the_reference_record(
     # one-sample-at-a-time model: the same medium, byte for byte and
     # durable prefix for durable prefix, across flushes and rotations.
     entries = [(_labels(k % 3), (k + 1) * 1000, float(k)) for k in range(14)]
-    model = ReferenceLogV2(flush_every, segment_max)
+    model = ReferenceLogV3(flush_every, segment_max)
     for entry in entries:
         model.append(*entry)
     for write in (WalWriter.append,
@@ -929,7 +938,7 @@ def test_a_commit_group_writes_what_one_batch_of_its_commits_would(
     grouped, plain = (
         WalWriter(SimDisk(), flush_every_records=flush_every,
                   segment_max_records=segment_max) for _ in range(2))
-    model = ReferenceLogV2(flush_every, segment_max)
+    model = ReferenceLogV3(flush_every, segment_max)
     pending = []
     grouped.open_group()
     for index, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
@@ -968,7 +977,7 @@ def test_commit_groups_do_not_nest_and_close_on_error():
             raise RuntimeError("the cycle failed")
     # The group closed on the way out and wrote what it had staged.
     assert not writer.group_open
-    samples, _cursors, _lost = reference_replay_v2(
+    samples, _cursors, _lost = reference_replay_v3(
         writer.disk.read(writer.current_segment))
     assert samples == [(_labels(0), 1, 1.0)]
     with Tsdb().commit_group():  # no log attached: nothing to group
@@ -985,11 +994,11 @@ def test_a_batch_too_large_for_one_record_is_cut_into_runs(monkeypatch):
     entries = [(_labels(k % 2), (k + 1) * 1000, float(k)) for k in range(8)]
     writer.append_many(entries)
     assert (writer.records_total, writer.flushes_total) == (8, 0)
-    samples, _cursors, lost = reference_replay_v2(
+    samples, _cursors, lost = reference_replay_v3(
         disk.read(writer.current_segment))
     assert (samples, lost) == (entries, 0)
     data = disk.read(writer.current_segment)
-    assert [len(s) // 20 for s in _unframed_runs(data)] == [3, 3, 2]
+    assert [len(run) for run in _unframed_runs(data)] == [3, 3, 2]
 
 
 def test_append_many_empty_batch_is_a_no_op():
@@ -1120,7 +1129,7 @@ def test_every_byte_flip_of_durable_segments():
                 damaged = [disk.read(name)]
             samples, lost = [], 0
             for data in sorted(others + damaged):  # seq order: header bytes
-                replayed, _cursors, gone = reference_replay_v2(data)
+                replayed, _cursors, gone = reference_replay_v3(data)
                 samples += replayed
                 lost += gone
             assert got == _model(samples), (name, index)
@@ -1211,7 +1220,7 @@ def test_v1_fixture_still_recovers():
 def test_a_v2_writer_takes_over_a_v1_medium():
     # The upgrade: recover what the checkpoint holds, keep writing (the
     # new writer continues the sequence past the version-1 segments),
-    # crash again — the second recovery replays the version-2 segment
+    # crash again — the second recovery replays the version-3 segment
     # and still quarantines the three older ones.
     disk = _v1_fixture_disk(current_layout=True)
     tsdb, _report = recover(disk)
@@ -1232,10 +1241,30 @@ def test_a_v2_writer_takes_over_a_v1_medium():
     assert header == SEGMENT_MAGIC + struct.pack("<HI", SEGMENT_VERSION, 7)
 
 
-@pytest.mark.parametrize("version", [0, 1, 3, 0xFFFF])
+def test_a_version2_segment_is_quarantined():
+    # The layout version 3 replaced — the same series records, each
+    # run's samples interleaved — written after the fixture's
+    # checkpoint: like the three version-1 segments beside it, it is
+    # quarantined, and only the checkpoint restores.
+    disk = _v1_fixture_disk(current_layout=True)
+    name = segment_name("wal", 7)
+    disk.append(name, _segment(
+        reference_series_record(0, V1_SERIES[0].items()),
+        reference_sample_run_v2([(0, 21 * 5_000_000_000, 20.0)]),
+        seq=7, version=2))
+    disk.sync(name)
+    plan = FaultPlan(VirtualClock(), DeterministicRng(1).fork("plan"))
+    recovered, report = recover(disk, plan=plan)
+    assert (report.segments_scanned, report.segments_quarantined) == (4, 4)
+    assert (report.records_replayed, report.records_quarantined) == (0, 0)
+    assert _samples(recovered) == _v1_fixture_samples(0, 8)
+    assert f"{name} wal-segment-quarantined" in plan.journal_text()
+
+
+@pytest.mark.parametrize("version", [0, 1, 2, 4, 0xFFFF])
 def test_a_segment_of_any_other_version_is_quarantined(version):
     # Whatever the frames behind it hold, a header naming a version other
-    # than 2 is a bad header: counted, journalled, never replayed.
+    # than 3 is a bad header: counted, journalled, never replayed.
     disk = SimDisk()
     tsdb, writer = _tsdb_with_wal(disk)
     for k in range(4):

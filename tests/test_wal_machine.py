@@ -32,7 +32,7 @@ from repro.pmag.model import Labels
 from repro.pmag.tsdb import Tsdb
 from repro.pmag.wal import WalWriter, recover
 from repro.simkernel.disk import SimDisk
-from tests.codec_oracle import reference_crash_loss, reference_replay_v2
+from tests.codec_oracle import reference_crash_loss, reference_replay_v3
 
 SERIES = [Labels.of("m", job="a", i=str(i)) for i in range(4)] + [
     Labels.of("mé", zone="日本")]
@@ -176,7 +176,7 @@ class WalMachine(RuleBasedStateMachine):
         # the slow reader finds on what is left of the medium.
         self.cursors = {}
         for name in self.disk.list_files("wal/segment-"):
-            self.cursors.update(reference_replay_v2(self.disk.read(name))[1])
+            self.cursors.update(reference_replay_v3(self.disk.read(name))[1])
 
     @dead
     @rule()
