@@ -11,9 +11,11 @@ encodings kept here, little-endian:
   :meth:`Labels.items` yields, so a label set has one block and a block
   one label set;
 * **column run** ``u32 n`` and then one whole column of ``n`` cells per
-  ``array`` typecode (``I`` u32, ``q`` i64, ``Q`` u64, ``d`` f64): a WAL
-  samples record holds a :data:`LOG_RUN`, a wire block a
-  :data:`WIRE_RUN`, a chunk ``Qd`` (time deltas, values).
+  ``array`` typecode (``I`` u32, ``q`` i64, ``Q`` u64, ``d`` f64), each
+  column written by :func:`pack_column`: a WAL samples record and the
+  tail of a wire frame each hold one :data:`SAMPLE_RUN` (``refs`` into
+  the segment's or the frame's series, times, values), a chunk ``Qd``
+  (time deltas, values).
 
 What a decoder refuses — a truncated or non-canonical label block, text
 that is not UTF-8, a run that does not fill its buffer exactly — and
@@ -25,13 +27,12 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.errors import WalError
 from repro.pmag.model import Labels
 
-LOG_RUN = "Iqd"  # ref, time, value
-WIRE_RUN = "qd"  # time, value
+SAMPLE_RUN = "Iqd"  # ref, time, value
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -110,31 +111,11 @@ def pack_column(column: array) -> bytes:
     return column.tobytes()
 
 
-def pack_run(typecodes: str, rows: Sequence) -> bytes:
-    """The column run of ``rows``, cells listed row after row (``[ref,
-    time, value, ref, ...]`` for :data:`LOG_RUN`), in one ``struct``
-    call.  Most wire blocks hold one row, which is its own run."""
-    width = len(typecodes)
-    count = len(rows) // width
-    layout = "<I" + typecodes
-    if count != 1:
-        columns = rows[::width]
-        for column in range(1, width):
-            columns += rows[column::width]
-        rows = columns
-        cells = str(count)
-        layout = "<I" + cells + cells.join(typecodes)
-    try:
-        return struct.pack(layout, count, *rows)
-    except struct.error as exc:
-        raise WalError(f"not a {typecodes!r} run: {exc}") from None
-
-
-def extend_run(columns: Sequence[array], buf: bytes, offset: int) -> int:
-    """Append the column run at ``offset``, which must end where ``buf``
-    does, to ``columns`` (one ``array`` per column); returns its row
-    count.  A malformed run may leave them part-extended.  A wire frame
-    decodes every block into the same two columns."""
+def unpack_run(typecodes: str, buf: bytes, offset: int) -> List[array]:
+    """The column run at ``offset``, which must end where ``buf`` does,
+    as one new ``array`` per typecode, each read with one
+    ``frombytes``."""
+    columns = [array(typecode) for typecode in typecodes]
     try:
         (count,) = _U32.unpack_from(buf, offset)
         offset += 4
@@ -146,17 +127,7 @@ def extend_run(columns: Sequence[array], buf: bytes, offset: int) -> int:
         offset = -1
     if offset != len(buf):
         raise WalError(f"a run does not fill its {len(buf)} bytes")
-    if _SWAP and count:
+    if _SWAP:
         for column in columns:
-            tail = column[-count:]
-            tail.byteswap()
-            column[-count:] = tail
-    return count
-
-
-def unpack_run(typecodes: str, buf: bytes, offset: int) -> List[array]:
-    """The column run at ``offset``, which must end where ``buf`` does,
-    as one new ``array`` per typecode."""
-    columns = [array(typecode) for typecode in typecodes]
-    extend_run(columns, buf, offset)
+            column.byteswap()
     return columns

@@ -10,9 +10,10 @@ This module is that uplink, hardened the same way the scrape path is:
   tick it *collects* every sample the leaf TSDB accepted since its
   watermark — drained from an arrival feed the store pushes each
   commit into, so the cost follows new samples, not the store's size —
-  packs them into compressed frames of per-series blocks (one
-  CRC-guarded block per series, fingerprinted with the same CRC32 the
-  WAL partitions route on), and *pumps* the frame queue to the receiver
+  packs them into compressed, CRC-guarded frames (a table naming each
+  series once, fingerprinted with the same CRC32 the WAL partitions
+  route on, then a ref, a time and a value column for the frame's
+  samples), and *pumps* the frame queue to the receiver
   with jittered-exponential retry/backoff on the virtual clock.  The
   queue is bounded: while the uplink is down the leaf keeps serving
   local queries and spills frames to the queue; past ``queue_max_frames``
@@ -34,9 +35,9 @@ This module is that uplink, hardened the same way the scrape path is:
   granularity, which is also what deduplicates an HA *pair* of leaves
   shipping the same scrape (see :mod:`repro.teemon.ha`) and absorbs the
   overlap a recovered incarnation re-ships under its fresh epoch.  A
-  frame's blocks decode into one time and one value column for the
-  whole frame, which land through the store's ``append_fingerprinted``:
-  one ``append_batch``.
+  frame decodes into its series table and its three columns, which
+  land through the store's ``append_fingerprinted``: one
+  ``append_batch``.
 * *Relays* — a monitor that is both receiver and client forwards
   everything it ingests upstream under its **own** sender identity,
   epoch and sequence numbering (re-stamping is automatic: the relay's
@@ -85,12 +86,11 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 from repro.errors import TsdbError, WalError
 from repro.net.http import HttpNetwork
 from repro.pmag.codec import (
-    WIRE_RUN, extend_run, pack_labels, pack_run, unpack_labels)
+    SAMPLE_RUN, pack_column, pack_labels, unpack_labels, unpack_run)
 from repro.pmag.model import Labels, METRIC_NAME_LABEL
 from repro.pmag.rules import is_recorded_output
 from repro.pmag.storage import series_fingerprint
 from repro.pmag.tsdb import ArrivalFeed, Tsdb
-from repro.pmag.wal import MAX_RECORD_BYTES
 from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock
 from repro.simkernel.rng import DeterministicRng
 
@@ -101,7 +101,13 @@ REMOTE_WRITE_PATH = "/api/v1/write"
 
 #: Wire-format version tag, first token of every frame; a frame tagged
 #: with any other version is rejected.
-FRAME_MAGIC = "teemon-rw/4"
+FRAME_MAGIC = "teemon-rw/5"
+
+_U32 = struct.Struct("<I")
+#: ``u32 crc32 | u32 S``: a frame payload's first eight bytes.
+_HEAD = struct.Struct("<II")
+#: The header and the labels of an intern-table entry.
+_HEADER, _SERIES = itemgetter(0), itemgetter(2)
 
 
 #: WAL cursor keys persisting the client's durable uplink position.
@@ -167,71 +173,73 @@ def encode_frame(
     entries: List[Tuple[Labels, int, float]],
     headers: Optional[Dict[Labels, bytes]] = None,
 ) -> str:
-    """One batched, compressed frame of per-series blocks as an HTTP body.
+    """One batched, compressed frame as an HTTP body.
 
-    Header line ``teemon-rw/4 <sender> <epoch> <seq> <count>``, then the
-    base64 of the zlib-compressed concatenation of per-series blocks::
+    Header line ``teemon-rw/5 <sender> <epoch> <seq> <count>``, then the
+    base64 of the zlib-compressed (level 6) payload::
 
-        u32 len | u32 crc32(block) | block
-        block = u32 fingerprint | label block | WIRE_RUN column run
+        u32 crc32(rest) | rest
+        rest = u32 S | S * (u32 fingerprint | label block)
+               | SAMPLE_RUN column run (u32 n | refs u32 * n
+               | times i64 * n | values f64 * n)
 
-    in the encodings of :mod:`repro.pmag.codec`, the WAL's too (the run:
-    ``u32 n | times i64 * n | values f64 * n``).  Each series' label set
-    is encoded **once** per frame and stamped with the CRC32 fingerprint
+    in the encodings of :mod:`repro.pmag.codec`, the WAL's too.  The
+    *series table* names each series of the frame once, in order of
+    first appearance, stamped with the CRC32 fingerprint
     :func:`series_fingerprint` computes, which the receiver checks
-    against the labels once per block.  Per-block CRC32 keeps the
-    on-the-wire integrity story of the on-disk log.  ``epoch``
-    identifies the sender *incarnation* (a recovered monitor gets a
-    fresh, strictly larger one), ``seq`` orders frames within it.
-    ``headers`` is an optional cross-frame memo of each series' block
-    header (fingerprint and label block): a client serialises a label
-    set once, and one that fails a check is never memoised.
+    against the labels; sample ``i`` is ``(table[refs[i]], times[i],
+    values[i])``, in the order of ``entries``.  One CRC32 covers the
+    frame, the on-the-wire integrity story of the on-disk log.
+    ``epoch`` identifies the sender *incarnation* (a recovered monitor
+    gets a fresh, strictly larger one), ``seq`` orders frames within it.
+    ``headers`` is an optional cross-frame memo of each series' table
+    entry: a client serialises a label set once, and one that fails a
+    check is never memoised.
     """
     if not is_wire_safe(sender):
         raise WalError(f"sender not wire-safe: {sender!r}")
     if headers is None:
         headers = {}
-    # Grouped by header bytes, not by label set: a header names exactly
-    # one series, and hashing bytes never re-enters Python.
-    groups: Dict[bytes, list] = {}
-    for labels, time_ns, value in entries:
-        header = headers.get(labels)
-        if header is None:
-            header = headers[labels] = struct.pack(
-                "<I", series_fingerprint(labels)) + pack_labels(labels)
-        rows = groups.get(header)
-        if rows is None:
-            groups[header] = [time_ns, value]
-        else:
-            rows += (time_ns, value)
-    pieces: List[bytes] = []
-    for header, rows in groups.items():
-        block = header + pack_run(WIRE_RUN, rows)
-        if len(block) > MAX_RECORD_BYTES:
-            raise WalError(f"series block too large: {len(block)} bytes")
-        pieces.append(struct.pack("<II", len(block), zlib.crc32(block)))
-        pieces.append(block)
-    body = base64.b64encode(zlib.compress(b"".join(pieces), 6)).decode("ascii")
+    labels, times, values = tuple(zip(*entries)) or ((), (), ())
+    heads = list(map(headers.get, labels))
+    if None in heads:
+        for series in set(labels):
+            if series not in headers:
+                headers[series] = _U32.pack(
+                    series_fingerprint(series)) + pack_labels(series)
+        heads = list(map(headers.__getitem__, labels))
+    # Keyed by header bytes, not by label set: a header names exactly
+    # one series, and hashing bytes never re-enters Python.  Refs go in
+    # order of first appearance.
+    table = dict.fromkeys(heads)
+    for ref, head in enumerate(table):
+        table[head] = ref
+    pieces = [_U32.pack(len(table)), *table, _U32.pack(len(entries)),
+              pack_column(array("I", map(table.__getitem__, heads))),
+              pack_column(array("q", times)), pack_column(array("d", values))]
+    rest = b"".join(pieces)
+    payload = _U32.pack(zlib.crc32(rest)) + rest
+    body = base64.b64encode(zlib.compress(payload, 6)).decode("ascii")
     return f"{FRAME_MAGIC} {sender} {epoch} {seq} {len(entries)}\n{body}"
 
 
 def decode_frame_blocks(
     text: str, interned: Optional[Dict[bytes, tuple]] = None,
-) -> Tuple[str, int, int, Tuple[List[Tuple[int, Labels, int]], array, array]]:
-    """Inverse of :func:`encode_frame`, keeping the per-series shape.
+) -> Tuple[str, int, int, Tuple[List[Labels], array, array, array]]:
+    """Inverse of :func:`encode_frame`, keeping the frame's shape.
 
-    Returns ``(sender, epoch, seq, (series, times, values))``:
-    ``series`` holds one ``(fingerprint, labels, count)`` per block, in
-    frame order, and ``times``/``values`` are the frame's sample columns
-    (``array('q')``/``array('d')``), every block's ``count`` samples in
-    that order — the unit ``append_fingerprinted`` lands.  Each block's
-    run extends the two columns (:func:`~repro.pmag.codec.extend_run`).
-    Raises :class:`WalError` on any framing, CRC, count or compression
-    damage.
+    Returns ``(sender, epoch, seq, (table, refs, times, values))``:
+    ``table`` holds the series' labels in table order, and ``refs``/
+    ``times``/``values`` are the frame's sample columns
+    (``array('I')``/``array('q')``/``array('d')``), each read with one
+    ``frombytes`` — the unit ``append_fingerprinted`` lands.  Raises
+    :class:`WalError` on any framing, CRC, count, table or compression
+    damage: a series listed twice, a ref past the table, a sample count
+    other than the header's, a byte past the last column.
 
     ``interned`` is a receiver's table of headers already parsed:
-    ``block[:8] -> (header, fingerprint, labels)``.  A header is
-    self-delimiting, so a block that *starts with* a known one parses to
+    ``entry[:8] -> (header, fingerprint, labels)``.  A table entry is
+    self-delimiting, so one that *starts with* a known header parses to
     the same labels and end offset as walking it would — a hit skips the
     walk, never a check, and yields the one interned ``Labels`` object.
     A miss parses in full and verifies the stamp; new headers are
@@ -259,57 +267,58 @@ def decode_frame_blocks(
     if not inflate.eof or inflate.unused_data:
         raise WalError(
             "undecodable frame payload: not exactly one deflate stream")
+    if len(payload) < 8:
+        raise WalError("truncated remote-write payload")
+    crc, size = _HEAD.unpack_from(payload)
+    if zlib.crc32(memoryview(payload)[4:]) != crc:
+        raise WalError("frame CRC mismatch in remote-write payload")
+    # An entry takes at least 8 bytes: a hostile S cannot spin the walk.
+    if size > (len(payload) - 8) // 8:
+        raise WalError(f"series table of {size} runs past the payload")
     if interned is None:
         interned = {}
     fresh: Dict[bytes, tuple] = {}
-    series: List[Tuple[int, Labels, int]] = []
-    columns = (array("q"), array("d"))
-    pos = 0
-    size = len(payload)
-    while pos < size:
-        if size - pos < 8:
-            raise WalError("truncated block frame in remote-write payload")
-        length, crc = struct.unpack_from("<II", payload, pos)
-        if not 0 < length <= MAX_RECORD_BYTES:
-            raise WalError(f"implausible block length: {length}")
-        block = payload[pos + 8:pos + 8 + length]
-        if len(block) != length:
-            raise WalError("truncated block in remote-write payload")
-        if zlib.crc32(block) != crc:
-            raise WalError("block CRC mismatch in remote-write frame")
-        known = interned.get(block[:8])
-        if known is None or not block.startswith(known[0]):
-            labels, offset = unpack_labels(block, 4)
-            fingerprint = int.from_bytes(block[:4], "little")
+    # The walk runs once per series shipped: its callables are locals.
+    knowns: List[tuple] = []
+    add, lookup, starts = knowns.append, interned.get, payload.startswith
+    pos = 8
+    for _ in range(size):
+        known = lookup(payload[pos:pos + 8])
+        if known is None or not starts(known[0], pos):
+            labels, end = unpack_labels(payload, pos + 4)
+            fingerprint = int.from_bytes(payload[pos:pos + 4], "little")
             if series_fingerprint(labels) != fingerprint:
                 raise WalError(
-                    f"block fingerprint {fingerprint} is not {labels!r}'s")
-            known = (block[:offset], fingerprint, labels)
-            fresh[block[:8]] = known
-        series.append((known[1], known[2],
-                       extend_run(columns, block, len(known[0]))))
-        pos += 8 + length
-    times, values = columns
+                    f"table fingerprint {fingerprint} is not {labels!r}'s")
+            known = (payload[pos:end], fingerprint, labels)
+            fresh[payload[pos:pos + 8]] = known
+        add(known)
+        pos += len(known[0])
+    # A label set has one header, so a repeated header is a repeated
+    # series: its samples could land under either ref.
+    if len(set(map(_HEADER, knowns))) != size:
+        raise WalError("a series listed twice in one frame's table")
+    table = list(map(_SERIES, knowns))
+    refs, times, values = unpack_run(SAMPLE_RUN, payload, pos)
     if len(times) != count:
         raise WalError(
             f"frame count mismatch: header {count}, payload {len(times)}"
         )
+    if count and max(refs) >= size:
+        raise WalError(f"a ref past the frame's {size}-series table")
     interned.update(fresh)
-    return sender, epoch, seq, (series, times, values)
+    return sender, epoch, seq, (table, refs, times, values)
 
 
 def decode_frame(
     text: str,
 ) -> Tuple[str, int, int, List[Tuple[Labels, int, float]]]:
-    """Inverse of :func:`encode_frame`, flattened to (labels, ts, value).
-
-    Entries come back grouped by series (block order), each series in
-    its shipped sample order.
-    """
-    sender, epoch, seq, (series, times, values) = decode_frame_blocks(text)
+    """Inverse of :func:`encode_frame`, flattened to (labels, ts, value)
+    in shipped order."""
+    sender, epoch, seq, (table, refs, times, values) = decode_frame_blocks(
+        text)
     return sender, epoch, seq, list(zip(
-        [labels for _fp, labels, count in series for _ in range(count)],
-        times, values))
+        map(table.__getitem__, refs), times, values))
 
 
 class RemoteWriteReceiver:
@@ -338,10 +347,10 @@ class RemoteWriteReceiver:
       ticks by priority so "first" is deterministically the
       lower-priority-number replica.
 
-    Ingest: the decoded frame — its series and its two sample columns —
-    goes to the store's ``append_fingerprinted`` whole and lands as one
-    ``append_batch``.  The decoder has already checked every block's
-    fingerprint against its labels.
+    Ingest: the decoded frame — its series table and its three sample
+    columns — goes to the store's ``append_fingerprinted`` whole and
+    lands as one ``append_batch``.  The decoder has already checked
+    every table entry's fingerprint against its labels.
 
     Relays: :meth:`attach_relay` couples this receiver to the
     co-resident :class:`RemoteWriteClient` of a relay deployment.  Every
@@ -368,7 +377,7 @@ class RemoteWriteReceiver:
         #: ``teemon_federation_lag_seconds`` gauge).
         self._newest_applied: Dict[str, int] = {}
         self._relay_clients: List["RemoteWriteClient"] = []
-        #: Block headers already parsed (:func:`decode_frame_blocks`):
+        #: Series-table entries already parsed (:func:`decode_frame_blocks`):
         #: one entry per series shipped here, gone with this incarnation.
         self._interned: Dict[bytes, tuple] = {}
         self._endpoint = None
@@ -435,7 +444,7 @@ class RemoteWriteReceiver:
                 f"federation loop: frame sender {sender!r} is this "
                 f"receiver's own identity"
             )
-        stamps = frame[1]
+        stamps = frame[2]
         total = len(stamps)
         last_epoch, last_seq = self._last_applied.get(sender, (-1, 0))
         if epoch < last_epoch or (epoch == last_epoch and seq <= last_seq):
@@ -619,7 +628,7 @@ class RemoteWriteClient:
         #: Sequence of the last frame built / last frame acked.
         self._seq = 0
         self.acked_seq = 0
-        #: Cross-frame block-header memo for the frame encoder.
+        #: Cross-frame series-table memo for the frame encoder.
         self._headers: Dict[Labels, bytes] = {}
         #: What the engine accepted since the last collect; None until
         #: the next collect catches up from the store (:meth:`_window`).

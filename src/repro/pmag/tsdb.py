@@ -241,18 +241,17 @@ class Tsdb:
 
     def append_fingerprinted(
         self,
-        frame: Tuple[Sequence[Tuple[int, Labels, int]], Sequence[int],
+        frame: Tuple[Sequence[Labels], Sequence[int], Sequence[int],
                      Sequence[float]],
     ) -> int:
-        """Ingest one decoded remote-write frame, ``(series, times,
+        """Ingest one decoded remote-write frame, ``(table, refs, times,
         values)`` (:func:`~repro.pmag.remote_write.decode_frame_blocks`),
-        as one :meth:`append_batch`; returns the number of rejected
-        samples.  The fingerprints go unread: the decoder has checked
-        each against its labels."""
-        series, times, values = frame
+        as one :meth:`append_batch` in frame order; returns the number
+        of rejected samples.  The decoder has checked each table entry's
+        fingerprint against its labels and each ref against the table."""
+        table, refs, times, values = frame
         return len(self.append_batch(list(zip(
-            [labels for _fp, labels, count in series for _ in range(count)],
-            times, values))))
+            map(table.__getitem__, refs), times, values))))
 
     def _index(self, labels: Labels, storage: ChunkedSeries) -> None:
         """Enter a series into the store and the postings."""

@@ -21,7 +21,7 @@ in the encodings of :mod:`repro.pmag.codec`::
 
     2 cursor   u16 len + utf8 key | i64 cursor_ns
     3 series   u32 ref | label block
-    4 samples  LOG_RUN column run: u32 n | refs u32 * n | times i64 * n
+    4 samples  SAMPLE_RUN column run: u32 n | refs u32 * n | times i64 * n
                | values f64 * n
 
 A sample names its series by ``ref``; the series record binding that ref
@@ -84,8 +84,8 @@ from repro.errors import StorageError, TsdbError, WalError
 from repro.pmag import archive
 from repro.pmag.chunks import ChunkedSeries
 from repro.pmag.codec import (
-    LOG_RUN, pack_labels, pack_run, pack_text, unpack_labels, unpack_run,
-    unpack_text)
+    SAMPLE_RUN, pack_column, pack_labels, pack_text, unpack_labels,
+    unpack_run, unpack_text)
 from repro.pmag.model import Labels
 from repro.pmag.storage import shard_for
 from repro.pmag.tsdb import Tsdb
@@ -116,7 +116,7 @@ _FRAME = struct.Struct("<II")
 #: ``u8 kind | u32 ref`` of a series record; ``u8 kind | u32 n`` of a
 #: run, and a sample's 20 bytes.
 _KIND_REF = struct.Struct("<BI")
-_RUN_HEAD_SIZE, _SAMPLE_SIZE = 5, struct.calcsize("<" + LOG_RUN)
+_RUN_HEAD_SIZE, _SAMPLE_SIZE = 5, struct.calcsize("<" + SAMPLE_RUN)
 #: Samples in the largest run that still fits one record.
 MAX_RUN_SAMPLES = (MAX_RECORD_BYTES - _RUN_HEAD_SIZE) // _SAMPLE_SIZE
 
@@ -133,13 +133,18 @@ def encode_series_record(ref: int, labels: Labels) -> bytes:
     return _framed(payload)
 
 
-def encode_sample_run(rows: Sequence) -> bytes:
-    """One framed samples record from its samples laid out flat,
-    ``[ref, time_ns, value, ref, time_ns, value, ...]``."""
-    count = len(rows) // 3
+def encode_sample_run(refs: Sequence[int], times: Sequence[int],
+                      values: Sequence[float]) -> bytes:
+    """One framed samples record from its three columns, of one length."""
+    count = len(refs)
     if not 0 < count <= MAX_RUN_SAMPLES:
         raise WalError(f"a run holds 1..{MAX_RUN_SAMPLES} samples: {count}")
-    return _framed(bytes((RECORD_SAMPLES,)) + pack_run(LOG_RUN, rows))
+    try:
+        columns = array("I", refs), array("q", times), array("d", values)
+    except (TypeError, OverflowError) as exc:
+        raise WalError(f"not a sample run: {exc}") from None
+    return _framed(_KIND_REF.pack(RECORD_SAMPLES, count)
+                   + b"".join(map(pack_column, columns)))
 
 
 def _frame_samples(kind: int, length: int) -> int:
@@ -403,19 +408,19 @@ class WalWriter:
             # One samples record, behind the series records it needs.
             seq = self._seq
             out: List[bytes] = []
-            rows: list = []
+            series_column, times, values = zip(*(
+                entries if count == total else entries[start:start + count]))
+            refs: List[int] = []
             try:
-                for labels, time_ns, value in (
-                        entries if count == total
-                        else entries[start:start + count]):
+                for labels in series_column:
                     entry = series.get(labels)
                     if entry is None:
                         entry = self._learn(labels)
                     if entry[2] != seq:
                         entry[2] = seq
                         out.append(entry[1])
-                    rows += (entry[0], time_ns, value)
-                out.append(encode_sample_run(rows))
+                    refs.append(entry[0])
+                out.append(encode_sample_run(refs, times, values))
             finally:
                 # Also on the way out of a failed pack: a series marked
                 # as held by this segment must have its record land.
@@ -595,7 +600,7 @@ class _Replay:
         """Gather one intact samples payload; False if it is malformed
         or names a ref this segment never (intactly) declared."""
         try:
-            ref_column, times, values = unpack_run(LOG_RUN, payload, 1)
+            ref_column, times, values = unpack_run(SAMPLE_RUN, payload, 1)
         except WalError:
             return False
         picked = list(map(refs.get, ref_column))

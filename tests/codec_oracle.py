@@ -4,8 +4,9 @@ kept verbatim as ``bench_wal``'s control and as the maker of segments
 recovery must quarantine; a from-scratch model of the version-3 log
 (series records + column runs): writer, reader and loss count, plus the
 interleaved version-2 run recovery must quarantine too; the uncached
-remote-write rw/4 frame encoder, plus the byte-level helpers the damage
-tests use to take a frame apart and put a tampered one back together;
+remote-write rw/5 frame encoder and a decoder to match, plus the
+byte-level helpers the damage tests use to put a tampered frame
+together;
 the list-based chunk and archive-body encoders the typed-column ones
 must match byte for byte (the body as version 2 stored it raw and
 version 3 deflates it); and an exposition encoder that remembers
@@ -424,71 +425,118 @@ def reference_replay_v3(data):
 
 
 # ----------------------------------------------------------------------
-# Remote-write rw/4 frames
+# Remote-write rw/5 frames
 # ----------------------------------------------------------------------
-def reference_block(fingerprint, pairs, samples, label_count=None):
-    """One rw/4 series block (unframed) from explicit parts: the label
-    block, then ``u32 n`` and the time and value columns.
+def reference_table_entry(fingerprint, pairs, label_count=None):
+    """One rw/5 series-table entry from explicit parts: ``u32
+    fingerprint`` and the label block.
 
     ``pairs`` are written in the order given and ``fingerprint`` /
     ``label_count`` as given, so damage tests can build non-canonical or
-    mis-stamped blocks a real encoder never would.
+    mis-stamped entries a real encoder never would.
     """
     count = len(pairs) if label_count is None else label_count
-    return (
-        struct.pack("<II", fingerprint, count)
-        + reference_label_bytes(pairs)
-        + struct.pack("<I", len(samples))
-        + reference_columns(samples, "qd")
-    )
+    return struct.pack("<II", fingerprint, count) + reference_label_bytes(pairs)
 
 
-def frame_from_blocks(sender, epoch, seq, count, blocks):
-    """An rw/4 frame whose payload is ``blocks``, each framed len + CRC."""
-    return frame_from_payload(sender, epoch, seq, count, b"".join(
-        struct.pack("<II", len(block), zlib.crc32(block)) + block
-        for block in blocks
-    ))
+def reference_frame_rest(entries, samples, series_count=None,
+                         sample_count=None):
+    """What an rw/5 payload's CRC covers: ``u32 S``, the table
+    ``entries`` (bytes), ``u32 n`` and the ref, time and value columns
+    of ``samples`` (``(ref, time_ns, value)``); ``series_count`` and
+    ``sample_count`` override ``S`` and ``n``."""
+    table_size = len(entries) if series_count is None else series_count
+    stated = len(samples) if sample_count is None else sample_count
+    return (struct.pack("<I", table_size) + b"".join(entries)
+            + struct.pack("<I", stated) + reference_columns(samples, "Iqd"))
+
+
+def frame_from_rest(sender, epoch, seq, count, rest):
+    """An rw/5 frame whose payload is ``rest`` behind its valid CRC."""
+    return frame_from_payload(
+        sender, epoch, seq, count, struct.pack("<I", zlib.crc32(rest)) + rest)
 
 
 def frame_from_payload(sender, epoch, seq, count, payload):
-    """An rw/4 frame around an arbitrary (possibly damaged) payload."""
+    """An rw/5 frame around an arbitrary (possibly damaged) payload."""
     body = base64.b64encode(zlib.compress(payload, 6)).decode("ascii")
     return f"{FRAME_MAGIC} {sender} {epoch} {seq} {count}\n{body}"
 
 
 def frame_payload(text):
-    """The decompressed block stream of a frame."""
+    """The decompressed payload of a frame."""
     return zlib.decompress(base64.b64decode(text.split("\n", 1)[1]))
 
 
-def frame_blocks(text):
-    """The unframed blocks of a well-formed frame, in order."""
-    payload = frame_payload(text)
-    blocks, pos = [], 0
-    while pos < len(payload):
-        (length,) = struct.unpack_from("<I", payload, pos)
-        blocks.append(payload[pos + 8:pos + 8 + length])
-        pos += 8 + length
-    return blocks
-
-
 def reference_encode_frame(sender, epoch, seq, entries):
-    """The rw/4 frame for ``entries``: one block per series in
-    first-appearance order, nothing carried over from any other frame."""
+    """The rw/5 frame for ``entries``: one table entry per series in
+    first-appearance order, samples in the order given, nothing carried
+    over from any other frame."""
     if not sender or any(c in sender for c in " \n"):
         raise WalError(f"sender not wire-safe: {sender!r}")
-    groups = {}
-    for labels, time_ns, value in entries:
-        groups.setdefault(labels, []).append((time_ns, value))
-    blocks = []
-    for labels, samples in groups.items():
-        block = reference_block(
-            series_fingerprint(labels), labels.items(), samples)
-        if len(block) > MAX_RECORD_BYTES:
-            raise WalError(f"series block too large: {len(block)} bytes")
-        blocks.append(block)
-    return frame_from_blocks(sender, epoch, seq, len(entries), blocks)
+    return frame_from_rest(sender, epoch, seq, len(entries),
+                           reference_frame_rest(*reference_frame_parts(entries)))
+
+
+def reference_frame_parts(entries):
+    """``(table entries, samples)`` of the rw/5 frame for ``entries``:
+    the series in first-appearance order, each sample as ``(ref,
+    time_ns, value)``."""
+    refs = {}
+    for labels, _time_ns, _value in entries:
+        refs.setdefault(labels, len(refs))
+    table = [reference_table_entry(series_fingerprint(labels), labels.items())
+             for labels in refs]
+    return table, [(refs[labels], time_ns, value)
+                   for labels, time_ns, value in entries]
+
+
+def reference_decode_frame(text):
+    """Read an rw/5 frame one ``struct`` call at a time: ``(sender,
+    epoch, seq, [(labels, time_ns, value)])`` in shipped order, or
+    :class:`WalError` for anything the format does not allow."""
+    header, _sep, body = text.partition("\n")
+    pieces = header.split()
+    if len(pieces) != 5 or pieces[0] != FRAME_MAGIC or "\n" not in text:
+        raise WalError(f"not an rw/5 frame header: {header!r}")
+    try:
+        epoch, seq, count = int(pieces[2]), int(pieces[3]), int(pieces[4])
+        inflate = zlib.decompressobj()
+        payload = inflate.decompress(base64.b64decode(body, validate=True))
+        if not inflate.eof or inflate.unused_data:
+            raise WalError("not exactly one deflate stream")
+        crc, table_size = struct.unpack_from("<II", payload, 0)
+    except (ValueError, zlib.error, struct.error) as exc:
+        raise WalError(f"undecodable frame: {exc}") from exc
+    if zlib.crc32(payload[4:]) != crc:
+        raise WalError("frame CRC mismatch")
+    table, pos = [], 8
+    try:
+        for _ in range(table_size):
+            fingerprint, label_count = struct.unpack_from("<II", payload, pos)
+            labels, pos = reference_labels(payload, pos + 8, label_count)
+            if series_fingerprint(labels) != fingerprint:
+                raise WalError("stamp is not the labels' fingerprint")
+            if labels in table:
+                raise WalError("a series listed twice")
+            table.append(labels)
+        (stated,) = struct.unpack_from("<I", payload, pos)
+    except struct.error as exc:
+        raise WalError(f"truncated frame: {exc}") from exc
+    pos += 4
+    if stated != count or len(payload) != pos + 20 * stated:
+        raise WalError("sample count disagrees with the header or payload")
+    samples = []
+    for index in range(stated):
+        (ref,) = struct.unpack_from("<I", payload, pos + 4 * index)
+        (time_ns,) = struct.unpack_from("<q", payload, pos + 4 * stated
+                                        + 8 * index)
+        (value,) = struct.unpack_from("<d", payload, pos + 12 * stated
+                                      + 8 * index)
+        if ref >= len(table):
+            raise WalError("a ref past the table")
+        samples.append((table[ref], time_ns, value))
+    return pieces[1], epoch, seq, samples
 
 
 # ----------------------------------------------------------------------

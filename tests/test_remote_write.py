@@ -2,10 +2,11 @@
 
 import base64
 import struct
+import zlib
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from repro.errors import DeploymentError, WalError
 from repro.net.http import HttpNetwork
@@ -34,12 +35,14 @@ from repro.teemon import (
     deploy,
 )
 from tests.codec_oracle import (
-    frame_blocks,
-    frame_from_blocks,
     frame_from_payload,
+    frame_from_rest,
     frame_payload,
-    reference_block,
+    reference_decode_frame,
     reference_encode_frame,
+    reference_frame_parts,
+    reference_frame_rest,
+    reference_table_entry,
     wire_entries,
 )
 from tests.test_storage_engine import partitioned
@@ -63,10 +66,10 @@ def test_frame_roundtrip():
     assert decoded == entries
 
 
-def test_frame_blocks_are_shard_partitioned_per_series():
-    # Frames carry one block per series, stamped with the same CRC32
-    # fingerprint the WAL partitions route on, labels encoded once per
-    # frame and samples as a time and a value column.
+def test_frame_table_names_each_series_once_in_first_appearance_order():
+    # A frame's table names each series once, stamped with the same
+    # CRC32 fingerprint the WAL partitions route on; its ref, time and
+    # value columns keep the shipped order.
     entries = (
         _entries(3, job="sgx", instance="n0")
         + _entries(2, start_ns=10, metric="other_total", job="sgx",
@@ -74,22 +77,18 @@ def test_frame_blocks_are_shard_partitioned_per_series():
         + _entries(2, start_ns=20, job="sgx", instance="n0")
     )
     body = encode_frame("leaf-0", 1, 1, entries)
-    sender, epoch, seq, (series, times, values) = decode_frame_blocks(body)
+    sender, epoch, seq, (table, refs, times, values) = decode_frame_blocks(
+        body)
     assert (sender, epoch, seq) == ("leaf-0", 1, 1)
-    # Two series -> two blocks, first-appearance order, samples merged
-    # per series in shipped order, in two columns for the frame.
-    assert [(fp, labels.get("instance"), count)
-            for fp, labels, count in series] == [
-        (series_fingerprint(entries[0][0]), "n0", 5),
-        (series_fingerprint(entries[3][0]), "n1", 2)]
-    assert (times.typecode, values.typecode) == ("q", "d")
-    n0 = series[0][1]
-    assert list(zip(times, values)) == (
-        [(t, v) for labels, t, v in entries if labels == n0]
-        + [(t, v) for labels, t, v in entries if labels != n0])
-    # The flat decode preserves every (labels, ts, value) triple.
-    key = lambda e: (tuple(e[0].items()), e[1], e[2])  # noqa: E731
-    assert sorted(decode_frame(body)[3], key=key) == sorted(entries, key=key)
+    assert table == [entries[0][0], entries[3][0]]
+    assert (refs.typecode, times.typecode, values.typecode) == (
+        "I", "q", "d")
+    assert list(refs) == [0, 0, 0, 1, 1, 0, 0]
+    assert list(zip(map(table.__getitem__, refs), times, values)) == entries
+    payload = frame_payload(body)
+    assert struct.unpack_from("<II", payload, 4) == (
+        2, series_fingerprint(entries[0][0]))
+    assert decode_frame(body)[3] == entries
 
 
 def test_frame_rejects_damage():
@@ -106,6 +105,9 @@ def test_frame_rejects_damage():
         decode_frame(" ".join(pieces) + "\n" + payload)
     with pytest.raises(WalError):
         encode_frame("has space", 0, 1, _entries(1))
+    # Any other version tag is refused, the last one included.
+    with pytest.raises(WalError, match="malformed"):
+        decode_frame(body.replace("teemon-rw/5", "teemon-rw/4", 1))
 
 
 def test_frame_body_must_be_exactly_one_base64_deflate_stream():
@@ -142,8 +144,10 @@ SERIES_B = Labels({"__name__": "m_total", "instance": "n1", "job": "sgx"})
 def test_frames_sharing_one_memo_are_byte_identical_to_reference(frames):
     headers = {}
     for seq, entries in enumerate(frames, 1):
-        assert encode_frame("leaf-0", 3, seq, entries, headers) == \
-            reference_encode_frame("leaf-0", 3, seq, entries)
+        body = encode_frame("leaf-0", 3, seq, entries, headers)
+        assert body == reference_encode_frame("leaf-0", 3, seq, entries)
+        assert decode_frame(body) == reference_decode_frame(body) == (
+            "leaf-0", 3, seq, entries)
     # One memo entry per distinct series, however many frames carried it.
     assert set(headers) == {e[0] for entries in frames for e in entries}
 
@@ -157,11 +161,11 @@ def test_unencodable_series_raises_every_time_and_is_never_memoised():
             encode_frame("leaf-0", 0, 1, good + [(oversized, 1, 1.0)],
                          headers)
     assert oversized not in headers
-    # A block over the size cap is checked per frame, memo or not.
+    # A series' samples are cells of the frame's columns, not a block
+    # of their own: however many there are, the table names it once.
     crowded = [(good[0][0], t, 0.0) for t in range(70_000)]
-    for _ in range(2):
-        with pytest.raises(WalError, match="too large"):
-            encode_frame("leaf-0", 0, 1, crowded, headers)
+    assert decode_frame(encode_frame("leaf-0", 0, 1, crowded, headers))[3] \
+        == crowded
     assert encode_frame("leaf-0", 0, 1, good, headers) == \
         reference_encode_frame("leaf-0", 0, 1, good)
 
@@ -182,7 +186,7 @@ def test_warm_intern_table_decodes_exactly_like_a_cold_one(frames):
     # A known series always comes back as the one interned object.
     interned = {entry[2]: entry[2] for entry in table.values()}
     for body in bodies:
-        for _fp, labels, _count in decode_frame_blocks(body, table)[3][0]:
+        for labels in decode_frame_blocks(body, table)[3][0]:
             assert labels is interned[labels]
 
 
@@ -193,48 +197,64 @@ def _flip(data, index, bit):
 def _damaged_variants(body):
     """Every way to break a two-series frame whose headers are interned.
 
-    Variants that rebuild a block re-frame it with a *valid* length and
-    CRC, so the damage has to be caught by the parse, not the checksum.
+    Variants that rebuild the payload give it a *valid* CRC, so the
+    damage has to be caught by the parse, not the checksum.
     """
     payload = frame_payload(body)
-    first, second = frame_blocks(body)
+    rest = payload[4:]
+    (table, samples) = reference_frame_parts(
+        [(SERIES_A, 5, 1.0), (SERIES_B, 5, 1.0)])
+    first, second = table
+    assert len(first) == len(second) and first != second
+    assert rest == reference_frame_rest(table, samples)
     fp_a, count_a = struct.unpack_from("<II", first, 0)
-    header_a, header_b = first[:-20], second[:-20]  # one sample each
-    assert len(header_a) == len(header_b) and header_a != header_b
     pairs = SERIES_A.items()
 
-    def reframed(*blocks, count=2):
-        return frame_from_blocks("leaf-0", 0, 2, count, blocks)
+    def reframed(entries, rows=samples, count=2, **stated):
+        return frame_from_rest("leaf-0", 0, 2, count, reference_frame_rest(
+            entries, rows, **stated))
 
     for index in range(len(payload)):
         yield f"bit flip @{index}", frame_from_payload(
             "leaf-0", 0, 2, 2, _flip(payload, index, index % 8))
-    for cut in range(len(header_a) + 1):
-        yield f"payload cut inside header @{cut}", frame_from_payload(
-            "leaf-0", 0, 2, 2, payload[:8 + cut])
-        yield f"block cut inside header @{cut}", reframed(
-            first[:cut], second)
-        if cut < len(header_a):
-            yield f"header cut, samples kept @{cut}", reframed(
-                first[:cut] + first[-20:], second)
-    tampered = bytearray(first)
-    struct.pack_into("<I", tampered, len(header_a), 2)
-    yield "sample count tamper", reframed(bytes(tampered), second)
-    yield "frame count tamper", reframed(first, second, count=3)
-    yield "header swapped, stale CRC", frame_from_payload(
-        "leaf-0", 0, 2, 2,
-        payload[:8] + header_b + payload[8 + len(header_b):])
+    for cut in range(len(rest)):
+        yield f"payload cut @{cut}", frame_from_payload(
+            "leaf-0", 0, 2, 2, payload[:4 + cut])
+        yield f"cut under a fresh CRC @{cut}", frame_from_rest(
+            "leaf-0", 0, 2, 2, rest[:cut])
+    for cut in range(len(first)):
+        yield f"entry cut, samples kept @{cut}", reframed(
+            [first[:cut], second])
+    yield "trailing byte", frame_from_rest("leaf-0", 0, 2, 2, rest + b"\0")
+    yield "sample count tamper", reframed(table, sample_count=3)
+    yield "sample count tamper, header too", reframed(
+        table, count=3, sample_count=3)
+    yield "frame count tamper", reframed(table, count=3)
+    yield "n past the payload", reframed(
+        table, count=2**32 - 1, sample_count=2**32 - 1)
+    yield "S past the table", reframed(table, series_count=3)
+    yield "S past the payload", reframed(table, series_count=2**32 - 1)
+    yield "S short of the table", reframed(table, series_count=1)
+    yield "series listed twice", reframed([first, second, first])
+    yield "series listed twice, both used", reframed(
+        [first, first], [(0, 5, 1.0), (1, 5, 1.0)])
+    yield "ref past the table", reframed(table, [(0, 5, 1.0), (2, 5, 1.0)])
+    yield "ref at 2**32 - 1", reframed(
+        table, [(0, 5, 1.0), (2**32 - 1, 5, 1.0)])
+    yield "entries swapped, stale CRC", frame_from_payload(
+        "leaf-0", 0, 2, 2, payload[:8] + second + payload[8 + len(second):])
     yield "labels swapped under the stamp", reframed(
-        header_a[:8] + header_b[8:] + first[-20:], second)
+        [first[:8] + second[8:], second])
     yield "wrong stamp", reframed(
-        reference_block(fp_a ^ 1, pairs, [(5, 1.0)]), second)
+        [reference_table_entry(fp_a ^ 1, pairs), second])
     yield "unsorted keys", reframed(
-        reference_block(fp_a, pairs[::-1], [(5, 1.0)]), second)
+        [reference_table_entry(fp_a, pairs[::-1]), second])
     yield "duplicate key", reframed(
-        reference_block(fp_a, pairs + pairs[-1:], [(5, 1.0)]), second)
+        [reference_table_entry(fp_a, pairs + pairs[-1:]), second])
     yield "duplicate key, count kept", reframed(
-        reference_block(fp_a, pairs[:-1] + pairs[-2:-1], [(5, 1.0)],
-                        label_count=count_a), second)
+        [reference_table_entry(fp_a, pairs[:-1] + pairs[-2:-1],
+                               label_count=count_a), second])
+    yield "rw/4 tag", body.replace("teemon-rw/5", "teemon-rw/4", 1)
 
 
 @pytest.mark.parametrize("engine", [Tsdb, lambda: partitioned(4)],
@@ -267,13 +287,98 @@ def test_damaged_frames_with_interned_headers_are_rejected(engine):
     assert receiver.handle(body) == "ack 2 applied=2 deduped=0"
 
 
+def _stored(tsdb):
+    return [(labels, list(times), list(values))
+            for labels, times, values, _reset_free in tsdb.select_arrays(
+                [], -2**63, 2**63 - 1)]
+
+
+def _inflated(stream):
+    try:
+        return zlib.decompress(stream)
+    except zlib.error:
+        return None
+
+
+HOSTILE = ("flip", "cut", "cut under a fresh CRC", "flip deflated",
+           "cut deflated", "series listed twice", "ref past the table",
+           "S past the payload", "n past the payload", "count disagrees",
+           "rw/4 tag")
+
+
+@given(first=frame_entries, second=frame_entries,
+       how=st.sampled_from(HOSTILE), data=st.data())
+def test_hostile_frames_are_rejected_whole(first, second, how, data):
+    # Damage before and after deflate, and tables forged under a valid
+    # CRC: each is refused with nothing of the frame applied or interned.
+    tsdb = Tsdb()
+    receiver = RemoteWriteReceiver(tsdb)
+    receiver.handle(encode_frame("leaf-0", 0, 1, first))
+    table = receiver._interned  # noqa: SLF001
+    before, stored, appends = dict(table), _stored(tsdb), tsdb.total_appends
+    body = encode_frame("leaf-0", 0, 2, second)
+    header, text = body.split("\n", 1)
+    payload = frame_payload(body)
+    stream = base64.b64decode(text)
+    entries, rows = reference_frame_parts(second)
+    count, stated = len(second), {}
+    position = st.integers(0, len(payload) - 1)
+    if how == "flip":
+        damaged = frame_from_payload("leaf-0", 0, 2, count, _flip(
+            payload, data.draw(position), data.draw(st.integers(0, 7))))
+    elif how == "cut":
+        damaged = frame_from_payload(
+            "leaf-0", 0, 2, count, payload[:data.draw(position)])
+    elif how == "cut under a fresh CRC":
+        damaged = frame_from_rest("leaf-0", 0, 2, count, payload[
+            4:data.draw(st.integers(4, len(payload) - 1))])
+    elif how in ("flip deflated", "cut deflated"):
+        index = data.draw(st.integers(0, len(stream) - 1))
+        if how == "cut deflated":
+            stream = stream[:index]
+        else:
+            stream = _flip(stream, index, data.draw(st.integers(0, 7)))
+            # The final byte's padding bits inflate to the same payload.
+            assume(_inflated(stream) != payload)
+        damaged = header + "\n" + base64.b64encode(stream).decode("ascii")
+    elif how == "rw/4 tag":
+        damaged = body.replace("teemon-rw/5", "teemon-rw/4", 1)
+    else:
+        if how == "series listed twice":
+            entries = entries + [data.draw(st.sampled_from(entries))]
+        elif how == "ref past the table":
+            index = data.draw(st.integers(0, count - 1))
+            ref = data.draw(st.integers(len(entries), 2**32 - 1))
+            rows = rows[:index] + [(ref,) + rows[index][1:]] + rows[index + 1:]
+        elif how == "S past the payload":
+            stated["series_count"] = data.draw(
+                st.integers(len(entries) + 1, 2**32 - 1))
+        elif how == "n past the payload":
+            count = stated["sample_count"] = data.draw(
+                st.integers(count + 1, 2**32 - 1))
+        else:
+            count = data.draw(st.integers(0, 2**32).filter(
+                lambda n: n != len(second)))
+        damaged = frame_from_rest("leaf-0", 0, 2, count, reference_frame_rest(
+            entries, rows, **stated))
+    with pytest.raises(WalError):
+        reference_decode_frame(damaged)
+    with pytest.raises(WalError):
+        receiver.handle(damaged)
+    assert receiver.frames_rejected == 1
+    assert (_stored(tsdb), tsdb.total_appends) == (stored, appends)
+    assert table == before
+    assert all(table[key][2] is before[key][2] for key in before)
+
+
 def test_first_sight_of_a_series_verifies_its_stamp_on_a_monolith():
     # The stamp used to be checked only by the sharded engine, whose
     # TsdbError escaped handle() with no frame counter bumped.
     for tsdb in (Tsdb(), partitioned(4)):
         receiver = RemoteWriteReceiver(tsdb)
-        bad = frame_from_blocks("leaf-0", 0, 1, 1, [reference_block(
-            series_fingerprint(SERIES_A) ^ 1, SERIES_A.items(), [(1, 0.0)])])
+        bad = frame_from_rest("leaf-0", 0, 1, 1, reference_frame_rest(
+            [reference_table_entry(series_fingerprint(SERIES_A) ^ 1,
+                                   SERIES_A.items())], [(0, 1, 0.0)]))
         with pytest.raises(WalError, match="fingerprint"):
             receiver.handle(bad)
         assert receiver.stats()["frames_rejected"] == 1
@@ -284,12 +389,13 @@ def test_first_sight_of_a_series_verifies_its_stamp_on_a_monolith():
 
 def test_rejected_frame_interns_none_of_its_new_series():
     receiver = RemoteWriteReceiver(Tsdb())
-    good = reference_block(
-        series_fingerprint(SERIES_A), SERIES_A.items(), [(1, 0.0)])
-    unsorted = reference_block(
-        series_fingerprint(SERIES_B), SERIES_B.items()[::-1], [(1, 0.0)])
+    good = reference_table_entry(
+        series_fingerprint(SERIES_A), SERIES_A.items())
+    unsorted = reference_table_entry(
+        series_fingerprint(SERIES_B), SERIES_B.items()[::-1])
     with pytest.raises(WalError, match="ascending"):
-        receiver.handle(frame_from_blocks("leaf-0", 0, 1, 2, [good, unsorted]))
+        receiver.handle(frame_from_rest("leaf-0", 0, 1, 2, reference_frame_rest(
+            [good, unsorted], [(0, 1, 0.0), (1, 1, 0.0)])))
     assert receiver._interned == {}  # noqa: SLF001
     assert receiver.frames_rejected == 1
 

@@ -30,7 +30,6 @@ from repro.orchestration.fleet import NodeFleet
 from repro.orchestration.kubernetes import Cluster
 from repro.pmag.model import Labels, Matcher
 from repro.pmag.remote_write import RemoteWriteClient, encode_frame
-from repro.pmag.storage import series_fingerprint
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import VirtualClock, seconds
 from repro.simkernel.rng import DeterministicRng
@@ -112,7 +111,7 @@ class FeedMachine(RuleBasedStateMachine):
             want.watermark_ns, want.acked_seq, want._collected_ns)
         assert got.frames_dropped == want.frames_dropped
 
-    # -- ingest: a batch, a frame's blocks, or one series' run -------------
+    # -- ingest: a batch, a decoded frame, or one series' run ------------
     @rule(how=st.sampled_from(["batch", "fingerprinted", "run"]),
           items=st.lists(st.tuples(series, offsets, values), max_size=8))
     def ingest(self, how, items):
@@ -120,16 +119,15 @@ class FeedMachine(RuleBasedStateMachine):
         if how == "batch":
             self.tsdb.append_batch(entries)
             return
+        if how == "fingerprinted":
+            table = list(dict.fromkeys(labels for labels, _t, _v in entries))
+            self.tsdb.append_fingerprinted((
+                table, [table.index(labels) for labels, _t, _v in entries],
+                [t for _l, t, _v in entries], [v for _l, _t, v in entries]))
+            return
         blocks = {}
         for labels, time_ns, value in entries:
             blocks.setdefault(labels, []).append((time_ns, value))
-        if how == "fingerprinted":
-            self.tsdb.append_fingerprinted((
-                [(series_fingerprint(labels), labels, len(samples))
-                 for labels, samples in blocks.items()],
-                [t for samples in blocks.values() for t, _v in samples],
-                [v for samples in blocks.values() for _t, v in samples]))
-            return
         for labels, samples in blocks.items():
             self.tsdb.append_run(labels, [t for t, _v in samples],
                                  [v for _t, v in samples])

@@ -117,12 +117,11 @@ def test_colliding_fingerprints_stay_distinct_series(pair):
     for seq in (1, 2):  # the second decode meets the interned headers
         _sender, _epoch, _seq, blocks = decode_frame_blocks(
             encode_frame("leaf", 1, seq, entries), interned)
-        series, times, values = blocks
-        assert [(labels, count) for _fp, labels, count in series] == [
-            (first, 2), (second, 2)]
-        assert (list(times), list(values)) == (
-            [seconds(1), seconds(2), seconds(1), seconds(2)],
-            [1.0, 3.0, 2.0, 4.0])
+        table, refs, times, values = blocks
+        assert table == [first, second]
+        assert (list(refs), list(times), list(values)) == (
+            [0, 1, 0, 1], [seconds(1), seconds(1), seconds(2), seconds(2)],
+            [1.0, 2.0, 3.0, 4.0])
         receiver = partitioned(4)
         assert receiver.append_fingerprinted(blocks) == 0
         assert _listed(receiver.select_arrays([], 0, seconds(3))) == expected

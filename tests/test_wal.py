@@ -165,7 +165,8 @@ def _disk_with(*records, flushed=True):
 def test_record_roundtrip():
     labels = Labels.of("m", job="j", zone="eu", a="1")
     series = encode_series_record(7, labels)
-    run = encode_sample_run([7, 12345, -2.5, 7, 12346, 0.5])
+    run = encode_sample_run(
+        array("I", [7, 7]), array("q", [12345, 12346]), array("d", [-2.5, 0.5]))
     for record in (series, run):
         (length,) = struct.unpack_from("<I", record, 0)
         assert length == len(record) - 8
@@ -369,7 +370,7 @@ def test_encode_rejects_oversized_components():
     with pytest.raises(WalError, match="too long"):
         encode_series_record(0, Labels.of("m", k="v" * 70_000))
     with pytest.raises(WalError, match="1\\.\\."):
-        encode_sample_run([])
+        encode_sample_run(array("I"), array("q"), array("d"))
 
 
 # ---------------------------------------------------------------------------
