@@ -189,8 +189,8 @@ def bench_hook_fire(report: BenchReport, quick: bool) -> None:
 def build_cycle(**config_kwargs):
     """A single-host deployment and its full scrape -> rule evaluation
     -> dashboard render cycle, warmed up once.  With no arguments it is
-    the ``scrape_cycle`` deployment, the control the tracing and
-    alerting gates hold their off paths to."""
+    the ``scrape_cycle`` deployment, the control the alerting gate holds
+    its off path to."""
     kernel, _driver = make_sgx_host(seed=7)
     deployment = deploy(
         kernel, TeemonConfig(**config_kwargs), start=False

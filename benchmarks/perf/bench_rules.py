@@ -3,7 +3,7 @@
 One leg, ``alerting_overhead``: the full scrape -> rules -> render cycle
 (:func:`~benchmarks.perf.bench_pipeline.build_cycle`) with the alerting
 engine off and on, side by side, their timed blocks of cycles
-interleaved (:func:`~benchmarks.perf.bench_trace.time_cycles`); then
+interleaved (:func:`~benchmarks.perf.harness.time_cycles`); then
 alerting off again the same way beside a control, ``bench_pipeline``'s
 own ``scrape_cycle`` deployment.  The ratios are medians of
 per-repetition ratios.  The alerting-off cycle
@@ -22,8 +22,8 @@ import argparse
 import json
 import sys
 
-from benchmarks.perf.bench_trace import paired_ratio, time_cycles
-from benchmarks.perf.harness import BenchReport
+from benchmarks.perf.bench_pipeline import build_cycle
+from benchmarks.perf.harness import BenchReport, paired_ratio, time_cycles
 
 SCHEMA = "teemon.bench.rules/3"
 
@@ -34,18 +34,18 @@ CONFIGS = {
 }
 
 #: The gate's pair: alerting off beside the ``scrape_cycle`` deployment,
-#: timed on their own as in bench_trace.
+#: timed on their own.
 CONTROL_PAIR = {"off": CONFIGS["off"], "control": {}}
 
 
 def run_suite(quick: bool) -> BenchReport:
     report = BenchReport(quick=quick)
     # Enough interleaved repetitions to span several of the machine's
-    # speed changes, in either form, as in bench_trace.
+    # speed changes, in either form.
     cycles, repeats = (5 if quick else 25), 40
-    per_cycle = time_cycles(CONFIGS, cycles, repeats)
+    per_cycle = time_cycles(build_cycle, CONFIGS, cycles, repeats)
     off, on = per_cycle["off"], per_cycle["on"]
-    pair = time_cycles(CONTROL_PAIR, cycles, repeats)
+    pair = time_cycles(build_cycle, CONTROL_PAIR, cycles, repeats)
     report.add(
         "alerting_overhead",
         off_ms=min(off) * 1e3,

@@ -13,6 +13,8 @@ import json
 import platform
 import time
 from dataclasses import dataclass, field
+from operator import truediv
+from statistics import median
 from typing import Callable, Dict, List, Tuple
 
 SCHEMA = "teemon.bench.pipeline/1"
@@ -133,3 +135,38 @@ def interleaved(
             workloads[index]()
             timings[index].append(time.perf_counter() - started)
     return timings
+
+
+def time_cycles(build: Callable[..., tuple], configs: Dict[str, dict],
+                cycles: int, repeats: int) -> Dict[str, List[float]]:
+    """Wall-clock seconds per cycle of each configuration, one entry per
+    repetition.
+
+    ``build(**config)`` returns ``(deployment, cycle)``.  The deployments
+    are built side by side and their blocks of ``cycles`` cycles
+    *interleaved*, ``repeats`` times over (see :func:`interleaved`):
+    repetition ``i`` of every configuration runs at the same moment and
+    at the same store size, since the stores grow in lock-step.
+    """
+    built = [build(**config) for config in configs.values()]
+    timings = interleaved(repeats, *[
+        lambda cycle=cycle: [cycle() for _ in range(cycles)]
+        for _deployment, cycle in built
+    ])
+    for deployment, _cycle in built:
+        deployment.shutdown()
+    return {
+        name: [elapsed / cycles for elapsed in runs]
+        for name, runs in zip(configs, timings)
+    }
+
+
+def paired_ratio(measured: List[float], control: List[float]) -> float:
+    """The median over repetitions of ``measured[i] / control[i]``.
+
+    Each pair ran back to back, so a change of machine speed moves both
+    sides; the median drops the few pairs a change split.  The ratio of
+    the two sides' best runs is not steady this way: each best is one
+    lucky block, and the two can come from different spells.
+    """
+    return median(map(truediv, measured, control))

@@ -35,6 +35,11 @@ Each command's exit status and wall time go to stderr; a failing
 command is reported, not fatal (a perf bench's own timing gate can trip
 under the hook).
 
+Coverage is mapped onto the files as they stand when the run ends, so
+every ``src/repro/**/*.py`` is hashed at the start and again before
+classifying; if any changed, the changed paths go to stderr and the
+ledger exits 2 without printing.
+
 Run from the repository root (takes several minutes; stdlib only)::
 
     python benchmarks/reachability.py
@@ -43,6 +48,7 @@ Run from the repository root (takes several minutes; stdlib only)::
 from __future__ import annotations
 
 import ast
+import hashlib
 import json
 import os
 import subprocess
@@ -78,6 +84,7 @@ VERDICTS: Dict[str, Tuple[str, ...]] = {
         "repro.simkernel.disk.DiskCrashReport.files_affected",
         "repro.simkernel.disk.DiskCrashReport.bytes_discarded",
         "repro.simkernel.rng.DeterministicRng.uniform",
+        "repro.simkernel.rng.DeterministicRng.randint",
         "repro.simkernel.rng.DeterministicRng.exponential",
         "repro.simkernel.rng.DeterministicRng.choice",
         "repro.net.network.Link.transfer_time_s",
@@ -106,14 +113,8 @@ VERDICTS: Dict[str, Tuple[str, ...]] = {
         "repro.simkernel.rng.DeterministicRng.binomial",
         # An ECALL-based runtime: sgx-perf's ecall count.
         "repro.sgx.enclave.Enclave.ecall",
-        # Failures: span events and status, the rule fault barrier,
-        # notification retries and repeats.
-        "repro.trace.tracer.SpanEvent.line",
-        "repro.trace.tracer.Span.add_event",
-        "repro.trace.tracer.Span.set_status",
-        "repro.trace.tracer._UnsampledSpan.add_event",
-        "repro.trace.tracer._UnsampledSpan.set_status",
-        "repro.trace.sampling.TailRules.matches_span",
+        # Failures: the rule fault barrier, notification retries and
+        # repeats.
         "repro.pmag.rules.RuleGroup._fault",
         "repro.pmag.alerting.router.NotificationRouter._retry",
         "repro.pmag.alerting.router.NotificationRouter._repeat_due",
@@ -126,11 +127,10 @@ VERDICTS: Dict[str, Tuple[str, ...]] = {
         "repro.orchestration.kubernetes.PodSpec.tolerates",
     ),
     # Decoders and evaluators of legal input from outside (query text,
-    # trace headers, operator config, user eBPF programs, an
+    # exposition exemplars, operator config, user eBPF programs, an
     # out-of-order sample run) that no driver happens to send.
     "outside input": (
-        "repro.trace.context._is_hex",
-        "repro.trace.context.parse_traceparent",
+        "repro.openmetrics.parser._parse_exemplar",
         "repro.pmag.query.ops.binary",
         "repro.pmag.query.ops.comparison",
         "repro.pmag.query.ops.function",
@@ -194,7 +194,6 @@ VERDICTS: Dict[str, Tuple[str, ...]] = {
         "repro.openmetrics.types._GaugeChild.inc",
         "repro.openmetrics.types._GaugeChild.dec",
         "repro.openmetrics.types.Gauge.value",
-        "repro.openmetrics.types.Histogram.observe",
         "repro.openmetrics.registry.CollectorRegistry.unregister",
         "repro.openmetrics.registry.CollectorRegistry.get",
         "repro.openmetrics.parser.ParsedSample.labels_dict",
@@ -214,7 +213,6 @@ VERDICTS: Dict[str, Tuple[str, ...]] = {
         "repro.pmag.wal.RecoveryReport.samples_lost_by_shard",
         "repro.pmag.remote_write.RemoteWriteReceiver.last_sequence",
         "repro.pmag.remote_write.RemoteWriteReceiver.last_epoch",
-        "repro.pmag.scrape.ScrapeManager.exemplar_for",
         "repro.pmag.alerting.state.AlertJournal.journal_text",
         "repro.teemon.ha.HAMonitorPair.stop",
         "repro.experiments.common.ExperimentResult.column",
@@ -244,10 +242,6 @@ VERDICTS: Dict[str, Tuple[str, ...]] = {
         "repro.teemon.session.MonitoringSession.storage_stats",
         "repro.teemon.session.MonitoringSession.remote_write_stats",
         "repro.teemon.session.MonitoringSession.federation_lag",
-        "repro.teemon.session.MonitoringSession.traces",
-        "repro.teemon.session.MonitoringSession.trace",
-        "repro.teemon.session.MonitoringSession.render_trace",
-        "repro.teemon.session.MonitoringSession.render_trace_flamegraph",
         "repro.teemon.session.MonitoringSession._detector",
         "repro.teemon.session.MonitoringSession.anomalies",
         "repro.teemon.session.MonitoringSession.anomaly_journal",
@@ -258,17 +252,16 @@ VERDICTS: Dict[str, Tuple[str, ...]] = {
         "repro.teemon.session.MonitoringSession.alert_log",
         "repro.pmag.scrape.ScrapeManager.down_targets",
         "repro.pmag.scrape.ScrapeManager.stale_targets",
-        "repro.pmv.trace_view",
         "repro.pmv.anomaly_view",
-        "repro.trace.store.TraceStore.flush_pending",
-        "repro.trace.store.TraceStore.dropped_reason",
-        "repro.trace.store.TraceStore.get",
-        "repro.trace.store.TraceStore.trace_ids",
-        "repro.trace.store.TraceStore.latest",
-        "repro.trace.store.TraceStore.__len__",
-        "repro.trace.store.TraceStore.span_count",
-        "repro.trace.store.TraceStore.journal_text",
-        "repro.trace.tracer.Span.line",
+    ),
+    # Exemplar output, for per-sample lineage exemplars that carry
+    # (sender, epoch, seq), and the histogram type, whose buckets carry
+    # one exemplar each.
+    RESERVED + "One health surface (b)": (
+        "repro.openmetrics.types.Exemplar.of",
+        "repro.openmetrics.types.Histogram",
+        "repro.openmetrics.types._HistogramChild",
+        "repro.openmetrics.registry.CollectorRegistry.histogram",
     ),
     RESERVED + "A driver past the retention horizon": (
         "repro.orchestration.fleet.FleetExporter.shutdown",
@@ -344,6 +337,22 @@ def pytest_runtest_setup(item):
 def pytest_runtest_call(item):
     sitecustomize.install()
 '''
+
+
+def source_hashes(root: Path = SRC) -> Dict[str, str]:
+    """sha256 of every ``*.py`` under ``root``, by path relative to it."""
+    return {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(root.rglob("*.py"))
+    }
+
+
+def changed_paths(before: Dict[str, str], after: Dict[str, str]) -> List[str]:
+    """Paths edited, added or removed between two :func:`source_hashes`."""
+    return sorted(
+        path for path in before.keys() | after.keys()
+        if before.get(path) != after.get(path)
+    )
 
 
 def functions() -> Dict[Key, Tuple[str, int]]:
@@ -460,6 +469,7 @@ def entered(label: str, commands: List[List[str]], scratch: Path) -> Set[Key]:
 
 
 def main() -> int:
+    hashes = source_hashes()
     defs = functions()
     with tempfile.TemporaryDirectory(prefix="reachability-") as tmp:
         scratch = Path(tmp)
@@ -467,6 +477,12 @@ def main() -> int:
         reports.mkdir()
         driven = entered("drivers", driver_commands(reports), scratch)
         tested = entered("tests", suite_commands(), scratch)
+    changed = changed_paths(hashes, source_hashes())
+    if changed:
+        print("src/repro changed during the run; no ledger:", file=sys.stderr)
+        for path in changed:
+            print(f"  {path}", file=sys.stderr)
+        return 2
     classes: Dict[str, List[Key]] = {"driven": [], "tests-only": [], "unreached": []}
     for key in defs:
         if key in driven:

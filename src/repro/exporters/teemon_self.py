@@ -13,11 +13,6 @@ A reader returns the source's mapping; for a source with labels
 (:data:`SOURCE_LABELS`) it returns ``{label values: mapping}`` — one
 row per WAL partition, uplink client, notification outcome or sender.
 
-Beside the table, ``teemon_span_duration_seconds`` is a histogram of
-span durations (virtual time) by span name, fed from the tracer's
-span-end callback; each observation carries an exemplar
-``{trace_id=…,span_id=…}`` that resolves to a stored trace.
-
 It is not an :class:`~repro.exporters.base.Exporter`: it has no host
 process and no modelled footprint (the pipeline's cost is already
 charged to the aggregator), only an endpoint over state that exists
@@ -31,8 +26,6 @@ from typing import Callable, Dict, Mapping, Optional
 from repro.net.http import HttpEndpoint, HttpNetwork
 from repro.openmetrics.encoder import encode_registry
 from repro.openmetrics.registry import CollectorRegistry
-from repro.openmetrics.types import Exemplar
-from repro.simkernel.clock import NANOS_PER_SEC
 
 #: Port convention: one past the paper's exporter range (9100+); the
 #: self-telemetry endpoint is infrastructure, not a workload exporter.
@@ -41,12 +34,6 @@ SELF_EXPORTER_PATH = "/metrics"
 SELF_JOB = "teemon_self"
 #: The receiver's per-sender lag gauge, which the pmv federation view reads.
 FEDERATION_LAG = "teemon_federation_lag_seconds"
-
-#: Span durations are virtual-time and mostly sub-millisecond; the
-#: default 5ms-and-up buckets would collapse them into one bucket.
-SPAN_DURATION_BUCKETS = (
-    1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1.0,
-)
 
 #: Label names of the sources that have them; every other source is
 #: one unlabelled row.
@@ -70,18 +57,6 @@ FAMILIES = (
     ("teemon_scrape_retries_total", "scrape", "retries_total", "Retry attempts issued after failed scrapes", True),
     ("teemon_target_flaps_total", "scrape", "flaps_total", "Target up/down transitions observed", True),
     ("teemon_scrape_targets_removed_total", "scrape", "targets_removed", "Targets dropped by discovery and retired with staleness markers", True),
-    # MonitoringSession.trace_stats(): tracer and trace store
-    ("teemon_trace_spans_started_total", "trace", "spans_started", "Spans started by the pipeline tracer", True),
-    ("teemon_trace_spans_ended_total", "trace", "spans_ended", "Spans ended by the pipeline tracer", True),
-    ("teemon_trace_traces_total", "trace", "traces_started", "Traces started by the pipeline tracer", True),
-    ("teemon_trace_traces_sampled_out_total", "trace", "traces_sampled_out", "Traces dropped at the root by the head sampler", True),
-    ("teemon_trace_spans_unsampled_total", "trace", "spans_unsampled", "Span requests served by the unsampled fast path", True),
-    ("teemon_trace_spans_stored_total", "trace", "spans_stored", "Spans accepted into the trace store", True),
-    ("teemon_trace_traces_evicted_total", "trace", "traces_evicted", "Whole traces FIFO-evicted past the store's capacity", True),
-    ("teemon_trace_traces_kept_total", "trace", "traces_kept", "Completed traces the tail keep rules promoted", True),
-    ("teemon_trace_traces_dropped_total", "trace", "traces_dropped", "Completed traces the tail keep rules discarded", True),
-    ("teemon_trace_spans_dropped_total", "trace", "spans_dropped", "Spans discarded with tail-dropped traces", True),
-    ("teemon_trace_pending_traces", "trace", "pending_traces", "Traces buffered awaiting a tail-sampling verdict", False),
     # MonitoringSession.wal_stats(): this incarnation's WAL writer
     ("teemon_wal_records_total", "wal", "records_total", "Samples written through to the write-ahead log", True),
     ("teemon_wal_flushes_total", "wal", "flushes_total", "WAL segment fsyncs performed", True),
@@ -139,10 +114,8 @@ Reader = Callable[[], Mapping]
 class TeemonSelfExporter:
     """Serves the monitor's self-telemetry as an OpenMetrics endpoint."""
 
-    def __init__(self, hostname: str, sources: Dict[str, Reader],
-                 tracer=None) -> None:
-        """``sources`` maps source names of :data:`FAMILIES` to readers;
-        ``tracer``, when given, feeds the span-duration histogram."""
+    def __init__(self, hostname: str, sources: Dict[str, Reader]) -> None:
+        """``sources`` maps source names of :data:`FAMILIES` to readers."""
         self.hostname = hostname
         self.registry = CollectorRegistry()
         self._sources = dict(sources)
@@ -153,15 +126,6 @@ class TeemonSelfExporter:
                 family = make(name, help_text, SOURCE_LABELS.get(source, ()))
                 self._families[source].append((family, key))
         self.registry.on_collect(self._refresh)
-        self._span_duration = None
-        if tracer is not None:
-            self._span_duration = self.registry.histogram(
-                "teemon_span_duration_seconds",
-                "Span durations in virtual time, by span name",
-                label_names=("span",),
-                buckets=SPAN_DURATION_BUCKETS,
-            )
-            tracer.on_span_end(self._observe_span)
         self._endpoint: Optional[HttpEndpoint] = None
         self._network: Optional[HttpNetwork] = None
         self.scrapes_served = 0
@@ -175,18 +139,6 @@ class TeemonSelfExporter:
             for values, stats in rows.items():
                 for family, key in self._families[source]:
                     family.labels(*values).set_to(float(stats[key]))
-
-    def _observe_span(self, span) -> None:
-        duration_s = span.duration_ns / NANOS_PER_SEC
-        self._span_duration.labels(span.name).observe(
-            duration_s,
-            exemplar=Exemplar.of(
-                duration_s,
-                timestamp_s=span.end_ns / NANOS_PER_SEC,
-                trace_id=span.trace_id,
-                span_id=span.span_id,
-            ),
-        )
 
     @property
     def url(self) -> str:

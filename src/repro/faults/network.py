@@ -14,11 +14,10 @@ against their timeout budget.
 
 from __future__ import annotations
 
-from typing import Callable, List, Mapping, Optional
+from typing import Callable, List, Optional
 
 from repro.faults.plan import FaultPlan
 from repro.net.http import HttpEndpoint, HttpNetwork, HttpResponse, parse_url
-from repro.trace.context import TRACEPARENT_HEADER
 
 
 class FaultyHttpNetwork:
@@ -59,8 +58,7 @@ class FaultyHttpNetwork:
     # Request path — inject around the wrapped network
     # ------------------------------------------------------------------
     def _request(self, url: str, method: str,
-                 dispatch: Callable[[], HttpResponse],
-                 headers: Optional[Mapping[str, str]]) -> HttpResponse:
+                 dispatch: Callable[[], HttpResponse]) -> HttpResponse:
         ctx = self.plan.begin(url, method)
         if ctx.response is None:
             ctx.response = dispatch()
@@ -68,49 +66,31 @@ class FaultyHttpNetwork:
         if ctx.applied:
             self.requests_faulted += 1
         response = ctx.response
-        # Fault-synthesized responses (a flapped-down 503, a stale replay)
-        # never passed through the real transport, so re-attach the trace
-        # context the transport would have echoed.
-        traceparent = None if headers is None else headers.get(TRACEPARENT_HEADER)
-        needs_echo = (traceparent is not None
-                      and response.headers.get(TRACEPARENT_HEADER) != traceparent)
-        if ctx.latency_s or needs_echo:
-            response_headers = dict(response.headers)
-            if traceparent is not None:
-                response_headers[TRACEPARENT_HEADER] = traceparent
+        if ctx.latency_s:
             response = HttpResponse(
                 status=response.status, body=response.body,
                 latency_s=response.latency_s + ctx.latency_s,
-                headers=response_headers,
             )
         return response
 
-    def get(self, host: str, port: int, path: str,
-            headers: Optional[Mapping[str, str]] = None) -> HttpResponse:
+    def get(self, host: str, port: int, path: str) -> HttpResponse:
         """GET through the fault layer."""
         url = f"http://{host}:{port}{path}"
         return self._request(url, "GET",
-                             lambda: self.inner.get(host, port, path,
-                                                    headers=headers),
-                             headers)
+                             lambda: self.inner.get(host, port, path))
 
-    def get_url(self, url: str,
-                headers: Optional[Mapping[str, str]] = None) -> HttpResponse:
+    def get_url(self, url: str) -> HttpResponse:
         """GET by URL through the fault layer."""
         host, port, path = parse_url(url)
-        return self.get(host, port, path, headers=headers)
+        return self.get(host, port, path)
 
-    def post(self, host: str, port: int, path: str, body: str,
-             headers: Optional[Mapping[str, str]] = None) -> HttpResponse:
+    def post(self, host: str, port: int, path: str, body: str) -> HttpResponse:
         """POST through the fault layer."""
         url = f"http://{host}:{port}{path}"
         return self._request(url, "POST",
-                             lambda: self.inner.post(host, port, path, body,
-                                                     headers=headers),
-                             headers)
+                             lambda: self.inner.post(host, port, path, body))
 
-    def post_url(self, url: str, body: str,
-                 headers: Optional[Mapping[str, str]] = None) -> HttpResponse:
+    def post_url(self, url: str, body: str) -> HttpResponse:
         """POST by URL through the fault layer."""
         host, port, path = parse_url(url)
-        return self.post(host, port, path, body, headers=headers)
+        return self.post(host, port, path, body)

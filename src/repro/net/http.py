@@ -7,40 +7,29 @@ exactly this).  The aggregator issues GETs through
 :class:`HttpNetwork.get`, which also serves as the health-check transport:
 a missing endpoint yields a 404-ish failure the scrape manager records as
 a down target.
-
-Requests and responses carry a headers mapping.  The transport itself is
-header-agnostic except for one rule: a request's ``traceparent`` header
-(W3C trace context, see :mod:`repro.trace.context`) is echoed onto every
-response — including 404/500/503 failures — so the client's trace context
-survives any server-side outcome.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import NetworkError
-from repro.trace.context import TRACEPARENT_HEADER
-
-_NO_HEADERS: Mapping[str, str] = {}
 
 
 @dataclass(frozen=True)
 class HttpRequest:
-    """An HTTP request: method, target, headers, body.
+    """An HTTP request: method, target, body.
 
     The positional :meth:`HttpNetwork.get`/:meth:`HttpNetwork.post`
-    signatures build these internally; callers that need headers (trace
-    propagation) pass a ``headers`` mapping or dispatch a request object
-    through :meth:`HttpNetwork.request`.
+    signatures build these and dispatch them through
+    :meth:`HttpNetwork.request`.
     """
 
     method: str
     host: str
     port: int
     path: str
-    headers: Mapping[str, str] = field(default_factory=dict)
     body: str = ""
 
     @property
@@ -51,7 +40,7 @@ class HttpRequest:
 
 @dataclass(frozen=True)
 class HttpResponse:
-    """An HTTP response (status + body + headers).
+    """An HTTP response (status + body).
 
     ``latency_s`` is the modelled wall time the request took.  The base
     :class:`HttpNetwork` always reports 0.0 (an ideal transport); the fault
@@ -64,7 +53,6 @@ class HttpResponse:
     status: int
     body: str
     latency_s: float = 0.0
-    headers: Mapping[str, str] = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -92,14 +80,6 @@ class HttpEndpoint:
     def url(self) -> str:
         """Canonical URL of the endpoint."""
         return f"http://{self.host}:{self.port}{self.path}"
-
-
-def _echo_headers(request_headers: Mapping[str, str]) -> Mapping[str, str]:
-    """Response headers the transport always carries back: trace context."""
-    traceparent = request_headers.get(TRACEPARENT_HEADER)
-    if traceparent is None:
-        return _NO_HEADERS
-    return {TRACEPARENT_HEADER: traceparent}
 
 
 class HttpNetwork:
@@ -146,17 +126,15 @@ class HttpNetwork:
         Unknown routes return 404 and unhealthy endpoints 503 — both are
         *responses*, not exceptions, because scrape targets going away is a
         normal condition the scrape manager must observe and report.
-        Handler exceptions become 500s for the same reason.  Every outcome,
-        including failures, echoes the request's trace context back.
+        Handler exceptions become 500s for the same reason.
         """
-        echo = _echo_headers(request.headers)
         endpoint = self._routes.get((request.host, request.port, request.path))
         if endpoint is None:
             self.requests_failed += 1
-            return HttpResponse(status=404, body="not found", headers=echo)
+            return HttpResponse(status=404, body="not found")
         if not endpoint.healthy:
             self.requests_failed += 1
-            return HttpResponse(status=503, body="service unavailable", headers=echo)
+            return HttpResponse(status=503, body="service unavailable")
         serve: Optional[Callable[[], str]] = None
         if request.method == "GET":
             serve = endpoint.handler
@@ -164,43 +142,36 @@ class HttpNetwork:
             serve = lambda: endpoint.post_handler(request.body)  # noqa: E731
         if serve is None:
             self.requests_failed += 1
-            return HttpResponse(status=405, body="method not allowed", headers=echo)
+            return HttpResponse(status=405, body="method not allowed")
         try:
             body = serve()
         except Exception as exc:  # noqa: BLE001 - fault barrier by design
             self.requests_failed += 1
-            return HttpResponse(status=500, body=f"internal error: {exc}",
-                                headers=echo)
+            return HttpResponse(status=500, body=f"internal error: {exc}")
         self.requests_served += 1
-        return HttpResponse(status=200, body=body, headers=echo)
+        return HttpResponse(status=200, body=body)
 
-    def get(self, host: str, port: int, path: str,
-            headers: Optional[Mapping[str, str]] = None) -> HttpResponse:
-        """Issue a GET (optionally with headers, e.g. ``traceparent``)."""
+    def get(self, host: str, port: int, path: str) -> HttpResponse:
+        """Issue a GET."""
         return self.request(HttpRequest(
             method="GET", host=host, port=port, path=path,
-            headers=headers if headers is not None else _NO_HEADERS,
         ))
 
-    def get_url(self, url: str,
-                headers: Optional[Mapping[str, str]] = None) -> HttpResponse:
+    def get_url(self, url: str) -> HttpResponse:
         """GET by URL string (http://host:port/path)."""
         host, port, path = parse_url(url)
-        return self.get(host, port, path, headers=headers)
+        return self.get(host, port, path)
 
-    def post(self, host: str, port: int, path: str, body: str,
-             headers: Optional[Mapping[str, str]] = None) -> HttpResponse:
+    def post(self, host: str, port: int, path: str, body: str) -> HttpResponse:
         """Issue a POST; requires the endpoint to accept POSTs."""
         return self.request(HttpRequest(
             method="POST", host=host, port=port, path=path, body=body,
-            headers=headers if headers is not None else _NO_HEADERS,
         ))
 
-    def post_url(self, url: str, body: str,
-                 headers: Optional[Mapping[str, str]] = None) -> HttpResponse:
+    def post_url(self, url: str, body: str) -> HttpResponse:
         """POST by URL string."""
         host, port, path = parse_url(url)
-        return self.post(host, port, path, body, headers=headers)
+        return self.post(host, port, path, body)
 
 
 def parse_url(url: str) -> Tuple[str, int, str]:

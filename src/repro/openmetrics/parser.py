@@ -6,9 +6,9 @@ getting back flat :class:`ParsedSample` records (name, labels, value,
 optional exemplar) that the TSDB appends with the scrape timestamp.
 
 A sample line is ``name[{labels}] value [timestamp] [# exemplar]``.
-Exemplars follow the OpenMetrics ``# {trace_id="…",span_id="…"} value ts``
-syntax after the sample value; samples without one parse exactly as
-before (``exemplar`` is None).
+Exemplars follow the OpenMetrics ``# {labels} value ts`` syntax after the
+sample value; samples without one parse exactly as before (``exemplar``
+is None).
 """
 
 from __future__ import annotations

@@ -33,10 +33,10 @@ LabelValues = Tuple[str, ...]
 
 @dataclass(frozen=True)
 class Exemplar:
-    """An OpenMetrics exemplar: one traced observation behind a sample.
+    """An OpenMetrics exemplar: one observation behind a sample.
 
-    Rendered on the wire as ``# {trace_id="…",span_id="…"} value ts``
-    after the sample value.  Counters keep the most recent exemplar;
+    Rendered on the wire as ``# {labels} value ts`` after the sample
+    value.  Counters keep the most recent exemplar;
     histograms keep one per bucket (the bucket the observation fell in),
     per the OpenMetrics spec.
     """

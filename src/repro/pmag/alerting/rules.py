@@ -123,8 +123,8 @@ class AlertingRule:
         invariant, not a timing accident.
         """
         # Parse through the engine's LRU plan cache (a lookup after the
-        # first cycle) so rule traces keep their query.parse spans.
-        plan = engine.plan(self.expr)
+        # first cycle).
+        plan = engine.parse(self.expr)
         vector = engine.instant_plan(plan, now_ns)
         events: List[Tuple[str, AlertInstance]] = []
         writes: List[Tuple[Labels, int, float]] = []

@@ -33,7 +33,6 @@ from repro.pmag.query.nodes import Expr
 from repro.pmag.query.ops import InstantVector
 from repro.pmag.query.parser import parse_query
 from repro.pmag.tsdb import Tsdb
-from repro.trace import NOOP_TRACER
 
 LOOKBACK_NS = 5 * 60 * 1_000_000_000
 
@@ -41,11 +40,6 @@ LOOKBACK_NS = 5 * 60 * 1_000_000_000
 #: selected series materialises a cell per step, so the grid is bounded
 #: before anything is selected.
 MAX_GRID_STEPS = 11_000
-
-#: Modelled parse cost per query character (ns) for traced evaluations.
-PARSE_NS_PER_CHAR = 100
-#: Modelled evaluation cost per result series (ns) for traced evaluations.
-EVAL_NS_PER_SERIES = 1_000
 
 #: Default capacity of the query plan cache.  The full dashboard + rule +
 #: alert query population of a deployment is a few dozen strings; 256
@@ -129,17 +123,10 @@ class QueryEngine:
         tsdb: Tsdb,
         lookback_ns: int = LOOKBACK_NS,
         plan_cache_size: int = DEFAULT_PLAN_CACHE_SIZE,
-        tracer=None,
     ) -> None:
         self._tsdb = tsdb
         self._lookback_ns = lookback_ns
         self._plan_cache = QueryPlanCache(plan_cache_size)
-        # Instant evaluation is the µs-scale hot path: its traced entry
-        # points check ``tracer.enabled`` first and fall through to the
-        # exact untraced code when tracing is off, so the no-op tracer
-        # costs one attribute read per query.  ``range_query`` (ms-scale)
-        # has one body and swaps in the no-op tracer instead.
-        self._tracer = tracer if tracer is not None else NOOP_TRACER
 
     # ------------------------------------------------------------------
     # Public API
@@ -152,43 +139,13 @@ class QueryEngine:
             self._plan_cache.put(query, plan)
         return plan
 
-    def plan(self, query: str) -> Expr:
-        """Parse through the cache, tracing the outcome when enabled.
-
-        Identical to :meth:`parse` with tracing off; with tracing on it
-        records the ``query.parse`` span (and its ``plan_cache_hit``
-        attribute) exactly as :meth:`instant` would.  The rule
-        evaluators pair this with :meth:`instant_plan`.
-        """
-        if not self._tracer.enabled:
-            return self.parse(query)
-        return self._parse_traced(query)
-
     def cache_stats(self) -> CacheStats:
         """Plan-cache statistics (exported as ``pmag_query_cache_*``)."""
         return self._plan_cache.stats()
 
-    def _parse_traced(self, query: str):
-        """Parse under a ``query.parse`` span recording the cache outcome."""
-        if not self._tracer.recording():
-            # Inside an unsampled subtree: the span would discard
-            # everything, so skip the bookkeeping entirely.
-            return self.parse(query)
-        hits_before = self._plan_cache.hits
-        with self._tracer.span("query.parse", {"query": query}) as span:
-            plan = self.parse(query)
-            hit = self._plan_cache.hits > hits_before
-            span.set_attribute("plan_cache_hit", hit)
-            if not hit:
-                span.add_virtual_time(len(query) * PARSE_NS_PER_CHAR)
-        return plan
-
     def instant(self, query: str, time_ns: int) -> InstantVector:
         """Evaluate at one instant; scalars become a single unlabelled entry."""
-        if not self._tracer.enabled or not self._tracer.recording():
-            return self._at(self.parse(query), time_ns)
-        with self._tracer.span("query.instant", {"query": query}):
-            return self._instant_traced(self._parse_traced(query), time_ns)
+        return self._at(self.parse(query), time_ns)
 
     def instant_plan(self, plan: Expr, time_ns: int) -> InstantVector:
         """Evaluate a pre-parsed plan at one instant.
@@ -198,20 +155,7 @@ class QueryEngine:
         plan-cache lookup on the per-cycle hot path; the result is
         identical to ``instant(query, time_ns)`` for the plan's query.
         """
-        if not self._tracer.enabled or not self._tracer.recording():
-            return self._at(plan, time_ns)
-        with self._tracer.span("query.instant", {"plan": True}):
-            return self._instant_traced(plan, time_ns)
-
-    def _instant_traced(self, expr: Expr, time_ns: int) -> InstantVector:
-        with self._tracer.span("query.eval") as eval_span:
-            value = self._at(expr, time_ns)
-            if eval_span.recording:
-                eval_span.set_attribute("series", len(value))
-                eval_span.add_virtual_time(
-                    EVAL_NS_PER_SERIES * max(1, len(value))
-                )
-        return value
+        return self._at(plan, time_ns)
 
     def range_query(
         self, query: str, start_ns: int, end_ns: int, step_ns: int
@@ -224,38 +168,14 @@ class QueryEngine:
         on its own :class:`StepGrid`, so concurrent and re-entrant calls
         on one engine do not interfere.
         """
-        tracer = self._tracer
-        if not tracer.enabled or not tracer.recording():
-            tracer = NOOP_TRACER
-        with tracer.span("query.range", {
-            "query": query, "start_ns": start_ns, "end_ns": end_ns,
-            "step_ns": step_ns,
-        }):
-            _check_range(start_ns, end_ns, step_ns)
-            expr = self._parse_traced(query)
-            windows = selector_windows(expr, self._lookback_ns)
-            with tracer.span("query.select", {
-                "selectors": len(windows),
-            }) as select_span:
-                grid = StepGrid(
-                    self._tsdb, self._lookback_ns, windows,
-                    start_ns, end_ns, step_ns,
-                )
-                if select_span.recording:
-                    series = grid.series_selected
-                    select_span.set_attribute("series", series)
-                    select_span.add_virtual_time(
-                        EVAL_NS_PER_SERIES * max(1, series)
-                    )
-            with tracer.span("query.eval") as eval_span:
-                result = grid.evaluate(expr)
-                if eval_span.recording:
-                    eval_span.set_attribute("series", len(result))
-                    steps = (end_ns - start_ns) // step_ns + 1
-                    eval_span.add_virtual_time(
-                        EVAL_NS_PER_SERIES * max(1, len(result)) * steps
-                    )
-            return result
+        _check_range(start_ns, end_ns, step_ns)
+        expr = self.parse(query)
+        grid = StepGrid(
+            self._tsdb, self._lookback_ns,
+            selector_windows(expr, self._lookback_ns),
+            start_ns, end_ns, step_ns,
+        )
+        return grid.evaluate(expr)
 
     def _at(self, expr: Expr, time_ns: int) -> InstantVector:
         """``expr`` over the one-step grid ``[time_ns]``."""

@@ -174,11 +174,6 @@ class StepGrid:
             for selector, window_ns in windows.items()
         }
 
-    @property
-    def series_selected(self) -> int:
-        """Raw series fetched over all selectors."""
-        return sum(len(arrays) for arrays in self._raw.values())
-
     def evaluate(self, expr: Expr) -> List[Series]:
         """The range-query result: one Series per label set, sorted."""
         value = self._eval(expr)

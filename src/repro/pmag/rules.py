@@ -44,7 +44,6 @@ from repro.pmag.model import Labels, METRIC_NAME_LABEL
 from repro.pmag.query.engine import QueryEngine
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock
-from repro.trace import NOOP_TRACER
 
 DEFAULT_RULE_INTERVAL_NS = 15 * NANOS_PER_SEC
 
@@ -199,96 +198,64 @@ class RuleGroup:
             for back in range(steps - 1, -1, -1)
         ]
 
-    def _fault(self, rule_span, key: str, exc: Exception) -> None:
+    def _fault(self, key: str, exc: Exception) -> None:
         """Rule-level fault barrier: one bad rule must not silence the
         rest of the group."""
         self.last_error = f"{key}: {exc}"
-        rule_span.set_status("error")
-        rule_span.add_event("rules.error", message=str(exc))
 
-    def evaluate(
-        self,
-        engine: QueryEngine,
-        tsdb: Tsdb,
-        now_ns: int,
-        tracer=None,
-    ) -> int:
+    def evaluate(self, engine: QueryEngine, tsdb: Tsdb, now_ns: int) -> int:
         """Evaluate every rule at ``now_ns``; returns samples recorded.
 
         A failing rule is recorded in :attr:`last_error` and skipped.
-        With a tracer, the group evaluates under a ``rules.group`` span
-        with one ``rules.rule`` child per rule (the engine's ``query.*``
-        spans nest inside it, so a rule trace shows its plan-cache
-        outcome).
         """
-        tracer = tracer if tracer is not None else NOOP_TRACER
         recorded = 0
-        with tracer.span("rules.group", {
-            "group": self.name, "rules": len(self.rules),
-        }) as group_span:
-            for rule in self.rules:
-                if isinstance(rule, RecordingRule):
-                    recorded += self._evaluate_recording(
-                        engine, tsdb, rule, now_ns, tracer
-                    )
-                else:
-                    self._evaluate_alerting(
-                        engine, tsdb, rule, now_ns, tracer
-                    )
-            group_span.set_attribute("recorded", recorded)
+        for rule in self.rules:
+            if isinstance(rule, RecordingRule):
+                recorded += self._evaluate_recording(engine, tsdb, rule, now_ns)
+            else:
+                self._evaluate_alerting(engine, tsdb, rule, now_ns)
         return recorded
 
     def _evaluate_recording(
-        self, engine, tsdb, rule: RecordingRule, now_ns: int, tracer
+        self, engine, tsdb, rule: RecordingRule, now_ns: int
     ) -> int:
         key = rule.record
-        with tracer.span("rules.rule", {
-            "record": key, "expr": rule.expr,
-        }) as rule_span:
+        try:
+            # Through the engine's plan cache every tick: the repeat
+            # parse is a lookup.
+            plan = engine.parse(rule.expr)
+        except Exception as exc:  # noqa: BLE001 - rule-level fault barrier
+            self._fault(key, exc)
+            return 0
+        written = 0
+        for step_ns in self._recording_steps(key, now_ns):
             try:
-                # Through the engine's plan cache: the repeat parse is a
-                # lookup, and the traced ``query.parse`` span (with its
-                # plan_cache_hit attribute) stays on every evaluation.
-                plan = engine.plan(rule.expr)
-            except Exception as exc:  # noqa: BLE001 - rule-level fault barrier
-                self._fault(rule_span, key, exc)
-                return 0
-            written = 0
-            for step_ns in self._recording_steps(key, now_ns):
-                try:
-                    vector = engine.instant_plan(plan, step_ns)
-                except Exception as exc:  # noqa: BLE001
-                    self._fault(rule_span, key, exc)
-                    break
-                count = self._record_vector(rule, vector, tsdb, step_ns)
-                written += count
-                self.eval_modelled_ns += (
-                    RULE_EVAL_BASE_NS + RULE_EVAL_NS_PER_SAMPLE * count
-                )
-            self.cursors[key] = now_ns
-            if self.wal is not None:
-                self.wal.append_cursor(f"{self.name}/{key}", now_ns)
-            rule_span.set_attribute("recorded", written)
+                vector = engine.instant_plan(plan, step_ns)
+            except Exception as exc:  # noqa: BLE001
+                self._fault(key, exc)
+                break
+            count = self._record_vector(rule, vector, tsdb, step_ns)
+            written += count
+            self.eval_modelled_ns += (
+                RULE_EVAL_BASE_NS + RULE_EVAL_NS_PER_SAMPLE * count
+            )
+        self.cursors[key] = now_ns
+        if self.wal is not None:
+            self.wal.append_cursor(f"{self.name}/{key}", now_ns)
         return written
 
-    def _evaluate_alerting(
-        self, engine, tsdb, rule, now_ns: int, tracer
-    ) -> None:
-        with tracer.span("rules.rule", {
-            "alert": rule.name, "expr": rule.expr,
-        }) as rule_span:
-            try:
-                events = rule.evaluate(engine, tsdb, now_ns)
-            except Exception as exc:  # noqa: BLE001 - rule-level fault barrier
-                self._fault(rule_span, _rule_key(rule), exc)
-                return
-            self.eval_modelled_ns += (
-                RULE_EVAL_BASE_NS
-                + RULE_EVAL_NS_PER_SAMPLE * len(rule.active())
-            )
-            rule_span.set_attribute("events", len(events))
-            if events and self.alert_sink is not None:
-                self.alert_sink(events, now_ns)
+    def _evaluate_alerting(self, engine, tsdb, rule, now_ns: int) -> None:
+        try:
+            events = rule.evaluate(engine, tsdb, now_ns)
+        except Exception as exc:  # noqa: BLE001 - rule-level fault barrier
+            self._fault(_rule_key(rule), exc)
+            return
+        self.eval_modelled_ns += (
+            RULE_EVAL_BASE_NS
+            + RULE_EVAL_NS_PER_SAMPLE * len(rule.active())
+        )
+        if events and self.alert_sink is not None:
+            self.alert_sink(events, now_ns)
 
 
 class RuleEvaluator:
@@ -299,14 +266,12 @@ class RuleEvaluator:
         clock: VirtualClock,
         engine: QueryEngine,
         tsdb: Tsdb,
-        tracer=None,
         wal=None,
         alert_sink: Optional[Callable] = None,
     ) -> None:
         self._clock = clock
         self._engine = engine
         self._tsdb = tsdb
-        self._tracer = tracer if tracer is not None else NOOP_TRACER
         self._groups: List[RuleGroup] = []
         self._timers = {}
         self._running = False
@@ -353,7 +318,7 @@ class RuleEvaluator:
         """Evaluate every group now (manual trigger)."""
         now = self._clock.now_ns
         return sum(
-            group.evaluate(self._engine, self._tsdb, now, tracer=self._tracer)
+            group.evaluate(self._engine, self._tsdb, now)
             for group in self._groups
         )
 
@@ -391,8 +356,7 @@ class RuleEvaluator:
     def _schedule(self, group: RuleGroup) -> None:
         def tick() -> None:
             self.samples_recorded += group.evaluate(
-                self._engine, self._tsdb, self._clock.now_ns,
-                tracer=self._tracer,
+                self._engine, self._tsdb, self._clock.now_ns
             )
 
         self._timers[group.name] = self._clock.call_every(

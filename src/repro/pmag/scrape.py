@@ -26,16 +26,6 @@ behaviours live here, hardened against the failure modes
   by name for the ``teemon_self`` target, so
   ``rate(teemon_scrape_retries_total[1m])`` is a query over scraped
   series;
-* tracing — when constructed with a :class:`~repro.trace.tracer.Tracer`,
-  every scrape cycle produces one trace: per-target child spans cover the
-  HTTP fetch (with a W3C ``traceparent`` header propagated through the
-  transport), the OpenMetrics parse and the TSDB append, with injected
-  delays, timeouts and retry scheduling annotated as span events.
-  Retries continue their cycle's trace via the saved span context.
-  Tracing is off by default (the no-op tracer);
-* exemplars — samples whose exposition line carried an OpenMetrics
-  exemplar (``# {trace_id=…,span_id=…} v ts``) have it captured per
-  metric name, resolvable back to a stored trace;
 * service discovery — a callback returning the current target list, so a
   Kubernetes-style cluster can add and remove exporters dynamically
   (§5.4); static targets and discovered targets coexist.
@@ -44,29 +34,23 @@ behaviours live here, hardened against the failure modes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.errors import TsdbError
 from repro.net.http import HttpNetwork
 from repro.openmetrics.parser import SeriesTable, parse_exposition
-from repro.openmetrics.types import Exemplar
 from repro.pmag.model import Labels, METRIC_NAME_LABEL
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import NANOS_PER_SEC, VirtualClock
 from repro.simkernel.rng import DeterministicRng
-from repro.trace import NOOP_TRACER, TRACEPARENT_HEADER
 
 DEFAULT_SCRAPE_INTERVAL_NS = 5 * NANOS_PER_SEC
 #: Scrape responses slower than this are treated as timeouts.
 SCRAPE_TIMEOUT_S = 1.0
 
 #: Modelled exposition-transfer rate used for ``scrape_duration_seconds``
-#: and the fetch span's virtual time (bytes per second).
+#: (bytes per second).
 TRANSFER_BYTES_PER_S = 50e6
-#: Modelled OpenMetrics parse rate (bytes per second).
-PARSE_BYTES_PER_S = 200e6
-#: Modelled per-sample TSDB append cost (nanoseconds).
-APPEND_NS_PER_SAMPLE = 2_000
 
 
 @dataclass(frozen=True)
@@ -138,7 +122,6 @@ class ScrapeManager:
         backoff_jitter: float = 0.5,
         staleness_intervals: int = 3,
         rng: Optional[DeterministicRng] = None,
-        tracer=None,
     ) -> None:
         if interval_ns <= 0:
             raise TsdbError(f"scrape interval must be positive, got {interval_ns}")
@@ -161,15 +144,11 @@ class ScrapeManager:
         self.backoff_base_s = backoff_base_s
         self.backoff_jitter = backoff_jitter
         self.staleness_intervals = staleness_intervals
-        self._tracer = tracer if tracer is not None else NOOP_TRACER
         self._backoff_rng = (rng or DeterministicRng(0)).fork("scrape-backoff")
         self._static_targets: List[ScrapeTarget] = []
         self._discoverers: List[Callable[[], List[ScrapeTarget]]] = []
         self._health: Dict[ScrapeTarget, TargetHealth] = {}
         self._retry_timers: Dict[ScrapeTarget, object] = {}
-        #: Trace context of the failed attempt, so a retry continues the
-        #: same trace instead of starting a fresh one.
-        self._retry_contexts: Dict[ScrapeTarget, object] = {}
         self._timer = None
         # The scraper's own counters (:meth:`self_stats`).
         #: Exposition samples appended (``up``/metadata counted apart).
@@ -197,8 +176,6 @@ class ScrapeManager:
         #: carries — which lets crash recovery rebuild this set from the
         #: recovered TSDB (:meth:`seed_removed_stale`).
         self._removed_stale: set = set()
-        #: Latest exemplar seen per metric name on ingested samples.
-        self._exemplars: Dict[str, Tuple[Tuple[Tuple[str, str], ...], Exemplar]] = {}
 
     # ------------------------------------------------------------------
     # Target management
@@ -279,11 +256,9 @@ class ScrapeManager:
         scrape ingests nothing).  The cycle's commits are one WAL commit
         group: written once per log partition when the cycle ends."""
         now = self._clock.now_ns
-        tracer = self._tracer
         ingested = 0
         targets = self.current_targets()
-        with tracer.span("scrape.cycle", {"targets": len(targets)}), \
-                self._tsdb.commit_group():
+        with self._tsdb.commit_group():
             self._retire_removed_targets(
                 {target.url for target in targets}, now
             )
@@ -297,94 +272,48 @@ class ScrapeManager:
                     # health record in agreement.
                     continue
                 ingested += self._scrape_target(target, now, attempt=0)
-            with tracer.span("tsdb.retention"):
-                self._tsdb.enforce_retention(now)
+            self._tsdb.enforce_retention(now)
         return ingested
 
     def _scrape_target(self, target: ScrapeTarget, now_ns: int, attempt: int) -> int:
-        tracer = self._tracer
-        with tracer.span("scrape.target", {
-            "job": target.job, "instance": target.instance,
-            "url": target.url, "attempt": attempt,
-        }) as span:
-            return self._scrape_target_traced(target, now_ns, attempt, span)
-
-    def _scrape_target_traced(self, target, now_ns, attempt, span) -> int:
-        tracer = self._tracer
         health = self.health(target)
         health.scrapes += 1
         health.last_scrape_ns = now_ns
-        with tracer.span("net.http.get", {"url": target.url}) as get_span:
-            headers = None
-            context = tracer.current_context()
-            if context is not None:
-                headers = {TRACEPARENT_HEADER: context.to_traceparent()}
-            response = self._network.get_url(target.url, headers=headers)
-            latency_s = getattr(response, "latency_s", 0.0)
-            get_span.set_attribute("status", response.status)
-            if latency_s:
-                get_span.add_event("transport.delay", latency_s=latency_s)
-            get_span.add_virtual_time(int(
-                (latency_s + len(response.body) / TRANSFER_BYTES_PER_S)
-                * NANOS_PER_SEC
-            ))
+        response = self._network.get_url(target.url)
+        latency_s = getattr(response, "latency_s", 0.0)
         identity = target.identity()
         if latency_s > self.timeout_budget_s:
             # The body (if any) arrived past the budget: discard it, as a
             # real scraper's deadline would have fired already.
             health.timeouts += 1
             self.timeouts_total += 1
-            span.add_event("scrape.timeout", latency_s=latency_s,
-                           budget_s=self.timeout_budget_s)
             return self._handle_failure(target, health, now_ns, attempt,
-                                        identity, span)
+                                        identity)
         if not response.ok:
-            span.add_event("scrape.http_failure", status=response.status)
             return self._handle_failure(target, health, now_ns, attempt,
-                                        identity, span)
-        with tracer.span("openmetrics.parse", {"bytes": len(response.body)}) as parse_span:
-            try:
-                samples = parse_exposition(response.body, health.series)
-            except Exception:  # noqa: BLE001 - a bad exposition marks the target down
-                parse_span.set_status("error")
-                span.add_event("scrape.parse_failure")
-                return self._handle_failure(target, health, now_ns, attempt,
-                                            identity, span)
-            parse_span.set_attribute("samples", len(samples))
-            parse_span.add_virtual_time(int(
-                len(response.body) / PARSE_BYTES_PER_S * NANOS_PER_SEC
-            ))
+                                        identity)
+        try:
+            samples = parse_exposition(response.body, health.series)
+        except Exception:  # noqa: BLE001 - a bad exposition marks the target down
+            return self._handle_failure(target, health, now_ns, attempt,
+                                        identity)
         self._mark_up(target, health, identity, now_ns)
-        with tracer.span("tsdb.append", {"samples": len(samples)}) as append_span:
-            # The body is one commit: one store call, which amortises
-            # WAL write-through.  Entry order
-            # matches the exposition, so each exemplar follows its own
-            # sample's accept/reject.
-            entries = []
-            carrying = []  # indices of the samples that bring an exemplar
-            known = health.stored
-            stored = health.stored = {}
-            for name, pairs, value, exemplar in samples:
-                key = (name, pairs)
-                labels = known.get(key)
-                if labels is None:
-                    labels = _series_labels(name, pairs, identity)
-                stored[key] = labels
-                if exemplar is not None:
-                    carrying.append(len(entries))
-                entries.append((labels, now_ns, value))
-            rejected = self._tsdb.append_batch(entries) if entries else []
-            if rejected:
-                self.samples_dropped += len(rejected)
-            ingested = len(entries) - len(rejected)
-            if carrying:
-                dropped = set(rejected)
-                for index in carrying:
-                    if index not in dropped:
-                        name, pairs, _value, exemplar = samples[index]
-                        self._exemplars[name] = (pairs, exemplar)
-            append_span.set_attribute("ingested", ingested)
-            append_span.add_virtual_time(len(samples) * APPEND_NS_PER_SAMPLE)
+        # The body is one commit: one store call, which amortises WAL
+        # write-through.
+        entries = []
+        known = health.stored
+        stored = health.stored = {}
+        for name, pairs, value, _exemplar in samples:
+            key = (name, pairs)
+            labels = known.get(key)
+            if labels is None:
+                labels = _series_labels(name, pairs, identity)
+            stored[key] = labels
+            entries.append((labels, now_ns, value))
+        rejected = self._tsdb.append_batch(entries) if entries else []
+        if rejected:
+            self.samples_dropped += len(rejected)
+        ingested = len(entries) - len(rejected)
         self.samples_ingested += ingested
         # The report, as Prometheus records it: ``up``, how long the
         # scrape took (modelled from the exposition size plus transport
@@ -437,7 +366,6 @@ class ScrapeManager:
         now_ns: int,
         attempt: int,
         identity: Dict[str, str],
-        span=None,
     ) -> int:
         health.failures += 1
         health.consecutive_failures += 1
@@ -454,16 +382,8 @@ class ScrapeManager:
             writes.append(
                 ("scrape_target_stale", 1.0, "stale_writes"))
         self._append(now_ns, writes, identity, health.own)
-        if span is not None:
-            span.set_status("error")
         if attempt < self.max_retries:
-            delay_ns = self._schedule_retry(target, attempt)
-            if span is not None:
-                span.add_event("scrape.retry_scheduled",
-                               attempt=attempt + 1, delay_ns=delay_ns)
-                context = getattr(span, "context", None)
-                if context is not None:
-                    self._retry_contexts[target] = context
+            self._schedule_retry(target, attempt)
         return 0
 
     def _mark_up(
@@ -505,32 +425,25 @@ class ScrapeManager:
             )
         return min(int(delay_s * NANOS_PER_SEC), self.interval_ns)
 
-    def _schedule_retry(self, target: ScrapeTarget, attempt: int) -> int:
-        delay_ns = self.backoff_delay_ns(attempt)
+    def _schedule_retry(self, target: ScrapeTarget, attempt: int) -> None:
         self._retry_timers[target] = self._clock.call_later(
-            delay_ns, lambda: self._retry(target, attempt + 1)
+            self.backoff_delay_ns(attempt),
+            lambda: self._retry(target, attempt + 1)
         )
-        return delay_ns
 
     def _retry(self, target: ScrapeTarget, attempt: int) -> None:
         self._retry_timers.pop(target, None)
-        parent = self._retry_contexts.pop(target, None)
         if all(t.url != target.url for t in self.current_targets()):
             return  # target went away between failure and retry
         health = self.health(target)
         health.retries += 1
         self.retries_total += 1
-        # The retry joins its cycle's trace through the saved context —
-        # one scrape, one trace, however many attempts it took.
-        with self._tracer.span("scrape.retry", {"attempt": attempt},
-                               parent=parent):
-            self._scrape_target(target, self._clock.now_ns, attempt)
+        self._scrape_target(target, self._clock.now_ns, attempt)
 
     def _cancel_retry(self, target: ScrapeTarget) -> None:
         timer = self._retry_timers.pop(target, None)
         if timer is not None:
             timer.cancel()
-        self._retry_contexts.pop(target, None)
 
     def _cancel_all_retries(self) -> None:
         for target in list(self._retry_timers):
@@ -580,14 +493,6 @@ class ScrapeManager:
             "flaps_total": self.flaps_total,
             "targets_removed": self.targets_removed,
         }
-
-    # ------------------------------------------------------------------
-    # Exemplars
-    # ------------------------------------------------------------------
-    def exemplar_for(self, metric_name: str) -> Optional[Exemplar]:
-        """The most recent exemplar ingested for ``metric_name`` (if any)."""
-        entry = self._exemplars.get(metric_name)
-        return entry[1] if entry is not None else None
 
     # ------------------------------------------------------------------
     # Scheduling

@@ -20,14 +20,11 @@ from repro.pmv.panels import (
     TablePanel,
 )
 from repro.pmv.render import render_dashboard
-from repro.pmv.trace_view import render_flamegraph, render_waterfall
 
 __all__ = [
     "render_alert_timeline",
     "render_anomaly_timeline",
     "render_federation_timeline",
-    "render_waterfall",
-    "render_flamegraph",
     "Panel",
     "GraphPanel",
     "GaugePanel",

@@ -51,7 +51,7 @@ class DeterministicRng:
         """Uniform integer with ``bits`` random bits.
 
         Much cheaper than :meth:`randint` for wide ranges (no rejection
-        loop) — the tracer draws 128-bit ids on its hot path through this.
+        loop); the fleet draws each node's 32-bit seed through this.
         """
         return self._random.getrandbits(bits)
 

@@ -32,28 +32,12 @@ class TeemonConfig:
     #: Evaluate the default recording-rule group (precomputed dashboard
     #: series such as ``job:syscalls:rate1m``).
     enable_recording_rules: bool = True
-    #: Trace the pipeline itself (scrapes, queries, rule evaluation) on
-    #: the virtual clock.  Off by default: the no-op tracer keeps the
-    #: query hot path untouched.
-    enable_tracing: bool = False
-    #: Head-sampling probability: the seeded keep/drop decision made at
-    #: root-span creation and propagated via the traceparent flags.
-    #: ``None`` disables head sampling (every trace is recorded — the
-    #: pre-sampling behaviour); ``1.0`` runs the sampling machinery with
-    #: every trace kept.
-    trace_sampling_probability: Optional[float] = None
-    #: Tail sampling: judge each completed trace against keep rules
-    #: (fault events, retries, errors, slow spans) and drop the boring
-    #: ones.  Off by default — the store keeps everything.
-    trace_tail_sampling: bool = False
-    #: Run the trace-driven anomaly detector (EPC thrash, AEX storms,
-    #: syscall-latency outliers) on a virtual-clock cadence.  Requires
-    #: nothing else, but joins kept traces as evidence when tracing is
-    #: on.  Off by default.
+    #: Run the anomaly detector (EPC thrash, AEX storms, syscall-latency
+    #: outliers) on a virtual-clock cadence.  Requires nothing else.  Off
+    #: by default.
     enable_anomaly_detection: bool = False
-    #: Register the ``teemon_self`` scrape target serving the scraper's
-    #: and tracer's own metrics.  Requires nothing else; with tracing on
-    #: its histogram samples carry trace exemplars.
+    #: Register the ``teemon_self`` scrape target serving the monitor's
+    #: own metrics.  Requires nothing else.
     enable_self_telemetry: bool = True
     #: Write every accepted sample through to a write-ahead log on the
     #: deployment's simulated disk (crash-safe storage).  Off by default:
@@ -138,25 +122,7 @@ class TeemonConfig:
     #: uplink bytes.
     federation_mode: str = "raw"
 
-    def span_metrics_enabled(self) -> bool:
-        """Whether ``teemon_self`` exposes per-span-name duration
-        histograms (with exemplars).  They are the expensive half of
-        trace self-telemetry — ~10 bucket series per span name
-        re-ingested every scrape — and a head-sampled duration
-        distribution is biased, so they are on only when every trace is
-        recorded."""
-        return (
-            self.trace_sampling_probability is None
-            or self.trace_sampling_probability >= 1.0
-        )
-
     def __post_init__(self) -> None:
-        if self.trace_sampling_probability is not None and not (
-            0.0 <= self.trace_sampling_probability <= 1.0
-        ):
-            raise DeploymentError(
-                "trace_sampling_probability must be in [0, 1]"
-            )
         if self.scrape_interval_s <= SCRAPE_TIMEOUT_S:
             raise DeploymentError(
                 f"scrape interval must exceed the {SCRAPE_TIMEOUT_S:g} s "

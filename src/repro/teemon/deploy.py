@@ -74,14 +74,7 @@ from repro.simkernel.disk import DiskCrashReport, SimDisk
 from repro.simkernel.kernel import Kernel
 from repro.teemon.config import TeemonConfig
 from repro.teemon.session import MonitoringSession
-from repro.trace import (
-    NOOP_TRACER,
-    AnomalyDetector,
-    HeadSampler,
-    TailRules,
-    Tracer,
-    TraceStore,
-)
+from repro.trace import AnomalyDetector
 from repro.trace.detect import ANOMALY_ACTIVE
 
 #: Anomaly-detector cadence (window width of each baseline delta).
@@ -245,42 +238,18 @@ class TeemonDeployment:
                 config.wal_flush_records,
             )
             tsdb.attach_wal(self.wal)
-        # Pipeline tracing: one tracer shared by the scraper, the query
-        # engine and the rule evaluator, so a scrape cycle or a rule
-        # evaluation is one connected trace.  Span ids come from a named
-        # fork of the kernel's seeded rng — same seed, same trace ids.
-        if config.enable_tracing:
-            self.trace_store: Optional[TraceStore] = TraceStore(
-                tail_rules=TailRules() if config.trace_tail_sampling else None,
-            )
-            sampler = None
-            if config.trace_sampling_probability is not None:
-                sampler = HeadSampler(
-                    config.trace_sampling_probability, rng=kernel.rng
-                )
-            self.tracer = Tracer(
-                kernel.clock, rng=kernel.rng, store=self.trace_store,
-                sampler=sampler,
-            )
-        else:
-            self.trace_store = None
-            self.tracer = NOOP_TRACER
-        # Trace-driven anomaly detection: joins kept traces with the
-        # TSDB's enclave health series over rolling baselines.  Rebuilt
-        # per monitor incarnation (its journal is monitor memory, like
-        # the trace store — the determinism witness covers one run).
+        # Anomaly detection over the TSDB's enclave health series with
+        # rolling baselines.  Rebuilt per monitor incarnation (its journal
+        # is monitor memory — the determinism witness covers one run).
         self.anomaly_detector: Optional[AnomalyDetector] = None
         if config.enable_anomaly_detection:
             self.anomaly_detector = AnomalyDetector(
-                self.tsdb,
-                trace_store=self.trace_store,
-                instance=kernel.hostname,
+                self.tsdb, instance=kernel.hostname,
             )
         self.scrape_manager = ScrapeManager(
             kernel.clock, self.network, self.tsdb,
             interval_ns=int(config.scrape_interval_s * NANOS_PER_SEC),
             rng=kernel.rng,
-            tracer=self.tracer,
         )
         for job, exporter in self.exporters.items():
             self.scrape_manager.add_target(
@@ -336,7 +305,7 @@ class TeemonDeployment:
             if self.remote_write_receiver is not None:
                 for client in self._remote_write_clients():
                     self.remote_write_receiver.attach_relay(client)
-        self.engine = QueryEngine(self.tsdb, tracer=self.tracer)
+        self.engine = QueryEngine(self.tsdb)
         # Alerting: cloned per build so a resurrected monitor starts from
         # explicitly restored state, never leftover in-memory state.
         self.notification_router: Optional[NotificationRouter] = None
@@ -375,7 +344,7 @@ class TeemonDeployment:
                 f"duplicate alert rule names: {', '.join(duplicates)}"
             )
         self.rule_evaluator = RuleEvaluator(
-            kernel.clock, self.engine, self.tsdb, tracer=self.tracer,
+            kernel.clock, self.engine, self.tsdb,
             wal=self.wal, alert_sink=alert_sink,
         )
         if config.enable_recording_rules:
@@ -400,10 +369,8 @@ class TeemonDeployment:
             self.analyzer.add_sink(dashboard.alert_sink())
         self.self_exporter: Optional[TeemonSelfExporter] = None
         if config.enable_self_telemetry:
-            span_metrics = config.enable_tracing and config.span_metrics_enabled()
             self.self_exporter = TeemonSelfExporter(
                 kernel.hostname, self._self_sources(),
-                tracer=self.tracer if span_metrics else None,
             )
             self.self_exporter.expose(self.network)
             self.scrape_manager.add_target(ScrapeTarget(
@@ -443,8 +410,6 @@ class TeemonDeployment:
             },
             "query_cache": lambda: vars(engine.cache_stats()),
         }
-        if self.trace_store is not None:
-            sources["trace"] = lambda: self.session.trace_stats()
         if self.wal is not None:
             sources["wal"] = lambda: self.session.wal_stats()
             sources["recovery"] = lambda: self.recovery_stats

@@ -15,7 +15,6 @@ from repro.exporters.teemon_self import FEDERATION_LAG
 from repro.pmag.alerting import AlertInstance
 from repro.pmag.model import Series
 from repro.pmv.render import render_dashboard
-from repro.pmv.trace_view import render_flamegraph, render_waterfall
 from repro.simkernel.clock import NANOS_PER_SEC
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -181,63 +180,6 @@ class MonitoringSession:
         return render_federation_timeline(
             lag_series, start_ns, end_ns, width=width
         )
-
-    # ------------------------------------------------------------------
-    # Traces
-    # ------------------------------------------------------------------
-    def _trace_store(self):
-        store = self._deployment.trace_store
-        if store is None:
-            raise DeploymentError(
-                "tracing is disabled; deploy with "
-                "TeemonConfig(enable_tracing=True)"
-            )
-        return store
-
-    def traces(self) -> List[str]:
-        """Stored trace ids, oldest first."""
-        return self._trace_store().trace_ids()
-
-    def trace(self, trace_id: Optional[str] = None):
-        """Spans of one stored trace (the newest when ``trace_id`` is None)."""
-        store = self._trace_store()
-        if trace_id is None:
-            trace_id = store.latest()
-            if trace_id is None:
-                raise DeploymentError("no traces recorded yet")
-        return store.get(trace_id)
-
-    def render_trace(self, trace_id: Optional[str] = None,
-                     width: int = 100) -> str:
-        """Waterfall rendering of one stored trace."""
-        return render_waterfall(self.trace(trace_id), width=width)
-
-    def render_trace_flamegraph(self, trace_id: Optional[str] = None) -> str:
-        """Folded-stack (flame graph) rendering of one stored trace."""
-        return render_flamegraph(self.trace(trace_id))
-
-    def trace_stats(self) -> Dict[str, object]:
-        """Tracer and store counters: spans, sampling decisions, tail
-        keep/drop verdicts, evictions."""
-        deployment = self._deployment
-        store = self._trace_store()
-        tracer = deployment.tracer
-        stats: Dict[str, object] = {
-            "spans_started": tracer.spans_started,
-            "spans_ended": tracer.spans_ended,
-            "traces_started": tracer.traces_started,
-            "traces_sampled_out": tracer.traces_sampled_out,
-            "spans_unsampled": tracer.spans_unsampled,
-            "spans_stored": store.spans_stored,
-            "traces_evicted": store.traces_evicted,
-            "traces_kept": store.traces_kept,
-            "traces_dropped": store.traces_dropped,
-            "spans_dropped": store.spans_dropped,
-            "traces_resurrected": store.traces_resurrected,
-            "pending_traces": store.pending_count(),
-            "keep_reasons": dict(store.keep_reasons),
-        }
-        return stats
 
     # ------------------------------------------------------------------
     # Anomaly detection

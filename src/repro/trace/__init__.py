@@ -1,72 +1,19 @@
-"""Distributed tracing on the virtual clock (the pipeline monitors itself).
+"""The anomaly detector over the monitor's own TSDB.
 
-TEEMon's pitch is *continuous, low-overhead* monitoring — this package
-turns the lens on the pipeline itself.  It is an OpenTelemetry-shaped
-tracing subsystem built entirely on the simulation substrate:
-
-* :class:`~repro.trace.tracer.Tracer` / :class:`~repro.trace.tracer.Span`
-  — spans with virtual-time start/end, attributes, events and status;
-  span and trace ids are drawn from a :class:`DeterministicRng`
-  substream, so the same seed yields byte-identical traces;
-* :class:`~repro.trace.store.TraceStore` — a bounded in-memory store with
-  per-trace lookup and a canonical text journal (the determinism
-  witness, mirroring :meth:`repro.faults.plan.FaultPlan.journal_text`);
-* :class:`~repro.trace.context.TraceContext` — W3C ``traceparent``
-  propagation, carried through the simulated HTTP layer's headers;
-* :data:`NOOP_TRACER` — the off-by-default fast path: a singleton no-op
-  tracer whose spans allocate nothing, so instrumented code pays one
-  attribute check when tracing is disabled;
-* :class:`~repro.trace.sampling.HeadSampler` /
-  :class:`~repro.trace.sampling.TailRules` — adaptive sampling: a
-  seeded head decision at root creation (propagated via the traceparent
-  flags) plus tail keep rules that promote only interesting traces
-  (faults, retries, errors, slow spans) out of a pending buffer;
-* :class:`~repro.trace.detect.AnomalyDetector` — joins kept traces with
-  TSDB series (AEX counters, EPC evictions, syscall latency) over
-  rolling baselines and journals ``teemon_anomaly_*`` detections.
-
-The scrape manager, query engine and rule evaluator accept a tracer, and
-:mod:`repro.pmv.trace_view` renders stored traces as text waterfalls and
-folded flamegraph stacks.
+:class:`~repro.trace.detect.AnomalyDetector` takes window deltas of
+enclave health series (AEX counters, EPC evictions, syscall latency),
+compares them against rolling baselines and journals
+``teemon_anomaly_*`` detections.
 """
 
-from repro.trace.context import (
-    TRACEPARENT_HEADER,
-    TraceContext,
-    format_traceparent,
-    parse_traceparent,
-)
 from repro.trace.detect import (
     AnomalyDetector,
     AnomalyEvent,
     AnomalyRule,
 )
-from repro.trace.sampling import HeadSampler, TailRules
-from repro.trace.store import TraceStore
-from repro.trace.tracer import (
-    NOOP_SPAN,
-    NOOP_TRACER,
-    NoopTracer,
-    Span,
-    SpanEvent,
-    Tracer,
-)
 
 __all__ = [
-    "TRACEPARENT_HEADER",
-    "TraceContext",
-    "format_traceparent",
-    "parse_traceparent",
-    "Span",
-    "SpanEvent",
-    "Tracer",
-    "TraceStore",
-    "HeadSampler",
-    "TailRules",
     "AnomalyDetector",
     "AnomalyEvent",
     "AnomalyRule",
-    "NoopTracer",
-    "NOOP_TRACER",
-    "NOOP_SPAN",
 ]

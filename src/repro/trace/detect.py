@@ -1,9 +1,7 @@
-"""Trace-driven anomaly detection over the monitor's own TSDB.
+"""Anomaly detection over the monitor's own TSDB.
 
-The payoff of keeping traces: a detector that joins what the tail
-sampler kept with the metric streams the pipeline already ingests.  Each
-run (a fixed virtual-time cadence, scheduled by the deployment) it takes
-window deltas of three enclave health signals —
+Each run (a fixed virtual-time cadence, scheduled by the deployment) the
+detector takes window deltas of three enclave health signals —
 
 * ``sgx_epc_pages_evicted_total``  → EPC thrashing (paging storms),
 * ``sgx_aexs_total``               → AEX storms (enclave exit floods),
@@ -22,11 +20,7 @@ previous window deltas) *and* an absolute floor, and on a hit emits:
    counters of the monitor's own work: like a recording rule's output
    they are computed at the detector's tick and read by the
    ``AnomalyDetected`` rule at its own tick, so they are the only
-   ``teemon_*`` series the ``teemon_self`` target does not serve;
-3. a trace join: the newest kept trace with a ``scrape.target`` span for
-   the signal's exporter job inside the window, recorded as evidence on
-   the event — the span-level view of *what the pipeline saw* while the
-   signal spiked.
+   ``teemon_*`` series the ``teemon_self`` target does not serve.
 
 The floor-and-ratio shape is what makes the detection scenarios strict:
 an injected EPC-thrash/AEX-storm/syscall-outlier burst must trip its
@@ -62,7 +56,6 @@ class AnomalyRule:
 
     kind: str
     metric: str
-    job: str
     min_delta: float
     ratio: float = 4.0
 
@@ -72,15 +65,15 @@ class AnomalyRule:
 DEFAULT_RULES: Tuple[AnomalyRule, ...] = (
     AnomalyRule(
         kind=KIND_EPC_THRASH, metric="sgx_epc_pages_evicted_total",
-        job="sgx", min_delta=512.0,
+        min_delta=512.0,
     ),
     AnomalyRule(
         kind=KIND_AEX_STORM, metric="sgx_aexs_total",
-        job="sgx", min_delta=256.0,
+        min_delta=256.0,
     ),
     AnomalyRule(
         kind=KIND_SYSCALL_LATENCY, metric="ebpf_syscall_latency_us_bucket",
-        job="ebpf", min_delta=1024.0,  # p95 floor, microseconds
+        min_delta=1024.0,  # p95 floor, microseconds
     ),
 )
 
@@ -94,14 +87,12 @@ class AnomalyEvent:
     metric: str
     value: float
     baseline: float
-    trace_id: str
 
     def line(self) -> str:
         """Canonical single-line rendering (journal format)."""
         return (
             f"{self.time_ns} anomaly-{self.kind} {self.metric} "
-            f"value={self.value:.2f} baseline={self.baseline:.2f} "
-            f"trace={self.trace_id}"
+            f"value={self.value:.2f} baseline={self.baseline:.2f}"
         )
 
 
@@ -110,12 +101,11 @@ def _parse_le(text: str) -> float:
 
 
 class AnomalyDetector:
-    """Rolling-baseline detector over the deployment's TSDB + traces."""
+    """Rolling-baseline detector over the deployment's TSDB."""
 
     def __init__(
         self,
         tsdb,
-        trace_store=None,
         rules: Tuple[AnomalyRule, ...] = DEFAULT_RULES,
         baseline_windows: int = 6,
         warmup_windows: int = 1,
@@ -126,7 +116,6 @@ class AnomalyDetector:
         if warmup_windows < 0:
             raise ValueError("warmup_windows cannot be negative")
         self._tsdb = tsdb
-        self._trace_store = trace_store
         self.rules = tuple(rules)
         self.baseline_windows = baseline_windows
         self.warmup_windows = warmup_windows
@@ -201,27 +190,6 @@ class AnomalyDetector:
         return 0.0
 
     # ------------------------------------------------------------------
-    # Trace evidence
-    # ------------------------------------------------------------------
-    def _evidence_trace(
-        self, job: str, start_ns: int, end_ns: int
-    ) -> str:
-        """Newest kept trace scraping ``job`` inside the window, or '-'."""
-        store = self._trace_store
-        if store is None:
-            return "-"
-        for trace_id in reversed(store.trace_ids()):
-            for span in store.get(trace_id):
-                if span.name != "scrape.target":
-                    continue
-                if span.attributes.get("job") != job:
-                    continue
-                if span.start_ns > end_ns or span.start_ns < start_ns:
-                    continue
-                return trace_id
-        return "-"
-
-    # ------------------------------------------------------------------
     # The detection cycle
     # ------------------------------------------------------------------
     def run(self, now_ns: int) -> List[AnomalyEvent]:
@@ -258,7 +226,6 @@ class AnomalyDetector:
                 event = AnomalyEvent(
                     time_ns=now_ns, kind=rule.kind, metric=rule.metric,
                     value=value, baseline=baseline,
-                    trace_id=self._evidence_trace(rule.job, start_ns, now_ns),
                 )
                 self.journal.append(event)
                 fired.append(event)

@@ -48,10 +48,6 @@ TEST_PROFILES = {
     # per flush and the receiver's partitioned write-through gets full
     # coverage.
     "federated": {**_SHARDED, "remote_write_frame_samples": 50},
-    # Sampled tracing always on, at a real (sub-1.0) head-sampling
-    # probability so both keep and drop paths run; trace tests that need
-    # every trace pin the probability explicitly.
-    "traced": {"enable_tracing": True, "trace_sampling_probability": 0.25},
 }
 
 #: ``TeemonConfig.__init__``'s own defaults, one per field, in order.

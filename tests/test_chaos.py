@@ -46,9 +46,6 @@ def build_rig(
     skew_s=0.0,
     retention_s=None,
     staleness_intervals=3,
-    traced=False,
-    sampling_p=None,
-    tail=False,
     tsdb_factory=None,
 ):
     """A full scrape pipeline behind a seeded fault plan."""
@@ -80,25 +77,10 @@ def build_rig(
     network = FaultyHttpNetwork(inner, plan)
     factory = tsdb_factory or Tsdb
     tsdb = factory(retention_ns=None if retention_s is None else seconds(retention_s))
-    trace_store = tracer = None
-    if traced:
-        from repro.trace import HeadSampler, TailRules, Tracer, TraceStore
-
-        trace_store = TraceStore(
-            max_traces=4096, tail_rules=TailRules() if tail else None,
-        )
-        sampler = None
-        if sampling_p is not None:
-            sampler = HeadSampler(sampling_p, rng=rng.fork("sampler"))
-        tracer = Tracer(
-            clock, rng=rng.fork("tracer"), store=trace_store,
-            sampler=sampler,
-        )
     manager = ScrapeManager(
         clock, network, tsdb, interval_ns=seconds(INTERVAL_S),
         timeout_budget_s=1.0, max_retries=max_retries,
         staleness_intervals=staleness_intervals, rng=rng.fork("manager"),
-        tracer=tracer,
     )
     counters = []
     target_list = []
@@ -115,7 +97,7 @@ def build_rig(
     return SimpleNamespace(
         clock=clock, plan=plan, network=network, tsdb=tsdb, manager=manager,
         counters=counters, targets=target_list, injectors=injectors,
-        engine=QueryEngine(tsdb), trace_store=trace_store, tracer=tracer,
+        engine=QueryEngine(tsdb),
     )
 
 
@@ -321,108 +303,3 @@ def test_query_engine_over_chaotic_history():
     timeout_vec = rig.engine.instant("teemon_scrape_timeouts_total", now)
     assert rig.manager.timeouts_total > 0
     assert timeout_vec and timeout_vec[0][1] == float(rig.manager.timeouts_total)
-
-
-# ---------------------------------------------------------------------------
-# Tracing under chaos: the journal is part of the determinism contract
-# ---------------------------------------------------------------------------
-def test_same_seed_chaos_runs_emit_identical_trace_journals():
-    def run(seed):
-        rig = build_rig(seed, **MIXED, traced=True)
-        drive(rig, 150)
-        return rig.trace_store.journal_text()
-
-    first, second = run(41), run(41)
-    assert first == second  # byte-identical spans, ids, events, timings
-    assert first.count("\n") > 100  # the runs actually traced
-    assert run(42) != first
-
-
-def test_traced_chaos_matches_untraced_pipeline_state():
-    # Tracing must observe, never perturb: the TSDB, health records and
-    # fault journal of a traced run equal those of an untraced run.
-    traced = build_rig(51, **MIXED, traced=True)
-    plain = build_rig(51, **MIXED)
-    drive(traced, 150)
-    drive(plain, 150)
-    assert tsdb_digest(traced) == tsdb_digest(plain)
-    assert health_digest(traced) == health_digest(plain)
-    assert traced.plan.journal_text() == plain.plan.journal_text()
-    assert traced.manager.self_stats() == plain.manager.self_stats()
-
-
-def test_injected_faults_appear_as_span_events():
-    rig = build_rig(61, delay_p=0.5, traced=True, max_retries=1)
-    drive(rig, 120)
-    spans = [
-        span
-        for trace_id in rig.trace_store.trace_ids()
-        for span in rig.trace_store.get(trace_id)
-    ]
-    events = [e.name for s in spans for e in s.events]
-    # Injected delays surface on the fetch span; delays past the budget
-    # surface as timeouts with a scheduled retry.
-    assert "transport.delay" in events
-    assert "scrape.timeout" in events
-    assert "scrape.retry_scheduled" in events
-    retry_spans = [s for s in spans if s.name == "scrape.retry"]
-    assert retry_spans and all(s.parent_id for s in retry_spans)
-
-
-# ---------------------------------------------------------------------------
-# Adaptive sampling under chaos: the PR's acceptance bars
-# ---------------------------------------------------------------------------
-#: A fault mix that leaves most cycles clean: the slow link in MIXED
-#: stamps a ``transport.delay`` event on *every* fetch, which makes every
-#: trace keep-worthy — useless for exercising the drop path.
-LIGHT = dict(flap=True, delay_p=0.05, corrupt_p=0.06, max_retries=2)
-def test_tail_rules_keep_every_fault_bearing_trace():
-    # Same seed, same chaos, two stores: one keeping everything, one tail
-    # sampling.  Every trace the keep rules match in the unfiltered store
-    # must survive tail sampling — fault-bearing traces are never lost.
-    from repro.trace import TailRules
-
-    full = build_rig(67, **LIGHT, traced=True)
-    tailed = build_rig(67, **LIGHT, traced=True, tail=True)
-    drive(full, 150)
-    drive(tailed, 150)
-    tailed.trace_store.flush_pending()
-    rules = TailRules()
-    keep_worthy = [
-        trace_id for trace_id in full.trace_store.trace_ids()
-        if rules.evaluate(full.trace_store.get(trace_id))[0]
-    ]
-    assert keep_worthy, "this chaos mix must produce fault-bearing traces"
-    kept = set(tailed.trace_store.trace_ids())
-    missing = [t for t in keep_worthy if t not in kept]
-    assert not missing, (
-        f"tail sampling lost {len(missing)} fault-bearing traces "
-        f"(e.g. {missing[:3]})"
-    )
-    # And it earns its keep: the boring majority is dropped.
-    assert tailed.trace_store.traces_dropped > 0
-    assert len(tailed.trace_store) < len(full.trace_store)
-    # Tail sampling observes, never perturbs.
-    assert tsdb_digest(tailed) == tsdb_digest(full)
-    assert tailed.plan.journal_text() == full.plan.journal_text()
-
-
-def test_same_seed_sampled_chaos_journals_are_byte_identical():
-    def run(seed):
-        rig = build_rig(seed, **LIGHT, traced=True, sampling_p=0.5,
-                        tail=True)
-        drive(rig, 150)
-        rig.trace_store.flush_pending()
-        return rig
-
-    first, second = run(71), run(71)
-    assert first.trace_store.journal_text() == \
-        second.trace_store.journal_text()
-    assert first.trace_store.journal_text()  # something survived both
-    # Both levers actually engaged under chaos.
-    assert first.tracer.traces_sampled_out > 0
-    assert first.tracer.spans_started > 0
-    assert first.trace_store.traces_dropped > 0
-    assert tsdb_digest(first) == tsdb_digest(second)
-    assert run(72).trace_store.journal_text() != \
-        first.trace_store.journal_text()

@@ -15,9 +15,7 @@ from repro.errors import QueryError
 from repro.pmag.query.engine import QueryEngine
 from repro.pmag.query.parser import parse_query
 from repro.pmag.tsdb import Tsdb
-from repro.simkernel.clock import VirtualClock, seconds
-from repro.simkernel.rng import DeterministicRng
-from repro.trace import Tracer
+from repro.simkernel.clock import seconds
 
 from tests.query_oracle import PerInstantEvaluator
 from tests.test_perf_equivalence import (
@@ -129,70 +127,3 @@ def test_fixed_store_has_the_cases_it_is_there_for():
     assert engine.instant("absent(ebpf_syscalls_total)", seconds(42)) == []
     assert engine.instant("1 + 2 * 3", 0)[0][1] == 7.0
     assert QueryEngine(Tsdb()).instant("absent(ebpf_syscalls_total)", 0) != []
-
-
-# ---------------------------------------------------------------------------
-# Traced instants: same spans, same modelled time
-# ---------------------------------------------------------------------------
-#: The spans of the scenario below as ``parent > name +start..+end
-#: [attributes]`` (virtual ns since the scenario's clock), recorded at
-#: commit c7a3a21 under the per-instant evaluator.
-_TRACED_SPANS = """\
-- > query.instant +0..+5700 [query='sum by (name) (rate(m[1m]))']
-query.instant > query.parse +0..+2700 [plan_cache_hit=False, query='sum by (name) (rate(m[1m]))']
-query.instant > query.eval +2700..+5700 [series=3]
-- > query.instant +0..+3000 [query='sum by (name) (rate(m[1m]))']
-query.instant > query.parse +0..+0 [plan_cache_hit=True, query='sum by (name) (rate(m[1m]))']
-query.instant > query.eval +0..+3000 [series=3]
-- > query.parse +0..+0 [plan_cache_hit=True, query='sum by (name) (rate(m[1m]))']
-- > query.instant +0..+3000 [plan=True]
-query.instant > query.eval +0..+3000 [series=3]
-- > query.instant +0..+3100 [query='m']
-query.instant > query.parse +0..+100 [plan_cache_hit=False, query='m']
-query.instant > query.eval +100..+3100 [series=3]
-- > query.instant +0..+1500 [query='1 + 2']
-query.instant > query.parse +0..+500 [plan_cache_hit=False, query='1 + 2']
-query.instant > query.eval +500..+1500 [series=1]
-- > query.instant +0..+2400 [query='m{name="nope"}']
-query.instant > query.parse +0..+1400 [plan_cache_hit=False, query='m{name="nope"}']
-query.instant > query.eval +1400..+2400 [series=0]
-- > query.instant +0..+1600 [query='sum(m)']
-query.instant > query.parse +0..+600 [plan_cache_hit=False, query='sum(m)']
-query.instant > query.eval +600..+1600 [series=1]
-"""
-
-
-def test_traced_instants_keep_their_spans_and_virtual_time():
-    clock = VirtualClock()
-    clock.advance(seconds(100))
-    tracer = Tracer(clock, rng=DeterministicRng(7))
-    tsdb = Tsdb()
-    for step in range(1, 13):
-        for name, scale in (("read", 1.0), ("write", 2.5), ("futex", 0.25)):
-            tsdb.append_sample("m", step * seconds(5), step * scale, name=name)
-    engine = QueryEngine(tsdb, tracer=tracer)
-    now_ns = seconds(60)
-    query = "sum by (name) (rate(m[1m]))"
-    engine.instant(query, now_ns)                       # plan-cache miss
-    engine.instant(query, now_ns)                       # hit
-    engine.instant_plan(engine.plan(query), now_ns)     # parse span, then plan
-    engine.instant("m", now_ns)                         # three series
-    engine.instant("1 + 2", now_ns)                     # scalar: one entry
-    engine.instant('m{name="nope"}', now_ns)            # empty
-    assert engine.instant("sum(m)", now_ns)[0][1] == 45.0
-    store = tracer.store
-    lines = []
-    for trace_id in store.trace_ids():
-        spans = store.get(trace_id)
-        names = {span.span_id: span.name for span in spans}
-        for span in spans:
-            attributes = ", ".join(
-                f"{key}={value!r}"
-                for key, value in sorted(span.attributes.items())
-            )
-            lines.append(
-                f"{names.get(span.parent_id, '-')} > {span.name} "
-                f"+{span.start_ns - seconds(100)}..+{span.end_ns - seconds(100)} "
-                f"[{attributes}]\n"
-            )
-    assert "".join(lines) == _TRACED_SPANS

@@ -197,7 +197,7 @@ def test_post_handler_exception_is_500():
 
 
 # ---------------------------------------------------------------------------
-# Requests, headers and trace-context propagation
+# Request objects and the positional signatures
 # ---------------------------------------------------------------------------
 def test_http_request_object_dispatch():
     from repro.net.http import HttpRequest
@@ -216,51 +216,3 @@ def test_positional_get_post_signatures_still_work():
     endpoint.post_handler = lambda body: body[::-1]
     assert net.get("h", 80, "/").body == "ok"
     assert net.post("h", 80, "/", "abc").body == "cba"
-
-
-def test_traceparent_echoed_on_success():
-    from repro.trace import TRACEPARENT_HEADER
-
-    net = HttpNetwork()
-    net.register("h", 80, "/", lambda: "ok")
-    header = "00-" + "a" * 32 + "-" + "b" * 16 + "-01"
-    response = net.get("h", 80, "/", headers={TRACEPARENT_HEADER: header})
-    assert response.headers[TRACEPARENT_HEADER] == header
-
-
-def test_response_headers_empty_without_request_headers():
-    net = HttpNetwork()
-    net.register("h", 80, "/", lambda: "ok")
-    assert dict(net.get("h", 80, "/").headers) == {}
-
-
-def test_handler_exception_preserves_trace_context():
-    from repro.trace import TRACEPARENT_HEADER
-
-    net = HttpNetwork()
-
-    def boom():
-        raise RuntimeError("kaput")
-
-    net.register("h", 80, "/", boom)
-    header = "00-" + "c" * 32 + "-" + "d" * 16 + "-01"
-    response = net.get("h", 80, "/", headers={TRACEPARENT_HEADER: header})
-    assert response.status == 500
-    assert response.headers[TRACEPARENT_HEADER] == header
-
-
-def test_404_and_503_and_405_echo_trace_context():
-    from repro.trace import TRACEPARENT_HEADER
-
-    net = HttpNetwork()
-    header = "00-" + "e" * 32 + "-" + "f" * 16 + "-01"
-    headers = {TRACEPARENT_HEADER: header}
-    assert net.get("nope", 80, "/", headers=headers).headers[
-        TRACEPARENT_HEADER] == header
-    endpoint = net.register("h", 80, "/", lambda: "ok")
-    endpoint.healthy = False
-    assert net.get("h", 80, "/", headers=headers).headers[
-        TRACEPARENT_HEADER] == header
-    endpoint.healthy = True
-    assert net.post("h", 80, "/", "x", headers=headers).headers[
-        TRACEPARENT_HEADER] == header  # 405: no post handler

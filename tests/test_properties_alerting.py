@@ -88,7 +88,7 @@ def test_cadence_backfill_records_exactly_the_spec_instants(case):
         "m", [RecordingRule(record="job:sig:m", expr=case["expr"])],
         interval_ns=interval_ns,
     )
-    plan = raw_engine.plan(case["expr"])
+    plan = raw_engine.parse(case["expr"])
     expected = {}           # (labels, t) -> value, first write wins
     backfilled = fallbacks = 0
 
