@@ -8,7 +8,9 @@ volume:
   OpenMetrics exposition per cycle, merge target identity, batch-append
   (exactly what :meth:`ScrapeManager.scrape_once` does per target);
 * ``ingest_federated`` — the remote-write path at the receiver: decode
-  batched zlib/base64 frames (CRC-checked WAL records) and batch-append;
+  one sender's batched zlib/base64 frames (CRC-checked; each series
+  defined once, then named by ref) through one receiver and
+  batch-append;
 * ``client_encode``    — the leaf-side frame encode cost (frames cut
   from a ready list of entries, no collect), reported for context (the
   leaf pays it, not the global tier);
@@ -56,6 +58,7 @@ from repro.pmag.model import Labels, METRIC_NAME_LABEL
 from repro.pmag.remote_write import (
     RemoteWriteClient,
     RemoteWriteReceiver,
+    SeriesRefs,
     build_ship_filter,
     encode_frame,
 )
@@ -147,15 +150,19 @@ def _frames(entries, frame_samples: int = FRAME_SAMPLES,
             sender: str = "leaf-0"):
     """Client-side framing: sequence-numbered, zlib/base64-packed.
 
-    One block-header memo per call, the way one client incarnation
-    carries one across the frames it ships.
+    One ref state per call, the way one client incarnation numbers the
+    series it ships.  Each frame counts as acked before the next is
+    encoded, as on a healthy uplink, so a series is defined by the first
+    frame that carries it and named by ref alone after that; decode the
+    frames in order through one receiver.
     """
     frames = []
-    headers = {}
+    refs = SeriesRefs()
     for start in range(0, len(entries), frame_samples):
         chunk = entries[start:start + frame_samples]
         frames.append(
-            encode_frame(sender, 0, len(frames) + 1, chunk, headers))
+            encode_frame(sender, 0, len(frames) + 1, chunk, refs))
+        refs.confirm()
     return frames
 
 

@@ -10,10 +10,11 @@ This module is that uplink, hardened the same way the scrape path is:
   tick it *collects* every sample the leaf TSDB accepted since its
   watermark — drained from an arrival feed the store pushes each
   commit into, so the cost follows new samples, not the store's size —
-  packs them into compressed, CRC-guarded frames (a table naming each
-  series once, fingerprinted with the same CRC32 the WAL partitions
-  route on, then a ref, a time and a value column for the frame's
-  samples), and *pumps* the frame queue to the receiver
+  packs them into compressed, CRC-guarded frames (a ref, a time and a
+  value column for the frame's samples, behind the definitions of
+  whatever refs the receiver has not yet confirmed: each series is named
+  once per sender epoch, fingerprinted with the same CRC32 the WAL
+  partitions route on), and *pumps* the frame queue to the receiver
   with jittered-exponential retry/backoff on the virtual clock.  The
   queue is bounded: while the uplink is down the leaf keeps serving
   local queries and spills frames to the queue; past ``queue_max_frames``
@@ -34,10 +35,12 @@ This module is that uplink, hardened the same way the scrape path is:
   fingerprint, timestamp) already landed — exactly-once at sample
   granularity, which is also what deduplicates an HA *pair* of leaves
   shipping the same scrape (see :mod:`repro.teemon.ha`) and absorbs the
-  overlap a recovered incarnation re-ships under its fresh epoch.  A
-  frame decodes into its series table and its three columns, which
-  land through the store's ``append_fingerprinted``: one
-  ``append_batch``.
+  overlap a recovered incarnation re-ships under its fresh epoch.  The
+  receiver keeps, per sender, the ref table of its current epoch; a
+  frame's refs resolve through it and land through the store's
+  ``append_fingerprinted``: one ``append_batch``.  A frame naming refs
+  the receiver does not know (it restarted) is refused with an ack
+  line, and the client re-sends it with every definition.
 * *Relays* — a monitor that is both receiver and client forwards
   everything it ingests upstream under its **own** sender identity,
   epoch and sequence numbering (re-stamping is automatic: the relay's
@@ -101,13 +104,13 @@ REMOTE_WRITE_PATH = "/api/v1/write"
 
 #: Wire-format version tag, first token of every frame; a frame tagged
 #: with any other version is rejected.
-FRAME_MAGIC = "teemon-rw/5"
+FRAME_MAGIC = "teemon-rw/6"
 
 _U32 = struct.Struct("<I")
-#: ``u32 crc32 | u32 S``: a frame payload's first eight bytes.
-_HEAD = struct.Struct("<II")
-#: The header and the labels of an intern-table entry.
-_HEADER, _SERIES = itemgetter(0), itemgetter(2)
+#: ``u32 first | u32 D``: which refs a frame defines.
+_DEFINED = struct.Struct("<II")
+#: ``u32 crc32 | u32 first | u32 D``: a frame payload's first twelve bytes.
+_HEAD = struct.Struct("<III")
 
 
 #: WAL cursor keys persisting the client's durable uplink position.
@@ -168,55 +171,88 @@ def build_ship_filter(
     return ship
 
 
+class SeriesRefs:
+    """One sender incarnation's refs, as one receiver knows them.
+
+    The sender numbers each series ``0, 1, 2, …`` the first time a frame
+    it encodes carries it and keeps the number for the epoch:
+    ``ids[labels]`` is the ref, ``series[ref]`` the labels.  Refs below
+    ``confirmed`` are known to the receiver: an ack of a frame that
+    defined them.  Every frame defines the rest, so the receiver's view
+    is always a prefix of ``series``.  The client confirms on an ack
+    (nothing encodes between an attempt and its ack: one frame is in
+    flight) and clears ``confirmed`` when a receiver refuses a frame
+    for refs it does not know.
+    """
+
+    __slots__ = ("ids", "series", "confirmed")
+
+    def __init__(self) -> None:
+        self.ids: Dict[Labels, int] = {}
+        self.series: List[Labels] = []
+        self.confirmed = 0
+
+    def confirm(self) -> None:
+        """The receiver acked a frame that defined every ref so far."""
+        self.confirmed = len(self.series)
+
+
 def encode_frame(
     sender: str, epoch: int, seq: int,
     entries: List[Tuple[Labels, int, float]],
-    headers: Optional[Dict[Labels, bytes]] = None,
+    refs: Optional[SeriesRefs] = None,
 ) -> str:
     """One batched, compressed frame as an HTTP body.
 
-    Header line ``teemon-rw/5 <sender> <epoch> <seq> <count>``, then the
+    Header line ``teemon-rw/6 <sender> <epoch> <seq> <count>``, then the
     base64 of the zlib-compressed (level 6) payload::
 
         u32 crc32(rest) | rest
-        rest = u32 S | S * (u32 fingerprint | label block)
+        rest = u32 first | u32 D | D * (u32 fingerprint | label block)
                | SAMPLE_RUN column run (u32 n | refs u32 * n
                | times i64 * n | values f64 * n)
 
-    in the encodings of :mod:`repro.pmag.codec`, the WAL's too.  The
-    *series table* names each series of the frame once, in order of
-    first appearance, stamped with the CRC32 fingerprint
-    :func:`series_fingerprint` computes, which the receiver checks
-    against the labels; sample ``i`` is ``(table[refs[i]], times[i],
-    values[i])``, in the order of ``entries``.  One CRC32 covers the
-    frame, the on-the-wire integrity story of the on-disk log.
-    ``epoch`` identifies the sender *incarnation* (a recovered monitor
-    gets a fresh, strictly larger one), ``seq`` orders frames within it.
-    ``headers`` is an optional cross-frame memo of each series' table
-    entry: a client serialises a label set once, and one that fails a
-    check is never memoised.
+    in the encodings of :mod:`repro.pmag.codec`, the WAL's too.  Refs
+    are the sender's own numbers for this ``epoch`` (``refs``, see
+    :class:`SeriesRefs`); the *definitions* name refs ``first`` to
+    ``first + D - 1``: every ref the receiver has not confirmed, each
+    stamped with the CRC32 fingerprint :func:`series_fingerprint`
+    computes, which the receiver checks against the labels.  Sample
+    ``i`` is ``(series[refs[i]], times[i], values[i])``, in the order of
+    ``entries``.  One CRC32 covers the frame, the on-the-wire integrity
+    story of the on-disk log.  ``epoch`` identifies the sender
+    *incarnation* (a recovered monitor gets a fresh, strictly larger
+    one), ``seq`` orders frames within it.  Without ``refs`` the frame
+    stands alone: it numbers its series in order of first appearance
+    and defines them all.  A series that fails a check raises before it
+    is numbered, so it raises every time.
     """
     if not is_wire_safe(sender):
         raise WalError(f"sender not wire-safe: {sender!r}")
-    if headers is None:
-        headers = {}
+    if refs is None:
+        refs = SeriesRefs()
     labels, times, values = tuple(zip(*entries)) or ((), (), ())
-    heads = list(map(headers.get, labels))
-    if None in heads:
-        for series in set(labels):
-            if series not in headers:
-                headers[series] = _U32.pack(
-                    series_fingerprint(series)) + pack_labels(series)
-        heads = list(map(headers.__getitem__, labels))
-    # Keyed by header bytes, not by label set: a header names exactly
-    # one series, and hashing bytes never re-enters Python.  Refs go in
-    # order of first appearance.
-    table = dict.fromkeys(heads)
-    for ref, head in enumerate(table):
-        table[head] = ref
-    pieces = [_U32.pack(len(table)), *table, _U32.pack(len(entries)),
-              pack_column(array("I", map(table.__getitem__, heads))),
-              pack_column(array("q", times)), pack_column(array("d", values))]
+    ids, numbered = refs.ids, refs.series
+    try:
+        column = array("I", map(ids.__getitem__, labels))
+        fresh: List[Labels] = []
+    except KeyError:
+        column = None
+        fresh = [series for series in dict.fromkeys(labels)
+                 if series not in ids]
+    first = refs.confirmed
+    defined = numbered[first:] + fresh
+    pieces = [_DEFINED.pack(first, len(defined))]
+    for series in defined:
+        pieces.append(_U32.pack(series_fingerprint(series)))
+        pieces.append(pack_labels(series))
+    if column is None:
+        for series in fresh:
+            ids[series] = len(numbered)
+            numbered.append(series)
+        column = array("I", map(ids.__getitem__, labels))
+    pieces += [_U32.pack(len(entries)), pack_column(column),
+               pack_column(array("q", times)), pack_column(array("d", values))]
     rest = b"".join(pieces)
     payload = _U32.pack(zlib.crc32(rest)) + rest
     body = base64.b64encode(zlib.compress(payload, 6)).decode("ascii")
@@ -224,26 +260,21 @@ def encode_frame(
 
 
 def decode_frame_blocks(
-    text: str, interned: Optional[Dict[bytes, tuple]] = None,
-) -> Tuple[str, int, int, Tuple[List[Labels], array, array, array]]:
+    text: str,
+) -> Tuple[str, int, int, Tuple[int, List[Labels], array, array, array]]:
     """Inverse of :func:`encode_frame`, keeping the frame's shape.
 
-    Returns ``(sender, epoch, seq, (table, refs, times, values))``:
-    ``table`` holds the series' labels in table order, and ``refs``/
-    ``times``/``values`` are the frame's sample columns
-    (``array('I')``/``array('q')``/``array('d')``), each read with one
-    ``frombytes`` — the unit ``append_fingerprinted`` lands.  Raises
-    :class:`WalError` on any framing, CRC, count, table or compression
-    damage: a series listed twice, a ref past the table, a sample count
-    other than the header's, a byte past the last column.
-
-    ``interned`` is a receiver's table of headers already parsed:
-    ``entry[:8] -> (header, fingerprint, labels)``.  A table entry is
-    self-delimiting, so one that *starts with* a known header parses to
-    the same labels and end offset as walking it would — a hit skips the
-    walk, never a check, and yields the one interned ``Labels`` object.
-    A miss parses in full and verifies the stamp; new headers are
-    committed only once the whole frame has decoded.
+    Returns ``(sender, epoch, seq, (first, defined, refs, times,
+    values))``: ``defined`` holds the labels of refs ``first``,
+    ``first + 1``, …, and ``refs``/``times``/``values`` are the frame's
+    sample columns (``array('I')``/``array('q')``/``array('d')``), each
+    read with one ``frombytes``.  The refs are not resolved here: that
+    needs the receiver's table for the sender and epoch
+    (:func:`resolve_refs`).  Raises :class:`WalError` on any framing,
+    CRC, count, definition or compression damage: a stamp that is not
+    its labels' fingerprint, a non-canonical label block, a series
+    defined twice, a sample count other than the header's, a byte past
+    the last column, any other version tag.
     """
     header, sep, body = text.partition("\n")
     pieces = header.split()
@@ -267,56 +298,67 @@ def decode_frame_blocks(
     if not inflate.eof or inflate.unused_data:
         raise WalError(
             "undecodable frame payload: not exactly one deflate stream")
-    if len(payload) < 8:
+    if len(payload) < 12:
         raise WalError("truncated remote-write payload")
-    crc, size = _HEAD.unpack_from(payload)
+    crc, first, size = _HEAD.unpack_from(payload)
     if zlib.crc32(memoryview(payload)[4:]) != crc:
         raise WalError("frame CRC mismatch in remote-write payload")
-    # An entry takes at least 8 bytes: a hostile S cannot spin the walk.
-    if size > (len(payload) - 8) // 8:
-        raise WalError(f"series table of {size} runs past the payload")
-    if interned is None:
-        interned = {}
-    fresh: Dict[bytes, tuple] = {}
-    # The walk runs once per series shipped: its callables are locals.
-    knowns: List[tuple] = []
-    add, lookup, starts = knowns.append, interned.get, payload.startswith
-    pos = 8
+    # A definition takes at least 8 bytes: a hostile D cannot spin the walk.
+    if size > (len(payload) - 12) // 8:
+        raise WalError(f"{size} definitions run past the payload")
+    defined: List[Labels] = []
+    pos = _HEAD.size
     for _ in range(size):
-        known = lookup(payload[pos:pos + 8])
-        if known is None or not starts(known[0], pos):
-            labels, end = unpack_labels(payload, pos + 4)
-            fingerprint = int.from_bytes(payload[pos:pos + 4], "little")
-            if series_fingerprint(labels) != fingerprint:
-                raise WalError(
-                    f"table fingerprint {fingerprint} is not {labels!r}'s")
-            known = (payload[pos:end], fingerprint, labels)
-            fresh[payload[pos:pos + 8]] = known
-        add(known)
-        pos += len(known[0])
-    # A label set has one header, so a repeated header is a repeated
-    # series: its samples could land under either ref.
-    if len(set(map(_HEADER, knowns))) != size:
-        raise WalError("a series listed twice in one frame's table")
-    table = list(map(_SERIES, knowns))
+        labels, end = unpack_labels(payload, pos + 4)
+        fingerprint = int.from_bytes(payload[pos:pos + 4], "little")
+        if series_fingerprint(labels) != fingerprint:
+            raise WalError(
+                f"definition fingerprint {fingerprint} is not {labels!r}'s")
+        defined.append(labels)
+        pos = end
+    # Two refs for one series: its samples could land under either.
+    if len(set(defined)) != size:
+        raise WalError("a series defined twice in one frame")
     refs, times, values = unpack_run(SAMPLE_RUN, payload, pos)
     if len(times) != count:
         raise WalError(
             f"frame count mismatch: header {count}, payload {len(times)}"
         )
-    if count and max(refs) >= size:
-        raise WalError(f"a ref past the frame's {size}-series table")
-    interned.update(fresh)
-    return sender, epoch, seq, (table, refs, times, values)
+    return sender, epoch, seq, (first, defined, refs, times, values)
+
+
+def resolve_refs(
+    known: List[Labels], first: int, defined: List[Labels], refs: array,
+) -> Optional[List[Labels]]:
+    """``known`` — a receiver's table for one sender and epoch — with a
+    frame's definitions of refs ``first``, … committed, or None when
+    the frame may name refs the table lacks: its definitions start past
+    ``known`` (the receiver lost its table; the sender re-sends every
+    definition).  Raises :class:`WalError`, leaving ``known`` as it
+    was, for a ref defined again with other labels or a ref past the
+    definitions."""
+    if first > len(known):
+        return None
+    overlap = known[first:first + len(defined)]
+    if overlap != defined[:len(overlap)]:
+        raise WalError("a ref defined again with other labels")
+    size = max(len(known), first + len(defined))
+    if refs and max(refs) >= size:
+        raise WalError(f"a ref past the {size} defined")
+    known.extend(defined[len(overlap):])
+    return known
 
 
 def decode_frame(
     text: str,
 ) -> Tuple[str, int, int, List[Tuple[Labels, int, float]]]:
-    """Inverse of :func:`encode_frame`, flattened to (labels, ts, value)
-    in shipped order."""
-    sender, epoch, seq, (table, refs, times, values) = decode_frame_blocks(
-        text)
+    """Inverse of :func:`encode_frame` for a frame that defines every
+    ref it names, flattened to (labels, ts, value) in shipped order."""
+    sender, epoch, seq, (first, defined, refs, times, values) = (
+        decode_frame_blocks(text))
+    table = resolve_refs([], first, defined, refs)
+    if table is None:
+        raise WalError(f"frame names refs from {first} it does not define")
     return sender, epoch, seq, list(zip(
         map(table.__getitem__, refs), times, values))
 
@@ -347,10 +389,14 @@ class RemoteWriteReceiver:
       ticks by priority so "first" is deterministically the
       lower-priority-number replica.
 
-    Ingest: the decoded frame — its series table and its three sample
-    columns — goes to the store's ``append_fingerprinted`` whole and
-    lands as one ``append_batch``.  The decoder has already checked
-    every table entry's fingerprint against its labels.
+    Ingest: the decoded frame's definitions join the sender's ref table
+    for its epoch (a newer epoch starts a new table), and the three
+    sample columns go with that table to the store's
+    ``append_fingerprinted`` whole and land as one ``append_batch``.
+    The decoder has already checked every definition's fingerprint
+    against its labels.  A frame whose definitions start past the table
+    is *refused* (``refuse <seq>``; the client re-sends it with every
+    definition); a replay is acknowledged before any ref is resolved.
 
     Relays: :meth:`attach_relay` couples this receiver to the
     co-resident :class:`RemoteWriteClient` of a relay deployment.  Every
@@ -361,10 +407,11 @@ class RemoteWriteReceiver:
     given its own ``identity`` rejects frames claiming that identity —
     a relay loop would otherwise replay its own output forever.
 
-    (Epoch, sequence) state is per *sender* and lives in monitor memory:
-    after a receiving-monitor crash the map is empty, so the receiver
-    accepts any epoch/sequence and relies on sample-granularity dedup
-    for the overlap a resuming client re-sends.
+    (Epoch, sequence) state and ref tables are per *sender* and live in
+    monitor memory: after a receiving-monitor crash both maps are empty,
+    so the receiver accepts any epoch/sequence, refuses each sender's
+    first frame once, and relies on sample-granularity dedup for the
+    overlap a resuming client re-sends.
     """
 
     def __init__(self, tsdb: Tsdb,
@@ -377,14 +424,16 @@ class RemoteWriteReceiver:
         #: ``teemon_federation_lag_seconds`` gauge).
         self._newest_applied: Dict[str, int] = {}
         self._relay_clients: List["RemoteWriteClient"] = []
-        #: Series-table entries already parsed (:func:`decode_frame_blocks`):
-        #: one entry per series shipped here, gone with this incarnation.
-        self._interned: Dict[bytes, tuple] = {}
+        #: sender -> ref -> labels, for the epoch of the sender's last
+        #: applied frame (:func:`resolve_refs`); gone with this
+        #: incarnation.
+        self._refs: Dict[str, List[Labels]] = {}
         self._endpoint = None
         self.frames_received = 0
         self.frames_applied = 0
         self.frames_replayed = 0
         self.frames_rejected = 0
+        self.frames_refused = 0
         self.samples_applied = 0
         self.samples_deduped = 0
         self.replay_dedup_hits = 0
@@ -426,15 +475,17 @@ class RemoteWriteReceiver:
     def handle(self, body: str) -> str:
         """Apply one frame; returns the ack line the client parses.
 
-        A malformed frame — or one claiming this receiver's own sender
-        identity, the federation-loop guard — raises (the transport
-        turns that into a 500; a loop frame failing forever is the
-        correct outcome, the topology is mis-wired).
+        ``ack <seq> …`` for an applied or replayed frame, ``refuse <seq>
+        known=<refs>`` for one naming refs this receiver has no table
+        for (the sender re-sends it with every definition).  A damaged
+        frame — or one claiming this receiver's own sender identity,
+        the federation-loop guard — raises (the transport turns that
+        into a 500; a loop frame failing forever is the correct
+        outcome, the topology is mis-wired).
         """
         self.frames_received += 1
         try:
-            sender, epoch, seq, frame = decode_frame_blocks(
-                body, self._interned)
+            sender, epoch, seq, frame = decode_frame_blocks(body)
         except WalError:
             self.frames_rejected += 1
             raise
@@ -444,14 +495,27 @@ class RemoteWriteReceiver:
                 f"federation loop: frame sender {sender!r} is this "
                 f"receiver's own identity"
             )
-        stamps = frame[2]
+        first, defined, refs, stamps, values = frame
         total = len(stamps)
         last_epoch, last_seq = self._last_applied.get(sender, (-1, 0))
         if epoch < last_epoch or (epoch == last_epoch and seq <= last_seq):
             self.frames_replayed += 1
             self.replay_dedup_hits += total
             return f"ack {seq} replayed={total}"
-        rejected = self._tsdb.append_fingerprinted(frame) if total else 0
+        # A newer epoch is a new incarnation: its refs start afresh.
+        known = self._refs[sender] if epoch == last_epoch else []
+        try:
+            table = resolve_refs(known, first, defined, refs)
+        except WalError:
+            self.frames_rejected += 1
+            raise
+        if table is None:
+            self.frames_refused += 1
+            return f"refuse {seq} known={len(known)}"
+        self._refs[sender] = table
+        rejected = (self._tsdb.append_fingerprinted((table, refs, stamps,
+                                                     values))
+                    if total else 0)
         applied = total - rejected
         self.samples_applied += applied
         self.samples_deduped += rejected
@@ -488,6 +552,7 @@ class RemoteWriteReceiver:
             "frames_applied": self.frames_applied,
             "frames_replayed": self.frames_replayed,
             "frames_rejected": self.frames_rejected,
+            "frames_refused": self.frames_refused,
             "samples_applied": self.samples_applied,
             "samples_deduped": self.samples_deduped,
             "replay_dedup_hits": self.replay_dedup_hits,
@@ -628,8 +693,9 @@ class RemoteWriteClient:
         #: Sequence of the last frame built / last frame acked.
         self._seq = 0
         self.acked_seq = 0
-        #: Cross-frame series-table memo for the frame encoder.
-        self._headers: Dict[Labels, bytes] = {}
+        #: This incarnation's refs and how far the receiver confirmed
+        #: them (:class:`SeriesRefs`).
+        self._refs = SeriesRefs()
         #: What the engine accepted since the last collect; None until
         #: the next collect catches up from the store (:meth:`_window`).
         self._feed: Optional[ArrivalFeed] = None
@@ -637,6 +703,7 @@ class RemoteWriteClient:
         self.frames_sent = 0
         self.frames_acked = 0
         self.frames_dropped = 0
+        self.frames_refused = 0
         self.retries_total = 0
         self.send_failures = 0
         self.samples_shipped = 0
@@ -663,7 +730,9 @@ class RemoteWriteClient:
         (never as a replay of the dead incarnation's deliveries) and
         sample-level dedup absorbs any actual overlap.
         """
-        self.epoch = self._clock.now_ns
+        if self._clock.now_ns != self.epoch:
+            self.epoch = self._clock.now_ns
+            self._refs = SeriesRefs()
         if watermark_ns is not None:
             self._collected_ns = self.watermark_ns = watermark_ns
         if acked_seq is not None:
@@ -834,21 +903,29 @@ class RemoteWriteClient:
             self._acknowledge(frame)
 
     def _attempt(self, frame: _Frame) -> bool:
-        """One delivery try; schedules a retry (or gives up) on failure."""
+        """One delivery try; schedules a retry (or gives up) on failure.
+
+        A receiver that refuses the frame for refs it does not know (it
+        restarted, or it is another replica) gets it again at once with
+        every definition — a frame that cannot be refused.
+        """
         frame.attempts += 1
         self.frames_sent += 1
+        refs = self._refs
         body = encode_frame(self.source, self.epoch, frame.seq, frame.entries,
-                            self._headers)
+                            refs)
         response = self._network.post_url(self.url, body)
         latency_s = getattr(response, "latency_s", 0.0)
-        ok = (
-            response.ok
-            and latency_s <= self.timeout_budget_s
-            and response.body.startswith(f"ack {frame.seq}")
-        )
-        if ok:
-            self.bytes_shipped += len(body)
-            return True
+        if response.ok and latency_s <= self.timeout_budget_s:
+            if response.body.startswith(f"ack {frame.seq}"):
+                refs.confirm()
+                self.bytes_shipped += len(body)
+                return True
+            if refs.confirmed and response.body.startswith(
+                    f"refuse {frame.seq}"):
+                self.frames_refused += 1
+                refs.confirmed = 0
+                return self._attempt(frame)
         if frame.attempts <= self.max_retries:
             delay_s = self.backoff_base_s * (2 ** (frame.attempts - 1))
             if self.backoff_jitter:
@@ -916,6 +993,7 @@ class RemoteWriteClient:
             "frames_sent": self.frames_sent,
             "frames_acked": self.frames_acked,
             "frames_dropped": self.frames_dropped,
+            "frames_refused": self.frames_refused,
             "retries_total": self.retries_total,
             "send_failures": self.send_failures,
             "samples_shipped": self.samples_shipped,

@@ -244,10 +244,11 @@ class Tsdb:
         frame: Tuple[Sequence[Labels], Sequence[int], Sequence[int],
                      Sequence[float]],
     ) -> int:
-        """Ingest one decoded remote-write frame, ``(table, refs, times,
-        values)`` (:func:`~repro.pmag.remote_write.decode_frame_blocks`),
-        as one :meth:`append_batch` in frame order; returns the number
-        of rejected samples.  The decoder has checked each table entry's
+        """Ingest one resolved remote-write frame, ``(table, refs, times,
+        values)`` — the sender's ref table and the frame's columns
+        (:func:`~repro.pmag.remote_write.resolve_refs`) — as one
+        :meth:`append_batch` in frame order; returns the number of
+        rejected samples.  The receiver has checked each definition's
         fingerprint against its labels and each ref against the table."""
         table, refs, times, values = frame
         return len(self.append_batch(list(zip(

@@ -3,8 +3,9 @@ labels inline) that production neither writes nor replays any more,
 kept verbatim as ``bench_wal``'s control and as the maker of segments
 recovery must quarantine; a from-scratch model of the version-3 log
 (series records + column runs): writer, reader and loss count, plus the
-interleaved version-2 run recovery must quarantine too; the uncached
-remote-write rw/5 frame encoder and a decoder to match, plus the
+interleaved version-2 run recovery must quarantine too; the
+remote-write rw/6 sender (its ref numbering kept in a plain dict) and a
+decoder to match, plus the
 byte-level helpers the damage tests use to put a tampered frame
 together;
 the list-based chunk and archive-body encoders the typed-column ones
@@ -425,42 +426,48 @@ def reference_replay_v3(data):
 
 
 # ----------------------------------------------------------------------
-# Remote-write rw/5 frames
+# Remote-write rw/6 frames
 # ----------------------------------------------------------------------
-def reference_table_entry(fingerprint, pairs, label_count=None):
-    """One rw/5 series-table entry from explicit parts: ``u32
-    fingerprint`` and the label block.
+class Refused(Exception):
+    """The reference decoder's refusal: a frame whose definitions start
+    past the refs the receiving table holds."""
+
+
+def reference_definition(fingerprint, pairs, label_count=None):
+    """One rw/6 definition from explicit parts: ``u32 fingerprint`` and
+    the label block.
 
     ``pairs`` are written in the order given and ``fingerprint`` /
     ``label_count`` as given, so damage tests can build non-canonical or
-    mis-stamped entries a real encoder never would.
+    mis-stamped definitions a real encoder never would.
     """
     count = len(pairs) if label_count is None else label_count
     return struct.pack("<II", fingerprint, count) + reference_label_bytes(pairs)
 
 
-def reference_frame_rest(entries, samples, series_count=None,
+def reference_frame_rest(definitions, samples, first=0, defined_count=None,
                          sample_count=None):
-    """What an rw/5 payload's CRC covers: ``u32 S``, the table
-    ``entries`` (bytes), ``u32 n`` and the ref, time and value columns
-    of ``samples`` (``(ref, time_ns, value)``); ``series_count`` and
-    ``sample_count`` override ``S`` and ``n``."""
-    table_size = len(entries) if series_count is None else series_count
+    """What an rw/6 payload's CRC covers: ``u32 first``, ``u32 D``, the
+    ``definitions`` (bytes) of refs ``first``…, ``u32 n`` and the ref,
+    time and value columns of ``samples`` (``(ref, time_ns, value)``);
+    ``defined_count`` and ``sample_count`` override ``D`` and ``n``."""
+    size = len(definitions) if defined_count is None else defined_count
     stated = len(samples) if sample_count is None else sample_count
-    return (struct.pack("<I", table_size) + b"".join(entries)
+    return (struct.pack("<II", first, size) + b"".join(definitions)
             + struct.pack("<I", stated) + reference_columns(samples, "Iqd"))
 
 
 def frame_from_rest(sender, epoch, seq, count, rest):
-    """An rw/5 frame whose payload is ``rest`` behind its valid CRC."""
+    """An rw/6 frame whose payload is ``rest`` behind its valid CRC."""
     return frame_from_payload(
         sender, epoch, seq, count, struct.pack("<I", zlib.crc32(rest)) + rest)
 
 
-def frame_from_payload(sender, epoch, seq, count, payload):
-    """An rw/5 frame around an arbitrary (possibly damaged) payload."""
+def frame_from_payload(sender, epoch, seq, count, payload,
+                       magic=FRAME_MAGIC):
+    """A frame around an arbitrary (possibly damaged) payload."""
     body = base64.b64encode(zlib.compress(payload, 6)).decode("ascii")
-    return f"{FRAME_MAGIC} {sender} {epoch} {seq} {count}\n{body}"
+    return f"{magic} {sender} {epoch} {seq} {count}\n{body}"
 
 
 def frame_payload(text):
@@ -468,64 +475,110 @@ def frame_payload(text):
     return zlib.decompress(base64.b64decode(text.split("\n", 1)[1]))
 
 
+class ReferenceSender:
+    """The sending side of rw/6 for one epoch and one receiver, from
+    scratch: a ref per series in order of first sight, and the count of
+    refs the receiver confirmed.  Every frame defines each unconfirmed
+    ref; an ack confirms them all, a refusal none."""
+
+    def __init__(self):
+        self.refs = {}
+        self.confirmed = 0
+
+    def parts(self, entries):
+        """``(first, definitions, samples)`` of the next frame for
+        ``entries``, each sample as ``(ref, time_ns, value)``."""
+        numbered = dict(self.refs)
+        for labels, _time_ns, _value in entries:
+            numbered.setdefault(labels, len(numbered))
+        order = sorted(numbered, key=numbered.__getitem__)
+        definitions = [
+            reference_definition(series_fingerprint(labels), labels.items())
+            for labels in order[self.confirmed:]]
+        self.refs = numbered  # only once every definition packed
+        return self.confirmed, definitions, [
+            (numbered[labels], time_ns, value)
+            for labels, time_ns, value in entries]
+
+    def encode(self, sender, epoch, seq, entries):
+        if not sender or any(c in sender for c in " \n"):
+            raise WalError(f"sender not wire-safe: {sender!r}")
+        first, definitions, samples = self.parts(entries)
+        return frame_from_rest(sender, epoch, seq, len(entries),
+                               reference_frame_rest(definitions, samples,
+                                                    first))
+
+    def ack(self):
+        self.confirmed = len(self.refs)
+
+    def refused(self):
+        self.confirmed = 0
+
+
 def reference_encode_frame(sender, epoch, seq, entries):
-    """The rw/5 frame for ``entries``: one table entry per series in
-    first-appearance order, samples in the order given, nothing carried
-    over from any other frame."""
-    if not sender or any(c in sender for c in " \n"):
-        raise WalError(f"sender not wire-safe: {sender!r}")
-    return frame_from_rest(sender, epoch, seq, len(entries),
-                           reference_frame_rest(*reference_frame_parts(entries)))
+    """The rw/6 frame for ``entries`` that stands alone: refs in order
+    of first appearance, every one defined, samples in the order
+    given."""
+    return ReferenceSender().encode(sender, epoch, seq, entries)
 
 
 def reference_frame_parts(entries):
-    """``(table entries, samples)`` of the rw/5 frame for ``entries``:
-    the series in first-appearance order, each sample as ``(ref,
-    time_ns, value)``."""
-    refs = {}
-    for labels, _time_ns, _value in entries:
-        refs.setdefault(labels, len(refs))
-    table = [reference_table_entry(series_fingerprint(labels), labels.items())
-             for labels in refs]
-    return table, [(refs[labels], time_ns, value)
-                   for labels, time_ns, value in entries]
+    """``(definitions, samples)`` of the stand-alone frame for
+    ``entries``."""
+    _first, definitions, samples = ReferenceSender().parts(entries)
+    return definitions, samples
 
 
-def reference_decode_frame(text):
-    """Read an rw/5 frame one ``struct`` call at a time: ``(sender,
-    epoch, seq, [(labels, time_ns, value)])`` in shipped order, or
-    :class:`WalError` for anything the format does not allow."""
+def reference_decode_frame(text, known=None):
+    """Read an rw/6 frame one ``struct`` call at a time against
+    ``known``, the receiving table (ref -> labels; empty if None):
+    ``(sender, epoch, seq, [(labels, time_ns, value)])`` in shipped
+    order, with the frame's definitions appended to ``known``.  Raises
+    :class:`Refused` when the definitions start past ``known``, and
+    :class:`WalError`, leaving ``known`` as it was, for anything the
+    format does not allow."""
+    known = [] if known is None else known
     header, _sep, body = text.partition("\n")
     pieces = header.split()
     if len(pieces) != 5 or pieces[0] != FRAME_MAGIC or "\n" not in text:
-        raise WalError(f"not an rw/5 frame header: {header!r}")
+        raise WalError(f"not an rw/6 frame header: {header!r}")
     try:
         epoch, seq, count = int(pieces[2]), int(pieces[3]), int(pieces[4])
         inflate = zlib.decompressobj()
         payload = inflate.decompress(base64.b64decode(body, validate=True))
         if not inflate.eof or inflate.unused_data:
             raise WalError("not exactly one deflate stream")
-        crc, table_size = struct.unpack_from("<II", payload, 0)
+        crc, first, size = struct.unpack_from("<III", payload, 0)
     except (ValueError, zlib.error, struct.error) as exc:
         raise WalError(f"undecodable frame: {exc}") from exc
     if zlib.crc32(payload[4:]) != crc:
         raise WalError("frame CRC mismatch")
-    table, pos = [], 8
+    defined, pos = [], 12
     try:
-        for _ in range(table_size):
+        for _ in range(size):
             fingerprint, label_count = struct.unpack_from("<II", payload, pos)
             labels, pos = reference_labels(payload, pos + 8, label_count)
             if series_fingerprint(labels) != fingerprint:
                 raise WalError("stamp is not the labels' fingerprint")
-            if labels in table:
-                raise WalError("a series listed twice")
-            table.append(labels)
+            if labels in defined:
+                raise WalError("a series defined twice")
+            defined.append(labels)
         (stated,) = struct.unpack_from("<I", payload, pos)
     except struct.error as exc:
         raise WalError(f"truncated frame: {exc}") from exc
     pos += 4
     if stated != count or len(payload) != pos + 20 * stated:
         raise WalError("sample count disagrees with the header or payload")
+    if first > len(known):
+        raise Refused(f"definitions start at {first}, {len(known)} known")
+    table = list(known)
+    for offset, labels in enumerate(defined):
+        ref = first + offset
+        if ref < len(table):
+            if table[ref] != labels:
+                raise WalError("a ref defined again with other labels")
+        else:
+            table.append(labels)
     samples = []
     for index in range(stated):
         (ref,) = struct.unpack_from("<I", payload, pos + 4 * index)
@@ -534,8 +587,9 @@ def reference_decode_frame(text):
         (value,) = struct.unpack_from("<d", payload, pos + 12 * stated
                                       + 8 * index)
         if ref >= len(table):
-            raise WalError("a ref past the table")
+            raise WalError("a ref past the definitions")
         samples.append((table[ref], time_ns, value))
+    known[:] = table
     return pieces[1], epoch, seq, samples
 
 

@@ -16,10 +16,12 @@ from repro.pmag.model import Labels
 from repro.pmag.remote_write import (
     RemoteWriteClient,
     RemoteWriteReceiver,
+    SeriesRefs,
     build_ship_filter,
     decode_frame,
     decode_frame_blocks,
     encode_frame,
+    resolve_refs,
     sequence_cursor_key,
     watermark_cursor_key,
 )
@@ -35,14 +37,15 @@ from repro.teemon import (
     deploy,
 )
 from tests.codec_oracle import (
+    ReferenceSender,
     frame_from_payload,
     frame_from_rest,
     frame_payload,
     reference_decode_frame,
+    reference_definition,
     reference_encode_frame,
     reference_frame_parts,
     reference_frame_rest,
-    reference_table_entry,
     wire_entries,
 )
 from tests.test_storage_engine import partitioned
@@ -67,9 +70,10 @@ def test_frame_roundtrip():
 
 
 def test_frame_table_names_each_series_once_in_first_appearance_order():
-    # A frame's table names each series once, stamped with the same
-    # CRC32 fingerprint the WAL partitions route on; its ref, time and
-    # value columns keep the shipped order.
+    # A frame that stands alone numbers its series in order of first
+    # appearance and defines each once, stamped with the same CRC32
+    # fingerprint the WAL partitions route on; its ref, time and value
+    # columns keep the shipped order.
     entries = (
         _entries(3, job="sgx", instance="n0")
         + _entries(2, start_ns=10, metric="other_total", job="sgx",
@@ -77,17 +81,17 @@ def test_frame_table_names_each_series_once_in_first_appearance_order():
         + _entries(2, start_ns=20, job="sgx", instance="n0")
     )
     body = encode_frame("leaf-0", 1, 1, entries)
-    sender, epoch, seq, (table, refs, times, values) = decode_frame_blocks(
-        body)
-    assert (sender, epoch, seq) == ("leaf-0", 1, 1)
-    assert table == [entries[0][0], entries[3][0]]
+    sender, epoch, seq, (first, defined, refs, times, values) = (
+        decode_frame_blocks(body))
+    assert (sender, epoch, seq, first) == ("leaf-0", 1, 1, 0)
+    assert defined == [entries[0][0], entries[3][0]]
     assert (refs.typecode, times.typecode, values.typecode) == (
         "I", "q", "d")
     assert list(refs) == [0, 0, 0, 1, 1, 0, 0]
-    assert list(zip(map(table.__getitem__, refs), times, values)) == entries
+    assert list(zip(map(defined.__getitem__, refs), times, values)) == entries
     payload = frame_payload(body)
-    assert struct.unpack_from("<II", payload, 4) == (
-        2, series_fingerprint(entries[0][0]))
+    assert struct.unpack_from("<III", payload, 4) == (
+        0, 2, series_fingerprint(entries[0][0]))
     assert decode_frame(body)[3] == entries
 
 
@@ -107,7 +111,13 @@ def test_frame_rejects_damage():
         encode_frame("has space", 0, 1, _entries(1))
     # Any other version tag is refused, the last one included.
     with pytest.raises(WalError, match="malformed"):
-        decode_frame(body.replace("teemon-rw/5", "teemon-rw/4", 1))
+        decode_frame(body.replace("teemon-rw/6", "teemon-rw/5", 1))
+    # A frame naming refs it does not define cannot be read alone.
+    refs = SeriesRefs()
+    encode_frame("leaf-0", 0, 1, _entries(2), refs)
+    refs.confirm()
+    with pytest.raises(WalError, match="does not define"):
+        decode_frame(encode_frame("leaf-0", 0, 2, _entries(2), refs))
 
 
 def test_frame_body_must_be_exactly_one_base64_deflate_stream():
@@ -132,62 +142,127 @@ def test_frame_body_must_be_exactly_one_base64_deflate_stream():
 
 
 # ---------------------------------------------------------------------------
-# Series interning: one encode per series per client, one parse per
-# series per receiver — and never a different byte or a skipped check
+# Refs: a series is defined once per sender epoch and receiver, and a
+# frame never differs by a byte from the from-scratch reference sender
 # ---------------------------------------------------------------------------
 frame_entries = st.lists(wire_entries, min_size=1, max_size=12)
 SERIES_A = Labels({"__name__": "m_total", "instance": "n0", "job": "sgx"})
 SERIES_B = Labels({"__name__": "m_total", "instance": "n1", "job": "sgx"})
+#: What became of a frame: acked, lost in transit, or refused.
+deliveries = st.sampled_from(["ack", "lost", "refused"])
 
 
-@given(st.lists(frame_entries, min_size=1, max_size=6))
+@given(st.lists(st.tuples(frame_entries, deliveries), min_size=1,
+                max_size=6))
 def test_frames_sharing_one_memo_are_byte_identical_to_reference(frames):
-    headers = {}
-    for seq, entries in enumerate(frames, 1):
-        body = encode_frame("leaf-0", 3, seq, entries, headers)
-        assert body == reference_encode_frame("leaf-0", 3, seq, entries)
-        assert decode_frame(body) == reference_decode_frame(body) == (
-            "leaf-0", 3, seq, entries)
-    # One memo entry per distinct series, however many frames carried it.
-    assert set(headers) == {e[0] for entries in frames for e in entries}
+    # One SeriesRefs across the frames of an epoch, against the
+    # reference sender through acks, losses and refusals.
+    refs, reference = SeriesRefs(), ReferenceSender()
+    known = []
+    for seq, (entries, delivery) in enumerate(frames, 1):
+        body = encode_frame("leaf-0", 3, seq, entries, refs)
+        assert body == reference.encode("leaf-0", 3, seq, entries)
+        if delivery == "refused":
+            refs.confirmed = 0
+            reference.refused()
+        elif delivery == "ack":
+            assert reference_decode_frame(body, known) == (
+                "leaf-0", 3, seq, entries)
+            refs.confirm()
+            reference.ack()
+    # One ref per distinct series, in order of first sight.
+    assert refs.series == list(dict.fromkeys(
+        e[0] for entries, _d in frames for e in entries))
+    assert refs.ids == reference.refs
 
 
 def test_unencodable_series_raises_every_time_and_is_never_memoised():
-    headers = {}
+    refs = SeriesRefs()
     good = _entries(2, job="sgx")
     oversized = Labels({"__name__": "m", "k": "v" * 70_000})
     for _ in range(2):
         with pytest.raises(WalError, match="too long"):
-            encode_frame("leaf-0", 0, 1, good + [(oversized, 1, 1.0)],
-                         headers)
-    assert oversized not in headers
+            encode_frame("leaf-0", 0, 1, good + [(oversized, 1, 1.0)], refs)
+    assert oversized not in refs.ids and refs.series == []
     # A series' samples are cells of the frame's columns, not a block
-    # of their own: however many there are, the table names it once.
+    # of their own: however many there are, the frame defines it once.
     crowded = [(good[0][0], t, 0.0) for t in range(70_000)]
-    assert decode_frame(encode_frame("leaf-0", 0, 1, crowded, headers))[3] \
+    assert decode_frame(encode_frame("leaf-0", 0, 1, crowded, refs))[3] \
         == crowded
-    assert encode_frame("leaf-0", 0, 1, good, headers) == \
+    assert encode_frame("leaf-0", 0, 1, good, refs) == \
         reference_encode_frame("leaf-0", 0, 1, good)
 
 
 @given(st.lists(frame_entries, min_size=1, max_size=6))
 def test_warm_intern_table_decodes_exactly_like_a_cold_one(frames):
-    bodies = [
-        reference_encode_frame("leaf-0", 0, seq, entries)
-        for seq, entries in enumerate(frames, 1)
-    ]
-    table = {}
-    for _pass in range(2):  # second pass: every header already interned
-        for body in bodies:
-            assert decode_frame_blocks(body, table) == \
-                decode_frame_blocks(body)
-    series = {e[0] for entries in frames for e in entries}
-    assert len(table) == len(series)
-    # A known series always comes back as the one interned object.
-    interned = {entry[2]: entry[2] for entry in table.values()}
-    for body in bodies:
-        for labels in decode_frame_blocks(body, table)[3][0]:
-            assert labels is interned[labels]
+    # A receiver's ref table is its intern table: frames that name known
+    # refs resolve to exactly what frames defining every series decode
+    # to cold, and a known ref is always the one labels object.
+    receiver = RemoteWriteReceiver(Tsdb())
+    refs = SeriesRefs()
+    held = []
+    for seq, entries in enumerate(frames, 1):
+        body = encode_frame("leaf-0", 0, seq, entries, refs)
+        _s, _e, _q, (first, defined, columns, times, values) = (
+            decode_frame_blocks(body))
+        assert first == len(held)
+        table = resolve_refs(list(held), first, defined, columns)
+        assert list(zip(map(table.__getitem__, columns), times, values)) \
+            == decode_frame(encode_frame("leaf-0", 0, seq, entries))[3] \
+            == entries
+        assert receiver.handle(body).startswith(f"ack {seq}")
+        refs.confirm()
+        now = receiver._refs["leaf-0"]  # noqa: SLF001
+        assert now == refs.series
+        assert all(a is b for a, b in zip(now, held))
+        held = list(now)
+
+
+def test_the_next_frame_of_a_confirmed_epoch_defines_nothing():
+    # Steady state: once an ack confirmed every series, a frame is
+    # refs, times and values only.  A receiver built fresh mid-stream
+    # refuses it once; the re-send defines every ref and lands.
+    clock, network, leaf, global_tsdb, receiver, client = _rig()
+    bodies = []
+    post = network.post_url
+
+    def recording(url, body):
+        bodies.append(body)
+        return post(url, body)
+
+    network.post_url = recording
+    for _round in range(2):
+        clock.advance(seconds(1))
+        for instance in ("n0", "n1", "n2"):
+            leaf.append_sample("m_total", clock.now_ns, 1.0, job="sgx",
+                               instance=instance)
+        client.flush()
+    definitions = [struct.unpack_from("<II", frame_payload(b), 4)
+                   for b in bodies]
+    assert definitions == [(0, 3), (3, 0)]
+    assert client.frames_acked == 2 and client.frames_refused == 0
+
+    receiver.withdraw(network, "global-0")
+    fresh = RemoteWriteReceiver(global_tsdb)
+    fresh.expose(network, "global-0")
+    clock.advance(seconds(1))
+    leaf.append_sample("m_total", clock.now_ns, 2.0, job="sgx",
+                       instance="n3")
+    client.flush()
+    assert [struct.unpack_from("<II", frame_payload(b), 4)
+            for b in bodies[2:]] == [(3, 1), (0, 4)]
+    assert fresh.stats()["frames_refused"] == 1
+    assert client.stats()["frames_refused"] == 1
+    assert fresh.frames_applied == 1 and fresh.samples_applied == 1
+    assert client.frames_acked == 3 and client.queue_depth == 0
+    # Confirmed again: the next frame defines nothing.
+    clock.advance(seconds(1))
+    leaf.append_sample("m_total", clock.now_ns, 3.0, job="sgx",
+                       instance="n0")
+    client.flush()
+    assert struct.unpack_from("<II", frame_payload(bodies[-1]), 4) == (4, 0)
+    assert fresh.frames_refused == 1
+    assert global_tsdb.sample_count() == 8
 
 
 def _flip(data, index, bit):
@@ -195,24 +270,28 @@ def _flip(data, index, bit):
 
 
 def _damaged_variants(body):
-    """Every way to break a two-series frame whose headers are interned.
+    """Every way to break a steady-state frame (refs 0 and 1 known, no
+    definitions) and the re-send that defines both.
 
     Variants that rebuild the payload give it a *valid* CRC, so the
     damage has to be caught by the parse, not the checksum.
     """
     payload = frame_payload(body)
     rest = payload[4:]
-    (table, samples) = reference_frame_parts(
+    (definitions, samples) = reference_frame_parts(
         [(SERIES_A, 5, 1.0), (SERIES_B, 5, 1.0)])
-    first, second = table
+    first, second = definitions
     assert len(first) == len(second) and first != second
-    assert rest == reference_frame_rest(table, samples)
+    assert rest == reference_frame_rest([], samples, first=2)
     fp_a, count_a = struct.unpack_from("<II", first, 0)
     pairs = SERIES_A.items()
+    other = reference_definition(
+        series_fingerprint(SERIES_A.with_label("job", "x")),
+        SERIES_A.with_label("job", "x").items())
 
-    def reframed(entries, rows=samples, count=2, **stated):
+    def reframed(entries, rows=samples, count=2, start=0, **stated):
         return frame_from_rest("leaf-0", 0, 2, count, reference_frame_rest(
-            entries, rows, **stated))
+            entries, rows, start, **stated))
 
     for index in range(len(payload)):
         yield f"bit flip @{index}", frame_from_payload(
@@ -223,52 +302,70 @@ def _damaged_variants(body):
         yield f"cut under a fresh CRC @{cut}", frame_from_rest(
             "leaf-0", 0, 2, 2, rest[:cut])
     for cut in range(len(first)):
-        yield f"entry cut, samples kept @{cut}", reframed(
+        yield f"definition cut, samples kept @{cut}", reframed(
             [first[:cut], second])
     yield "trailing byte", frame_from_rest("leaf-0", 0, 2, 2, rest + b"\0")
-    yield "sample count tamper", reframed(table, sample_count=3)
+    yield "sample count tamper", reframed([], start=2, sample_count=3)
     yield "sample count tamper, header too", reframed(
-        table, count=3, sample_count=3)
-    yield "frame count tamper", reframed(table, count=3)
+        [], start=2, count=3, sample_count=3)
+    yield "frame count tamper", reframed([], start=2, count=3)
     yield "n past the payload", reframed(
-        table, count=2**32 - 1, sample_count=2**32 - 1)
-    yield "S past the table", reframed(table, series_count=3)
-    yield "S past the payload", reframed(table, series_count=2**32 - 1)
-    yield "S short of the table", reframed(table, series_count=1)
-    yield "series listed twice", reframed([first, second, first])
-    yield "series listed twice, both used", reframed(
+        [], start=2, count=2**32 - 1, sample_count=2**32 - 1)
+    yield "D past the definitions", reframed(definitions, defined_count=3)
+    yield "D past the payload", reframed(
+        definitions, defined_count=2**32 - 1)
+    yield "D short of the definitions", reframed(
+        definitions, defined_count=1)
+    yield "series defined twice", reframed([first, second, first])
+    yield "series defined twice, both used", reframed(
         [first, first], [(0, 5, 1.0), (1, 5, 1.0)])
-    yield "ref past the table", reframed(table, [(0, 5, 1.0), (2, 5, 1.0)])
+    yield "ref past the known", reframed(
+        [], [(0, 5, 1.0), (2, 5, 1.0)], start=2)
+    yield "ref past the definitions", reframed(
+        definitions + [other], [(0, 5, 1.0), (3, 5, 1.0)])
     yield "ref at 2**32 - 1", reframed(
-        table, [(0, 5, 1.0), (2**32 - 1, 5, 1.0)])
-    yield "entries swapped, stale CRC", frame_from_payload(
-        "leaf-0", 0, 2, 2, payload[:8] + second + payload[8 + len(second):])
+        [], [(0, 5, 1.0), (2**32 - 1, 5, 1.0)], start=2)
+    yield "ref redefined with other labels", reframed([second, first])
+    yield "ref redefined past a good one", reframed([other], start=1)
+    yield "definitions swapped, stale CRC", frame_from_payload(
+        "leaf-0", 0, 2, 2, struct.pack("<III", zlib.crc32(
+            reference_frame_rest(definitions, samples)), 0, 2)
+        + second + first + reference_frame_rest([], samples)[8:])
     yield "labels swapped under the stamp", reframed(
         [first[:8] + second[8:], second])
     yield "wrong stamp", reframed(
-        [reference_table_entry(fp_a ^ 1, pairs), second])
+        [reference_definition(fp_a ^ 1, pairs), second])
     yield "unsorted keys", reframed(
-        [reference_table_entry(fp_a, pairs[::-1]), second])
+        [reference_definition(fp_a, pairs[::-1]), second])
     yield "duplicate key", reframed(
-        [reference_table_entry(fp_a, pairs + pairs[-1:]), second])
+        [reference_definition(fp_a, pairs + pairs[-1:]), second])
     yield "duplicate key, count kept", reframed(
-        [reference_table_entry(fp_a, pairs[:-1] + pairs[-2:-1],
-                               label_count=count_a), second])
-    yield "rw/4 tag", body.replace("teemon-rw/5", "teemon-rw/4", 1)
+        [reference_definition(fp_a, pairs[:-1] + pairs[-2:-1],
+                              label_count=count_a), second])
+    yield "rw/5 tag", body.replace("teemon-rw/6", "teemon-rw/5", 1)
+    rw5 = (struct.pack("<I", 2) + first + second
+           + reference_frame_rest([], samples)[8:])
+    rw5 = struct.pack("<I", zlib.crc32(rw5)) + rw5
+    yield "an rw/5 frame", frame_from_payload(
+        "leaf-0", 0, 2, 2, rw5, magic="teemon-rw/5")
+    yield "an rw/5 payload under the rw/6 tag", frame_from_payload(
+        "leaf-0", 0, 2, 2, rw5)
 
 
 @pytest.mark.parametrize("engine", [Tsdb, lambda: partitioned(4)],
                          ids=["monolith", "sharded"])
-def test_damaged_frames_with_interned_headers_are_rejected(engine):
+def test_damaged_frames_against_known_refs_are_rejected(engine):
     tsdb = engine()
     receiver = RemoteWriteReceiver(tsdb)
+    refs = SeriesRefs()
     receiver.handle(encode_frame(
-        "leaf-0", 0, 1, [(SERIES_A, 1, 0.0), (SERIES_B, 1, 0.0)]))
-    table = receiver._interned  # noqa: SLF001
-    before = dict(table)
-    assert len(before) == 2
+        "leaf-0", 0, 1, [(SERIES_A, 1, 0.0), (SERIES_B, 1, 0.0)], refs))
+    refs.confirm()
+    table = receiver._refs  # noqa: SLF001
+    before = {sender: list(known) for sender, known in table.items()}
+    assert before == {"leaf-0": [SERIES_A, SERIES_B]}
     body = encode_frame(
-        "leaf-0", 0, 2, [(SERIES_A, 5, 1.0), (SERIES_B, 5, 1.0)])
+        "leaf-0", 0, 2, [(SERIES_A, 5, 1.0), (SERIES_B, 5, 1.0)], refs)
     rejected = 0
     for what, damaged in _damaged_variants(body):
         with pytest.raises(WalError):
@@ -278,13 +375,20 @@ def test_damaged_frames_with_interned_headers_are_rejected(engine):
         assert receiver.frames_rejected == rejected, what
         assert tsdb.sample_count() == 2, what
         assert table == before, what
-        assert all(table[k][2] is before[k][2] for k in before), what
+        assert all(a is b for a, b in zip(table["leaf-0"], before["leaf-0"]))
     # The frame ledger still closes, on every engine layout...
     assert receiver.frames_received == (
         receiver.frames_applied + receiver.frames_replayed
         + receiver.frames_rejected)
-    # ...and the undamaged frame still lands afterwards.
+    assert receiver.frames_refused == 0
+    # ...the undamaged frame still lands afterwards, and so does a
+    # re-send that defines the known refs again with the same labels.
     assert receiver.handle(body) == "ack 2 applied=2 deduped=0"
+    refs.confirmed = 0
+    assert receiver.handle(encode_frame(
+        "leaf-0", 0, 3, [(SERIES_A, 6, 1.0), (SERIES_B, 6, 1.0)], refs,
+    )) == "ack 3 applied=2 deduped=0"
+    assert table["leaf-0"] == [SERIES_A, SERIES_B]
 
 
 def _stored(tsdb):
@@ -301,26 +405,33 @@ def _inflated(stream):
 
 
 HOSTILE = ("flip", "cut", "cut under a fresh CRC", "flip deflated",
-           "cut deflated", "series listed twice", "ref past the table",
-           "S past the payload", "n past the payload", "count disagrees",
-           "rw/4 tag")
+           "cut deflated", "series defined twice", "ref past the definitions",
+           "ref redefined with other labels", "D past the payload",
+           "n past the payload", "count disagrees", "rw/5 tag")
 
 
 @given(first=frame_entries, second=frame_entries,
        how=st.sampled_from(HOSTILE), data=st.data())
 def test_hostile_frames_are_rejected_whole(first, second, how, data):
-    # Damage before and after deflate, and tables forged under a valid
-    # CRC: each is refused with nothing of the frame applied or interned.
+    # Damage before and after deflate, and definitions forged under a
+    # valid CRC: each is refused with nothing of the frame applied or
+    # defined.
     tsdb = Tsdb()
     receiver = RemoteWriteReceiver(tsdb)
-    receiver.handle(encode_frame("leaf-0", 0, 1, first))
-    table = receiver._interned  # noqa: SLF001
-    before, stored, appends = dict(table), _stored(tsdb), tsdb.total_appends
-    body = encode_frame("leaf-0", 0, 2, second)
+    refs, sender = SeriesRefs(), ReferenceSender()
+    receiver.handle(encode_frame("leaf-0", 0, 1, first, refs))
+    sender.parts(first)
+    refs.confirm()
+    sender.ack()
+    table = receiver._refs  # noqa: SLF001
+    before = {name: list(known) for name, known in table.items()}
+    stored, appends = _stored(tsdb), tsdb.total_appends
+    body = encode_frame("leaf-0", 0, 2, second, refs)
     header, text = body.split("\n", 1)
     payload = frame_payload(body)
     stream = base64.b64decode(text)
-    entries, rows = reference_frame_parts(second)
+    start, definitions, rows = sender.parts(second)
+    assert reference_frame_rest(definitions, rows, start) == payload[4:]
     count, stated = len(second), {}
     position = st.integers(0, len(payload) - 1)
     if how == "flip":
@@ -341,18 +452,33 @@ def test_hostile_frames_are_rejected_whole(first, second, how, data):
             # The final byte's padding bits inflate to the same payload.
             assume(_inflated(stream) != payload)
         damaged = header + "\n" + base64.b64encode(stream).decode("ascii")
-    elif how == "rw/4 tag":
-        damaged = body.replace("teemon-rw/5", "teemon-rw/4", 1)
+    elif how == "rw/5 tag":
+        damaged = body.replace("teemon-rw/6", "teemon-rw/5", 1)
     else:
-        if how == "series listed twice":
-            entries = entries + [data.draw(st.sampled_from(entries))]
-        elif how == "ref past the table":
+        known = len(sender.refs)
+        if how == "series defined twice":
+            # Re-define every ref, one of them twice.
+            series = sorted(sender.refs, key=sender.refs.__getitem__)
+            definitions = [
+                reference_definition(series_fingerprint(labels),
+                                     labels.items())
+                for labels in series + [data.draw(st.sampled_from(series))]]
+            start = 0
+        elif how == "ref past the definitions":
             index = data.draw(st.integers(0, count - 1))
-            ref = data.draw(st.integers(len(entries), 2**32 - 1))
+            ref = data.draw(st.integers(known, 2**32 - 1))
             rows = rows[:index] + [(ref,) + rows[index][1:]] + rows[index + 1:]
-        elif how == "S past the payload":
-            stated["series_count"] = data.draw(
-                st.integers(len(entries) + 1, 2**32 - 1))
+        elif how == "ref redefined with other labels":
+            # A first-frame ref defined again as a series it is not.
+            ref = data.draw(st.integers(0, len(before["leaf-0"]) - 1))
+            held = before["leaf-0"][ref]
+            impostor = held.with_label("__impostor__", "1")
+            definitions = [reference_definition(
+                series_fingerprint(impostor), impostor.items())]
+            start = ref
+        elif how == "D past the payload":
+            stated["defined_count"] = data.draw(
+                st.integers(len(definitions) + 1, 2**32 - 1))
         elif how == "n past the payload":
             count = stated["sample_count"] = data.draw(
                 st.integers(count + 1, 2**32 - 1))
@@ -360,15 +486,15 @@ def test_hostile_frames_are_rejected_whole(first, second, how, data):
             count = data.draw(st.integers(0, 2**32).filter(
                 lambda n: n != len(second)))
         damaged = frame_from_rest("leaf-0", 0, 2, count, reference_frame_rest(
-            entries, rows, **stated))
+            definitions, rows, start, **stated))
     with pytest.raises(WalError):
-        reference_decode_frame(damaged)
+        reference_decode_frame(damaged, list(before["leaf-0"]))
     with pytest.raises(WalError):
         receiver.handle(damaged)
     assert receiver.frames_rejected == 1
     assert (_stored(tsdb), tsdb.total_appends) == (stored, appends)
     assert table == before
-    assert all(table[key][2] is before[key][2] for key in before)
+    assert all(a is b for a, b in zip(table["leaf-0"], before["leaf-0"]))
 
 
 def test_first_sight_of_a_series_verifies_its_stamp_on_a_monolith():
@@ -377,27 +503,53 @@ def test_first_sight_of_a_series_verifies_its_stamp_on_a_monolith():
     for tsdb in (Tsdb(), partitioned(4)):
         receiver = RemoteWriteReceiver(tsdb)
         bad = frame_from_rest("leaf-0", 0, 1, 1, reference_frame_rest(
-            [reference_table_entry(series_fingerprint(SERIES_A) ^ 1,
-                                   SERIES_A.items())], [(0, 1, 0.0)]))
+            [reference_definition(series_fingerprint(SERIES_A) ^ 1,
+                                  SERIES_A.items())], [(0, 1, 0.0)]))
         with pytest.raises(WalError, match="fingerprint"):
             receiver.handle(bad)
         assert receiver.stats()["frames_rejected"] == 1
         assert receiver.stats()["frames_received"] == 1
         assert tsdb.sample_count() == 0
-        assert receiver._interned == {}  # noqa: SLF001
+        assert receiver._refs == {}  # noqa: SLF001
 
 
 def test_rejected_frame_interns_none_of_its_new_series():
     receiver = RemoteWriteReceiver(Tsdb())
-    good = reference_table_entry(
+    good = reference_definition(
         series_fingerprint(SERIES_A), SERIES_A.items())
-    unsorted = reference_table_entry(
+    unsorted = reference_definition(
         series_fingerprint(SERIES_B), SERIES_B.items()[::-1])
     with pytest.raises(WalError, match="ascending"):
         receiver.handle(frame_from_rest("leaf-0", 0, 1, 2, reference_frame_rest(
             [good, unsorted], [(0, 1, 0.0), (1, 1, 0.0)])))
-    assert receiver._interned == {}  # noqa: SLF001
+    assert receiver._refs == {}  # noqa: SLF001
     assert receiver.frames_rejected == 1
+
+
+def test_replays_are_acked_before_refs_resolve_and_unknown_refs_refused():
+    # A replay is acknowledged before any ref is resolved; a frame whose
+    # definitions start past what the receiver knows is refused, not
+    # rejected, and leaves nothing behind.
+    receiver = RemoteWriteReceiver(Tsdb())
+    refs = SeriesRefs()
+    receiver.handle(encode_frame("leaf-0", 5, 1, [(SERIES_A, 1, 0.0)], refs))
+    refs.confirm()
+    ahead = frame_from_rest("leaf-0", 5, 2, 1, reference_frame_rest(
+        [], [(7, 2, 0.0)], first=3))
+    assert receiver.handle(ahead) == "refuse 2 known=1"
+    # The same frame under a seq already applied, or an older epoch.
+    for epoch, seq in ((5, 1), (4, 9)):
+        stale = frame_from_rest("leaf-0", epoch, seq, 1, reference_frame_rest(
+            [], [(7, 2, 0.0)], first=3))
+        assert receiver.handle(stale) == f"ack {seq} replayed=1"
+    # A newer epoch starts from an empty table.
+    assert receiver.handle(encode_frame(
+        "leaf-0", 6, 1, [(SERIES_A, 3, 0.0)], refs)) == "refuse 1 known=0"
+    assert receiver.stats()["frames_refused"] == 2
+    assert receiver._refs == {"leaf-0": [SERIES_A]}  # noqa: SLF001
+    assert receiver.frames_received == (
+        receiver.frames_applied + receiver.frames_replayed
+        + receiver.frames_refused)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +755,8 @@ def test_recovered_client_is_not_mistaken_for_a_replay():
     # Frame seq 2 reaches the receiver but its ack is lost in transit:
     # deliver it behind the client's back, as the doomed incarnation did.
     lost = _entries(4, start_ns=clock.now_ns + 1, metric="lost_total")
-    receiver.handle(encode_frame("leaf-0", client.epoch, 2, lost))
+    receiver.handle(encode_frame("leaf-0", client.epoch, 2, lost,
+                                 client._refs))  # noqa: SLF001
     assert receiver.last_sequence("leaf-0") == 2
 
     # Crash + recover: a new client seeds from the durable cursor
@@ -819,10 +972,11 @@ def test_sharded_receiver_ledger_matches_flat_ingest():
         + _entries(40, start_ns=1, metric="other_total", job="sgx",
                    instance="n1")
     )
-    frames = [
-        encode_frame("leaf-0", 0, seq + 1, entries[start:start + 25])
-        for seq, start in enumerate(range(0, len(entries), 25))
-    ]
+    refs, frames = SeriesRefs(), []
+    for seq, start in enumerate(range(0, len(entries), 25), 1):
+        frames.append(encode_frame(
+            "leaf-0", 0, seq, entries[start:start + 25], refs))
+        refs.confirm()
     duplicate = encode_frame("replica-1", 0, 1, entries[:30])
     flat, sharded = RemoteWriteReceiver(Tsdb()), RemoteWriteReceiver(
         partitioned(4))
@@ -915,9 +1069,11 @@ def test_leaf_crash_recovery_resumes_from_acked_cursor():
 
 
 def test_intern_table_is_bounded_by_series_and_dies_with_the_receiver():
-    # 100 fleet nodes -> leaf -> WAL relay -> global.  The relay's table
-    # holds one entry per series the leaf ever shipped — it does not grow
-    # with frames — and a crashed-and-rebuilt receiver starts empty.
+    # 100 fleet nodes -> leaf -> WAL relay -> global.  The relay's ref
+    # table for the leaf holds one entry per series the leaf ever
+    # shipped — it does not grow with frames — and a crashed-and-rebuilt
+    # receiver starts empty: it refuses the leaf's next frame once and
+    # learns every ref from the re-send.
     clock = VirtualClock()
     network = HttpNetwork()
     fleet = NodeFleet(Cluster(clock=clock), network, DeterministicRng(5))
@@ -939,28 +1095,31 @@ def test_intern_table_is_bounded_by_series_and_dies_with_the_receiver():
 
     clock.advance(seconds(20))
     receiver = relay.remote_write_receiver
-    table = receiver._interned  # noqa: SLF001
-    size, frames = len(table), receiver.frames_applied
+    table = receiver._refs  # noqa: SLF001
+    assert list(table) == ["leaf-0"]
+    size, frames = len(table["leaf-0"]), receiver.frames_applied
     assert size >= 100
     clock.advance(seconds(20))
     assert receiver.frames_applied > frames
-    assert len(table) == size  # steady state: no growth per frame
+    assert len(table["leaf-0"]) == size  # steady state: no growth per frame
     shipped = {
         labels for labels, _t, _v, _r in leaf.tsdb.select_arrays(
             [], 0, leaf.remote_write_client.watermark_ns)
     }
-    assert {entry[2] for entry in table.values()} == shipped
-    # Storage holds the interned objects themselves, not equal copies.
+    assert set(table["leaf-0"]) == shipped
+    # Storage holds the table's objects themselves, not equal copies.
     stored = {id(labels) for labels, _storage in relay.tsdb.series_items()}
-    assert all(id(entry[2]) in stored for entry in table.values())
+    assert all(id(labels) in stored for labels in table["leaf-0"])
 
     topo.crash("region-0")
     clock.advance(seconds(2))
     topo.recover("region-0")
     rebuilt = relay.remote_write_receiver
     assert rebuilt is not receiver
-    assert rebuilt._interned == {}  # noqa: SLF001
+    assert rebuilt._refs == {}  # noqa: SLF001
     clock.advance(seconds(20))
-    assert 0 < len(rebuilt._interned) <= len(shipped) + 8  # noqa: SLF001
+    assert 0 < len(rebuilt._refs["leaf-0"]) <= len(shipped) + 8  # noqa: SLF001
+    assert rebuilt.frames_refused == 1
+    assert leaf.remote_write_client.frames_refused == 1
     for deployment in nodes.values():
         deployment.stop()

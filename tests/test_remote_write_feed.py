@@ -29,7 +29,8 @@ from repro.net.http import HttpNetwork
 from repro.orchestration.fleet import NodeFleet
 from repro.orchestration.kubernetes import Cluster
 from repro.pmag.model import Labels, Matcher
-from repro.pmag.remote_write import RemoteWriteClient, encode_frame
+from repro.pmag.remote_write import (
+    RemoteWriteClient, RemoteWriteReceiver, encode_frame)
 from repro.pmag.tsdb import Tsdb
 from repro.simkernel.clock import VirtualClock, seconds
 from repro.simkernel.rng import DeterministicRng
@@ -52,25 +53,63 @@ values = st.one_of(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
 RETENTION_NS = 4
 
 
-class _Uplink:
-    """A network that records every body and acks while ``up``."""
+class _Landing:
+    """A store stand-in recording what each applied frame lands."""
 
     def __init__(self):
-        self.up = True
+        self.frames = []
+
+    def append_fingerprinted(self, frame):
+        table, refs, times, values = frame
+        self.frames.append(_wire(zip(map(table.__getitem__, refs), times,
+                                     values)))
+        return 0
+
+
+class _Uplink:
+    """A network in front of a real receiver that records every body.
+
+    ``state`` is ``"up"``, ``"down"`` (nothing reaches the receiver) or
+    ``"ack-lost"`` (the receiver handles the frame, the client never
+    hears).  A frame the receiver applies must land exactly the entries
+    of the frame in flight, the client's queue head; a replayed or
+    refused one lands nothing.
+    """
+
+    def __init__(self):
+        self.state = "up"
         self.bodies = []
+        self.landing = _Landing()
+        self.receiver = RemoteWriteReceiver(self.landing)
+        self.client = None
+
+    def restart(self):
+        """The receiving monitor restarts: every ref table is gone."""
+        self.receiver = RemoteWriteReceiver(self.landing)
 
     def post_url(self, _url, body):
         self.bodies.append(body)
-        if not self.up:
+        if self.state == "down":
             return SimpleNamespace(ok=False, body="")
-        return SimpleNamespace(ok=True, body=f"ack {body.split()[3]} ")
+        landed = len(self.landing.frames)
+        ack = self.receiver.handle(body)
+        if " applied=" in ack:
+            assert self.landing.frames[landed:] == [
+                _wire(self.client._queue[0].entries)]
+        else:
+            assert len(self.landing.frames) == landed
+        if self.state == "ack-lost":
+            return SimpleNamespace(ok=False, body="")
+        return SimpleNamespace(ok=True, body=ack)
 
 
 def _client(cls, clock, tsdb, max_frame_samples=3, queue_max_frames=4):
-    return cls(clock, _Uplink(), tsdb, "http://up", "leaf-0",
-               max_frame_samples=max_frame_samples,
-               queue_max_frames=queue_max_frames, max_retries=0,
-               rng=DeterministicRng(0))
+    client = cls(clock, _Uplink(), tsdb, "http://up", "leaf-0",
+                 max_frame_samples=max_frame_samples,
+                 queue_max_frames=queue_max_frames, max_retries=0,
+                 rng=DeterministicRng(0))
+    client._network.client = client
+    return client
 
 
 def _wire(entries):
@@ -92,6 +131,7 @@ class FeedMachine(RuleBasedStateMachine):
             self.tsdb = partitioned(self.SHARDS, retention_ns=RETENTION_NS)
         self.client = _client(RemoteWriteClient, self.clock, self.tsdb)
         self.reference = _client(ReferenceClient, self.clock, self.tsdb)
+        self.fresh = 0
 
     def _both(self, method, *args):
         for client in (self.client, self.reference):
@@ -133,12 +173,35 @@ class FeedMachine(RuleBasedStateMachine):
                                  [v for _t, v in samples])
 
     # -- time passes, then both flush --------------------------------------
-    @rule(ns=st.integers(0, 3), up=st.booleans())
-    def flush(self, ns=0, up=True):
+    @rule(ns=st.integers(0, 3),
+          state=st.sampled_from(["up", "down", "ack-lost"]))
+    def flush(self, ns=0, state="up"):
         self.clock.advance(ns)
-        self.client._network.up = self.reference._network.up = up
+        self.client._network.state = self.reference._network.state = state
         self._both("flush")
         self._check()
+
+    # -- what the receivers lose -------------------------------------------
+    @rule()
+    def receiver_restarts(self):
+        """The receiver loses its ref tables: the next frame is refused
+        once and re-sent with every definition."""
+        for client in (self.client, self.reference):
+            client._network.restart()
+
+    @rule()
+    def defining_frame_dropped(self):
+        """A new series' first frame is attempted under an outage, so it
+        carries the definition, and is then dropped from the full queue:
+        later frames must define the ref again."""
+        self.fresh += 1
+        labels = Labels.of("fresh", job="c", i=str(self.fresh))
+        dropped = self.client.frames_dropped
+        for _ in range(self.client.queue_max_frames + 2):
+            self.clock.advance(1)
+            self.tsdb.append_batch([(labels, self.clock.now_ns, 1.0)])
+            self.flush(0, "down")
+        assert self.client.frames_dropped > dropped
 
     # -- what the clients are told -----------------------------------------
     @rule(how=st.sampled_from(["late_arrival", "seed", "stop"]),

@@ -28,7 +28,8 @@ from repro.pmag import wal
 from repro.pmag.archive import restore, snapshot
 from repro.pmag.model import Labels, Matcher
 from repro.pmag.query.engine import QueryEngine
-from repro.pmag.remote_write import decode_frame_blocks, encode_frame
+from repro.pmag.remote_write import (
+    SeriesRefs, decode_frame_blocks, encode_frame, resolve_refs)
 from repro.pmag.storage import (
     ShardedTsdb,
     build_storage_engine,
@@ -113,12 +114,15 @@ def test_colliding_fingerprints_stay_distinct_series(pair):
     assert store.append_batch(entries) == []
     assert _logged(store)[shard_for(first, 4)] == {first, second}
     assert _listed(store.select_arrays([], 0, seconds(3))) == expected
-    interned = {}
-    for seq in (1, 2):  # the second decode meets the interned headers
-        _sender, _epoch, _seq, blocks = decode_frame_blocks(
-            encode_frame("leaf", 1, seq, entries), interned)
-        table, refs, times, values = blocks
+    sender, table = SeriesRefs(), []
+    for seq in (1, 2):  # the second frame names known refs only
+        _sender, _epoch, _seq, (start, defined, refs, times, values) = (
+            decode_frame_blocks(encode_frame("leaf", 1, seq, entries, sender)))
+        sender.confirm()
+        assert (start, len(defined)) == ((0, 2) if seq == 1 else (2, 0))
+        table = resolve_refs(table, start, defined, refs)
         assert table == [first, second]
+        blocks = (table, refs, times, values)
         assert (list(refs), list(times), list(values)) == (
             [0, 1, 0, 1], [seconds(1), seconds(1), seconds(2), seconds(2)],
             [1.0, 2.0, 3.0, 4.0])
