@@ -180,6 +180,10 @@ class FeedMachine(RuleBasedStateMachine):
         self.client._network.state = self.reference._network.state = state
         self._both("flush")
         self._check()
+        if state == "up":
+            # A reachable receiver takes every queued frame: a refused
+            # one is re-sent at once with every definition.
+            assert self.client.queue_depth == 0
 
     # -- what the receivers lose -------------------------------------------
     @rule()
