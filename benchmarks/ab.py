@@ -20,7 +20,7 @@ workload asked:
 Usage::
 
     python benchmarks/ab.py BASE [HEAD] [--workload W ...] [--pairs 10]
-        [--seed 7] [--seconds 5] [--no-fixed] [--output FILE]
+        [--seed 7] [--output FILE]
 
 Standard library only.
 """
@@ -41,6 +41,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("fleet_federated", "single_host_app", "dashboard_read",
              "crash_loop")
+#: The driver form's run length, the same on both sides.
+DRIVER_SECONDS = 5
 
 
 def pair_order(pairs: int) -> List[Tuple[str, str]]:
@@ -121,10 +123,10 @@ def _run(tree: Path, args: List[str]) -> str:
     return done.stdout
 
 
-def driver_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def driver_run(tree: Path, workload: str, seed: int) -> dict:
     """One driver-form measurement: its last output line."""
     out = _run(tree, ["--workload", workload, "--seed", str(seed),
-                      "--seconds", str(seconds), "--trace", "0"])
+                      "--seconds", str(DRIVER_SECONDS), "--trace", "0"])
     return json.loads(out.strip().splitlines()[-1])
 
 
@@ -138,12 +140,12 @@ def fixed_run(tree: Path, side: str, workload: str, seed: int,
 
 
 def ab_workload(trees: Dict[str, Path], workload: str, seed: int,
-                pairs: int, seconds: float, fixed: bool, scratch: Path,
+                pairs: int, fixed: bool, scratch: Path,
                 better: Dict[str, str],
                 runner: Callable = driver_run) -> dict:
     records: List[Tuple[dict, dict]] = []
     for order in pair_order(pairs):
-        got = {side: runner(trees[side], workload, seed, seconds)
+        got = {side: runner(trees[side], workload, seed)
                for side in order}
         records.append((got["base"], got["head"]))
     result = {"workload": workload, "seed": seed,
@@ -202,9 +204,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=float, default=5.0)
-    parser.add_argument("--no-fixed", action="store_true",
-                        help="skip the fixed-step pass")
     parser.add_argument("--output", help="write the results as JSON here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -221,8 +220,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         results = []
         for workload in args.workload or list(WORKLOADS):
             result = ab_workload(trees, workload, args.seed, args.pairs,
-                                 args.seconds, not args.no_fixed, scratch,
-                                 better)
+                                 fixed=True, scratch=scratch, better=better)
             print(render(result), flush=True)
             results.append(result)
     if args.output:

@@ -407,8 +407,12 @@ class RemoteWriteReceiver:
     given its own ``identity`` rejects frames claiming that identity —
     a relay loop would otherwise replay its own output forever.
 
+    Newly defined refs resolve to the receiver's one ``Labels`` object
+    for their series, whichever sender defined it first, so the store's
+    lookups take the identity fast path for every sender.
+
     (Epoch, sequence) state and ref tables are per *sender* and live in
-    monitor memory: after a receiving-monitor crash both maps are empty,
+    monitor memory: after a receiving-monitor crash every map is empty,
     so the receiver accepts any epoch/sequence, refuses each sender's
     first frame once, and relies on sample-granularity dedup for the
     overlap a resuming client re-sends.
@@ -428,6 +432,9 @@ class RemoteWriteReceiver:
         #: applied frame (:func:`resolve_refs`); gone with this
         #: incarnation.
         self._refs: Dict[str, List[Labels]] = {}
+        #: labels -> the one equal object every sender's table holds:
+        #: an HA pair shipping one series shares its Labels.
+        self._labels: Dict[Labels, Labels] = {}
         self._endpoint = None
         self.frames_received = 0
         self.frames_applied = 0
@@ -504,6 +511,7 @@ class RemoteWriteReceiver:
             return f"ack {seq} replayed={total}"
         # A newer epoch is a new incarnation: its refs start afresh.
         known = self._refs[sender] if epoch == last_epoch else []
+        size = len(known)
         try:
             table = resolve_refs(known, first, defined, refs)
         except WalError:
@@ -511,7 +519,10 @@ class RemoteWriteReceiver:
             raise
         if table is None:
             self.frames_refused += 1
-            return f"refuse {seq} known={len(known)}"
+            return f"refuse {seq} known={size}"
+        if len(table) > size:
+            share = self._labels.setdefault
+            table[size:] = [share(labels, labels) for labels in table[size:]]
         self._refs[sender] = table
         rejected = (self._tsdb.append_fingerprinted((table, refs, stamps,
                                                      values))
@@ -907,25 +918,28 @@ class RemoteWriteClient:
 
         A receiver that refuses the frame for refs it does not know (it
         restarted, or it is another replica) gets it again at once with
-        every definition — a frame that cannot be refused.
+        every definition — a frame that cannot be refused.  The refused
+        post and its re-send are one attempt: one ``frames_sent``.
         """
         frame.attempts += 1
         self.frames_sent += 1
         refs = self._refs
-        body = encode_frame(self.source, self.epoch, frame.seq, frame.entries,
-                            refs)
-        response = self._network.post_url(self.url, body)
-        latency_s = getattr(response, "latency_s", 0.0)
-        if response.ok and latency_s <= self.timeout_budget_s:
+        while True:
+            body = encode_frame(self.source, self.epoch, frame.seq,
+                                frame.entries, refs)
+            response = self._network.post_url(self.url, body)
+            latency_s = getattr(response, "latency_s", 0.0)
+            if not response.ok or latency_s > self.timeout_budget_s:
+                break
             if response.body.startswith(f"ack {frame.seq}"):
                 refs.confirm()
                 self.bytes_shipped += len(body)
                 return True
-            if refs.confirmed and response.body.startswith(
-                    f"refuse {frame.seq}"):
-                self.frames_refused += 1
-                refs.confirmed = 0
-                return self._attempt(frame)
+            if not (refs.confirmed and response.body.startswith(
+                    f"refuse {frame.seq}")):
+                break
+            self.frames_refused += 1
+            refs.confirmed = 0
         if frame.attempts <= self.max_retries:
             delay_s = self.backoff_base_s * (2 ** (frame.attempts - 1))
             if self.backoff_jitter:

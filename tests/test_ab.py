@@ -50,12 +50,12 @@ def test_summary_takes_median_ratio_wins_and_base_iqr():
 def test_pairs_run_in_the_alternated_order():
     calls = []
 
-    def runner(tree, workload, seed, seconds):
+    def runner(tree, workload, seed):
         calls.append(tree.name)
         return _record(2.0 if tree.name == "head" else 1.0, 1.0, 3)
 
     trees = {"base": Path("base"), "head": Path("head")}
-    result = ab.ab_workload(trees, "fleet_federated", 7, 3, 5.0, False,
+    result = ab.ab_workload(trees, "fleet_federated", 7, 3, False,
                             Path("."), BETTER, runner=runner)
     assert calls == ["base", "head", "head", "base", "base", "head"]
     assert result["driver"]["metrics"]["work_per_s"]["median_ratio"] == 2.0

@@ -138,6 +138,7 @@ def assert_dedup_reconciles(world, shipped_by_dead_incarnations=0):
     assert stats["frames_rejected"] == 0
     assert stats["frames_received"] == (
         stats["frames_applied"] + stats["frames_replayed"]
+        + stats["frames_refused"]
     )
 
 

@@ -255,6 +255,8 @@ def test_the_next_frame_of_a_confirmed_epoch_defines_nothing():
     assert client.stats()["frames_refused"] == 1
     assert fresh.frames_applied == 1 and fresh.samples_applied == 1
     assert client.frames_acked == 3 and client.queue_depth == 0
+    # The refused post and its re-send are one attempt: not a failure.
+    assert client.frames_sent == 3
     # Confirmed again: the next frame defines nothing.
     clock.advance(seconds(1))
     leaf.append_sample("m_total", clock.now_ns, 3.0, job="sgx",
@@ -576,6 +578,24 @@ def _fill(tsdb, count, now_ns, metric="m_total"):
     for i in range(count):
         tsdb.append_sample(metric, now_ns - count + 1 + i, float(i),
                            job="sgx", instance="n0")
+
+
+def test_senders_of_one_series_share_its_labels_at_the_receiver():
+    """An HA pair ships the same series under two senders: both ref
+    tables and the store hold the one Labels object the first
+    definition created."""
+    clock, network, leaf, global_tsdb, receiver, client = _rig()
+    replica = RemoteWriteClient(clock, network, leaf, receiver.url,
+                                "leaf-1", rng=DeterministicRng(4))
+    clock.advance(seconds(1))
+    _fill(leaf, 3, clock.now_ns)
+    client.flush()
+    replica.flush()
+    first, second = receiver._refs["leaf-0"], receiver._refs["leaf-1"]  # noqa: SLF001
+    assert len(first) == len(second) == 1 and first[0] is second[0]
+    (stored, _storage), = global_tsdb.series_items()
+    assert stored is first[0]
+    assert receiver.samples_applied == 3 and receiver.samples_deduped == 3
 
 
 def test_flush_ships_everything_in_order():
