@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import TsdbError
-from repro.pmag.chunks import ChunkedSeries
+from repro.pmag.chunks import ChunkedSeries, StampColumns
 from repro.pmag.model import (
     Labels, Matcher, METRIC_NAME_LABEL, Sample, Series, sample_of,
 )
@@ -76,6 +76,8 @@ class Tsdb:
         self.total_appends = 0
         self._wal = None
         self._feeds: List[ArrivalFeed] = []
+        #: Sealed timestamp columns the series share (:class:`ChunkedSeries`).
+        self._stamps = StampColumns()
         #: Retention's low-water mark: no chunk can expire until the
         #: cutoff passes this.  A lower bound on every series' first
         #: chunk end — exact after a retention scan, lowered (never
@@ -179,7 +181,7 @@ class Tsdb:
             storage = series.get(labels)
             fresh = storage is None
             if fresh:
-                storage = ChunkedSeries()
+                storage = ChunkedSeries(self._stamps)
             try:
                 storage.append(time_ns, value)
             except TsdbError:
@@ -216,7 +218,7 @@ class Tsdb:
         storage = self._series.get(labels)
         fresh = storage is None
         if fresh:
-            storage = ChunkedSeries()
+            storage = ChunkedSeries(self._stamps)
         rejected = storage.append_run(times, values)
         appended = count - len(rejected)
         if not appended:

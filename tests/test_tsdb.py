@@ -282,6 +282,40 @@ def test_retention_drops_old_chunks_and_dead_series():
     assert [labels for labels, _ in tsdb.series_items()] == [Labels.of("fresh")]
 
 
+def test_sealed_chunks_of_a_store_share_equal_timestamp_columns():
+    tsdb = Tsdb(retention_ns=1_000)
+    stamps = range(0, (2 * CHUNK_SIZE + 5) * 10, 10)
+    for time_ns in stamps:
+        tsdb.append_sample("a", time_ns, 1.0)
+    tsdb.append_batch([(Labels.of("b"), time_ns, 2.0) for time_ns in stamps])
+    tsdb.append_run(Labels.of("c"), array("q", stamps),
+                    array("d", [3.0] * len(stamps)))
+    # Same cut instants, one stamp inside the second chunk moved.
+    moved = array("q", stamps)
+    moved[CHUNK_SIZE + 7] += 3
+    tsdb.append_run(Labels.of("d"), moved, array("d", [4.0] * len(stamps)))
+    columns = {
+        labels.metric_name: [chunk._times for chunk in series._chunks]  # noqa: SLF001
+        for labels, series in tsdb.series_items()
+    }
+    a, b, c, d = (columns[name] for name in "abcd")
+    for sealed in (0, 1):
+        assert a[sealed] is b[sealed] is c[sealed]
+    assert d[0] is a[0] and d[1] is not a[1] and d[1] != a[1]
+    # The heads are still being appended to: each keeps its own.
+    assert len({id(column[2]) for column in columns.values()}) == 4
+    for name in "abc":
+        (_labels, times, _values, _reset_free), = tsdb.select_arrays(
+            [Matcher.eq("__name__", name)], 0, stamps[-1])
+        assert times.tolist() == list(stamps)
+    # Retention frees a column with the last chunk that uses it.
+    first_key = (0, (CHUNK_SIZE - 1) * 10, CHUNK_SIZE)
+    assert first_key in tsdb._stamps  # noqa: SLF001
+    del columns, a, b, c, d
+    tsdb.enforce_retention(now_ns=(CHUNK_SIZE - 1) * 10 + 1 + 1_000)
+    assert first_key not in tsdb._stamps  # noqa: SLF001
+
+
 def test_select_empty_window_returns_nothing():
     tsdb = Tsdb()
     tsdb.append_sample("m", 100, 1.0)
