@@ -203,13 +203,29 @@ class Chunk:
 
     def memory_bytes(self) -> int:
         """In-memory footprint: two 8-byte column cells per sample, a
-        shared timestamp column (:class:`ChunkedSeries`) counted in
-        every chunk that uses it."""
+        shared column (:class:`ChunkedSeries`) counted in every chunk
+        that uses it."""
         return 24 + len(self._values) * 16
 
 
-#: A store's sealed timestamp columns, keyed by (first, last, length).
+#: A store's sealed columns: timestamps keyed by (first, last, length),
+#: constant values by (value, length).
 StampColumns = WeakValueDictionary
+
+
+def _sealed(stamps: StampColumns, key: tuple, column: array) -> array:
+    """The column ``stamps`` holds under ``key`` if the two are equal
+    byte for byte (so ``-0.0`` is not ``0.0``); else a copy of
+    ``column`` exactly its length — an ``array`` grown by appends
+    carries about a tenth in spare cells — held if ``key`` is new."""
+    held = stamps.get(key)
+    if held is not None and (
+            memoryview(held).cast("B") == memoryview(column).cast("B")):
+        return held
+    column = column[:]
+    if held is None:
+        stamps[key] = column
+    return column
 
 
 class ChunkedSeries:
@@ -221,10 +237,14 @@ class ChunkedSeries:
     holds.  Series scraped together, and the copies a remote-write
     receiver lands, cut their chunks on the same instants, so a store
     keeps one column for all of them: 22 columns for the 7,498 full
-    chunks of ``fleet_federated``'s eight monitors at step 240.  Columns
+    chunks of ``fleet_federated``'s eight monitors at step 240.  A
+    constant value column (``up``, an info metric, a count that holds
+    still: 3,462 of those chunks) is shared the same way, so a series
+    that does not move costs about nothing past its head chunk.  Columns
     are compared whole before one is shared, and held weakly: a column
     lives as long as a chunk uses it, and retention frees it with its
-    last chunk.  The head chunk keeps its own column.
+    last chunk.  A sealed column that is not shared is copied to exactly
+    its length.  The head chunk keeps its own columns.
     """
 
     __slots__ = ("_chunks", "_starts", "_count", "_stamps")
@@ -236,18 +256,21 @@ class ChunkedSeries:
         self._stamps = stamps
 
     def _seal(self) -> None:
-        """The head chunk is complete: share its timestamp column."""
+        """The head chunk is complete: its timestamp column, and its
+        value column if constant, become an equal column the store
+        holds (:func:`_sealed`); any other column an exact-size copy."""
+        head = self._chunks[-1]
         stamps = self._stamps
         if stamps is None:
+            head._values = head._values[:]
             return
-        head = self._chunks[-1]
         times = head._times
-        key = (times[0], times[-1], len(times))
-        held = stamps.get(key)
-        if held is None:
-            stamps[key] = times
-        elif held == times:
-            head._times = held
+        head._times = _sealed(stamps, (times[0], times[-1], len(times)), times)
+        values = head._values
+        if values.count(values[0]) == len(values):
+            head._values = _sealed(stamps, (values[0], len(values)), values)
+        else:
+            head._values = values[:]
 
     @property
     def sample_count(self) -> int:

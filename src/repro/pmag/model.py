@@ -16,7 +16,7 @@ METRIC_NAME_LABEL = "__name__"
 class Labels:
     """An immutable, hashable label set (including ``__name__``)."""
 
-    __slots__ = ("_pairs", "_map", "_hash", "_derived")
+    __slots__ = ("_pairs", "_map", "_hash", "_derived", "metric_name")
 
     def __init__(self, mapping: Mapping[str, str]) -> None:
         for name, value in mapping.items():
@@ -25,6 +25,9 @@ class Labels:
         self._pairs: Tuple[Tuple[str, str], ...] = tuple(sorted(mapping.items()))
         self._map: Dict[str, str] = dict(self._pairs)
         self._hash = hash(self._pairs)
+        #: The ``__name__`` label (empty if absent): read for every
+        #: sample the store takes, so set once here.
+        self.metric_name: str = self._map.get(METRIC_NAME_LABEL, "")
         # Memoised results of without()/keep_only(): query evaluation
         # derives the same label subsets from the same instance at every
         # step, and the key population (drop/keep argument tuples) is
@@ -42,11 +45,6 @@ class Labels:
         mapping = dict(labels)
         mapping[METRIC_NAME_LABEL] = metric
         return Labels(mapping)
-
-    @property
-    def metric_name(self) -> str:
-        """The ``__name__`` label (empty if absent)."""
-        return self.get(METRIC_NAME_LABEL, "")
 
     def get(self, name: str, default: str = "") -> str:
         """Value of one label."""

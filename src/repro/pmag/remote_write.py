@@ -205,7 +205,7 @@ def encode_frame(
     """One batched, compressed frame as an HTTP body.
 
     Header line ``teemon-rw/6 <sender> <epoch> <seq> <count>``, then the
-    base64 of the zlib-compressed (level 6) payload::
+    base64 of the zlib-compressed (level 1) payload::
 
         u32 crc32(rest) | rest
         rest = u32 first | u32 D | D * (u32 fingerprint | label block)
@@ -225,7 +225,9 @@ def encode_frame(
     one), ``seq`` orders frames within it.  Without ``refs`` the frame
     stands alone: it numbers its series in order of first appearance
     and defines them all.  A series that fails a check raises before it
-    is numbered, so it raises every time.
+    is numbered, so it raises every time.  Level 1, not 6: a
+    steady-state frame is refs, times and values, which level 6 packs
+    only about 5 % tighter for about six times the deflate CPU.
     """
     if not is_wire_safe(sender):
         raise WalError(f"sender not wire-safe: {sender!r}")
@@ -255,7 +257,7 @@ def encode_frame(
                pack_column(array("q", times)), pack_column(array("d", values))]
     rest = b"".join(pieces)
     payload = _U32.pack(zlib.crc32(rest)) + rest
-    body = base64.b64encode(zlib.compress(payload, 6)).decode("ascii")
+    body = base64.b64encode(zlib.compress(payload, 1)).decode("ascii")
     return f"{FRAME_MAGIC} {sender} {epoch} {seq} {len(entries)}\n{body}"
 
 

@@ -88,12 +88,13 @@ class TargetHealth:
     #: target's series, so a steady-state line is neither re-parsed nor
     #: re-labelled: the parser's ``line prefix -> (name, labels)`` memo
     #: (see :func:`~repro.openmetrics.parser.parse_exposition`) and the
-    #: stored :class:`Labels` — identity attached — per ``(name,
-    #: labels)``.  Both hold only what that exposition contained;
-    #: ``own`` holds the label sets of the few series the scraper writes
-    #: about the target itself (``up``, scrape metadata, staleness), by
-    #: name.  All three go when this record does (target retired,
-    #: monitor resurrected).
+    #: stored :class:`Labels` — identity attached, and the store's own
+    #: key object if it already holds the series (say, recovered from
+    #: the WAL) — per ``(name, labels)``.  Both hold only what that
+    #: exposition contained; ``own`` holds the label sets of the few
+    #: series the scraper writes about the target itself (``up``, scrape
+    #: metadata, staleness), by name.  All three go when this record
+    #: does (target retired, monitor resurrected).
     series: SeriesTable = field(default_factory=dict, repr=False)
     stored: Dict[tuple, Labels] = field(default_factory=dict, repr=False)
     own: Dict[str, Labels] = field(default_factory=dict, repr=False)
@@ -307,7 +308,8 @@ class ScrapeManager:
             key = (name, pairs)
             labels = known.get(key)
             if labels is None:
-                labels = _series_labels(name, pairs, identity)
+                labels = self._tsdb.stored_labels(
+                    _series_labels(name, pairs, identity))
             stored[key] = labels
             entries.append((labels, now_ns, value))
         rejected = self._tsdb.append_batch(entries) if entries else []
@@ -466,7 +468,8 @@ class ScrapeManager:
         for name, value, _counter in writes:
             labels = own.get(name)
             if labels is None:
-                labels = own[name] = _series_labels(name, (), identity)
+                labels = own[name] = self._tsdb.stored_labels(
+                    _series_labels(name, (), identity))
             entries.append((labels, now_ns, value))
         rejected = self._tsdb.append_batch(entries)
         if rejected:

@@ -21,10 +21,10 @@ the index.  Three invariants the layers above lean on:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import TsdbError
-from repro.pmag.chunks import ChunkedSeries, StampColumns
+from repro.pmag.chunks import CHUNK_SIZE, ChunkedSeries, StampColumns
 from repro.pmag.model import (
     Labels, Matcher, METRIC_NAME_LABEL, Sample, Series, sample_of,
 )
@@ -64,19 +64,24 @@ class Tsdb:
 
     Append-only per series (out-of-order appends are rejected, as in
     Prometheus), with chunk-granular retention and a postings-style index:
-    for every (label name, value) pair, the set of series carrying it.
+    for every (label name, value) pair, the series carrying it.
     Selection intersects postings for equality matchers, then filters the
-    survivors with the remaining matchers.
+    survivors with the remaining matchers.  A posting maps each series'
+    :class:`Labels` to itself, so the ``__name__`` posting also hands
+    out the store's own key object (:meth:`stored_labels`).
     """
 
     def __init__(self, *, retention_ns: Optional[int] = None) -> None:
         self._series: Dict[Labels, ChunkedSeries] = {}
-        self._postings: Dict[tuple, Set[Labels]] = {}
+        self._postings: Dict[tuple, Dict[Labels, Labels]] = {}
         self.retention_ns = retention_ns
         self.total_appends = 0
+        #: Samples stored now: :meth:`sample_count`, kept by every call
+        #: that adds or drops samples.
+        self._samples = 0
         self._wal = None
         self._feeds: List[ArrivalFeed] = []
-        #: Sealed timestamp columns the series share (:class:`ChunkedSeries`).
+        #: Sealed columns the series share (:class:`ChunkedSeries`).
         self._stamps = StampColumns()
         #: Retention's low-water mark: no chunk can expire until the
         #: cutoff passes this.  A lower bound on every series' first
@@ -157,7 +162,12 @@ class Tsdb:
         how a writer groups its samples into batches.
 
         Per entry, in order: chunk append, and series creation — a
-        series exists from its first accepted sample on.  Accepted
+        series exists from its first accepted sample on.  The common
+        entry — a known series, a head chunk with room, an ``int``
+        timestamp past the head's newest and a value the float column
+        takes — is written straight into the head chunk's columns;
+        every other entry goes through :meth:`ChunkedSeries.append`,
+        where the rejection rules live.  Accepted
         samples reach the WAL as one :meth:`WalWriter.commit`: flush
         and rotation boundaries are counted in samples, so they do not
         depend on the batching, but the log costs a few disk writes per
@@ -175,10 +185,28 @@ class Tsdb:
         floor = self._expiry_floor_ns
         for index, entry in enumerate(entries):
             labels, time_ns, value = entry
+            storage = series.get(labels)
+            if storage is not None and storage._chunks:
+                head = storage._chunks[-1]
+                times = head._times
+                if (len(times) < CHUNK_SIZE and type(time_ns) is int
+                        and times[-1] < time_ns < _NEVER_NS):
+                    try:
+                        head._values.append(value)
+                    except (TypeError, OverflowError):
+                        pass
+                    else:
+                        # Past the head's newest, so past the series'
+                        # first chunk end and the floor below it.
+                        times.append(time_ns)
+                        storage._count += 1
+                        appended += 1
+                        if accepted is not None:
+                            accepted.append(entry)
+                        continue
             if not labels.metric_name:
                 rejected.append(index)
                 continue
-            storage = series.get(labels)
             fresh = storage is None
             if fresh:
                 storage = ChunkedSeries(self._stamps)
@@ -196,6 +224,7 @@ class Tsdb:
                 accepted.append(entry)
         self._expiry_floor_ns = floor
         self.total_appends += appended
+        self._samples += appended
         if accepted:
             if wal is not None:
                 wal.commit(accepted)
@@ -226,6 +255,7 @@ class Tsdb:
         if fresh:
             self._index(labels, storage)
         self.total_appends += appended
+        self._samples += appended
         self._expiry_floor_ns = min(
             self._expiry_floor_ns, storage.first_chunk_end_ns())
         if self._wal is not None or self._feeds:
@@ -260,7 +290,15 @@ class Tsdb:
         """Enter a series into the store and the postings."""
         self._series[labels] = storage
         for pair in labels.items():
-            self._postings.setdefault(pair, set()).add(labels)
+            self._postings.setdefault(pair, {})[labels] = labels
+
+    def stored_labels(self, labels: Labels) -> Labels:
+        """The store's own key equal to ``labels``, or ``labels`` when
+        no series has them.  A writer that keeps what this returns makes
+        every later lookup of the series — here and in the WAL's
+        routing — a match by identity, not a compare of label tuples."""
+        postings = self._postings.get((METRIC_NAME_LABEL, labels.metric_name))
+        return labels if postings is None else postings.get(labels, labels)
 
     def install_series(self, labels: Labels, storage: ChunkedSeries) -> None:
         """Install a fully-built series (the archive/WAL restore fast path).
@@ -279,6 +317,7 @@ class Tsdb:
         self._index(labels, storage)
         self._doubt()
         self.total_appends += storage.sample_count
+        self._samples += storage.sample_count
         if storage.sample_count:
             self._expiry_floor_ns = min(
                 self._expiry_floor_ns, storage.first_chunk_end_ns())
@@ -408,7 +447,7 @@ class Tsdb:
 
     def sample_count(self) -> int:
         """Total stored samples."""
-        return sum(s.sample_count for s in self._series.values())
+        return self._samples
 
     def memory_bytes(self) -> int:
         """Approximate storage footprint."""
@@ -430,7 +469,7 @@ class Tsdb:
         for pair in labels.items():
             postings = self._postings.get(pair)
             if postings is not None:
-                postings.discard(labels)
+                postings.pop(labels, None)
                 if not postings:
                     del self._postings[pair]
 
@@ -443,6 +482,7 @@ class Tsdb:
         """
         victims = list(self._matching_series(matchers))
         for labels in victims:
+            self._samples -= self._series[labels].sample_count
             self._unindex(labels)
         if victims:
             self._doubt()
@@ -473,6 +513,7 @@ class Tsdb:
         for labels in empty:
             self._unindex(labels)
         self._expiry_floor_ns = floor
+        self._samples -= dropped
         if dropped:
             # Whole chunks ending before the cutoff.
             self._doubt(cutoff)

@@ -466,7 +466,7 @@ def frame_from_rest(sender, epoch, seq, count, rest):
 def frame_from_payload(sender, epoch, seq, count, payload,
                        magic=FRAME_MAGIC):
     """A frame around an arbitrary (possibly damaged) payload."""
-    body = base64.b64encode(zlib.compress(payload, 6)).decode("ascii")
+    body = base64.b64encode(zlib.compress(payload, 1)).decode("ascii")
     return f"{magic} {sender} {epoch} {seq} {count}\n{body}"
 
 

@@ -161,6 +161,24 @@ def test_a_resurrected_monitor_starts_with_empty_scrape_memos():
     rig.deployment.stop()
 
 
+def test_a_resurrected_scraper_keeps_the_recovered_label_objects():
+    # The recovered store is keyed by the Labels the replay decoded; the
+    # new scraper writes under those very objects, so its lookups in the
+    # index and the WAL routing match by identity.
+    rig = build_rig(3)
+    rig.deployment.start()
+    rig.clock.advance(seconds(30))
+    rig.supervisor.crash()
+    rig.supervisor.recover()
+    recovered = {id(labels) for labels, _ in rig.deployment.tsdb.series_items()}
+    rig.clock.advance(seconds(10))
+    health = rig.deployment.scrape_manager._health  # noqa: SLF001
+    written = [labels for h in health.values()
+               for labels in (*h.stored.values(), *h.own.values())]
+    assert written and all(id(labels) in recovered for labels in written)
+    rig.deployment.stop()
+
+
 def test_the_dead_incarnation_is_freed_before_the_replay_starts(monkeypatch):
     # A restart returns the dead process's memory before the new one
     # grows: by the time the WAL replay builds the recovered store, the

@@ -407,11 +407,12 @@ def test_deleted_series_can_be_re_ingested_fresh():
 # Postings-index consistency under interleaved mutation
 # ---------------------------------------------------------------------------
 def _postings_rebuilt(tsdb):
-    """What the inverted index *should* contain, rebuilt from scratch."""
+    """What the inverted index *should* contain, rebuilt from scratch:
+    per pair, each series' key mapped to itself."""
     expected = {}
     for labels in tsdb._series:  # noqa: SLF001
         for pair in labels.items():
-            expected.setdefault(pair, set()).add(labels)
+            expected.setdefault(pair, {})[labels] = labels
     return expected
 
 
